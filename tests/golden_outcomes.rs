@@ -1,0 +1,61 @@
+//! Golden experiment outcomes: a fixed matrix of cells whose complete
+//! `ExperimentOutcome` — measures, breakdown, timeline and the captured
+//! JSONL event stream — is pinned by digest in `tests/golden/outcomes.txt`.
+//!
+//! The matrix crosses the paper's six fault types with the three ways a
+//! fault is answered (recover in place; fail over to the single manual
+//! stand-by; fail over under quorum, lose the promoted node too, fail over
+//! again) and adds the two edges: no fault at all, and a fault the
+//! configuration cannot recover from.
+
+mod golden;
+
+use recobench::core::{Experiment, ExperimentBuilder, RecoveryConfig};
+use recobench::engine::{FailoverPolicy, ReplicaTopology};
+use recobench::faults::FaultType;
+use recobench::tpcc::TpccScale;
+
+fn cell(config: &str) -> ExperimentBuilder {
+    Experiment::builder(RecoveryConfig::named(config).expect("known configuration"))
+        .duration_secs(480)
+        .scale(TpccScale::tiny())
+        .seed(7)
+        .capture_events(true)
+}
+
+#[test]
+fn outcomes_match_the_golden_file() {
+    let mut cells: Vec<(String, ExperimentBuilder)> = Vec::new();
+    for fault in FaultType::all() {
+        let faulted = || cell("F10G3T5").fault(fault, 120);
+        cells.push((format!("{fault:?}/none"), faulted()));
+        cells.push((
+            format!("{fault:?}/single-manual"),
+            faulted().topology(ReplicaTopology::single()).failover_policy(FailoverPolicy::Manual),
+        ));
+        cells.push((
+            format!("{fault:?}/fanout2-quorum-double"),
+            faulted()
+                .topology(ReplicaTopology::fan_out(2))
+                .failover_policy(FailoverPolicy::AutoQuorum)
+                .second_fault_secs(300),
+        ));
+    }
+    cells.push(("fault-free".to_string(), cell("F10G3T5")));
+    cells.push((
+        "noarchivelog-unrecoverable".to_string(),
+        cell("F1G3T1").archive_logs(false).fault(FaultType::DeleteDatafile, 120),
+    ));
+
+    let lines: Vec<String> = cells
+        .into_iter()
+        .map(|(label, builder)| {
+            let out = builder.run().unwrap_or_else(|e| panic!("{label}: setup failed: {e}"));
+            if label == "noarchivelog-unrecoverable" {
+                assert!(out.unrecoverable, "{label}: the redo needed is long overwritten");
+            }
+            golden::line(&label, &out)
+        })
+        .collect();
+    golden::check("outcomes.txt", &lines);
+}

@@ -7,6 +7,11 @@
 //! or two faults. On a healthy engine each must replay with zero
 //! divergences and a recoverable database; when the torture sweep finds a
 //! new divergence, its minimized JSON artifact belongs here once fixed.
+//!
+//! Each replay's complete `TortureOutcome` is also pinned by digest in
+//! `tests/golden/corpus.txt` (see `tests/golden/mod.rs`).
+
+mod golden;
 
 use recobench::faults::FaultSchedule;
 use recobench::oracle::TortureRunner;
@@ -23,6 +28,7 @@ fn corpus_schedules_replay_clean() {
     assert!(paths.len() >= 3, "the corpus must not be silently empty: {paths:?}");
 
     let runner = TortureRunner::default();
+    let mut digests = Vec::new();
     for path in paths {
         let text = std::fs::read_to_string(&path).expect("readable schedule");
         let schedule = FaultSchedule::from_json(text.trim())
@@ -48,5 +54,8 @@ fn corpus_schedules_replay_clean() {
             path.display(),
             outcome.divergences
         );
+        let name = path.file_name().and_then(|n| n.to_str()).expect("utf-8 corpus file name");
+        digests.push(golden::line(name, &outcome));
     }
+    golden::check("corpus.txt", &digests);
 }
