@@ -9,31 +9,39 @@
 
 use recobench_bench::BenchCli;
 use recobench_core::report::Table;
-use recobench_core::RecoveryConfig;
-use recobench_engine::{DbServer, DiskLayout};
+use recobench_core::rig::set_up;
+use recobench_core::{RecoveryConfig, Rig};
+use recobench_engine::{DbServer, DiskLayout, FailoverPolicy, ReplicaTopology};
 use recobench_faults::{DoubleFaultPlan, FaultPlan, FaultType, Sabotage};
-use recobench_sim::{SimClock, SimRng};
-use recobench_tpcc::{create_schema, load_database, DriverConfig, TpccDriver, TpccScale};
-use std::sync::Arc;
+use recobench_sim::{SimClock, SimDuration};
+use recobench_tpcc::{DriverConfig, TpccScale};
 
-fn prepared_server(seed: u64) -> (DbServer, TpccDriver) {
-    let clock = SimClock::shared();
+fn prepared_server(seed: u64) -> DbServer {
     let cfg = RecoveryConfig::named("F10G3T5").unwrap().to_instance_config(true);
-    let mut srv =
-        DbServer::on_fresh_disks("DOUBLE", Arc::clone(&clock), DiskLayout::four_disk(), cfg);
-    srv.create_database().expect("fresh disks");
-    let schema = create_schema(&mut srv, TpccScale::mini(), 8, 768).expect("schema");
-    let mut rng = SimRng::seed_from(seed);
-    load_database(&mut srv, &schema, &mut rng).expect("load");
-    srv.take_cold_backup().expect("backup");
-    let t0 = clock.now();
-    let mut driver = TpccDriver::new(schema, DriverConfig::default(), rng.fork(9), t0);
-    // 180 s of workload so several archives exist before the sabotage.
-    let end = t0 + recobench_sim::SimDuration::from_secs(180);
-    while clock.now() < end {
-        driver.step(&mut srv);
-    }
-    (srv, driver)
+    let (srv, schema) = set_up(
+        "DOUBLE",
+        SimClock::shared(),
+        DiskLayout::four_disk(),
+        cfg,
+        TpccScale::mini(),
+        seed,
+        |_| {},
+    )
+    .expect("setup on fresh disks");
+    // 180 s of fault-free workload so several archives exist before the
+    // sabotage.
+    let mut rig = Rig::assemble(
+        srv,
+        schema,
+        &ReplicaTopology::none(),
+        FailoverPolicy::Manual,
+        DriverConfig::default(),
+        seed,
+        SimDuration::from_secs(180),
+    )
+    .expect("no stand-bys to instantiate");
+    rig.run(|_| Ok(false)).expect("nothing ships without stand-bys");
+    rig.primary
 }
 
 fn main() {
@@ -54,7 +62,7 @@ fn main() {
     // parallelizes across the worker pool without coupling cells.
     let rows = cli.parallel(cells.len(), |i| {
         let (sabotage, fault) = cells[i];
-        let (mut srv, _driver) = prepared_server(cli.seed);
+        let mut srv = prepared_server(cli.seed);
         let plan = DoubleFaultPlan { sabotage, fault: FaultPlan::new(fault, 0) };
         let outcome = plan.execute(&mut srv).expect("injection is valid");
         vec![

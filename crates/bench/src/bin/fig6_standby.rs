@@ -10,6 +10,7 @@
 use recobench_bench::BenchCli;
 use recobench_core::report::{bar, Table};
 use recobench_core::Experiment;
+use recobench_engine::ReplicaTopology;
 use recobench_faults::FaultType;
 
 fn main() {
@@ -25,7 +26,7 @@ fn main() {
         spec.push(
             Experiment::builder(c.clone())
                 .archive_logs(true)
-                .standby(true)
+                .topology(ReplicaTopology::single())
                 .duration_secs(cli.duration())
                 .seed(cli.seed)
                 .build(),
@@ -36,7 +37,7 @@ fn main() {
         spec.push(
             Experiment::builder(c.clone())
                 .archive_logs(true)
-                .standby(true)
+                .topology(ReplicaTopology::single())
                 .duration_secs(trigger + tail)
                 .fault(FaultType::DeleteDatafile, trigger)
                 .seed(cli.seed)

@@ -12,7 +12,7 @@
 //! torture harness and reports its divergence count — the "zero oracle
 //! divergences" acceptance gate.
 //!
-//! Results land in `BENCH_campaign.json` (override with `--out PATH`).
+//! Results land in `BENCH_topologies.json` (override with `--out PATH`).
 
 use std::fmt::Write as _;
 
@@ -191,7 +191,7 @@ fn main() {
         oracle.commits,
         oracle.unrecoverable,
     );
-    let out_path = cli.out_path("BENCH_campaign.json");
-    std::fs::write(&out_path, &json).expect("write BENCH_campaign.json");
+    let out_path = cli.out_path("BENCH_topologies.json");
+    std::fs::write(&out_path, &json).expect("write BENCH_topologies.json");
     eprintln!("fig6_topologies: wrote {out_path}");
 }

@@ -16,6 +16,7 @@
 use recobench_bench::BenchCli;
 use recobench_core::report::{bar, Table};
 use recobench_core::{Experiment, RecoveryConfig};
+use recobench_engine::ReplicaTopology;
 use recobench_faults::FaultType;
 
 fn main() {
@@ -41,7 +42,7 @@ fn main() {
             spec.push(
                 Experiment::builder(c.clone())
                     .archive_logs(true)
-                    .standby(true)
+                    .topology(ReplicaTopology::single())
                     .duration_secs(at + 240)
                     .fault(FaultType::ShutdownAbort, at)
                     .seed(seed)

@@ -19,6 +19,7 @@ use std::fmt::Write as _;
 use recobench_bench::BenchCli;
 use recobench_core::report::breakdown_table;
 use recobench_core::{Experiment, ExperimentOutcome, RecoveryBreakdown};
+use recobench_engine::ReplicaTopology;
 use recobench_faults::FaultType;
 use recobench_tpcc::TpccScale;
 
@@ -79,7 +80,7 @@ fn main() {
     spec.push(
         Experiment::builder(configs[0].clone())
             .archive_logs(true)
-            .standby(true)
+            .topology(ReplicaTopology::single())
             .duration_secs(t + tail)
             .scale(scale)
             .fault(FaultType::ShutdownAbort, t)

@@ -8,8 +8,7 @@
 //! * `--threads N` — campaign worker threads (default: all cores);
 //! * `--seed N` — base RNG seed (default 42);
 //! * `--out PATH` — destination for binaries that write a JSON artifact;
-//! * `--smoke` / `--full` — the extra modes of the self-measurement
-//!   binaries (`campaign_wallclock`, `recovery_breakdown`);
+//! * `--smoke` — the smallest mode of `recovery_breakdown`;
 //! * `--sweep-seconds N` / `--runs N` / `--replay PATH` / `--sabotage N`
 //!   — the torture binary's sweep budget, exact run count, single-schedule
 //!   replay mode and self-test sabotage (see `src/bin/torture.rs`);
@@ -17,9 +16,10 @@
 //!   (the seven operator faults, the default), `storage` (the five
 //!   storage-hardware faults: torn/partial/corrupt/full/slow I/O),
 //!   `replica` (the four replica-set faults), or `extended` (every pool
-//!   together);
-//! * `--max-wall-secs N` — fail the run (exit 1) if the campaign takes
-//!   longer than `N` seconds of wall clock; CI's perf-regression ceiling.
+//!   together).
+//!
+//! An unknown flag, a missing value or an unparsable value is an error:
+//! the binary prints it and exits 2 instead of running some other mode.
 //!
 //! [`CampaignSpec`] collects the experiments a binary builds from these
 //! options and runs them as one [`Campaign`] with a stderr progress line.
@@ -38,8 +38,6 @@ pub struct BenchCli {
     pub seed: u64,
     /// `--smoke`: the smallest self-measurement campaign.
     pub smoke: bool,
-    /// `--full`: the paper-shaped self-measurement campaign.
-    pub full: bool,
     /// `--out PATH`: artifact destination override.
     pub out: Option<String>,
     /// `--sweep-seconds N`: wall-clock budget for the torture sweep.
@@ -54,8 +52,6 @@ pub struct BenchCli {
     /// `--faultload NAME`: the torture sweep's fault pool (`standard`,
     /// `storage`, `replica`, or `extended`; default `standard`).
     pub faultload: Option<String>,
-    /// `--max-wall-secs N`: wall-clock ceiling; exceeding it is a failure.
-    pub max_wall_secs: Option<u64>,
 }
 
 impl Default for BenchCli {
@@ -65,93 +61,56 @@ impl Default for BenchCli {
             threads: 0,
             seed: 42,
             smoke: false,
-            full: false,
             out: None,
             sweep_seconds: None,
             runs: None,
             replay: None,
             sabotage: 0,
             faultload: None,
-            max_wall_secs: None,
         }
     }
 }
 
 impl BenchCli {
-    /// Parses `std::env::args`, ignoring unknown flags.
+    /// Parses `std::env::args`; on a bad command line prints the reason
+    /// and exits with status 2.
     pub fn parse() -> BenchCli {
-        let args: Vec<String> = std::env::args().collect();
-        Self::from_args(&args[1..])
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::from_args(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
     }
 
-    /// Parses an explicit argument list (tests).
-    pub fn from_args(args: &[String]) -> BenchCli {
+    /// Parses an explicit argument list.
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown flag, or the flag whose value is missing or does
+    /// not parse.
+    pub fn from_args(args: &[String]) -> Result<BenchCli, String> {
+        fn parsed<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+            value.parse().map_err(|_| format!("{flag}: cannot parse '{value}'"))
+        }
         let mut cli = BenchCli::default();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
                 "--quick" => cli.quick = true,
                 "--smoke" => cli.smoke = true,
-                "--full" => cli.full = true,
-                "--threads" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        cli.threads = v;
-                        i += 1;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        cli.seed = v;
-                        i += 1;
-                    }
-                }
-                "--out" => {
-                    if let Some(v) = args.get(i + 1) {
-                        cli.out = Some(v.clone());
-                        i += 1;
-                    }
-                }
-                "--sweep-seconds" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        cli.sweep_seconds = Some(v);
-                        i += 1;
-                    }
-                }
-                "--runs" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        cli.runs = Some(v);
-                        i += 1;
-                    }
-                }
-                "--replay" => {
-                    if let Some(v) = args.get(i + 1) {
-                        cli.replay = Some(v.clone());
-                        i += 1;
-                    }
-                }
-                "--sabotage" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        cli.sabotage = v;
-                        i += 1;
-                    }
-                }
-                "--faultload" => {
-                    if let Some(v) = args.get(i + 1) {
-                        cli.faultload = Some(v.clone());
-                        i += 1;
-                    }
-                }
-                "--max-wall-secs" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        cli.max_wall_secs = Some(v);
-                        i += 1;
-                    }
-                }
-                _ => {}
+                "--threads" => cli.threads = parsed(flag, value()?)?,
+                "--seed" => cli.seed = parsed(flag, value()?)?,
+                "--out" => cli.out = Some(value()?.clone()),
+                "--sweep-seconds" => cli.sweep_seconds = Some(parsed(flag, value()?)?),
+                "--runs" => cli.runs = Some(parsed(flag, value()?)?),
+                "--replay" => cli.replay = Some(value()?.clone()),
+                "--sabotage" => cli.sabotage = parsed(flag, value()?)?,
+                "--faultload" => cli.faultload = Some(value()?.clone()),
+                _ => return Err(format!("unknown flag '{flag}'")),
             }
-            i += 1;
         }
-        cli
+        Ok(cli)
     }
 
     /// Experiment duration in seconds: the paper's 1 200, or 300 in quick
@@ -358,8 +317,8 @@ mod tests {
 
     #[test]
     fn defaults_are_paper_faithful() {
-        let cli = BenchCli::from_args(&[]);
-        assert!(!cli.quick && !cli.smoke && !cli.full);
+        let cli = BenchCli::from_args(&[]).unwrap();
+        assert!(!cli.quick && !cli.smoke);
         assert_eq!(cli.duration(), 1_200);
         assert_eq!(cli.triggers(), vec![150, 300, 600]);
         assert_eq!(cli.single_trigger(600), 600);
@@ -370,7 +329,7 @@ mod tests {
 
     #[test]
     fn quick_mode_shrinks_everything() {
-        let cli = BenchCli::from_args(&args(&["--quick", "--threads", "2", "--seed", "7"]));
+        let cli = BenchCli::from_args(&args(&["--quick", "--threads", "2", "--seed", "7"])).unwrap();
         assert_eq!((cli.threads, cli.seed), (2, 7));
         assert_eq!(cli.duration(), 300);
         assert_eq!(cli.triggers(), vec![100]);
@@ -383,8 +342,8 @@ mod tests {
 
     #[test]
     fn artifact_flags_parse() {
-        let cli = BenchCli::from_args(&args(&["--smoke", "--out", "custom.json"]));
-        assert!(cli.smoke && !cli.full);
+        let cli = BenchCli::from_args(&args(&["--smoke", "--out", "custom.json"])).unwrap();
+        assert!(cli.smoke);
         assert_eq!(cli.out_path("default.json"), "custom.json");
     }
 
@@ -401,35 +360,46 @@ mod tests {
             "tests/corpus/a.json",
             "--faultload",
             "storage",
-        ]));
+        ]))
+        .unwrap();
         assert_eq!(cli.sweep_seconds, Some(45));
         assert_eq!(cli.runs, Some(3));
         assert_eq!(cli.sabotage, 2);
         assert_eq!(cli.replay.as_deref(), Some("tests/corpus/a.json"));
         assert_eq!(cli.faultload.as_deref(), Some("storage"));
-        let none = BenchCli::from_args(&[]);
+        let none = BenchCli::from_args(&[]).unwrap();
         assert_eq!((none.sweep_seconds, none.runs, none.sabotage), (None, None, 0));
         assert!(none.replay.is_none());
         assert!(none.faultload.is_none());
-        assert!(none.max_wall_secs.is_none());
     }
 
     #[test]
-    fn wall_clock_ceiling_parses() {
-        let cli = BenchCli::from_args(&args(&["--max-wall-secs", "120"]));
-        assert_eq!(cli.max_wall_secs, Some(120));
+    fn unknown_flags_are_rejected() {
+        // `--mini` was documented for years and read by no parser.
+        let err = BenchCli::from_args(&args(&["--quick", "--mini"])).unwrap_err();
+        assert!(err.contains("--mini"), "{err}");
+        assert!(BenchCli::from_args(&args(&["quick"])).is_err(), "a bare word is not a flag");
+    }
+
+    #[test]
+    fn missing_and_unparsable_values_are_rejected() {
+        let err = BenchCli::from_args(&args(&["--threads", "two"])).unwrap_err();
+        assert!(err.contains("--threads") && err.contains("two"), "{err}");
+        let err = BenchCli::from_args(&args(&["--seed"])).unwrap_err();
+        assert!(err.contains("--seed"), "{err}");
+        assert!(BenchCli::from_args(&args(&["--runs", "-1"])).is_err());
     }
 
     #[test]
     fn parallel_preserves_index_order() {
-        let cli = BenchCli::from_args(&args(&["--threads", "3"]));
+        let cli = BenchCli::from_args(&args(&["--threads", "3"])).unwrap();
         let out = cli.parallel(17, |i| i * i);
         assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
     fn fault_runs_truncate_after_the_tail() {
-        let cli = BenchCli::from_args(&[]);
+        let cli = BenchCli::from_args(&[]).unwrap();
         let cfg = RecoveryConfig::named("F10G3T5").unwrap();
         let mut spec = cli.campaign();
         assert!(spec.is_empty());

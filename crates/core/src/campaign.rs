@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use recobench_engine::DbError;
 
-use crate::experiment::{Experiment, ExperimentOutcome, ExperimentScratch, ExperimentTemplate};
+use crate::experiment::{Experiment, ExperimentOutcome, ExperimentTemplate};
 
 /// An experiment whose *setup* failed (the benchmark itself was
 /// misconfigured — injected faults and failed recoveries are outcomes,
@@ -70,7 +70,6 @@ pub struct CampaignProgress {
 pub struct Campaign {
     experiments: Vec<Experiment>,
     threads: usize,
-    templates: bool,
     progress: Option<Arc<dyn Fn(CampaignProgress) + Send + Sync>>,
 }
 
@@ -79,7 +78,6 @@ impl fmt::Debug for Campaign {
         f.debug_struct("Campaign")
             .field("experiments", &self.experiments.len())
             .field("threads", &self.threads)
-            .field("templates", &self.templates)
             .field("progress", &self.progress.is_some())
             .finish()
     }
@@ -87,24 +85,17 @@ impl fmt::Debug for Campaign {
 
 impl Campaign {
     /// A campaign over `experiments`, defaulting to one worker per
-    /// available core, snapshot templating on, and no progress reporting.
+    /// available core and no progress reporting. Cells with equal
+    /// [`Experiment::template_key`]s share one setup template — built
+    /// once, booted per cell from a copy-on-write clone; outcomes are
+    /// byte-identical to [`Experiment::run`] per cell (regression-tested).
     pub fn new(experiments: Vec<Experiment>) -> Self {
-        Campaign { experiments, threads: 0, templates: true, progress: None }
+        Campaign { experiments, threads: 0, progress: None }
     }
 
     /// Caps the worker threads (0 = one per available core, the default).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
-        self
-    }
-
-    /// Enables or disables snapshot templating (default: on). When on,
-    /// cells with equal [`Experiment::template_key`]s share one setup
-    /// template — built once, booted per cell from a copy-on-write clone.
-    /// Outcomes are byte-identical either way (regression-tested); off
-    /// exists for exactly that A/B check and for memory-starved hosts.
-    pub fn templates(mut self, on: bool) -> Self {
-        self.templates = on;
         self
     }
 
@@ -150,50 +141,42 @@ impl Campaign {
         // reuse the finished `Arc`.
         type TemplateSlot = Arc<OnceLock<Result<Arc<ExperimentTemplate>, DbError>>>;
         let registry: Mutex<BTreeMap<String, TemplateSlot>> = Mutex::new(BTreeMap::new());
-        let use_templates = self.templates;
 
         std::thread::scope(|scope| {
             for _ in 0..workers.min(n.max(1)) {
-                scope.spawn(|| {
-                    let mut scratch = ExperimentScratch::default();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let exp = &experiments[i];
-                        let run = if use_templates {
-                            let slot = {
-                                let mut reg = registry.lock().unwrap();
-                                Arc::clone(reg.entry(exp.template_key()).or_default())
-                            };
-                            let mut was_built = false;
-                            let template = slot.get_or_init(|| {
-                                was_built = true;
-                                built.fetch_add(1, Ordering::Relaxed);
-                                exp.build_template().map(Arc::new)
-                            });
-                            if !was_built {
-                                hits.fetch_add(1, Ordering::Relaxed);
-                            }
-                            match template {
-                                Ok(t) => exp.run_with_template_in(t, &mut scratch),
-                                Err(e) => Err(e.clone()),
-                            }
-                        } else {
-                            exp.run()
-                        };
-                        let result = run.map_err(|error| CampaignError {
-                            index: i,
-                            config: exp.config().name.clone(),
-                            error,
-                        });
-                        let ok = result.is_ok();
-                        *slots[i].lock().unwrap() = Some(result);
-                        let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        if let Some(cb) = progress {
-                            cb(CampaignProgress { completed, total: n, index: i, ok });
-                        }
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let exp = &experiments[i];
+                    let slot = {
+                        let mut reg = registry.lock().unwrap();
+                        Arc::clone(reg.entry(exp.template_key()).or_default())
+                    };
+                    let mut was_built = false;
+                    let template = slot.get_or_init(|| {
+                        was_built = true;
+                        built.fetch_add(1, Ordering::Relaxed);
+                        exp.build_template().map(Arc::new)
+                    });
+                    if !was_built {
+                        hits.fetch_add(1, Ordering::Relaxed);
+                    }
+                    let run = match template {
+                        Ok(t) => exp.run_with_template(t),
+                        Err(e) => Err(e.clone()),
+                    };
+                    let result = run.map_err(|error| CampaignError {
+                        index: i,
+                        config: exp.config().name.clone(),
+                        error,
+                    });
+                    let ok = result.is_ok();
+                    *slots[i].lock().unwrap() = Some(result);
+                    let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
+                    if let Some(cb) = progress {
+                        cb(CampaignProgress { completed, total: n, index: i, ok });
                     }
                 });
             }
@@ -224,13 +207,12 @@ impl CampaignReport {
         self.results.len()
     }
 
-    /// Cells that reused an already-built setup template (0 when
-    /// templating was disabled).
+    /// Cells that reused an already-built setup template.
     pub fn template_hits(&self) -> usize {
         self.template_hits
     }
 
-    /// Distinct setup templates built (0 when templating was disabled).
+    /// Distinct setup templates built.
     pub fn templates_built(&self) -> usize {
         self.templates_built
     }
@@ -358,22 +340,17 @@ mod tests {
                     .build(),
             ]
         };
-        let baseline =
-            Campaign::new(cells()).threads(1).templates(false).run();
-        assert_eq!(baseline.template_hits(), 0);
-        assert_eq!(baseline.templates_built(), 0);
-        let baseline = baseline.expect_all();
-        for (threads, templates) in [(1, true), (4, true), (4, false)] {
-            let report =
-                Campaign::new(cells()).threads(threads).templates(templates).run();
-            if templates {
-                assert_eq!(report.templates_built(), 2, "two distinct keys");
-                assert_eq!(report.template_hits(), 2, "two cells reused one");
-            }
-            let outs = report.expect_all();
+        // `Experiment::run` builds its own setup per cell: the untemplated
+        // reference.
+        let baseline: Vec<_> = cells().iter().map(|c| c.run().unwrap()).collect();
+        for threads in [1, 4] {
+            let report = Campaign::new(cells()).threads(threads).run();
+            assert_eq!(report.templates_built(), 2, "two distinct keys");
+            assert_eq!(report.template_hits(), 2, "two cells reused one");
             assert_eq!(
-                outs, baseline,
-                "threads={threads} templates={templates} must replay byte-identically"
+                report.expect_all(),
+                baseline,
+                "threads={threads}: shared templates must replay byte-identically"
             );
         }
     }
@@ -391,15 +368,8 @@ mod tests {
                 .terminals(n)
                 .build()
         };
-        let run = |templates: bool| {
-            Campaign::new(vec![cell(1), cell(8)])
-                .threads(2)
-                .templates(templates)
-                .run()
-                .expect_all()
-        };
-        let with = run(true);
-        let without = run(false);
+        let with = Campaign::new(vec![cell(1), cell(8)]).threads(2).run().expect_all();
+        let without = vec![cell(1).run().unwrap(), cell(8).run().unwrap()];
         assert_eq!(with, without, "templating must not leak into any terminal count");
         assert_eq!(with[0].terminals, 1);
         assert_eq!(with[1].terminals, 8);

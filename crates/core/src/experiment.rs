@@ -12,16 +12,14 @@ use recobench_engine::{
     ReplicaSet, ReplicaTopology,
 };
 use recobench_faults::{FaultInjector, FaultPlan, FaultType};
-use recobench_sim::{SimClock, SimDuration, SimRng, SimTime};
-use recobench_tpcc::{
-    check_consistency, create_schema, load_database, AvailabilityTimeline, DriverConfig,
-    TpccDriver, TpccScale,
-};
+use recobench_sim::{SimClock, SimDuration, SimTime};
+use recobench_tpcc::{check_consistency, AvailabilityTimeline, DriverConfig, TpccScale};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
 
 use crate::configs::RecoveryConfig;
 use crate::measures::{Measures, RecoveryBreakdown};
+use crate::rig::{set_up, Rig};
 
 /// A recovery-phase span observed on one of the experiment's servers:
 /// `(end, phase, start)`, in record order.
@@ -51,16 +49,27 @@ pub fn apply_margin_cutoff(
     }
 }
 
+/// The name of every experiment's primary.
+const PRIMARY: &str = "PRIMARY";
+
 /// Subscribes the experiment's observers on one server's event sink: the
-/// span collector always, plus the JSONL writer when event capture is on.
-fn observe(server: &mut DbServer, name: &str, spans: &SpanLog, jsonl: &Option<Arc<Mutex<String>>>) {
+/// span collector during the measured phase, the JSONL writer when events
+/// are captured.
+fn observe(
+    server: &mut DbServer,
+    name: &str,
+    spans: Option<&SpanLog>,
+    jsonl: Option<&Arc<Mutex<String>>>,
+) {
     let sink = server.events_mut();
-    let spans = Arc::clone(spans);
-    sink.subscribe(move |at, ev| {
-        if let EngineEvent::PhaseSpan { phase, started_at } = ev {
-            spans.lock().unwrap().push((at, *phase, *started_at));
-        }
-    });
+    if let Some(spans) = spans {
+        let spans = Arc::clone(spans);
+        sink.subscribe(move |at, ev| {
+            if let EngineEvent::PhaseSpan { phase, started_at } = ev {
+                spans.lock().unwrap().push((at, *phase, *started_at));
+            }
+        });
+    }
     if let Some(buf) = jsonl {
         let buf = Arc::clone(buf);
         let name = name.to_string();
@@ -94,23 +103,11 @@ impl ExperimentTemplate {
     }
 }
 
-/// Reusable per-worker buffers for [`Experiment::run_with_template_in`]:
-/// campaign workers keep one across cells so span logs, SCN trails and
-/// event-capture strings reuse their allocations instead of regrowing from
-/// empty every experiment.
-#[derive(Debug, Default)]
-pub struct ExperimentScratch {
-    spans: Vec<(SimTime, RecoveryPhase, SimTime)>,
-    trail: Vec<(SimTime, recobench_engine::Scn)>,
-    jsonl: String,
-}
-
 /// A fully specified experiment, ready to run.
 #[derive(Debug, Clone)]
 pub struct Experiment {
     config: RecoveryConfig,
     archive: bool,
-    standby: bool,
     topology: ReplicaTopology,
     policy: FailoverPolicy,
     second_fault_secs: Option<u64>,
@@ -119,8 +116,6 @@ pub struct Experiment {
     seed: u64,
     scale: TpccScale,
     driver_cfg: DriverConfig,
-    datafiles: u32,
-    blocks_per_file: u64,
     layout: DiskLayout,
     capture_events: bool,
 }
@@ -190,7 +185,6 @@ impl Experiment {
             exp: Experiment {
                 config,
                 archive: true,
-                standby: false,
                 topology: ReplicaTopology::none(),
                 policy: FailoverPolicy::Manual,
                 second_fault_secs: None,
@@ -199,8 +193,6 @@ impl Experiment {
                 seed: 1,
                 scale: TpccScale::mini(),
                 driver_cfg: DriverConfig::default(),
-                datafiles: 8,
-                blocks_per_file: 768,
                 layout: DiskLayout::four_disk(),
                 capture_events: false,
             },
@@ -234,9 +226,8 @@ impl Experiment {
     /// measured phase.
     pub fn template_key(&self) -> String {
         format!(
-            "{:?}|archive={}|{:?}|files={}x{}|seed={}|{:?}",
-            self.config, self.archive, self.scale, self.datafiles, self.blocks_per_file,
-            self.seed, self.layout,
+            "{:?}|archive={}|{:?}|seed={}|{:?}",
+            self.config, self.archive, self.scale, self.seed, self.layout,
         )
     }
 
@@ -247,34 +238,21 @@ impl Experiment {
     ///
     /// Fails on setup problems (storage exhaustion, misconfiguration).
     pub fn build_template(&self) -> DbResult<ExperimentTemplate> {
-        let clock = SimClock::shared();
-        let icfg = self.config.to_instance_config(self.archive);
         // Setup events are always captured into the template (they are a
         // few hundred lines); cells that export events prepend them so the
         // stream matches a monolithic run's.
         let jsonl = Arc::new(Mutex::new(String::new()));
-        let mut primary = DbServer::on_fresh_disks(
-            "PRIMARY",
-            Arc::clone(&clock),
+        let (primary, schema) = set_up(
+            PRIMARY,
+            SimClock::shared(),
             self.layout.clone(),
-            icfg,
-        );
-        {
-            let buf = Arc::clone(&jsonl);
-            primary.events_mut().subscribe(move |at, ev| {
-                let mut out = buf.lock().unwrap();
-                ev.write_json(at, "PRIMARY", &mut out);
-                out.push('\n');
-            });
-        }
-        primary.create_database()?;
-        let mut rng = SimRng::seed_from(self.seed);
-        let schema = create_schema(&mut primary, self.scale, self.datafiles, self.blocks_per_file)?;
-        let mut load_rng = rng.fork(1);
-        load_database(&mut primary, &schema, &mut load_rng)?;
-        primary.take_cold_backup()?;
+            self.config.to_instance_config(self.archive),
+            self.scale,
+            self.seed,
+            |primary| observe(primary, PRIMARY, None, Some(&jsonl)),
+        )?;
         let snapshot = primary.snapshot();
-        let setup_jsonl = jsonl.lock().unwrap().clone();
+        let setup_jsonl = std::mem::take(&mut *jsonl.lock().unwrap());
         Ok(ExperimentTemplate { snapshot, schema, setup_jsonl, key: self.template_key() })
     }
 
@@ -284,208 +262,41 @@ impl Experiment {
     ///
     /// As [`Experiment::run`].
     pub fn run_with_template(&self, template: &ExperimentTemplate) -> DbResult<ExperimentOutcome> {
-        self.run_with_template_in(template, &mut ExperimentScratch::default())
-    }
-
-    /// As [`Experiment::run_with_template`], reusing the caller's scratch
-    /// buffers (campaign workers keep one per thread across cells).
-    ///
-    /// # Errors
-    ///
-    /// As [`Experiment::run`].
-    pub fn run_with_template_in(
-        &self,
-        template: &ExperimentTemplate,
-        scratch: &mut ExperimentScratch,
-    ) -> DbResult<ExperimentOutcome> {
         debug_assert_eq!(template.key, self.template_key(), "template/experiment mismatch");
-        let clock = SimClock::shared();
-        let icfg = self.config.to_instance_config(self.archive);
-        let mut span_buf = std::mem::take(&mut scratch.spans);
-        span_buf.clear();
-        let spans: SpanLog = Arc::new(Mutex::new(span_buf));
-        let jsonl: Option<Arc<Mutex<String>>> = self.capture_events.then(|| {
-            let mut s = std::mem::take(&mut scratch.jsonl);
-            s.clear();
-            s.push_str(&template.setup_jsonl);
-            Arc::new(Mutex::new(s))
-        });
-        // Boot from the snapshot: the clock lands on the capture instant
-        // and the RNG replays the setup's fork sequence, so everything
-        // downstream is byte-identical to a monolithic run.
-        let mut primary = DbServer::from_snapshot(Arc::clone(&clock), &template.snapshot);
-        observe(&mut primary, "PRIMARY", &spans, &jsonl);
-        let mut rng = SimRng::seed_from(self.seed);
-        let _load_rng = rng.fork(1);
+        let spans: SpanLog = Arc::default();
+        let jsonl: Option<Arc<Mutex<String>>> =
+            self.capture_events.then(|| Arc::new(Mutex::new(template.setup_jsonl.clone())));
+        // Boot from the snapshot: the clock lands on the capture instant,
+        // so everything downstream is byte-identical to a monolithic run.
+        let primary = DbServer::from_snapshot(SimClock::shared(), &template.snapshot);
         let schema = template.schema;
-        // `standby(true)` is the paper's single-stand-by setup and maps to
-        // a one-node topology; an explicit topology wins over the flag.
-        let topo = if !self.topology.is_empty() {
-            self.topology.clone()
-        } else if self.standby {
-            ReplicaTopology::single()
-        } else {
-            ReplicaTopology::none()
-        };
-        let mut rset: Option<ReplicaSet> = if topo.is_empty() {
-            None
-        } else {
-            let mut rs = ReplicaSet::instantiate(
-                &primary,
-                &topo,
-                self.policy,
-                Arc::clone(&clock),
-                DiskLayout::four_disk(),
-                icfg,
-            )?;
-            {
-                let spans = Arc::clone(&spans);
-                let jsonl = jsonl.clone();
-                rs.set_observer(Box::new(move |server, name| {
-                    observe(server, name, &spans, &jsonl);
-                }));
-            }
-            Some(rs)
-        };
-
-        let t0 = clock.now();
-        let end = t0 + self.duration;
-        let mut driver = TpccDriver::new(schema, self.driver_cfg, rng.fork(2), t0);
-        let stats0 = primary.stats();
+        let mut rig = Rig::assemble(
+            primary,
+            schema,
+            &self.topology,
+            self.policy,
+            self.driver_cfg,
+            self.seed,
+            self.duration,
+        )?;
+        {
+            let spans = Arc::clone(&spans);
+            let jsonl = jsonl.clone();
+            rig.observe(Box::new(move |server, name| {
+                observe(server, name, Some(&spans), jsonl.as_ref());
+            }));
+        }
+        let (t0, end) = (rig.t0, rig.end);
+        let stats0 = rig.primary.stats();
 
         let injector = self.fault.clone().map(FaultInjector::new);
-        let mut fault_time: Option<SimTime> = None;
-        let mut recovery_ready: Option<SimTime> = None;
-        let mut records_applied = 0u64;
-        let mut archives_processed = 0u64;
-        let mut unrecoverable = false;
-        let mut using_standby = false;
-        let mut injected = false;
-        let mut second_done = false;
-        // Rolling (time, SCN) trail so time-based incomplete recovery can
-        // stop a margin before the fault, as a real `UNTIL TIME` would.
-        let mut scn_trail = std::mem::take(&mut scratch.trail);
-        scn_trail.clear();
-
-        loop {
-            let now = clock.now();
-            if now >= end {
-                break;
-            }
-            // Inject the fault the moment its trigger time is the next
-            // event on the timeline.
-            if let Some(inj) = &injector {
-                if !injected {
-                    let tt = inj.trigger_time(t0);
-                    if tt <= driver.next_ready() && tt <= end {
-                        clock.advance_to(tt);
-                        if let Some(rs) = rset.as_mut() {
-                            let _ = rs.sync_all(&primary);
-                        }
-                        let mut record = inj.inject(&mut primary)?;
-                        fault_time = Some(record.injected_at);
-                        driver.record_outage(record.injected_at);
-                        apply_margin_cutoff(&mut record, &scn_trail, inj.plan().pitr_margin);
-                        injected = true;
-                        if let Some(rs) = rset.as_mut() {
-                            // Fail over to the replica set, whatever the
-                            // fault.
-                            match rs.fail_over(Some(&mut primary)) {
-                                Ok(Some(ready)) => {
-                                    using_standby = true;
-                                    recovery_ready = Some(ready);
-                                    records_applied = rs
-                                        .promoted()
-                                        .and_then(|k| rs.node(k))
-                                        .map_or(0, |sb| sb.records_applied);
-                                    // The terminals reconnect to a new
-                                    // node: their primary session ids must
-                                    // not leak into the stand-by's space.
-                                    driver.sever_all(ready);
-                                }
-                                // Quorum denied or promotion failed: the
-                                // service stays down.
-                                Ok(None) | Err(_) => unrecoverable = true,
-                            }
-                        } else {
-                            match inj.recover(&mut primary, &record) {
-                                Ok(out) => {
-                                    recovery_ready = Some(out.recovery_finished_at);
-                                    records_applied = out.records_applied;
-                                    archives_processed = out.archives_processed;
-                                }
-                                Err(_) => unrecoverable = true,
-                            }
-                        }
-                        continue;
-                    }
-                }
-            }
-            // The double-fault scenario: the just-promoted node dies too,
-            // and the controller must promote a second survivor.
-            if let (Some(secs), false, true) = (self.second_fault_secs, second_done, using_standby)
-            {
-                let at = t0 + SimDuration::from_secs(secs);
-                if at <= end && (at <= now || at <= driver.next_ready()) {
-                    if at > now {
-                        clock.advance_to(at);
-                    }
-                    second_done = true;
-                    if let Some(rs) = rset.as_mut() {
-                        if let Ok(killed) = rs.kill_promoted() {
-                            driver.record_outage(killed);
-                            match rs.fail_over(None) {
-                                Ok(Some(ready)) => driver.sever_all(ready),
-                                Ok(None) | Err(_) => unrecoverable = true,
-                            }
-                        }
-                    }
-                    continue;
-                }
-            }
-            if driver.next_ready() >= end {
-                clock.advance_to(end);
-                break;
-            }
-            if using_standby {
-                if let Some(active) = rset.as_mut().and_then(ReplicaSet::active_mut) {
-                    driver.step(active);
-                }
-                if let Some(rs) = rset.as_mut() {
-                    let _ = rs.sync_followers();
-                }
-            } else {
-                driver.step(&mut primary);
-                if !injected {
-                    match scn_trail.last() {
-                        Some((_, last)) if *last == primary.current_scn() => {}
-                        _ => scn_trail.push((clock.now(), primary.current_scn())),
-                    }
-                }
-                if let Some(rs) = rset.as_mut() {
-                    let _ = rs.sync_all(&primary);
-                }
-            }
-        }
+        let mut faulted = Faulted::default();
+        rig.run(|rig| self.fire_due(rig, injector.as_ref(), &mut faulted))?;
+        let Faulted { fault_time, recovery_ready, unrecoverable, .. } = faulted;
 
         // ---- Evaluate the measures -----------------------------------
-        // Drain in-flight terminals first: an uncommitted transaction or a
-        // parked lock wait must not shadow the lost-order audit.
-        if using_standby {
-            if let Some(active) = rset.as_mut().and_then(ReplicaSet::active_mut) {
-                driver.quiesce(active);
-            }
-        } else {
-            driver.quiesce(&mut primary);
-        }
-        let active: &DbServer = match rset
-            .as_ref()
-            .filter(|_| using_standby)
-            .and_then(|rs| rs.promoted().and_then(|k| rs.node(k)))
-        {
-            Some(sb) => sb.server(),
-            None => &primary,
-        };
+        let driver = &rig.driver;
+        let active = rig.active();
         let warm_up = SimDuration::from_secs(60).min(self.duration / 10);
         let perf_end = fault_time.unwrap_or(end).min(end);
         let tpmc = driver.tpmc(t0 + warm_up, perf_end);
@@ -545,7 +356,7 @@ impl Experiment {
             (0, 0)
         };
 
-        let window = primary.stats().since(&stats0);
+        let window = rig.primary.stats().since(&stats0);
         let measures = Measures {
             tpmc,
             recovery_time_secs,
@@ -559,16 +370,13 @@ impl Experiment {
             total_commits: window.commits,
         };
         let events_jsonl = jsonl.as_ref().map(|buf| std::mem::take(&mut *buf.lock().unwrap()));
-        // Hand the scratch allocations back to the worker for the next cell.
-        scratch.spans = std::mem::take(&mut *spans.lock().unwrap());
-        scratch.trail = scn_trail;
         Ok(ExperimentOutcome {
             config_name: self.config.name.clone(),
             archive: self.archive,
-            standby: self.standby || !topo.is_empty(),
-            topology: topo.name().to_string(),
+            standby: !self.topology.is_empty(),
+            topology: self.topology.name().to_string(),
             policy: self.policy.name().to_string(),
-            failovers: rset.as_ref().map_or(0, ReplicaSet::failovers),
+            failovers: rig.failovers(),
             fault: self.fault.as_ref().map(|p| p.fault),
             trigger_secs: self.fault.as_ref().map(|p| p.trigger_after.as_micros() / 1_000_000),
             terminals: self.driver_cfg.terminals,
@@ -578,11 +386,76 @@ impl Experiment {
             breakdown,
             timeline,
             events_jsonl,
-            recovery_records_applied: records_applied,
-            recovery_archives: archives_processed,
+            recovery_records_applied: faulted.records_applied,
+            recovery_archives: faulted.archives_processed,
             unrecoverable,
         })
     }
+
+    /// The paper's fault policy: the one fault fires the moment its
+    /// trigger is the next event on the timeline and is answered by the
+    /// recovery procedure — or, with replicas, always by a failover; the
+    /// optional second fault kills the node that failover promoted.
+    fn fire_due(
+        &self,
+        rig: &mut Rig,
+        injector: Option<&FaultInjector>,
+        st: &mut Faulted,
+    ) -> DbResult<bool> {
+        if let (Some(inj), None) = (injector, st.fault_time) {
+            let tt = inj.trigger_time(rig.t0);
+            // Terminals ready before the trigger run first.
+            if tt <= rig.driver.next_ready() && tt <= rig.end {
+                rig.clock.advance_to(tt);
+                rig.ship()?;
+                let mut record = inj.inject(&mut rig.primary)?;
+                st.fault_time = Some(record.injected_at);
+                rig.driver.record_outage(record.injected_at);
+                apply_margin_cutoff(&mut record, rig.trail(), inj.plan().pitr_margin);
+                if rig.replicas.is_some() {
+                    // Fail over to the replica set, whatever the fault.
+                    st.recovery_ready = rig.failover();
+                    st.unrecoverable = st.recovery_ready.is_none();
+                    st.records_applied =
+                        rig.replicas.as_ref().map_or(0, ReplicaSet::promoted_records_applied);
+                } else {
+                    match inj.recover(&mut rig.primary, &record) {
+                        Ok(out) => {
+                            st.recovery_ready = Some(out.recovery_finished_at);
+                            st.records_applied = out.records_applied;
+                            st.archives_processed = out.archives_processed;
+                        }
+                        Err(_) => st.unrecoverable = true,
+                    }
+                }
+                return Ok(true);
+            }
+        }
+        if let (Some(secs), false, true) = (self.second_fault_secs, st.second_done, rig.failed_over())
+        {
+            let at = rig.t0 + SimDuration::from_secs(secs);
+            if at <= rig.end && (at <= rig.clock.now() || at <= rig.driver.next_ready()) {
+                rig.clock.advance_to(at);
+                st.second_done = true;
+                if let Ok((_, None)) = rig.double_fault() {
+                    st.unrecoverable = true;
+                }
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+}
+
+/// What the fault policy has done so far in one run.
+#[derive(Debug, Default)]
+struct Faulted {
+    fault_time: Option<SimTime>,
+    recovery_ready: Option<SimTime>,
+    records_applied: u64,
+    archives_processed: u64,
+    unrecoverable: bool,
+    second_done: bool,
 }
 
 impl ExperimentBuilder {
@@ -592,26 +465,15 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Injects a fully customized fault plan.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.exp.fault = Some(plan);
-        self
-    }
-
     /// Enables or disables ARCHIVELOG mode (default: on).
     pub fn archive_logs(mut self, on: bool) -> Self {
         self.exp.archive = on;
         self
     }
 
-    /// Adds a stand-by database that takes over on the fault.
-    pub fn standby(mut self, on: bool) -> Self {
-        self.exp.standby = on;
-        self
-    }
-
-    /// Puts a replica set of shape `topo` behind the primary; overrides
-    /// [`standby`](ExperimentBuilder::standby).
+    /// Puts a replica set of shape `topo` behind the primary, which takes
+    /// over on the fault ([`ReplicaTopology::single`] is the paper's one
+    /// stand-by database).
     pub fn topology(mut self, topo: ReplicaTopology) -> Self {
         self.exp.topology = topo;
         self
@@ -659,13 +521,6 @@ impl ExperimentBuilder {
     /// Shorthand for adjusting only that field of the driver config.
     pub fn terminals(mut self, n: usize) -> Self {
         self.exp.driver_cfg.terminals = n;
-        self
-    }
-
-    /// Storage provisioning for the TPC-C tablespace.
-    pub fn storage(mut self, datafiles: u32, blocks_per_file: u64) -> Self {
-        self.exp.datafiles = datafiles;
-        self.exp.blocks_per_file = blocks_per_file;
         self
     }
 
@@ -749,7 +604,7 @@ mod tests {
     fn standby_failover_bounds_recovery_time() {
         let out = quick("F1G3T1")
             .duration_secs(420)
-            .standby(true)
+            .topology(ReplicaTopology::single())
             .fault(FaultType::ShutdownAbort, 120)
             .run()
             .unwrap();

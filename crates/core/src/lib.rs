@@ -26,11 +26,12 @@ pub mod configs;
 pub mod experiment;
 pub mod measures;
 pub mod report;
+pub mod rig;
 
 pub use campaign::{Campaign, CampaignError, CampaignProgress, CampaignReport};
 pub use configs::RecoveryConfig;
 pub use experiment::{
-    apply_margin_cutoff, Experiment, ExperimentBuilder, ExperimentOutcome, ExperimentScratch,
-    ExperimentTemplate,
+    apply_margin_cutoff, Experiment, ExperimentBuilder, ExperimentOutcome, ExperimentTemplate,
 };
+pub use rig::Rig;
 pub use measures::{Measures, RecoveryBreakdown};

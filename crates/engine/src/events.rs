@@ -21,6 +21,8 @@
 //! * the retained buffer is bounded ([`EventSink::events`], oldest dropped
 //!   first) for cheap in-process inspection by tests and report binaries.
 
+use std::collections::VecDeque;
+
 use recobench_sim::SimTime;
 
 use crate::stats::EngineStats;
@@ -356,7 +358,7 @@ pub type EventSubscriber = Box<dyn FnMut(SimTime, &EngineEvent) + Send>;
 /// counters derived from the stream itself.
 #[derive(Default)]
 pub struct EventSink {
-    events: Vec<(SimTime, EngineEvent)>,
+    events: VecDeque<(SimTime, EngineEvent)>,
     capacity: usize,
     dropped: u64,
     derived: EngineStats,
@@ -379,7 +381,7 @@ impl EventSink {
     /// first). Subscribers and derived counters are unaffected by the
     /// bound.
     pub fn new(capacity: usize) -> Self {
-        EventSink { events: Vec::new(), capacity, ..Default::default() }
+        EventSink { capacity, ..Default::default() }
     }
 
     /// Records an event at instant `at`: updates the derived counters,
@@ -394,10 +396,10 @@ impl EventSink {
             return;
         }
         if self.events.len() >= self.capacity {
-            self.events.remove(0);
+            self.events.pop_front();
             self.dropped += 1;
         }
-        self.events.push((at, event));
+        self.events.push_back((at, event));
     }
 
     fn derive(&mut self, event: &EngineEvent) {
@@ -457,8 +459,10 @@ impl EventSink {
     }
 
     /// The retained events, oldest first.
-    pub fn events(&self) -> &[(SimTime, EngineEvent)] {
-        &self.events
+    pub fn events(
+        &self,
+    ) -> impl ExactSizeIterator<Item = &(SimTime, EngineEvent)> + DoubleEndedIterator {
+        self.events.iter()
     }
 
     /// Events dropped from the retained buffer because of the bound.
@@ -517,8 +521,8 @@ mod tests {
         }
         assert_eq!(s.events().len(), 5);
         assert_eq!(s.dropped(), 0);
-        assert_eq!(s.events()[0].1, ev(0));
-        assert_eq!(s.events()[4].1, ev(4));
+        assert_eq!(s.events().next().unwrap().1, ev(0));
+        assert_eq!(s.events().next_back().unwrap().1, ev(4));
     }
 
     #[test]
@@ -529,7 +533,8 @@ mod tests {
         }
         assert_eq!(s.events().len(), 3);
         assert_eq!(s.dropped(), 7);
-        assert_eq!(s.events()[0].1, ev(7), "oldest retained is #7");
+        assert_eq!(s.events().next().unwrap().1, ev(7), "oldest retained is #7");
+        assert_eq!(s.events().next_back().unwrap().1, ev(9), "newest is kept");
         assert_eq!(s.derived().log_switches, 10, "derived counters ignore the bound");
     }
 
@@ -585,7 +590,7 @@ mod tests {
         assert_eq!(s.window(SimTime::from_secs(2), SimTime::from_secs(9)).len(), 1);
         assert_eq!(s.count(|e| matches!(e, EngineEvent::LogSwitch { .. })), 2);
         s.clear();
-        assert!(s.events().is_empty());
+        assert_eq!(s.events().len(), 0);
         assert_eq!(s.dropped(), 0);
         assert_eq!(s.derived().log_switches, 2, "clear never resets derived counters");
     }

@@ -48,7 +48,7 @@ pub mod replica;
 pub mod row;
 pub mod server;
 pub mod snapshot;
-pub mod standby;
+mod standby;
 pub mod stats;
 pub mod tap;
 pub mod txn;
@@ -63,7 +63,6 @@ pub use replica::{FailoverPolicy, ReplicaSet, ReplicaSpec, ReplicaStatus, Replic
 pub use row::{Row, Value};
 pub use server::DbServer;
 pub use snapshot::DbSnapshot;
-pub use standby::StandbyServer;
 pub use tap::{DmlChange, DmlTap};
 pub use txn::{LockGrant, LockOutcome};
 pub use types::{ObjectId, RowId, Scn, SessionId, TablespaceId, TxnId, UserId};

@@ -307,11 +307,6 @@ impl ReplicaSet {
         self.failovers
     }
 
-    /// Replica `i`'s stand-by (reporting/tests).
-    pub fn node(&self, i: usize) -> Option<&StandbyServer> {
-        self.nodes.get(i).map(|n| &n.standby)
-    }
-
     /// What replica `i` is currently doing.
     pub fn status(&self, i: usize) -> Option<ReplicaStatus> {
         let node = self.nodes.get(i)?;
@@ -335,6 +330,18 @@ impl ReplicaSet {
         Some(self.nodes.get_mut(k)?.standby.server_mut())
     }
 
+    /// The promoted replica's server, for evaluation.
+    pub fn active(&self) -> Option<&DbServer> {
+        let k = self.promoted?;
+        Some(self.nodes.get(k)?.standby.server())
+    }
+
+    /// Redo records the promoted replica applied while it was following
+    /// (0 before any failover).
+    pub fn promoted_records_applied(&self) -> u64 {
+        self.promoted.and_then(|k| self.nodes.get(k)).map_or(0, |n| n.standby.records_applied)
+    }
+
     /// The highest commit SCN the promoted replica had applied when it
     /// activated: the differential oracle truncates its reference model to
     /// this boundary after a failover.
@@ -352,7 +359,7 @@ impl ReplicaSet {
     }
 
     /// Arms a media fault on replica `i`: its next shipped archive copy
-    /// lands corrupted (see [`StandbyServer::arm_ship_corruption`]).
+    /// lands corrupted, fails its decode and freezes the node.
     pub fn arm_ship_corruption(&mut self, i: usize) {
         if let Some(node) = self.nodes.get_mut(i) {
             node.standby.arm_ship_corruption();
@@ -769,17 +776,17 @@ mod tests {
         let (mut p, t) = primary_with_data();
         let mut rs = replica_set(&p, &ReplicaTopology::fan_out(2), FailoverPolicy::AutoQuorum);
         run_workload(&mut p, t, &mut rs, 100, 300);
-        assert!(rs.node(0).unwrap().archives_shipped > 0);
+        assert!(rs.nodes[0].standby.archives_shipped > 0);
         p.shutdown_abort().unwrap();
         let ready = rs.fail_over(Some(&mut p)).unwrap().expect("quorum of 2/2 must promote");
         assert_eq!(rs.promoted(), Some(0), "equal applied_seq ties break to the lowest id");
         assert_eq!(rs.failovers(), 1);
         assert_eq!(rs.status(1), Some(ReplicaStatus::Following), "survivor follows the new primary");
         // The survivor was re-instantiated and its counters show it.
-        let promoted_stats = rs.node(0).unwrap().server().events().derived();
+        let promoted_stats = rs.nodes[0].standby.server().events().derived();
         assert_eq!(promoted_stats.failovers, 1);
         assert_eq!(promoted_stats.promotions, 1);
-        let survivor_stats = rs.node(1).unwrap().server().events().derived();
+        let survivor_stats = rs.nodes[1].standby.server().events().derived();
         assert_eq!(survivor_stats.replica_resyncs, 1);
         // The new primary accepts work from `ready` on.
         assert!(ready >= SimTime::ZERO);
@@ -853,10 +860,10 @@ mod tests {
         // transfer drain before inspecting the chain.
         p.clock().advance(SimDuration::from_secs(5));
         rs.sync_all(&p).unwrap();
-        assert!(rs.node(0).unwrap().archives_shipped > 0, "chain head ships from the primary");
-        assert!(rs.node(1).unwrap().archives_shipped > 0, "chain tail ships from the head");
+        assert!(rs.nodes[0].standby.archives_shipped > 0, "chain head ships from the primary");
+        assert!(rs.nodes[1].standby.archives_shipped > 0, "chain tail ships from the head");
         assert!(
-            rs.node(1).unwrap().applied_seq() <= rs.node(0).unwrap().applied_seq(),
+            rs.nodes[1].standby.applied_seq() <= rs.nodes[0].standby.applied_seq(),
             "the tail can never be ahead of its upstream"
         );
         p.shutdown_abort().unwrap();
@@ -878,7 +885,7 @@ mod tests {
             Some(RecoveryError::ShippedArchiveCorrupt { .. })
         ));
         assert!(
-            rs.node(0).unwrap().applied_seq() < rs.node(1).unwrap().applied_seq(),
+            rs.nodes[0].standby.applied_seq() < rs.nodes[1].standby.applied_seq(),
             "the broken node froze while the healthy one advanced"
         );
         p.shutdown_abort().unwrap();
@@ -909,7 +916,7 @@ mod tests {
         let idx = rs.failback().unwrap();
         assert_eq!(idx, 1);
         assert_eq!(rs.status(idx), Some(ReplicaStatus::Following));
-        assert_eq!(rs.node(idx).unwrap().server().events().derived().failbacks, 1);
+        assert_eq!(rs.nodes[idx].standby.server().events().derived().failbacks, 1);
         // The failback node follows the new primary's redo.
         {
             let srv = rs.active_mut().unwrap();
@@ -921,7 +928,7 @@ mod tests {
             }
         }
         rs.sync_all_inner(None).unwrap();
-        assert!(rs.node(idx).unwrap().archives_shipped > 0, "failback node ships from the promoted");
+        assert!(rs.nodes[idx].standby.archives_shipped > 0, "failback node ships from the promoted");
         // And it can itself be promoted when the new primary dies.
         rs.kill_promoted().unwrap();
         rs.fail_over(None).unwrap().expect("failback node takes over");
@@ -962,7 +969,7 @@ mod tests {
         let mut rs = replica_set(&p, &topo, FailoverPolicy::AutoQuorum);
         run_workload(&mut p, t, &mut rs, 100, 300);
         assert!(
-            rs.node(1).unwrap().applied_seq() <= rs.node(0).unwrap().applied_seq(),
+            rs.nodes[1].standby.applied_seq() <= rs.nodes[0].standby.applied_seq(),
             "a heavily lagged replica can never be ahead"
         );
         p.shutdown_abort().unwrap();

@@ -152,6 +152,11 @@ impl DbServer {
     // Accessors
     // ------------------------------------------------------------------
 
+    /// The server's name (baked into its redo, archive and backup paths).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
     /// The shared simulation clock.
     pub fn clock(&self) -> &Arc<SimClock> {
         &self.clock

@@ -47,7 +47,7 @@ pub(crate) struct ShippedArchive {
 
 /// A stand-by server in managed recovery.
 #[derive(Debug)]
-pub struct StandbyServer {
+pub(crate) struct StandbyServer {
     server: DbServer,
     applied_seq: u64,
     apply_done_at: SimTime,
@@ -221,11 +221,6 @@ impl StandbyServer {
     /// activation).
     pub fn server_mut(&mut self) -> &mut DbServer {
         &mut self.server
-    }
-
-    /// Whether [`StandbyServer::activate`] has completed.
-    pub fn is_activated(&self) -> bool {
-        self.activated
     }
 
     /// The sequence applied through.
@@ -615,11 +610,6 @@ impl StandbyServer {
         );
         Ok(clock.now())
     }
-
-    /// How long the apply backlog would take from `now` (diagnostics).
-    pub fn apply_lag(&self, now: SimTime) -> SimDuration {
-        self.apply_done_at.saturating_since(now)
-    }
 }
 
 #[cfg(test)]
@@ -684,7 +674,7 @@ mod tests {
         let before = clock.now();
         let ready = sb.activate().unwrap();
         assert!(ready >= before);
-        assert!(sb.is_activated());
+        assert!(sb.activated);
         let srv = sb.server_mut();
         // Seed rows (pre-backup) are all there.
         let rows = srv.peek_scan(t).unwrap();

@@ -32,18 +32,15 @@
 
 use std::sync::{Arc, Mutex};
 
+use recobench_core::rig::{set_up, Rig};
 use recobench_core::{apply_margin_cutoff, RecoveryConfig};
-use recobench_engine::{
-    DbResult, DbServer, DiskLayout, FailoverPolicy, ReplicaSet, ReplicaTopology, Scn,
-};
+use recobench_engine::{DbResult, DiskLayout, FailoverPolicy, ReplicaTopology};
 use recobench_faults::{
     FaultInjector, FaultPlan, FaultSchedule, RecoveryKind, ReplicaFaultType, ScheduledFault,
     TortureFaultKind,
 };
-use recobench_sim::{SimClock, SimDuration, SimRng, SimTime};
-use recobench_tpcc::{
-    create_schema, load_database, AvailabilityTimeline, DriverConfig, TpccDriver, TpccScale,
-};
+use recobench_sim::{SimClock, SimDuration, SimTime};
+use recobench_tpcc::{AvailabilityTimeline, DriverConfig, TpccScale};
 
 use crate::diff::{diff_states, Divergence};
 use crate::model::RefModel;
@@ -53,16 +50,10 @@ use crate::model::RefModel;
 pub struct TortureOptions {
     /// Recovery configuration under test.
     pub config: RecoveryConfig,
-    /// ARCHIVELOG mode (default on — most schedules need media recovery).
-    pub archive: bool,
     /// TPC-C scale.
     pub scale: TpccScale,
     /// Terminal driver configuration.
     pub driver: DriverConfig,
-    /// Datafiles provisioned for the TPC-C tablespace.
-    pub datafiles: u32,
-    /// Blocks per datafile.
-    pub blocks_per_file: u64,
     /// Replica topology behind the primary. Empty (the default) means no
     /// stand-bys — unless the schedule contains replica faults, in which
     /// case the runner auto-provisions a two-node fan-out so the faults
@@ -83,11 +74,8 @@ impl Default for TortureOptions {
     fn default() -> Self {
         TortureOptions {
             config: RecoveryConfig::named("F10G3T5").expect("known configuration"),
-            archive: true,
             scale: TpccScale::tiny(),
             driver: DriverConfig::default(),
-            datafiles: 8,
-            blocks_per_file: 768,
             topology: ReplicaTopology::none(),
             policy: FailoverPolicy::AutoQuorum,
             #[cfg(any(test, feature = "sabotage"))]
@@ -180,134 +168,72 @@ impl TortureRunner {
     /// Fails only on setup problems (schema creation, load, backup);
     /// faults, failed recoveries and divergences are results.
     pub fn run(&self, schedule: &FaultSchedule) -> DbResult<TortureOutcome> {
-        let clock = SimClock::shared();
-        let icfg = self.opts.config.to_instance_config(self.opts.archive);
-        let mut srv = DbServer::on_fresh_disks(
+        // ARCHIVELOG mode: most schedules need media recovery.
+        let (srv, schema) = set_up(
             "TORTURE",
-            Arc::clone(&clock),
+            SimClock::shared(),
             DiskLayout::four_disk(),
-            icfg.clone(),
-        );
-        srv.create_database()?;
-        let mut rng = SimRng::seed_from(schedule.seed);
-        let schema = create_schema(
-            &mut srv,
+            self.opts.config.to_instance_config(true),
             self.opts.scale,
-            self.opts.datafiles,
-            self.opts.blocks_per_file,
+            schedule.seed,
+            |_| {},
         )?;
-        load_database(&mut srv, &schema, &mut rng.fork(1))?;
-        srv.take_cold_backup()?;
-        #[cfg(any(test, feature = "sabotage"))]
-        if self.opts.sabotage_skip_redo > 0 {
-            srv.sabotage_skip_redo_records(self.opts.sabotage_skip_redo);
-        }
         // Stand-bys behind the primary: the configured topology, or an
         // auto-provisioned two-node fan-out when the schedule targets a
         // replica set nobody configured.
-        let topo = if !self.opts.topology.is_empty() {
-            self.opts.topology.clone()
-        } else if schedule.has_replica_faults() {
+        let topo = if self.opts.topology.is_empty() && schedule.has_replica_faults() {
             ReplicaTopology::fan_out(2)
         } else {
-            ReplicaTopology::none()
+            self.opts.topology.clone()
         };
-        let mut replica: Option<ReplicaSet> = if topo.is_empty() {
-            None
-        } else {
-            Some(ReplicaSet::instantiate(
-                &srv,
-                &topo,
-                self.opts.policy,
-                Arc::clone(&clock),
-                DiskLayout::four_disk(),
-                icfg,
-            )?)
-        };
-        let model = Arc::new(Mutex::new(RefModel::from_server(&srv)?));
-        {
-            let model = Arc::clone(&model);
-            srv.set_dml_tap(move |change| model.lock().unwrap().observe(change));
+        let mut rig = Rig::assemble(
+            srv,
+            schema,
+            &topo,
+            self.opts.policy,
+            self.opts.driver,
+            schedule.seed,
+            SimDuration::from_secs(schedule.duration_secs),
+        )?;
+        #[cfg(any(test, feature = "sabotage"))]
+        if self.opts.sabotage_skip_redo > 0 {
+            rig.primary.sabotage_skip_redo_records(self.opts.sabotage_skip_redo);
         }
-
-        let t0 = clock.now();
-        let end = t0 + SimDuration::from_secs(schedule.duration_secs);
-        let mut driver = TpccDriver::new(schema, self.opts.driver, rng.fork(2), t0);
+        let mut oracle = Oracle {
+            model: Arc::new(Mutex::new(RefModel::from_server(&rig.primary)?)),
+            spans_us: Vec::new(),
+            lost_commits: 0,
+        };
+        oracle.tap(&mut rig);
 
         let faults = schedule.sorted_faults();
         let mut next_fault = 0usize;
         let mut reports: Vec<FaultReport> = Vec::new();
-        let mut spans_us: Vec<(u64, u64)> = Vec::new();
         let mut unrecoverable = false;
-        let mut lost_commits = 0u64;
-        // Rolling (time, SCN) trail for the PITR margin cutoff, exactly
-        // as `Experiment::run` samples it.
-        let mut scn_trail: Vec<(SimTime, Scn)> = Vec::new();
         let mut last_ready: Option<SimTime> = None;
 
-        loop {
-            if clock.now() >= end {
-                break;
+        rig.run(|rig| {
+            if unrecoverable {
+                return Ok(false);
             }
-            if next_fault < faults.len() && !unrecoverable {
-                let f = faults[next_fault];
-                let sched_t = t0 + SimDuration::from_secs(f.at_secs);
-                // A fault whose time has already passed (recovery overtook
-                // it) fires immediately; otherwise it fires once it is the
-                // next event on the timeline.
-                let due_now = sched_t <= clock.now();
-                if sched_t <= end && (due_now || sched_t <= driver.next_ready()) {
-                    clock.advance_to(sched_t);
-                    let overtaken =
-                        last_ready.is_some_and(|ready| sched_t < ready);
-                    let report = self.one_fault(
-                        f,
-                        overtaken,
-                        &mut srv,
-                        &mut replica,
-                        &mut driver,
-                        &model,
-                        &scn_trail,
-                        &mut spans_us,
-                        &mut lost_commits,
-                    );
-                    unrecoverable |= report.unrecoverable;
-                    last_ready = report.ready_at.or(last_ready);
-                    reports.push(report);
-                    next_fault += 1;
-                    continue;
-                }
+            let Some(&f) = faults.get(next_fault) else { return Ok(false) };
+            let sched_t = rig.t0 + SimDuration::from_secs(f.at_secs);
+            // A fault whose time has already passed (recovery overtook it)
+            // fires immediately; otherwise it fires once it is the next
+            // event on the timeline.
+            let due_now = sched_t <= rig.clock.now();
+            if sched_t > rig.end || !(due_now || sched_t <= rig.driver.next_ready()) {
+                return Ok(false);
             }
-            if driver.next_ready() >= end {
-                clock.advance_to(end);
-                break;
-            }
-            {
-                // After a failover the promoted stand-by serves clients;
-                // before one (and without stand-bys) the primary does.
-                let active: &mut DbServer = match replica.as_mut() {
-                    Some(rs) if rs.promoted().is_some() => match rs.active_mut() {
-                        Some(s) => s,
-                        None => &mut srv,
-                    },
-                    _ => &mut srv,
-                };
-                driver.step(active);
-                if active.is_open() {
-                    match scn_trail.last() {
-                        Some((_, last)) if *last == active.current_scn() => {}
-                        _ => scn_trail.push((clock.now(), active.current_scn())),
-                    }
-                }
-            }
-            if let Some(rs) = replica.as_mut() {
-                if rs.promoted().is_some() {
-                    rs.sync_followers()?;
-                } else if srv.is_open() {
-                    rs.sync_all(&srv)?;
-                }
-            }
-        }
+            rig.clock.advance_to(sched_t);
+            let overtaken = last_ready.is_some_and(|ready| sched_t < ready);
+            let report = oracle.one_fault(rig, f, overtaken);
+            unrecoverable |= report.unrecoverable;
+            last_ready = report.ready_at.or(last_ready);
+            reports.push(report);
+            next_fault += 1;
+            Ok(true)
+        })?;
 
         // Faults the run never reached (scheduled past the end, or after
         // the database became unrecoverable).
@@ -326,61 +252,50 @@ impl TortureRunner {
             });
         }
 
-        // Drain in-flight terminals: the differential oracle compares
-        // committed state, so an open transaction or a parked lock wait
-        // must not linger into the diff.
-        {
-            let active: &mut DbServer = match replica.as_mut() {
-                Some(rs) if rs.promoted().is_some() => match rs.active_mut() {
-                    Some(s) => s,
-                    None => &mut srv,
-                },
-                _ => &mut srv,
-            };
-            driver.quiesce(active);
-        }
-        let timeline = driver.availability_timeline(t0, end);
-        let active_ref: &DbServer = match replica
-            .as_ref()
-            .and_then(|rs| rs.promoted().and_then(|k| rs.node(k)))
-        {
-            Some(standby) => standby.server(),
-            None => &srv,
-        };
-        let divergences = if unrecoverable || !active_ref.is_open() {
+        // The differential oracle compares committed state; `Rig::run`
+        // drained the terminals, so nothing in flight lingers into the diff.
+        let timeline = rig.driver.availability_timeline(rig.t0, rig.end);
+        let active = rig.active();
+        let divergences = if unrecoverable || !active.is_open() {
             Vec::new()
         } else {
-            diff_states(active_ref, &model.lock().unwrap())?
+            diff_states(active, &oracle.model.lock().unwrap())?
         };
-        let commits = model.lock().unwrap().acked_commits();
+        let commits = oracle.model.lock().unwrap().acked_commits();
         Ok(TortureOutcome {
             schedule: schedule.clone(),
             faults: reports,
             divergences,
             timeline,
-            recovery_spans_us: spans_us,
-            attempted: driver.attempted(),
+            recovery_spans_us: oracle.spans_us,
+            attempted: rig.driver.attempted(),
             commits,
             unrecoverable,
-            failovers: replica.as_ref().map_or(0, ReplicaSet::failovers),
-            lost_commits,
+            failovers: rig.failovers(),
+            lost_commits: oracle.lost_commits,
         })
+    }
+}
+
+/// The oracle's side of one run: the reference model the DML tap feeds,
+/// and what the faults cost so far.
+struct Oracle {
+    model: Arc<Mutex<RefModel>>,
+    spans_us: Vec<(u64, u64)>,
+    lost_commits: u64,
+}
+
+impl Oracle {
+    /// Points the DML tap at the node now serving: the tap follows the
+    /// service, so after a failover the promoted node feeds the model, not
+    /// the dead machine.
+    fn tap(&self, rig: &mut Rig) {
+        let model = Arc::clone(&self.model);
+        rig.active_mut().set_dml_tap(move |change| model.lock().unwrap().observe(change));
     }
 
     /// Injects one fault and drives its recovery (both synchronous).
-    #[allow(clippy::too_many_arguments)]
-    fn one_fault(
-        &self,
-        f: ScheduledFault,
-        overtaken: bool,
-        srv: &mut DbServer,
-        replica: &mut Option<ReplicaSet>,
-        driver: &mut TpccDriver,
-        model: &Arc<Mutex<RefModel>>,
-        scn_trail: &[(SimTime, Scn)],
-        spans_us: &mut Vec<(u64, u64)>,
-        lost_commits: &mut u64,
-    ) -> FaultReport {
+    fn one_fault(&mut self, rig: &mut Rig, f: ScheduledFault, overtaken: bool) -> FaultReport {
         let mut report = FaultReport {
             scheduled: f,
             injected_at: None,
@@ -392,26 +307,14 @@ impl TortureRunner {
         // Once the primary has been failed away from, the legacy fault
         // kinds would hit the retired machine — skip them rather than
         // pretend the dead node's backups and datafiles still matter.
-        if replica.as_ref().is_some_and(|r| r.promoted().is_some())
-            && !matches!(f.kind, TortureFaultKind::Replica(_))
-        {
+        if rig.failed_over() && !matches!(f.kind, TortureFaultKind::Replica(_)) {
             report.skipped = Some("primary failed over; fault targets the retired node".to_string());
             return report;
         }
         match f.kind {
-            TortureFaultKind::Replica(r) => {
-                self.one_replica_fault(
-                    r,
-                    &mut report,
-                    srv,
-                    replica,
-                    driver,
-                    model,
-                    spans_us,
-                    lost_commits,
-                );
-            }
+            TortureFaultKind::Replica(r) => self.one_replica_fault(rig, r, &mut report),
             TortureFaultKind::InstanceKill => {
+                let srv = &mut rig.primary;
                 if !srv.is_open() {
                     report.skipped = Some("instance already down".to_string());
                     return report;
@@ -422,29 +325,29 @@ impl TortureRunner {
                     return report;
                 }
                 report.injected_at = Some(at);
-                driver.record_outage(at);
+                rig.driver.record_outage(at);
                 // The operator notices the dead instance after the same
                 // constant detection delay the injector models.
                 srv.clock().advance(SimDuration::from_secs(1));
                 match srv.startup() {
                     Ok(()) => {
                         let ready = srv.clock().now();
-                        spans_us.push((at.as_micros(), ready.as_micros()));
+                        self.spans_us.push((at.as_micros(), ready.as_micros()));
                         report.ready_at = Some(ready);
                     }
                     Err(_) => report.unrecoverable = true,
                 }
             }
             TortureFaultKind::Storage(s) => {
-                if !srv.is_open() {
+                if !rig.primary.is_open() {
                     report.skipped = Some("instance already down".to_string());
                     return report;
                 }
-                self.one_storage_fault(s, f, &mut report, srv, driver, model, spans_us);
+                self.one_storage_fault(rig, s, f, &mut report);
             }
             TortureFaultKind::Operator(fault) => {
                 let injector = FaultInjector::new(FaultPlan::new(fault, f.at_secs));
-                let mut record = match injector.inject(srv) {
+                let mut record = match injector.inject(&mut rig.primary) {
                     Ok(r) => r,
                     Err(e) => {
                         report.skipped = Some(format!("injection failed: {e}"));
@@ -452,8 +355,9 @@ impl TortureRunner {
                     }
                 };
                 report.injected_at = Some(record.injected_at);
-                driver.record_outage(record.injected_at);
-                apply_margin_cutoff(&mut record, scn_trail, injector.plan().pitr_margin);
+                rig.driver.record_outage(record.injected_at);
+                apply_margin_cutoff(&mut record, rig.trail(), injector.plan().pitr_margin);
+                let srv = &mut rig.primary;
                 // The margin (or a sparse trail) can point before the
                 // current backup; the engine cannot rewind past what it
                 // restores from, so neither may the stop SCN.
@@ -466,7 +370,7 @@ impl TortureRunner {
                 match injector.recover(srv, &record) {
                     Ok(_out) => {
                         if incomplete {
-                            model.lock().unwrap().truncate_to(record.scn_before.next());
+                            self.model.lock().unwrap().truncate_to(record.scn_before.next());
                             // RESETLOGS invalidated the backup chain; take
                             // a fresh cold backup before resuming service.
                             if srv.take_cold_backup().is_err() {
@@ -475,7 +379,7 @@ impl TortureRunner {
                             }
                         }
                         let ready = srv.clock().now();
-                        spans_us.push((record.injected_at.as_micros(), ready.as_micros()));
+                        self.spans_us.push((record.injected_at.as_micros(), ready.as_micros()));
                         report.ready_at = Some(ready);
                     }
                     Err(_) => {
@@ -499,19 +403,9 @@ impl TortureRunner {
     /// quorum decides under the configured policy); shipping faults arm
     /// damage on a stand-by and let the run continue — the primary never
     /// notices, only the replica set's health changes.
-    #[allow(clippy::too_many_arguments)]
-    fn one_replica_fault(
-        &self,
-        r: ReplicaFaultType,
-        report: &mut FaultReport,
-        srv: &mut DbServer,
-        replica: &mut Option<ReplicaSet>,
-        driver: &mut TpccDriver,
-        model: &Arc<Mutex<RefModel>>,
-        spans_us: &mut Vec<(u64, u64)>,
-        lost_commits: &mut u64,
-    ) {
-        let Some(rs) = replica.as_mut() else {
+    fn one_replica_fault(&mut self, rig: &mut Rig, r: ReplicaFaultType, report: &mut FaultReport) {
+        let now = rig.clock.now();
+        let Some(rs) = rig.replicas.as_mut() else {
             report.skipped = Some("no replica set provisioned".to_string());
             return;
         };
@@ -521,18 +415,18 @@ impl TortureRunner {
                     report.skipped = Some("primary already failed over".to_string());
                     return;
                 }
-                if !srv.is_open() {
+                if !rig.primary.is_open() {
                     report.skipped = Some("instance already down".to_string());
                     return;
                 }
-                let at = srv.clock().now();
-                if let Err(e) = srv.shutdown_abort() {
+                if let Err(e) = rig.primary.shutdown_abort() {
                     report.skipped = Some(format!("kill failed: {e}"));
                     return;
                 }
-                report.injected_at = Some(at);
-                driver.record_outage(at);
-                Self::promote(rs, Some(srv), at, report, driver, model, spans_us, lost_commits);
+                report.injected_at = Some(now);
+                rig.driver.record_outage(now);
+                let ready = rig.failover();
+                self.reconcile(rig, now, ready, report);
             }
             ReplicaFaultType::KillPromoted => {
                 if rs.promoted().is_none() {
@@ -540,95 +434,74 @@ impl TortureRunner {
                         Some("no promoted node to kill (needs a prior kill_primary)".to_string());
                     return;
                 }
-                let at = match rs.kill_promoted() {
-                    Ok(at) => at,
-                    Err(e) => {
-                        report.skipped = Some(format!("kill failed: {e}"));
-                        return;
+                match rig.double_fault() {
+                    Ok((at, ready)) => {
+                        report.injected_at = Some(at);
+                        self.reconcile(rig, at, ready, report);
                     }
-                };
-                report.injected_at = Some(at);
-                driver.record_outage(at);
-                Self::promote(rs, None, at, report, driver, model, spans_us, lost_commits);
+                    Err(e) => report.skipped = Some(format!("kill failed: {e}")),
+                }
             }
             ReplicaFaultType::CorruptShippedArchive => match rs.first_followable() {
                 Some(i) => {
                     rs.arm_ship_corruption(i);
                     // No outage: the primary keeps serving; only the
                     // targeted stand-by freezes when the bad copy lands.
-                    report.injected_at = Some(srv.clock().now());
-                    report.ready_at = Some(srv.clock().now());
+                    report.injected_at = Some(now);
+                    report.ready_at = Some(now);
                 }
                 None => report.skipped = Some("no followable replica to corrupt".to_string()),
             },
             ReplicaFaultType::PartitionReplica => match rs.first_followable() {
                 Some(i) => {
                     rs.partition(i);
-                    report.injected_at = Some(srv.clock().now());
-                    report.ready_at = Some(srv.clock().now());
+                    report.injected_at = Some(now);
+                    report.ready_at = Some(now);
                 }
                 None => report.skipped = Some("no followable replica to partition".to_string()),
             },
         }
     }
 
-    /// Runs a failover and reconciles the reference model with the
-    /// promoted node: in-doubt transactions are settled against its state
-    /// first, then the model is truncated to the promoted node's last
-    /// applied commit — everything past it is the acked-but-unshipped
-    /// tail the failover sacrificed, and it is *specified* as lost.
-    #[allow(clippy::too_many_arguments)]
-    fn promote(
-        rs: &mut ReplicaSet,
-        old_primary: Option<&mut DbServer>,
+    /// Reconciles the reference model with the node a failover promoted:
+    /// in-doubt transactions are settled against its state first, then the
+    /// model is truncated to the promoted node's last applied commit —
+    /// everything past it is the acked-but-unshipped tail the failover
+    /// sacrificed, and it is *specified* as lost.
+    fn reconcile(
+        &mut self,
+        rig: &mut Rig,
         at: SimTime,
+        ready: Option<SimTime>,
         report: &mut FaultReport,
-        driver: &mut TpccDriver,
-        model: &Arc<Mutex<RefModel>>,
-        spans_us: &mut Vec<(u64, u64)>,
-        lost_commits: &mut u64,
     ) {
-        match rs.fail_over(old_primary) {
-            Ok(Some(ready)) => {
-                let (Some(stop), Some(k)) = (rs.promoted_last_commit_scn(), rs.promoted()) else {
+        let promoted = rig.replicas.as_ref().and_then(|rs| {
+            Some((rs.active()?, rs.promoted_last_commit_scn()?))
+        });
+        // `ready` is `None` when the quorum was denied or no survivor
+        // could be promoted: the service stays down.
+        let (Some(ready), Some((promoted, stop))) = (ready, promoted) else {
+            report.unrecoverable = true;
+            return;
+        };
+        {
+            let mut m = self.model.lock().unwrap();
+            // Transactions open at the kill never acked; probe the
+            // promoted node to settle them (at `stop`, so a resolved
+            // commit survives the truncation below).
+            for txn in m.open_txn_ids() {
+                if m.resolve_in_doubt(promoted, txn, stop).is_err() {
                     report.unrecoverable = true;
                     return;
-                };
-                let Some(promoted) = rs.node(k) else {
-                    report.unrecoverable = true;
-                    return;
-                };
-                {
-                    let mut m = model.lock().unwrap();
-                    // Transactions open at the kill never acked; probe the
-                    // promoted node to settle them (at `stop`, so a
-                    // resolved commit survives the truncation below).
-                    for txn in m.open_txn_ids() {
-                        if m.resolve_in_doubt(promoted.server(), txn, stop).is_err() {
-                            report.unrecoverable = true;
-                            return;
-                        }
-                    }
-                    let before = m.surviving_commits();
-                    m.truncate_to(stop.next());
-                    *lost_commits += before.saturating_sub(m.surviving_commits());
                 }
-                // The DML tap follows the service: from here on the
-                // promoted node feeds the model, not the dead machine.
-                if let Some(active) = rs.active_mut() {
-                    let model = Arc::clone(model);
-                    active.set_dml_tap(move |change| model.lock().unwrap().observe(change));
-                }
-                // Terminals lose their sessions and reconnect to the
-                // promoted node on their next transaction.
-                driver.sever_all(ready);
-                spans_us.push((at.as_micros(), ready.as_micros()));
-                report.ready_at = Some(ready);
             }
-            // Quorum denied (or no survivor): the service stays down.
-            Ok(None) => report.unrecoverable = true,
-            Err(_) => report.unrecoverable = true,
+            let before = m.surviving_commits();
+            m.truncate_to(stop.next());
+            self.lost_commits += before.saturating_sub(m.surviving_commits());
         }
+        self.tap(rig);
+        self.spans_us.push((at.as_micros(), ready.as_micros()));
+        report.ready_at = Some(ready);
     }
 
     /// Injects one storage fault and drives its recovery. The five kinds
@@ -643,19 +516,16 @@ impl TortureRunner {
     ///   retries after the operator frees space;
     /// * **slow I/O** — pure degradation: service continues, commits
     ///   drag, nothing to recover — so no outage and no recovery span.
-    #[allow(clippy::too_many_arguments)]
     fn one_storage_fault(
-        &self,
+        &mut self,
+        rig: &mut Rig,
         s: recobench_faults::StorageFaultType,
         f: ScheduledFault,
         report: &mut FaultReport,
-        srv: &mut DbServer,
-        driver: &mut TpccDriver,
-        model: &Arc<Mutex<RefModel>>,
-        spans_us: &mut Vec<(u64, u64)>,
     ) {
         use recobench_faults::StorageFaultType;
         use recobench_vfs::{FaultArm, FileKind, FileMatch};
+        let (srv, driver) = (&mut rig.primary, &mut rig.driver);
         match s {
             StorageFaultType::TornWrite | StorageFaultType::BitRot => {
                 let at = srv.clock().now();
@@ -713,7 +583,7 @@ impl TortureRunner {
                     }
                 }
                 let ready = srv.clock().now();
-                spans_us.push((at.as_micros(), ready.as_micros()));
+                self.spans_us.push((at.as_micros(), ready.as_micros()));
                 report.ready_at = Some(ready);
             }
             StorageFaultType::PartialAppend => {
@@ -757,7 +627,7 @@ impl TortureRunner {
                 // settle every dead transaction the same way it did.
                 {
                     let scn = srv.current_scn();
-                    let mut m = model.lock().unwrap();
+                    let mut m = self.model.lock().unwrap();
                     for txn in m.open_txn_ids() {
                         if m.resolve_in_doubt(srv, txn, scn).is_err() {
                             report.unrecoverable = true;
@@ -766,7 +636,7 @@ impl TortureRunner {
                     }
                 }
                 let ready = srv.clock().now();
-                spans_us.push((at.as_micros(), ready.as_micros()));
+                self.spans_us.push((at.as_micros(), ready.as_micros()));
                 report.ready_at = Some(ready);
             }
             StorageFaultType::DiskFull => {
@@ -793,7 +663,7 @@ impl TortureRunner {
                 match srv.checkpoint_now() {
                     Ok(()) => {
                         let ready = srv.clock().now();
-                        spans_us.push((at.as_micros(), ready.as_micros()));
+                        self.spans_us.push((at.as_micros(), ready.as_micros()));
                         report.ready_at = Some(ready);
                     }
                     Err(_) => report.unrecoverable = true,

@@ -1,9 +1,10 @@
-//! Lint: engine/oracle code may not silently discard typed errors.
+//! Lint: engine/harness/oracle code may not silently discard typed errors.
 //!
 //! The benchmark's measures depend on every failure reaching the harness:
 //! a `DbError`/`VfsError`/`RecoveryError` dropped on the floor converts a
 //! detectable outage into silent corruption of the measures. This lint
-//! flags, in `crates/engine` and `crates/oracle` non-test code:
+//! flags, in `crates/engine`, `crates/core` and `crates/oracle` non-test
+//! code:
 //!
 //! * `let _ = fallible();` — unless the expression propagates with `?`;
 //! * statement-position `fallible().ok();` — the error is erased;
@@ -19,7 +20,8 @@ use crate::lex::{Tok, TokKind};
 use crate::{Diagnostics, Lint, Workspace};
 
 /// Crates whose non-test code is held to the no-swallowing rule.
-const SCOPED_PREFIXES: &[&str] = &["crates/engine/src/", "crates/oracle/src/"];
+const SCOPED_PREFIXES: &[&str] =
+    &["crates/engine/src/", "crates/core/src/", "crates/oracle/src/"];
 
 /// See the module docs.
 pub struct ErrorSwallow;

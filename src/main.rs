@@ -18,6 +18,7 @@
 
 use recobench::core::report::Table;
 use recobench::core::{Experiment, RecoveryConfig};
+use recobench::engine::ReplicaTopology;
 use recobench::faults::{FaultClass, FaultType, OperatorFaultType};
 
 fn parse_fault(s: &str) -> Option<FaultType> {
@@ -104,8 +105,12 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 
     let cfg = RecoveryConfig::named(&config).ok_or_else(|| format!("unknown configuration {config}"))?;
     eprintln!("running {config} for {duration} simulated seconds...");
-    let mut builder =
-        Experiment::builder(cfg).duration_secs(duration).seed(seed).archive_logs(archive).standby(standby);
+    let topology = if standby { ReplicaTopology::single() } else { ReplicaTopology::none() };
+    let mut builder = Experiment::builder(cfg)
+        .duration_secs(duration)
+        .seed(seed)
+        .archive_logs(archive)
+        .topology(topology);
     if let Some(f) = fault {
         builder = builder.fault(f, at);
     }

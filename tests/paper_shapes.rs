@@ -4,6 +4,7 @@
 //! tables.
 
 use recobench::core::{Experiment, ExperimentOutcome, RecoveryConfig};
+use recobench::engine::ReplicaTopology;
 use recobench::faults::FaultType;
 use recobench::tpcc::TpccScale;
 
@@ -114,7 +115,7 @@ fn fig7_shape_standby_loss_grows_with_redo_file_size() {
     let small = Experiment::builder(RecoveryConfig::new(1, 3, 60))
         .duration_secs(420)
         .scale(TpccScale::tiny())
-        .standby(true)
+        .topology(ReplicaTopology::single())
         .fault(FaultType::ShutdownAbort, 240)
         .seed(5)
         .run()
@@ -122,7 +123,7 @@ fn fig7_shape_standby_loss_grows_with_redo_file_size() {
     let big = Experiment::builder(RecoveryConfig::new(10, 3, 60))
         .duration_secs(420)
         .scale(TpccScale::tiny())
-        .standby(true)
+        .topology(ReplicaTopology::single())
         .fault(FaultType::ShutdownAbort, 240)
         .seed(5)
         .run()
@@ -141,7 +142,7 @@ fn fig6_shape_standby_beats_media_recovery_at_late_injection() {
     let standby = Experiment::builder(RecoveryConfig::named("F1G3T1").unwrap())
         .duration_secs(600)
         .scale(TpccScale::tiny())
-        .standby(true)
+        .topology(ReplicaTopology::single())
         .fault(FaultType::DeleteDatafile, 240)
         .seed(77)
         .run()

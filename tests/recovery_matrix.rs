@@ -3,6 +3,7 @@
 //! consistent, serviceable database.
 
 use recobench::core::{Experiment, RecoveryConfig};
+use recobench::engine::ReplicaTopology;
 use recobench::faults::{FaultType, RecoveryKind};
 use recobench::tpcc::TpccScale;
 
@@ -103,7 +104,7 @@ fn standby_failover_breakdown_is_dominated_by_activation() {
     let out = Experiment::builder(RecoveryConfig::named("F10G3T5").unwrap())
         .duration_secs(420)
         .scale(TpccScale::tiny())
-        .standby(true)
+        .topology(ReplicaTopology::single())
         .fault(FaultType::ShutdownAbort, 90)
         .seed(1234)
         .run()
