@@ -26,6 +26,7 @@
 //! The public entry point is [`DbServer`]; see the `quickstart` example in
 //! the workspace root for an end-to-end tour.
 
+mod apply;
 pub mod archiver;
 pub mod backup;
 pub mod cache;

@@ -18,10 +18,11 @@ use std::sync::Arc;
 use recobench_sim::SimTime;
 use recobench_vfs::IoKind;
 
+use crate::apply::{rollback_unlogged, ReplayState};
 use crate::controlfile::{CkptRecord, SeqLocation};
 use crate::error::{DbError, DbResult};
 use crate::events::{EngineEvent, RecoveryPhase, RecoveryProcedure};
-use crate::redo::{decode_stream_tolerant, RedoOp, RedoRecord};
+use crate::redo::{decode_stream_tolerant, RedoOp};
 use crate::server::DbServer;
 use crate::txn::UndoOp;
 use crate::types::{FileNo, RedoAddr, Scn, TxnId};
@@ -99,14 +100,15 @@ impl DbServer {
         let mut recovered_records = 0;
         if !clean {
             let from = self.restore_fractured_datafiles(ckpt.position)?;
-            let summary = self.replay(ReplayOpts {
+            let (mut summary, replayed) = self.replay(ReplayOpts {
                 from,
                 available_at: crash_time,
                 stop_scn: None,
                 only_file: None,
             })?;
+            self.rollback_unresolved(&mut summary, &replayed.live)?;
             recovered_records = summary.applied;
-            self.finish_crash_recovery(&summary)?;
+            self.resume_after(summary.max_scn, summary.max_txn)?;
             self.events.record(
                 self.clock.now(),
                 EngineEvent::RecoveryCompleted {
@@ -165,68 +167,79 @@ impl DbServer {
             if !readable || !self.scan_for_bad_blocks(vfs_id, &path) {
                 continue;
             }
-            let backup = self.backup.as_ref().ok_or_else(|| {
-                DbError::Unrecoverable(format!("datafile {path} torn by crash and no backup exists"))
-            })?;
-            let piece = backup.piece_for(file_no).ok_or_else(|| {
-                DbError::Unrecoverable(format!("no backup piece for torn datafile {path}"))
-            })?;
-            let position = backup.position;
-            let nominal = backup.nominal_bytes_per_file;
-            let backup_disk = self.layout.backup_disk;
-            let began = self.clock.now();
-            {
-                let mut fs = self.fs.lock();
-                let done = fs.restore_into(piece, vfs_id, began)?;
-                let file_disk = fs.meta(vfs_id)?.disk;
-                let d1 = fs.charge_io(backup_disk, IoKind::Read, nominal, began)?;
-                let d2 = fs.charge_io(file_disk, IoKind::Write, nominal, began)?;
-                drop(fs);
-                self.clock.advance_to(done.max(d1).max(d2));
-            }
-            self.events.record(
-                self.clock.now(),
-                EngineEvent::PhaseSpan { phase: RecoveryPhase::MediaRestore, started_at: began },
-            );
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-            inst.cache.invalidate_file(file_no);
-            from = from.min(position);
+            from = from.min(self.restore_datafile(file_no, vfs_id, &path, "torn by crash")?);
         }
         Ok(from)
     }
 
-    fn finish_crash_recovery(&mut self, summary: &ReplaySummary) -> DbResult<()> {
+    /// Copies one backup piece over its datafile from `at`, charging the
+    /// nominal-size transfer on the backup disk and the file's disk.
+    /// Returns the instant the restore completes; the caller decides how
+    /// the clock waits for it.
+    fn restore_piece(
+        &self,
+        piece: recobench_vfs::FileId,
+        vfs_id: recobench_vfs::FileId,
+        nominal: u64,
+        at: SimTime,
+    ) -> DbResult<SimTime> {
+        let mut fs = self.fs.lock();
+        let done = fs.restore_into(piece, vfs_id, at)?;
+        let file_disk = fs.meta(vfs_id)?.disk;
+        let d1 = fs.charge_io(self.layout.backup_disk, IoKind::Read, nominal, at)?;
+        let d2 = fs.charge_io(file_disk, IoKind::Write, nominal, at)?;
+        Ok(done.max(d1).max(d2))
+    }
+
+    /// Restores one damaged (`damage` says how) datafile of the open
+    /// instance from the cold backup, waiting for the copy. Returns the
+    /// backup's redo position — where the file's replay must start.
+    fn restore_datafile(
+        &mut self,
+        file_no: FileNo,
+        vfs_id: recobench_vfs::FileId,
+        path: &str,
+        damage: &str,
+    ) -> DbResult<RedoAddr> {
+        let backup = self.backup.as_ref().ok_or_else(|| {
+            DbError::Unrecoverable(format!("datafile {path} {damage} and no backup exists"))
+        })?;
+        let piece = backup.piece_for(file_no).ok_or_else(|| {
+            DbError::Unrecoverable(format!("no backup piece for datafile {path}"))
+        })?;
+        let position = backup.position;
+        let began = self.clock.now();
+        let done = self.restore_piece(piece, vfs_id, backup.nominal_bytes_per_file, began)?;
+        self.clock.advance_to(done);
+        self.events.record(
+            self.clock.now(),
+            EngineEvent::PhaseSpan { phase: RecoveryPhase::MediaRestore, started_at: began },
+        );
         let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-        inst.scn = Scn(summary.max_scn.0 + 1_000);
-        inst.txns.bump_past(summary.max_txn);
-        self.txn_floor = self.txn_floor.max(summary.max_txn);
+        inst.cache.invalidate_file(file_no);
+        Ok(position)
+    }
+
+    /// Moves the SCN and transaction-id allocators clear of everything a
+    /// replay saw, so nothing issued from here on collides with history.
+    pub(crate) fn resume_after(&mut self, max_scn: Scn, max_txn: u64) -> DbResult<()> {
+        let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
+        inst.scn = Scn(max_scn.0 + 1_000);
+        inst.txns.bump_past(max_txn);
+        self.txn_floor = self.txn_floor.max(max_txn);
         Ok(())
     }
 
     /// Rebuilds indexes and insert cursors, takes the post-recovery
     /// checkpoint, and arms background work.
     pub(crate) fn finalize_open(&mut self) -> DbResult<()> {
-        let objs: Vec<_> = {
-            let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
-            inst.catalog.tables.keys().copied().collect()
-        };
-        let mut tables = 0u64;
-        let mut entries = 0u64;
-        for obj in objs {
-            let defs = {
-                let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
-                inst.catalog.table(obj)?.indexes.clone()
-            };
-            let rows = self.peek_scan(obj).unwrap_or_default();
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-            entries += inst.rebuild_indexes_for(obj, &defs, rows);
-            tables += 1;
-            let seg = inst.catalog.table(obj)?.segment.clone();
-            let cursor = inst.cursors.entry(obj).or_default();
+        self.rebuild_all_indexes()?;
+        let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
+        for (obj, table) in &inst.catalog.tables {
+            let cursor = inst.cursors.entry(*obj).or_default();
             *cursor = crate::heap::PlacementCursor::new();
-            cursor.seek_last_extent(&seg);
+            cursor.seek_last_extent(&table.segment);
         }
-        self.events.record(self.clock.now(), EngineEvent::IndexesRebuilt { tables, entries });
         let done = self.full_checkpoint()?;
         self.clock.advance_to(done);
         self.next_dbwr_tick = self.clock.now() + self.config.dbwr_tick;
@@ -273,32 +286,7 @@ impl DbServer {
         // knows. Scan before concluding the file is healthy.
         let damaged = damaged || self.scan_for_bad_blocks(vfs_id, path);
         let from = if damaged {
-            // Restore the file from the cold backup.
-            let backup = self.backup.as_ref().ok_or_else(|| {
-                DbError::Unrecoverable(format!("datafile {path} lost and no backup exists"))
-            })?;
-            let piece = backup.piece_for(file_no).ok_or_else(|| {
-                DbError::Unrecoverable(format!("no backup piece for datafile {path}"))
-            })?;
-            let position = backup.position;
-            let nominal = backup.nominal_bytes_per_file;
-            let backup_disk = self.layout.backup_disk;
-            {
-                let mut fs = self.fs.lock();
-                let done = fs.restore_into(piece, vfs_id, now)?;
-                let file_disk = fs.meta(vfs_id)?.disk;
-                let d1 = fs.charge_io(backup_disk, IoKind::Read, nominal, now)?;
-                let d2 = fs.charge_io(file_disk, IoKind::Write, nominal, now)?;
-                drop(fs);
-                self.clock.advance_to(done.max(d1).max(d2));
-            }
-            self.events.record(
-                self.clock.now(),
-                EngineEvent::PhaseSpan { phase: RecoveryPhase::MediaRestore, started_at: now },
-            );
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-            inst.cache.invalidate_file(file_no);
-            position
+            self.restore_datafile(file_no, vfs_id, path, "lost")?
         } else {
             let control = self.control_ref()?;
             control
@@ -306,12 +294,15 @@ impl DbServer {
                 .recover_from
                 .unwrap_or_else(|| control.effective_checkpoint(now).position)
         };
-        let summary = self.replay(ReplayOpts {
+        let (mut summary, replayed) = self.replay(ReplayOpts {
             from,
             available_at: self.clock.now(),
             stop_scn: None,
             only_file: Some(file_no),
         })?;
+        // What is still unresolved here is rollback parked on this file
+        // (`deferred_undo`); `drain_deferred_undo` below logs it.
+        self.rollback_unresolved(&mut summary, &replayed.live)?;
         // Bring the file online and persist its recovered blocks.
         {
             let st = self.control_mut()?.file_state_mut(file_no);
@@ -440,21 +431,14 @@ impl DbServer {
                 started_at: startup_began,
             },
         );
-        // Restore every datafile from its backup piece.
-        let backup_disk = self.layout.backup_disk;
+        // Restore every datafile from its backup piece, all at once.
         {
             let now = self.clock.now();
-            let mut fs = self.fs.lock();
             let mut last = now;
             for (file_no, df) in &b_catalog.datafiles {
                 let Some(piece) = pieces.get(file_no) else { continue };
-                let done = fs.restore_into(*piece, df.vfs_id, now)?;
-                let file_disk = fs.meta(df.vfs_id)?.disk;
-                let d1 = fs.charge_io(backup_disk, IoKind::Read, nominal, now)?;
-                let d2 = fs.charge_io(file_disk, IoKind::Write, nominal, now)?;
-                last = last.max(done).max(d1).max(d2);
+                last = last.max(self.restore_piece(*piece, df.vfs_id, nominal, now)?);
             }
-            drop(fs);
             self.clock.advance_to(last);
             self.events.record(
                 self.clock.now(),
@@ -479,19 +463,17 @@ impl DbServer {
             (c.current_group, c.current_seq, c.current_flushed)
         };
         self.inst = Some(self.fresh_instance((*b_catalog).clone(), b_scn, group, seq, flushed));
-        let summary = self.replay(ReplayOpts {
+        let (mut summary, replayed) = self.replay(ReplayOpts {
             from: b_position,
             available_at: self.clock.now(),
             stop_scn: Some(stop_scn),
             only_file: None,
         })?;
-        {
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-            inst.scn = Scn(summary.max_scn.0.max(stop_scn.0) + 1_000);
-            inst.txns.bump_past(summary.max_txn);
-            self.txn_floor = self.txn_floor.max(summary.max_txn);
-        }
-        self.open_resetlogs()?;
+        // The new incarnation's log starts empty, so no later replay can
+        // cross this rollback: nothing needs to be logged.
+        self.rollback_unresolved(&mut summary, &replayed.live)?;
+        let new_seq = self.control_ref()?.seqs.keys().next_back().copied().unwrap_or(0) + 1;
+        self.open_resetlogs(summary.max_scn.max(stop_scn), summary.max_txn, new_seq)?;
         self.finalize_open()?;
         self.events.record(
             self.clock.now(),
@@ -505,13 +487,11 @@ impl DbServer {
     }
 
     /// `ALTER DATABASE OPEN RESETLOGS`: discard the online logs and start
-    /// a new incarnation at the next sequence number.
+    /// a new incarnation at log sequence `new_seq`, with SCNs and
+    /// transaction ids clear of everything replayed into it.
     // tidy-entry(recovery)
-    fn open_resetlogs(&mut self) -> DbResult<()> {
-        let new_seq = {
-            let control = self.control_ref()?;
-            control.seqs.keys().next_back().copied().unwrap_or(0) + 1
-        };
+    pub(crate) fn open_resetlogs(&mut self, max_scn: Scn, max_txn: u64, new_seq: u64) -> DbResult<()> {
+        self.resume_after(max_scn, max_txn)?;
         {
             let group_files: Vec<_> =
                 self.control_ref()?.groups.iter().map(|g| g.vfs_id).collect();
@@ -550,9 +530,13 @@ impl DbServer {
     // The replay engine
     // ------------------------------------------------------------------
 
-    fn replay(&mut self, opts: ReplayOpts) -> DbResult<ReplaySummary> {
+    /// Rolls the redo stream forward from `opts.from`. Returns what was
+    /// applied and what was learnt on the way — in particular the
+    /// transactions left unresolved: how those end is the calling
+    /// procedure's decision.
+    fn replay(&mut self, opts: ReplayOpts) -> DbResult<(ReplaySummary, ReplayState)> {
         let mut summary = ReplaySummary::default();
-        let mut live: BTreeMap<TxnId, Vec<UndoOp>> = BTreeMap::new();
+        let mut state = ReplayState::default();
         let end_seq = self.control_ref()?.current_seq;
         let overhead = self.config.costs.redo_overhead_bytes;
         let mut stopped = false;
@@ -632,8 +616,40 @@ impl DbServer {
                         break;
                     }
                 }
-                let addr = RedoAddr { seq, offset };
-                self.replay_one(&rec, addr, opts.only_file, &mut live, &mut summary)?;
+                // Markers and dictionary changes concern every file.
+                #[allow(unused_mut)]
+                let mut skip =
+                    matches!((opts.only_file, rec.target_file()), (Some(f), Some(target)) if f != target);
+                // Test-only broken-engine mode: silently drop the next armed
+                // row-change record, exactly the class of bug the differential
+                // oracle exists to catch. Markers are never dropped — a lost
+                // commit marker fails loudly (rollback of committed work), a lost
+                // row change is the silent corruption we want to prove detectable.
+                #[cfg(any(test, feature = "sabotage"))]
+                {
+                    if !skip && self.sabotage_skip_redo > 0 && rec.target_file().is_some() {
+                        self.sabotage_skip_redo -= 1;
+                        skip = true;
+                    }
+                }
+                if skip {
+                    state.note(&rec);
+                    summary.skipped += 1;
+                    self.clock.advance(self.config.costs.cpu_skip_record);
+                    continue;
+                }
+                if opts.only_file.is_some() && matches!(rec.op, RedoOp::Catalog(_)) {
+                    // One file's media recovery runs under the live
+                    // dictionary, which already holds every DDL in range.
+                    state.note(&rec);
+                } else {
+                    let addr = RedoAddr { seq, offset };
+                    state.note_and_apply(self, &rec, |srv, key, change| {
+                        srv.change_block_for_recovery(key, addr, change)
+                    })?;
+                }
+                summary.applied += 1;
+                self.clock.advance(self.config.costs.cpu_apply_record);
             }
             self.events.record(
                 self.clock.now(),
@@ -649,190 +665,34 @@ impl DbServer {
                 },
             );
         }
-        // Roll back transactions that never resolved.
-        let unresolved: Vec<(TxnId, Vec<UndoOp>)> = live.into_iter().collect();
-        let rollback_began = self.clock.now();
-        for (_txn, ops) in unresolved.iter().rev() {
-            for op in ops.iter().rev() {
-                self.apply_recovery_undo(op)?;
-            }
-        }
-        summary.rolled_back = unresolved.iter().filter(|(_, ops)| !ops.is_empty()).count() as u64;
+        summary.max_scn = state.max_scn;
+        summary.max_txn = state.max_txn;
+        Ok((summary, state))
+    }
+
+    /// Ends a replay by rolling its unresolved transactions back without
+    /// logging (see [`rollback_unlogged`] for when that is sound); the
+    /// post-recovery checkpoint makes the result durable.
+    fn rollback_unresolved(
+        &mut self,
+        summary: &mut ReplaySummary,
+        unresolved: &BTreeMap<TxnId, Vec<UndoOp>>,
+    ) -> DbResult<()> {
+        let began = self.clock.now();
+        let addr = self.inst.as_ref().ok_or(DbError::InstanceDown)?.redo.tail();
+        let cpu = self.config.costs.cpu_apply_record;
+        rollback_unlogged(self, unresolved, |srv, key, change| {
+            let changed = srv.change_block_for_recovery(key, addr, change);
+            srv.clock.advance(cpu);
+            changed
+        })?;
+        summary.rolled_back = unresolved.values().filter(|ops| !ops.is_empty()).count() as u64;
         if summary.rolled_back > 0 {
             self.events.record(
                 self.clock.now(),
-                EngineEvent::PhaseSpan {
-                    phase: RecoveryPhase::TxnRollback,
-                    started_at: rollback_began,
-                },
+                EngineEvent::PhaseSpan { phase: RecoveryPhase::TxnRollback, started_at: began },
             );
         }
-        Ok(summary)
-    }
-
-    fn replay_one(
-        &mut self,
-        rec: &RedoRecord,
-        addr: RedoAddr,
-        only_file: Option<FileNo>,
-        live: &mut BTreeMap<TxnId, Vec<UndoOp>>,
-        summary: &mut ReplaySummary,
-    ) -> DbResult<()> {
-        summary.max_scn = summary.max_scn.max(rec.scn);
-        if let Some(t) = rec.txn {
-            summary.max_txn = summary.max_txn.max(t.0);
-        }
-        let relevant = match (only_file, rec.target_file()) {
-            (None, _) => true,
-            (Some(f), Some(target)) => f == target,
-            // Markers and dictionary changes are always processed.
-            (Some(_), None) => true,
-        };
-        if !relevant {
-            summary.skipped += 1;
-            self.clock.advance(self.config.costs.cpu_skip_record);
-            return Ok(());
-        }
-        // Test-only broken-engine mode: silently drop the next armed
-        // row-change record, exactly the class of bug the differential
-        // oracle exists to catch. Markers are never dropped — a lost
-        // commit marker fails loudly (rollback of committed work), a lost
-        // row change is the silent corruption we want to prove detectable.
-        #[cfg(any(test, feature = "sabotage"))]
-        {
-            if self.sabotage_skip_redo > 0
-                && matches!(rec.op, RedoOp::Insert { .. } | RedoOp::Update { .. } | RedoOp::Delete { .. })
-            {
-                self.sabotage_skip_redo -= 1;
-                summary.skipped += 1;
-                self.clock.advance(self.config.costs.cpu_skip_record);
-                return Ok(());
-            }
-        }
-        match (&rec.op, rec.txn) {
-            (RedoOp::Commit, Some(t)) | (RedoOp::Rollback, Some(t)) => {
-                live.remove(&t);
-                summary.applied += 1;
-            }
-            (RedoOp::Catalog(change), _) => {
-                if only_file.is_none() {
-                    let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-                    inst.catalog.apply(change);
-                }
-                summary.applied += 1;
-            }
-            (RedoOp::Insert { obj, rid, row }, txn) => {
-                let key = (rid.file, rid.block);
-                let scn = rec.scn;
-                let row2 = row.clone();
-                let applied = self.with_block_for_recovery(key, |img| {
-                    if img.last_scn < scn {
-                        img.put(rid.slot, row2, scn);
-                        true
-                    } else {
-                        false
-                    }
-                })?;
-                if applied {
-                    let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-                    inst.cache.mark_dirty(key, addr, self.clock.now());
-                }
-                if let Some(t) = txn {
-                    live.entry(t).or_default().push(UndoOp::UndoInsert { obj: *obj, rid: *rid });
-                }
-                summary.applied += 1;
-            }
-            (RedoOp::Update { obj, rid, before, after }, txn) => {
-                let key = (rid.file, rid.block);
-                let scn = rec.scn;
-                let after2 = after.clone();
-                let applied = self.with_block_for_recovery(key, |img| {
-                    if img.last_scn < scn {
-                        img.put(rid.slot, after2, scn);
-                        true
-                    } else {
-                        false
-                    }
-                })?;
-                if applied {
-                    let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-                    inst.cache.mark_dirty(key, addr, self.clock.now());
-                }
-                if let Some(t) = txn {
-                    live.entry(t).or_default().push(UndoOp::UndoUpdate {
-                        obj: *obj,
-                        rid: *rid,
-                        before: before.clone(),
-                    });
-                }
-                summary.applied += 1;
-            }
-            (RedoOp::Delete { obj, rid, before }, txn) => {
-                let key = (rid.file, rid.block);
-                let scn = rec.scn;
-                let applied = self.with_block_for_recovery(key, |img| {
-                    if img.last_scn < scn {
-                        img.remove(rid.slot, scn);
-                        true
-                    } else {
-                        false
-                    }
-                })?;
-                if applied {
-                    let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-                    inst.cache.mark_dirty(key, addr, self.clock.now());
-                }
-                if let Some(t) = txn {
-                    live.entry(t).or_default().push(UndoOp::UndoDelete {
-                        obj: *obj,
-                        rid: *rid,
-                        before: before.clone(),
-                    });
-                }
-                summary.applied += 1;
-            }
-            (RedoOp::Commit, None) | (RedoOp::Rollback, None) => {
-                summary.applied += 1;
-            }
-        }
-        self.clock.advance(self.config.costs.cpu_apply_record);
-        Ok(())
-    }
-
-    /// Applies an undo operation during recovery (no redo is written; the
-    /// post-recovery checkpoint makes the result durable).
-    fn apply_recovery_undo(&mut self, op: &UndoOp) -> DbResult<()> {
-        type UndoAction = Box<dyn FnOnce(&mut crate::page::BlockImage, Scn)>;
-        let (key, action): ((FileNo, u32), UndoAction) =
-            match op {
-                UndoOp::UndoInsert { rid, .. } => {
-                    let slot = rid.slot;
-                    ((rid.file, rid.block), Box::new(move |img, scn| {
-                        img.remove(slot, scn);
-                    }))
-                }
-                UndoOp::UndoUpdate { rid, before, .. } | UndoOp::UndoDelete { rid, before, .. } => {
-                    let slot = rid.slot;
-                    let before = before.clone();
-                    ((rid.file, rid.block), Box::new(move |img, scn| {
-                        img.put(slot, before, scn);
-                    }))
-                }
-            };
-        let scn = {
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-            inst.next_scn()
-        };
-        let addr = {
-            let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
-            inst.redo.tail()
-        };
-        // The file may be gone (dropped tablespace replay); skip silently.
-        if self.with_block_for_recovery(key, |img| action(img, scn)).is_ok() {
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-            inst.cache.mark_dirty(key, addr, self.clock.now());
-        }
-        self.clock.advance(self.config.costs.cpu_apply_record);
         Ok(())
     }
 }

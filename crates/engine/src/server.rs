@@ -509,32 +509,18 @@ impl DbServer {
     pub(crate) fn append_record(&mut self, rec: &RedoRecord) -> DbResult<RedoAddr> {
         // Optimistic append: encode straight into the log buffer and only
         // fall back to a log switch when the record did not fit (rare).
-        if let Some(addr) = self.try_append_record(rec)? {
-            return Ok(addr);
-        }
-        self.log_switch()?;
+        let group_bytes = self.config.redo_file_bytes;
         let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-        let (addr, cost) = inst.redo.buffer_encode(rec);
+        let (addr, cost) = match inst.redo.buffer_encode_checked(rec, group_bytes) {
+            Some(fit) => fit,
+            None => {
+                self.log_switch()?;
+                self.inst.as_mut().ok_or(DbError::InstanceDown)?.redo.buffer_encode(rec)
+            }
+        };
         self.stats.redo_records += 1;
         self.stats.redo_bytes += cost;
         Ok(addr)
-    }
-
-    /// Appends `rec` only if it fits in the current log group; returns
-    /// `None` when the append would force a log switch, so callers with
-    /// changes staged but not yet applied to their block image can apply
-    /// them before the switch checkpoint writes that image out.
-    pub(crate) fn try_append_record(&mut self, rec: &RedoRecord) -> DbResult<Option<RedoAddr>> {
-        let group_bytes = self.config.redo_file_bytes;
-        let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-        match inst.redo.buffer_encode_checked(rec, group_bytes) {
-            Some((addr, cost)) => {
-                self.stats.redo_records += 1;
-                self.stats.redo_bytes += cost;
-                Ok(Some(addr))
-            }
-            None => Ok(None),
-        }
     }
 
     /// Flushes the redo log buffer to the current online log (LGWR). The
@@ -886,19 +872,26 @@ impl DbServer {
         Ok(f(img))
     }
 
-    /// Block access for recovery code paths: ignores offline state.
-    pub(crate) fn with_block_for_recovery<R>(
+    /// Block change for replay on this machine: ignores offline state, a
+    /// miss is foreground I/O (it advances the shared clock), and the frame
+    /// is marked dirty at `addr` if `f` reports a change.
+    pub(crate) fn change_block_for_recovery(
         &mut self,
         key: BlockKey,
-        f: impl FnOnce(&mut BlockImage) -> R,
-    ) -> DbResult<R> {
+        addr: RedoAddr,
+        f: impl FnOnce(&mut BlockImage) -> bool,
+    ) -> DbResult<()> {
         self.ensure_resident_raw(key)?;
+        let now = self.clock.now();
         let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
         let img = inst
             .cache
             .get_mut(key)
             .ok_or(RecoveryError::BlockNotResident { file: key.0, block: key.1 })?;
-        Ok(f(img))
+        if f(img) {
+            inst.cache.mark_dirty(key, addr, now);
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1308,32 +1301,41 @@ impl DbServer {
             self.unwind_index_insert(obj, &row, rid);
             return Err(e);
         }
-        let scn = self.inst_mut()?.next_scn();
-        // The record borrows the row for encoding and hands it back
-        // afterwards, so the block write is the only clone on this path.
-        let rec = RedoRecord { scn, txn: Some(txn), op: RedoOp::Insert { obj, rid, row } };
-        let addr = match self.append_record(&rec) {
-            Ok(addr) => addr,
-            Err(e) => {
-                let RedoOp::Insert { row, .. } = rec.op else { unreachable!() };
-                self.unwind_index_insert(obj, &row, rid);
-                return Err(e);
-            }
-        };
-        let RedoOp::Insert { row, .. } = rec.op else { unreachable!() };
-        let now = self.clock.now();
-        if let Err(e) = self.with_block(key, |img| {
-            img.put(slot, row.clone(), scn);
-        }) {
+        // The op borrows the row for logging and hands it back afterwards,
+        // so the block write is the only clone on this path.
+        let (op, logged) = self.log_and_apply(txn, RedoOp::Insert { obj, rid, row });
+        let RedoOp::Insert { row, .. } = op else { unreachable!() };
+        if let Err(e) = logged {
             self.unwind_index_insert(obj, &row, rid);
             return Err(e);
         }
-        self.inst_mut()?.cache.mark_dirty(key, addr, now);
         if self.dml_tap.is_some() {
             self.emit_dml(DmlChange::Insert { txn, obj, rid, row });
         }
         self.clock.advance(self.config.costs.cpu_per_dml);
         Ok(rid)
+    }
+
+    /// Log-and-apply, the write half of every logged change (DML, rollback
+    /// compensation and the rollback marker alike): the change gets the
+    /// next SCN and goes to the log buffer; a row change then goes to its
+    /// block, and the frame is marked dirty at the record's address. Hands
+    /// `op` back so callers can reuse its rows.
+    fn log_and_apply(&mut self, txn: TxnId, op: RedoOp) -> (RedoOp, DbResult<()>) {
+        let scn = match self.inst_mut() {
+            Ok(inst) => inst.next_scn(),
+            Err(e) => return (op, Err(e)),
+        };
+        let rec = RedoRecord { scn, txn: Some(txn), op };
+        let logged = self.append_record(&rec).and_then(|addr| {
+            let Some(rid) = rec.op.rid() else { return Ok(()) };
+            let key = (rid.file, rid.block);
+            let now = self.clock.now();
+            self.with_block(key, |img| rec.op.apply_to(img, scn))?;
+            self.inst_mut()?.cache.mark_dirty(key, addr, now);
+            Ok(())
+        });
+        (rec.op, logged)
     }
 
     /// Acquires the row lock a DML statement needs, recording contention
@@ -1404,14 +1406,11 @@ impl DbServer {
         }
     }
 
-    /// Inserts several rows into one table under one transaction: the
-    /// batched redo-generation fast path. Emits exactly the per-row redo
-    /// records, undo entries, index maintenance and clock charges that one
-    /// [`DbServer::insert`] per row would — the per-call validation, the
-    /// background-event poll, the free-slot search and the buffer-cache
-    /// probe are paid once per destination block instead of once per row,
-    /// so the simulated timeline is unchanged while the host-side overhead
-    /// collapses.
+    /// Inserts several rows into one table under one transaction. Emits
+    /// exactly the redo records, undo entries, index maintenance and clock
+    /// charges that one [`DbServer::insert`] per row would; the session and
+    /// table validation and the background-event poll are paid once per
+    /// call.
     ///
     /// # Errors
     ///
@@ -1422,139 +1421,7 @@ impl DbServer {
         self.poll();
         let txn = self.txn_for(s)?;
         self.inst_ref()?.catalog.table(obj)?;
-        let block_size = self.config.block_size;
-        let mut rids = Vec::with_capacity(rows.len());
-        let mut rows = rows.into_iter().peekable();
-        while let Some(row) = rows.next() {
-            // Place the head row, then greedily extend the run with
-            // following rows that also fit: a freshly filling block is
-            // dense, so the run occupies consecutive slots and a single
-            // cache probe writes all of it.
-            let (key, slot) = self.find_insert_slot(obj, row.encoded_len())?;
-            let mut staged: Vec<(u16, Row, Scn)> = Vec::new();
-            let (dense, mut used) = self.with_block(key, |img| {
-                (img.row_count() == slot as usize && img.next_free_slot() == slot, img.used_bytes())
-            })?;
-            let mut pending = Some(row);
-            // Staged rows may be flushed to the block mid-run (see
-            // `stage_insert`), so the next slot comes from this counter,
-            // not from `staged.len()`.
-            let mut placed = 0u16;
-            loop {
-                let row = match pending.take() {
-                    Some(r) => r,
-                    None => match rows.peek() {
-                        // Same capacity rule as `BlockImage::fits`, using
-                        // the used-byte count tracked across the staged
-                        // run (8 = the per-row slot/length overhead).
-                        Some(next) if dense && used + next.encoded_len() + 8 <= block_size as usize => {
-                            rows.next().unwrap()
-                        }
-                        _ => break,
-                    },
-                };
-                let slot = slot + placed;
-                placed += 1;
-                let rid = RowId { file: key.0, block: key.1, slot };
-                used += row.encoded_len() + 8;
-                if let Err(e) = self.stage_insert(txn, obj, key, rid, row, &mut staged) {
-                    self.put_staged(key, staged)?;
-                    return Err(e);
-                }
-                rids.push(rid);
-                self.clock.advance(self.config.costs.cpu_per_dml);
-                if !dense {
-                    break;
-                }
-            }
-            self.put_staged(key, staged)?;
-        }
-        Ok(rids)
-    }
-
-    /// Runs the index, lock, undo and redo steps for one batched row,
-    /// leaving the block write to [`DbServer::put_staged`].
-    fn stage_insert(
-        &mut self,
-        txn: TxnId,
-        obj: ObjectId,
-        key: BlockKey,
-        rid: RowId,
-        row: Row,
-        staged: &mut Vec<(u16, Row, Scn)>,
-    ) -> DbResult<()> {
-        self.wait_on_vacated_unique(txn, obj, &row)?;
-        {
-            let inst = self.inst_mut()?;
-            if let Some(indexes) = inst.indexes.get_mut(&obj) {
-                for i in 0..indexes.len() {
-                    if let Err(e) = indexes[i].insert(&row, rid) {
-                        let (done, _) = indexes.split_at_mut(i);
-                        for ix in done {
-                            ix.remove(&row, rid);
-                        }
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        let locked = self.lock_for_dml(txn, obj, rid).and_then(|newly| {
-            let st = self.inst_mut()?.txns.get_mut(txn)?;
-            if newly {
-                st.locks.push((obj, rid));
-            }
-            st.undo.push(UndoOp::UndoInsert { obj, rid });
-            Ok(())
-        });
-        if let Err(e) = locked {
-            self.unwind_index_insert(obj, &row, rid);
-            return Err(e);
-        }
-        let scn = self.inst_mut()?.next_scn();
-        let rec = RedoRecord { scn, txn: Some(txn), op: RedoOp::Insert { obj, rid, row } };
-        // The run's earlier rows are marked dirty but live only in
-        // `staged` until the batch's single block write. A log switch
-        // checkpoints every dirty block from the cache and moves the
-        // recovery position past their redo, so if this record forces a
-        // switch, the staged rows must reach the block image first —
-        // otherwise the checkpoint persists a stale image and crash
-        // recovery never replays them.
-        let appended = match self.try_append_record(&rec) {
-            Ok(Some(addr)) => Ok(addr),
-            Ok(None) => {
-                self.put_staged(key, std::mem::take(staged))
-                    .and_then(|()| self.append_record(&rec))
-            }
-            Err(e) => Err(e),
-        };
-        let addr = match appended {
-            Ok(addr) => addr,
-            Err(e) => {
-                let RedoOp::Insert { row, .. } = rec.op else { unreachable!() };
-                self.unwind_index_insert(obj, &row, rid);
-                return Err(e);
-            }
-        };
-        let RedoOp::Insert { row, .. } = rec.op else { unreachable!() };
-        let now = self.clock.now();
-        self.inst_mut()?.cache.mark_dirty((rid.file, rid.block), addr, now);
-        if self.dml_tap.is_some() {
-            self.emit_dml(DmlChange::Insert { txn, obj, rid, row: row.clone() });
-        }
-        staged.push((rid.slot, row, scn));
-        Ok(())
-    }
-
-    /// Writes a staged run of rows into its block with one cache probe.
-    fn put_staged(&mut self, key: BlockKey, staged: Vec<(u16, Row, Scn)>) -> DbResult<()> {
-        if staged.is_empty() {
-            return Ok(());
-        }
-        self.with_block(key, |img| {
-            for (slot, row, scn) in staged {
-                img.put(slot, row, scn);
-            }
-        })
+        rows.into_iter().map(|row| self.insert_one(txn, obj, row)).collect()
     }
 
     /// Replaces the row at `rid` under session `s`.
@@ -1603,27 +1470,14 @@ impl DbServer {
             }
             inst.txns.get_mut(txn)?.undo.push(UndoOp::UndoUpdate { obj, rid, before: before.clone() });
         }
-        let scn = self.inst_mut()?.next_scn();
-        let rec = RedoRecord {
-            scn,
-            txn: Some(txn),
-            op: RedoOp::Update { obj, rid, before, after: row },
-        };
-        let addr = self.append_record(&rec)?;
-        let RedoOp::Update { before, after: row, .. } = rec.op else { unreachable!() };
-        let now = self.clock.now();
-        self.with_block(key, |img| {
-            img.put(rid.slot, row.clone(), scn);
-        })?;
-        {
-            let inst = self.inst_mut()?;
-            inst.cache.mark_dirty(key, addr, now);
-            if changed_mask != 0 {
-                if let Some(indexes) = inst.indexes.get_mut(&obj) {
-                    for (i, ix) in indexes.iter_mut().enumerate() {
-                        if changed_mask & (1 << i.min(63)) != 0 {
-                            ix.replace(&before, &row, rid)?;
-                        }
+        let (op, logged) = self.log_and_apply(txn, RedoOp::Update { obj, rid, before, after: row });
+        logged?;
+        let RedoOp::Update { before, after: row, .. } = op else { unreachable!() };
+        if changed_mask != 0 {
+            if let Some(indexes) = self.inst_mut()?.indexes.get_mut(&obj) {
+                for (i, ix) in indexes.iter_mut().enumerate() {
+                    if changed_mask & (1 << i.min(63)) != 0 {
+                        ix.replace(&before, &row, rid)?;
                     }
                 }
             }
@@ -1656,21 +1510,12 @@ impl DbServer {
             }
             inst.txns.get_mut(txn)?.undo.push(UndoOp::UndoDelete { obj, rid, before: before.clone() });
         }
-        let scn = self.inst_mut()?.next_scn();
-        let rec = RedoRecord { scn, txn: Some(txn), op: RedoOp::Delete { obj, rid, before } };
-        let addr = self.append_record(&rec)?;
-        let RedoOp::Delete { before, .. } = rec.op else { unreachable!() };
-        let now = self.clock.now();
-        self.with_block(key, |img| {
-            img.remove(rid.slot, scn);
-        })?;
-        {
-            let inst = self.inst_mut()?;
-            inst.cache.mark_dirty(key, addr, now);
-            if let Some(indexes) = inst.indexes.get_mut(&obj) {
-                for ix in indexes {
-                    ix.remove(&before, rid);
-                }
+        let (op, logged) = self.log_and_apply(txn, RedoOp::Delete { obj, rid, before });
+        logged?;
+        let RedoOp::Delete { before, .. } = op else { unreachable!() };
+        if let Some(indexes) = self.inst_mut()?.indexes.get_mut(&obj) {
+            for ix in indexes {
+                ix.remove(&before, rid);
             }
         }
         if self.dml_tap.is_some() {
@@ -1945,13 +1790,7 @@ impl DbServer {
 
     fn rollback_txn(&mut self, txn: TxnId) -> DbResult<()> {
         let st = self.inst_mut()?.txns.finish(txn)?;
-        let mut deferred: Vec<UndoOp> = Vec::new();
-        for op in st.undo.iter().rev() {
-            // Best-effort: undo targeting unreachable storage is deferred.
-            if self.apply_undo_logged(txn, op).is_err() {
-                deferred.push(op.clone());
-            }
-        }
+        let deferred = self.undo_logged(txn, &st.undo);
         // Locks release (and waiters wake) before the terminal record so a
         // failed log write can never strand a granted waiter.
         let now = self.clock.now();
@@ -1964,21 +1803,30 @@ impl DbServer {
         self.apply_lock_grants(grants);
         self.clock.advance(self.config.costs.cpu_commit);
         if deferred.is_empty() {
-            let scn = self.inst_mut()?.next_scn();
-            let rec = RedoRecord { scn, txn: Some(txn), op: RedoOp::Rollback };
-            self.append_record(&rec)?;
-            self.flush_redo()?;
+            self.log_and_apply(txn, RedoOp::Rollback).1?;
         } else {
             // No terminal record: the transaction stays unresolved in the
             // redo stream, so any replay covering the unreachable storage
             // rolls the skipped changes back itself. If the storage comes
             // back *without* a replay (ONLINE tablespace), the deferred
             // undo is applied and the transaction resolved then.
-            deferred.reverse();
             self.deferred_undo.push((txn, deferred));
-            self.flush_redo()?;
         }
-        Ok(())
+        self.flush_redo()
+    }
+
+    /// Takes `undo` (in log order) back newest first, each change through a
+    /// logged compensation. Best-effort: returns, still in log order, the
+    /// entries whose storage could not be reached.
+    fn undo_logged(&mut self, txn: TxnId, undo: &[UndoOp]) -> Vec<UndoOp> {
+        let mut deferred = Vec::new();
+        for op in undo.iter().rev() {
+            if self.apply_undo_logged(txn, op).is_err() {
+                deferred.push(op.clone());
+            }
+        }
+        deferred.reverse();
+        deferred
     }
 
     /// Applies deferred rollback undo whose storage may have come back,
@@ -1990,84 +1838,37 @@ impl DbServer {
         }
         let pending = std::mem::take(&mut self.deferred_undo);
         for (txn, ops) in pending {
-            let mut still: Vec<UndoOp> = Vec::new();
-            for op in ops.iter().rev() {
-                // Replay may already have rolled the change back; the
-                // application is idempotent, so re-applying is harmless.
-                if self.apply_undo_logged(txn, op).is_err() {
-                    still.push(op.clone());
-                }
-            }
+            // Replay may already have rolled the change back; the
+            // application is idempotent, so re-applying is harmless.
+            let still = self.undo_logged(txn, &ops);
             if still.is_empty() {
-                if let Ok(scn) = self.inst_mut().map(|i| i.next_scn()) {
-                    let rec = RedoRecord { scn, txn: Some(txn), op: RedoOp::Rollback };
-                    // tidy-allow(error-swallow): the rollback marker is an optimization; undo application already succeeded
-                    let _ = self.append_record(&rec);
-                }
+                // tidy-allow(error-swallow): the rollback marker is an optimization; undo application already succeeded
+                let _ = self.log_and_apply(txn, RedoOp::Rollback).1;
             } else {
-                still.reverse();
                 self.deferred_undo.push((txn, still));
             }
         }
     }
 
-    fn apply_undo_logged(&mut self, txn: TxnId, op: &UndoOp) -> DbResult<()> {
-        match op {
-            UndoOp::UndoInsert { obj, rid } => {
-                let key = (rid.file, rid.block);
-                let before = self.with_block(key, |img| img.row(rid.slot).cloned())?;
-                let Some(before) = before else { return Ok(()) };
-                let scn = self.inst_mut()?.next_scn();
-                let rec = RedoRecord {
-                    scn,
-                    txn: Some(txn),
-                    op: RedoOp::Delete { obj: *obj, rid: *rid, before: before.clone() },
-                };
-                let addr = self.append_record(&rec)?;
-                let now = self.clock.now();
-                self.with_block(key, |img| {
-                    img.remove(rid.slot, scn);
-                })?;
-                let inst = self.inst_mut()?;
-                inst.cache.mark_dirty(key, addr, now);
-                if let Some(indexes) = inst.indexes.get_mut(obj) {
-                    for ix in indexes {
-                        ix.remove(&before, *rid);
-                    }
+    fn apply_undo_logged(&mut self, txn: TxnId, undo: &UndoOp) -> DbResult<()> {
+        let rid = undo.rid();
+        let current = self.with_block((rid.file, rid.block), |img| img.row(rid.slot).cloned())?;
+        let Some(comp) = undo.compensation(current.as_ref()) else { return Ok(()) };
+        let (comp, logged) = self.log_and_apply(txn, comp);
+        logged?;
+        let (obj, gone, back) = match &comp {
+            RedoOp::Insert { obj, row, .. } => (obj, None, Some(row)),
+            RedoOp::Update { obj, before, after, .. } => (obj, Some(before), Some(after)),
+            RedoOp::Delete { obj, before, .. } => (obj, Some(before), None),
+            RedoOp::Commit | RedoOp::Rollback | RedoOp::Catalog(_) => return Ok(()),
+        };
+        if let Some(indexes) = self.inst_mut()?.indexes.get_mut(obj) {
+            for ix in indexes {
+                if let Some(gone) = gone {
+                    ix.remove(gone, rid);
                 }
-            }
-            UndoOp::UndoUpdate { obj, rid, before } | UndoOp::UndoDelete { obj, rid, before } => {
-                let key = (rid.file, rid.block);
-                let current = self.with_block(key, |img| img.row(rid.slot).cloned())?;
-                let scn = self.inst_mut()?.next_scn();
-                let rec = RedoRecord {
-                    scn,
-                    txn: Some(txn),
-                    op: match &current {
-                        Some(cur) => RedoOp::Update {
-                            obj: *obj,
-                            rid: *rid,
-                            before: cur.clone(),
-                            after: before.clone(),
-                        },
-                        None => RedoOp::Insert { obj: *obj, rid: *rid, row: before.clone() },
-                    },
-                };
-                let addr = self.append_record(&rec)?;
-                let now = self.clock.now();
-                let restored = before.clone();
-                self.with_block(key, |img| {
-                    img.put(rid.slot, restored, scn);
-                })?;
-                let inst = self.inst_mut()?;
-                inst.cache.mark_dirty(key, addr, now);
-                if let Some(indexes) = inst.indexes.get_mut(obj) {
-                    for ix in indexes {
-                        if let Some(cur) = &current {
-                            ix.remove(cur, *rid);
-                        }
-                        let _ = ix.insert(before, *rid);
-                    }
+                if let Some(back) = back {
+                    let _ = ix.insert(back, rid);
                 }
             }
         }
@@ -2097,9 +1898,10 @@ impl DbServer {
             let scn = self.inst_mut()?.next_scn();
             let addr = self.inst_ref()?.redo.tail();
             let now = self.clock.now();
-            self.with_block(key, |img| {
-                img.put(slot, row.clone(), scn);
-            })?;
+            // Direct path: the applier's insert, with nothing logged.
+            let op = RedoOp::Insert { obj, rid, row };
+            self.with_block(key, |img| op.apply_to(img, scn))?;
+            let RedoOp::Insert { row, .. } = op else { unreachable!() };
             let inst = self.inst_mut()?;
             inst.cache.mark_dirty(key, addr, now);
             if let Some(indexes) = inst.indexes.get_mut(&obj) {

@@ -21,17 +21,17 @@ use bytes::Bytes;
 use recobench_sim::{SimClock, SimDuration, SimTime};
 use recobench_vfs::{FileKind, IoKind};
 
+use crate::apply::{rollback_unlogged, ReplayState};
 use crate::catalog::Catalog;
 use crate::config::InstanceConfig;
-use crate::controlfile::{CkptRecord, ControlFile, LogGroup, SeqLocation};
+use crate::controlfile::{CkptRecord, ControlFile, LogGroup};
 use crate::error::{DbError, DbResult, RecoveryError};
 use crate::events::{EngineEvent, RecoveryPhase};
 use crate::layout::DiskLayout;
 use crate::page::BlockImage;
-use crate::redo::{decode_stream, RedoOp, RedoRecord};
+use crate::redo::decode_stream;
 use crate::server::DbServer;
-use crate::txn::UndoOp;
-use crate::types::{RedoAddr, Scn, TxnId};
+use crate::types::{RedoAddr, Scn};
 
 /// A shipped archive retained on the stand-by's archive disk so a
 /// downstream (cascaded) stand-by can ship from here instead of from the
@@ -51,15 +51,14 @@ pub(crate) struct StandbyServer {
     server: DbServer,
     applied_seq: u64,
     apply_done_at: SimTime,
-    live: BTreeMap<TxnId, Vec<UndoOp>>,
-    max_scn: Scn,
-    max_txn: u64,
+    /// Unresolved transactions, SCN / transaction-id high-water marks and
+    /// the last commit SCN of the redo applied so far (seeded with the
+    /// backup's SCN): the last commit is the exact boundary of the
+    /// committed prefix this stand-by would open with.
+    replayed: ReplayState,
     activated: bool,
     /// Shipped copies retained for cascaded downstream stand-bys.
     pub(crate) received: BTreeMap<u64, ShippedArchive>,
-    /// Highest commit SCN seen in applied redo: the exact boundary of the
-    /// committed prefix this stand-by would open with.
-    last_commit_scn: Scn,
     /// Extra network/link lag added to every ship (topology tuning).
     ship_lag: SimDuration,
     /// Extra delay before each archive's background apply begins.
@@ -198,12 +197,13 @@ impl StandbyServer {
             server,
             applied_seq: backup.position.seq.saturating_sub(1),
             apply_done_at: last,
-            live: BTreeMap::new(),
-            max_scn: backup.scn,
-            max_txn: 0,
+            replayed: ReplayState {
+                max_scn: backup.scn,
+                last_commit_scn: backup.scn,
+                ..ReplayState::default()
+            },
             activated: false,
             received: BTreeMap::new(),
-            last_commit_scn: backup.scn,
             ship_lag: SimDuration::ZERO,
             apply_delay: SimDuration::ZERO,
             corrupt_next_ship: false,
@@ -232,7 +232,7 @@ impl StandbyServer {
     /// activation this stand-by opens with exactly the commits at or below
     /// this SCN (plus the backup it was instantiated from).
     pub fn last_commit_scn(&self) -> Scn {
-        self.last_commit_scn
+        self.replayed.last_commit_scn
     }
 
     /// Tunes this stand-by's topology lags: `ship_lag` is extra network
@@ -366,98 +366,19 @@ impl StandbyServer {
         let nrecords = records.len() as u64;
         let cpu = self.server.config.costs.cpu_apply_record * nrecords;
         self.apply_done_at = apply_start + cpu;
-        self.apply_records(next, &records, apply_start)?;
+        for (offset, rec) in &records {
+            let addr = RedoAddr { seq: next, offset: *offset };
+            self.replayed.note_and_apply(&mut self.server, rec, |srv, key, change| {
+                Self::mutate_block(srv, key, apply_start, addr, change)
+            })?;
+            self.records_applied += 1;
+        }
         self.applied_seq = next;
         self.received.insert(next, ShippedArchive { segments, bytes, ready_at: ship_done });
         self.server.events.record(
             self.apply_done_at,
             EngineEvent::StandbyArchiveApplied { seq: next, records: nrecords },
         );
-        Ok(())
-    }
-
-    fn apply_records(&mut self, seq: u64, records: &[(u64, RedoRecord)], at: SimTime) -> DbResult<()> {
-        for (offset, rec) in records {
-            let addr = RedoAddr { seq, offset: *offset };
-            self.apply_one(rec, addr, at)?;
-        }
-        Ok(())
-    }
-
-    fn apply_one(&mut self, rec: &RedoRecord, addr: RedoAddr, at: SimTime) -> DbResult<()> {
-        self.max_scn = self.max_scn.max(rec.scn);
-        if let Some(t) = rec.txn {
-            self.max_txn = self.max_txn.max(t.0);
-        }
-        if matches!(rec.op, RedoOp::Commit) {
-            self.last_commit_scn = self.last_commit_scn.max(rec.scn);
-        }
-        match (&rec.op, rec.txn) {
-            (RedoOp::Commit, Some(t)) | (RedoOp::Rollback, Some(t)) => {
-                self.live.remove(&t);
-            }
-            (RedoOp::Catalog(change), _) => {
-                let inst = self.server.inst.as_mut().ok_or(DbError::InstanceDown)?;
-                inst.catalog.apply(change);
-            }
-            (RedoOp::Insert { obj, rid, row }, txn) => {
-                let key = (rid.file, rid.block);
-                let scn = rec.scn;
-                let row = row.clone();
-                Self::mutate_block(&mut self.server, key, at, addr, move |img| {
-                    if img.last_scn < scn {
-                        img.put(rid.slot, row, scn);
-                        true
-                    } else {
-                        false
-                    }
-                })?;
-                if let Some(t) = txn {
-                    self.live.entry(t).or_default().push(UndoOp::UndoInsert { obj: *obj, rid: *rid });
-                }
-            }
-            (RedoOp::Update { obj, rid, before, after }, txn) => {
-                let key = (rid.file, rid.block);
-                let scn = rec.scn;
-                let after = after.clone();
-                Self::mutate_block(&mut self.server, key, at, addr, move |img| {
-                    if img.last_scn < scn {
-                        img.put(rid.slot, after, scn);
-                        true
-                    } else {
-                        false
-                    }
-                })?;
-                if let Some(t) = txn {
-                    self.live.entry(t).or_default().push(UndoOp::UndoUpdate {
-                        obj: *obj,
-                        rid: *rid,
-                        before: before.clone(),
-                    });
-                }
-            }
-            (RedoOp::Delete { obj, rid, before }, txn) => {
-                let key = (rid.file, rid.block);
-                let scn = rec.scn;
-                Self::mutate_block(&mut self.server, key, at, addr, move |img| {
-                    if img.last_scn < scn {
-                        img.remove(rid.slot, scn);
-                        true
-                    } else {
-                        false
-                    }
-                })?;
-                if let Some(t) = txn {
-                    self.live.entry(t).or_default().push(UndoOp::UndoDelete {
-                        obj: *obj,
-                        rid: *rid,
-                        before: before.clone(),
-                    });
-                }
-            }
-            (RedoOp::Commit, None) | (RedoOp::Rollback, None) => {}
-        }
-        self.records_applied += 1;
         Ok(())
     }
 
@@ -540,64 +461,19 @@ impl StandbyServer {
         let activation_began = clock.now();
         clock.advance_to(self.apply_done_at);
         clock.advance(self.server.config.costs.standby_activation);
-        // Roll back transactions with no commit record in the applied redo.
-        let unresolved: Vec<(TxnId, Vec<UndoOp>)> = std::mem::take(&mut self.live).into_iter().collect();
+        // Roll back transactions with no commit record in the applied redo,
+        // at SCNs past everything applied. Unlogged: the new incarnation's
+        // log starts empty, so no later replay can cross this rollback.
+        let unresolved = std::mem::take(&mut self.replayed.live);
         let now = clock.now();
-        for (_t, ops) in unresolved.iter().rev() {
-            for op in ops.iter().rev() {
-                let scn = self.max_scn.next();
-                self.max_scn = scn;
-                let addr = RedoAddr { seq: self.applied_seq, offset: u64::MAX };
-                match op {
-                    UndoOp::UndoInsert { rid, .. } => {
-                        let key = (rid.file, rid.block);
-                        let slot = rid.slot;
-                        let _ = Self::mutate_block(&mut self.server, key, now, addr, move |img| {
-                            img.remove(slot, scn);
-                            true
-                        });
-                    }
-                    UndoOp::UndoUpdate { rid, before, .. } | UndoOp::UndoDelete { rid, before, .. } => {
-                        let key = (rid.file, rid.block);
-                        let slot = rid.slot;
-                        let before = before.clone();
-                        let _ = Self::mutate_block(&mut self.server, key, now, addr, move |img| {
-                            img.put(slot, before, scn);
-                            true
-                        });
-                    }
-                }
-            }
-        }
+        let addr = RedoAddr { seq: self.applied_seq, offset: u64::MAX };
+        self.server.inst.as_mut().ok_or(DbError::InstanceDown)?.scn = self.replayed.max_scn;
+        rollback_unlogged(&mut self.server, &unresolved, |srv, key, change| {
+            Self::mutate_block(srv, key, now, addr, change)
+        })?;
         // Become a normal, open database in a fresh incarnation.
-        let new_seq = self.applied_seq + 1;
-        {
-            let control = self.server.control_mut()?;
-            control.seqs.insert(
-                new_seq,
-                SeqLocation {
-                    group: Some(0),
-                    archive: None,
-                    archive_done_at: None,
-                    released_at: None,
-                    end_offset: None,
-                },
-            );
-            control.current_group = 0;
-            control.current_seq = new_seq;
-            control.current_flushed = 0;
-            control.incarnation += 1;
-        }
-        {
-            let overhead = self.server.config.costs.redo_overhead_bytes;
-            let max_txn = self.max_txn;
-            let scn = Scn(self.max_scn.0 + 1_000);
-            let inst = self.server.inst.as_mut().ok_or(DbError::InstanceDown)?;
-            inst.redo = crate::redo::RedoState::new(0, new_seq, 0, overhead);
-            inst.scn = scn;
-            inst.txns.bump_past(max_txn);
-            self.server.txn_floor = self.server.txn_floor.max(max_txn);
-        }
+        let max_scn = self.server.current_scn();
+        self.server.open_resetlogs(max_scn, self.replayed.max_txn, self.applied_seq + 1)?;
         self.server.managed_recovery = false;
         self.server.finalize_open()?;
         self.activated = true;

@@ -3,7 +3,7 @@
 //! PR 6's session manager made `server.rs` a concurrent surface: multiple
 //! terminals interleave DML while `LockTable` row locks are held until
 //! commit. The WAL protocol only stays deadlock- and corruption-free if
-//! three rules hold, and this lint checks all three over the call graph:
+//! four rules hold, and this lint checks all four over the call graph:
 //!
 //! 1. **Chokepoint** — `LockTable::lock_row` is called only from the
 //!    `lock_for_dml` chokepoint (the lock manager's own crate is exempt).
@@ -16,6 +16,11 @@
 //!    write surface only inside the declared writer fns (redo append,
 //!    log switch, checkpoint block flush). Any new direct write while row
 //!    locks may be held must be routed through those or explicitly waived.
+//! 4. **One applier** — `BlockImage::put` / `BlockImage::remove` are
+//!    called only from the applier (`apply.rs`; the `page` module that
+//!    defines them is exempt). Forward DML, rollback, every replay and the
+//!    stand-by change a block through that one place, so a logged change
+//!    cannot mean different things on different paths.
 
 use crate::callgraph::CallStyle;
 use crate::{Diagnostics, Lint, Workspace};
@@ -34,6 +39,11 @@ const CHOKEPOINT: &str = "lock_for_dml";
 const SANCTIONED_WRITERS: &[&str] =
     &["flush_redo", "log_switch", "full_checkpoint", "write_dirty", "write_block", "archive_seq"];
 
+/// The applier: the only engine module, besides `page` itself, that may
+/// change a block image.
+const APPLIER: &str = "crates/engine/src/apply.rs";
+const PAGE: &str = "crates/engine/src/page.rs";
+
 /// The VFS write surface (methods of `SimFs`).
 const VFS_WRITE_METHODS: &[&str] =
     &["write_block", "append", "append_padded", "truncate", "copy_file", "restore_into"];
@@ -47,7 +57,8 @@ impl Lint for LockDiscipline {
     }
 
     fn description(&self) -> &'static str {
-        "lock_row only via lock_for_dml, locks before WAL append, writes via sanctioned fns"
+        "lock_row only via lock_for_dml, locks before WAL append, writes via sanctioned fns, \
+         block images changed only by the applier"
     }
 
     fn check(&self, ws: &Workspace, diags: &mut Diagnostics) {
@@ -96,7 +107,7 @@ impl Lint for LockDiscipline {
                 m.sites[fn_idx].iter().find(|s| s.name == CHOKEPOINT).map(|s| s.tok);
             let first_append = m.sites[fn_idx]
                 .iter()
-                .find(|s| s.name == "append_record" || s.name == "try_append_record")
+                .find(|s| s.name == "append_record")
                 .map(|s| (s.tok, s.line));
             if let (Some(lock_tok), Some((append_tok, append_line))) = (first_lock, first_append)
             {
@@ -108,6 +119,46 @@ impl Lint for LockDiscipline {
                         format!(
                             "`{}` appends WAL before acquiring row locks via \
                              `{CHOKEPOINT}`; the declared order is lock first, then redo",
+                            m.display_name(fn_idx)
+                        ),
+                    );
+                }
+            }
+        }
+
+        // Rule 4: one applier.
+        for fn_idx in 0..m.fns.len() {
+            let rel = m.rel_of(fn_idx);
+            if m.fns[fn_idx].item.is_test
+                || !rel.starts_with("crates/engine/src/")
+                || rel == APPLIER
+                || rel == PAGE
+            {
+                continue;
+            }
+            let toks = m.toks_of(fn_idx);
+            for site in &m.sites[fn_idx] {
+                if site.style != CallStyle::Method || !matches!(site.name.as_str(), "put" | "remove")
+                {
+                    continue;
+                }
+                let on_block_image = match site.recv_type.as_deref() {
+                    Some(t) => t == "BlockImage",
+                    // Images reach block-access closures untyped
+                    // (`with_block(key, |img| …)`); the engine names them
+                    // `img` throughout.
+                    None => site.tok >= 2 && toks[site.tok - 2].is_ident("img"),
+                };
+                if on_block_image {
+                    diags.emit(
+                        self.name(),
+                        rel,
+                        site.line,
+                        format!(
+                            "`BlockImage::{}` called outside the applier (in `{}`); every \
+                             path changes a block through `apply.rs` so a logged change \
+                             means one thing",
+                            site.name,
                             m.display_name(fn_idx)
                         ),
                     );

@@ -1,0 +1,19 @@
+//! Fixture: lock-discipline rule 4 — block images changed outside the
+//! applier, through a typed binding and through an untyped closure
+//! parameter.
+
+pub struct BlockImage;
+
+impl BlockImage {
+    pub fn put(&mut self, _slot: u16) {}
+
+    pub fn remove(&mut self, _slot: u16) {}
+}
+
+pub fn redo_here(image: &mut BlockImage) {
+    image.put(3);
+}
+
+pub fn undo_here(with_block: impl Fn(&dyn Fn(&mut BlockImage))) {
+    with_block(&|img| img.remove(3));
+}

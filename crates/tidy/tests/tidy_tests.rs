@@ -49,6 +49,10 @@ fn fixtures_produce_exact_diagnostics() {
         ("crates/engine/src/server.rs", 54, "lock-discipline"),
         ("crates/engine/src/server.rs", 57, "error-swallow"),
         ("crates/engine/src/server.rs", 58, "error-swallow"),
+        // A block image changed outside the applier: once through a typed
+        // binding, once through an untyped closure parameter named `img`.
+        ("crates/engine/src/standby.rs", 14, "lock-discipline"),
+        ("crates/engine/src/standby.rs", 18, "lock-discipline"),
         // Stale manifest entries anchor on the manifest itself.
         ("crates/oracle/tests/write_site_coverage.json", 0, "write-site-coverage"),
         ("crates/sim/src/clock.rs", 3, "determinism"),
@@ -93,6 +97,8 @@ fn messages_name_the_offending_construct() {
     // Lock discipline names the rule that broke.
     assert!(msg("crates/engine/src/server.rs", 53).contains("outside the `lock_for_dml` chokepoint"));
     assert!(msg("crates/engine/src/server.rs", 54).contains("appends WAL before acquiring row locks"));
+    assert!(msg("crates/engine/src/standby.rs", 14).contains("`BlockImage::put` called outside the applier"));
+    assert!(msg("crates/engine/src/standby.rs", 18).contains("`BlockImage::remove` called outside the applier"));
     let rule3: Vec<_> = diags
         .iter()
         .filter(|d| d.file == "crates/engine/src/server.rs" && d.line == 49)
