@@ -100,15 +100,27 @@ impl DbServer {
         let mut recovered_records = 0;
         if !clean {
             let from = self.restore_fractured_datafiles(ckpt.position)?;
-            let (mut summary, replayed) = self.replay(ReplayOpts {
+            let (summary, replayed) = self.replay(ReplayOpts {
                 from,
                 available_at: crash_time,
                 stop_scn: None,
                 only_file: None,
             })?;
-            self.rollback_unresolved(&mut summary, &replayed.live)?;
             recovered_records = summary.applied;
             self.resume_after(summary.max_scn, summary.max_txn)?;
+            // The log lives on past this crash, so the in-flight
+            // transactions' rollback must be in it.
+            let rollback_began = self.clock.now();
+            self.rollback_dead_txns(&replayed.live)?;
+            if replayed.live.values().any(|undo| !undo.is_empty()) {
+                self.events.record(
+                    self.clock.now(),
+                    EngineEvent::PhaseSpan {
+                        phase: RecoveryPhase::TxnRollback,
+                        started_at: rollback_began,
+                    },
+                );
+            }
             self.events.record(
                 self.clock.now(),
                 EngineEvent::RecoveryCompleted {
@@ -224,7 +236,7 @@ impl DbServer {
     /// replay saw, so nothing issued from here on collides with history.
     pub(crate) fn resume_after(&mut self, max_scn: Scn, max_txn: u64) -> DbResult<()> {
         let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-        inst.scn = Scn(max_scn.0 + 1_000);
+        inst.scn = Scn(max_scn.max(inst.scn).0 + 1_000);
         inst.txns.bump_past(max_txn);
         self.txn_floor = self.txn_floor.max(max_txn);
         Ok(())
@@ -777,6 +789,110 @@ mod tests {
             srv.startup().unwrap();
             assert_eq!(srv.peek_scan(t).unwrap().len(), 30);
         }
+        // Recovery twice is recovery once, also with a transaction in
+        // flight: the first recovery logs its rollback, so a second crash
+        // straight after finds it resolved, applies nothing to any block
+        // and logs nothing.
+        let victim = srv.lookup(t, 0, &[Value::U64(7)]).unwrap()[0];
+        let doomed = srv.connect().unwrap();
+        srv.update(doomed, t, victim, row(7, "in flight")).unwrap();
+        let other = srv.connect().unwrap();
+        srv.insert(other, t, row(99, "its commit flushes the doomed update")).unwrap();
+        srv.commit(other).unwrap();
+        srv.shutdown_abort().unwrap();
+        srv.startup().unwrap();
+        assert_eq!(srv.get_row(t, victim).unwrap(), row(7, "x"));
+        let recovered = srv.peek_scan(t).unwrap();
+        assert_eq!(recovered.len(), 31);
+        let before = srv.stats();
+        srv.shutdown_abort().unwrap();
+        srv.startup().unwrap();
+        assert_eq!(srv.stats().blocks_written, before.blocks_written, "second recovery changed a block");
+        assert_eq!(srv.stats().redo_records, before.redo_records, "second recovery logged something");
+        assert_eq!(srv.peek_scan(t).unwrap(), recovered);
+    }
+
+    #[test]
+    fn a_replay_crossing_a_crash_keeps_what_was_committed_after_it() {
+        // A is in flight (its update flushed by someone else's commit) when
+        // the instance dies; after the restart B updates the same row and
+        // commits. Point-in-time recovery from the pre-crash backup replays
+        // across the crash: it must see A rolled back *there*, not carry
+        // A's before-image to the end and put it back over B's value.
+        let mut srv = server(true);
+        let t = setup_table(&mut srv);
+        let s = srv.connect().unwrap();
+        let r = srv.insert(s, t, row(1, "original")).unwrap();
+        srv.commit(s).unwrap();
+        srv.take_cold_backup().unwrap();
+        let a = srv.connect().unwrap();
+        srv.update(a, t, r, row(1, "A, never committed")).unwrap();
+        let c = srv.connect().unwrap();
+        srv.insert(c, t, row(2, "flushes A's record")).unwrap();
+        srv.commit(c).unwrap();
+        srv.shutdown_abort().unwrap();
+        srv.startup().unwrap();
+        assert_eq!(srv.get_row(t, r).unwrap(), row(1, "original"));
+        let b = srv.connect().unwrap();
+        srv.update(b, t, r, row(1, "B, committed")).unwrap();
+        srv.commit(b).unwrap();
+        let summary = srv.recover_database_until(srv.current_scn().next()).unwrap();
+        assert_eq!(srv.get_row(t, r).unwrap(), row(1, "B, committed"));
+        assert_eq!(summary.rolled_back, 0, "the crash's rollback is in the log");
+    }
+
+    #[test]
+    fn crash_with_the_victims_tablespace_offline_still_opens_and_defers_the_undo() {
+        let mut srv = server(true);
+        let t = setup_table(&mut srv);
+        let s = srv.connect().unwrap();
+        let r = srv.insert(s, t, row(1, "original")).unwrap();
+        srv.commit(s).unwrap();
+        let a = srv.connect().unwrap();
+        srv.update(a, t, r, row(1, "in flight")).unwrap();
+        // Offlining flushes the log and checkpoints the tablespace, so the
+        // uncommitted update is durable in both.
+        srv.offline_tablespace("TPCC").unwrap();
+        srv.shutdown_abort().unwrap();
+        srv.startup().unwrap();
+        assert_eq!(srv.deferred_undo.len(), 1, "the undo waits for its storage");
+        assert_eq!(srv.peek_row(t, r).unwrap(), Some(row(1, "in flight")));
+        let logged = srv.stats().redo_records;
+        srv.online_tablespace("TPCC").unwrap();
+        assert!(srv.deferred_undo.is_empty());
+        assert_eq!(srv.get_row(t, r).unwrap(), row(1, "original"));
+        assert_eq!(srv.stats().redo_records, logged + 2, "one compensation and the Rollback record");
+        // The rollback is now in the log: another crash finds nothing live.
+        srv.shutdown_abort().unwrap();
+        srv.startup().unwrap();
+        assert!(srv.deferred_undo.is_empty());
+        assert_eq!(srv.get_row(t, r).unwrap(), row(1, "original"));
+    }
+
+    #[test]
+    fn scn_never_moves_backwards_across_a_crash_with_nothing_to_replay() {
+        // A new incarnation's log is empty, so a crash straight after it
+        // replays no record. The SCN allocator must still resume above the
+        // checkpoint it restarted from: a lower SCN on the next change
+        // makes the *following* crash recovery skip that change as
+        // "already in the block".
+        let mut srv = server(true);
+        let t = setup_table(&mut srv);
+        let s = srv.connect().unwrap();
+        let r = srv.insert(s, t, row(1, "v1")).unwrap();
+        srv.commit(s).unwrap();
+        srv.take_cold_backup().unwrap();
+        srv.recover_database_until(srv.current_scn().next()).unwrap();
+        let opened_at = srv.current_scn();
+        srv.shutdown_abort().unwrap();
+        srv.startup().unwrap();
+        assert!(srv.current_scn() >= opened_at, "{} < {opened_at}", srv.current_scn());
+        let s = srv.connect().unwrap();
+        srv.update(s, t, r, row(1, "v2")).unwrap();
+        srv.commit(s).unwrap();
+        srv.shutdown_abort().unwrap();
+        srv.startup().unwrap();
+        assert_eq!(srv.get_row(t, r).unwrap(), row(1, "v2"), "a committed update was lost");
     }
 
     #[test]

@@ -1331,7 +1331,10 @@ impl DbServer {
             let Some(rid) = rec.op.rid() else { return Ok(()) };
             let key = (rid.file, rid.block);
             let now = self.clock.now();
-            self.with_block(key, |img| rec.op.apply_to(img, scn))?;
+            self.with_block(key, |img| {
+                debug_assert!(img.last_scn < scn, "a new change carries an SCN its block has not seen");
+                rec.op.apply_to(img, scn);
+            })?;
             self.inst_mut()?.cache.mark_dirty(key, addr, now);
             Ok(())
         });
@@ -1802,15 +1805,38 @@ impl DbServer {
         }
         self.apply_lock_grants(grants);
         self.clock.advance(self.config.costs.cpu_commit);
+        self.end_rollback(txn, deferred)?;
+        self.flush_redo()
+    }
+
+    /// Ends a logged rollback: the terminal record if everything was taken
+    /// back, otherwise the remainder is parked on `deferred_undo`.
+    fn end_rollback(&mut self, txn: TxnId, deferred: Vec<UndoOp>) -> DbResult<()> {
         if deferred.is_empty() {
-            self.log_and_apply(txn, RedoOp::Rollback).1?;
-        } else {
-            // No terminal record: the transaction stays unresolved in the
-            // redo stream, so any replay covering the unreachable storage
-            // rolls the skipped changes back itself. If the storage comes
-            // back *without* a replay (ONLINE tablespace), the deferred
-            // undo is applied and the transaction resolved then.
-            self.deferred_undo.push((txn, deferred));
+            return self.log_and_apply(txn, RedoOp::Rollback).1;
+        }
+        // No terminal record: the transaction stays unresolved in the
+        // redo stream, so any replay covering the unreachable storage
+        // rolls the skipped changes back itself. If the storage comes
+        // back *without* a replay (ONLINE tablespace), the deferred
+        // undo is applied and the transaction resolved then.
+        self.deferred_undo.push((txn, deferred));
+        Ok(())
+    }
+
+    /// Rolls back the transactions a crash left in flight the way their
+    /// sessions would have — logged compensation and a terminal record,
+    /// youngest first — so that every later replay of this stretch of log
+    /// (media recovery, point-in-time recovery from an older backup, a
+    /// stand-by applying the archives) sees them resolved. Rolled back
+    /// unlogged, they would look live to such a replay, which would put
+    /// their before-images back at its *end*, over everything committed
+    /// since. Storage that is offline or damaged defers its part, as at
+    /// run time: the database still opens.
+    pub(crate) fn rollback_dead_txns(&mut self, dead: &BTreeMap<TxnId, Vec<UndoOp>>) -> DbResult<()> {
+        for (&txn, undo) in dead.iter().rev() {
+            let deferred = self.undo_logged(txn, undo);
+            self.end_rollback(txn, deferred)?;
         }
         self.flush_redo()
     }

@@ -1,7 +1,8 @@
 //! Invariants of the one applier: every procedure that replays redo — the
 //! stand-by's managed recovery, crash recovery, media recovery and
 //! point-in-time recovery — drives the same kernel, so the same redo must
-//! leave the same blocks, and replay itself must never write redo.
+//! leave the same blocks, and rolling forward must never write redo (crash
+//! recovery alone appends some: the rollback of what the crash killed).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -162,4 +163,31 @@ fn rolling_forward_appends_no_redo() {
     assert!(p.recover_database_until(stop).unwrap().applied > 0);
     assert_eq!(p.stats().redo_records, before, "point-in-time recovery wrote redo");
     assert_eq!(p.peek_scan(t).unwrap().len(), rids.len());
+}
+
+#[test]
+fn crash_recovery_logs_exactly_the_rollback_of_what_the_crash_killed() {
+    let (mut p, t, rids) = primary();
+    // Nothing in flight: crash recovery appends nothing.
+    let before = p.stats().redo_records;
+    p.shutdown_abort().unwrap();
+    p.startup().unwrap();
+    assert_eq!(p.stats().redo_records, before, "nothing was in flight");
+
+    // One transaction in flight with three changes, its records made
+    // durable by another session's commit.
+    let other = p.connect().unwrap();
+    p.insert(other, t, row(501, "committed")).unwrap();
+    let doomed = p.connect().unwrap();
+    p.insert(doomed, t, row(500, "never committed")).unwrap();
+    p.update(doomed, t, rids[0], row(0, "never committed")).unwrap();
+    p.delete(doomed, t, rids[1]).unwrap();
+    p.commit(other).unwrap();
+    let before = p.stats().redo_records;
+    p.shutdown_abort().unwrap();
+    p.startup().unwrap();
+    assert_eq!(p.stats().redo_records, before + 4, "three compensations and one Rollback record");
+    assert_eq!(p.get_row(t, rids[0]).unwrap(), row(0, "seed"));
+    assert_eq!(p.get_row(t, rids[1]).unwrap(), row(1, "seed"));
+    assert_eq!(p.peek_scan(t).unwrap().len(), rids.len() + 1);
 }
