@@ -160,10 +160,13 @@ impl ReplayState {
             (RedoOp::Catalog(change), _) => {
                 server.inst.as_mut().ok_or(DbError::InstanceDown)?.catalog.apply(change);
             }
-            (op @ (RedoOp::Insert { rid, .. } | RedoOp::Update { rid, .. } | RedoOp::Delete { rid, .. }), txn) => {
+            (
+                op @ (RedoOp::Insert { rid, .. } | RedoOp::Update { rid, .. } | RedoOp::Delete { rid, .. }),
+                txn,
+            ) => {
                 block(server, (rid.file, rid.block), &|img| op.replay_onto(img, rec.scn))?;
-                if let (Some(t), Some(undo)) = (txn, op.undo()) {
-                    self.live.entry(t).or_default().push(undo);
+                if let Some(t) = txn {
+                    self.live.entry(t).or_default().extend(op.undo());
                 }
             }
         }

@@ -168,12 +168,7 @@ impl RedoRecord {
 
     /// The datafile this record's change lands in, if it is a row change.
     pub fn target_file(&self) -> Option<FileNo> {
-        match &self.op {
-            RedoOp::Insert { rid, .. } | RedoOp::Update { rid, .. } | RedoOp::Delete { rid, .. } => {
-                Some(rid.file)
-            }
-            _ => None,
-        }
+        self.op.rid().map(|rid| rid.file)
     }
 }
 

@@ -1424,7 +1424,11 @@ impl DbServer {
         self.poll();
         let txn = self.txn_for(s)?;
         self.inst_ref()?.catalog.table(obj)?;
-        rows.into_iter().map(|row| self.insert_one(txn, obj, row)).collect()
+        let mut rids = Vec::with_capacity(rows.len());
+        for row in rows {
+            rids.push(self.insert_one(txn, obj, row)?);
+        }
+        Ok(rids)
     }
 
     /// Replaces the row at `rid` under session `s`.

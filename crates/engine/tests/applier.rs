@@ -58,7 +58,9 @@ fn work_up_to_a_clean_archive_boundary(
 ) -> SessionId {
     let s = p.connect().unwrap();
     let started = p.stats().log_switches;
-    for k in 100u64.. {
+    let mut k = 99u64;
+    loop {
+        k += 1;
         let before = p.stats().log_switches;
         let rid = p.insert(s, t, row(k, "workload-row-payload-workload-row-payload")).unwrap();
         if p.stats().log_switches > before && before >= started + 3 {
@@ -67,13 +69,12 @@ fn work_up_to_a_clean_archive_boundary(
         rids.push(rid);
         let victim = rids[(k as usize * 7) % rids.len()];
         p.update(s, t, victim, row(1_000_000 + k, "updated")).unwrap();
-        if k % 3 == 0 {
+        if k.is_multiple_of(3) {
             let gone = rids.swap_remove((k as usize * 5) % rids.len());
             p.delete(s, t, gone).unwrap();
         }
         p.commit(s).unwrap();
     }
-    unreachable!("the loop only ends by returning")
 }
 
 /// Every non-empty block image on the tablespace's datafiles, by path.
