@@ -273,6 +273,7 @@ mod tests {
     use crate::config::InstanceConfig;
     use crate::layout::DiskLayout;
     use crate::row::{Row, Value};
+    use crate::types::RowId;
     use recobench_sim::SimClock;
 
     fn server() -> DbServer {
@@ -376,6 +377,80 @@ mod tests {
         // The cheap health probe agrees with the full walk.
         let bad = srv.datafiles_with_bad_checksums().unwrap();
         assert_eq!(bad.len(), 1, "exactly one datafile was rotted: {bad:?}");
+    }
+
+    /// Pins the whole report — every counter, every violation string, their
+    /// order — for one table damaged three ways at once, on a heap whose
+    /// scan order is not rid order (`T` takes file 1's first extent, so
+    /// `WIDE` starts in file 2 and continues in file 1).
+    #[test]
+    fn three_way_damage_report_is_pinned() {
+        let mut srv = server();
+        // An ordered unique index and a non-unique point index, so both
+        // key stores are walked.
+        srv.create_table(
+            "WIDE",
+            "app",
+            "DATA",
+            vec![
+                IndexDef { name: "WIDE_PK".into(), cols: vec![0], unique: true, ordered: true },
+                IndexDef { name: "BY_GROUP".into(), cols: vec![2], unique: false, ordered: false },
+            ],
+        )
+        .unwrap();
+        let t = srv.table_id("T").unwrap();
+        let wide = srv.table_id("WIDE").unwrap();
+        let row = |i: u64| {
+            Row::new(vec![Value::U64(i), Value::from("x".repeat(1500).as_str()), Value::U64(i % 7)])
+        };
+        let s = srv.connect().unwrap();
+        srv.insert(s, t, Row::new(vec![Value::U64(0), Value::from("v")])).unwrap();
+        let rids: Vec<RowId> = (0..340u64).map(|i| srv.insert(s, wide, row(i)).unwrap()).collect();
+        srv.commit(s).unwrap();
+        srv.checkpoint_now().unwrap();
+
+        let extents =
+            srv.inst.as_ref().unwrap().catalog.table(wide).unwrap().segment.extents.clone();
+        assert_eq!(extents.len(), 2, "fixture must span two extents: {extents:?}");
+        assert!(extents[0].file > extents[1].file, "scan order must differ from rid order");
+        let scanned: Vec<RowId> =
+            srv.peek_scan(wide).unwrap().into_iter().map(|(r, _)| r).collect();
+        assert_eq!(scanned, rids, "the heap scans in insertion order");
+        assert!(!scanned.is_sorted(), "...which is not rid order");
+
+        // Damage, all in the PK unless noted: row 3 (first extent) and row
+        // 330 (second extent, lower rid) lose their entries; row 331 is
+        // re-keyed under 9001; 9002 points at a block the table never had;
+        // BY_GROUP loses row 5 and gains a dangling entry in group 3.
+        let ghost = RowId { file: extents[1].file, block: 9999, slot: 1 };
+        let inst = srv.inst.as_mut().unwrap();
+        let ixs = inst.indexes.get_mut(&wide).unwrap();
+        ixs[0].remove(&row(3), rids[3]);
+        ixs[0].remove(&row(330), rids[330]);
+        ixs[0].remove(&row(331), rids[331]);
+        ixs[0].insert(&row(9001), rids[331]).unwrap();
+        ixs[0].insert(&row(9002), ghost).unwrap();
+        ixs[1].remove(&row(5), rids[5]);
+        ixs[1].insert(&row(3), ghost).unwrap();
+
+        let report = srv.verify_integrity().unwrap();
+        let (r3, r5, r330, r331) = (rids[3], rids[5], rids[330], rids[331]);
+        let want = vec![
+            format!("table WIDE: row {r3:?} missing from index WIDE_PK"),
+            format!("table WIDE: row {r330:?} missing from index WIDE_PK"),
+            format!("table WIDE: row {r331:?} missing from index WIDE_PK"),
+            "table WIDE: index WIDE_PK holds 339 entries for 340 heap rows".to_string(),
+            format!("table WIDE: index WIDE_PK entry {r331:?} keyed under stale key"),
+            format!("table WIDE: index WIDE_PK entry {ghost:?} dangles (no heap row)"),
+            format!("table WIDE: row {r5:?} missing from index BY_GROUP"),
+            format!("table WIDE: index BY_GROUP entry {ghost:?} dangles (no heap row)"),
+        ];
+        assert_eq!(report.violations, want);
+        assert_eq!(report.tables_checked, 2);
+        assert_eq!(report.rows_checked, 341);
+        assert_eq!(report.index_entries_checked, 1 + 339 + 340);
+        assert_eq!(report.datafiles_checked, 2);
+        assert_eq!(report.blocks_checksummed, 69);
     }
 
     #[test]
