@@ -42,17 +42,61 @@ impl DecodeError {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`), computed
-/// bitwise — dependency-free and fast enough for the simulator's block
-/// sizes. This is the checksum stored in v2 block images.
+/// Reflected CRC-32 polynomial (IEEE 802.3).
+const CRC_POLY: u32 = 0xedb8_8320;
+
+/// Slicing-by-8 lookup tables for [`crc32`], built at compile time (8 KB
+/// of read-only data). `CRC_TABLES[0]` is the byte-at-a-time table;
+/// `CRC_TABLES[k][b]` is the CRC state after byte `b` and `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`), eight bytes
+/// per step through [`CRC_TABLES`]. This is the checksum stored in v2
+/// block images; every block written is sealed with it and every block
+/// read, replayed or verified is re-checked with it.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
+    let (words, tail) = bytes.as_chunks::<8>();
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in words {
+        let lo = crc ^ u32::from_le_bytes([b0, b1, b2, b3]);
+        let hi = u32::from_le_bytes([b4, b5, b6, b7]);
+        crc = CRC_TABLES[7][(lo & 0xff) as usize]
+            ^ CRC_TABLES[6][((lo >> 8) & 0xff) as usize]
+            ^ CRC_TABLES[5][((lo >> 16) & 0xff) as usize]
+            ^ CRC_TABLES[4][((lo >> 24) & 0xff) as usize]
+            ^ CRC_TABLES[3][(hi & 0xff) as usize]
+            ^ CRC_TABLES[2][((hi >> 8) & 0xff) as usize]
+            ^ CRC_TABLES[1][((hi >> 16) & 0xff) as usize]
+            ^ CRC_TABLES[0][((hi >> 24) & 0xff) as usize];
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xff) as usize];
     }
     !crc
 }
@@ -276,6 +320,7 @@ impl Reader {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
     use super::*;
 
     #[test]
@@ -329,13 +374,50 @@ mod tests {
         assert_eq!(w.len(), 8);
     }
 
+    /// The bit-at-a-time definition of the checksum, kept as the reference
+    /// the table-driven [`crc32`] must equal.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_reference_vectors() {
         // The standard IEEE 802.3 check value.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xcbf4_3926);
         // One flipped bit changes the checksum.
         assert_ne!(crc32(&[0b0000_0001]), crc32(&[0b0000_0000]));
+    }
+
+    #[test]
+    fn crc32_equals_the_bitwise_reference_at_every_length_and_alignment() {
+        // Lengths 0..=64 cover every tail length after 0..=8 whole words;
+        // start offsets 0..8 cover every alignment of the first word.
+        let buf: Vec<u8> = (0..80u32).map(|i| (i.wrapping_mul(167) ^ (i >> 3)) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "start {start}, len {len}");
+            }
+        }
+    }
+
+    proptest! {
+        /// Up to two blocks' worth of arbitrary bytes.
+        #[test]
+        fn crc32_equals_the_bitwise_reference_on_random_buffers(
+            buf in proptest::collection::vec(any::<u8>(), 0..2 * 8192)
+        ) {
+            prop_assert_eq!(crc32(&buf), crc32_bitwise(&buf));
+        }
     }
 
     #[test]

@@ -257,18 +257,11 @@ impl Index {
         &self.def
     }
 
-    /// Extracts this index's key from a row.
-    ///
-    /// Missing columns index as `Null` (rows shorter than the key spec).
-    pub fn key_of(&self, row: &Row) -> Vec<u8> {
-        let mut key = Vec::with_capacity(self.def.cols.len() * 9);
-        self.key_of_into(row, &mut key);
-        key
-    }
-
     /// Encodes the row's key for this index into `out` (cleared first),
     /// without cloning any column values.
-    fn key_of_into(&self, row: &Row, out: &mut Vec<u8>) {
+    ///
+    /// Missing columns index as `Null` (rows shorter than the key spec).
+    pub(crate) fn key_of_into(&self, row: &Row, out: &mut Vec<u8>) {
         out.clear();
         for &c in &self.def.cols {
             encode_key_value(row.get(c).unwrap_or(&Value::Null), out);

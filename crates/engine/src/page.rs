@@ -272,6 +272,22 @@ mod tests {
         assert_eq!(decoded.row_count(), 2);
     }
 
+    /// Format v2 byte for byte: magic, version, CRC-32 (big-endian) of the
+    /// rest, block SCN, row count, then `slot, length, row` per row.
+    #[test]
+    fn encoded_bytes_of_a_fixed_image_are_pinned() {
+        let mut b = BlockImage::empty();
+        b.put(0, row(10), Scn(7));
+        b.put(5, row(20), Scn(9));
+        let hex: String = b.encode().iter().map(|x| format!("{x:02x}")).collect();
+        assert_eq!(
+            hex,
+            "b10253707f76000000000000000900000002\
+             000000000017000201000000000000000a03000000077061796c6f6164\
+             000500000017000201000000000000001403000000077061796c6f6164"
+        );
+    }
+
     #[test]
     fn zero_image_decodes_empty() {
         let b = BlockImage::decode(Bytes::from(vec![0u8; 8192])).unwrap();

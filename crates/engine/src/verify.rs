@@ -185,6 +185,12 @@ impl DbServer {
                     table.indexes.len()
                 ));
             }
+            // The heap scan in rid order, as positions into `rows` (which
+            // stays in scan order for the reports below): index entries
+            // resolve by binary search instead of a scan per entry.
+            let mut by_rid: Vec<u32> = (0..rows.len() as u32).collect();
+            by_rid.sort_unstable_by_key(|&i| rows[i as usize].0);
+            let mut key = Vec::new();
             for ix in indexes {
                 // Every heap row must be reachable under its key.
                 for (rid, row) in &rows {
@@ -198,29 +204,32 @@ impl DbServer {
                 // Every index entry must resolve to a live row with the
                 // same key; entry count equal to row count then rules out
                 // duplicates and leftovers wholesale.
-                report.index_entries_checked += ix.entry_count() as u64;
-                if ix.entry_count() != rows.len() {
+                let entries = ix.entry_count();
+                report.index_entries_checked += entries as u64;
+                if entries != rows.len() {
                     report.violations.push(format!(
                         "table {}: index {} holds {} entries for {} heap rows",
                         table.name,
                         ix.def().name,
-                        ix.entry_count(),
+                        entries,
                         rows.len()
                     ));
                 }
-                for (key, rids) in ix.entries() {
+                for (entry_key, rids) in ix.entries() {
                     for rid in rids {
-                        match rows.iter().find(|(r, _)| r == rid) {
-                            Some((_, row)) if ix.key_of(row) == key => {}
-                            Some(_) => {
-                                report.violations.push(format!(
-                                    "table {}: index {} entry {:?} keyed under stale key",
-                                    table.name,
-                                    ix.def().name,
-                                    rid
-                                ));
+                        match by_rid.binary_search_by_key(rid, |&i| rows[i as usize].0) {
+                            Ok(at) => {
+                                ix.key_of_into(&rows[by_rid[at] as usize].1, &mut key);
+                                if key != entry_key {
+                                    report.violations.push(format!(
+                                        "table {}: index {} entry {:?} keyed under stale key",
+                                        table.name,
+                                        ix.def().name,
+                                        rid
+                                    ));
+                                }
                             }
-                            None => {
+                            Err(_) => {
                                 report.violations.push(format!(
                                     "table {}: index {} entry {:?} dangles (no heap row)",
                                     table.name,
@@ -257,8 +266,7 @@ impl DbServer {
             // integrity walk's business; this probe hunts silent damage
             // only, so an unreadable file is simply skipped.
             let Ok(blocks) = fs.peek_blocks_written(df.vfs_id) else { continue };
-            if blocks.iter().any(|(_, bytes)| crate::page::BlockImage::decode(bytes.clone()).is_err())
-            {
+            if blocks.into_iter().any(|(_, bytes)| crate::page::BlockImage::decode(bytes).is_err()) {
                 bad.push(df.path.clone());
             }
         }

@@ -569,7 +569,7 @@ pub fn match_group(toks: &[Tok], open: usize) -> Option<usize> {
 
 /// Index of the matching open token for the close token at `close`,
 /// scanning backwards from it.
-fn match_group_back(toks: &[Tok], close: usize) -> Option<usize> {
+pub fn match_group_back(toks: &[Tok], close: usize) -> Option<usize> {
     let (o, c) = match toks[close].text.as_str() {
         ")" => ('(', ')'),
         "]" => ('[', ']'),

@@ -21,12 +21,16 @@
 //!   `map.remove`, `map.values`, `binary_search*`) — the slab-index
 //!   idiom, where the map's values are valid indices by invariant;
 //! * a literal index is used after the same fn already checked
-//!   `is_empty()` / `len()` (header-probing decoders).
+//!   `is_empty()` / `len()` (header-probing decoders);
+//! * the indexed value is a `static`/`const` of the same file declared
+//!   as a fixed-size array (`[[u32; 256]; 8]`), and the index at that
+//!   depth is a literal below the declared length or is masked by one
+//!   (`TABLES[7][(x & 0xff) as usize]` — lookup tables).
 //!
 //! Everything else must become `.get(…)` with a typed error, or carry a
 //! justified waiver.
 
-use crate::callgraph::match_group;
+use crate::callgraph::{match_group, match_group_back};
 use crate::lex::{Tok, TokKind};
 use crate::{Diagnostics, Lint, Workspace};
 
@@ -222,7 +226,94 @@ fn index_is_guarded(toks: &[Tok], body: &std::ops::Range<usize>, open: usize) ->
     {
         return true;
     }
-    false
+    // A fixed-size table indexed below its declared length.
+    matches!((declared_len(toks, open), index_bound(idx)), (Some(len), Some(max)) if max < len)
+}
+
+/// The declared length of the array dimension the `[` at `open` indexes,
+/// when the indexed value is a `static`/`const` item of the same file
+/// with a fixed-size array type: `TABLES[7][i]` against
+/// `static TABLES: [[u32; 256]; 8]` is 8 at the first `[`, 256 at the
+/// second.
+fn declared_len(toks: &[Tok], open: usize) -> Option<u64> {
+    // Back over the earlier `[…]` groups of the chain to the base name.
+    let mut depth = 0usize;
+    let mut at = open;
+    while toks[at.checked_sub(1)?].is_punct(']') {
+        at = match_group_back(toks, at - 1)?;
+        depth += 1;
+    }
+    let base = &toks[at.checked_sub(1)?];
+    if base.kind != TokKind::Ident || (at >= 2 && toks[at - 2].is_punct('.')) {
+        return None;
+    }
+    let colon = (2..toks.len()).find(|&k| {
+        toks[k].is_punct(':')
+            && toks[k - 1].is_ident(&base.text)
+            && (toks[k - 2].is_ident("static") || toks[k - 2].is_ident("const"))
+    })?;
+    // `[[elem; 256]; 8]`: one more `[` in per dimension already indexed,
+    // and a dimension's length is the last thing before its `]`.
+    let ty = colon + 1 + depth;
+    if !toks.get(colon + 1..=ty)?.iter().all(|t| t.is_punct('[')) {
+        return None;
+    }
+    let close = match_group(toks, ty)?;
+    if !toks[close - 2].is_punct(';') {
+        return None;
+    }
+    literal_value(&toks[close - 1])
+}
+
+/// The largest value the index expression can take, when that is plain
+/// from its shape: a literal, or an expression masked by a literal as
+/// its last operation — `x & 0xff`, `(x >> 8 & 0xff) as usize`. `^` and
+/// `|` bind looser than `&`, so one of those beside the mask means the
+/// mask does not cover the whole expression.
+fn index_bound(idx: &[Tok]) -> Option<u64> {
+    let mut idx = idx;
+    if let [head @ .., a, b] = idx {
+        if a.is_ident("as") && b.is_ident("usize") {
+            idx = head;
+        }
+    }
+    if idx.first().is_some_and(|t| t.is_punct('(')) && match_group(idx, 0) == Some(idx.len() - 1) {
+        idx = &idx[1..idx.len() - 1];
+    }
+    match idx {
+        [n] => literal_value(n),
+        [masked @ .., amp, mask] if amp.is_punct('&') => {
+            let mut nesting = 0i64;
+            for t in masked {
+                if t.is_punct('(') || t.is_punct('[') {
+                    nesting += 1;
+                } else if t.is_punct(')') || t.is_punct(']') {
+                    nesting -= 1;
+                } else if nesting == 0 && (t.is_punct('^') || t.is_punct('|')) {
+                    return None;
+                }
+            }
+            literal_value(mask)
+        }
+        _ => None,
+    }
+}
+
+/// The value of an integer literal token (`7`, `0xff`, `256usize`,
+/// `0b1111_1111`).
+fn literal_value(t: &Tok) -> Option<u64> {
+    if t.kind != TokKind::Num {
+        return None;
+    }
+    let text = t.text.replace('_', "");
+    let (digits, radix) = match text.get(..2) {
+        Some("0x") => (&text[2..], 16),
+        Some("0o") => (&text[2..], 8),
+        Some("0b") => (&text[2..], 2),
+        _ => (text.as_str(), 10),
+    };
+    let end = digits.find(|c: char| !c.is_digit(radix)).unwrap_or(digits.len());
+    u64::from_str_radix(&digits[..end], radix).ok()
 }
 
 /// Container lookups whose yielded values are valid indices by the
