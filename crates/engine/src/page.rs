@@ -322,6 +322,29 @@ mod tests {
         assert!(BlockImage::decode(Bytes::from(rotted)).unwrap_err().is_checksum_mismatch());
     }
 
+    /// A malformed row behind a *valid* CRC is structural garbage, not
+    /// silent corruption: the error keeps the row decoder's context and is
+    /// not a checksum mismatch — the predicate `block_decode_failed`
+    /// branches on, so the block reads as media corruption.
+    #[test]
+    fn a_malformed_row_behind_a_valid_crc_is_not_a_checksum_mismatch() {
+        for (what, row_bytes, context) in crate::row::malformed_rows() {
+            let mut body = Writer::new();
+            body.put_u64(9); // block SCN
+            body.put_u32(1); // row count
+            body.put_u16(0); // slot
+            body.put_bytes(&row_bytes);
+            let mut w = Writer::new();
+            w.put_u8(super::BLOCK_MAGIC);
+            w.put_u8(BLOCK_FORMAT);
+            w.put_u32(crc32(body.as_slice()));
+            w.put_slice_raw(body.as_slice());
+            let err = BlockImage::decode(w.into_bytes()).unwrap_err();
+            assert_eq!(err.context, context, "{what}");
+            assert!(!err.is_checksum_mismatch(), "{what}");
+        }
+    }
+
     #[test]
     fn legacy_unchecksummed_images_still_decode() {
         // A v1 image: SCN + row count + rows, no magic/CRC header — what a

@@ -469,6 +469,111 @@ mod tests {
         assert_eq!(records, decode_stream(&[Bytes::from(seg)], 10).unwrap());
     }
 
+    /// The redo record format byte for byte, next to `page.rs`'s pinned v2
+    /// block image: SCN, transaction id, op tag, object id, rid (file,
+    /// block, slot), then each row image behind its `u32` length.
+    #[test]
+    fn encoded_bytes_of_a_fixed_update_record_are_pinned() {
+        let rec = RedoRecord {
+            scn: Scn(0x0102),
+            txn: Some(TxnId(9)),
+            op: RedoOp::Update {
+                obj: ObjectId(3),
+                rid: rid(),
+                before: Row::new(vec![Value::U64(5), Value::from("ab"), Value::Null]),
+                after: Row::new(vec![Value::I64(-2), Value::Bytes(vec![0, 0xff])]),
+            },
+        };
+        let hex: String = rec.encode().iter().map(|x| format!("{x:02x}")).collect();
+        assert_eq!(
+            hex,
+            "0000000000000102000000000000000902\
+             0000000300000002000000070001\
+             00000013000301000000000000000503000000026162\
+             00\
+             00000012000202fffffffffffffffe040000000200ff"
+        );
+        assert_eq!(rec.encoded_len(), rec.encode().len());
+    }
+
+    fn mixed_row(n: u64) -> Row {
+        Row::new(vec![Value::U64(n), Value::from("name"), Value::I64(-3), Value::Null])
+    }
+
+    /// A malformed row image inside a record fails the record with the row
+    /// decoder's own context, and ends a tolerant stream decode exactly
+    /// like a torn tail: the records before it survive.
+    #[test]
+    fn a_malformed_row_inside_a_record_ends_the_stream_there() {
+        let good = RedoRecord { scn: Scn(1), txn: Some(TxnId(1)), op: RedoOp::Commit };
+        for (what, row_bytes, context) in crate::row::malformed_rows() {
+            // An Insert record, hand-assembled around the bad row image.
+            let mut w = Writer::new();
+            w.put_u64(2);
+            w.put_u64(7);
+            w.put_u8(1);
+            w.put_u32(1);
+            encode_rid(&mut w, &rid());
+            w.put_bytes(&row_bytes);
+            let bad = w.into_bytes();
+            let err = RedoRecord::decode_from(&mut Reader::new(bad.clone())).unwrap_err();
+            assert_eq!(err.context, context, "{what}");
+
+            let mut seg = good.encode().to_vec();
+            seg.extend_from_slice(&bad);
+            let (records, truncated) = decode_stream_tolerant(&[Bytes::from(seg.clone())], 10);
+            assert!(truncated, "{what}");
+            assert_eq!(records.len(), 1, "{what}");
+            assert_eq!(records[0].1, good, "{what}");
+            assert_eq!(
+                decode_stream(&[Bytes::from(seg)], 10).unwrap_err().context,
+                "redo stream tail",
+                "{what}"
+            );
+        }
+    }
+
+    /// The torn-tail rule over a three-record stream cut at *every* byte
+    /// offset: the clean prefix is the records that end at or before the
+    /// cut, and the stream reads as torn unless the cut is a record
+    /// boundary.
+    #[test]
+    fn a_stream_cut_at_every_offset_keeps_its_clean_prefix() {
+        let records = [
+            RedoRecord {
+                scn: Scn(1),
+                txn: Some(TxnId(4)),
+                op: RedoOp::Insert { obj: ObjectId(1), rid: rid(), row: mixed_row(1) },
+            },
+            RedoRecord {
+                scn: Scn(2),
+                txn: Some(TxnId(4)),
+                op: RedoOp::Update {
+                    obj: ObjectId(1),
+                    rid: rid(),
+                    before: mixed_row(1),
+                    after: mixed_row(2),
+                },
+            },
+            RedoRecord { scn: Scn(3), txn: Some(TxnId(4)), op: RedoOp::Commit },
+        ];
+        let mut seg = Vec::new();
+        let mut ends = Vec::new();
+        for rec in &records {
+            seg.extend_from_slice(&rec.encode());
+            ends.push(seg.len());
+        }
+        for cut in 0..=seg.len() {
+            let (got, truncated) = decode_stream_tolerant(&[Bytes::from(seg[..cut].to_vec())], 10);
+            let whole = ends.iter().filter(|&&e| e <= cut).count();
+            assert_eq!(got.len(), whole, "cut at {cut}");
+            assert_eq!(truncated, cut != 0 && !ends.contains(&cut), "cut at {cut}");
+            for ((_, rec), want) in got.iter().zip(&records) {
+                assert_eq!(rec, want, "cut at {cut}");
+            }
+        }
+    }
+
     #[test]
     fn state_assigns_monotone_addresses() {
         let mut s = RedoState::new(0, 1, 0, 100);

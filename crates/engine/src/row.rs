@@ -288,6 +288,28 @@ fn escape_bytes(bytes: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(&[0x00, 0x00]);
 }
 
+/// Hand-built malformed row encodings: `(what is wrong, bytes, the
+/// DecodeError context decoding must fail with)`. The row, block and redo
+/// tests all run this one table, so a malformed row is refused the same
+/// way wherever it is met.
+#[cfg(test)]
+pub(crate) fn malformed_rows() -> Vec<(&'static str, Vec<u8>, &'static str)> {
+    let count = |n: u16| n.to_be_bytes().to_vec();
+    let with = |n: u16, tail: &[u8]| [&count(n)[..], tail].concat();
+    vec![
+        ("column count cut short", vec![0], "row column count"),
+        ("unknown tag", with(1, &[99]), "value tag"),
+        ("u64 cut short", with(1, &[1, 0, 0, 0, 0, 0, 0, 7]), "u64 value"),
+        ("i64 cut short", with(1, &[2, 0xff, 0xff]), "i64 value"),
+        ("str length prefix cut short", with(1, &[3, 0, 0]), "str value"),
+        ("str length overruns the buffer", with(1, &[3, 0, 0, 0, 10, b'a', b'b', b'c']), "str value"),
+        ("bytes length overruns the buffer", with(1, &[4, 0, 0, 0, 4, 1, 2, 3]), "bytes value"),
+        ("invalid UTF-8", with(1, &[3, 0, 0, 0, 2, 0xff, 0xfe]), "str value"),
+        ("column count larger than the content", with(2, &[0]), "value tag"),
+        ("second column cut short", with(2, &[1, 0, 0, 0, 0, 0, 0, 0, 5, 1, 0]), "u64 value"),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,6 +338,29 @@ mod tests {
         w.put_u16(1);
         w.put_u8(99);
         assert!(Row::decode(w.into_bytes()).is_err());
+    }
+
+    #[test]
+    fn each_malformed_row_fails_with_its_pinned_context() {
+        for (what, bytes, context) in malformed_rows() {
+            let err = Row::decode(Bytes::from(bytes)).unwrap_err();
+            assert_eq!(err.context, context, "{what}");
+        }
+    }
+
+    /// A row image is length-prefixed wherever it is stored, and the
+    /// decoder reads the columns the count announces and stops: bytes left
+    /// over inside the image are ignored, and the decoded row's length is
+    /// what was consumed, not what was handed in.
+    #[test]
+    fn trailing_bytes_inside_a_row_image_are_ignored() {
+        let r = sample_row();
+        let mut padded = r.encode().to_vec();
+        padded.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
+        let decoded = Row::decode(Bytes::from(padded)).unwrap();
+        assert_eq!(decoded, r);
+        assert_eq!(decoded.encoded_len(), r.encoded_len());
+        assert_eq!(decoded.encode(), r.encode());
     }
 
     #[test]
