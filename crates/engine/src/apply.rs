@@ -33,16 +33,17 @@ impl RedoOp {
         }
     }
 
-    /// The undo entry that takes this change back (`None` for markers and
-    /// DDL).
+    /// The undo entry that takes this replayed change back (`None` for
+    /// markers and DDL). The entry can outlive the log segment the record
+    /// was decoded from, so its before-image is detached from it.
     fn undo(&self) -> Option<UndoOp> {
         match self {
             RedoOp::Insert { obj, rid, .. } => Some(UndoOp::UndoInsert { obj: *obj, rid: *rid }),
             RedoOp::Update { obj, rid, before, .. } => {
-                Some(UndoOp::UndoUpdate { obj: *obj, rid: *rid, before: before.clone() })
+                Some(UndoOp::UndoUpdate { obj: *obj, rid: *rid, before: before.detached() })
             }
             RedoOp::Delete { obj, rid, before } => {
-                Some(UndoOp::UndoDelete { obj: *obj, rid: *rid, before: before.clone() })
+                Some(UndoOp::UndoDelete { obj: *obj, rid: *rid, before: before.detached() })
             }
             RedoOp::Commit | RedoOp::Rollback | RedoOp::Catalog(_) => None,
         }
@@ -51,26 +52,32 @@ impl RedoOp {
     /// Writes the change into its block image, stamping it with `scn`: the
     /// forward write, unconditional — a new change is never already there.
     pub(crate) fn apply_to(&self, img: &mut BlockImage, scn: Scn) {
+        self.write_to(img, scn, Row::clone);
+    }
+
+    /// Replays the change onto its block unless the image already carries
+    /// it (`img.last_scn >= scn`) — the test that makes replay idempotent.
+    /// Returns whether the image changed. The block outlives the log
+    /// segment the record was decoded from, so the row it stores is
+    /// detached from it: a cached block never pins a segment.
+    fn replay_onto(&self, img: &mut BlockImage, scn: Scn) -> bool {
+        if img.last_scn >= scn {
+            return false;
+        }
+        self.write_to(img, scn, Row::detached);
+        true
+    }
+
+    fn write_to(&self, img: &mut BlockImage, scn: Scn, stored: impl FnOnce(&Row) -> Row) {
         match self {
             RedoOp::Insert { rid, row, .. } | RedoOp::Update { rid, after: row, .. } => {
-                img.put(rid.slot, row.clone(), scn);
+                img.put(rid.slot, stored(row), scn);
             }
             RedoOp::Delete { rid, .. } => {
                 img.remove(rid.slot, scn);
             }
             RedoOp::Commit | RedoOp::Rollback | RedoOp::Catalog(_) => {}
         }
-    }
-
-    /// Replays the change onto its block unless the image already carries
-    /// it (`img.last_scn >= scn`) — the test that makes replay idempotent.
-    /// Returns whether the image changed.
-    fn replay_onto(&self, img: &mut BlockImage, scn: Scn) -> bool {
-        if img.last_scn >= scn {
-            return false;
-        }
-        self.apply_to(img, scn);
-        true
     }
 }
 
@@ -202,4 +209,69 @@ pub(crate) fn rollback_unlogged(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use recobench_sim::SimClock;
+
+    use super::*;
+    use crate::codec::Writer;
+    use crate::config::InstanceConfig;
+    use crate::layout::DiskLayout;
+    use crate::redo::decode_stream;
+    use crate::row::Value;
+    use crate::types::{FileNo, ObjectId};
+
+    /// A decoded record's rows are views into its log segment; what replay
+    /// keeps of them — the row stored in the block, the undo entry in
+    /// `ReplayState::live` — must not be, or one cached block or one open
+    /// transaction would keep a megabyte of log alive.
+    #[test]
+    fn a_replayed_row_and_its_undo_entry_do_not_pin_the_log_segment() {
+        let row = |v: &str| Row::new(vec![Value::U64(7), Value::from(v)]);
+        let rid = RowId { file: FileNo(2), block: 5, slot: 3 };
+        let rec = RedoRecord {
+            scn: Scn(9),
+            txn: Some(TxnId(4)),
+            op: RedoOp::Update { obj: ObjectId(1), rid, before: row("before"), after: row("after") },
+        };
+        let mut w = Writer::new();
+        while w.len() < 1 << 20 {
+            rec.encode_into(&mut w);
+        }
+        let segment = w.into_bytes();
+        let span = segment.as_ptr_range();
+        let records = decode_stream(std::slice::from_ref(&segment), 0).unwrap();
+        let (_, decoded) = records.last().unwrap();
+        let RedoOp::Update { after, .. } = &decoded.op else { unreachable!() };
+        assert!(span.contains(&after.encode().as_ptr()), "decoding slices, it does not copy");
+
+        let mut srv = DbServer::on_fresh_disks(
+            "PIN",
+            SimClock::shared(),
+            DiskLayout::four_disk(),
+            InstanceConfig::default(),
+        );
+        let mut img = BlockImage::empty();
+        let mut state = ReplayState::default();
+        state
+            .note_and_apply(&mut srv, decoded, |_, key, change| {
+                assert_eq!(key, (rid.file, rid.block));
+                assert!(change(&mut img));
+                Ok(())
+            })
+            .unwrap();
+        drop(records);
+        drop(segment);
+
+        let stored = img.row(rid.slot).unwrap();
+        assert_eq!(stored, &row("after"));
+        assert!(!span.contains(&stored.encode().as_ptr()));
+        let [UndoOp::UndoUpdate { before, .. }] = &state.live[&TxnId(4)][..] else {
+            panic!("one undo entry for the one replayed update: {:?}", state.live);
+        };
+        assert_eq!(before, &row("before"));
+        assert!(!span.contains(&before.encode().as_ptr()));
+    }
 }

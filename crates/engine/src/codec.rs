@@ -309,7 +309,7 @@ impl Reader {
     /// Fails on exhaustion or invalid UTF-8.
     pub fn get_str(&mut self, context: &'static str) -> DecodeResult<String> {
         let b = self.get_bytes(context)?;
-        String::from_utf8(b.to_vec()).map_err(|_| DecodeError { context })
+        std::str::from_utf8(&b).map(str::to_owned).map_err(|_| DecodeError { context })
     }
 
     /// Bytes left to read.

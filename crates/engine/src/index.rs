@@ -14,7 +14,7 @@ use std::ops::Bound;
 use crate::catalog::IndexDef;
 use crate::error::{DbError, DbResult};
 use crate::fasthash::FastMap;
-use crate::row::{encode_key_into, encode_key_value, Row, Value};
+use crate::row::{encode_key_into, Row, Value};
 use crate::types::RowId;
 
 thread_local! {
@@ -258,14 +258,12 @@ impl Index {
     }
 
     /// Encodes the row's key for this index into `out` (cleared first),
-    /// without cloning any column values.
+    /// straight from the row's stored columns.
     ///
     /// Missing columns index as `Null` (rows shorter than the key spec).
     pub(crate) fn key_of_into(&self, row: &Row, out: &mut Vec<u8>) {
         out.clear();
-        for &c in &self.def.cols {
-            encode_key_value(row.get(c).unwrap_or(&Value::Null), out);
-        }
+        row.key_into(&self.def.cols, out);
     }
 
     /// Whether an update from `before` to `after` moves this index's key.
@@ -273,9 +271,7 @@ impl Index {
     /// Compares the key columns directly, so callers can skip encoding
     /// (and uniqueness probes) for updates that leave the key in place.
     pub fn key_changed(&self, before: &Row, after: &Row) -> bool {
-        self.def.cols.iter().any(|&c| {
-            before.get(c).unwrap_or(&Value::Null) != after.get(c).unwrap_or(&Value::Null)
-        })
+        before.differs_on(after, &self.def.cols)
     }
 
     /// Adds `rid` under the row's key.
@@ -547,6 +543,23 @@ mod tests {
         let (_, rids) = ix.last_under_prefix(&[Value::U64(7)]).unwrap();
         assert_eq!(rids, &[rid(2)]);
         assert!(ix.last_under_prefix(&[Value::U64(9)]).is_none());
+    }
+
+    proptest::proptest! {
+        /// Key extraction straight from the stored columns gives the bytes
+        /// `encode_key` gives for the key columns' values.
+        #[test]
+        fn key_of_into_equals_encode_key_over_the_rows_values(
+            vs in proptest::collection::vec(crate::row::value_strategy(), 0..6),
+            cols in proptest::collection::vec(0usize..6, 1..4),
+        ) {
+            let ix = Index::new(IndexDef { cols: cols.clone(), ..def(false) });
+            let picked: Vec<Value> =
+                cols.iter().map(|&c| vs.get(c).cloned().unwrap_or(Value::Null)).collect();
+            let mut key = vec![1, 2, 3];
+            ix.key_of_into(&Row::new(vs), &mut key);
+            proptest::prop_assert_eq!(key, crate::row::encode_key(&picked));
+        }
     }
 
     #[test]

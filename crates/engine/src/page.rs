@@ -139,10 +139,9 @@ impl BlockImage {
         w.into_bytes()
     }
 
-    /// Appends the encoded block to `w` without per-row allocations. The
-    /// row length prefixes come straight from the memoized encoded lengths;
-    /// the only back-patch is the CRC-32 over the finished payload, which
-    /// makes every stored block self-verifying.
+    /// Appends the encoded block to `w`: each row is its length and a copy
+    /// of its stored bytes. The only back-patch is the CRC-32 over the
+    /// finished payload, which makes every stored block self-verifying.
     pub fn encode_into(&self, w: &mut Writer) {
         let header = w.len();
         w.put_u8(BLOCK_MAGIC);
@@ -161,7 +160,9 @@ impl BlockImage {
 
     /// Decodes a stored block image. An all-zero (never written) image
     /// decodes as an empty block; a legacy (pre-checksum) image decodes
-    /// without verification; a v2 image must pass its CRC.
+    /// without verification; a v2 image must pass its CRC. The rows are
+    /// validated views into `buf`, which they share and keep alive (one
+    /// block-sized read buffer per cached block at most).
     ///
     /// # Errors
     ///

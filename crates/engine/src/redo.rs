@@ -74,8 +74,7 @@ impl RedoRecord {
     }
 
     /// Appends the encoded record to `w` without intermediate allocations
-    /// (row payloads are written in place behind back-patched length
-    /// prefixes).
+    /// (each row image is its length and a copy of the row's stored bytes).
     pub fn encode_into(&self, w: &mut Writer) {
         w.put_u64(self.scn.0);
         w.put_u64(self.txn.map_or(0, |t| t.0));
@@ -132,6 +131,8 @@ impl RedoRecord {
     }
 
     /// Decodes one record from a reader positioned at a record boundary.
+    /// Row images are validated views into the reader's buffer — whoever
+    /// keeps one past the record detaches it ([`Row::detached`]).
     ///
     /// # Errors
     ///
@@ -173,8 +174,6 @@ impl RedoRecord {
 }
 
 fn put_row(w: &mut Writer, row: &Row) {
-    // Length-prefixed row, written in place; the prefix is the row's
-    // memoized encoded length, so nothing is back-patched.
     w.put_u32(row.encoded_len() as u32);
     row.encode_into(w);
 }

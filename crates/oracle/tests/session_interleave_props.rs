@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use recobench_engine::catalog::IndexDef;
-use recobench_engine::row::{Row, Value};
+use recobench_engine::row::{Row, Value, ValueRef};
 use recobench_engine::{DbError, DbServer, DiskLayout, InstanceConfig, ObjectId, RowId, SessionId};
 use recobench_oracle::{diff_states, RefModel};
 use recobench_sim::SimClock;
@@ -116,7 +116,7 @@ fn submit(
                 match srv.get_row(t, rid) {
                     Ok(current) => {
                         let mut replacement = row.clone();
-                        replacement.set(0, current.get(0).cloned().unwrap_or(Value::U64(0)));
+                        replacement.set(0, current.get(0).map_or(Value::U64(0), ValueRef::to_value));
                         srv.update(s, t, rid, replacement)
                     }
                     Err(e) => Err(e),

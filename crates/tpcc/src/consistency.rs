@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use recobench_engine::row::Value;
+use recobench_engine::row::ValueRef;
 use recobench_engine::{DbResult, DbServer};
 
 use crate::schema::{self, TpccSchema};
@@ -35,12 +35,12 @@ impl ConsistencyReport {
     }
 }
 
-fn as_u64(v: Option<&Value>) -> u64 {
-    v.and_then(Value::as_u64).unwrap_or(0)
+fn as_u64(v: Option<ValueRef<'_>>) -> u64 {
+    v.and_then(ValueRef::as_u64).unwrap_or(0)
 }
 
-fn as_i64(v: Option<&Value>) -> i64 {
-    v.and_then(Value::as_i64).unwrap_or(0)
+fn as_i64(v: Option<ValueRef<'_>>) -> i64 {
+    v.and_then(ValueRef::as_i64).unwrap_or(0)
 }
 
 /// Evaluates TPC-C consistency conditions 1–4 over the whole database.
@@ -154,7 +154,7 @@ mod tests {
     use super::*;
     use crate::gen::load_database;
     use crate::schema::{create_schema, TpccScale};
-    use recobench_engine::row::Row;
+    use recobench_engine::row::{Row, Value};
     use recobench_engine::{DiskLayout, InstanceConfig};
     use recobench_sim::{SimClock, SimRng};
 

@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::schema::{ix, TpccSchema};
 use crate::tx::{Audit, InFlight, StmtResult, TxnKind};
-use recobench_engine::row::Value;
+use recobench_engine::row::{Value, ValueRef};
 
 /// Driver configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -614,7 +614,7 @@ impl TpccDriver {
             let mut found = false;
             for rid in rids {
                 if let Ok(Some(row)) = reader.row(self.schema.orders, rid) {
-                    if row.get(crate::schema::orders::O_ENTRY_D).and_then(Value::as_u64)
+                    if row.get(crate::schema::orders::O_ENTRY_D).and_then(ValueRef::as_u64)
                         == Some(c.entry)
                     {
                         found = true;

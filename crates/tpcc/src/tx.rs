@@ -16,7 +16,7 @@
 //! statements, block on lock waits, and resume on grants, all in
 //! deterministic simulated time.
 
-use recobench_engine::row::{Row, Value};
+use recobench_engine::row::{Row, Value, ValueRef};
 use recobench_engine::{DbError, DbResult, DbServer, RowId, SessionId};
 use recobench_sim::SimRng;
 use serde::{Deserialize, Serialize};
@@ -100,11 +100,11 @@ const C_ITEM: u64 = 777;
 const C_LASTNAME: u64 = 173;
 
 fn col_u64(row: &Row, col: usize) -> DbResult<u64> {
-    row.get(col).and_then(Value::as_u64).ok_or_else(|| DbError::NotFound(format!("u64 col {col}")))
+    row.get(col).and_then(ValueRef::as_u64).ok_or_else(|| DbError::NotFound(format!("u64 col {col}")))
 }
 
 fn col_i64(row: &Row, col: usize) -> DbResult<i64> {
-    row.get(col).and_then(Value::as_i64).ok_or_else(|| DbError::NotFound(format!("i64 col {col}")))
+    row.get(col).and_then(ValueRef::as_i64).ok_or_else(|| DbError::NotFound(format!("i64 col {col}")))
 }
 
 fn one_rid(rid: Option<RowId>, what: &str) -> DbResult<RowId> {
@@ -481,7 +481,7 @@ impl PaymentTxn {
             let matches = srv.prefix_scan(
                 schema.customer,
                 ix::CUSTOMER_BY_LAST,
-                &[Value::U64(self.c_w), Value::U64(self.c_d), Value::Str(self.c_last.clone().into())],
+                &[Value::U64(self.c_w), Value::U64(self.c_d), Value::Str(self.c_last.clone())],
             )?;
             if !matches.is_empty() {
                 return Ok(matches[matches.len() / 2]);
@@ -562,7 +562,7 @@ impl PaymentTxn {
                         Value::U64(self.c_d),
                         Value::U64(self.resolved_c),
                         Value::I64(self.amount),
-                        Value::Str(format!("payment at w{} d{}", self.w, self.d).into()),
+                        Value::Str(format!("payment at w{} d{}", self.w, self.d)),
                     ]),
                 )?;
                 self.phase = PaymentPhase::Commit;
@@ -623,7 +623,7 @@ impl OrderStatusTxn {
                     let matches = srv.prefix_scan(
                         schema.customer,
                         ix::CUSTOMER_BY_LAST,
-                        &[Value::U64(self.w), Value::U64(self.d), Value::Str(self.c_last.clone().into())],
+                        &[Value::U64(self.w), Value::U64(self.d), Value::Str(self.c_last.clone())],
                     )?;
                     match matches.get(matches.len() / 2) {
                         Some(r) => *r,

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use recobench::engine::catalog::IndexDef;
-use recobench::engine::row::{Row, Value};
+use recobench::engine::row::{Row, Value, ValueRef};
 use recobench::engine::{DbError, DbServer, DiskLayout, InstanceConfig};
 use recobench::sim::SimClock;
 
@@ -61,7 +61,7 @@ fn atomicity_transfer_is_all_or_nothing_across_crash() {
         .peek_scan(t)
         .unwrap()
         .iter()
-        .map(|(_, r)| r.get(1).and_then(Value::as_i64).unwrap())
+        .map(|(_, r)| r.get(1).and_then(ValueRef::as_i64).unwrap())
         .sum();
     assert_eq!(total, 207);
 }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use recobench::engine::catalog::IndexDef;
-use recobench::engine::row::{Row, Value};
+use recobench::engine::row::{Row, Value, ValueRef};
 use recobench::engine::{DbServer, DiskLayout, InstanceConfig};
 use recobench::sim::SimClock;
 use std::collections::BTreeMap;
@@ -117,8 +117,8 @@ fn run_model(ops: &[Op], redo_kb: u64, crash: bool) {
         .into_iter()
         .map(|(_, row)| {
             (
-                row.get(0).and_then(Value::as_u64).unwrap(),
-                row.get(1).and_then(Value::as_i64).unwrap(),
+                row.get(0).and_then(ValueRef::as_u64).unwrap(),
+                row.get(1).and_then(ValueRef::as_i64).unwrap(),
             )
         })
         .collect();
