@@ -628,8 +628,8 @@ mod tests {
 
     #[test]
     fn same_seed_reproduces_the_outcome_exactly() {
-        // Regression guard for the hot-path work: buffer reuse, memoized
-        // sizes and fixed-seed hashing must not leak any run-to-run state
+        // Regression guard for the hot-path work: buffer reuse, shared
+        // row bytes and fixed-seed hashing must not leak any run-to-run state
         // into results. Two runs of the same experiment must agree on
         // every field, not just roughly.
         let run = || {

@@ -422,17 +422,20 @@ pub fn encode_key_into<'a, I: IntoIterator<Item = &'a Value>>(values: I, out: &m
 #[inline]
 fn encode_key_col(tag: u8, payload: &[u8], out: &mut Vec<u8>) {
     out.push(tag);
-    match (tag, payload) {
-        // Flip the sign bit so two's complement sorts naturally.
-        (TAG_I64, [sign, low @ ..]) => {
-            out.push(sign ^ 0x80);
-            out.extend_from_slice(low);
+    match tag {
+        // Big-endian as stored (a fixed-width copy); a signed integer has
+        // its sign bit flipped so two's complement sorts naturally.
+        TAG_U64 | TAG_I64 => {
+            if let Ok(be) = <[u8; 8]>::try_from(payload) {
+                let sign = if tag == TAG_I64 { 1u64 << 63 } else { 0 };
+                out.extend_from_slice(&(u64::from_be_bytes(be) ^ sign).to_be_bytes());
+            }
         }
         // 0x00 bytes are escaped as 0x00 0xFF; the terminator is
         // 0x00 0x00, which sorts before any continuation.
-        (TAG_STR | TAG_BYTES, _) => escape_bytes(payload, out),
-        // Unsigned integers are stored big-endian already.
-        _ => out.extend_from_slice(payload),
+        TAG_STR | TAG_BYTES => escape_bytes(payload, out),
+        // NULL is its tag alone.
+        _ => {}
     }
 }
 
