@@ -318,8 +318,8 @@ mod tests {
 
     /// The determinism contract of DESIGN.md §9: per-cell outcomes are a
     /// pure function of the experiment definition — not of the thread
-    /// count and not of whether setup ran fresh or replayed from a shared
-    /// snapshot template.
+    /// count, not of the order the cells were handed in, and not of
+    /// whether setup ran fresh or replayed from a shared snapshot template.
     #[test]
     fn outcomes_are_identical_across_threads_and_templating() {
         let cells = || {
@@ -344,14 +344,58 @@ mod tests {
         // reference.
         let baseline: Vec<_> = cells().iter().map(|c| c.run().unwrap()).collect();
         for threads in [1, 4] {
+            // Input order as written, then shuffled so that the two faulted
+            // F10G3T5 cells are apart and out of fault order.
+            for order in [[0, 1, 2, 3], [2, 3, 0, 1]] {
+                let mut input: Vec<Option<Experiment>> = cells().into_iter().map(Some).collect();
+                let report = Campaign::new(order.iter().map(|&i| input[i].take().unwrap()).collect())
+                    .threads(threads)
+                    .run();
+                assert_eq!(report.templates_built(), 2, "two distinct keys");
+                assert_eq!(report.template_hits(), 2, "two cells reused one");
+                let expected: Vec<_> = order.iter().map(|&i| baseline[i].clone()).collect();
+                assert_eq!(
+                    report.expect_all(),
+                    expected,
+                    "threads={threads} order={order:?}: shared templates must replay \
+                     byte-identically, in input order"
+                );
+            }
+        }
+    }
+
+    /// The paper's three injection instants in one campaign: every cell
+    /// equals its lone run — also the one whose fault never fires.
+    #[test]
+    fn a_three_trigger_campaign_extends_its_stages() {
+        let cell = |fault, trigger: u64, duration: u64| {
+            Experiment::builder(RecoveryConfig::named("F10G3T5").unwrap())
+                .duration_secs(duration)
+                .scale(TpccScale::tiny())
+                .seed(3)
+                .fault(fault, trigger)
+                .build()
+        };
+        // Fault-major, as the table binaries build their lists, and each
+        // cell truncated a fixed tail after its trigger, so no two
+        // instants share a duration.
+        let cells = || {
+            let mut cells = Vec::new();
+            for fault in [FaultType::ShutdownAbort, FaultType::DeleteUsersObject] {
+                for trigger in [180, 60, 120] {
+                    cells.push(cell(fault, trigger, trigger + 90));
+                }
+            }
+            // Due after the end of the run: never fires.
+            cells.push(cell(FaultType::ShutdownAbort, 500, 150));
+            cells
+        };
+        let baseline: Vec<_> = cells().iter().map(|c| c.run().unwrap()).collect();
+        assert!(baseline[6].measures.recovery_time_secs.is_none(), "the late fault never fired");
+        for threads in [1, 3] {
             let report = Campaign::new(cells()).threads(threads).run();
-            assert_eq!(report.templates_built(), 2, "two distinct keys");
-            assert_eq!(report.template_hits(), 2, "two cells reused one");
-            assert_eq!(
-                report.expect_all(),
-                baseline,
-                "threads={threads}: shared templates must replay byte-identically"
-            );
+            assert_eq!((report.templates_built(), report.template_hits()), (1, 6));
+            assert_eq!(report.expect_all(), baseline, "threads={threads}");
         }
     }
 

@@ -10,7 +10,7 @@
 
 mod golden;
 
-use recobench::core::{Experiment, ExperimentBuilder, RecoveryConfig};
+use recobench::core::{Campaign, Experiment, ExperimentBuilder, ExperimentOutcome, RecoveryConfig};
 use recobench::engine::{FailoverPolicy, ReplicaTopology};
 use recobench::faults::FaultType;
 use recobench::tpcc::TpccScale;
@@ -23,8 +23,7 @@ fn cell(config: &str) -> ExperimentBuilder {
         .capture_events(true)
 }
 
-#[test]
-fn outcomes_match_the_golden_file() {
+fn matrix() -> Vec<(String, ExperimentBuilder)> {
     let mut cells: Vec<(String, ExperimentBuilder)> = Vec::new();
     for fault in FaultType::all() {
         let faulted = || cell("F10G3T5").fault(fault, 120);
@@ -46,16 +45,45 @@ fn outcomes_match_the_golden_file() {
         "noarchivelog-unrecoverable".to_string(),
         cell("F1G3T1").archive_logs(false).fault(FaultType::DeleteDatafile, 120),
     ));
+    cells
+}
 
-    let lines: Vec<String> = cells
+fn golden_line(label: &str, out: &ExperimentOutcome) -> String {
+    if label == "noarchivelog-unrecoverable" {
+        assert!(out.unrecoverable, "{label}: the redo needed is long overwritten");
+    }
+    golden::line(label, out)
+}
+
+#[test]
+fn outcomes_match_the_golden_file() {
+    let lines: Vec<String> = matrix()
         .into_iter()
         .map(|(label, builder)| {
             let out = builder.run().unwrap_or_else(|e| panic!("{label}: setup failed: {e}"));
-            if label == "noarchivelog-unrecoverable" {
-                assert!(out.unrecoverable, "{label}: the redo needed is long overwritten");
-            }
-            golden::line(&label, &out)
+            golden_line(&label, &out)
         })
         .collect();
     golden::check("outcomes.txt", &lines);
+}
+
+/// The same matrix through one `Campaign`: however its cells share setup
+/// templates and fault-free prefixes, and on however many workers, every
+/// cell must come out as the lone `run()` the golden file pins.
+#[test]
+fn a_campaign_yields_the_same_golden_lines() {
+    for threads in [1, 3] {
+        let (labels, cells): (Vec<String>, Vec<Experiment>) =
+            matrix().into_iter().map(|(label, builder)| (label, builder.build())).unzip();
+        let report = Campaign::new(cells).threads(threads).run();
+        let lines: Vec<String> = labels
+            .iter()
+            .zip(report.results())
+            .map(|(label, result)| match result {
+                Ok(out) => golden_line(label, out),
+                Err(e) => panic!("{label}: setup failed: {e}"),
+            })
+            .collect();
+        golden::check("outcomes.txt", &lines);
+    }
 }
