@@ -88,7 +88,7 @@ fn observe(
 /// [`Experiment::run_with_template`]; [`Campaign`](crate::Campaign)
 /// deduplicates templates by [`Experiment::template_key`] and shares them
 /// across worker threads.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ExperimentTemplate {
     snapshot: DbSnapshot,
     schema: recobench_tpcc::TpccSchema,

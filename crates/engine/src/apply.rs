@@ -121,7 +121,7 @@ impl UndoOp {
 /// What a replay learns from the records it scans: which transactions are
 /// still unresolved (with the undo that takes them back) and how far the
 /// SCN and transaction-id spaces were used.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ReplayState {
     /// Transactions with no terminal record yet, in id order, each with
     /// its undo in log order.

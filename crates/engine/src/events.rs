@@ -384,6 +384,19 @@ impl EventSink {
         EventSink { capacity, ..Default::default() }
     }
 
+    /// The sink of a forked server: everything the stream has counted and
+    /// retained so far, and no subscribers — observers belong to one run,
+    /// and whoever drives the fork subscribes its own.
+    pub(crate) fn fork(&self) -> EventSink {
+        EventSink {
+            events: self.events.clone(),
+            capacity: self.capacity,
+            dropped: self.dropped,
+            derived: self.derived,
+            subscribers: Vec::new(),
+        }
+    }
+
     /// Records an event at instant `at`: updates the derived counters,
     /// notifies subscribers, then buffers (within the retention bound).
     pub fn record(&mut self, at: SimTime, event: EngineEvent) {

@@ -268,6 +268,38 @@ impl ReplicaSet {
         })
     }
 
+    /// An independent copy of the set on `clock`: every stand-by forked
+    /// (see [`DbServer::fork`]), the controller's state cloned. Like the
+    /// servers' subscribers, the observer is not carried — the fork's
+    /// driver installs its own with [`ReplicaSet::set_observer`].
+    pub fn fork(&self, clock: Arc<SimClock>) -> ReplicaSet {
+        ReplicaSet {
+            nodes: self
+                .nodes
+                .iter()
+                .map(|n| ReplicaNode {
+                    standby: n.standby.fork(Arc::clone(&clock)),
+                    name: n.name.clone(),
+                    upstream: n.upstream,
+                    ship_lag: n.ship_lag,
+                    apply_delay: n.apply_delay,
+                    partitioned: n.partitioned,
+                    dead: n.dead,
+                    broken: n.broken.clone(),
+                })
+                .collect(),
+            policy: self.policy,
+            topology_name: self.topology_name.clone(),
+            promoted: self.promoted,
+            failovers: self.failovers,
+            clock,
+            layout: self.layout.clone(),
+            config: self.config.clone(),
+            next_name: self.next_name,
+            observer: None,
+        }
+    }
+
     /// Registers the observer called for every stand-by server the set
     /// creates, and immediately invokes it on the existing nodes.
     pub fn set_observer(&mut self, mut observer: ReplicaObserver) {

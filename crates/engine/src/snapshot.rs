@@ -1,61 +1,50 @@
-//! Point-in-time server snapshots for campaign templating.
+//! Forking a server, and the parked forks campaigns boot their cells from.
 //!
-//! Every experiment cell pays the same setup before its measured window:
-//! create the database, load the schema, take the cold backup. The result
-//! is a pure function of the setup inputs, so a campaign captures it once
-//! as a [`DbSnapshot`] and boots every cell from a copy-on-write clone via
-//! [`DbServer::from_snapshot`]. The clone carries the complete persistent
-//! world (filesystem image, control file, backup catalog) *and* the
-//! volatile instance (buffer cache, transaction table, redo position), so
-//! a restored server is indistinguishable from one that ran the setup
-//! itself — except that its event sink starts empty and no DML tap is
-//! installed (observers are per-run, not part of database state).
+//! Every experiment cell pays the same setup before its measured window
+//! (create the database, load the schema, take the cold backup), and every
+//! cell of a group the same fault-free workload up to the fault. Both are
+//! pure functions of their inputs, so a campaign runs them once and hands
+//! each cell a copy: [`DbServer::fork`] is the one routine that copies a
+//! server. The copy carries the complete persistent world (a copy-on-write
+//! clone of the filesystem with its disk queues, control file, backup
+//! catalog) *and* the volatile one (buffer cache, transaction table, lock
+//! wait queues, redo position, connected sessions with their pending
+//! grants and deferred undo, what the event stream has counted and
+//! retained), so it is indistinguishable from the server it was taken
+//! from — except that nobody observes it yet: event subscribers and the
+//! DML tap belong to one run and are not carried.
 //!
-//! Restoring advances the target clock to the capture instant, so the
-//! simulated timeline of a restored run matches a monolithic run exactly:
-//! the same-seed byte-identical `ExperimentOutcome` contract (DESIGN.md
-//! §9) holds with and without templating.
+//! A [`DbSnapshot`] is such a fork parked at its capture instant;
+//! [`DbServer::from_snapshot`] forks it again. Forking advances the target
+//! clock to the source's instant, so the simulated timeline of a forked
+//! run matches a monolithic run exactly: the same-seed byte-identical
+//! `ExperimentOutcome` contract (DESIGN.md §9) holds with and without it.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use recobench_sim::{SimClock, SimTime};
 use recobench_vfs::{FsSnapshot, SnapshotId};
 
-use crate::backup::BackupSet;
-use crate::config::InstanceConfig;
-use crate::controlfile::ControlFile;
-use crate::events::EventSink;
-use crate::instance::Instance;
-use crate::layout::DiskLayout;
 use crate::server::DbServer;
-use crate::stats::EngineStats;
 
-/// A captured server: persistent files plus volatile instance state, as of
-/// one simulated instant. Cloning shares all block payloads (COW).
-///
-/// Sessions are *not* captured: like the event sink and DML tap they are
-/// client-side observers of the database, not database state. A restored
-/// server starts with no connections (and therefore no pending lock
-/// grants or deferred undo — both are owned by some session's txn).
-#[derive(Debug, Clone)]
+/// A captured server: a fork parked at one simulated instant, sharing all
+/// block payloads with its source and with every server booted from it
+/// (COW). Whatever was connected at the capture — sessions, the
+/// transactions they have open, a statement parked in a lock wait queue —
+/// is part of the image and resumes in the restored server.
+#[derive(Debug)]
 pub struct DbSnapshot {
-    name: String,
-    fs: FsSnapshot,
-    layout: DiskLayout,
-    config: InstanceConfig,
-    control: Option<ControlFile>,
-    inst: Option<Instance>,
-    backup: Option<BackupSet>,
-    stats: EngineStats,
-    next_dbwr_tick: SimTime,
-    managed_recovery: bool,
-    datafile_total: usize,
-    txn_floor: u64,
-    backups_taken: u32,
+    /// Behind a mutex only so that an image can be shared across campaign
+    /// workers: a server holds boxed observers, which are not `Sync`.
+    parked: Mutex<DbServer>,
     taken_at: SimTime,
 }
 
 impl DbSnapshot {
+    fn parked(&self) -> std::sync::MutexGuard<'_, DbServer> {
+        self.parked.lock().expect("forking a parked server does not panic")
+    }
+
     /// The simulated instant the snapshot was taken at. Restoring advances
     /// the clock here, so restored timelines line up with monolithic ones.
     pub fn taken_at(&self) -> SimTime {
@@ -64,26 +53,23 @@ impl DbSnapshot {
 
     /// Deterministic identity of the captured filesystem image.
     pub fn fs_id(&self) -> SnapshotId {
-        self.fs.id()
-    }
-
-    /// The server name the snapshot was captured from.
-    pub fn server_name(&self) -> &str {
-        &self.name
+        FsSnapshot::capture(&self.parked().fs.lock()).id()
     }
 }
 
 impl DbServer {
-    /// Captures the server's complete state at the current instant.
-    ///
-    /// The event sink and DML tap are *not* part of the snapshot: they are
-    /// run-scoped observers, and [`DbServer::stats`] folds derived counters
-    /// back in, so a restored server's stats window algebra matches a
-    /// monolithic run's.
-    pub fn snapshot(&self) -> DbSnapshot {
-        DbSnapshot {
+    /// An independent copy of this server as it stands, on `clock`, which
+    /// is advanced to this server's instant (never rewound). Every field is
+    /// copied — the literal below does not compile without one — except
+    /// the observers: the fork has no event subscribers and no DML tap.
+    pub fn fork(&self, clock: Arc<SimClock>) -> DbServer {
+        clock.advance_to(self.clock.now());
+        DbServer {
             name: self.name.clone(),
-            fs: FsSnapshot::capture(&self.fs.lock()),
+            clock,
+            // Blocks and append segments are refcounted `Bytes`: the clone
+            // shares every payload until either side writes.
+            fs: recobench_vfs::fs::shared(self.fs.lock().clone()),
             layout: self.layout.clone(),
             config: self.config.clone(),
             control: self.control.clone(),
@@ -95,40 +81,30 @@ impl DbServer {
             datafile_total: self.datafile_total,
             txn_floor: self.txn_floor,
             backups_taken: self.backups_taken,
+            sessions: self.sessions.clone(),
+            next_session: self.next_session,
+            lock_grants: self.lock_grants.clone(),
+            deferred_undo: self.deferred_undo.clone(),
+            events: self.events.fork(),
+            dml_tap: None,
+            #[cfg(any(test, feature = "sabotage"))]
+            sabotage_skip_redo: self.sabotage_skip_redo,
+        }
+    }
+
+    /// Captures the server's complete state at the current instant.
+    pub fn snapshot(&self) -> DbSnapshot {
+        DbSnapshot {
+            parked: Mutex::new(self.fork(SimClock::shared())),
             taken_at: self.clock.now(),
         }
     }
 
-    /// Boots a server from a snapshot: a copy-on-write clone of the
-    /// captured filesystem plus the captured instance, on `clock`. The
-    /// clock is advanced to the capture instant (never rewound), so all
-    /// subsequent timing matches a server that ran the setup itself.
+    /// Boots a server from a snapshot: a fork of the parked server on
+    /// `clock`, which lands on the capture instant, so all subsequent
+    /// timing matches the server the snapshot was taken from.
     pub fn from_snapshot(clock: Arc<SimClock>, snap: &DbSnapshot) -> DbServer {
-        clock.advance_to(snap.taken_at);
-        DbServer {
-            name: snap.name.clone(),
-            clock,
-            fs: recobench_vfs::fs::shared(snap.fs.materialize()),
-            layout: snap.layout.clone(),
-            config: snap.config.clone(),
-            control: snap.control.clone(),
-            inst: snap.inst.clone(),
-            backup: snap.backup.clone(),
-            stats: snap.stats,
-            next_dbwr_tick: snap.next_dbwr_tick,
-            managed_recovery: snap.managed_recovery,
-            datafile_total: snap.datafile_total,
-            txn_floor: snap.txn_floor,
-            backups_taken: snap.backups_taken,
-            sessions: std::collections::BTreeMap::new(),
-            next_session: 0,
-            lock_grants: Vec::new(),
-            deferred_undo: Vec::new(),
-            events: EventSink::new(4096),
-            dml_tap: None,
-            #[cfg(any(test, feature = "sabotage"))]
-            sabotage_skip_redo: 0,
-        }
+        snap.parked().fork(clock)
     }
 }
 
@@ -136,6 +112,8 @@ impl DbServer {
 mod tests {
     use super::*;
     use crate::catalog::IndexDef;
+    use crate::config::InstanceConfig;
+    use crate::layout::DiskLayout;
     use crate::row::{Row, Value};
 
     fn prepared() -> DbServer {
@@ -207,6 +185,83 @@ mod tests {
             (srv.clock().now(), srv.current_scn(), srv.stats(), srv.peek_scan(t).unwrap())
         };
         assert_eq!(run(), run(), "two clones of one snapshot are bit-for-bit replicas");
+    }
+
+    /// A server restored mid-run must go on counting where its source
+    /// stood: the event-derived half of `stats()` used to restart at zero,
+    /// so any stats window spanning the boot under-counted.
+    #[test]
+    fn restored_server_keeps_what_its_event_stream_counted() {
+        let config = InstanceConfig::builder().redo_file_bytes(32 * 1024).redo_groups(3).build();
+        let mut src =
+            DbServer::on_fresh_disks("SNAP", SimClock::shared(), DiskLayout::four_disk(), config);
+        src.create_database().unwrap();
+        src.create_user("u").unwrap();
+        src.create_tablespace("T", 2, 4096).unwrap();
+        let t = src
+            .create_table("KV", "u", "T", vec![IndexDef { name: "PK".into(), cols: vec![0], unique: true, ordered: true }])
+            .unwrap();
+        let holder = src.connect().unwrap();
+        let mut rid = None;
+        for k in 0..400u64 {
+            rid = Some(src.insert(holder, t, Row::new(vec![Value::U64(k), Value::from("payload")])).unwrap());
+            src.commit(holder).unwrap();
+        }
+        let rid = rid.unwrap();
+        let waiter = src.connect().unwrap();
+        src.update(holder, t, rid, Row::new(vec![Value::U64(399), Value::from("held")])).unwrap();
+        src.update(waiter, t, rid, Row::new(vec![Value::U64(399), Value::from("late")])).unwrap_err();
+        let counted = src.stats();
+        assert!(counted.log_switches >= 1, "400 commits must switch a 32 KB log");
+        assert_eq!(counted.lock_waits, 1);
+
+        let restored = DbServer::from_snapshot(SimClock::shared(), &src.snapshot());
+        assert_eq!(restored.stats(), counted);
+        assert_eq!(restored.events().dropped(), src.events().dropped());
+        assert_eq!(restored.events().to_jsonl("S"), src.events().to_jsonl("S"));
+    }
+
+    /// A fork taken while one session holds a row lock, a second is parked
+    /// in its wait queue and a third is mid-transaction: all three resume
+    /// in the fork exactly as in the server it was taken from — the same
+    /// grant at the same instant, the same commits in the same order.
+    #[test]
+    fn fork_taken_mid_lock_wait_resumes_like_its_source() {
+        let mut src = prepared();
+        let t = table_of(&src);
+        let row = |k: u64, v: &str| Row::new(vec![Value::U64(k), Value::from(v)]);
+        let rid = src.peek_lookup(t, 0, &[Value::U64(7)]).unwrap()[0];
+        let (holder, waiter, bystander) =
+            (src.connect().unwrap(), src.connect().unwrap(), src.connect().unwrap());
+        src.update(holder, t, rid, row(7, "held")).unwrap();
+        src.update(waiter, t, rid, row(7, "late")).unwrap_err();
+        src.insert(bystander, t, row(9_001, "in flight")).unwrap();
+
+        let mut fork = src.fork(SimClock::shared());
+        assert_eq!(fork.clock().now(), src.clock().now());
+        assert_eq!(fork.session_count(), 3, "connections are part of the fork");
+
+        let resume = |srv: &mut DbServer| {
+            srv.clock().advance(recobench_sim::SimDuration::from_millis(5));
+            srv.commit(holder).unwrap();
+            let grants = srv.take_lock_grants();
+            assert_eq!(grants.len(), 1, "the holder's commit wakes the parked waiter");
+            assert_eq!(grants[0].0, waiter);
+            srv.update(waiter, t, rid, row(7, "late")).unwrap();
+            let mut commits = vec![srv.current_scn()];
+            for s in [bystander, waiter] {
+                srv.commit(s).unwrap();
+                commits.push(srv.current_scn());
+            }
+            (grants, commits, srv.clock().now(), srv.stats(), srv.events().to_jsonl("S"), srv.peek_scan(t).unwrap())
+        };
+        // The fork goes first: whatever it writes must not reach the source.
+        let forked = resume(&mut fork);
+        let held = src.peek_scan(t).unwrap().into_iter().find(|(r, _)| *r == rid).unwrap().1;
+        assert_eq!(held, row(7, "held"), "the source is where it was");
+        assert_eq!(forked, resume(&mut src));
+        assert!(forked.4.contains("lock_acquired"), "the grant is on the event stream");
+        assert_eq!(forked.5.len(), 201);
     }
 
     #[test]

@@ -212,6 +212,24 @@ impl StandbyServer {
         })
     }
 
+    /// An independent copy of this stand-by on `clock`: its server forked
+    /// (see [`DbServer::fork`]), everything else cloned.
+    pub fn fork(&self, clock: Arc<SimClock>) -> StandbyServer {
+        StandbyServer {
+            server: self.server.fork(clock),
+            applied_seq: self.applied_seq,
+            apply_done_at: self.apply_done_at,
+            replayed: self.replayed.clone(),
+            activated: self.activated,
+            received: self.received.clone(),
+            ship_lag: self.ship_lag,
+            apply_delay: self.apply_delay,
+            corrupt_next_ship: self.corrupt_next_ship,
+            records_applied: self.records_applied,
+            archives_shipped: self.archives_shipped,
+        }
+    }
+
     /// The stand-by's server (DML is rejected until activation).
     pub fn server(&self) -> &DbServer {
         &self.server

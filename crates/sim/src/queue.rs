@@ -24,13 +24,13 @@ use crate::time::SimTime;
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(2), "late")));
 /// assert_eq!(q.pop(), None);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Entry<E> {
     at: SimTime,
     seq: u64,

@@ -165,7 +165,7 @@ pub struct MixCounts {
 
 /// One emulated terminal: its engine session, the transaction it is in the
 /// middle of (if any), and whether it is parked on a lock wait.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Terminal {
     sid: Option<SessionId>,
     inflight: Option<InFlight>,
@@ -184,8 +184,10 @@ enum StmtFate {
     Finished(StepEvent),
 }
 
-/// The terminal driver.
-#[derive(Debug)]
+/// The terminal driver. A clone is an independent driver in the same state
+/// — RNG position, ready queue, in-flight transactions, histories — for a
+/// forked run against a forked server.
+#[derive(Debug, Clone)]
 pub struct TpccDriver {
     schema: TpccSchema,
     cfg: DriverConfig,
