@@ -95,7 +95,16 @@ fn main() {
     });
 
     eprintln!("recovery_breakdown: mode={mode} cells={}", cells.len());
-    let outcomes = spec.run_all();
+    let report = spec.run();
+    // CI greps this line: a campaign that stops sharing must not pass quietly.
+    println!(
+        "campaign: templates built {}, template hits {}, prefixes built {}, prefix hits {}",
+        report.templates_built(),
+        report.template_hits(),
+        report.prefixes_built(),
+        report.prefix_hits()
+    );
+    let outcomes = report.expect_all();
 
     let mut rows: Vec<(String, RecoveryBreakdown)> = Vec::new();
     for (cell, o) in cells.iter().zip(&outcomes) {

@@ -3,7 +3,10 @@
 //! The paper injects 146 faults across its configurations; RecoBench runs
 //! each `(configuration, fault, trigger)` cell as an isolated experiment
 //! (own clock, own disks) so campaigns parallelize perfectly across
-//! threads. [`Campaign`] is the one way to run a set of experiments:
+//! threads — and, because the paper injects every fault at the same few
+//! instants of the same workload, mostly repeat each other up to the
+//! fault: what cells have in common is run once and forked (DESIGN.md §9).
+//! [`Campaign`] is the one way to run a set of experiments:
 //!
 //! ```no_run
 //! use recobench_core::{Campaign, Experiment, RecoveryConfig};
@@ -20,12 +23,13 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
-use recobench_engine::DbError;
+use recobench_engine::{DbError, DbResult};
+use recobench_sim::SimDuration;
 
-use crate::experiment::{Experiment, ExperimentOutcome, ExperimentTemplate};
+use crate::experiment::{Experiment, ExperimentOutcome, ExperimentTemplate, WarmStage};
 
 /// An experiment whose *setup* failed (the benchmark itself was
 /// misconfigured — injected faults and failed recoveries are outcomes,
@@ -86,9 +90,11 @@ impl fmt::Debug for Campaign {
 impl Campaign {
     /// A campaign over `experiments`, defaulting to one worker per
     /// available core and no progress reporting. Cells with equal
-    /// [`Experiment::template_key`]s share one setup template — built
-    /// once, booted per cell from a copy-on-write clone; outcomes are
-    /// byte-identical to [`Experiment::run`] per cell (regression-tested).
+    /// [`Experiment::template_key`]s share one setup template, and those
+    /// that also agree on everything else before their fault and on its
+    /// instant share one warm stage — each built once and forked per
+    /// cell, copy-on-write; outcomes are byte-identical to
+    /// [`Experiment::run`] per cell (regression-tested).
     pub fn new(experiments: Vec<Experiment>) -> Self {
         Campaign { experiments, threads: 0, progress: None }
     }
@@ -120,6 +126,9 @@ impl Campaign {
     }
 
     /// Runs every experiment and collects the results **in input order**.
+    /// Execution order is the [`Plan`]'s: cells that share a warm stage
+    /// run back to back, so that no more than one stage per worker is
+    /// alive at a time.
     pub fn run(self) -> CampaignReport {
         let workers = if self.threads == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
@@ -129,45 +138,19 @@ impl Campaign {
         let n = self.experiments.len();
         let next = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
-        let hits = AtomicUsize::new(0);
-        let built = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<Result<ExperimentOutcome, CampaignError>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
         let experiments = &self.experiments;
         let progress = self.progress.as_deref();
-        // Template registry, shared across workers: the first cell to need
-        // a key builds its template inside the `OnceLock` (concurrent
-        // requesters block on it, everyone else proceeds), later cells
-        // reuse the finished `Arc`.
-        type TemplateSlot = Arc<OnceLock<Result<Arc<ExperimentTemplate>, DbError>>>;
-        let registry: Mutex<BTreeMap<String, TemplateSlot>> = Mutex::new(BTreeMap::new());
+        let plan = Plan::of(experiments);
 
         std::thread::scope(|scope| {
             for _ in 0..workers.min(n.max(1)) {
                 scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
+                    let turn = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&i) = plan.order.get(turn) else { break };
                     let exp = &experiments[i];
-                    let slot = {
-                        let mut reg = registry.lock().unwrap();
-                        Arc::clone(reg.entry(exp.template_key()).or_default())
-                    };
-                    let mut was_built = false;
-                    let template = slot.get_or_init(|| {
-                        was_built = true;
-                        built.fetch_add(1, Ordering::Relaxed);
-                        exp.build_template().map(Arc::new)
-                    });
-                    if !was_built {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let run = match template {
-                        Ok(t) => exp.run_with_template(t),
-                        Err(e) => Err(e.clone()),
-                    };
-                    let result = run.map_err(|error| CampaignError {
+                    let result = plan.run_cell(i, exp).map_err(|error| CampaignError {
                         index: i,
                         config: exp.config().name.clone(),
                         error,
@@ -182,14 +165,180 @@ impl Campaign {
             }
         });
 
+        let Tally { templates_built, prefixes_built, prefix_sim_micros } = plan.tally;
+        let (templates_built, prefixes_built) =
+            (templates_built.into_inner(), prefixes_built.into_inner());
         CampaignReport {
             results: slots
                 .into_iter()
                 .map(|s| s.into_inner().unwrap().expect("every slot filled"))
                 .collect(),
-            template_hits: hits.into_inner(),
-            templates_built: built.into_inner(),
+            // Whoever built an artefact, every other cell under it was
+            // spared the work.
+            template_hits: n - templates_built,
+            templates_built,
+            prefix_hits: plan.staged - prefixes_built,
+            prefixes_built,
+            prefix_sim_secs: prefix_sim_micros.into_inner() as f64 / 1e6,
         }
+    }
+}
+
+/// What a campaign builds once and shares: a setup template, or a warm
+/// stage grown from one.
+#[derive(Clone)]
+enum Artefact {
+    Template(Arc<ExperimentTemplate>),
+    Stage(Arc<WarmStage>),
+}
+
+/// One shared artefact, the one it is built from, and how many users are
+/// still to come: the cells that run from it and the artefacts built from
+/// it, counted up front so that the last one takes it away.
+struct Node {
+    /// `None` for a setup template, which is built from nothing; the
+    /// template or the earlier stage for a warm stage.
+    parent: Option<usize>,
+    /// A warm stage's instant, as an offset from workload start.
+    at: SimDuration,
+    state: Mutex<NodeState>,
+}
+
+struct NodeState {
+    users: usize,
+    built: Option<Result<Artefact, DbError>>,
+}
+
+/// What the workers count as they build.
+#[derive(Default)]
+struct Tally {
+    templates_built: AtomicUsize,
+    prefixes_built: AtomicUsize,
+    prefix_sim_micros: AtomicU64,
+}
+
+/// What a campaign shares and in which order it runs, worked out before
+/// the first cell starts.
+///
+/// The artefacts form a forest: each setup template a root, under it one
+/// chain of warm stages per prefix identity, each stage the previous one
+/// run on to a later fault instant. A cell runs from the stage at its own
+/// fault instant, or from the template when it has no fault-free prefix to
+/// share (no fault, or one due after the end of the run).
+///
+/// Cells run ordered by template (in order of first appearance), those
+/// without a stage first, then by prefix identity (likewise), fault
+/// instant and input index. That makes the users of every artefact
+/// consecutive turns — a template is dropped as soon as its last chain has
+/// left it, a stage when its last cell has forked it and the next instant
+/// of its chain has been built from it — so a worker keeps one stage
+/// alive, not one per group.
+struct Plan {
+    order: Vec<usize>,
+    /// The artefact each cell runs from.
+    cell_node: Vec<usize>,
+    /// How many cells run from a warm stage.
+    staged: usize,
+    nodes: Vec<Node>,
+    tally: Tally,
+}
+
+impl Plan {
+    fn of(experiments: &[Experiment]) -> Plan {
+        fn first_seen(seen: &mut BTreeMap<String, usize>, key: String) -> usize {
+            let next = seen.len();
+            *seen.entry(key).or_insert(next)
+        }
+        let (mut templates, mut chains) = (BTreeMap::new(), BTreeMap::new());
+        let keys: Vec<(usize, Option<(usize, SimDuration)>)> = experiments
+            .iter()
+            .map(|exp| {
+                let template = first_seen(&mut templates, exp.template_key());
+                let chain = first_seen(&mut chains, exp.prefix_key());
+                (template, exp.prefix().map(|at| (chain, at)))
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..experiments.len()).collect();
+        order.sort_by_key(|&i| (keys[i], i));
+
+        // (parent, instant, users); the templates come first, so a
+        // template's index is its node's.
+        let mut nodes = vec![(None, SimDuration::ZERO, 0); templates.len()];
+        let mut cell_node = vec![0; experiments.len()];
+        let mut last_stage: Option<(usize, SimDuration, usize)> = None;
+        for &i in &order {
+            let (template, staged) = keys[i];
+            let node = match (staged, last_stage) {
+                (None, _) => template,
+                (Some((chain, at)), Some((c, a, node))) if (c, a) == (chain, at) => node,
+                (Some((chain, at)), last) => {
+                    let parent = last.filter(|l| l.0 == chain).map_or(template, |l| l.2);
+                    nodes[parent].2 += 1;
+                    nodes.push((Some(parent), at, 0));
+                    last_stage = Some((chain, at, nodes.len() - 1));
+                    nodes.len() - 1
+                }
+            };
+            nodes[node].2 += 1;
+            cell_node[i] = node;
+        }
+        Plan {
+            order,
+            cell_node,
+            staged: keys.iter().filter(|(_, staged)| staged.is_some()).count(),
+            nodes: nodes
+                .into_iter()
+                .map(|(parent, at, users)| Node {
+                    parent,
+                    at,
+                    state: Mutex::new(NodeState { users, built: None }),
+                })
+                .collect(),
+            tally: Tally::default(),
+        }
+    }
+
+    /// Runs cell `i` from its artefact.
+    fn run_cell(&self, i: usize, exp: &Experiment) -> DbResult<ExperimentOutcome> {
+        match self.claim(self.cell_node[i], exp)? {
+            Artefact::Template(template) => exp.run_with_template(&template),
+            Artefact::Stage(stage) => exp.run_from(stage),
+        }
+    }
+
+    /// One user's claim on artefact `node`. The first user builds it while
+    /// holding the node's lock, so concurrent users wait for the one
+    /// build; a failed build is kept and handed to all of them. The last
+    /// user takes the artefact out of the plan, so it is dropped — or, a
+    /// warm stage, run on as it is — the moment nobody needs it. `exp` is
+    /// any cell under the node.
+    fn claim(&self, node: usize, exp: &Experiment) -> Result<Artefact, DbError> {
+        let mut state =
+            self.nodes[node].state.lock().expect("a worker panicked building a shared artefact");
+        if state.built.is_none() {
+            state.built = Some(self.build(node, exp));
+        }
+        state.users -= 1;
+        let artefact = if state.users == 0 { state.built.take() } else { state.built.clone() };
+        artefact.expect("built above, and taken only by the last user")
+    }
+
+    /// Builds artefact `node`: a setup template from nothing, a warm stage
+    /// from a claim on its parent.
+    fn build(&self, node: usize, exp: &Experiment) -> Result<Artefact, DbError> {
+        let Node { parent, at, .. } = self.nodes[node];
+        let Some(parent) = parent else {
+            self.tally.templates_built.fetch_add(1, Ordering::Relaxed);
+            return exp.build_template().map(|t| Artefact::Template(Arc::new(t)));
+        };
+        self.tally.prefixes_built.fetch_add(1, Ordering::Relaxed);
+        let ran = at.saturating_sub(self.nodes[parent].at).as_micros();
+        self.tally.prefix_sim_micros.fetch_add(ran, Ordering::Relaxed);
+        let stage = match self.claim(parent, exp)? {
+            Artefact::Template(template) => exp.warm_stage(&template, at),
+            Artefact::Stage(earlier) => WarmStage::extended(earlier, at),
+        };
+        stage.map(|s| Artefact::Stage(Arc::new(s)))
     }
 }
 
@@ -199,6 +348,9 @@ pub struct CampaignReport {
     results: Vec<Result<ExperimentOutcome, CampaignError>>,
     template_hits: usize,
     templates_built: usize,
+    prefix_hits: usize,
+    prefixes_built: usize,
+    prefix_sim_secs: f64,
 }
 
 impl CampaignReport {
@@ -207,7 +359,8 @@ impl CampaignReport {
         self.results.len()
     }
 
-    /// Cells that reused an already-built setup template.
+    /// Cells that did not have to build their setup template: they booted
+    /// from one already built, or forked a warm stage grown from it.
     pub fn template_hits(&self) -> usize {
         self.template_hits
     }
@@ -215,6 +368,25 @@ impl CampaignReport {
     /// Distinct setup templates built.
     pub fn templates_built(&self) -> usize {
         self.templates_built
+    }
+
+    /// Cells that resumed a warm stage some other cell had built, instead
+    /// of running their fault-free prefix.
+    pub fn prefix_hits(&self) -> usize {
+        self.prefix_hits
+    }
+
+    /// Warm stages built: one per group of cells that agree on everything
+    /// before the fault and on its instant.
+    pub fn prefixes_built(&self) -> usize {
+        self.prefixes_built
+    }
+
+    /// Simulated seconds of fault-free workload run to build the warm
+    /// stages. A stage that extends an earlier one counts only the
+    /// extension.
+    pub fn prefix_sim_secs(&self) -> f64 {
+        self.prefix_sim_secs
     }
 
     /// Whether the campaign was empty.
@@ -318,14 +490,16 @@ mod tests {
 
     /// The determinism contract of DESIGN.md §9: per-cell outcomes are a
     /// pure function of the experiment definition — not of the thread
-    /// count, not of the order the cells were handed in, and not of
-    /// whether setup ran fresh or replayed from a shared snapshot template.
+    /// count, not of the order the cells were handed in (the campaign runs
+    /// them grouped, whatever that order was), and not of whether setup and
+    /// the fault-free prefix ran fresh or were forked from a shared stage.
     #[test]
     fn outcomes_are_identical_across_threads_and_templating() {
         let cells = || {
             vec![
                 // Three cells sharing one template key (same config, scale,
-                // seed) but differing in fault — the sharing-sensitive case.
+                // seed): one without a prefix to share, two that fault at
+                // the same instant and fork one warm stage.
                 mk("F10G3T5", None),
                 mk("F10G3T5", Some(FaultType::ShutdownAbort)),
                 mk("F10G3T5", Some(FaultType::DeleteDatafile)),
@@ -340,12 +514,12 @@ mod tests {
                     .build(),
             ]
         };
-        // `Experiment::run` builds its own setup per cell: the untemplated
-        // reference.
+        // `Experiment::run` builds its own setup per cell and runs prefix
+        // and tail on one rig: the unshared, unforked reference.
         let baseline: Vec<_> = cells().iter().map(|c| c.run().unwrap()).collect();
         for threads in [1, 4] {
-            // Input order as written, then shuffled so that the two faulted
-            // F10G3T5 cells are apart and out of fault order.
+            // Input order as written, then shuffled so that the two cells
+            // of the shared stage are apart and out of fault order.
             for order in [[0, 1, 2, 3], [2, 3, 0, 1]] {
                 let mut input: Vec<Option<Experiment>> = cells().into_iter().map(Some).collect();
                 let report = Campaign::new(order.iter().map(|&i| input[i].take().unwrap()).collect())
@@ -353,19 +527,22 @@ mod tests {
                     .run();
                 assert_eq!(report.templates_built(), 2, "two distinct keys");
                 assert_eq!(report.template_hits(), 2, "two cells reused one");
+                assert_eq!(report.prefixes_built(), 2, "one stage per key");
+                assert_eq!(report.prefix_hits(), 1, "the second F10G3T5 fault forked the first's");
                 let expected: Vec<_> = order.iter().map(|&i| baseline[i].clone()).collect();
                 assert_eq!(
                     report.expect_all(),
                     expected,
-                    "threads={threads} order={order:?}: shared templates must replay \
-                     byte-identically, in input order"
+                    "threads={threads} order={order:?}: shared stages must replay byte-identically, \
+                     in input order"
                 );
             }
         }
     }
 
-    /// The paper's three injection instants in one campaign: every cell
-    /// equals its lone run — also the one whose fault never fires.
+    /// The paper's three injection instants as one chain: each later stage
+    /// is the earlier one run on, not a fresh start, and every cell still
+    /// equals its lone run — also the ones with nothing to share.
     #[test]
     fn a_three_trigger_campaign_extends_its_stages() {
         let cell = |fault, trigger: u64, duration: u64| {
@@ -386,7 +563,7 @@ mod tests {
                     cells.push(cell(fault, trigger, trigger + 90));
                 }
             }
-            // Due after the end of the run: never fires.
+            // Due after the end of the run: never fires, shares nothing.
             cells.push(cell(FaultType::ShutdownAbort, 500, 150));
             cells
         };
@@ -395,6 +572,12 @@ mod tests {
         for threads in [1, 3] {
             let report = Campaign::new(cells()).threads(threads).run();
             assert_eq!((report.templates_built(), report.template_hits()), (1, 6));
+            assert_eq!((report.prefixes_built(), report.prefix_hits()), (3, 3));
+            assert_eq!(
+                report.prefix_sim_secs(),
+                180.0,
+                "60 s, then 60 -> 120 s and 120 -> 180 s; three fresh starts would be 360"
+            );
             assert_eq!(report.expect_all(), baseline, "threads={threads}");
         }
     }

@@ -7,13 +7,16 @@
 //! keeps submitting transactions until the 20 simulated minutes are over;
 //! then the measures are evaluated.
 
+use recobench_engine::stats::EngineStats;
 use recobench_engine::{
     DbResult, DbServer, DbSnapshot, DiskLayout, EngineEvent, FailoverPolicy, RecoveryPhase,
     ReplicaSet, ReplicaTopology,
 };
 use recobench_faults::{FaultInjector, FaultPlan, FaultType};
 use recobench_sim::{SimClock, SimDuration, SimTime};
-use recobench_tpcc::{check_consistency, AvailabilityTimeline, DriverConfig, TpccScale};
+use recobench_tpcc::{
+    check_consistency, AvailabilityTimeline, DriverConfig, TpccScale, TpccSchema,
+};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
 
@@ -91,7 +94,7 @@ fn observe(
 #[derive(Debug)]
 pub struct ExperimentTemplate {
     snapshot: DbSnapshot,
-    schema: recobench_tpcc::TpccSchema,
+    schema: TpccSchema,
     setup_jsonl: String,
     key: String,
 }
@@ -100,6 +103,89 @@ impl ExperimentTemplate {
     /// The setup-identity key this template was built for.
     pub fn key(&self) -> &str {
         &self.key
+    }
+}
+
+/// A measured phase in progress: the rig, and what its observers have
+/// collected since set-up.
+#[derive(Debug)]
+struct Stage {
+    rig: Rig,
+    schema: TpccSchema,
+    spans: SpanLog,
+    jsonl: Option<Arc<Mutex<String>>>,
+    /// The primary's counters at workload start.
+    stats0: EngineStats,
+}
+
+impl Stage {
+    /// Subscribes the measured phase's observers on every node `rig` has
+    /// or later creates.
+    fn watch(rig: &mut Rig, spans: &SpanLog, jsonl: Option<&Arc<Mutex<String>>>) {
+        let (spans, jsonl) = (Arc::clone(spans), jsonl.cloned());
+        rig.observe(Box::new(move |server, name| {
+            observe(server, name, Some(&spans), jsonl.as_ref());
+        }));
+    }
+
+    /// Runs the fault-free workload on to `at` after workload start (see
+    /// [`Rig::run_until`]: the stage stays resumable and forkable).
+    fn advance(&mut self, at: SimDuration) -> DbResult<()> {
+        let until = self.rig.t0 + at;
+        self.rig.run_until(until, |_| Ok(false))
+    }
+
+    /// An independent copy of the run so far (see [`Rig::fork`]), with its
+    /// own observers continuing copies of the span log and JSONL text.
+    fn fork(&self) -> Stage {
+        let spans: SpanLog = Arc::new(Mutex::new(self.spans.lock().unwrap().clone()));
+        let jsonl =
+            self.jsonl.as_ref().map(|buf| Arc::new(Mutex::new(buf.lock().unwrap().clone())));
+        let mut rig = self.rig.fork();
+        Stage::watch(&mut rig, &spans, jsonl.as_ref());
+        Stage { rig, schema: self.schema, spans, jsonl, stats0: self.stats0 }
+    }
+}
+
+/// A warm stage: a measured phase parked at the end of a fault-free
+/// prefix, from which every cell with the same [`Experiment::prefix_key`]
+/// and a fault at that instant or later can fork instead of re-running the
+/// prefix. Built by [`Experiment::warm_stage`] or from an earlier stage by
+/// [`WarmStage::extended`], consumed by [`Experiment::run_from`];
+/// [`Campaign`](crate::Campaign) keeps one per group of cells.
+#[derive(Debug)]
+pub(crate) struct WarmStage {
+    /// Behind a mutex only so that campaign workers can share it (a rig
+    /// holds boxed observers, which are not `Sync`): a parked stage is
+    /// forked, or taken by its last holder, never run where it stands.
+    parked: Mutex<Stage>,
+}
+
+impl WarmStage {
+    fn park(stage: Stage) -> WarmStage {
+        WarmStage { parked: Mutex::new(stage) }
+    }
+
+    /// A fork of the parked stage — or, for its last holder, the stage
+    /// itself: whoever comes last needs no copy.
+    fn resume(this: Arc<WarmStage>) -> Stage {
+        const INTACT: &str = "forking a parked stage does not panic";
+        match Arc::try_unwrap(this) {
+            Ok(last) => last.parked.into_inner().expect(INTACT),
+            Err(shared) => shared.parked.lock().expect(INTACT).fork(),
+        }
+    }
+
+    /// The stage of the same prefix identity at the later instant `at`
+    /// after workload start: this one resumed and run on.
+    ///
+    /// # Errors
+    ///
+    /// As [`Experiment::run`].
+    pub(crate) fn extended(this: Arc<WarmStage>, at: SimDuration) -> DbResult<WarmStage> {
+        let mut stage = WarmStage::resume(this);
+        stage.advance(at)?;
+        Ok(WarmStage::park(stage))
     }
 }
 
@@ -256,12 +342,36 @@ impl Experiment {
         Ok(ExperimentTemplate { snapshot, schema, setup_jsonl, key: self.template_key() })
     }
 
-    /// Runs the measured phase from a pre-built setup template.
-    ///
-    /// # Errors
-    ///
-    /// As [`Experiment::run`].
-    pub fn run_with_template(&self, template: &ExperimentTemplate) -> DbResult<ExperimentOutcome> {
+    /// Identity of this experiment's fault-free prefix: cells whose keys
+    /// match run byte-identical measured phases up to the earlier of their
+    /// fault instants ([`Experiment::prefix`]) and may share
+    /// [`WarmStage`]s. On top of the set-up identity it names everything
+    /// that shapes the workload before a fault: terminals and their
+    /// pacing, the replica set and its controller, and whether events are
+    /// being captured. Fault, second fault and duration are excluded —
+    /// they only shape what follows the prefix.
+    pub(crate) fn prefix_key(&self) -> String {
+        format!(
+            "{}|{:?}|{:?}|{:?}|events={}",
+            self.template_key(),
+            self.driver_cfg,
+            self.topology,
+            self.policy,
+            self.capture_events,
+        )
+    }
+
+    /// Where this experiment's fault-free prefix ends, as an offset from
+    /// workload start: the trigger of a fault that fires within the run.
+    /// `None` when no fault ever fires — there is no prefix to share, the
+    /// whole run is the tail.
+    pub(crate) fn prefix(&self) -> Option<SimDuration> {
+        self.fault.as_ref().map(|plan| plan.trigger_after).filter(|at| *at <= self.duration)
+    }
+
+    /// Boots the measured phase from a setup template: the rig assembled
+    /// and observed, at workload start.
+    fn boot(&self, template: &ExperimentTemplate) -> DbResult<Stage> {
         debug_assert_eq!(template.key, self.template_key(), "template/experiment mismatch");
         let spans: SpanLog = Arc::default();
         let jsonl: Option<Arc<Mutex<String>>> =
@@ -269,25 +379,72 @@ impl Experiment {
         // Boot from the snapshot: the clock lands on the capture instant,
         // so everything downstream is byte-identical to a monolithic run.
         let primary = DbServer::from_snapshot(SimClock::shared(), &template.snapshot);
-        let schema = template.schema;
         let mut rig = Rig::assemble(
             primary,
-            schema,
+            template.schema,
             &self.topology,
             self.policy,
             self.driver_cfg,
             self.seed,
             self.duration,
         )?;
-        {
-            let spans = Arc::clone(&spans);
-            let jsonl = jsonl.clone();
-            rig.observe(Box::new(move |server, name| {
-                observe(server, name, Some(&spans), jsonl.as_ref());
-            }));
-        }
-        let (t0, end) = (rig.t0, rig.end);
+        Stage::watch(&mut rig, &spans, jsonl.as_ref());
         let stats0 = rig.primary.stats();
+        Ok(Stage { rig, schema: template.schema, spans, jsonl, stats0 })
+    }
+
+    /// Builds the warm stage `at` after workload start for this
+    /// experiment's prefix identity, from the start of the workload on
+    /// `template`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Experiment::run`].
+    pub(crate) fn warm_stage(
+        &self,
+        template: &ExperimentTemplate,
+        at: SimDuration,
+    ) -> DbResult<WarmStage> {
+        let mut stage = self.boot(template)?;
+        stage.advance(at)?;
+        Ok(WarmStage::park(stage))
+    }
+
+    /// Runs the measured phase from a pre-built setup template: the
+    /// fault-free prefix up to the instant the fault is due, then the
+    /// tail. This is the reference every forked cell must equal — the same
+    /// two steps on one rig, with no fork between them.
+    ///
+    /// # Errors
+    ///
+    /// As [`Experiment::run`].
+    pub fn run_with_template(&self, template: &ExperimentTemplate) -> DbResult<ExperimentOutcome> {
+        let mut stage = self.boot(template)?;
+        if let Some(at) = self.prefix() {
+            stage.advance(at)?;
+        }
+        self.finish(stage)
+    }
+
+    /// Runs the tail of the measured phase from `warm` (see
+    /// [`WarmStage::resume`]), which must be a stage of this experiment's
+    /// [`Experiment::prefix_key`] at its [`Experiment::prefix`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Experiment::run`].
+    pub(crate) fn run_from(&self, warm: Arc<WarmStage>) -> DbResult<ExperimentOutcome> {
+        let mut stage = WarmStage::resume(warm);
+        // The stage may have been built by a cell of another length.
+        stage.rig.end = stage.rig.t0 + self.duration;
+        self.finish(stage)
+    }
+
+    /// The tail: drives `stage` to the end of the run under the fault
+    /// policy and evaluates the measures.
+    fn finish(&self, stage: Stage) -> DbResult<ExperimentOutcome> {
+        let Stage { mut rig, schema, spans, jsonl, stats0 } = stage;
+        let (t0, end) = (rig.t0, rig.end);
 
         let injector = self.fault.clone().map(FaultInjector::new);
         let mut faulted = Faulted::default();

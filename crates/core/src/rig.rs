@@ -128,6 +128,24 @@ impl Rig {
         Ok(Rig { clock, primary, replicas, driver, t0, end: t0 + duration, trail: Vec::new() })
     }
 
+    /// An independent copy of the run as it stands, on a clock of its own
+    /// at the same instant: every node forked (see [`DbServer::fork`]), the
+    /// terminals cloned mid-flight. Nothing the copy does reaches this rig
+    /// or another copy. Observers are not carried; the copy's driver calls
+    /// [`Rig::observe`] with its own.
+    pub fn fork(&self) -> Rig {
+        let clock = SimClock::shared();
+        Rig {
+            primary: self.primary.fork(Arc::clone(&clock)),
+            replicas: self.replicas.as_ref().map(|rs| rs.fork(Arc::clone(&clock))),
+            clock,
+            driver: self.driver.clone(),
+            t0: self.t0,
+            end: self.end,
+            trail: self.trail.clone(),
+        }
+    }
+
     /// Installs `observer` on the primary now and on every stand-by the
     /// replica set has or later creates (resync, failback).
     pub fn observe(&mut self, mut observer: ReplicaObserver) {
@@ -223,26 +241,47 @@ impl Rig {
         Ok((killed, self.failover()))
     }
 
-    /// Drives the run to its end. Each turn asks `fire_due` whether the
-    /// policy has a fault due before the next client step (it injects,
-    /// recovers and answers `true`); otherwise the terminals step. Ends by
-    /// draining in-flight terminals: an uncommitted transaction or a
-    /// parked lock wait must not shadow what the caller evaluates next.
+    /// The run loop, up to `until` and no further. Each turn asks
+    /// `fire_due` whether the policy has a fault due before the next
+    /// client step (it injects, recovers and answers `true`); otherwise the
+    /// terminals step. Stops at the top of the first turn on which the
+    /// clock or the next ready terminal has reached `until`, leaving
+    /// everything as that turn found it — the clock is *not* moved up to
+    /// `until` and no terminal is drained — so a later call with a later
+    /// instant (or [`Rig::run`]) goes on exactly as one uninterrupted call
+    /// would have, and so does a [`Rig::fork`] taken in between.
     ///
     /// # Errors
     ///
     /// Propagates `fire_due` and shipping errors.
-    pub fn run(&mut self, mut fire_due: impl FnMut(&mut Rig) -> DbResult<bool>) -> DbResult<()> {
-        while self.clock.now() < self.end {
+    pub fn run_until(
+        &mut self,
+        until: SimTime,
+        mut fire_due: impl FnMut(&mut Rig) -> DbResult<bool>,
+    ) -> DbResult<()> {
+        while self.clock.now() < until {
             if fire_due(self)? {
                 continue;
             }
-            if self.driver.next_ready() >= self.end {
-                self.clock.advance_to(self.end);
+            if self.driver.next_ready() >= until {
                 break;
             }
             self.step()?;
         }
+        Ok(())
+    }
+
+    /// Drives the run to its end: [`Rig::run_until`] the end of the
+    /// window, then the in-flight terminals are drained — an uncommitted
+    /// transaction or a parked lock wait must not shadow what the caller
+    /// evaluates next.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `fire_due` and shipping errors.
+    pub fn run(&mut self, fire_due: impl FnMut(&mut Rig) -> DbResult<bool>) -> DbResult<()> {
+        self.run_until(self.end, fire_due)?;
+        self.clock.advance_to(self.end);
         let active = serving(&mut self.primary, self.replicas.as_mut());
         self.driver.quiesce(active);
         Ok(())
