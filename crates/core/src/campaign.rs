@@ -128,7 +128,8 @@ impl Campaign {
     /// Runs every experiment and collects the results **in input order**.
     /// Execution order is the [`Plan`]'s: cells that share a warm stage
     /// run back to back, so that no more than one stage per worker is
-    /// alive at a time.
+    /// alive at a time. With one worker the cells run on the calling
+    /// thread.
     pub fn run(self) -> CampaignReport {
         let workers = if self.threads == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
@@ -144,42 +145,52 @@ impl Campaign {
         let progress = self.progress.as_deref();
         let plan = Plan::of(experiments);
 
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(n.max(1)) {
-                scope.spawn(|| loop {
-                    let turn = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = plan.order.get(turn) else { break };
-                    let exp = &experiments[i];
-                    let result = plan.run_cell(i, exp).map_err(|error| CampaignError {
-                        index: i,
-                        config: exp.config().name.clone(),
-                        error,
-                    });
-                    let ok = result.is_ok();
-                    *slots[i].lock().unwrap() = Some(result);
-                    let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if let Some(cb) = progress {
-                        cb(CampaignProgress { completed, total: n, index: i, ok });
-                    }
-                });
+        let worker = || loop {
+            let turn = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&i) = plan.order.get(turn) else { break };
+            let exp = &experiments[i];
+            let result = plan.run_cell(i, exp).map_err(|error| CampaignError {
+                index: i,
+                config: exp.config().name.clone(),
+                error,
+            });
+            let ok = result.is_ok();
+            *slots[i].lock().unwrap() = Some(result);
+            let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
+            if let Some(cb) = progress {
+                cb(CampaignProgress { completed, total: n, index: i, ok });
             }
-        });
+        };
+        // One worker is the caller: a spawned thread allocates from a
+        // malloc arena of its own and cannot reuse what the caller's has
+        // free, which on the 51-cell mini campaign costs a third of the
+        // process's peak RSS.
+        if workers.min(n) <= 1 {
+            worker();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..workers.min(n) {
+                    scope.spawn(worker);
+                }
+            });
+        }
 
         let Tally { templates_built, prefixes_built, prefix_sim_micros } = plan.tally;
         let (templates_built, prefixes_built) =
             (templates_built.into_inner(), prefixes_built.into_inner());
+        let staged = plan.cell_node.iter().filter(|&&node| plan.nodes[node].parent.is_some());
         CampaignReport {
-            results: slots
-                .into_iter()
-                .map(|s| s.into_inner().unwrap().expect("every slot filled"))
-                .collect(),
             // Whoever built an artefact, every other cell under it was
             // spared the work.
             template_hits: n - templates_built,
             templates_built,
-            prefix_hits: plan.staged - prefixes_built,
+            prefix_hits: staged.count() - prefixes_built,
             prefixes_built,
             prefix_sim_secs: prefix_sim_micros.into_inner() as f64 / 1e6,
+            results: slots
+                .into_iter()
+                .map(|s| s.into_inner().unwrap().expect("every slot filled"))
+                .collect(),
         }
     }
 }
@@ -192,24 +203,33 @@ enum Artefact {
     Stage(Arc<WarmStage>),
 }
 
-/// One shared artefact, the one it is built from, and how many users are
-/// still to come: the cells that run from it and the artefacts built from
-/// it, counted up front so that the last one takes it away.
+/// One shared artefact, the one it is built from, and how many users it
+/// has: the cells that run from it and the artefacts built from it,
+/// counted up front so that the last one to come takes it away.
 struct Node {
     /// `None` for a setup template, which is built from nothing; the
     /// template or the earlier stage for a warm stage.
     parent: Option<usize>,
     /// A warm stage's instant, as an offset from workload start.
     at: SimDuration,
+    users: usize,
     state: Mutex<NodeState>,
 }
 
+#[derive(Default)]
 struct NodeState {
-    users: usize,
+    claims: usize,
     built: Option<Result<Artefact, DbError>>,
 }
 
-/// What the workers count as they build.
+impl Node {
+    fn new(parent: Option<usize>, at: SimDuration) -> Node {
+        Node { parent, at, users: 0, state: Mutex::default() }
+    }
+}
+
+/// What the workers count as they build — the work really done, not what
+/// the plan says it should be.
 #[derive(Default)]
 struct Tally {
     templates_built: AtomicUsize,
@@ -237,8 +257,6 @@ struct Plan {
     order: Vec<usize>,
     /// The artefact each cell runs from.
     cell_node: Vec<usize>,
-    /// How many cells run from a warm stage.
-    staged: usize,
     nodes: Vec<Node>,
     tally: Tally,
 }
@@ -261,10 +279,11 @@ impl Plan {
         let mut order: Vec<usize> = (0..experiments.len()).collect();
         order.sort_by_key(|&i| (keys[i], i));
 
-        // (parent, instant, users); the templates come first, so a
-        // template's index is its node's.
-        let mut nodes = vec![(None, SimDuration::ZERO, 0); templates.len()];
+        // The templates come first, so a template's index is its node's.
+        let mut nodes: Vec<Node> =
+            (0..templates.len()).map(|_| Node::new(None, SimDuration::ZERO)).collect();
         let mut cell_node = vec![0; experiments.len()];
+        // The stage node pushed last, with its chain and instant.
         let mut last_stage: Option<(usize, SimDuration, usize)> = None;
         for &i in &order {
             let (template, staged) = keys[i];
@@ -273,29 +292,16 @@ impl Plan {
                 (Some((chain, at)), Some((c, a, node))) if (c, a) == (chain, at) => node,
                 (Some((chain, at)), last) => {
                     let parent = last.filter(|l| l.0 == chain).map_or(template, |l| l.2);
-                    nodes[parent].2 += 1;
-                    nodes.push((Some(parent), at, 0));
+                    nodes[parent].users += 1;
+                    nodes.push(Node::new(Some(parent), at));
                     last_stage = Some((chain, at, nodes.len() - 1));
                     nodes.len() - 1
                 }
             };
-            nodes[node].2 += 1;
+            nodes[node].users += 1;
             cell_node[i] = node;
         }
-        Plan {
-            order,
-            cell_node,
-            staged: keys.iter().filter(|(_, staged)| staged.is_some()).count(),
-            nodes: nodes
-                .into_iter()
-                .map(|(parent, at, users)| Node {
-                    parent,
-                    at,
-                    state: Mutex::new(NodeState { users, built: None }),
-                })
-                .collect(),
-            tally: Tally::default(),
-        }
+        Plan { order, cell_node, nodes, tally: Tally::default() }
     }
 
     /// Runs cell `i` from its artefact.
@@ -313,14 +319,15 @@ impl Plan {
     /// warm stage, run on as it is — the moment nobody needs it. `exp` is
     /// any cell under the node.
     fn claim(&self, node: usize, exp: &Experiment) -> Result<Artefact, DbError> {
+        let users = self.nodes[node].users;
         let mut state =
             self.nodes[node].state.lock().expect("a worker panicked building a shared artefact");
-        if state.built.is_none() {
+        if state.claims == 0 {
             state.built = Some(self.build(node, exp));
         }
-        state.users -= 1;
-        let artefact = if state.users == 0 { state.built.take() } else { state.built.clone() };
-        artefact.expect("built above, and taken only by the last user")
+        state.claims += 1;
+        let artefact = if state.claims == users { state.built.take() } else { state.built.clone() };
+        artefact.expect("built by the first claim, taken only by the last")
     }
 
     /// Builds artefact `node`: a setup template from nothing, a warm stage

@@ -136,11 +136,11 @@ proptest! {
     ) {
         let terminals = if eight_terminals { 8 } else { 1 };
         let secs = fork_secs + TAIL_SECS;
-        let crash_at = |rig: &Rig| rig.t0 + SimDuration::from_secs(fork_secs + 5);
 
-        // The reference: one rig, never interrupted, never forked.
+        // The reference: one rig, never interrupted, never forked. Every
+        // run crashes at the same instant, shortly after the fork.
         let (rig, schema, jsonl) = assembled(seed, terminals, standby, secs);
-        let at = crash_at(&rig);
+        let at = rig.t0 + SimDuration::from_secs(fork_secs + 5);
         let unforked = finish(rig, &schema, &jsonl, at);
         prop_assert!(unforked.1.contains("instance_stopped"), "the crash is on the stream");
 
