@@ -128,8 +128,7 @@ impl Campaign {
     /// Runs every experiment and collects the results **in input order**.
     /// Execution order is the [`Plan`]'s: cells that share a warm stage
     /// run back to back, so that no more than one stage per worker is
-    /// alive at a time. With one worker the cells run on the calling
-    /// thread.
+    /// alive at a time. The calling thread is one of the workers.
     pub fn run(self) -> CampaignReport {
         let workers = if self.threads == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
@@ -161,19 +160,16 @@ impl Campaign {
                 cb(CampaignProgress { completed, total: n, index: i, ok });
             }
         };
-        // One worker is the caller: a spawned thread allocates from a
-        // malloc arena of its own and cannot reuse what the caller's has
-        // free, which on the 51-cell mini campaign costs a third of the
-        // process's peak RSS.
-        if workers.min(n) <= 1 {
+        // The caller is one of the workers: a spawned thread allocates
+        // from a malloc arena of its own and cannot reuse what the
+        // caller's has free, which on the 51-cell mini campaign costs a
+        // one-worker run a third of the process's peak RSS.
+        std::thread::scope(|scope| {
+            for _ in 1..workers.min(n) {
+                scope.spawn(worker);
+            }
             worker();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers.min(n) {
-                    scope.spawn(worker);
-                }
-            });
-        }
+        });
 
         let Tally { templates_built, prefixes_built, prefix_sim_micros } = plan.tally;
         let (templates_built, prefixes_built) =
