@@ -128,7 +128,7 @@ impl Campaign {
     /// Runs every experiment and collects the results **in input order**.
     /// Execution order is the [`Plan`]'s: cells that share a warm stage
     /// run back to back, so that no more than one stage per worker is
-    /// alive at a time. The calling thread is one of the workers.
+    /// alive at a time.
     pub fn run(self) -> CampaignReport {
         let workers = if self.threads == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
@@ -144,31 +144,25 @@ impl Campaign {
         let progress = self.progress.as_deref();
         let plan = Plan::of(experiments);
 
-        let worker = || loop {
-            let turn = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&i) = plan.order.get(turn) else { break };
-            let exp = &experiments[i];
-            let result = plan.run_cell(i, exp).map_err(|error| CampaignError {
-                index: i,
-                config: exp.config().name.clone(),
-                error,
-            });
-            let ok = result.is_ok();
-            *slots[i].lock().unwrap() = Some(result);
-            let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
-            if let Some(cb) = progress {
-                cb(CampaignProgress { completed, total: n, index: i, ok });
-            }
-        };
-        // The caller is one of the workers: a spawned thread allocates
-        // from a malloc arena of its own and cannot reuse what the
-        // caller's has free, which on the 51-cell mini campaign costs a
-        // one-worker run a third of the process's peak RSS.
         std::thread::scope(|scope| {
-            for _ in 1..workers.min(n) {
-                scope.spawn(worker);
+            for _ in 0..workers.min(n.max(1)) {
+                scope.spawn(|| loop {
+                    let turn = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&i) = plan.order.get(turn) else { break };
+                    let exp = &experiments[i];
+                    let result = plan.run_cell(i, exp).map_err(|error| CampaignError {
+                        index: i,
+                        config: exp.config().name.clone(),
+                        error,
+                    });
+                    let ok = result.is_ok();
+                    *slots[i].lock().unwrap() = Some(result);
+                    let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
+                    if let Some(cb) = progress {
+                        cb(CampaignProgress { completed, total: n, index: i, ok });
+                    }
+                });
             }
-            worker();
         });
 
         let Tally { templates_built, prefixes_built, prefix_sim_micros } = plan.tally;

@@ -23,7 +23,6 @@
 use std::sync::{Arc, Mutex};
 
 use recobench_sim::{SimClock, SimTime};
-use recobench_vfs::{FsSnapshot, SnapshotId};
 
 use crate::server::DbServer;
 
@@ -49,11 +48,6 @@ impl DbSnapshot {
     /// the clock here, so restored timelines line up with monolithic ones.
     pub fn taken_at(&self) -> SimTime {
         self.taken_at
-    }
-
-    /// Deterministic identity of the captured filesystem image.
-    pub fn fs_id(&self) -> SnapshotId {
-        FsSnapshot::capture(&self.parked().fs.lock()).id()
     }
 }
 
@@ -266,6 +260,7 @@ mod tests {
 
     #[test]
     fn snapshot_ids_are_deterministic() {
-        assert_eq!(prepared().snapshot().fs_id(), prepared().snapshot().fs_id());
+        let fs_id = |snap: DbSnapshot| recobench_vfs::FsSnapshot::capture(&snap.parked().fs.lock()).id();
+        assert_eq!(fs_id(prepared().snapshot()), fs_id(prepared().snapshot()));
     }
 }
