@@ -165,7 +165,7 @@ impl ReplayState {
             }
             (RedoOp::Commit | RedoOp::Rollback, None) => {}
             (RedoOp::Catalog(change), _) => {
-                server.inst.as_mut().ok_or(DbError::InstanceDown)?.catalog.apply(change);
+                server.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?.catalog.apply(change);
             }
             (
                 op @ (RedoOp::Insert { rid, .. } | RedoOp::Update { rid, .. } | RedoOp::Delete { rid, .. }),
@@ -195,7 +195,7 @@ pub(crate) fn rollback_unlogged(
 ) -> DbResult<()> {
     for ops in unresolved.values().rev() {
         for undo in ops.iter().rev() {
-            let scn = server.inst.as_mut().ok_or(DbError::InstanceDown)?.next_scn();
+            let scn = server.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?.next_scn();
             let rid = undo.rid();
             let _ = block(server, (rid.file, rid.block), &|img| {
                 match undo.compensation(img.row(rid.slot)) {

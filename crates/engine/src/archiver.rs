@@ -37,10 +37,10 @@ pub(crate) fn archive_seq(
         .and_then(|loc| loc.group)
         .ok_or_else(|| DbError::BadAdminCommand(format!("log seq {seq} is not online")))?;
     let group_file =
-        control.groups.get(group_idx).ok_or(RecoveryError::SeqLocationLost(seq))?.vfs_id;
+        control.groups.get(group_idx).ok_or_else(|| RecoveryError::SeqLocationLost(seq))?.vfs_id;
     let path = format!("/arch/{}_{:06}.arc", control.db_name, seq);
     let (done, archive_id) = fs.copy_file(group_file, &path, archive_disk, FileKind::Archive, now)?;
-    let loc = control.seqs.get_mut(&seq).ok_or(RecoveryError::SeqLocationLost(seq))?;
+    let loc = control.seqs.get_mut(&seq).ok_or_else(|| RecoveryError::SeqLocationLost(seq))?;
     loc.archive = Some(archive_id);
     loc.archive_done_at = Some(done);
     events.record(now, EngineEvent::Archived { seq, complete_at: done });

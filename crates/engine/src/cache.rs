@@ -197,17 +197,23 @@ impl BufferCache {
     }
 
     /// Single-probe hot-path lookup: on residency, counts a hit, bumps
-    /// recency, and hands out the frame mutably. A miss counts nothing —
-    /// the caller falls back to the full read path, which records it.
-    pub fn probe_mut(&mut self, key: BlockKey) -> Option<&mut BlockImage> {
-        match self.map.get(&key).copied() {
-            Some(i) => {
-                self.stats.hits += 1;
-                self.touch(i);
-                Some(&mut self.slots[i].img)
-            }
-            None => None,
+    /// recency, and hands out the frame mutably — marked dirty at `dirty`'s
+    /// address and instant first, for a caller about to apply a logged
+    /// change (what [`BufferCache::mark_dirty`] after the change would do,
+    /// without its second probe). A miss counts nothing — the caller falls
+    /// back to the full read path, which records it.
+    pub fn probe_mut(
+        &mut self,
+        key: BlockKey,
+        dirty: Option<(RedoAddr, SimTime)>,
+    ) -> Option<&mut BlockImage> {
+        let i = self.map.get(&key).copied()?;
+        if let Some((addr, now)) = dirty {
+            self.dirty_slot(i, addr, now);
         }
+        self.stats.hits += 1;
+        self.touch(i);
+        Some(&mut self.slots[i].img)
     }
 
     /// Inserts a block image read from disk. If the cache is full, the
@@ -265,11 +271,15 @@ impl BufferCache {
     pub fn mark_dirty(&mut self, key: BlockKey, addr: RedoAddr, now: SimTime) {
         // tidy-allow(panic-freedom): documented `# Panics` invariant — changes only flow through resident frames
         let &i = self.map.get(&key).expect("dirtied block must be resident");
-        match &mut self.slots[i].dirty {
+        self.dirty_slot(i, addr, now);
+    }
+
+    fn dirty_slot(&mut self, i: usize, addr: RedoAddr, now: SimTime) {
+        let Some(slot) = self.slots.get_mut(i) else { return };
+        match &mut slot.dirty {
             Some(d) => d.last_addr = d.last_addr.max(addr),
             None => {
-                self.slots[i].dirty =
-                    Some(DirtyInfo { first_addr: addr, first_time: now, last_addr: addr });
+                slot.dirty = Some(DirtyInfo { first_addr: addr, first_time: now, last_addr: addr });
                 self.dirty_n += 1;
                 self.oldest_dirty = Some(match self.oldest_dirty {
                     Some(t) if t <= now => t,

@@ -199,7 +199,7 @@ impl Catalog {
     ///
     /// Fails if the object does not exist (e.g. it was dropped).
     pub fn table(&self, obj: ObjectId) -> DbResult<&TableDef> {
-        self.tables.get(&obj).ok_or(DbError::NoSuchObject(obj))
+        self.tables.get(&obj).ok_or_else(|| DbError::NoSuchObject(obj))
     }
 
     /// Finds a datafile by path.

@@ -57,21 +57,21 @@ pub(crate) fn write_dirty<F>(
 where
     F: FnMut((FileNo, u32), &DirtyInfo) -> bool,
 {
-    // Collect (key, bookkeeping) only — the images stay in their frames
-    // and are encoded straight out of the cache, instead of deep-copying
-    // every dirty block into the batch first.
+    // Collect (key, bookkeeping) only — each image is encoded out of its
+    // frame through one buffer, and copied out of that at its size.
     let batch = cache.dirty_matching(pred);
+    let mut w = crate::codec::Writer::new();
     let mut complete_at = now;
     let mut blocks = 0u64;
     let mut disk_full = None;
     for (key, info) in batch {
         cache.clear_dirty(key);
         let Some(df) = catalog.datafiles.get(&key.0) else { continue };
-        let mut w = crate::codec::Writer::new();
+        w.truncate(0);
         if !cache.encode_block_into(key, &mut w) {
             continue;
         }
-        match fs.write_block(df.vfs_id, key.1 as u64, w.into_bytes(), now) {
+        match fs.write_block(df.vfs_id, key.1 as u64, bytes::Bytes::copy_from_slice(w.as_slice()), now) {
             Ok((done, ())) => {
                 complete_at = complete_at.max(done);
                 blocks += 1;

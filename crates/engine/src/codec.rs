@@ -108,8 +108,8 @@ pub type DecodeResult<T> = Result<T, DecodeError>;
 ///
 /// Backed by a plain `Vec<u8>` so hot paths can recycle one allocation:
 /// take the vector out with [`Writer::into_vec`], hand it back with
-/// [`Writer::from_vec`] (or keep appending to a long-lived writer and
-/// drain it with [`Writer::take_vec`]).
+/// [`Writer::from_vec`] (or keep appending to a long-lived writer, copy
+/// [`Writer::as_slice`] out and [`Writer::truncate`] it).
 #[derive(Debug, Default, Clone)]
 pub struct Writer {
     buf: Vec<u8>,
@@ -201,17 +201,6 @@ impl Writer {
     /// Finishes and returns the raw vector (allocation reusable).
     pub fn into_vec(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Drains the accumulated bytes, leaving the writer empty but keeping
-    /// it usable (the allocation moves out with the returned vector).
-    pub fn take_vec(&mut self) -> Vec<u8> {
-        // Seed the replacement with the taken buffer's capacity: a log
-        // buffer that just held a 9 KB transaction will hold another, and
-        // starting empty would re-pay the whole realloc-and-copy chain on
-        // every commit.
-        let cap = self.buf.capacity().min(1 << 20);
-        std::mem::replace(&mut self.buf, Vec::with_capacity(cap))
     }
 
     /// Discards everything written after byte `at`, keeping the

@@ -6,7 +6,7 @@
 //! datafiles as the heap (see DESIGN.md §2 for this simplification).
 
 use std::borrow::Borrow;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -22,6 +22,11 @@ thread_local! {
     /// per-index `RefCell` so `Index` stays `Sync`: campaign workers share
     /// read-only snapshot templates (which contain indexes) across threads.
     static PROBE_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+
+    /// The match list of a prefix scan whose caller is done with it before
+    /// it returns: taken out, filled by [`Index::prefix_scan_into`], and
+    /// put back with the capacity it grew to.
+    pub(crate) static RID_SCRATCH: Cell<Vec<RowId>> = const { Cell::new(Vec::new()) };
 }
 
 /// Row addresses under one key. Almost every index key maps to exactly
@@ -291,12 +296,14 @@ impl Index {
     }
 
     /// Rebuilds the index wholesale from `rows`, replacing any current
-    /// contents. Equivalent to inserting every row in order (on a unique
-    /// index a duplicate key keeps the first rid, exactly as repeated
-    /// [`Index::insert`] calls would), but pays one sort over the extracted
-    /// keys instead of a tree descent or hash probe per row — recovery
-    /// rebuilds hundreds of thousands of entries, where the difference is
-    /// a measurable slice of time-to-open.
+    /// contents. Every key ends up with its rids ascending, and a unique
+    /// index keeps the lowest rid of a duplicated key: the sort fixes that
+    /// order, not the order of `rows` — a heap scan is in extent order, not
+    /// rid order (extents alternate over datafiles), so under a key several
+    /// rows hold this is not what inserting them one by one would build.
+    /// One sort over the extracted keys instead of a tree descent or hash
+    /// probe per row — recovery rebuilds hundreds of thousands of entries,
+    /// where the difference is a measurable slice of time-to-open.
     pub fn bulk_load(&mut self, rows: &[(RowId, Row)]) {
         let mut key = std::mem::take(&mut self.scratch);
         let mut pairs: Vec<(KeyBuf, RowId)> = Vec::with_capacity(rows.len());
@@ -305,9 +312,10 @@ impl Index {
             pairs.push((KeyBuf::from_slice(&key), *rid));
         }
         self.scratch = key;
-        // Heap scans yield rows in rid order, so sorting by (key, rid)
-        // reproduces the exact per-key rid order sequential inserts build.
-        pairs.sort_unstable();
+        // The pairs arrive as long ascending runs (tables are loaded in key
+        // order), which the run-merging stable sort exploits; every pair is
+        // distinct, so stability itself changes nothing.
+        pairs.sort();
         let mut grouped: Vec<(KeyBuf, RidSet)> = Vec::with_capacity(pairs.len());
         for (k, rid) in pairs {
             match grouped.last_mut() {
@@ -406,9 +414,17 @@ impl Index {
     /// Row addresses whose keys start with the given prefix values, in key
     /// order.
     pub fn prefix_scan(&self, prefix_values: &[Value]) -> Vec<RowId> {
-        self.prefix_range(prefix_values)
-            .flat_map(|(_, rids)| rids.as_slice().iter().copied())
-            .collect()
+        let mut out = Vec::new();
+        self.prefix_scan_into(prefix_values, &mut out);
+        out
+    }
+
+    /// [`Index::prefix_scan`] into `out`, cleared first.
+    pub fn prefix_scan_into(&self, prefix_values: &[Value], out: &mut Vec<RowId>) {
+        out.clear();
+        for (_, rids) in self.prefix_range(prefix_values) {
+            out.extend_from_slice(rids.as_slice());
+        }
     }
 
     /// The greatest key with the given prefix and its rows, if any
@@ -559,6 +575,27 @@ mod tests {
             let mut key = vec![1, 2, 3];
             ix.key_of_into(&Row::new(vs), &mut key);
             proptest::prop_assert_eq!(key, crate::row::encode_key(&picked));
+        }
+    }
+
+    /// Three rows per key, handed over in an order that ascends neither in
+    /// key nor in rid, as a scan over interleaved extents does.
+    #[test]
+    fn bulk_load_orders_each_keys_rids_by_the_sort_not_by_the_input() {
+        let rows: Vec<(RowId, Row)> = (0..60u32).map(|n| (rid(n), row(u64::from(n % 20), 7))).collect();
+        let shuffled: Vec<(RowId, Row)> = (0..60).map(|i| rows[i * 37 % 60].clone()).collect();
+        for ordered in [true, false] {
+            let mut many = Index::new(IndexDef { ordered, ..def(false) });
+            let mut one = Index::new(IndexDef { ordered, ..def(true) });
+            many.bulk_load(&shuffled);
+            one.bulk_load(&shuffled);
+            for k in 0..20u32 {
+                let key = [Value::U64(u64::from(k)), Value::U64(7)];
+                assert_eq!(many.lookup(&key), [rid(k), rid(k + 20), rid(k + 40)], "ascending rids");
+                assert_eq!(one.lookup(&key), [rid(k)], "a unique index keeps the lowest rid");
+            }
+            assert_eq!((many.key_count(), many.entry_count()), (20, 60));
+            assert_eq!((one.key_count(), one.entry_count()), (20, 20));
         }
     }
 

@@ -59,8 +59,8 @@ impl Instance {
         let mut indexes: Vec<Index> = defs.iter().cloned().map(Index::new).collect();
         for ix in &mut indexes {
             // Duplicate keys on a unique index cannot happen for data
-            // produced through the engine; bulk_load keeps the first rid,
-            // matching what per-row inserts would leave behind.
+            // produced through the engine; bulk_load would keep the lowest
+            // rid.
             ix.bulk_load(&rows);
         }
         let entries = (rows.len() * indexes.len()) as u64;

@@ -66,12 +66,20 @@ impl BlockImage {
         self.used_bytes + len + Self::ROW_OVERHEAD <= block_size as usize
     }
 
+    /// Where `slot` is in `rows` (`Ok`) or would be inserted (`Err`). In a
+    /// block no delete has touched slot *i* sits at index *i*, so that is
+    /// looked at first; a block with holes falls back to the search.
+    fn position(&self, slot: u16) -> Result<usize, usize> {
+        let i = usize::from(slot);
+        match self.rows.get(i) {
+            Some((s, _)) if *s == slot => Ok(i),
+            _ => self.rows.binary_search_by_key(&slot, |(s, _)| *s),
+        }
+    }
+
     /// The row at `slot`, if present.
     pub fn row(&self, slot: u16) -> Option<&Row> {
-        match self.rows.binary_search_by_key(&slot, |(s, _)| *s) {
-            Ok(i) => Some(&self.rows[i].1),
-            Err(_) => None,
-        }
+        self.position(slot).ok().and_then(|i| self.rows.get(i)).map(|(_, row)| row)
     }
 
     /// Iterates over `(slot, row)` pairs in slot order.
@@ -104,8 +112,8 @@ impl BlockImage {
     /// `scn`. Returns the previous row, if any.
     pub fn put(&mut self, slot: u16, row: Row, scn: Scn) -> Option<Row> {
         let add = row.encoded_len() + Self::ROW_OVERHEAD;
-        let prev = match self.rows.binary_search_by_key(&slot, |(s, _)| *s) {
-            Ok(i) => Some(std::mem::replace(&mut self.rows[i].1, row)),
+        let prev = match self.position(slot) {
+            Ok(i) => self.rows.get_mut(i).map(|(_, held)| std::mem::replace(held, row)),
             Err(i) => {
                 self.rows.insert(i, (slot, row));
                 None
@@ -121,7 +129,7 @@ impl BlockImage {
 
     /// Removes the row at `slot`, stamping the block with `scn`.
     pub fn remove(&mut self, slot: u16, scn: Scn) -> Option<Row> {
-        let prev = match self.rows.binary_search_by_key(&slot, |(s, _)| *s) {
+        let prev = match self.position(slot) {
             Ok(i) => Some(self.rows.remove(i).1),
             Err(_) => None,
         };
@@ -195,6 +203,8 @@ impl BlockImage {
         let last_scn = Scn(r.get_u64("block scn")?);
         let n = r.get_u32("block row count")?;
         let mut img = BlockImage::empty();
+        // A stored row takes at least its slot id and length prefix.
+        img.rows.reserve((n as usize).min(r.remaining() / 6));
         for _ in 0..n {
             let slot = r.get_u16("slot id")?;
             let row_bytes = r.get_bytes("row image")?;
@@ -252,6 +262,41 @@ mod tests {
         assert_eq!(b.next_free_slot(), 2);
         b.put(2, row(2), Scn(1));
         assert_eq!(b.next_free_slot(), 4);
+    }
+
+    proptest::proptest! {
+        /// A block image is a map from slot to row. Removes punch holes, so
+        /// the dense "slot i sits at index i" check has to fall back.
+        #[test]
+        fn a_block_image_behaves_like_a_map_from_slot_to_row(
+            ops in proptest::collection::vec((0u8..4, 0u16..12, proptest::prelude::any::<u64>()), 0..80)
+        ) {
+            use proptest::prelude::*;
+            let mut img = BlockImage::empty();
+            let mut model: std::collections::BTreeMap<u16, Row> = std::collections::BTreeMap::new();
+            let lowest_free = |model: &std::collections::BTreeMap<u16, Row>| {
+                (0..).find(|s| !model.contains_key(s)).expect("a block holds fewer than 65536 rows")
+            };
+            for (op, slot, n) in ops {
+                match op {
+                    0 | 1 => prop_assert_eq!(img.put(slot, row(n), Scn(1)), model.insert(slot, row(n))),
+                    2 => prop_assert_eq!(img.remove(slot, Scn(1)), model.remove(&slot)),
+                    // An insert the way the engine places one.
+                    _ => {
+                        let free = img.next_free_slot();
+                        prop_assert_eq!(img.put(free, row(n), Scn(1)), model.insert(free, row(n)));
+                    }
+                }
+                for s in 0..14 {
+                    prop_assert_eq!(img.row(s), model.get(&s));
+                }
+                prop_assert_eq!(img.next_free_slot(), lowest_free(&model));
+                prop_assert!(img.iter().eq(model.iter().map(|(s, r)| (*s, r))));
+                let used: usize =
+                    model.values().map(|r| r.encoded_len() + BlockImage::ROW_OVERHEAD).sum();
+                prop_assert_eq!(img.used_bytes(), BlockImage::HEADER + used);
+            }
+        }
     }
 
     #[test]

@@ -151,7 +151,7 @@ impl DbServer {
     // tidy-entry(recovery)
     fn restore_fractured_datafiles(&mut self, from: RedoAddr) -> DbResult<RedoAddr> {
         let files: Vec<(FileNo, recobench_vfs::FileId, String)> = {
-            let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
+            let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
             inst.catalog
                 .datafiles
                 .iter()
@@ -163,7 +163,7 @@ impl DbServer {
             let offline = {
                 let control = self.control_ref()?;
                 let df_ts = {
-                    let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
+                    let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
                     inst.catalog
                         .datafiles
                         .get(&file_no)
@@ -227,7 +227,7 @@ impl DbServer {
             self.clock.now(),
             EngineEvent::PhaseSpan { phase: RecoveryPhase::MediaRestore, started_at: began },
         );
-        let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
+        let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
         inst.cache.invalidate_file(file_no);
         Ok(position)
     }
@@ -235,7 +235,7 @@ impl DbServer {
     /// Moves the SCN and transaction-id allocators clear of everything a
     /// replay saw, so nothing issued from here on collides with history.
     pub(crate) fn resume_after(&mut self, max_scn: Scn, max_txn: u64) -> DbResult<()> {
-        let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
+        let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
         inst.scn = Scn(max_scn.max(inst.scn).0 + 1_000);
         inst.txns.bump_past(max_txn);
         self.txn_floor = self.txn_floor.max(max_txn);
@@ -246,7 +246,7 @@ impl DbServer {
     /// checkpoint, and arms background work.
     pub(crate) fn finalize_open(&mut self) -> DbResult<()> {
         self.rebuild_all_indexes()?;
-        let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
+        let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
         for (obj, table) in &inst.catalog.tables {
             let cursor = inst.cursors.entry(*obj).or_default();
             *cursor = crate::heap::PlacementCursor::new();
@@ -276,11 +276,11 @@ impl DbServer {
         self.flush_redo()?;
         let now = self.clock.now();
         let file_no = {
-            let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
+            let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
             inst.catalog.datafile_by_path(path)?
         };
         let (vfs_id, damaged) = {
-            let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
+            let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
             let df = inst
                 .catalog
                 .datafiles
@@ -323,7 +323,7 @@ impl DbServer {
         }
         {
             let mut fs = self.fs.lock();
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
+            let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
             let now = self.clock.now();
             let out = crate::checkpoint::write_dirty(
                 &mut fs,
@@ -383,18 +383,18 @@ impl DbServer {
 
     fn rebuild_all_indexes(&mut self) -> DbResult<()> {
         let objs: Vec<_> = {
-            let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
+            let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
             inst.catalog.tables.keys().copied().collect()
         };
         let mut tables = 0u64;
         let mut entries = 0u64;
         for obj in objs {
             let defs = {
-                let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
+                let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
                 inst.catalog.table(obj)?.indexes.clone()
             };
             let rows = self.peek_scan(obj).unwrap_or_default();
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
+            let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
             entries += inst.rebuild_indexes_for(obj, &defs, rows);
             tables += 1;
         }
@@ -533,7 +533,7 @@ impl DbServer {
             control.incarnation += 1;
         }
         let overhead = self.config.costs.redo_overhead_bytes;
-        let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
+        let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
         inst.redo = crate::redo::RedoState::new(0, new_seq, 0, overhead);
         Ok(())
     }
@@ -691,7 +691,7 @@ impl DbServer {
         unresolved: &BTreeMap<TxnId, Vec<UndoOp>>,
     ) -> DbResult<()> {
         let began = self.clock.now();
-        let addr = self.inst.as_ref().ok_or(DbError::InstanceDown)?.redo.tail();
+        let addr = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?.redo.tail();
         let cpu = self.config.costs.cpu_apply_record;
         rollback_unlogged(self, unresolved, |srv, key, change| {
             let changed = srv.change_block_for_recovery(key, addr, change);

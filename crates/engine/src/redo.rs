@@ -339,14 +339,16 @@ impl RedoState {
         !self.buffer.is_empty()
     }
 
-    /// Takes the buffered records for a flush: the concatenated payload,
-    /// the accounting-only pad, and the new flushed offset.
+    /// Takes the buffered records for a flush: the concatenated payload
+    /// (copied out once, at its size; the buffer keeps its allocation), the
+    /// accounting-only pad, and the new flushed offset.
     pub fn take_buffer(&mut self) -> (Bytes, u64, u64) {
-        let payload = self.buffer.take_vec();
+        let payload = Bytes::copy_from_slice(self.buffer.as_slice());
+        self.buffer.truncate(0);
         let pad = self.buffer_pad;
         self.buffer_pad = 0;
         self.flushed_offset = self.current_offset;
-        (Bytes::from(payload), pad, self.flushed_offset)
+        (payload, pad, self.flushed_offset)
     }
 
     /// Moves the write position to the start of the next sequence in
@@ -586,6 +588,30 @@ mod tests {
         assert_eq!(pad, 200);
         assert_eq!(flushed, 220);
         assert!(!s.has_unflushed());
+    }
+
+    #[test]
+    fn each_take_returns_what_was_appended_since_the_last_and_keeps_the_buffer() {
+        let commit = |scn| RedoRecord { scn: Scn(scn), txn: Some(TxnId(1)), op: RedoOp::Commit };
+        let first_two = [&commit(1).encode()[..], &commit(2).encode()[..]].concat();
+        let mut s = RedoState::new(0, 1, 0, 100);
+        s.buffer_encode(&commit(1));
+        s.buffer_encode(&commit(2));
+        let allocation = s.buffer.as_slice().as_ptr();
+        let (first, pad, flushed) = s.take_buffer();
+        assert_eq!(first, first_two);
+        assert_eq!((pad, flushed), (200, first.len() as u64 + 200));
+        assert!(!s.has_unflushed());
+
+        s.buffer_encode(&commit(3));
+        assert_eq!(s.buffer.as_slice().as_ptr(), allocation, "the buffer is the one it was");
+        let (second, pad, flushed) = s.take_buffer();
+        assert_eq!(second, commit(3).encode());
+        assert_eq!((pad, flushed), (100, (first.len() + second.len()) as u64 + 300));
+        assert_eq!(first, first_two, "a taken payload is its own");
+
+        let (nothing, pad, _) = s.take_buffer();
+        assert!(nothing.is_empty() && pad == 0);
     }
 
     #[test]

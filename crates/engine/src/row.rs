@@ -203,7 +203,7 @@ thread_local! {
 /// A row: an ordered tuple of values, held in its storage encoding.
 ///
 /// The bytes are validated once, where they enter ([`Row::decode`]) or are
-/// built ([`Row::new`], [`Row::set`]), and immutable and shared from then
+/// built ([`Row::new`], [`Row::set_cols`]), and immutable and shared from then
 /// on: cloning is a reference-count bump, equality and hashing are byte
 /// equality (the encoding is injective), and storing the row is a copy of
 /// the slice. A decoded row is a view into the buffer it was decoded from
@@ -273,27 +273,44 @@ impl Row {
         self.raw_cols().map_while(|(tag, payload)| ValueRef::from_col(tag, payload).ok())
     }
 
-    /// Replaces the value at column `i`: the row becomes a new encoding
-    /// with that column rewritten, in an allocation of its own.
+    /// Replaces the values at the given columns, which must ascend: one
+    /// walk over the row copies the bytes between the edited columns and
+    /// writes the new values, into one allocation however many columns
+    /// change.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column is out of bounds or not above the one before it.
+    pub fn set_cols(&mut self, edits: impl IntoIterator<Item = (usize, Value)>) {
+        let all: &[u8] = &self.bytes;
+        let mut cols = self.raw_cols();
+        let row = Self::build(|buf| {
+            // `cols` stands at column `at`; `all[..copied]` is dealt with.
+            let (mut at, mut copied) = (0, 0);
+            for (i, value) in edits {
+                assert!(i >= at, "column {i} does not ascend");
+                if i > at {
+                    cols.nth(i - at - 1);
+                }
+                let from = all.len() - cols.rest.len();
+                assert!(cols.next().is_some(), "column {i} out of bounds");
+                buf.extend_from_slice(&all[copied..from]);
+                value.with_col(|tag, payload| put_col(buf, tag, payload));
+                copied = all.len() - cols.rest.len();
+                at = i + 1;
+            }
+            buf.extend_from_slice(&all[copied..]);
+        });
+        *self = row;
+    }
+
+    /// Replaces the value at column `i`: [`Row::set_cols`] with one column.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
     pub fn set(&mut self, i: usize, value: Value) {
-        let all: &[u8] = &self.bytes;
-        let mut cols = self.raw_cols();
-        if i > 0 {
-            cols.nth(i - 1);
-        }
-        let from = cols.rest;
-        assert!(cols.next().is_some(), "column {i} out of bounds");
-        let (head, _) = all.split_at(all.len() - from.len());
-        let tail = cols.rest;
-        *self = Self::build(|buf| {
-            buf.extend_from_slice(head);
-            value.with_col(|tag, payload| put_col(buf, tag, payload));
-            buf.extend_from_slice(tail);
-        });
+        self.set_cols([(i, value)]);
     }
 
     /// Number of columns.
@@ -565,6 +582,44 @@ mod tests {
             }
         }
 
+        /// `value_strategy` draws every kind at every width, so the edits
+        /// shrink, grow and keep columns; the booleans pick any ascending
+        /// column set, the empty one included.
+        #[test]
+        fn a_multi_column_edit_equals_the_fold_of_single_sets_and_holds_the_reference_encoding(
+            cols in proptest::collection::vec((value_strategy(), any::<bool>(), value_strategy()), 1..8),
+            shared in any::<bool>(),
+            viewed in any::<bool>(),
+        ) {
+            let vs: Vec<Value> = cols.iter().map(|(v, _, _)| v.clone()).collect();
+            let edits: Vec<(usize, Value)> = cols
+                .iter()
+                .enumerate()
+                .filter(|(_, (_, picked, _))| *picked)
+                .map(|(i, (_, _, new))| (i, new.clone()))
+                .collect();
+            let mut row = Row::new(vs.clone());
+            if viewed {
+                // A view into the middle of a larger buffer, as decoding
+                // a block or a log segment leaves it.
+                let buffer = Bytes::from([b"head", &row.encode()[..], b"tail"].concat());
+                row = Row::decode(buffer.slice(4..buffer.len())).unwrap();
+            }
+            let sharer = shared.then(|| row.clone());
+            let mut folded = row.clone();
+            let mut replaced = vs.clone();
+            for (i, v) in &edits {
+                folded.set(*i, v.clone());
+                replaced[*i] = v.clone();
+            }
+            row.set_cols(edits);
+            prop_assert_eq!(&row, &folded);
+            prop_assert_eq!(&row.encode()[..], &reference_encoding(&replaced)[..]);
+            if let Some(sharer) = sharer {
+                prop_assert_eq!(values_of(&sharer), vs);
+            }
+        }
+
         #[test]
         fn every_strict_prefix_of_a_valid_encoding_fails_to_decode(
             vs in proptest::collection::vec(value_strategy(), 0..8)
@@ -630,6 +685,20 @@ mod tests {
     fn set_past_the_last_column_panics() {
         let mut row = sample_row();
         row.set(row.len(), Value::Null);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn a_multi_column_edit_past_the_last_column_panics() {
+        let mut row = sample_row();
+        row.set_cols([(1, Value::Null), (row.len(), Value::Null)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not ascend")]
+    fn a_multi_column_edit_that_repeats_a_column_panics() {
+        let mut row = sample_row();
+        row.set_cols([(2, Value::Null), (2, Value::U64(1))]);
     }
 
     #[test]

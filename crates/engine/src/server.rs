@@ -302,14 +302,14 @@ impl DbServer {
         if self.managed_recovery {
             return Err(DbError::InstanceDown);
         }
-        self.inst.as_ref().ok_or(DbError::InstanceDown)
+        self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)
     }
 
     fn inst_mut(&mut self) -> DbResult<&mut Instance> {
         if self.managed_recovery {
             return Err(DbError::InstanceDown);
         }
-        self.inst.as_mut().ok_or(DbError::InstanceDown)
+        self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)
     }
 
     pub(crate) fn control_ref(&self) -> DbResult<&ControlFile> {
@@ -470,7 +470,7 @@ impl DbServer {
         if has_old {
             self.flush_redo()?;
             let mut fs = self.fs.lock();
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
+            let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
             let out = checkpoint::write_dirty(&mut fs, &inst.catalog, &mut inst.cache, tick, |_, d| {
                 d.first_time <= cutoff
             });
@@ -484,7 +484,7 @@ impl DbServer {
         if !wrote {
             return Ok(());
         }
-        let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
+        let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
         let position = inst.cache.min_dirty_addr().unwrap_or(inst.redo.tail());
         let scn = inst.scn;
         let snapshot = Arc::new(inst.catalog.clone());
@@ -510,12 +510,12 @@ impl DbServer {
         // Optimistic append: encode straight into the log buffer and only
         // fall back to a log switch when the record did not fit (rare).
         let group_bytes = self.config.redo_file_bytes;
-        let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
+        let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
         let (addr, cost) = match inst.redo.buffer_encode_checked(rec, group_bytes) {
             Some(fit) => fit,
             None => {
                 self.log_switch()?;
-                self.inst.as_mut().ok_or(DbError::InstanceDown)?.redo.buffer_encode(rec)
+                self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?.redo.buffer_encode(rec)
             }
         };
         self.stats.redo_records += 1;
@@ -529,7 +529,7 @@ impl DbServer {
     pub(crate) fn flush_redo(&mut self) -> DbResult<()> {
         let now = self.clock.now();
         let (payload, pad, flushed, group_vfs) = {
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
+            let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
             if !inst.redo.has_unflushed() {
                 return Ok(());
             }
@@ -575,7 +575,7 @@ impl DbServer {
         self.flush_redo()?;
         let now = self.clock.now();
         let (old_seq, old_group, old_offset) = {
-            let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
+            let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
             (inst.redo.current_seq, inst.redo.current_group, inst.redo.current_offset)
         };
         let archive_mode = self.config.archive_mode;
@@ -650,7 +650,7 @@ impl DbServer {
             );
         }
         {
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
+            let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
             inst.redo.switch_to(ng, new_seq);
         }
         self.events.record(self.clock.now(), EngineEvent::LogSwitch { seq: new_seq, group: ng });
@@ -673,7 +673,7 @@ impl DbServer {
         let now = self.clock.now();
         let (out, position, scn, snapshot, crashed) = {
             let mut fs = self.fs.lock();
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
+            let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
             let out = checkpoint::write_dirty(&mut fs, &inst.catalog, &mut inst.cache, now, |_, _| true);
             let position = RedoAddr { seq: inst.redo.current_seq, offset: 0 };
             let crashed = fs.crash_write_fired();
@@ -726,7 +726,7 @@ impl DbServer {
     // ------------------------------------------------------------------
 
     fn datafile_info(&self, file: FileNo) -> DbResult<(recobench_vfs::FileId, TablespaceId)> {
-        let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
+        let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
         let df = inst
             .catalog
             .datafiles
@@ -753,8 +753,8 @@ impl DbServer {
         // probe instead of the full availability walk; a miss counts no
         // stat here — the full path below records it.
         if !self.control.as_ref().is_some_and(ControlFile::has_runtime_state) {
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-            if inst.cache.probe_mut(key).is_some() {
+            let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
+            if inst.cache.probe_mut(key, None).is_some() {
                 return Ok(());
             }
         }
@@ -765,7 +765,7 @@ impl DbServer {
                 return Err(DbError::DatafileOffline(key.0 .0));
             }
             if control.is_ts_offline(ts) {
-                let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
+                let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
                 let name =
                     inst.catalog.tablespaces.get(&ts).map_or_else(String::new, |t| t.name.clone());
                 return Err(DbError::TablespaceOffline(name));
@@ -779,7 +779,7 @@ impl DbServer {
     pub(crate) fn ensure_resident_raw(&mut self, key: BlockKey) -> DbResult<()> {
         let (vfs_id, _) = self.datafile_info(key.0)?;
         {
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
+            let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
             if inst.cache.get(key).is_some() {
                 return Ok(());
             }
@@ -798,7 +798,7 @@ impl DbServer {
             Err(e) => return Err(self.block_decode_failed(key, &e)),
         };
         let evicted = {
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
+            let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
             inst.cache.insert(key, img)
         };
         if let Some(ev) = evicted {
@@ -855,21 +855,38 @@ impl DbServer {
         key: BlockKey,
         f: impl FnOnce(&mut BlockImage) -> R,
     ) -> DbResult<R> {
+        self.block_access(key, None, f)
+    }
+
+    /// [`DbServer::with_block`]; for a change logged at `dirty_at` the frame
+    /// is also marked dirty at that address and the current instant — on
+    /// the hot path in the same cache probe.
+    fn block_access<R>(
+        &mut self,
+        key: BlockKey,
+        dirty_at: Option<RedoAddr>,
+        f: impl FnOnce(&mut BlockImage) -> R,
+    ) -> DbResult<R> {
+        let dirty = dirty_at.map(|addr| (addr, self.clock.now()));
         // Hot path: resident frame, no offline state anywhere — a single
         // cache probe instead of availability checks plus a second lookup.
         if !self.control.as_ref().is_some_and(ControlFile::has_runtime_state) {
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
-            if let Some(img) = inst.cache.probe_mut(key) {
+            let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
+            if let Some(img) = inst.cache.probe_mut(key, dirty) {
                 return Ok(f(img));
             }
         }
         self.ensure_resident(key)?;
-        let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
+        let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
         let img = inst
             .cache
             .get_mut(key)
-            .ok_or(RecoveryError::BlockNotResident { file: key.0, block: key.1 })?;
-        Ok(f(img))
+            .ok_or_else(|| RecoveryError::BlockNotResident { file: key.0, block: key.1 })?;
+        let out = f(img);
+        if let Some((addr, now)) = dirty {
+            inst.cache.mark_dirty(key, addr, now);
+        }
+        Ok(out)
     }
 
     /// Block change for replay on this machine: ignores offline state, a
@@ -883,11 +900,11 @@ impl DbServer {
     ) -> DbResult<()> {
         self.ensure_resident_raw(key)?;
         let now = self.clock.now();
-        let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
+        let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
         let img = inst
             .cache
             .get_mut(key)
-            .ok_or(RecoveryError::BlockNotResident { file: key.0, block: key.1 })?;
+            .ok_or_else(|| RecoveryError::BlockNotResident { file: key.0, block: key.1 })?;
         if f(img) {
             inst.cache.mark_dirty(key, addr, now);
         }
@@ -1146,7 +1163,7 @@ impl DbServer {
 
     /// The session's open transaction, starting one if none is open.
     fn txn_for(&mut self, s: SessionId) -> DbResult<TxnId> {
-        let sess = self.sessions.get(&s).ok_or(DbError::NoSession(s))?;
+        let sess = self.sessions.get(&s).ok_or_else(|| DbError::NoSession(s))?;
         if let Some(txn) = sess.txn {
             return Ok(txn);
         }
@@ -1319,7 +1336,7 @@ impl DbServer {
     /// Log-and-apply, the write half of every logged change (DML, rollback
     /// compensation and the rollback marker alike): the change gets the
     /// next SCN and goes to the log buffer; a row change then goes to its
-    /// block, and the frame is marked dirty at the record's address. Hands
+    /// block, whose frame is marked dirty at the record's address. Hands
     /// `op` back so callers can reuse its rows.
     fn log_and_apply(&mut self, txn: TxnId, op: RedoOp) -> (RedoOp, DbResult<()>) {
         let scn = match self.inst_mut() {
@@ -1329,14 +1346,10 @@ impl DbServer {
         let rec = RedoRecord { scn, txn: Some(txn), op };
         let logged = self.append_record(&rec).and_then(|addr| {
             let Some(rid) = rec.op.rid() else { return Ok(()) };
-            let key = (rid.file, rid.block);
-            let now = self.clock.now();
-            self.with_block(key, |img| {
+            self.block_access((rid.file, rid.block), Some(addr), |img| {
                 debug_assert!(img.last_scn < scn, "a new change carries an SCN its block has not seen");
                 rec.op.apply_to(img, scn);
-            })?;
-            self.inst_mut()?.cache.mark_dirty(key, addr, now);
-            Ok(())
+            })
         });
         (rec.op, logged)
     }
@@ -1420,15 +1433,14 @@ impl DbServer {
     /// As [`DbServer::insert`]; on a mid-batch error the earlier rows stay
     /// inserted (under the still-open transaction, so the caller's rollback
     /// removes them — the same contract as a loop of single inserts).
-    pub fn insert_batch(&mut self, s: SessionId, obj: ObjectId, rows: Vec<Row>) -> DbResult<Vec<RowId>> {
+    pub fn insert_batch(&mut self, s: SessionId, obj: ObjectId, rows: &[Row]) -> DbResult<()> {
         self.poll();
         let txn = self.txn_for(s)?;
         self.inst_ref()?.catalog.table(obj)?;
-        let mut rids = Vec::with_capacity(rows.len());
         for row in rows {
-            rids.push(self.insert_one(txn, obj, row)?);
+            self.insert_one(txn, obj, row.clone())?;
         }
-        Ok(rids)
+        Ok(())
     }
 
     /// Replaces the row at `rid` under session `s`.
@@ -1443,7 +1455,7 @@ impl DbServer {
         let txn = self.txn_for(s)?;
         let key = (rid.file, rid.block);
         let before =
-            self.with_block(key, |img| img.row(rid.slot).cloned())?.ok_or(DbError::NoSuchRow(rid))?;
+            self.with_block(key, |img| img.row(rid.slot).cloned())?.ok_or_else(|| DbError::NoSuchRow(rid))?;
         // Work out which index keys the update actually moves, once. The
         // common TPC-C updates (stock, customer balances) move none, so
         // both the uniqueness probe and the per-index replace below can
@@ -1508,7 +1520,7 @@ impl DbServer {
         let txn = self.txn_for(s)?;
         let key = (rid.file, rid.block);
         let before =
-            self.with_block(key, |img| img.row(rid.slot).cloned())?.ok_or(DbError::NoSuchRow(rid))?;
+            self.with_block(key, |img| img.row(rid.slot).cloned())?.ok_or_else(|| DbError::NoSuchRow(rid))?;
         let newly = self.lock_for_dml(txn, obj, rid)?;
         {
             let inst = self.inst_mut()?;
@@ -1542,9 +1554,18 @@ impl DbServer {
         self.inst_ref()?.catalog.table(obj)?;
         let key = (rid.file, rid.block);
         let row =
-            self.with_block(key, |img| img.row(rid.slot).cloned())?.ok_or(DbError::NoSuchRow(rid))?;
+            self.with_block(key, |img| img.row(rid.slot).cloned())?.ok_or_else(|| DbError::NoSuchRow(rid))?;
         self.clock.advance(self.config.costs.cpu_per_read);
         Ok(row)
+    }
+
+    /// Index `index` of table `obj` on the open instance.
+    fn index_ref(&self, obj: ObjectId, index: usize) -> DbResult<&crate::index::Index> {
+        self.inst_ref()?
+            .indexes
+            .get(&obj)
+            .and_then(|v| v.get(index))
+            .ok_or_else(|| DbError::NotFound(format!("index {index} of {obj}")))
     }
 
     /// Exact-match index lookup.
@@ -1555,12 +1576,7 @@ impl DbServer {
     pub fn lookup(&mut self, obj: ObjectId, index: usize, key: &[Value]) -> DbResult<Vec<RowId>> {
         self.poll();
         self.clock.advance(self.config.costs.cpu_per_read);
-        let inst = self.inst_ref()?;
-        let ix = inst
-            .indexes
-            .get(&obj)
-            .and_then(|v| v.get(index))
-            .ok_or_else(|| DbError::NotFound(format!("index {index} of {obj}")))?;
+        let ix = self.index_ref(obj, index)?;
         Ok(ix.lookup(key))
     }
 
@@ -1578,12 +1594,7 @@ impl DbServer {
     ) -> DbResult<Option<RowId>> {
         self.poll();
         self.clock.advance(self.config.costs.cpu_per_read);
-        let inst = self.inst_ref()?;
-        let ix = inst
-            .indexes
-            .get(&obj)
-            .and_then(|v| v.get(index))
-            .ok_or_else(|| DbError::NotFound(format!("index {index} of {obj}")))?;
+        let ix = self.index_ref(obj, index)?;
         Ok(ix.lookup_ref(key).first().copied())
     }
 
@@ -1595,12 +1606,7 @@ impl DbServer {
     pub fn prefix_scan(&mut self, obj: ObjectId, index: usize, prefix: &[Value]) -> DbResult<Vec<RowId>> {
         self.poll();
         self.clock.advance(self.config.costs.cpu_per_read);
-        let inst = self.inst_ref()?;
-        let ix = inst
-            .indexes
-            .get(&obj)
-            .and_then(|v| v.get(index))
-            .ok_or_else(|| DbError::NotFound(format!("index {index} of {obj}")))?;
+        let ix = self.index_ref(obj, index)?;
         Ok(ix.prefix_scan(prefix))
     }
 
@@ -1621,39 +1627,13 @@ impl DbServer {
         prefix: &[Value],
     ) -> DbResult<Vec<(RowId, Row)>> {
         self.poll();
-        let rids = {
-            let inst = self.inst_ref()?;
-            let ix = inst
-                .indexes
-                .get(&obj)
-                .and_then(|v| v.get(index))
-                .ok_or_else(|| DbError::NotFound(format!("index {index} of {obj}")))?;
-            ix.prefix_scan(prefix)
-        };
-        let mut rows = Vec::with_capacity(rids.len());
-        let mut i = 0usize;
-        while i < rids.len() {
-            let key = (rids[i].file, rids[i].block);
-            let (next, missing) = self.with_block(key, |img| {
-                let mut j = i;
-                while j < rids.len() && (rids[j].file, rids[j].block) == key {
-                    match img.row(rids[j].slot) {
-                        Some(r) => rows.push((rids[j], r.clone())),
-                        None => return (j, Some(rids[j])),
-                    }
-                    j += 1;
-                }
-                (j, None)
-            })?;
-            if let Some(rid) = missing {
-                return Err(DbError::NoSuchRow(rid));
-            }
-            i = next;
-        }
-        self.clock.advance(self.config.costs.cpu_per_read * (1 + rows.len() as u64));
-        Ok(rows)
+        // The match list lives in a buffer that comes back after the call.
+        let mut rids = crate::index::RID_SCRATCH.take();
+        let scanned = self.index_ref(obj, index).map(|ix| ix.prefix_scan_into(prefix, &mut rids));
+        let rows = scanned.and_then(|()| self.rows_at(&rids, |rid, row| (rid, row.clone())));
+        crate::index::RID_SCRATCH.set(rids);
+        rows
     }
-
 
     /// Reads the rows at `rids` with one background poll and one buffer
     /// probe per distinct block run, charging the same batched CPU cost
@@ -1667,6 +1647,12 @@ impl DbServer {
     /// unavailable.
     pub fn read_rows(&mut self, rids: &[RowId]) -> DbResult<Vec<Row>> {
         self.poll();
+        self.rows_at(rids, |_, row| row.clone())
+    }
+
+    /// The batched read under [`DbServer::read_rows`] and
+    /// [`DbServer::read_rows_prefix`]: `pick` of every row at `rids`.
+    fn rows_at<T>(&mut self, rids: &[RowId], pick: impl Fn(RowId, &Row) -> T) -> DbResult<Vec<T>> {
         let mut rows = Vec::with_capacity(rids.len());
         let mut i = 0usize;
         while i < rids.len() {
@@ -1675,7 +1661,7 @@ impl DbServer {
                 let mut j = i;
                 while j < rids.len() && (rids[j].file, rids[j].block) == key {
                     match img.row(rids[j].slot) {
-                        Some(r) => rows.push(r.clone()),
+                        Some(r) => rows.push(pick(rids[j], r)),
                         None => return (j, Some(rids[j])),
                     }
                     j += 1;
@@ -1705,12 +1691,7 @@ impl DbServer {
     ) -> DbResult<Vec<RowId>> {
         self.poll();
         self.clock.advance(self.config.costs.cpu_per_read);
-        let inst = self.inst_ref()?;
-        let ix = inst
-            .indexes
-            .get(&obj)
-            .and_then(|v| v.get(index))
-            .ok_or_else(|| DbError::NotFound(format!("index {index} of {obj}")))?;
+        let ix = self.index_ref(obj, index)?;
         Ok(ix.last_under_prefix(prefix).map(|(_, rids)| rids.to_vec()).unwrap_or_default())
     }
 
@@ -1730,12 +1711,7 @@ impl DbServer {
     ) -> DbResult<Vec<RowId>> {
         self.poll();
         self.clock.advance(self.config.costs.cpu_per_read);
-        let inst = self.inst_ref()?;
-        let ix = inst
-            .indexes
-            .get(&obj)
-            .and_then(|v| v.get(index))
-            .ok_or_else(|| DbError::NotFound(format!("index {index} of {obj}")))?;
+        let ix = self.index_ref(obj, index)?;
         Ok(ix.first_under_prefix(prefix).map(|(_, rids)| rids.to_vec()).unwrap_or_default())
     }
 
@@ -1750,7 +1726,7 @@ impl DbServer {
     /// transaction is then still open; roll it back).
     pub fn commit(&mut self, s: SessionId) -> DbResult<()> {
         self.poll();
-        let sess = self.sessions.get(&s).ok_or(DbError::NoSession(s))?;
+        let sess = self.sessions.get(&s).ok_or_else(|| DbError::NoSession(s))?;
         let Some(txn) = sess.txn else { return Ok(()) };
         self.commit_txn(txn)?;
         if let Some(sess) = self.sessions.get_mut(&s) {
@@ -1769,7 +1745,7 @@ impl DbServer {
     /// Fails if the session is severed.
     pub fn rollback(&mut self, s: SessionId) -> DbResult<()> {
         self.poll();
-        let sess = self.sessions.get(&s).ok_or(DbError::NoSession(s))?;
+        let sess = self.sessions.get(&s).ok_or_else(|| DbError::NoSession(s))?;
         let Some(txn) = sess.txn else { return Ok(()) };
         if let Some(sess) = self.sessions.get_mut(&s) {
             sess.txn = None;
@@ -1786,6 +1762,7 @@ impl DbServer {
         let inst = self.inst_mut()?;
         let st = inst.txns.finish(txn)?;
         let grants = inst.locks.release_all(txn, &st.locks, now);
+        inst.txns.recycle(st);
         self.stats.commits += 1;
         if self.dml_tap.is_some() {
             self.emit_dml(DmlChange::Commit { txn, scn });
@@ -1803,6 +1780,7 @@ impl DbServer {
         let now = self.clock.now();
         let inst = self.inst_mut()?;
         let grants = inst.locks.release_all(txn, &st.locks, now);
+        inst.txns.recycle(st);
         self.stats.rollbacks += 1;
         if self.dml_tap.is_some() {
             self.emit_dml(DmlChange::Rollback { txn });
@@ -1927,14 +1905,11 @@ impl DbServer {
             let rid = RowId { file: key.0, block: key.1, slot };
             let scn = self.inst_mut()?.next_scn();
             let addr = self.inst_ref()?.redo.tail();
-            let now = self.clock.now();
             // Direct path: the applier's insert, with nothing logged.
             let op = RedoOp::Insert { obj, rid, row };
-            self.with_block(key, |img| op.apply_to(img, scn))?;
+            self.block_access(key, Some(addr), |img| op.apply_to(img, scn))?;
             let RedoOp::Insert { row, .. } = op else { unreachable!() };
-            let inst = self.inst_mut()?;
-            inst.cache.mark_dirty(key, addr, now);
-            if let Some(indexes) = inst.indexes.get_mut(&obj) {
+            if let Some(indexes) = self.inst_mut()?.indexes.get_mut(&obj) {
                 for ix in indexes {
                     ix.insert(&row, rid)?;
                 }
@@ -1957,7 +1932,7 @@ impl DbServer {
     ///
     /// Fails if the table is unknown or its storage unreadable.
     pub fn peek_scan(&self, obj: ObjectId) -> DbResult<Vec<(RowId, Row)>> {
-        let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
+        let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
         let table = inst.catalog.table(obj)?;
         let fs = self.fs.lock();
         let mut out = Vec::new();
@@ -1991,7 +1966,7 @@ impl DbServer {
     ///
     /// Fails if the table or its storage is unreadable.
     pub fn peek_row(&self, obj: ObjectId, rid: RowId) -> DbResult<Option<Row>> {
-        let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
+        let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
         inst.catalog.table(obj)?;
         let key = (rid.file, rid.block);
         if let Some(img) = inst.cache_peek(key) {
@@ -2023,7 +1998,7 @@ impl DbServer {
     ///
     /// Fails if the table or index is unknown.
     pub fn peek_lookup(&self, obj: ObjectId, index: usize, key: &[Value]) -> DbResult<Vec<RowId>> {
-        let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
+        let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
         let ix = inst
             .indexes
             .get(&obj)
@@ -2038,7 +2013,7 @@ impl DbServer {
     ///
     /// Fails if the instance is down or the table is unknown.
     pub fn table_id(&self, name: &str) -> DbResult<ObjectId> {
-        let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
+        let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
         inst.catalog.table_by_name(name)
     }
 
@@ -2049,7 +2024,7 @@ impl DbServer {
     ///
     /// Fails if the instance is down.
     pub fn tables(&self) -> DbResult<Vec<(ObjectId, String)>> {
-        let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
+        let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
         Ok(inst.catalog.tables.iter().map(|(id, t)| (*id, t.name.clone())).collect())
     }
 
@@ -2092,7 +2067,7 @@ impl DbServer {
         self.checkpoint_now()?;
         let now = self.clock.now();
         let (files, position, scn, snapshot) = {
-            let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
+            let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
             let files: Vec<(FileNo, recobench_vfs::FileId)> =
                 inst.catalog.datafiles.iter().map(|(no, d)| (*no, d.vfs_id)).collect();
             (files, inst.redo.tail(), inst.scn, Arc::new(inst.catalog.clone()))
@@ -2204,7 +2179,7 @@ impl DbServer {
         let ts = self.inst_ref()?.catalog.tablespace_by_name(name)?;
         let done = {
             let mut fs = self.fs.lock();
-            let inst = self.inst.as_mut().ok_or(DbError::InstanceDown)?;
+            let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
             let files: Vec<FileNo> = inst
                 .catalog
                 .datafiles
@@ -2250,7 +2225,7 @@ impl DbServer {
     ///
     /// Fails if the tablespace is unknown or the instance is down.
     pub fn datafile_paths(&self, tablespace: &str) -> DbResult<Vec<String>> {
-        let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
+        let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
         let ts = inst.catalog.tablespace_by_name(tablespace)?;
         Ok(inst
             .catalog
@@ -2300,7 +2275,7 @@ impl PeekReader<'_> {
     ///
     /// Fails if the table or its storage is unreadable.
     pub fn row(&mut self, obj: ObjectId, rid: RowId) -> DbResult<Option<Row>> {
-        let inst = self.server.inst.as_ref().ok_or(DbError::InstanceDown)?;
+        let inst = self.server.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
         inst.catalog.table(obj)?;
         let key = (rid.file, rid.block);
         // The buffer cache may hold a newer (dirty) image than disk, so it
@@ -2394,6 +2369,37 @@ mod tests {
         assert!(srv.lookup(t, 0, &[Value::U64(2)]).unwrap().is_empty());
     }
 
+    /// Transaction states are recycled: whatever the last transaction of a
+    /// session held — before-images it rolled back, locks it committed
+    /// under — the next one starts with none of it.
+    #[test]
+    fn a_transaction_starts_empty_after_a_commit_and_after_a_rollback() {
+        let mut srv = test_server(small_config());
+        let t = setup_table(&mut srv);
+        let s = srv.connect().unwrap();
+        let rid = srv.insert(s, t, row(1, "a")).unwrap();
+        srv.commit(s).unwrap();
+        for end_with_commit in [false, true] {
+            srv.update(s, t, rid, row(1, "b")).unwrap();
+            srv.update(s, t, rid, row(1, "c")).unwrap();
+            if end_with_commit {
+                srv.commit(s).unwrap();
+            } else {
+                srv.rollback(s).unwrap();
+            }
+            let other = srv.insert(s, t, row(2, "x")).unwrap();
+            let txn = srv.session_txn_id(s).unwrap();
+            let st = srv.inst.as_mut().unwrap().txns.get_mut(txn).unwrap();
+            assert_eq!(st.undo, [UndoOp::UndoInsert { obj: t, rid: other }]);
+            assert_eq!(st.locks, [(t, other)]);
+            // Rolling this one back takes back its insert and nothing else.
+            srv.rollback(s).unwrap();
+            assert_eq!(srv.peek_row(t, other).unwrap(), None);
+            let kept = if end_with_commit { "c" } else { "a" };
+            assert_eq!(srv.get_row(t, rid).unwrap(), row(1, kept));
+        }
+    }
+
     #[test]
     fn batched_insert_survives_mid_batch_log_switch_crash() {
         // Enough redo to force at least one log switch while the batch is
@@ -2408,8 +2414,7 @@ mod tests {
         let rows: Vec<Row> =
             vals.iter().enumerate().map(|(k, v)| row(k as u64, v)).collect();
         let switches_before = srv.stats().log_switches;
-        let rids = srv.insert_batch(s, t, rows.clone()).unwrap();
-        assert_eq!(rids.len(), rows.len());
+        srv.insert_batch(s, t, &rows).unwrap();
         assert!(
             srv.stats().log_switches > switches_before,
             "the batch must straddle a log switch for this test to bite"

@@ -149,7 +149,7 @@ impl StandbyServer {
                 catalog
                     .datafiles
                     .get_mut(file_no)
-                    .ok_or(RecoveryError::BackupCatalogMismatch { file: *file_no })?
+                    .ok_or_else(|| RecoveryError::BackupCatalogMismatch { file: *file_no })?
                     .vfs_id = new_id;
             }
         }
@@ -411,7 +411,7 @@ impl StandbyServer {
         f: impl FnOnce(&mut BlockImage) -> bool,
     ) -> DbResult<()> {
         let vfs_id = {
-            let inst = server.inst.as_ref().ok_or(DbError::InstanceDown)?;
+            let inst = server.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
             match inst.catalog.datafiles.get(&key.0) {
                 Some(df) => df.vfs_id,
                 // The file was dropped by a replayed DDL; skip.
@@ -419,7 +419,7 @@ impl StandbyServer {
             }
         };
         let resident = {
-            let inst = server.inst.as_ref().ok_or(DbError::InstanceDown)?;
+            let inst = server.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
             inst.cache.contains(key)
         };
         if !resident {
@@ -432,13 +432,13 @@ impl StandbyServer {
                     .map_err(|_| DbError::Unrecoverable("stand-by block corrupt".into()))?
             };
             let evicted = {
-                let inst = server.inst.as_mut().ok_or(DbError::InstanceDown)?;
+                let inst = server.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
                 inst.cache.insert(key, img)
             };
             if let Some(ev) = evicted {
                 if ev.dirty.is_some() {
                     let ev_vfs = {
-                        let inst = server.inst.as_ref().ok_or(DbError::InstanceDown)?;
+                        let inst = server.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
                         inst.catalog.datafiles.get(&ev.key.0).map(|d| d.vfs_id)
                     };
                     if let Some(ev_vfs) = ev_vfs {
@@ -449,11 +449,11 @@ impl StandbyServer {
                 }
             }
         }
-        let inst = server.inst.as_mut().ok_or(DbError::InstanceDown)?;
+        let inst = server.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
         let img = inst
             .cache
             .get_mut(key)
-            .ok_or(RecoveryError::BlockNotResident { file: key.0, block: key.1 })?;
+            .ok_or_else(|| RecoveryError::BlockNotResident { file: key.0, block: key.1 })?;
         if f(img) {
             inst.cache.mark_dirty(key, addr, at);
         }
@@ -485,7 +485,7 @@ impl StandbyServer {
         let unresolved = std::mem::take(&mut self.replayed.live);
         let now = clock.now();
         let addr = RedoAddr { seq: self.applied_seq, offset: u64::MAX };
-        self.server.inst.as_mut().ok_or(DbError::InstanceDown)?.scn = self.replayed.max_scn;
+        self.server.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?.scn = self.replayed.max_scn;
         rollback_unlogged(&mut self.server, &unresolved, |srv, key, change| {
             Self::mutate_block(srv, key, now, addr, change)
         })?;

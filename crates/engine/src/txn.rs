@@ -53,6 +53,9 @@ pub struct TxnState {
 pub struct TxnTable {
     active: BTreeMap<TxnId, TxnState>,
     next: u64,
+    /// Finished states, emptied, for [`TxnTable::begin`] to hand out again
+    /// with the capacity their vectors grew to.
+    spare: Vec<TxnState>,
 }
 
 impl TxnTable {
@@ -65,8 +68,16 @@ impl TxnTable {
     pub fn begin(&mut self) -> TxnId {
         self.next += 1;
         let id = TxnId(self.next);
-        self.active.insert(id, TxnState::default());
+        self.active.insert(id, self.spare.pop().unwrap_or_default());
         id
+    }
+
+    /// Takes back the state of a transaction that [`TxnTable::finish`]
+    /// ended, once its caller is done with it.
+    pub fn recycle(&mut self, mut st: TxnState) {
+        st.undo.clear();
+        st.locks.clear();
+        self.spare.push(st);
     }
 
     /// Mutable state of an active transaction.
@@ -75,7 +86,7 @@ impl TxnTable {
     ///
     /// Fails if the transaction is not active.
     pub fn get_mut(&mut self, txn: TxnId) -> DbResult<&mut TxnState> {
-        self.active.get_mut(&txn).ok_or(DbError::TxnNotActive(txn))
+        self.active.get_mut(&txn).ok_or_else(|| DbError::TxnNotActive(txn))
     }
 
     /// Whether the transaction is active.
@@ -89,7 +100,7 @@ impl TxnTable {
     ///
     /// Fails if the transaction is not active.
     pub fn finish(&mut self, txn: TxnId) -> DbResult<TxnState> {
-        self.active.remove(&txn).ok_or(DbError::TxnNotActive(txn))
+        self.active.remove(&txn).ok_or_else(|| DbError::TxnNotActive(txn))
     }
 
     /// Number of active transactions.
@@ -332,6 +343,42 @@ mod tests {
     }
 
     const OBJ: ObjectId = ObjectId(1);
+
+    /// Fills transaction `txn` with a before-image and a lock.
+    fn touch(t: &mut TxnTable, txn: TxnId) {
+        let st = t.get_mut(txn).unwrap();
+        st.undo.push(UndoOp::UndoUpdate { obj: OBJ, rid: rid(0), before: Row::new([]) });
+        st.locks.push((OBJ, rid(0)));
+    }
+
+    #[test]
+    fn a_recycled_state_comes_back_empty_and_keeps_its_capacity() {
+        let mut t = TxnTable::new();
+        let a = t.begin();
+        touch(&mut t, a);
+        let st = t.finish(a).unwrap();
+        let (undo_cap, locks_cap) = (st.undo.capacity(), st.locks.capacity());
+        assert!(undo_cap > 0 && locks_cap > 0);
+        t.recycle(st);
+        let b = t.begin();
+        let st = t.get_mut(b).unwrap();
+        assert!(st.undo.is_empty() && st.locks.is_empty(), "nothing of {a:?} reaches {b:?}");
+        assert_eq!((st.undo.capacity(), st.locks.capacity()), (undo_cap, locks_cap));
+    }
+
+    #[test]
+    fn a_cloned_table_hands_out_states_of_its_own() {
+        let mut source = TxnTable::new();
+        let a = source.begin();
+        let st = source.finish(a).unwrap();
+        source.recycle(st);
+        let mut fork = source.clone();
+        let (in_source, in_fork) = (source.begin(), fork.begin());
+        assert_eq!(in_source, in_fork, "a fork continues the id sequence");
+        touch(&mut source, in_source);
+        assert!(fork.get_mut(in_fork).unwrap().undo.is_empty());
+        assert!(fork.get_mut(in_fork).unwrap().locks.is_empty());
+    }
 
     fn t0() -> SimTime {
         SimTime::ZERO

@@ -57,7 +57,7 @@ impl DbServer {
     /// a *violation*, not an error, so a damaged database still produces a
     /// report.
     pub fn verify_integrity(&self) -> DbResult<IntegrityReport> {
-        let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
+        let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
         let mut report = IntegrityReport::default();
 
         // ---- control file ↔ catalog ----------------------------------
@@ -254,8 +254,8 @@ impl DbServer {
     ///
     /// Fails only if the instance is down.
     pub fn datafiles_with_bad_checksums(&self) -> DbResult<Vec<String>> {
-        let inst = self.inst.as_ref().ok_or(DbError::InstanceDown)?;
-        let control = self.control.as_ref().ok_or(DbError::InstanceDown)?;
+        let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
+        let control = self.control.as_ref().ok_or_else(|| DbError::InstanceDown)?;
         let fs = self.fs.lock();
         let mut bad = Vec::new();
         for (no, df) in &inst.catalog.datafiles {

@@ -18,6 +18,8 @@
 //!   index with an unguarded `[]`; diagnostics carry the call path;
 //! * [`lints::error_swallow`] — engine/oracle code never discards a
 //!   typed error (`let _ =`, statement `.ok();`, dropped results);
+//! * [`lints::lazy_errors`] — engine/vfs code builds no typed error on
+//!   the success path (`.ok_or(DbError::…)`);
 //! * [`lints::lock_discipline`] — `lock_row` only via the `lock_for_dml`
 //!   chokepoint, locks before WAL append, session-path VFS writes only
 //!   inside the sanctioned writers;

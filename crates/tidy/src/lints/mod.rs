@@ -8,6 +8,7 @@ use crate::Lint;
 
 pub mod determinism;
 pub mod error_swallow;
+pub mod lazy_errors;
 pub mod lock_discipline;
 pub mod ordered_serialization;
 pub mod panic_freedom;
@@ -22,6 +23,7 @@ pub fn all() -> Vec<Box<dyn Lint>> {
         Box::new(determinism::Determinism),
         Box::new(panic_freedom::PanicFreedom),
         Box::new(error_swallow::ErrorSwallow),
+        Box::new(lazy_errors::LazyErrors),
         Box::new(lock_discipline::LockDiscipline),
         Box::new(write_site_coverage::WriteSiteCoverage),
         Box::new(ordered_serialization::OrderedSerialization),

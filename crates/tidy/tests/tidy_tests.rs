@@ -64,6 +64,10 @@ fn fixtures_produce_exact_diagnostics() {
         ("crates/sim/src/clock.rs", 3, "determinism"),
         ("crates/sim/src/clock.rs", 6, "determinism"),
         ("crates/sim/src/clock.rs", 10, "determinism"),
+        // An error value built before the `Option` is looked at: on the
+        // call's own line, and with the argument on the line after it.
+        ("crates/vfs/src/fs.rs", 4, "lazy-errors"),
+        ("crates/vfs/src/fs.rs", 8, "lazy-errors"),
         ("crates/vfs/src/snapshot.rs", 4, "ordered-serialization"),
         ("crates/vfs/src/snapshot.rs", 4, "sorted-uses"),
         ("crates/vfs/src/snapshot.rs", 7, "ordered-serialization"),
@@ -126,6 +130,8 @@ fn messages_name_the_offending_construct() {
     assert!(msg("crates/sim/src/clock.rs", 6).contains("std::time::Instant"));
     assert!(msg("crates/sim/src/clock.rs", 10).contains("aliased import"));
     assert!(msg("crates/vfs/src/snapshot.rs", 8).contains("SystemTime"));
+    // Lazy errors names the type and the fix.
+    assert!(msg("crates/vfs/src/fs.rs", 8).contains("`.ok_or_else(|| RecoveryError::…)`"));
     // Ordered serialization: textual in ORDERED_FILES, alias across files.
     assert!(msg("crates/engine/src/codec.rs", 4).contains("HashMap"));
     assert!(msg("crates/engine/src/codec.rs", 18).contains("`FastMap` resolves to a std hash container"));
@@ -174,6 +180,11 @@ fn waivers_suppress_and_exemptions_hold() {
     // A fallible call in final-expression position is the fn's return
     // value, not a swallowed error (server.rs:59).
     silent("crates/engine/src/server.rs", 59);
+    // `.ok_or_else`, an argument that is none of the error enums, and a
+    // test module are not the lazy-errors lint's business (fs.rs:14, 18, 25).
+    silent("crates/vfs/src/fs.rs", 14);
+    silent("crates/vfs/src/fs.rs", 18);
+    silent("crates/vfs/src/fs.rs", 25);
     // crates/bench may use the real clock.
     assert!(!diags.iter().any(|d| d.file.starts_with("crates/bench/")));
 }

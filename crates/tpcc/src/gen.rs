@@ -13,13 +13,9 @@ pub const LAST_NAME_SYLLABLES: [&str; 10] =
 
 /// Builds a last name from a number in `0..=999` per the specification.
 pub fn last_name(num: u64) -> String {
-    let n = num % 1000;
-    format!(
-        "{}{}{}",
-        LAST_NAME_SYLLABLES[(n / 100) as usize],
-        LAST_NAME_SYLLABLES[((n / 10) % 10) as usize],
-        LAST_NAME_SYLLABLES[(n % 10) as usize]
-    )
+    let n = (num % 1000) as usize;
+    [LAST_NAME_SYLLABLES[n / 100], LAST_NAME_SYLLABLES[n / 10 % 10], LAST_NAME_SYLLABLES[n % 10]]
+        .concat()
 }
 
 /// The TPC-C non-uniform random function (clause 2.1.6):

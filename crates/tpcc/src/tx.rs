@@ -111,6 +111,33 @@ fn one_rid(rid: Option<RowId>, what: &str) -> DbResult<RowId> {
     rid.ok_or_else(|| DbError::NotFound(what.to_string()))
 }
 
+/// The customer a Payment or Order-Status selected: by last name (`c_last`
+/// is the drawn name number) the median of the district's customers
+/// carrying it, by `c_id` otherwise or when nobody carries the name.
+fn locate_customer(
+    srv: &mut DbServer,
+    schema: &TpccSchema,
+    w: u64,
+    d: u64,
+    c_last: Option<u64>,
+    c_id: u64,
+) -> DbResult<RowId> {
+    if let Some(n) = c_last {
+        let matches = srv.prefix_scan(
+            schema.customer,
+            ix::CUSTOMER_BY_LAST,
+            &[Value::U64(w), Value::U64(d), Value::Str(last_name(n))],
+        )?;
+        if let Some(rid) = matches.get(matches.len() / 2) {
+            return Ok(*rid);
+        }
+    }
+    one_rid(
+        srv.lookup_first(schema.customer, ix::PK, &[Value::U64(w), Value::U64(d), Value::U64(c_id)])?,
+        "customer",
+    )
+}
+
 /// One transaction in flight on a session: pre-drawn inputs plus the
 /// current statement position. Created when a terminal submits, stepped
 /// until [`StmtResult::Done`], parked across lock waits, and restarted
@@ -265,11 +292,11 @@ impl NewOrderTxn {
             w,
             d,
             c,
-            items,
             entry: now_micros,
             phase: NewOrderPhase::District,
             o_id: 0,
-            lines: Vec::new(),
+            lines: Vec::with_capacity(items.len()),
+            items,
         }
     }
 
@@ -312,7 +339,7 @@ impl NewOrderTxn {
                 srv.insert(
                     s,
                     schema.orders,
-                    Row::new(vec![
+                    Row::new([
                         Value::U64(w),
                         Value::U64(d),
                         Value::U64(self.o_id),
@@ -332,7 +359,7 @@ impl NewOrderTxn {
                 srv.insert(
                     s,
                     schema.new_order,
-                    Row::new(vec![Value::U64(w), Value::U64(d), Value::U64(self.o_id)]),
+                    Row::new([Value::U64(w), Value::U64(d), Value::U64(self.o_id)]),
                 )?;
                 self.phase = NewOrderPhase::Stock(0);
                 Ok(StmtResult::Continue)
@@ -362,22 +389,20 @@ impl NewOrderTxn {
                 } else {
                     quantity - qty as i64 + 91
                 };
-                srow.set(schema::stock::S_QUANTITY, Value::I64(quantity));
-                srow.set(schema::stock::S_YTD, Value::U64(col_u64(&srow, schema::stock::S_YTD)? + qty));
-                srow.set(
-                    schema::stock::S_ORDER_CNT,
-                    Value::U64(col_u64(&srow, schema::stock::S_ORDER_CNT)? + 1),
-                );
-                if supply_w != w {
-                    srow.set(
-                        schema::stock::S_REMOTE_CNT,
-                        Value::U64(col_u64(&srow, schema::stock::S_REMOTE_CNT)? + 1),
-                    );
-                }
+                let ytd = col_u64(&srow, schema::stock::S_YTD)? + qty;
+                let order_cnt = col_u64(&srow, schema::stock::S_ORDER_CNT)? + 1;
+                let remote_cnt =
+                    col_u64(&srow, schema::stock::S_REMOTE_CNT)? + u64::from(supply_w != w);
+                srow.set_cols([
+                    (schema::stock::S_QUANTITY, Value::I64(quantity)),
+                    (schema::stock::S_YTD, Value::U64(ytd)),
+                    (schema::stock::S_ORDER_CNT, Value::U64(order_cnt)),
+                    (schema::stock::S_REMOTE_CNT, Value::U64(remote_cnt)),
+                ]);
                 srv.update(s, schema.stock, s_rid, srow)?;
                 // Only after the update stuck: a LockWait above must not
                 // leave a phantom line behind.
-                self.lines.push(Row::new(vec![
+                self.lines.push(Row::new([
                     Value::U64(w),
                     Value::U64(d),
                     Value::U64(self.o_id),
@@ -396,7 +421,7 @@ impl NewOrderTxn {
                 Ok(StmtResult::Continue)
             }
             NewOrderPhase::Lines => {
-                srv.insert_batch(s, schema.order_line, self.lines.clone())?;
+                srv.insert_batch(s, schema.order_line, &self.lines)?;
                 self.phase = NewOrderPhase::Commit;
                 Ok(StmtResult::Continue)
             }
@@ -420,8 +445,8 @@ struct PaymentTxn {
     d: u64,
     c_w: u64,
     c_d: u64,
-    by_last_name: bool,
-    c_last: String,
+    /// The drawn last-name number when the customer is selected by name.
+    c_last: Option<u64>,
     c_id: u64,
     amount: i64,
     phase: PaymentPhase,
@@ -459,7 +484,7 @@ impl PaymentTxn {
             (w, d)
         };
         let by_last_name = rng.gen_bool(0.60);
-        let c_last = last_name(nurand(rng, 255, C_LASTNAME, 0, 999));
+        let c_last = nurand(rng, 255, C_LASTNAME, 0, 999);
         let c_id = nurand(rng, 1023, C_CUSTOMER, 1, scale.customers_per_district);
         let amount = rng.gen_range(100..=500_000i64);
         PaymentTxn {
@@ -467,34 +492,12 @@ impl PaymentTxn {
             d,
             c_w,
             c_d,
-            by_last_name,
-            c_last,
+            c_last: by_last_name.then_some(c_last),
             c_id,
             amount,
             phase: PaymentPhase::Warehouse,
             resolved_c: 0,
         }
-    }
-
-    fn locate_customer(&self, srv: &mut DbServer, schema: &TpccSchema) -> DbResult<RowId> {
-        if self.by_last_name {
-            let matches = srv.prefix_scan(
-                schema.customer,
-                ix::CUSTOMER_BY_LAST,
-                &[Value::U64(self.c_w), Value::U64(self.c_d), Value::Str(self.c_last.clone())],
-            )?;
-            if !matches.is_empty() {
-                return Ok(matches[matches.len() / 2]);
-            }
-        }
-        one_rid(
-            srv.lookup_first(
-                schema.customer,
-                ix::PK,
-                &[Value::U64(self.c_w), Value::U64(self.c_d), Value::U64(self.c_id)],
-            )?,
-            "customer",
-        )
     }
 
     fn step(
@@ -533,21 +536,17 @@ impl PaymentTxn {
                 Ok(StmtResult::Continue)
             }
             PaymentPhase::Customer => {
-                let c_rid = self.locate_customer(srv, schema)?;
+                let c_rid = locate_customer(srv, schema, self.c_w, self.c_d, self.c_last, self.c_id)?;
                 let mut crow = srv.get_row(schema.customer, c_rid)?;
                 let real_c = col_u64(&crow, schema::customer::C_ID)?;
-                crow.set(
-                    schema::customer::C_BALANCE,
-                    Value::I64(col_i64(&crow, schema::customer::C_BALANCE)? - self.amount),
-                );
-                crow.set(
-                    schema::customer::C_YTD_PAYMENT,
-                    Value::I64(col_i64(&crow, schema::customer::C_YTD_PAYMENT)? + self.amount),
-                );
-                crow.set(
-                    schema::customer::C_PAYMENT_CNT,
-                    Value::U64(col_u64(&crow, schema::customer::C_PAYMENT_CNT)? + 1),
-                );
+                let balance = col_i64(&crow, schema::customer::C_BALANCE)? - self.amount;
+                let ytd = col_i64(&crow, schema::customer::C_YTD_PAYMENT)? + self.amount;
+                let payment_cnt = col_u64(&crow, schema::customer::C_PAYMENT_CNT)? + 1;
+                crow.set_cols([
+                    (schema::customer::C_BALANCE, Value::I64(balance)),
+                    (schema::customer::C_YTD_PAYMENT, Value::I64(ytd)),
+                    (schema::customer::C_PAYMENT_CNT, Value::U64(payment_cnt)),
+                ]);
                 srv.update(s, schema.customer, c_rid, crow)?;
                 self.resolved_c = real_c;
                 self.phase = PaymentPhase::History;
@@ -557,7 +556,7 @@ impl PaymentTxn {
                 srv.insert(
                     s,
                     schema.history,
-                    Row::new(vec![
+                    Row::new([
                         Value::U64(self.c_w),
                         Value::U64(self.c_d),
                         Value::U64(self.resolved_c),
@@ -586,8 +585,8 @@ impl PaymentTxn {
 struct OrderStatusTxn {
     w: u64,
     d: u64,
-    by_last_name: bool,
-    c_last: String,
+    /// The drawn last-name number when the customer is selected by name.
+    c_last: Option<u64>,
     c_id: u64,
     phase: OrderStatusPhase,
 }
@@ -601,11 +600,14 @@ enum OrderStatusPhase {
 impl OrderStatusTxn {
     fn draw(schema: &TpccSchema, rng: &mut SimRng) -> OrderStatusTxn {
         let scale = schema.scale;
+        let w = rng.gen_range(1..=scale.warehouses);
+        let d = rng.gen_range(1..=scale.districts_per_warehouse);
+        let by_last_name = rng.gen_bool(0.60);
+        let c_last = nurand(rng, 255, C_LASTNAME, 0, 999);
         OrderStatusTxn {
-            w: rng.gen_range(1..=scale.warehouses),
-            d: rng.gen_range(1..=scale.districts_per_warehouse),
-            by_last_name: rng.gen_bool(0.60),
-            c_last: last_name(nurand(rng, 255, C_LASTNAME, 0, 999)),
+            w,
+            d,
+            c_last: by_last_name.then_some(c_last),
             c_id: nurand(rng, 1023, C_CUSTOMER, 1, scale.customers_per_district),
             phase: OrderStatusPhase::Customer,
         }
@@ -619,33 +621,7 @@ impl OrderStatusTxn {
     ) -> DbResult<StmtResult> {
         match self.phase {
             OrderStatusPhase::Customer => {
-                let c_rid = if self.by_last_name {
-                    let matches = srv.prefix_scan(
-                        schema.customer,
-                        ix::CUSTOMER_BY_LAST,
-                        &[Value::U64(self.w), Value::U64(self.d), Value::Str(self.c_last.clone())],
-                    )?;
-                    match matches.get(matches.len() / 2) {
-                        Some(r) => *r,
-                        None => one_rid(
-                            srv.lookup_first(
-                                schema.customer,
-                                ix::PK,
-                                &[Value::U64(self.w), Value::U64(self.d), Value::U64(self.c_id)],
-                            )?,
-                            "customer",
-                        )?,
-                    }
-                } else {
-                    one_rid(
-                        srv.lookup_first(
-                            schema.customer,
-                            ix::PK,
-                            &[Value::U64(self.w), Value::U64(self.d), Value::U64(self.c_id)],
-                        )?,
-                        "customer",
-                    )?
-                };
+                let c_rid = locate_customer(srv, schema, self.w, self.d, self.c_last, self.c_id)?;
                 let crow = srv.get_row(schema.customer, c_rid)?;
                 self.c_id = col_u64(&crow, schema::customer::C_ID)?;
                 self.phase = OrderStatusPhase::Orders;
@@ -800,14 +776,12 @@ impl DeliveryTxn {
                     "customer",
                 )?;
                 let mut crow = srv.get_row(schema.customer, c_rid)?;
-                crow.set(
-                    schema::customer::C_BALANCE,
-                    Value::I64(col_i64(&crow, schema::customer::C_BALANCE)? + self.total),
-                );
-                crow.set(
-                    schema::customer::C_DELIVERY_CNT,
-                    Value::U64(col_u64(&crow, schema::customer::C_DELIVERY_CNT)? + 1),
-                );
+                let balance = col_i64(&crow, schema::customer::C_BALANCE)? + self.total;
+                let delivery_cnt = col_u64(&crow, schema::customer::C_DELIVERY_CNT)? + 1;
+                crow.set_cols([
+                    (schema::customer::C_BALANCE, Value::I64(balance)),
+                    (schema::customer::C_DELIVERY_CNT, Value::U64(delivery_cnt)),
+                ]);
                 srv.update(s, schema.customer, c_rid, crow)?;
                 self.d += 1;
                 self.phase = DeliveryPhase::Claim;

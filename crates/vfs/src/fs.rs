@@ -186,6 +186,63 @@ struct FaultState {
     crash_fired: bool,
 }
 
+impl FaultState {
+    /// Debits an ENOSPC budget if one is armed on `disk`.
+    fn consume_disk_budget(&mut self, disk: DiskId, bytes: u64, path: &str) -> VfsResult<()> {
+        if let Some(rem) = self.full.get_mut(&disk.0) {
+            if *rem < bytes {
+                *rem = 0;
+                return Err(VfsError::DiskFull { disk: disk.0, path: path.to_string() });
+            }
+            *rem -= bytes;
+        }
+        Ok(())
+    }
+
+    /// Counts down an armed crash point. Returns the tear fraction when
+    /// this write is the crash point; errors when the machine is already
+    /// dead.
+    fn crash_gate(&mut self, path: &str) -> VfsResult<Option<(u32, u32)>> {
+        if self.crash_fired {
+            return Err(VfsError::Interrupted(path.to_string()));
+        }
+        if let Some((left, num, den)) = &mut self.crash_in {
+            *left -= 1;
+            if *left == 0 {
+                let frac = (*num, *den);
+                self.crash_in = None;
+                self.crash_fired = true;
+                return Ok(Some(frac));
+            }
+        }
+        Ok(None)
+    }
+
+    fn take_one_shot_torn(&mut self, path: &str, kind: FileKind) -> Option<(u32, u32)> {
+        match self.torn.take() {
+            Some((t, num, den)) if t.matches(path, kind) => Some((num, den)),
+            other => {
+                self.torn = other;
+                None
+            }
+        }
+    }
+
+    fn take_one_shot_partial(&mut self, path: &str, kind: FileKind) -> Option<(u32, u32)> {
+        match self.partial.take() {
+            Some((t, num, den)) if t.matches(path, kind) => Some((num, den)),
+            other => {
+                self.partial = other;
+                None
+            }
+        }
+    }
+}
+
+fn no_such_file(id: FileId) -> VfsError {
+    VfsError::NotFound(format!("file #{}", id.0))
+}
+
 /// Deterministic 64-bit mixer (splitmix64 finalizer) used to derive fault
 /// targets from seeds without a RNG dependency.
 fn mix64(mut x: u64) -> u64 {
@@ -256,11 +313,11 @@ impl SimFs {
     ///
     /// Fails if `disk` does not exist.
     pub fn disk_stats(&self, disk: DiskId) -> VfsResult<DiskStats> {
-        self.disks.get(disk.0).map(|d| d.stats()).ok_or(VfsError::DiskUnavailable(disk.0))
+        self.disks.get(disk.0).map(|d| d.stats()).ok_or_else(|| VfsError::DiskUnavailable(disk.0))
     }
 
     fn disk_mut(&mut self, disk: DiskId) -> VfsResult<&mut Disk> {
-        self.disks.get_mut(disk.0).ok_or(VfsError::DiskUnavailable(disk.0))
+        self.disks.get_mut(disk.0).ok_or_else(|| VfsError::DiskUnavailable(disk.0))
     }
 
     fn alloc_id(&mut self) -> FileId {
@@ -270,11 +327,11 @@ impl SimFs {
     }
 
     fn entry(&self, id: FileId) -> VfsResult<&FileEntry> {
-        self.files.get(&id).ok_or_else(|| VfsError::NotFound(format!("file #{}", id.0)))
+        self.files.get(&id).ok_or_else(|| no_such_file(id))
     }
 
     fn entry_mut(&mut self, id: FileId) -> VfsResult<&mut FileEntry> {
-        self.files.get_mut(&id).ok_or_else(|| VfsError::NotFound(format!("file #{}", id.0)))
+        self.files.get_mut(&id).ok_or_else(|| no_such_file(id))
     }
 
     fn check_path_free(&self, path: &str) -> VfsResult<()> {
@@ -396,64 +453,41 @@ impl SimFs {
         now: SimTime,
     ) -> VfsResult<(SimTime, ())> {
         self.note_write_site();
-        let (disk, bytes, path, kind) = {
-            let e = self.entry(id)?;
-            if e.deleted {
-                return Err(VfsError::Deleted(e.path.clone()));
-            }
-            match &e.content {
-                Content::Blocks { block_size, nblocks, .. } => {
-                    if block >= *nblocks {
-                        return Err(VfsError::OutOfRange {
-                            file: e.path.clone(),
-                            block,
-                            blocks: *nblocks,
-                        });
-                    }
-                    (e.disk, *block_size as u64, e.path.clone(), e.kind)
-                }
-                Content::Append { .. } => return Err(VfsError::WrongAccessStyle(e.path.clone())),
-            }
+        let e = self.files.get_mut(&id).ok_or_else(|| no_such_file(id))?;
+        if e.deleted {
+            return Err(VfsError::Deleted(e.path.clone()));
+        }
+        let (disk, path, kind) = (e.disk, e.path.as_str(), e.kind);
+        let Content::Blocks { block_size, nblocks, data } = &mut e.content else {
+            return Err(VfsError::WrongAccessStyle(e.path.clone()));
         };
+        if block >= *nblocks {
+            return Err(VfsError::OutOfRange { file: e.path.clone(), block, blocks: *nblocks });
+        }
+        let bytes = *block_size as u64;
         self.faults.writes_observed += 1;
-        let crash = self.crash_gate(&path)?;
-        self.consume_disk_budget(disk, bytes, &path)?;
-        let tear = crash.or_else(|| self.take_one_shot_torn(&path, kind));
+        let crash = self.faults.crash_gate(path)?;
+        self.faults.consume_disk_budget(disk, bytes, path)?;
+        let tear = crash.or_else(|| self.faults.take_one_shot_torn(path, kind));
         let persisted = match tear {
             None => image,
             Some((num, den)) => {
                 // The prefix of the new image lands; the tail of whatever
                 // was on the platter before survives underneath it.
                 let k = keep_bytes(image.len(), num, den);
-                let old = match &self.entry(id)?.content {
-                    Content::Blocks { data, .. } => data.get(&block).cloned().unwrap_or_default(),
-                    // tidy-allow(panic-freedom): content kind is fixed at create and validated on entry to write_block
-                    Content::Append { .. } => unreachable!("validated as a block file"),
-                };
                 // tidy-allow(panic-freedom): keep_bytes clamps k to image.len()
                 let mut buf = image[..k].to_vec();
-                if old.len() > k {
+                if let Some(old) = data.get(&block).filter(|old| old.len() > k) {
                     buf.extend_from_slice(&old[k..]);
                 }
                 Bytes::from(buf)
             }
         };
-        {
-            let e = self.entry_mut(id)?;
-            e.corrupt_blocks.remove(&block);
-            match &mut e.content {
-                Content::Blocks { data, .. } => {
-                    data.insert(block, persisted);
-                }
-                // tidy-allow(panic-freedom): content kind is fixed at create and validated on entry to write_block
-                Content::Append { .. } => unreachable!("validated as a block file"),
-            }
-        }
+        e.corrupt_blocks.remove(&block);
+        data.insert(block, persisted);
+        let interrupted = crash.map(|_| VfsError::Interrupted(path.to_string()));
         let done = self.charge(disk, IoKind::Write, bytes, false, now)?;
-        if crash.is_some() {
-            return Err(VfsError::Interrupted(path));
-        }
-        Ok((done, ()))
+        interrupted.map_or(Ok((done, ())), Err)
     }
 
     /// Appends `data` to an append-only file (sequential write).
@@ -487,22 +521,21 @@ impl SimFs {
         now: SimTime,
     ) -> VfsResult<(SimTime, ())> {
         self.note_write_site();
-        let (disk, path, kind) = {
-            let e = self.entry(id)?;
-            if e.deleted {
-                return Err(VfsError::Deleted(e.path.clone()));
-            }
-            match &e.content {
-                Content::Append { .. } => (e.disk, e.path.clone(), e.kind),
-                Content::Blocks { .. } => return Err(VfsError::WrongAccessStyle(e.path.clone())),
-            }
+        let e = self.files.get_mut(&id).ok_or_else(|| no_such_file(id))?;
+        if e.deleted {
+            return Err(VfsError::Deleted(e.path.clone()));
+        }
+        let (disk, path, kind) = (e.disk, e.path.as_str(), e.kind);
+        let Content::Append { segments, len } = &mut e.content else {
+            return Err(VfsError::WrongAccessStyle(e.path.clone()));
         };
         let n = data.len() as u64 + pad;
         self.faults.writes_observed += 1;
-        let crash = self.crash_gate(&path)?;
-        let partial = if crash.is_none() { self.take_one_shot_partial(&path, kind) } else { None };
+        let crash = self.faults.crash_gate(path)?;
+        let partial =
+            if crash.is_none() { self.faults.take_one_shot_partial(path, kind) } else { None };
         let tear = crash.or(partial);
-        self.consume_disk_budget(disk, n, &path)?;
+        self.faults.consume_disk_budget(disk, n, path)?;
         let (persist, charged) = match tear {
             None => (data, n),
             Some((num, den)) => {
@@ -513,24 +546,13 @@ impl SimFs {
                 (data.slice(0..k.min(data.len() as u64) as usize), k)
             }
         };
-        {
-            let e = self.entry_mut(id)?;
-            match &mut e.content {
-                Content::Append { segments, len } => {
-                    *len += charged;
-                    if !persist.is_empty() {
-                        segments.push(persist);
-                    }
-                }
-                // tidy-allow(panic-freedom): content kind is fixed at create and validated on entry to append
-                Content::Blocks { .. } => unreachable!("validated as an append file"),
-            }
+        *len += charged;
+        if !persist.is_empty() {
+            segments.push(persist);
         }
+        let interrupted = tear.map(|_| VfsError::Interrupted(path.to_string()));
         let done = self.charge(disk, IoKind::Write, charged.max(1), true, now)?;
-        if tear.is_some() {
-            return Err(VfsError::Interrupted(path));
-        }
-        Ok((done, ()))
+        interrupted.map_or(Ok((done, ())), Err)
     }
 
     /// Reads the whole contents of an append-only file (sequential read).
@@ -737,7 +759,7 @@ impl SimFs {
     ///
     /// Fails if the file does not exist.
     pub fn purge(&mut self, id: FileId) -> VfsResult<()> {
-        self.files.remove(&id).map(|_| ()).ok_or_else(|| VfsError::NotFound(format!("file #{}", id.0)))
+        self.files.remove(&id).map(|_| ()).ok_or_else(|| no_such_file(id))
     }
 
     /// Finds a live (non-deleted) file by path.
@@ -831,7 +853,7 @@ impl SimFs {
         if dst_disk.0 >= self.disks.len() {
             return Err(VfsError::DiskUnavailable(dst_disk.0));
         }
-        self.consume_disk_budget(dst_disk, size, dst_path)?;
+        self.faults.consume_disk_budget(dst_disk, size, dst_path)?;
         let read_done = self.charge(src_disk, IoKind::Read, size, true, now)?;
         let write_done = self.charge(dst_disk, IoKind::Write, size, true, now)?;
         let id = self.alloc_id();
@@ -864,7 +886,7 @@ impl SimFs {
             (e.disk, e.size_bytes(), e.content.clone())
         };
         let dst_disk = self.entry(dst)?.disk;
-        self.consume_disk_budget(dst_disk, size, "restore destination")?;
+        self.faults.consume_disk_budget(dst_disk, size, "restore destination")?;
         {
             let e = self.entry_mut(dst)?;
             e.content = content;
@@ -1018,57 +1040,6 @@ impl SimFs {
             done = d.submit(done, kind, bytes, sequential);
         }
         Ok(done)
-    }
-
-    /// Debits an ENOSPC budget if one is armed on `disk`.
-    fn consume_disk_budget(&mut self, disk: DiskId, bytes: u64, path: &str) -> VfsResult<()> {
-        if let Some(rem) = self.faults.full.get_mut(&disk.0) {
-            if *rem < bytes {
-                *rem = 0;
-                return Err(VfsError::DiskFull { disk: disk.0, path: path.to_string() });
-            }
-            *rem -= bytes;
-        }
-        Ok(())
-    }
-
-    /// Counts down an armed crash point. Returns the tear fraction when
-    /// this write is the crash point; errors when the machine is already
-    /// dead.
-    fn crash_gate(&mut self, path: &str) -> VfsResult<Option<(u32, u32)>> {
-        if self.faults.crash_fired {
-            return Err(VfsError::Interrupted(path.to_string()));
-        }
-        if let Some((left, num, den)) = &mut self.faults.crash_in {
-            *left -= 1;
-            if *left == 0 {
-                let frac = (*num, *den);
-                self.faults.crash_in = None;
-                self.faults.crash_fired = true;
-                return Ok(Some(frac));
-            }
-        }
-        Ok(None)
-    }
-
-    fn take_one_shot_torn(&mut self, path: &str, kind: FileKind) -> Option<(u32, u32)> {
-        match self.faults.torn.take() {
-            Some((t, num, den)) if t.matches(path, kind) => Some((num, den)),
-            other => {
-                self.faults.torn = other;
-                None
-            }
-        }
-    }
-
-    fn take_one_shot_partial(&mut self, path: &str, kind: FileKind) -> Option<(u32, u32)> {
-        match self.faults.partial.take() {
-            Some((t, num, den)) if t.matches(path, kind) => Some((num, den)),
-            other => {
-                self.faults.partial = other;
-                None
-            }
-        }
     }
 }
 

@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 use proptest::prelude::*;
 use recobench::core::rig::{set_up, Rig};
 use recobench::core::RecoveryConfig;
-use recobench::engine::{DbResult, DiskLayout, FailoverPolicy, ReplicaTopology};
+use recobench::engine::{DbResult, DiskLayout, FailoverPolicy, ReplicaTopology, SessionId};
 use recobench::sim::{SimClock, SimDuration, SimTime};
 use recobench::tpcc::{DriverConfig, TpccScale, TpccSchema};
 
@@ -124,6 +124,48 @@ fn finish(mut rig: Rig, schema: &TpccSchema, jsonl: &Jsonl, crash_at: SimTime) -
     (outcome, events)
 }
 
+/// The property at one point: a run forked `fork_secs` in, the fork and
+/// its source both driven on, each against the uninterrupted run. Returns
+/// how many sessions had a transaction open at the fork instant.
+fn fork_and_source_end_like_an_unforked_run(
+    seed: u64,
+    fork_secs: u64,
+    terminals: usize,
+    standby: bool,
+) -> usize {
+    let secs = fork_secs + TAIL_SECS;
+
+    // The reference: one rig, never interrupted, never forked. Every
+    // run crashes at the same instant, shortly after the fork.
+    let (rig, schema, jsonl) = assembled(seed, terminals, standby, secs);
+    let at = rig.t0 + SimDuration::from_secs(fork_secs + 5);
+    let unforked = finish(rig, &schema, &jsonl, at);
+    prop_assert!(unforked.1.contains("instance_stopped"), "the crash is on the stream");
+
+    // The same run stopped at the fork instant and forked there.
+    let (mut source, schema, source_jsonl) = assembled(seed, terminals, standby, secs);
+    let until = source.t0 + SimDuration::from_secs(fork_secs);
+    source.run_until(until, |_| Ok(false)).expect("prefix");
+    // Session ids count up from 1 and a terminal reconnects only after an
+    // error, of which the prefix has none.
+    let open = (1..=terminals as u64)
+        .filter(|s| source.primary.session_txn_id(SessionId(*s)).is_some())
+        .count();
+    let mut fork = source.fork();
+    let fork_jsonl: Jsonl = Arc::new(Mutex::new(source_jsonl.lock().unwrap().clone()));
+    record(&mut fork, &fork_jsonl);
+
+    // The fork goes first, so anything it leaked into the source would
+    // show in the source's own ending.
+    let forked = finish(fork, &schema, &fork_jsonl, at);
+    let resumed = finish(source, &schema, &source_jsonl, at);
+    prop_assert_eq!(&forked.0, &unforked.0, "fork, outcome");
+    prop_assert!(forked.1 == unforked.1, "fork, event stream");
+    prop_assert_eq!(&resumed.0, &unforked.0, "source, outcome");
+    prop_assert!(resumed.1 == unforked.1, "source, event stream");
+    open
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
@@ -135,30 +177,16 @@ proptest! {
         standby in any::<bool>(),
     ) {
         let terminals = if eight_terminals { 8 } else { 1 };
-        let secs = fork_secs + TAIL_SECS;
-
-        // The reference: one rig, never interrupted, never forked. Every
-        // run crashes at the same instant, shortly after the fork.
-        let (rig, schema, jsonl) = assembled(seed, terminals, standby, secs);
-        let at = rig.t0 + SimDuration::from_secs(fork_secs + 5);
-        let unforked = finish(rig, &schema, &jsonl, at);
-        prop_assert!(unforked.1.contains("instance_stopped"), "the crash is on the stream");
-
-        // The same run stopped at the fork instant and forked there.
-        let (mut source, schema, source_jsonl) = assembled(seed, terminals, standby, secs);
-        let until = source.t0 + SimDuration::from_secs(fork_secs);
-        source.run_until(until, |_| Ok(false)).expect("prefix");
-        let mut fork = source.fork();
-        let fork_jsonl: Jsonl = Arc::new(Mutex::new(source_jsonl.lock().unwrap().clone()));
-        record(&mut fork, &fork_jsonl);
-
-        // The fork goes first, so anything it leaked into the source would
-        // show in the source's own ending.
-        let forked = finish(fork, &schema, &fork_jsonl, at);
-        let resumed = finish(source, &schema, &source_jsonl, at);
-        prop_assert_eq!(&forked.0, &unforked.0, "fork, outcome");
-        prop_assert!(forked.1 == unforked.1, "fork, event stream");
-        prop_assert_eq!(&resumed.0, &unforked.0, "source, outcome");
-        prop_assert!(resumed.1 == unforked.1, "source, event stream");
+        fork_and_source_end_like_an_unforked_run(seed, fork_secs, terminals, standby);
     }
+}
+
+/// Transaction states are pooled: a finished one is handed to the next
+/// `begin`. This fork lands while transactions are open, so the fork and
+/// its source each carry the open states *and* the pool on, and each must
+/// go on handing out states of its own.
+#[test]
+fn a_fork_between_begin_and_commit_carries_the_open_transactions() {
+    let open = fork_and_source_end_like_an_unforked_run(77, 20, 8, false);
+    assert!(open > 0, "the fork instant was chosen to land inside transactions");
 }
