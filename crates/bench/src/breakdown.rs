@@ -1,7 +1,8 @@
-//! Decomposes the paper's recovery-time cells (Figure 4 / Table 5) by
-//! engine phase: where do the seconds go — detection, instance restart,
-//! media restore, redo scan, redo apply, rollback, stand-by activation,
-//! or waiting for the first transaction to commit again?
+//! `recobench recovery_breakdown`: the paper's recovery-time cells
+//! (Figure 4 / Table 5) by engine phase. Where do the seconds go —
+//! detection, instance restart, media restore, redo scan, redo apply,
+//! rollback, stand-by activation, or waiting for the first transaction to
+//! commit again?
 //!
 //! The paper reports a single number per cell; the phase breakdown is the
 //! observability extension that explains it (why 1 MB logs recover a
@@ -9,19 +10,22 @@
 //! redo apply into per-archive restore overhead).
 //!
 //! Modes: default — Table 5's four complete-recovery faults across the
-//! archive configurations at one trigger per paper instant; `--smoke` —
+//! archive configurations at one trigger per paper instant; `--quick` —
 //! two faults x two configurations for CI. Writes `BENCH_breakdown.json`
 //! (override with `--out`) plus, next to it, the full engine event
 //! stream of the first cell as JSONL.
 
 use std::fmt::Write as _;
+use std::process::ExitCode;
 
-use recobench_bench::BenchCli;
 use recobench_core::report::breakdown_table;
 use recobench_core::{Experiment, ExperimentOutcome, RecoveryBreakdown};
 use recobench_engine::ReplicaTopology;
 use recobench_faults::FaultType;
 use recobench_tpcc::TpccScale;
+
+use crate::cli::{Args, CmdResult};
+use crate::reports::sharing_line;
 
 struct Cell {
     fault: FaultType,
@@ -30,34 +34,34 @@ struct Cell {
     standby: bool,
 }
 
-fn main() {
-    let cli = BenchCli::parse();
-    let smoke = cli.smoke || cli.quick;
-    let mode = if smoke { "smoke" } else { "full" };
-    let out_path = cli.out_path("BENCH_breakdown.json");
+/// The subcommand.
+///
+/// # Errors
+///
+/// A refused command line, or an artifact that cannot be written.
+pub fn run(mut args: Args) -> CmdResult {
+    let opts = args.opts()?;
+    let out_path = args.value("--out")?.unwrap_or_else(|| "BENCH_breakdown.json".to_string());
+    args.finish()?;
+    let quick = opts.quick;
+    // The artifact's `mode` keeps the name tidy's schema knows (smoke/mini/full).
+    let mode = if quick { "smoke" } else { "full" };
     let events_path = out_path.replace(".json", "_events.jsonl");
 
-    let faults: Vec<FaultType> = if smoke {
-        vec![FaultType::ShutdownAbort, FaultType::DeleteDatafile]
-    } else {
-        vec![
-            FaultType::ShutdownAbort,
-            FaultType::DeleteDatafile,
-            FaultType::SetDatafileOffline,
-            FaultType::SetTablespaceOffline,
-        ]
-    };
-    let configs = if smoke {
-        cli.named_configs(&["F40G3T10", "F1G3T1"])
-    } else {
-        cli.archive_configs()
-    };
-    let triggers: Vec<u64> = if smoke { vec![60] } else { cli.triggers() };
-    let (tail, scale) = if smoke { (240, TpccScale::tiny()) } else { (420, TpccScale::mini()) };
+    let faults = [
+        FaultType::ShutdownAbort,
+        FaultType::DeleteDatafile,
+        FaultType::SetDatafileOffline,
+        FaultType::SetTablespaceOffline,
+    ];
+    let faults = if quick { &faults[..2] } else { &faults[..] };
+    let configs = opts.archive_configs();
+    let triggers: Vec<u64> = if quick { vec![60] } else { opts.triggers() };
+    let (tail, scale) = if quick { (240, TpccScale::tiny()) } else { (420, TpccScale::mini()) };
 
     let mut cells: Vec<Cell> = Vec::new();
-    let mut spec = cli.campaign();
-    for f in &faults {
+    let mut spec = opts.campaign();
+    for &f in faults {
         for c in &configs {
             for &t in &triggers {
                 let capture = cells.is_empty(); // JSONL sample: first cell only
@@ -66,12 +70,12 @@ fn main() {
                         .archive_logs(true)
                         .duration_secs(t + tail)
                         .scale(scale)
-                        .fault(*f, t)
-                        .seed(cli.seed)
+                        .fault(f, t)
+                        .seed(opts.seed)
                         .capture_events(capture)
                         .build(),
                 );
-                cells.push(Cell { fault: *f, config: c.name.clone(), trigger: t, standby: false });
+                cells.push(Cell { fault: f, config: c.name.clone(), trigger: t, standby: false });
             }
         }
     }
@@ -84,7 +88,7 @@ fn main() {
             .duration_secs(t + tail)
             .scale(scale)
             .fault(FaultType::ShutdownAbort, t)
-            .seed(cli.seed)
+            .seed(opts.seed)
             .build(),
     );
     cells.push(Cell {
@@ -96,14 +100,7 @@ fn main() {
 
     eprintln!("recovery_breakdown: mode={mode} cells={}", cells.len());
     let report = spec.run();
-    // CI greps this line: a campaign that stops sharing must not pass quietly.
-    println!(
-        "campaign: templates built {}, template hits {}, prefixes built {}, prefix hits {}",
-        report.templates_built(),
-        report.template_hits(),
-        report.prefixes_built(),
-        report.prefix_hits()
-    );
+    println!("{}", sharing_line(&report));
     let outcomes = report.expect_all();
 
     let mut rows: Vec<(String, RecoveryBreakdown)> = Vec::new();
@@ -113,21 +110,20 @@ fn main() {
             rows.push((label(cell), b));
         }
     }
-    println!(
-        "{}",
-        breakdown_table("Recovery time decomposed by phase (seconds)", &rows).render()
-    );
+    println!("{}", breakdown_table("Recovery time decomposed by phase (seconds)", &rows).render());
 
     let json = render_json(mode, &cells, &outcomes);
-    std::fs::write(&out_path, &json).expect("write breakdown JSON");
+    let unwritable = |e| format!("cannot write {out_path} or {events_path}: {e}");
+    std::fs::write(&out_path, &json).map_err(unwritable)?;
     let sample =
         outcomes.iter().find_map(|o| o.events_jsonl.clone()).expect("first cell captured events");
-    std::fs::write(&events_path, &sample).expect("write sample event stream");
+    std::fs::write(&events_path, &sample).map_err(unwritable)?;
     eprintln!(
         "recovery_breakdown: {} cells -> {out_path}, sample events ({} lines) -> {events_path}",
         cells.len(),
         sample.lines().count()
     );
+    Ok(ExitCode::SUCCESS)
 }
 
 fn label(cell: &Cell) -> String {
@@ -156,10 +152,7 @@ fn render_json(mode: &str, cells: &[Cell], outcomes: &[ExperimentOutcome]) -> St
     let _ = writeln!(json, "{{\n  \"mode\": \"{mode}\",\n  \"cells\": [");
     for (i, (cell, o)) in cells.iter().zip(outcomes).enumerate() {
         let sep = if i + 1 == cells.len() { "" } else { "," };
-        let rt = o
-            .measures
-            .recovery_time_secs
-            .map_or("null".to_string(), |v| format!("{v:.6}"));
+        let rt = o.measures.recovery_time_secs.map_or("null".to_string(), |v| format!("{v:.6}"));
         let _ = write!(
             json,
             "    {{\"fault\": \"{}\", \"config\": \"{}\", \"trigger_secs\": {}, \

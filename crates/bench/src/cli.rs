@@ -1,310 +1,287 @@
-//! The one command-line surface shared by every regenerator binary.
+//! The `recobench` command line: one subcommand per report and tool,
+//! each parsing the flags it reads and refusing every other.
 //!
-//! All twelve binaries accept the same flags, parsed here and only here:
-//!
-//! * `--quick` — shrink durations and configuration sets so the binary
-//!   finishes in seconds (CI smoke mode); paper-faithful runs are the
-//!   default;
-//! * `--threads N` — campaign worker threads (default: all cores);
-//! * `--seed N` — base RNG seed (default 42);
-//! * `--out PATH` — destination for binaries that write a JSON artifact;
-//! * `--smoke` — the smallest mode of `recovery_breakdown`;
-//! * `--sweep-seconds N` / `--runs N` / `--replay PATH` / `--sabotage N`
-//!   — the torture binary's sweep budget, exact run count, single-schedule
-//!   replay mode and self-test sabotage (see `src/bin/torture.rs`);
-//! * `--faultload NAME` — the torture sweep's fault pool: `standard`
-//!   (the seven operator faults, the default), `storage` (the five
-//!   storage-hardware faults: torn/partial/corrupt/full/slow I/O),
-//!   `replica` (the four replica-set faults), or `extended` (every pool
-//!   together).
-//!
-//! An unknown flag, a missing value or an unparsable value is an error:
-//! the binary prints it and exits 2 instead of running some other mode.
-//!
-//! [`CampaignSpec`] collects the experiments a binary builds from these
-//! options and runs them as one [`Campaign`] with a stderr progress line.
+//! A subcommand takes its flags out of [`Args`] ([`Args::flag`],
+//! [`Args::value`]) and then calls [`Args::finish`], which names whatever
+//! is left over — a misspelt flag, a bare word, a flag that belongs to
+//! another subcommand. Every such error, like an unknown subcommand, a
+//! missing value or one that does not parse, is printed and exits 2
+//! before anything runs.
 
-use recobench_core::{Campaign, CampaignReport, Experiment, RecoveryConfig};
-use recobench_faults::FaultType;
+use std::fmt::Display;
+use std::process::ExitCode;
+use std::str::FromStr;
 
-/// Parsed command-line options.
-#[derive(Debug, Clone)]
-pub struct BenchCli {
-    /// Shrunk smoke-test mode.
-    pub quick: bool,
-    /// Campaign worker threads (0 = all cores).
-    pub threads: usize,
-    /// Base seed.
-    pub seed: u64,
-    /// `--smoke`: the smallest self-measurement campaign.
-    pub smoke: bool,
-    /// `--out PATH`: artifact destination override.
-    pub out: Option<String>,
-    /// `--sweep-seconds N`: wall-clock budget for the torture sweep.
-    pub sweep_seconds: Option<u64>,
-    /// `--runs N`: exact torture-run count (overrides the time budget).
-    pub runs: Option<usize>,
-    /// `--replay PATH`: replay one schedule JSON instead of sweeping.
-    pub replay: Option<String>,
-    /// `--sabotage N`: arm the test-only redo-skip sabotage (the torture
-    /// binary's self-test mode: the oracle must catch the divergence).
-    pub sabotage: u32,
-    /// `--faultload NAME`: the torture sweep's fault pool (`standard`,
-    /// `storage`, `replica`, or `extended`; default `standard`).
-    pub faultload: Option<String>,
+use recobench_core::report::Table;
+use recobench_core::{Experiment, RecoveryConfig};
+use recobench_engine::ReplicaTopology;
+use recobench_faults::{FaultClass, FaultType, OperatorFaultType};
+
+use crate::reports::{render_reports, write_paper, Opts, REPORTS};
+use crate::{breakdown, topologies, torture};
+
+/// What a subcommand returns: its exit code, or why the command line was
+/// refused (or, from `run` and `paper`, could not be carried out).
+pub type CmdResult = Result<ExitCode, String>;
+
+/// A subcommand that is not a report.
+struct Tool {
+    name: &'static str,
+    /// The flags it reads, as the usage text shows them.
+    flags: &'static str,
+    about: &'static str,
+    run: fn(Args) -> CmdResult,
 }
 
-impl Default for BenchCli {
-    fn default() -> Self {
-        BenchCli {
-            quick: false,
-            threads: 0,
-            seed: 42,
-            smoke: false,
-            out: None,
-            sweep_seconds: None,
-            runs: None,
-            replay: None,
-            sabotage: 0,
-            faultload: None,
-        }
-    }
+const TOOLS: [Tool; 7] = [
+    Tool {
+        name: "paper",
+        flags: "[--quick] [--threads N] [--seed N] [--out DIR]",
+        about: "every report from one campaign: DIR/<report>.txt and campaign.log (default \
+                target/paper)",
+        run: paper,
+    },
+    Tool {
+        name: "recovery_breakdown",
+        flags: "[--quick] [--threads N] [--seed N] [--out PATH]",
+        about: "recovery time by engine phase; writes BENCH_breakdown.json",
+        run: breakdown::run,
+    },
+    Tool {
+        name: "fig6_topologies",
+        flags: "[--quick] [--threads N] [--seed N] [--out PATH]",
+        about: "replica topologies x failover policies; writes BENCH_topologies.json",
+        run: topologies::run,
+    },
+    Tool {
+        name: "torture",
+        flags: "[--faultload standard|storage|replica|extended] [--sweep-seconds N | --runs N] \
+                [--replay PATH] [--sabotage N] [--threads N] [--seed N] [--out PATH]",
+        about: "random multi-fault schedules against the differential oracle",
+        run: torture::run,
+    },
+    Tool { name: "configs", flags: "", about: "list the Table 3 configurations", run: configs },
+    Tool { name: "faults", flags: "", about: "list the operator-fault taxonomy", run: faults },
+    Tool {
+        name: "run",
+        flags: "[--config NAME] [--fault TYPE] [--at SECS] [--duration SECS] [--seed N] \
+                [--no-archive] [--standby]",
+        about: "one experiment, its measures as a table",
+        run,
+    },
+];
+
+/// The injectable fault types by their `run --fault` names.
+const FAULT_NAMES: [(&str, FaultType); 6] = [
+    ("shutdown-abort", FaultType::ShutdownAbort),
+    ("delete-datafile", FaultType::DeleteDatafile),
+    ("delete-tablespace", FaultType::DeleteTablespace),
+    ("datafile-offline", FaultType::SetDatafileOffline),
+    ("tablespace-offline", FaultType::SetTablespaceOffline),
+    ("drop-table", FaultType::DeleteUsersObject),
+];
+
+/// The arguments after the subcommand's name, not yet taken.
+#[derive(Debug)]
+pub struct Args {
+    subcommand: String,
+    rest: Vec<String>,
 }
 
-impl BenchCli {
-    /// Parses `std::env::args`; on a bad command line prints the reason
-    /// and exits with status 2.
-    pub fn parse() -> BenchCli {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_args(&args).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
+impl Args {
+    /// Takes the switch `name`; whether it was given.
+    pub fn flag(&mut self, name: &str) -> bool {
+        let before = self.rest.len();
+        self.rest.retain(|arg| arg != name);
+        self.rest.len() < before
     }
 
-    /// Parses an explicit argument list.
+    /// Takes `name VALUE` and parses the value; `None` when the flag was
+    /// not given, the last one when it was given twice.
     ///
     /// # Errors
     ///
-    /// Names the unknown flag, or the flag whose value is missing or does
-    /// not parse.
-    pub fn from_args(args: &[String]) -> Result<BenchCli, String> {
-        fn parsed<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-            value.parse().map_err(|_| format!("{flag}: cannot parse '{value}'"))
-        }
-        let mut cli = BenchCli::default();
-        let mut args = args.iter();
-        while let Some(flag) = args.next() {
-            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
-            match flag.as_str() {
-                "--quick" => cli.quick = true,
-                "--smoke" => cli.smoke = true,
-                "--threads" => cli.threads = parsed(flag, value()?)?,
-                "--seed" => cli.seed = parsed(flag, value()?)?,
-                "--out" => cli.out = Some(value()?.clone()),
-                "--sweep-seconds" => cli.sweep_seconds = Some(parsed(flag, value()?)?),
-                "--runs" => cli.runs = Some(parsed(flag, value()?)?),
-                "--replay" => cli.replay = Some(value()?.clone()),
-                "--sabotage" => cli.sabotage = parsed(flag, value()?)?,
-                "--faultload" => cli.faultload = Some(value()?.clone()),
-                _ => return Err(format!("unknown flag '{flag}'")),
-            }
-        }
-        Ok(cli)
-    }
-
-    /// Experiment duration in seconds: the paper's 1 200, or 300 in quick
-    /// mode.
-    pub fn duration(&self) -> u64 {
-        if self.quick {
-            300
-        } else {
-            1_200
-        }
-    }
-
-    /// The fault trigger offsets: the paper's 150/300/600 s, or a single
-    /// early trigger in quick mode.
-    pub fn triggers(&self) -> Vec<u64> {
-        if self.quick {
-            vec![100]
-        } else {
-            vec![150, 300, 600]
-        }
-    }
-
-    /// A single trigger instant: `full` normally, 100 s in quick mode.
-    pub fn single_trigger(&self, full: u64) -> u64 {
-        if self.quick {
-            100
-        } else {
-            full
-        }
-    }
-
-    /// `n` seeds spread out from the base seed — one (the base) in quick
-    /// mode.
-    pub fn seeds(&self, n: usize) -> Vec<u64> {
-        if self.quick {
-            vec![self.seed]
-        } else {
-            (0..n as u64).map(|i| self.seed + 101 * i).collect()
-        }
-    }
-
-    /// The artifact destination: `--out` if given, else `default`.
-    pub fn out_path(&self, default: &str) -> String {
-        self.out.clone().unwrap_or_else(|| default.to_string())
-    }
-
-    /// Picks the quick or the full variant of any option set.
-    pub fn pick<T: Clone>(&self, quick: &[T], full: &[T]) -> Vec<T> {
-        if self.quick {
-            quick.to_vec()
-        } else {
-            full.to_vec()
-        }
-    }
-
-    /// The archive-mode configuration subset (paper §5.2), possibly
-    /// shrunk.
-    pub fn archive_configs(&self) -> Vec<RecoveryConfig> {
-        let all = RecoveryConfig::archive_subset();
-        if self.quick {
-            all.into_iter().filter(|c| matches!(c.name.as_str(), "F40G3T10" | "F1G3T1")).collect()
-        } else {
-            all
-        }
-    }
-
-    /// All sixteen Table 3 configurations, or the named subset in quick
-    /// mode.
-    pub fn table3_or(&self, quick_names: &[&str]) -> Vec<RecoveryConfig> {
-        if self.quick {
-            self.named_configs(quick_names)
-        } else {
-            RecoveryConfig::table3()
-        }
-    }
-
-    /// Looks up configurations by their paper names, panicking on a typo.
-    pub fn named_configs(&self, names: &[&str]) -> Vec<RecoveryConfig> {
-        names
-            .iter()
-            .map(|n| RecoveryConfig::named(n).unwrap_or_else(|| panic!("unknown configuration {n}")))
-            .collect()
-    }
-
-    /// A fault-free experiment at full duration on `config`.
-    pub fn baseline(&self, config: &RecoveryConfig, archive: bool) -> Experiment {
-        Experiment::builder(config.clone())
-            .archive_logs(archive)
-            .duration_secs(self.duration())
-            .seed(self.seed)
-            .build()
-    }
-
-    /// A faulted experiment truncated `tail` seconds after its trigger
-    /// (recovery completes well within the tail; the full 20 minutes add
-    /// nothing to the measures).
-    pub fn fault_run(
-        &self,
-        config: &RecoveryConfig,
-        fault: FaultType,
-        trigger: u64,
-        tail: u64,
-    ) -> Experiment {
-        Experiment::builder(config.clone())
-            .archive_logs(true)
-            .duration_secs((trigger + tail).min(self.duration() + trigger))
-            .fault(fault, trigger)
-            .seed(self.seed)
-            .build()
-    }
-
-    /// Starts collecting a campaign under these options.
-    pub fn campaign(&self) -> CampaignSpec {
-        CampaignSpec { threads: self.threads, experiments: Vec::new() }
-    }
-
-    /// Runs `f(0..n)` across the campaign worker pool and returns the
-    /// results in index order. For bench work that is not an
-    /// [`Experiment`] (torture runs, double-fault cells) but should still
-    /// honor `--threads` instead of running single-threaded.
-    pub fn parallel<T, F>(&self, n: usize, f: F) -> Vec<T>
+    /// Names the flag whose value is missing or does not parse.
+    pub fn value<T>(&mut self, name: &str) -> Result<Option<T>, String>
     where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
+        T: FromStr,
+        T::Err: Display,
     {
-        let workers = if self.threads == 0 {
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4)
-        } else {
-            self.threads
-        };
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots: Vec<std::sync::Mutex<Option<T>>> =
-            (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(n.max(1)) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    *slots[i].lock().unwrap() = Some(f(i));
-                });
+        let mut found = None;
+        while let Some(at) = self.rest.iter().position(|arg| arg == name) {
+            if at + 1 == self.rest.len() {
+                return Err(format!("{name} needs a value"));
             }
-        });
-        slots.into_iter().map(|s| s.into_inner().unwrap().expect("every slot filled")).collect()
+            let text = self.rest.remove(at + 1);
+            self.rest.remove(at);
+            found = Some(text.parse().map_err(|e| format!("{name} '{text}': {e}"))?);
+        }
+        Ok(found)
+    }
+
+    /// Takes the three flags every report reads.
+    ///
+    /// # Errors
+    ///
+    /// As [`Args::value`].
+    pub fn opts(&mut self) -> Result<Opts, String> {
+        Ok(Opts {
+            quick: self.flag("--quick"),
+            threads: self.value("--threads")?.unwrap_or(0),
+            seed: self.value("--seed")?.unwrap_or(42),
+        })
+    }
+
+    /// Ends the parse.
+    ///
+    /// # Errors
+    ///
+    /// Names the first argument no `flag` or `value` call took.
+    pub fn finish(self) -> Result<(), String> {
+        match self.rest.first() {
+            None => Ok(()),
+            Some(arg) => Err(format!("`{}` takes no '{arg}'", self.subcommand)),
+        }
     }
 }
 
-/// The experiments one binary wants to run, collected in table order and
-/// executed as a single parallel [`Campaign`] with progress on stderr.
-#[derive(Debug)]
-pub struct CampaignSpec {
-    threads: usize,
-    experiments: Vec<Experiment>,
+/// Runs the command line `args` (without the program name), printing a
+/// refusal and mapping it to exit code 2.
+pub fn main(args: &[String]) -> ExitCode {
+    dispatch(args).unwrap_or_else(|refusal| {
+        eprintln!("error: {refusal}");
+        ExitCode::from(2)
+    })
 }
 
-impl CampaignSpec {
-    /// Appends one experiment; returns its input-order index.
-    pub fn push(&mut self, experiment: Experiment) -> usize {
-        self.experiments.push(experiment);
-        self.experiments.len() - 1
+/// Finds the subcommand `args` starts with and runs it on the rest.
+///
+/// # Errors
+///
+/// An unknown or missing subcommand, with the list of those there are;
+/// otherwise whatever the subcommand refuses.
+pub fn dispatch(args: &[String]) -> CmdResult {
+    let (name, rest) = args.split_first().ok_or_else(usage)?;
+    let mut args = Args { subcommand: name.clone(), rest: rest.to_vec() };
+    if let Some(tool) = TOOLS.iter().find(|tool| tool.name == name) {
+        return (tool.run)(args);
     }
+    let report = REPORTS
+        .iter()
+        .find(|report| report.name == name)
+        .ok_or_else(|| format!("unknown subcommand '{name}'\n{}", usage()))?;
+    let opts = args.opts()?;
+    args.finish()?;
+    print!("{}", render_reports(std::slice::from_ref(report), &opts).texts[0]);
+    Ok(ExitCode::SUCCESS)
+}
 
-    /// Experiments collected so far.
-    pub fn len(&self) -> usize {
-        self.experiments.len()
+fn usage() -> String {
+    let mut text = String::from(
+        "usage: recobench <subcommand> [flags]\n\n\
+         reports, printed to stdout, each with [--quick] [--threads N] [--seed N]:\n",
+    );
+    for report in &REPORTS {
+        text += &format!("  {}\n", report.name);
     }
+    text += "\ntools:\n";
+    for Tool { name, flags, about, .. } in &TOOLS {
+        text += &format!("  {name} {flags}\n      {about}\n");
+    }
+    text
+}
 
-    /// Whether nothing has been collected.
-    pub fn is_empty(&self) -> bool {
-        self.experiments.is_empty()
-    }
+fn paper(mut args: Args) -> CmdResult {
+    let opts = args.opts()?;
+    let dir = args.value::<String>("--out")?.unwrap_or_else(|| "target/paper".to_string());
+    args.finish()?;
+    write_paper(&opts, dir.as_ref()).map_err(|e| format!("cannot write under {dir}: {e}"))?;
+    eprintln!("paper: {} reports and campaign.log -> {dir}/", REPORTS.len());
+    Ok(ExitCode::SUCCESS)
+}
 
-    /// Runs the campaign; results come back in push order.
-    pub fn run(self) -> CampaignReport {
-        let total = self.experiments.len();
-        let report = Campaign::new(self.experiments)
-            .threads(self.threads)
-            .on_progress(move |p| {
-                eprint!("\r  {}/{} experiments", p.completed, p.total);
-                if p.completed == p.total {
-                    eprintln!();
-                }
-            })
-            .run();
-        debug_assert_eq!(report.len(), total);
-        report
+fn configs(args: Args) -> CmdResult {
+    args.finish()?;
+    let mut t = Table::new(vec!["Name", "File size", "Groups", "Checkpoint timeout"])
+        .title("Recovery configurations (paper Table 3)");
+    for c in RecoveryConfig::table3() {
+        t.row(vec![
+            c.name.clone(),
+            format!("{} MB", c.redo_file_mb),
+            c.redo_groups.to_string(),
+            format!("{} s", c.checkpoint_timeout_secs),
+        ]);
     }
+    println!("{}", t.render());
+    Ok(ExitCode::SUCCESS)
+}
 
-    /// Runs the campaign and unwraps every outcome (a setup failure in a
-    /// regenerator is a bug, not a result).
-    pub fn run_all(self) -> Vec<recobench_core::ExperimentOutcome> {
-        self.run().expect_all()
+fn faults(args: Args) -> CmdResult {
+    args.finish()?;
+    let mut t = Table::new(vec!["Class", "Fault type", "Portability"])
+        .title("Operator-fault taxonomy (paper Tables 1 & 2)");
+    for class in FaultClass::all() {
+        for f in OperatorFaultType::all().into_iter().filter(|f| f.class() == class) {
+            t.row(vec![class.to_string(), f.description().into(), f.portability().to_string()]);
+        }
     }
+    println!("{}", t.render());
+    println!("Injectable types: shutdown-abort, delete-datafile, delete-tablespace,");
+    println!("                  datafile-offline, tablespace-offline, drop-table");
+    Ok(ExitCode::SUCCESS)
+}
+
+/// One experiment, its measures as a table.
+fn run(mut args: Args) -> CmdResult {
+    let config = args.value::<String>("--config")?.unwrap_or_else(|| "F40G3T10".to_string());
+    let fault = match args.value::<String>("--fault")? {
+        None => None,
+        Some(name) => Some(
+            FAULT_NAMES
+                .iter()
+                .find(|known| known.0 == name)
+                .ok_or_else(|| format!("unknown fault type {name}"))?
+                .1,
+        ),
+    };
+    let at: u64 = args.value("--at")?.unwrap_or(300);
+    let duration: u64 = args.value("--duration")?.unwrap_or(1_200);
+    let seed: u64 = args.value("--seed")?.unwrap_or(42);
+    let archive = !args.flag("--no-archive");
+    let standby = args.flag("--standby");
+    args.finish()?;
+
+    let cfg =
+        RecoveryConfig::named(&config).ok_or_else(|| format!("unknown configuration {config}"))?;
+    eprintln!("running {config} for {duration} simulated seconds...");
+    let topology = if standby { ReplicaTopology::single() } else { ReplicaTopology::none() };
+    let mut builder = Experiment::builder(cfg)
+        .duration_secs(duration)
+        .seed(seed)
+        .archive_logs(archive)
+        .topology(topology);
+    if let Some(f) = fault {
+        builder = builder.fault(f, at);
+    }
+    let out = builder.run().map_err(|e| e.to_string())?;
+
+    let m = &out.measures;
+    let mut t =
+        Table::new(vec!["Measure", "Value"]).title(format!("Experiment: {}", out.config_name));
+    t.row(vec!["tpmC".into(), format!("{:.0}", m.tpmc)]);
+    t.row(vec![
+        "fault".into(),
+        out.fault.map_or("none".into(), |f| format!("{f} at t+{}s", out.trigger_secs.unwrap_or(0))),
+    ]);
+    t.row(vec!["recovery time (s)".into(), m.recovery_cell(duration.saturating_sub(at))]);
+    t.row(vec!["lost transactions".into(), m.lost_transactions.to_string()]);
+    t.row(vec!["integrity violations".into(), m.integrity_violations.to_string()]);
+    t.row(vec!["log switches".into(), m.log_switches.to_string()]);
+    t.row(vec!["redo generated (MB)".into(), format!("{:.1}", m.redo_mb)]);
+    t.row(vec!["commits".into(), m.total_commits.to_string()]);
+    t.row(vec!["unrecoverable".into(), out.unrecoverable.to_string()]);
+    println!("{}", t.render());
+    Ok(ExitCode::SUCCESS)
 }
 
 #[cfg(test)]
@@ -315,41 +292,51 @@ mod tests {
         s.iter().map(|a| a.to_string()).collect()
     }
 
+    fn parse(s: &[&str]) -> Args {
+        Args { subcommand: "test".to_string(), rest: args(s) }
+    }
+
     #[test]
     fn defaults_are_paper_faithful() {
-        let cli = BenchCli::from_args(&[]).unwrap();
-        assert!(!cli.quick && !cli.smoke);
-        assert_eq!(cli.duration(), 1_200);
-        assert_eq!(cli.triggers(), vec![150, 300, 600]);
-        assert_eq!(cli.single_trigger(600), 600);
-        assert_eq!(cli.seeds(3), vec![42, 143, 244]);
-        assert_eq!(cli.archive_configs().len(), 8);
-        assert_eq!(cli.out_path("X.json"), "X.json");
+        let mut none = parse(&[]);
+        let opts = none.opts().unwrap();
+        none.finish().unwrap();
+        assert!(!opts.quick);
+        assert_eq!((opts.threads, opts.seed), (0, 42));
+        assert_eq!(opts.duration(), 1_200);
+        assert_eq!(opts.triggers(), vec![150, 300, 600]);
+        assert_eq!(opts.single_trigger(600), 600);
+        assert_eq!(opts.seeds(3), vec![42, 143, 244]);
+        assert_eq!(opts.archive_configs().len(), 8);
     }
 
     #[test]
     fn quick_mode_shrinks_everything() {
-        let cli = BenchCli::from_args(&args(&["--quick", "--threads", "2", "--seed", "7"])).unwrap();
-        assert_eq!((cli.threads, cli.seed), (2, 7));
-        assert_eq!(cli.duration(), 300);
-        assert_eq!(cli.triggers(), vec![100]);
-        assert_eq!(cli.single_trigger(600), 100);
-        assert_eq!(cli.seeds(5), vec![7]);
-        assert_eq!(cli.archive_configs().len(), 2);
-        assert_eq!(cli.pick(&[1], &[1, 2, 3]), vec![1]);
-        assert_eq!(cli.table3_or(&["F1G3T1"]).len(), 1);
+        let mut given = parse(&["--quick", "--threads", "2", "--seed", "7"]);
+        let opts = given.opts().unwrap();
+        given.finish().unwrap();
+        assert_eq!((opts.threads, opts.seed), (2, 7));
+        assert_eq!(opts.duration(), 300);
+        assert_eq!(opts.triggers(), vec![100]);
+        assert_eq!(opts.single_trigger(600), 100);
+        assert_eq!(opts.seeds(5), vec![7]);
+        assert_eq!(opts.archive_configs().len(), 2);
+        assert_eq!(opts.pick(&[1], &[1, 2, 3]), vec![1]);
+        assert_eq!(opts.table3_or(&["F1G3T1"]).len(), 1);
     }
 
     #[test]
     fn artifact_flags_parse() {
-        let cli = BenchCli::from_args(&args(&["--smoke", "--out", "custom.json"])).unwrap();
-        assert!(cli.smoke);
-        assert_eq!(cli.out_path("default.json"), "custom.json");
+        let mut given = parse(&["--out", "custom.json", "--quick"]);
+        assert!(given.opts().unwrap().quick);
+        assert_eq!(given.value::<String>("--out").unwrap().as_deref(), Some("custom.json"));
+        given.finish().unwrap();
+        assert_eq!(parse(&[]).value::<String>("--out").unwrap(), None);
     }
 
     #[test]
     fn torture_flags_parse() {
-        let cli = BenchCli::from_args(&args(&[
+        let mut given = parse(&[
             "--sweep-seconds",
             "45",
             "--runs",
@@ -358,53 +345,99 @@ mod tests {
             "2",
             "--replay",
             "tests/corpus/a.json",
-            "--faultload",
-            "storage",
-        ]))
-        .unwrap();
-        assert_eq!(cli.sweep_seconds, Some(45));
-        assert_eq!(cli.runs, Some(3));
-        assert_eq!(cli.sabotage, 2);
-        assert_eq!(cli.replay.as_deref(), Some("tests/corpus/a.json"));
-        assert_eq!(cli.faultload.as_deref(), Some("storage"));
-        let none = BenchCli::from_args(&[]).unwrap();
-        assert_eq!((none.sweep_seconds, none.runs, none.sabotage), (None, None, 0));
-        assert!(none.replay.is_none());
-        assert!(none.faultload.is_none());
+            "--runs",
+            "5",
+        ]);
+        assert_eq!(given.value::<u32>("--sabotage").unwrap(), Some(2));
+        assert_eq!(given.value::<usize>("--runs").unwrap(), Some(5), "the last one counts");
+        assert_eq!(given.value::<u64>("--sweep-seconds").unwrap(), Some(45));
+        assert_eq!(
+            given.value::<String>("--replay").unwrap().as_deref(),
+            Some("tests/corpus/a.json")
+        );
+        assert_eq!(given.value::<String>("--faultload").unwrap(), None);
+        given.finish().unwrap();
     }
 
     #[test]
     fn unknown_flags_are_rejected() {
         // `--mini` was documented for years and read by no parser.
-        let err = BenchCli::from_args(&args(&["--quick", "--mini"])).unwrap_err();
-        assert!(err.contains("--mini"), "{err}");
-        assert!(BenchCli::from_args(&args(&["quick"])).is_err(), "a bare word is not a flag");
+        let mut given = parse(&["--quick", "--mini"]);
+        given.opts().unwrap();
+        let err = given.finish().unwrap_err();
+        assert!(err.contains("--mini") && err.contains("test"), "{err}");
+        assert!(parse(&["quick"]).finish().is_err(), "a bare word is not a flag");
+        // So is what another subcommand reads, before anything runs.
+        for line in [
+            &["table4_incomplete", "--sabotage", "3"][..],
+            &["paper", "--runs", "3"],
+            &["torture", "--quick"],
+            &["recovery_breakdown", "--smoke"],
+            &["configs", "--seed", "1"],
+            &["run", "--threads", "2"],
+        ] {
+            let err = dispatch(&args(line)).unwrap_err();
+            assert!(err.contains(line[0]) && err.contains(line[1]), "{line:?}: {err}");
+        }
     }
 
     #[test]
     fn missing_and_unparsable_values_are_rejected() {
-        let err = BenchCli::from_args(&args(&["--threads", "two"])).unwrap_err();
+        let err = parse(&["--threads", "two"]).value::<usize>("--threads").unwrap_err();
         assert!(err.contains("--threads") && err.contains("two"), "{err}");
-        let err = BenchCli::from_args(&args(&["--seed"])).unwrap_err();
+        let err = parse(&["--quick", "--seed"]).value::<u64>("--seed").unwrap_err();
         assert!(err.contains("--seed"), "{err}");
-        assert!(BenchCli::from_args(&args(&["--runs", "-1"])).is_err());
+        assert!(parse(&["--runs", "-1"]).value::<usize>("--runs").is_err());
+        let err = dispatch(&args(&["torture", "--faultload", "bogus"])).unwrap_err();
+        assert!(err.contains("bogus") && err.contains("extended"), "{err}");
+        let err = dispatch(&args(&["run", "--fault", "meteor"])).unwrap_err();
+        assert!(err.contains("meteor"), "{err}");
     }
 
     #[test]
-    fn parallel_preserves_index_order() {
-        let cli = BenchCli::from_args(&args(&["--threads", "3"])).unwrap();
-        let out = cli.parallel(17, |i| i * i);
-        assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
+    fn an_unknown_subcommand_is_rejected_with_the_list() {
+        for line in [&["frobnicate"][..], &[], &["--quick"]] {
+            let err = dispatch(&args(line)).unwrap_err();
+            for name in REPORTS.iter().map(|r| r.name).chain(TOOLS.iter().map(|t| t.name)) {
+                assert!(err.contains(name), "{line:?}: {name} missing from\n{err}");
+            }
+        }
     }
 
     #[test]
     fn fault_runs_truncate_after_the_tail() {
-        let cli = BenchCli::from_args(&[]).unwrap();
+        let opts = parse(&[]).opts().unwrap();
         let cfg = RecoveryConfig::named("F10G3T5").unwrap();
-        let mut spec = cli.campaign();
+        let mut spec = opts.campaign();
         assert!(spec.is_empty());
-        assert_eq!(spec.push(cli.fault_run(&cfg, FaultType::ShutdownAbort, 150, 240)), 0);
-        assert_eq!(spec.push(cli.baseline(&cfg, true)), 1);
+        assert_eq!(spec.push(opts.fault_run(&cfg, FaultType::ShutdownAbort, 150, 240)), 0);
+        assert_eq!(spec.push(opts.baseline(&cfg, true)), 1);
         assert_eq!(spec.len(), 2);
+        let cut = |tail: u64| {
+            Experiment::builder(cfg.clone())
+                .fault(FaultType::ShutdownAbort, 150)
+                .duration_secs(150 + tail)
+                .seed(42)
+                .build()
+        };
+        assert_eq!(opts.fault_run(&cfg, FaultType::ShutdownAbort, 150, 240), cut(240));
+        assert_eq!(opts.fault_run(&cfg, FaultType::ShutdownAbort, 150, 9_999), cut(1_200));
+    }
+
+    #[test]
+    fn an_equal_experiment_is_the_cell_already_planned() {
+        let opts = parse(&[]).opts().unwrap();
+        let configs = opts.archive_configs();
+        let mut spec = opts.campaign();
+        assert_eq!(spec.push(opts.baseline(&configs[0], true)), 0);
+        assert_eq!(spec.push(opts.baseline(&configs[1], true)), 1);
+        assert_eq!(
+            spec.push(opts.baseline(&configs[0], false)),
+            2,
+            "archive mode tells them apart"
+        );
+        assert_eq!(spec.push(opts.baseline(&configs[0], true)), 0);
+        assert_eq!((spec.planned(), spec.len()), (4, 3));
+        assert_eq!(spec.setups(), 3);
     }
 }

@@ -1,11 +1,14 @@
-//! Shared plumbing for the table/figure regenerator binaries.
+//! Everything behind the `recobench` command line.
 //!
-//! All option parsing, quick-mode shrinking, and campaign execution for
-//! the `src/bin/*` binaries lives in [`cli`] — a binary builds its
-//! experiment list through [`BenchCli`] and [`CampaignSpec`] and renders
-//! tables from the outcomes; none of them parses `std::env::args`
-//! itself.
+//! [`cli`] is the front end: subcommands, and the flags each one reads.
+//! [`reports`] regenerates the tables and figures of `results/` — one at
+//! a time or, as `recobench paper`, all from a single campaign.
+//! [`breakdown`], [`topologies`] and [`torture`] are the tools that write
+//! an artifact or spend a wall-clock budget instead. The `perf` benchmark
+//! under `src/bin/perf/` is a program of its own.
 
+pub mod breakdown;
 pub mod cli;
-
-pub use cli::{BenchCli, CampaignSpec};
+pub mod reports;
+pub mod topologies;
+pub mod torture;

@@ -1,8 +1,8 @@
-//! The replica-set scenario matrix the paper could not measure: recovery
-//! and availability per **topology** (single stand-by, two-node fan-out,
-//! two-deep cascade) and per **failover policy** (manual, auto-quorum,
-//! auto-with-fencing), including the double-fault cell where the freshly
-//! promoted node is killed too.
+//! `recobench fig6_topologies`: the replica-set scenario matrix the paper
+//! could not measure — recovery and availability per **topology** (single
+//! stand-by, two-node fan-out, two-deep cascade) and per **failover
+//! policy** (manual, auto-quorum, auto-with-fencing), including the
+//! double-fault cell where the freshly promoted node is killed too.
 //!
 //! Every cell runs the same contended 8-terminal TPC-C workload and kills
 //! the primary at the same instant; the availability integral (fraction
@@ -15,8 +15,8 @@
 //! Results land in `BENCH_topologies.json` (override with `--out PATH`).
 
 use std::fmt::Write as _;
+use std::process::ExitCode;
 
-use recobench_bench::BenchCli;
 use recobench_core::report::Table;
 use recobench_core::{Experiment, ExperimentOutcome, RecoveryConfig};
 use recobench_engine::{FailoverPolicy, ReplicaTopology};
@@ -26,13 +26,7 @@ use recobench_faults::{
 use recobench_oracle::{TortureOptions, TortureRunner};
 use recobench_tpcc::{AvailabilityTimeline, DriverConfig};
 
-/// One cell of the matrix: a topology, a policy, and whether the promoted
-/// node is killed too.
-struct Cell {
-    topology: ReplicaTopology,
-    policy: FailoverPolicy,
-    double_fault: bool,
-}
+use crate::cli::{Args, CmdResult};
 
 /// Fraction of the run's seconds with at least one committed transaction.
 fn availability_integral(tl: &AvailabilityTimeline) -> f64 {
@@ -62,58 +56,47 @@ fn cell_json(out: &mut String, o: &ExperimentOutcome, double_fault: bool) {
     );
 }
 
-fn main() {
-    let cli = BenchCli::parse();
+/// The subcommand.
+///
+/// # Errors
+///
+/// A refused command line.
+pub fn run(mut args: Args) -> CmdResult {
+    let opts = args.opts()?;
+    let out_path = args.value("--out")?.unwrap_or_else(|| "BENCH_topologies.json".to_string());
+    args.finish()?;
     let config = RecoveryConfig::named("F10G3T5").expect("known configuration");
-    let trigger = cli.single_trigger(120);
+    let trigger = opts.single_trigger(120);
     let second = trigger + 60;
     let duration = second + 180;
     let driver = DriverConfig { terminals: 8, ..DriverConfig::default() };
 
-    let cells = vec![
-        Cell {
-            topology: ReplicaTopology::single(),
-            policy: FailoverPolicy::Manual,
-            double_fault: false,
-        },
-        Cell {
-            topology: ReplicaTopology::fan_out(2),
-            policy: FailoverPolicy::AutoQuorum,
-            double_fault: false,
-        },
-        Cell {
-            topology: ReplicaTopology::fan_out(2),
-            policy: FailoverPolicy::AutoWithFencing,
-            double_fault: false,
-        },
-        Cell {
-            topology: ReplicaTopology::fan_out(2),
-            policy: FailoverPolicy::AutoQuorum,
-            double_fault: true,
-        },
-        Cell {
-            topology: ReplicaTopology::cascade(2),
-            policy: FailoverPolicy::AutoQuorum,
-            double_fault: false,
-        },
+    // The matrix: topology, policy, and whether the promoted node is
+    // killed too.
+    let cells = [
+        (ReplicaTopology::single(), FailoverPolicy::Manual, false),
+        (ReplicaTopology::fan_out(2), FailoverPolicy::AutoQuorum, false),
+        (ReplicaTopology::fan_out(2), FailoverPolicy::AutoWithFencing, false),
+        (ReplicaTopology::fan_out(2), FailoverPolicy::AutoQuorum, true),
+        (ReplicaTopology::cascade(2), FailoverPolicy::AutoQuorum, false),
     ];
 
-    let mut spec = cli.campaign();
-    for cell in &cells {
+    let mut spec = opts.campaign();
+    for (topology, policy, double_fault) in &cells {
         let mut b = Experiment::builder(config.clone())
             .archive_logs(true)
-            .topology(cell.topology.clone())
-            .failover_policy(cell.policy)
+            .topology(topology.clone())
+            .failover_policy(*policy)
             .driver(driver)
             .duration_secs(duration)
             .fault(FaultType::ShutdownAbort, trigger)
-            .seed(cli.seed);
-        if cell.double_fault {
+            .seed(opts.seed);
+        if *double_fault {
             b = b.second_fault_secs(second);
         }
         spec.push(b.build());
     }
-    let results = spec.run_all();
+    let results = spec.run().expect_all();
 
     // The oracle gate: the same double fault under the torture harness,
     // diffed against the reference model after every failover.
@@ -125,7 +108,7 @@ fn main() {
         ..TortureOptions::default()
     })
     .run(&FaultSchedule {
-        seed: cli.seed,
+        seed: opts.seed,
         duration_secs: duration,
         faults: vec![
             ScheduledFault {
@@ -151,15 +134,13 @@ fn main() {
         "tpmC",
     ])
     .title("Figure 6ext — replica topologies and failover policies under primary kill");
-    for (cell, o) in cells.iter().zip(&results) {
+    for ((_, _, double_fault), o) in cells.iter().zip(&results) {
         table.row(vec![
             o.topology.clone(),
             o.policy.clone(),
-            if cell.double_fault { "kill+kill".into() } else { "kill".into() },
+            if *double_fault { "kill+kill".into() } else { "kill".into() },
             o.failovers.to_string(),
-            o.measures
-                .recovery_time_secs
-                .map_or("—".to_string(), |s| format!("{s:.1}")),
+            o.measures.recovery_time_secs.map_or("—".to_string(), |s| format!("{s:.1}")),
             format!("{:.1}%", availability_integral(&o.timeline) * 100.0),
             o.measures.lost_transactions.to_string(),
             format!("{:.0}", o.measures.tpmc),
@@ -176,8 +157,8 @@ fn main() {
 
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"fig6_topologies\",\n  \"cells\": [\n");
-    for (i, (cell, o)) in cells.iter().zip(&results).enumerate() {
-        cell_json(&mut json, o, cell.double_fault);
+    for (i, ((_, _, double_fault), o)) in cells.iter().zip(&results).enumerate() {
+        cell_json(&mut json, o, *double_fault);
         json.push_str(if i + 1 == results.len() { "\n" } else { ",\n" });
     }
     let _ = write!(
@@ -191,7 +172,7 @@ fn main() {
         oracle.commits,
         oracle.unrecoverable,
     );
-    let out_path = cli.out_path("BENCH_topologies.json");
-    std::fs::write(&out_path, &json).expect("write BENCH_topologies.json");
+    std::fs::write(&out_path, &json).map_err(|e| format!("cannot write {out_path}: {e}"))?;
     eprintln!("fig6_topologies: wrote {out_path}");
+    Ok(ExitCode::SUCCESS)
 }

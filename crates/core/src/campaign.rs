@@ -130,40 +130,29 @@ impl Campaign {
     /// run back to back, so that no more than one stage per worker is
     /// alive at a time.
     pub fn run(self) -> CampaignReport {
-        let workers = if self.threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-        } else {
-            self.threads
-        };
         let n = self.experiments.len();
-        let next = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<ExperimentOutcome, CampaignError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
         let experiments = &self.experiments;
         let progress = self.progress.as_deref();
         let plan = Plan::of(experiments);
 
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(n.max(1)) {
-                scope.spawn(|| loop {
-                    let turn = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = plan.order.get(turn) else { break };
-                    let exp = &experiments[i];
-                    let result = plan.run_cell(i, exp).map_err(|error| CampaignError {
-                        index: i,
-                        config: exp.config().name.clone(),
-                        error,
-                    });
-                    let ok = result.is_ok();
-                    *slots[i].lock().unwrap() = Some(result);
-                    let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if let Some(cb) = progress {
-                        cb(CampaignProgress { completed, total: n, index: i, ok });
-                    }
-                });
+        let ran = run_indexed(n, self.threads, |turn| {
+            let i = plan.order[turn];
+            let exp = &experiments[i];
+            let result = plan.run_cell(i, exp).map_err(|error| CampaignError {
+                index: i,
+                config: exp.config().name.clone(),
+                error,
+            });
+            let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
+            if let Some(cb) = progress {
+                cb(CampaignProgress { completed, total: n, index: i, ok: result.is_ok() });
             }
+            result
         });
+        // Back from the plan's order to the caller's.
+        let mut results: Vec<_> = plan.order.iter().copied().zip(ran).collect();
+        results.sort_unstable_by_key(|&(i, _)| i);
 
         let Tally { templates_built, prefixes_built, prefix_sim_micros } = plan.tally;
         let (templates_built, prefixes_built) =
@@ -177,12 +166,46 @@ impl Campaign {
             prefix_hits: staged.count() - prefixes_built,
             prefixes_built,
             prefix_sim_secs: prefix_sim_micros.into_inner() as f64 / 1e6,
-            results: slots
-                .into_iter()
-                .map(|s| s.into_inner().unwrap().expect("every slot filled"))
-                .collect(),
+            results: results.into_iter().map(|(_, result)| result).collect(),
         }
     }
+}
+
+/// Runs `job(0)` … `job(n - 1)` on `threads` workers (0 = one per
+/// available core) and returns the results in index order; indices are
+/// handed out in ascending order, one at a time. The one worker pool of
+/// the workspace: [`Campaign::run`] gives it its cells, the bench front
+/// end its torture runs and double-fault cells. Every worker is a spawned
+/// thread and the caller only waits, so what a job leaves behind never
+/// piles up on the calling thread.
+pub fn run_indexed<T, F>(n: usize, threads: usize, job: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = if threads == 0 {
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
+    } else {
+        threads
+    };
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers.min(n.max(1)) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                *slots[i].lock().expect("a slot is locked once, by the worker that fills it") =
+                    Some(job(i));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("no worker panicked").expect("every slot filled"))
+        .collect()
 }
 
 /// What a campaign builds once and shares: a setup template, or a warm
@@ -412,7 +435,7 @@ impl CampaignReport {
     }
 
     /// Unwraps every outcome, panicking with the first setup failure.
-    /// The table/figure regenerators use this: a setup failure there is a
+    /// The table/figure reports use this: a setup failure there is a
     /// bug, not a benchmark result.
     pub fn expect_all(self) -> Vec<ExperimentOutcome> {
         self.results
@@ -422,11 +445,6 @@ impl CampaignReport {
                 Err(e) => panic!("campaign setup failure: {e}"),
             })
             .collect()
-    }
-
-    /// Consumes the report into the raw result vector.
-    pub fn into_results(self) -> Vec<Result<ExperimentOutcome, CampaignError>> {
-        self.results
     }
 }
 
@@ -603,6 +621,15 @@ mod tests {
             with[1].measures.tpmc,
             with[0].measures.tpmc
         );
+    }
+
+    #[test]
+    fn run_indexed_preserves_index_order() {
+        for threads in [1, 3] {
+            let out = run_indexed(17, threads, |i| i * i);
+            assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
+        }
+        assert!(run_indexed(0, 3, |i| i).is_empty());
     }
 
     #[test]

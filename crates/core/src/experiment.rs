@@ -189,8 +189,9 @@ impl WarmStage {
     }
 }
 
-/// A fully specified experiment, ready to run.
-#[derive(Debug, Clone)]
+/// A fully specified experiment, ready to run. Equal experiments have
+/// equal outcomes, so a plan may run one for all of them.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Experiment {
     config: RecoveryConfig,
     archive: bool,

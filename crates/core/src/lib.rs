@@ -18,8 +18,8 @@
 //!   errors, input-order results, and progress callbacks.
 //! * [`RecoveryBreakdown`] — where the recovery time went, phase by
 //!   phase, derived from the engine's event stream.
-//! * [`report`] — fixed-width tables for the per-table/figure
-//!   regenerators in `recobench-bench`.
+//! * [`report`] — fixed-width tables for the per-table/figure reports in
+//!   `recobench-bench`.
 
 pub mod campaign;
 pub mod configs;

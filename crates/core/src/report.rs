@@ -1,4 +1,4 @@
-//! Fixed-width table rendering for the table/figure regenerators.
+//! Fixed-width table rendering for the table/figure reports.
 
 use std::fmt::Write as _;
 
@@ -84,7 +84,7 @@ impl Table {
 
 /// Lays out recovery-time breakdowns — one labelled cell per row, one
 /// column per phase, all in seconds — for the `recovery_breakdown`
-/// regenerator and anything else that wants Table 5 decomposed.
+/// tool and anything else that wants Table 5 decomposed.
 pub fn breakdown_table(
     title: &str,
     rows: &[(String, crate::measures::RecoveryBreakdown)],

@@ -419,13 +419,6 @@ impl BufferCache {
         self.stats
     }
 
-    /// The latest unwritten change address among dirty frames (everything
-    /// at or below must be flushed before a full checkpoint's writes are
-    /// WAL-safe).
-    pub fn max_dirty_last_addr(&self) -> Option<RedoAddr> {
-        self.iter_resident().filter_map(|s| s.dirty.map(|d| d.last_addr)).max()
-    }
-
     /// Iterates over resident slots (skipping freed slab entries).
     fn iter_resident(&self) -> impl Iterator<Item = &Slot> {
         self.map.values().map(|&i| &self.slots[i])

@@ -483,11 +483,6 @@ impl EventSink {
         self.dropped
     }
 
-    /// Raises (or lowers) the retention bound.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-    }
-
     /// Retained events in `[from, to)`.
     pub fn window(&self, from: SimTime, to: SimTime) -> Vec<&(SimTime, EngineEvent)> {
         self.events.iter().filter(|(t, _)| *t >= from && *t < to).collect()

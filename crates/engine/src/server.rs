@@ -217,11 +217,6 @@ impl DbServer {
         self.dml_tap = Some(DmlTap(Box::new(f)));
     }
 
-    /// Removes the installed tap, if any.
-    pub fn clear_dml_tap(&mut self) {
-        self.dml_tap = None;
-    }
-
     pub(crate) fn emit_dml(&mut self, change: DmlChange) {
         if let Some(tap) = self.dml_tap.as_mut() {
             (tap.0)(&change);
@@ -237,14 +232,6 @@ impl DbServer {
     #[doc(hidden)]
     pub fn sabotage_skip_redo_records(&mut self, n: u32) {
         self.sabotage_skip_redo = n;
-    }
-
-    /// Armed sabotage skips not yet consumed by a replay (tests use this
-    /// to prove the sabotage actually fired).
-    #[cfg(any(test, feature = "sabotage"))]
-    #[doc(hidden)]
-    pub fn sabotage_skips_left(&self) -> u32 {
-        self.sabotage_skip_redo
     }
 
     /// Test-only sabotage: flips one bit in one written block of the file
@@ -937,17 +924,6 @@ impl DbServer {
         let id = self.inst_mut()?.catalog.next_user_id();
         self.ddl(CatalogChange::CreateUser { id, name: name.to_string() })?;
         Ok(id)
-    }
-
-    /// Drops a user (their objects are dropped by the caller first; this
-    /// engine does not cascade).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the user does not exist.
-    pub fn drop_user(&mut self, name: &str) -> DbResult<()> {
-        let id = self.inst_ref()?.catalog.user_by_name(name)?;
-        self.ddl(CatalogChange::DropUser { id })
     }
 
     /// Creates a tablespace with `nfiles` datafiles of `blocks_per_file`

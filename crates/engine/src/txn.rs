@@ -108,11 +108,6 @@ impl TxnTable {
         self.active.len()
     }
 
-    /// Ids of all active transactions, ascending, without allocating.
-    pub fn active_ids(&self) -> impl Iterator<Item = TxnId> + '_ {
-        self.active.keys().copied()
-    }
-
     /// Advances the id allocator past `floor` (used after recovery so new
     /// transactions never reuse a replayed id).
     pub fn bump_past(&mut self, floor: u64) {

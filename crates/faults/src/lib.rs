@@ -18,7 +18,7 @@ pub mod schedule;
 pub mod taxonomy;
 
 pub use injector::{FaultInjector, FaultOutcome, FaultPlan, FaultTarget, InjectionRecord};
-pub use scenario::{DoubleFaultOutcome, DoubleFaultPlan, Sabotage};
+pub use scenario::Sabotage;
 pub use schedule::{FaultSchedule, ScheduledFault, TortureFaultKind};
 pub use taxonomy::{
     FaultClass, FaultType, OperatorFaultType, Portability, RecoveryKind, ReplicaFaultType,

@@ -5,15 +5,14 @@
 //! from its experiments because "after a first fault affecting the
 //! recovery mechanisms we would need a second fault of other type to
 //! activate the recovery and reveal the effects of the first" (§4). This
-//! module implements exactly that two-step experiment: a silent *sabotage*
-//! of the recovery apparatus, then one of the ordinary injected faults —
-//! whose recovery now fails or degrades, exposing the first mistake.
+//! module is the first step of that experiment: a silent [`Sabotage`] of
+//! the recovery apparatus. The second is one of the ordinary faults through
+//! the [`FaultInjector`](crate::FaultInjector), whose `recover` now fails
+//! or degrades — that `DbResult` is the first mistake becoming visible.
 
 use recobench_engine::{DbResult, DbServer};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-use crate::injector::{FaultInjector, FaultOutcome, FaultPlan};
 
 /// A recovery-mechanism-administration mistake (paper Table 2, last
 /// class). Silent on its own: performance and service are unaffected
@@ -69,57 +68,10 @@ impl fmt::Display for Sabotage {
     }
 }
 
-/// A two-fault scenario: sabotage now, visible fault later.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DoubleFaultPlan {
-    /// The silent first fault.
-    pub sabotage: Sabotage,
-    /// The second, visible fault (with its own trigger and recovery
-    /// procedure).
-    pub fault: FaultPlan,
-}
-
-/// What a double-fault scenario produced.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DoubleFaultOutcome {
-    /// Files destroyed by the sabotage.
-    pub destroyed: u64,
-    /// The second fault's recovery outcome, or `None` if recovery failed —
-    /// which is precisely the first fault becoming visible.
-    pub recovery: Option<FaultOutcome>,
-    /// The recovery error message when recovery failed.
-    pub recovery_error: Option<String>,
-}
-
-impl DoubleFaultPlan {
-    /// Runs the scenario against `server`: sabotage immediately, inject
-    /// the second fault, attempt its recovery.
-    ///
-    /// # Errors
-    ///
-    /// Fails only if the *injection* itself is impossible (mis-planned
-    /// experiment); a failed recovery is the expected result, not an
-    /// error.
-    pub fn execute(&self, server: &mut DbServer) -> DbResult<DoubleFaultOutcome> {
-        let destroyed = self.sabotage.perform(server)?;
-        let injector = FaultInjector::new(self.fault.clone());
-        let record = injector.inject(server)?;
-        match injector.recover(server, &record) {
-            Ok(outcome) => {
-                Ok(DoubleFaultOutcome { destroyed, recovery: Some(outcome), recovery_error: None })
-            }
-            Err(e) => Ok(DoubleFaultOutcome {
-                destroyed,
-                recovery: None,
-                recovery_error: Some(e.to_string()),
-            }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::injector::{FaultInjector, FaultOutcome, FaultPlan};
     use crate::taxonomy::FaultType;
     use recobench_engine::catalog::IndexDef;
     use recobench_engine::row::{Row, Value};
@@ -164,6 +116,19 @@ mod tests {
         srv
     }
 
+    /// The two-step experiment: sabotage now, then the visible fault and
+    /// its recovery procedure.
+    fn sabotage_then(
+        srv: &mut DbServer,
+        sabotage: Sabotage,
+        fault: FaultType,
+    ) -> DbResult<FaultOutcome> {
+        assert!(sabotage.perform(srv).unwrap() > 0, "something to destroy");
+        let injector = FaultInjector::new(FaultPlan::new(fault, 0));
+        let record = injector.inject(srv).expect("injection is valid");
+        injector.recover(srv, &record)
+    }
+
     #[test]
     fn sabotage_alone_is_silent() {
         let mut srv = server_with_archives();
@@ -182,20 +147,17 @@ mod tests {
     fn archive_sabotage_turns_media_recovery_unrecoverable() {
         // Without sabotage the same second fault recovers fine...
         let mut healthy = server_with_archives();
-        let plan = DoubleFaultPlan {
-            sabotage: Sabotage::DeleteArchiveLogs,
-            fault: FaultPlan::new(FaultType::DeleteDatafile, 0),
-        };
-        let control = FaultInjector::new(plan.fault.clone());
+        let control = FaultInjector::new(FaultPlan::new(FaultType::DeleteDatafile, 0));
         let rec = control.inject(&mut healthy).unwrap();
         assert!(control.recover(&mut healthy, &rec).is_ok(), "baseline must recover");
 
-        // ...but with the archives gone it cannot.
+        // ...but with the archives gone it cannot: the first fault
+        // surfaces here.
         let mut sabotaged = server_with_archives();
-        let outcome = plan.execute(&mut sabotaged).unwrap();
-        assert!(outcome.destroyed > 0);
-        assert!(outcome.recovery.is_none(), "the first fault must surface here");
-        let err = outcome.recovery_error.unwrap();
+        let err =
+            sabotage_then(&mut sabotaged, Sabotage::DeleteArchiveLogs, FaultType::DeleteDatafile)
+                .unwrap_err()
+                .to_string();
         assert!(
             err.contains("unrecoverable") || err.contains("deleted"),
             "error must name the missing redo: {err}"
@@ -205,12 +167,9 @@ mod tests {
     #[test]
     fn backup_sabotage_blocks_incomplete_recovery() {
         let mut srv = server_with_archives();
-        let plan = DoubleFaultPlan {
-            sabotage: Sabotage::DiscardBackups,
-            fault: FaultPlan::new(FaultType::DeleteUsersObject, 0),
-        };
-        let outcome = plan.execute(&mut srv).unwrap();
-        assert!(outcome.recovery.is_none(), "point-in-time recovery needs the backup");
+        let recovery =
+            sabotage_then(&mut srv, Sabotage::DiscardBackups, FaultType::DeleteUsersObject);
+        assert!(recovery.is_err(), "point-in-time recovery needs the backup");
     }
 
     #[test]
@@ -219,13 +178,8 @@ mod tests {
         // invisible even through the second fault.
         for sabotage in Sabotage::all() {
             let mut srv = server_with_archives();
-            let plan = DoubleFaultPlan {
-                sabotage,
-                fault: FaultPlan::new(FaultType::ShutdownAbort, 0),
-            };
-            let outcome = plan.execute(&mut srv).unwrap();
             assert!(
-                outcome.recovery.is_some(),
+                sabotage_then(&mut srv, sabotage, FaultType::ShutdownAbort).is_ok(),
                 "{sabotage}: crash recovery must still work (online redo only)"
             );
             assert!(srv.is_open());

@@ -175,28 +175,6 @@ impl FaultSchedule {
         Self::random_from(rng, &TortureFaultKind::all(), n_faults, duration_secs, min_at)
     }
 
-    /// Like [`FaultSchedule::random`] but drawing only from the five
-    /// storage-hardware fault kinds — the `--faultload storage` pool.
-    pub fn random_storage(
-        rng: &mut SimRng,
-        n_faults: usize,
-        duration_secs: u64,
-        min_at: u64,
-    ) -> FaultSchedule {
-        Self::random_from(rng, &TortureFaultKind::storage(), n_faults, duration_secs, min_at)
-    }
-
-    /// Like [`FaultSchedule::random`] but drawing only from the four
-    /// replica-set fault kinds — the `--faultload replica` pool.
-    pub fn random_replica(
-        rng: &mut SimRng,
-        n_faults: usize,
-        duration_secs: u64,
-        min_at: u64,
-    ) -> FaultSchedule {
-        Self::random_from(rng, &TortureFaultKind::replica(), n_faults, duration_secs, min_at)
-    }
-
     /// Whether any scheduled fault targets the replica set — the torture
     /// runner provisions stand-bys only when one does.
     pub fn has_replica_faults(&self) -> bool {
@@ -516,7 +494,7 @@ mod tests {
         assert!(!FaultSchedule::quiet(1, 60).has_replica_faults());
 
         let mut rng = SimRng::seed_from(3);
-        let drawn = FaultSchedule::random_replica(&mut rng, 6, 200, 20);
+        let drawn = FaultSchedule::random_from(&mut rng, &TortureFaultKind::replica(), 6, 200, 20);
         assert!(drawn.faults.iter().all(|f| matches!(f.kind, TortureFaultKind::Replica(_))));
     }
 
@@ -548,8 +526,8 @@ mod tests {
     fn random_storage_draws_only_storage_kinds() {
         let mut a = SimRng::seed_from(5);
         let mut b = SimRng::seed_from(5);
-        let s1 = FaultSchedule::random_storage(&mut a, 8, 200, 20);
-        let s2 = FaultSchedule::random_storage(&mut b, 8, 200, 20);
+        let s1 = FaultSchedule::random_from(&mut a, &TortureFaultKind::storage(), 8, 200, 20);
+        let s2 = FaultSchedule::random_from(&mut b, &TortureFaultKind::storage(), 8, 200, 20);
         assert_eq!(s1, s2);
         assert_eq!(s1.faults.len(), 8);
         for f in &s1.faults {

@@ -187,7 +187,13 @@ fn storage_faultload_all_five_kinds_match_model() {
 /// the engine matching the model, like the operator pool always has.
 #[test]
 fn random_storage_schedule_is_deterministic_and_clean() {
-    let schedule = FaultSchedule::random_storage(&mut SimRng::seed_from(91), 4, 500, 60);
+    let schedule = FaultSchedule::random_from(
+        &mut SimRng::seed_from(91),
+        &TortureFaultKind::storage(),
+        4,
+        500,
+        60,
+    );
     let a = TortureRunner::default().run(&schedule).unwrap();
     let b = TortureRunner::default().run(&schedule).unwrap();
     assert_eq!(a, b, "same storage schedule ⇒ identical outcome");

@@ -4,8 +4,8 @@
 //! Every experiment runs on the simulated clock (`recobench_sim`); a
 //! single `Instant::now()` or env-seeded hasher in the engine, simulator,
 //! workload, harness or oracle silently breaks bit-for-bit reproducibility
-//! of the paper's measures. Only the bench binaries may touch the real
-//! clock — that is what they measure.
+//! of the paper's measures. Only the bench crate may touch the real
+//! clock — a sweep's wall-clock budget, and what `perf` measures.
 
 use crate::{Diagnostics, Lint, Workspace};
 

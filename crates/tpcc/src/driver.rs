@@ -583,11 +583,6 @@ impl TpccDriver {
         &self.errors
     }
 
-    /// Every successful completion's timestamp, in completion order.
-    pub fn success_times(&self) -> &[SimTime] {
-        &self.successes
-    }
-
     /// The spec-mandated 1 % New-Order rollbacks observed.
     pub fn deliberate_rollbacks(&self) -> u64 {
         self.deliberate_rollbacks

@@ -751,17 +751,6 @@ impl SimFs {
         Ok(self.entry(id)?.corrupt_blocks.iter().copied().collect())
     }
 
-    /// Removes a file entry entirely (e.g. dropping an archived log after a
-    /// successful backup cycle). Unlike [`SimFs::delete_path`] this frees
-    /// the path for reuse.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the file does not exist.
-    pub fn purge(&mut self, id: FileId) -> VfsResult<()> {
-        self.files.remove(&id).map(|_| ()).ok_or_else(|| no_such_file(id))
-    }
-
     /// Finds a live (non-deleted) file by path.
     ///
     /// # Errors

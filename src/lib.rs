@@ -24,6 +24,9 @@
 //!   an independent reference model checked against the engine after
 //!   randomized multi-fault schedules, with shrinking to minimal
 //!   reproducers.
+//! * [`bench`] — everything behind the `recobench` command line: the
+//!   reports that regenerate `results/`, the one-campaign `paper` run and
+//!   the torture sweep.
 //!
 //! # Quickstart
 //!
@@ -44,6 +47,7 @@
 //! assert_eq!(outcome.measures.integrity_violations, 0);
 //! ```
 
+pub use recobench_bench as bench;
 pub use recobench_core as core;
 pub use recobench_engine as engine;
 pub use recobench_faults as faults;

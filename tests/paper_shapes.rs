@@ -1,6 +1,6 @@
 //! Shape tests: the qualitative findings of the paper's evaluation must
 //! hold in the reproduction (who wins, what grows with what). These use
-//! shortened runs; the `recobench-bench` binaries regenerate the full
+//! shortened runs; the `recobench` reports regenerate the full
 //! tables.
 
 use recobench::core::{Experiment, ExperimentOutcome, RecoveryConfig};
