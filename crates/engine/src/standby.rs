@@ -637,6 +637,46 @@ mod tests {
         }
     }
 
+    /// Silent damage on the stand-by's own disk: the background apply has
+    /// no backup of its own to restore from, so a stored block that fails
+    /// to decode ends managed recovery.
+    #[test]
+    fn a_corrupt_block_under_the_background_apply_is_unrecoverable() {
+        let (mut p, t) = primary_with_data();
+        let clock = Arc::clone(p.clock());
+        let mut sb =
+            StandbyServer::instantiate(&p, "STBY", clock, DiskLayout::four_disk(), cfg(64)).unwrap();
+        // Flip one CRC-covered bit of every block the backup put on the
+        // stand-by (the ten seed rows share one).
+        let mut rotted = 0;
+        for path in p.datafile_paths("TPCC").unwrap() {
+            let mut fs = sb.server.fs.lock();
+            let id = fs.lookup(&path).unwrap();
+            for (block, image) in fs.peek_blocks_written(id).unwrap() {
+                let mut image = image.to_vec();
+                image[10] ^= 1;
+                fs.write_block(id, block, Bytes::from(image), SimTime::ZERO).unwrap();
+                rotted += 1;
+            }
+        }
+        assert_eq!(rotted, 1);
+        // The primary keeps inserting into that block; the first shipped
+        // archive makes the stand-by fetch it.
+        let s = p.connect().unwrap();
+        let mut hit = None;
+        for i in 100..300 {
+            p.insert(s, t, Row::new(vec![Value::U64(i), Value::from("workload-row-payload")]))
+                .unwrap();
+            p.commit(s).unwrap();
+            if let Err(e) = sb.sync(&p) {
+                hit = Some(e);
+                break;
+            }
+        }
+        assert_eq!(hit, Some(DbError::Unrecoverable("stand-by block corrupt".into())));
+        assert_eq!(sb.server.stats().checksum_mismatches, 0, "no counter on the stand-by's path");
+    }
+
     #[test]
     fn cascaded_standby_follows_through_its_upstream() {
         let (mut p, t) = primary_with_data();
