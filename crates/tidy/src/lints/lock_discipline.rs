@@ -1,6 +1,6 @@
 //! Lint: session paths follow the engine's declared lock discipline.
 //!
-//! PR 6's session manager made `server.rs` a concurrent surface: multiple
+//! PR 6's session manager made `DbServer` a concurrent surface: multiple
 //! terminals interleave DML while `LockTable` row locks are held until
 //! commit. The WAL protocol only stays deadlock- and corruption-free if
 //! four rules hold, and this lint checks all four over the call graph:
@@ -25,7 +25,11 @@
 use crate::callgraph::CallStyle;
 use crate::{Diagnostics, Lint, Workspace};
 
-/// The session-facing entry points in `server.rs`.
+/// The engine's sources; the rules about `DbServer` hold in whichever
+/// file under here an `impl DbServer` block lives.
+const ENGINE_SRC: &str = "crates/engine/src/";
+
+/// The session-facing entry points of `DbServer`.
 const SESSION_ENTRIES: &[&str] =
     &["connect", "disconnect", "insert", "insert_batch", "update", "delete", "commit", "rollback"];
 
@@ -63,10 +67,14 @@ impl Lint for LockDiscipline {
 
     fn check(&self, ws: &Workspace, diags: &mut Diagnostics) {
         let m = &ws.model;
-        let server_rel = "crates/engine/src/server.rs";
-        if ws.file(server_rel).is_none() {
+        if ws.under(ENGINE_SRC).next().is_none() {
             return;
         }
+        let server_method = |i: usize| {
+            !m.fns[i].item.is_test
+                && m.rel_of(i).starts_with(ENGINE_SRC)
+                && m.fns[i].item.impl_type.as_deref() == Some("DbServer")
+        };
 
         // Rule 1: chokepoint.
         for fn_idx in 0..m.fns.len() {
@@ -98,11 +106,7 @@ impl Lint for LockDiscipline {
 
         // Rule 2: declared order — lock acquisition precedes WAL append
         // within any fn doing both.
-        for fn_idx in 0..m.fns.len() {
-            let node = &m.fns[fn_idx];
-            if node.item.is_test || m.rel_of(fn_idx) != server_rel {
-                continue;
-            }
+        for fn_idx in (0..m.fns.len()).filter(|&i| server_method(i)) {
             let first_lock =
                 m.sites[fn_idx].iter().find(|s| s.name == CHOKEPOINT).map(|s| s.tok);
             let first_append = m.sites[fn_idx]
@@ -114,7 +118,7 @@ impl Lint for LockDiscipline {
                 if append_tok < lock_tok {
                     diags.emit(
                         self.name(),
-                        server_rel,
+                        m.rel_of(fn_idx),
                         append_line,
                         format!(
                             "`{}` appends WAL before acquiring row locks via \
@@ -130,7 +134,7 @@ impl Lint for LockDiscipline {
         for fn_idx in 0..m.fns.len() {
             let rel = m.rel_of(fn_idx);
             if m.fns[fn_idx].item.is_test
-                || !rel.starts_with("crates/engine/src/")
+                || !rel.starts_with(ENGINE_SRC)
                 || rel == APPLIER
                 || rel == PAGE
             {
@@ -168,12 +172,7 @@ impl Lint for LockDiscipline {
 
         // Rule 3: sanctioned writers on session paths.
         let entries: Vec<usize> = (0..m.fns.len())
-            .filter(|&i| {
-                m.rel_of(i) == server_rel
-                    && !m.fns[i].item.is_test
-                    && m.fns[i].item.impl_type.is_some()
-                    && SESSION_ENTRIES.contains(&m.fns[i].item.name.as_str())
-            })
+            .filter(|&i| server_method(i) && SESSION_ENTRIES.contains(&m.fns[i].item.name.as_str()))
             .collect();
         let reach = m.reachable(&entries);
         for &fn_idx in reach.keys() {

@@ -1,5 +1,5 @@
-//! Fixture: lock-discipline, error-swallow and write-site-coverage
-//! violations on the session surface.
+//! Fixture: the server's types and write paths — one covered write site,
+//! one uncovered and unsanctioned (reached from `session.rs`).
 
 pub enum DbError {
     Boom,
@@ -28,16 +28,12 @@ impl LockTable {
 }
 
 pub struct DbServer {
-    locks: LockTable,
+    pub(crate) locks: LockTable,
     fs: SimFs,
 }
 
 impl DbServer {
-    fn lock_for_dml(&mut self, rid: u64) -> DbResult<()> {
-        self.locks.lock_row(rid)
-    }
-
-    fn append_record(&mut self) -> DbResult<()> {
+    pub(crate) fn append_record(&mut self) -> DbResult<()> {
         self.flush_redo()
     }
 
@@ -45,17 +41,7 @@ impl DbServer {
         self.fs.append(12)
     }
 
-    fn stash_block(&mut self) -> DbResult<()> {
+    pub(crate) fn stash_block(&mut self) -> DbResult<()> {
         self.fs.write_block(7)
-    }
-
-    pub fn insert(&mut self, rid: u64) -> DbResult<()> {
-        self.locks.lock_row(rid)?;
-        self.append_record()?;
-        self.lock_for_dml(rid)?;
-        self.stash_block()?;
-        let _ = self.append_record();
-        self.append_record().ok();
-        self.append_record()
     }
 }

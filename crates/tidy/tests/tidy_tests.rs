@@ -48,13 +48,16 @@ fn fixtures_produce_exact_diagnostics() {
         ("crates/engine/src/recovery.rs", 45, "sabotage-isolation"),
         ("crates/engine/src/recovery.rs", 53, "unused-allow"),
         // Same line, two lints: an unsanctioned write on a session path
-        // that the crash sweep also does not cover.
-        ("crates/engine/src/server.rs", 49, "lock-discipline"),
-        ("crates/engine/src/server.rs", 49, "write-site-coverage"),
-        ("crates/engine/src/server.rs", 53, "lock-discipline"),
-        ("crates/engine/src/server.rs", 54, "lock-discipline"),
-        ("crates/engine/src/server.rs", 57, "error-swallow"),
-        ("crates/engine/src/server.rs", 58, "error-swallow"),
+        // (the path starts in session.rs) that the crash sweep also does
+        // not cover.
+        ("crates/engine/src/server.rs", 45, "lock-discipline"),
+        ("crates/engine/src/server.rs", 45, "write-site-coverage"),
+        // `impl DbServer` in a second file: the chokepoint, the declared
+        // order and the swallowed errors are found there all the same.
+        ("crates/engine/src/session.rs", 13, "lock-discipline"),
+        ("crates/engine/src/session.rs", 14, "lock-discipline"),
+        ("crates/engine/src/session.rs", 17, "error-swallow"),
+        ("crates/engine/src/session.rs", 18, "error-swallow"),
         // A block image changed outside the applier: once through a typed
         // binding, once through an untyped closure parameter named `img`.
         ("crates/engine/src/standby.rs", 14, "lock-discipline"),
@@ -105,13 +108,13 @@ fn messages_name_the_offending_construct() {
     assert!(msg("crates/engine/src/recovery.rs", 36).contains("FIXME placeholder"));
     assert!(msg("crates/engine/src/recovery.rs", 53).contains("suppresses nothing"));
     // Lock discipline names the rule that broke.
-    assert!(msg("crates/engine/src/server.rs", 53).contains("outside the `lock_for_dml` chokepoint"));
-    assert!(msg("crates/engine/src/server.rs", 54).contains("appends WAL before acquiring row locks"));
+    assert!(msg("crates/engine/src/session.rs", 13).contains("outside the `lock_for_dml` chokepoint"));
+    assert!(msg("crates/engine/src/session.rs", 14).contains("appends WAL before acquiring row locks"));
     assert!(msg("crates/engine/src/standby.rs", 14).contains("`BlockImage::put` called outside the applier"));
     assert!(msg("crates/engine/src/standby.rs", 18).contains("`BlockImage::remove` called outside the applier"));
     let rule3: Vec<_> = diags
         .iter()
-        .filter(|d| d.file == "crates/engine/src/server.rs" && d.line == 49)
+        .filter(|d| d.file == "crates/engine/src/server.rs" && d.line == 45)
         .collect();
     assert!(rule3.iter().any(|d| {
         d.lint == "lock-discipline"
@@ -121,8 +124,8 @@ fn messages_name_the_offending_construct() {
         .iter()
         .any(|d| d.lint == "write-site-coverage" && d.message.contains("UPDATE_WRITE_SITES=1")));
     // Error swallowing names the discarded fallible callee.
-    assert!(msg("crates/engine/src/server.rs", 57).contains("DbServer::append_record"));
-    assert!(msg("crates/engine/src/server.rs", 58).contains("`.ok();`"));
+    assert!(msg("crates/engine/src/session.rs", 17).contains("DbServer::append_record"));
+    assert!(msg("crates/engine/src/session.rs", 18).contains("`.ok();`"));
     // The stale manifest entry points at the regeneration command.
     assert!(msg("crates/oracle/tests/write_site_coverage.json", 0)
         .contains("server.rs:999 matches no current write site"));
@@ -174,12 +177,12 @@ fn waivers_suppress_and_exemptions_hold() {
     // unwrap (recovery.rs:62) are out of scope by design.
     silent("crates/engine/src/recovery.rs", 50);
     silent("crates/engine/src/recovery.rs", 62);
-    // flush_redo (server.rs:45) is a sanctioned writer AND its write
+    // flush_redo (server.rs:41) is a sanctioned writer AND its write
     // site is covered by the sweep manifest: silent on both lints.
-    silent("crates/engine/src/server.rs", 45);
+    silent("crates/engine/src/server.rs", 41);
     // A fallible call in final-expression position is the fn's return
-    // value, not a swallowed error (server.rs:59).
-    silent("crates/engine/src/server.rs", 59);
+    // value, not a swallowed error (session.rs:19).
+    silent("crates/engine/src/session.rs", 19);
     // `.ok_or_else`, an argument that is none of the error enums, and a
     // test module are not the lazy-errors lint's business (fs.rs:14, 18, 25).
     silent("crates/vfs/src/fs.rs", 14);
@@ -219,8 +222,8 @@ fn static_write_site_enumeration_matches_the_fixture() {
     assert_eq!(
         got,
         vec![
-            ("crates/engine/src/server.rs", 45, "append", "DbServer::flush_redo"),
-            ("crates/engine/src/server.rs", 49, "write_block", "DbServer::stash_block"),
+            ("crates/engine/src/server.rs", 41, "append", "DbServer::flush_redo"),
+            ("crates/engine/src/server.rs", 45, "write_block", "DbServer::stash_block"),
         ]
     );
     assert!(unresolved.is_empty(), "unresolved receivers: {unresolved:?}");
