@@ -31,9 +31,11 @@
 // see. tidy's `lazy-errors` lint asks for the closure clippy would remove.
 #![allow(clippy::unnecessary_lazy_evaluations)]
 
+mod admin;
 mod apply;
 pub mod archiver;
 pub mod backup;
+mod blockio;
 pub mod cache;
 pub mod catalog;
 pub mod checkpoint;
@@ -53,6 +55,7 @@ pub mod redo;
 pub mod replica;
 pub mod row;
 pub mod server;
+mod session;
 pub mod snapshot;
 mod standby;
 pub mod stats;

@@ -353,34 +353,6 @@ impl DbServer {
         Ok(summary)
     }
 
-    /// Checksum-walks every written block of a datafile. Returns `true`
-    /// if any block fails to decode (the file needs a restore), recording
-    /// a [`EngineEvent::ChecksumMismatch`] for each CRC failure.
-    fn scan_for_bad_blocks(&mut self, vfs_id: recobench_vfs::FileId, path: &str) -> bool {
-        let blocks = {
-            let fs = self.fs.lock();
-            match fs.peek_blocks_written(vfs_id) {
-                Ok(b) => b,
-                // Unreadable at the vfs level — damaged by definition.
-                Err(_) => return true,
-            }
-        };
-        let mut bad = false;
-        for (block, bytes) in blocks {
-            if let Err(e) = crate::page::BlockImage::decode(bytes) {
-                bad = true;
-                if e.is_checksum_mismatch() {
-                    self.stats.checksum_mismatches += 1;
-                    self.events.record(
-                        self.clock.now(),
-                        EngineEvent::ChecksumMismatch { path: path.to_string(), block },
-                    );
-                }
-            }
-        }
-        bad
-    }
-
     fn rebuild_all_indexes(&mut self) -> DbResult<()> {
         let objs: Vec<_> = {
             let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;

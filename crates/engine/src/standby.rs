@@ -28,7 +28,6 @@ use crate::controlfile::{CkptRecord, ControlFile, LogGroup};
 use crate::error::{DbError, DbResult, RecoveryError};
 use crate::events::{EngineEvent, RecoveryPhase};
 use crate::layout::DiskLayout;
-use crate::page::BlockImage;
 use crate::redo::decode_stream;
 use crate::server::DbServer;
 use crate::types::{RedoAddr, Scn};
@@ -397,66 +396,6 @@ impl StandbyServer {
             self.apply_done_at,
             EngineEvent::StandbyArchiveApplied { seq: next, records: nrecords },
         );
-        Ok(())
-    }
-
-    /// Background block mutation: charges stand-by disk *busy time* but
-    /// never advances the shared clock (another machine is doing this
-    /// work).
-    fn mutate_block(
-        server: &mut DbServer,
-        key: (crate::types::FileNo, u32),
-        at: SimTime,
-        addr: RedoAddr,
-        f: impl FnOnce(&mut BlockImage) -> bool,
-    ) -> DbResult<()> {
-        let vfs_id = {
-            let inst = server.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
-            match inst.catalog.datafiles.get(&key.0) {
-                Some(df) => df.vfs_id,
-                // The file was dropped by a replayed DDL; skip.
-                None => return Ok(()),
-            }
-        };
-        let resident = {
-            let inst = server.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
-            inst.cache.contains(key)
-        };
-        if !resident {
-            let img = {
-                let mut fs = server.fs.lock();
-                let bytes = fs.peek_block(vfs_id, key.1 as u64)?;
-                let disk = fs.meta(vfs_id)?.disk;
-                fs.charge_io(disk, IoKind::Read, bytes.len() as u64, at)?;
-                BlockImage::decode(bytes)
-                    .map_err(|_| DbError::Unrecoverable("stand-by block corrupt".into()))?
-            };
-            let evicted = {
-                let inst = server.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
-                inst.cache.insert(key, img)
-            };
-            if let Some(ev) = evicted {
-                if ev.dirty.is_some() {
-                    let ev_vfs = {
-                        let inst = server.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
-                        inst.catalog.datafiles.get(&ev.key.0).map(|d| d.vfs_id)
-                    };
-                    if let Some(ev_vfs) = ev_vfs {
-                        let mut fs = server.fs.lock();
-                        // tidy-allow(write-site-coverage): standby redo-apply eviction targets the standby's own fs; the crash sweep drives the primary only
-                        fs.write_block(ev_vfs, ev.key.1 as u64, ev.img.encode(), at)?;
-                    }
-                }
-            }
-        }
-        let inst = server.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
-        let img = inst
-            .cache
-            .get_mut(key)
-            .ok_or_else(|| RecoveryError::BlockNotResident { file: key.0, block: key.1 })?;
-        if f(img) {
-            inst.cache.mark_dirty(key, addr, at);
-        }
         Ok(())
     }
 
