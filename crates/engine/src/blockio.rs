@@ -1,12 +1,39 @@
-//! Datafile block I/O: how a stored block becomes a [`BlockImage`].
+//! The one door to a datafile block: every place stored bytes become a
+//! [`BlockImage`], and the five decisions made on the way.
 //!
-//! The charged foreground fetch with its eviction write-back, the
-//! stand-by's background fetch, the uncharged peeks of the audits and the
-//! checksum scan of the recovery procedures.
+//! * **Which datafile is this** — [`datafile`], the dictionary lookup every
+//!   fetch, peek and recovery procedure starts from.
+//! * **Is it available** — [`unavailable`] says which typed refusal a read
+//!   meets while the file or its tablespace is offline; the foreground
+//!   fetch returns it, the integrity walk, the health probe and crash
+//!   recovery's fractured-block pass skip what it names.
+//! * **Fetch it, charged** — [`DbServer::ensure_resident`] and friends:
+//!   foreground I/O that advances the shared clock and writes a dirty
+//!   victim back behind a redo flush. The stand-by's
+//!   [`StandbyServer::mutate_block`] sits beside it and stays separate: it
+//!   charges disk busy time at an instant of its own, never moves the
+//!   clock, writes back without a flush and skips a dropped file.
+//! * **Read it, uncharged** — [`stored_image`] under `peek_scan`,
+//!   `peek_row` and [`PeekReader`]: audits and index rebuilds cost no
+//!   simulated time.
+//! * **Verify it** — [`checksum_walk`] over every written block of a file,
+//!   under `verify_integrity`, `datafiles_with_bad_checksums` and
+//!   [`DbServer::scan_for_bad_blocks`].
+//!
+//! All of them decode through [`decode`], so what a block that fails to
+//! decode *means* is said once. No other module calls
+//! `BlockImage::decode` or the vfs block reads; the raw piece copy in
+//! `StandbyServer::instantiate` moves images between machines without
+//! looking inside them.
 
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
+
+use bytes::Bytes;
 use recobench_sim::SimTime;
-use recobench_vfs::{IoKind, VfsError};
+use recobench_vfs::{FileId, IoKind, SimFs, VfsError, VfsResult};
 
+use crate::catalog::{Catalog, DatafileDef};
 use crate::controlfile::ControlFile;
 use crate::error::{DbError, DbResult, RecoveryError};
 use crate::events::EngineEvent;
@@ -17,29 +44,90 @@ use crate::server::{BlockKey, DbServer};
 use crate::standby::StandbyServer;
 use crate::types::{FileNo, ObjectId, RedoAddr, RowId, TablespaceId};
 
+/// Which datafile is this: the dictionary entry of `file`.
+pub(crate) fn datafile(catalog: &Catalog, file: FileNo) -> DbResult<&DatafileDef> {
+    catalog.datafiles.get(&file).ok_or_else(|| DbError::NotFound(format!("datafile {}", file.0)))
+}
+
+/// The typed refusal a read of `file` (of tablespace `ts`) meets while the
+/// file or its tablespace is offline; `None` if it may be read.
+pub(crate) fn unavailable(
+    control: &ControlFile,
+    catalog: &Catalog,
+    file: FileNo,
+    ts: TablespaceId,
+) -> Option<DbError> {
+    if control.file_state(file).offline {
+        return Some(DbError::DatafileOffline(file.0));
+    }
+    if control.is_ts_offline(ts) {
+        let name = catalog.tablespaces.get(&ts).map_or_else(String::new, |t| t.name.clone());
+        return Some(DbError::TablespaceOffline(name));
+    }
+    None
+}
+
+/// Stored bytes become a [`BlockImage`] here and nowhere else. An image
+/// whose CRC does not hold is silent damage, the typed
+/// [`DbError::ChecksumMismatch`]; structural garbage behind a valid CRC
+/// keeps the media-corruption shape.
+fn decode(bytes: Bytes, path: &str, block: u64) -> DbResult<BlockImage> {
+    BlockImage::decode(bytes).map_err(|e| {
+        if e.is_checksum_mismatch() {
+            DbError::ChecksumMismatch { path: path.to_string(), block }
+        } else {
+            DbError::Media(VfsError::Corrupt(path.to_string()))
+        }
+    })
+}
+
+/// The stored image of a block, verified, read without charging simulated
+/// time.
+fn stored_image(catalog: &Catalog, fs: &SimFs, key: BlockKey) -> DbResult<BlockImage> {
+    let df = datafile(catalog, key.0)?;
+    decode(fs.peek_block(df.vfs_id, key.1 as u64)?, &df.path, key.1 as u64)
+}
+
+/// What an audit sees of a block: the cached (possibly dirty) frame if it
+/// is resident — no stats, no LRU effect — else the stored image.
+fn peek<'a>(inst: &'a Instance, fs: &SimFs, key: BlockKey) -> DbResult<Cow<'a, BlockImage>> {
+    match inst.cache.peek(key) {
+        Some(img) => Ok(Cow::Borrowed(img)),
+        None => stored_image(&inst.catalog, fs, key).map(Cow::Owned),
+    }
+}
+
+/// Outcome of one [`checksum_walk`].
+pub(crate) struct ChecksumWalk {
+    /// Written blocks whose stored image was verified.
+    pub(crate) blocks: u64,
+    /// The blocks that failed, in block order, each with what its failure
+    /// means.
+    pub(crate) bad: Vec<(u64, DbError)>,
+}
+
+/// Verifies every written block of one datafile. This is what catches
+/// *silent* damage — bit-rot and torn writes leave the vfs metadata
+/// pristine; only the per-block checksum knows.
+///
+/// # Errors
+///
+/// Loud damage: the vfs refuses the file as a whole (deleted, corrupt).
+pub(crate) fn checksum_walk(fs: &SimFs, vfs_id: FileId, path: &str) -> VfsResult<ChecksumWalk> {
+    let mut walk = ChecksumWalk { blocks: 0, bad: Vec::new() };
+    for (block, bytes) in fs.peek_blocks_written(vfs_id)? {
+        walk.blocks += 1;
+        if let Err(e) = decode(bytes, path, block) {
+            walk.bad.push((block, e));
+        }
+    }
+    Ok(walk)
+}
+
 impl DbServer {
     // ------------------------------------------------------------------
     // Block access
     // ------------------------------------------------------------------
-
-    fn datafile_info(&self, file: FileNo) -> DbResult<(recobench_vfs::FileId, TablespaceId)> {
-        let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
-        let df = inst
-            .catalog
-            .datafiles
-            .get(&file)
-            .ok_or_else(|| DbError::NotFound(format!("datafile {}", file.0)))?;
-        Ok((df.vfs_id, df.tablespace))
-    }
-
-    /// The datafile's path, for error messages (cold paths only — this
-    /// clones the string).
-    fn datafile_path(&self, file: FileNo) -> String {
-        self.inst
-            .as_ref()
-            .and_then(|i| i.catalog.datafiles.get(&file))
-            .map_or_else(String::new, |df| df.path.clone())
-    }
 
     /// Brings a block into the cache (charging the read on a miss) after
     /// checking availability.
@@ -55,18 +143,10 @@ impl DbServer {
                 return Ok(());
             }
         }
-        let (_, ts) = self.datafile_info(key.0)?;
-        {
-            let control = self.control_ref()?;
-            if control.file_state(key.0).offline {
-                return Err(DbError::DatafileOffline(key.0 .0));
-            }
-            if control.is_ts_offline(ts) {
-                let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
-                let name =
-                    inst.catalog.tablespaces.get(&ts).map_or_else(String::new, |t| t.name.clone());
-                return Err(DbError::TablespaceOffline(name));
-            }
+        let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
+        let ts = datafile(&inst.catalog, key.0)?.tablespace;
+        if let Some(refusal) = unavailable(self.control_ref()?, &inst.catalog, key.0, ts) {
+            return Err(refusal);
         }
         self.ensure_resident_raw(key)
     }
@@ -74,38 +154,31 @@ impl DbServer {
     /// Residency without online/offline checks — recovery applies redo to
     /// files that are administratively offline.
     pub(crate) fn ensure_resident_raw(&mut self, key: BlockKey) -> DbResult<()> {
-        let (vfs_id, _) = self.datafile_info(key.0)?;
-        {
-            let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
-            if inst.cache.get(key).is_some() {
-                return Ok(());
-            }
+        let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
+        let df = datafile(&inst.catalog, key.0)?;
+        if inst.cache.get(key).is_some() {
+            return Ok(());
         }
         // Miss: read from disk.
         let now = self.clock.now();
-        let bytes = {
-            let mut fs = self.fs.lock();
-            let (done, bytes) = fs.read_block(vfs_id, key.1 as u64, now)?;
-            drop(fs);
-            self.clock.advance_to(done);
-            bytes
-        };
-        let img = match BlockImage::decode(bytes) {
+        let (done, bytes) = self.fs.lock().read_block(df.vfs_id, key.1 as u64, now)?;
+        self.clock.advance_to(done);
+        let img = match decode(bytes, &df.path, key.1 as u64) {
             Ok(img) => img,
-            Err(e) => return Err(self.block_decode_failed(key, &e)),
+            Err(e) => {
+                self.note_checksum_mismatch(&e);
+                return Err(e);
+            }
         };
-        let evicted = {
-            let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
-            inst.cache.insert(key, img)
-        };
-        if let Some(ev) = evicted {
+        if let Some(ev) = inst.cache.insert(key, img) {
             if ev.dirty.is_some() {
                 self.flush_redo()?;
-                if let Ok((ev_vfs, _)) = self.datafile_info(ev.key.0) {
+                let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
+                if let Ok(ev_df) = datafile(&inst.catalog, ev.key.0) {
                     let now = self.clock.now();
                     let mut fs = self.fs.lock();
                     // tidy-allow(lock-discipline): eviction write-back of a clean-ordered dirty frame; its redo was flushed above
-                    match fs.write_block(ev_vfs, ev.key.1 as u64, ev.img.encode(), now) {
+                    match fs.write_block(ev_df.vfs_id, ev.key.1 as u64, ev.img.encode(), now) {
                         Ok((done, ())) => {
                             drop(fs);
                             self.clock.advance_to(done);
@@ -129,21 +202,16 @@ impl DbServer {
         Ok(())
     }
 
-    /// Classifies a block decode failure: a CRC failure surfaces as the
-    /// typed [`DbError::ChecksumMismatch`] with an event and a counter
-    /// bump; structural garbage keeps the media-corruption shape.
-    fn block_decode_failed(&mut self, key: BlockKey, e: &crate::codec::DecodeError) -> DbError {
-        let path = self.datafile_path(key.0);
-        if e.is_checksum_mismatch() {
-            let block = key.1 as u64;
+    /// The half of a failed decode only a `&mut` path can do: a CRC
+    /// failure gets its event and its counter bump. The error itself comes
+    /// from [`decode`]; nobody re-derives it.
+    fn note_checksum_mismatch(&mut self, e: &DbError) {
+        if let DbError::ChecksumMismatch { path, block } = e {
             self.stats.checksum_mismatches += 1;
             self.events.record(
                 self.clock.now(),
-                EngineEvent::ChecksumMismatch { path: path.clone(), block },
+                EngineEvent::ChecksumMismatch { path: path.clone(), block: *block },
             );
-            DbError::ChecksumMismatch { path, block }
-        } else {
-            DbError::Media(VfsError::Corrupt(path))
         }
     }
 
@@ -225,21 +293,7 @@ impl DbServer {
         let fs = self.fs.lock();
         let mut out = Vec::new();
         for (file, block) in table.segment.blocks() {
-            let key = (file, block);
-            let img_owned;
-            let img: &BlockImage = if let Some(frame) = inst.cache_peek(key) {
-                frame
-            } else {
-                let df = inst
-                    .catalog
-                    .datafiles
-                    .get(&file)
-                    .ok_or_else(|| DbError::NotFound(format!("datafile {}", file.0)))?;
-                let bytes = fs.peek_block(df.vfs_id, block as u64)?;
-                img_owned = BlockImage::decode(bytes)
-                    .map_err(|e| peek_decode_failed(&e, &df.path, block as u64))?;
-                &img_owned
-            };
+            let img = peek(inst, &fs, (file, block))?;
             for (slot, row) in img.iter() {
                 out.push((RowId { file, block, slot }, row.clone()));
             }
@@ -256,19 +310,7 @@ impl DbServer {
     pub fn peek_row(&self, obj: ObjectId, rid: RowId) -> DbResult<Option<Row>> {
         let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
         inst.catalog.table(obj)?;
-        let key = (rid.file, rid.block);
-        if let Some(img) = inst.cache_peek(key) {
-            return Ok(img.row(rid.slot).cloned());
-        }
-        let df = inst
-            .catalog
-            .datafiles
-            .get(&rid.file)
-            .ok_or_else(|| DbError::NotFound(format!("datafile {}", rid.file.0)))?;
-        let fs = self.fs.lock();
-        let bytes = fs.peek_block(df.vfs_id, rid.block as u64)?;
-        let img = BlockImage::decode(bytes)
-            .map_err(|e| peek_decode_failed(&e, &df.path, rid.block as u64))?;
+        let img = peek(inst, &self.fs.lock(), (rid.file, rid.block))?;
         Ok(img.row(rid.slot).cloned())
     }
 
@@ -280,32 +322,17 @@ impl DbServer {
         PeekReader { server: self, decoded: crate::fasthash::FastMap::default() }
     }
 
-    /// Checksum-walks every written block of a datafile. Returns `true`
-    /// if any block fails to decode (the file needs a restore), recording
-    /// a [`EngineEvent::ChecksumMismatch`] for each CRC failure.
-    pub(crate) fn scan_for_bad_blocks(&mut self, vfs_id: recobench_vfs::FileId, path: &str) -> bool {
-        let blocks = {
-            let fs = self.fs.lock();
-            match fs.peek_blocks_written(vfs_id) {
-                Ok(b) => b,
-                // Unreadable at the vfs level — damaged by definition.
-                Err(_) => return true,
-            }
-        };
-        let mut bad = false;
-        for (block, bytes) in blocks {
-            if let Err(e) = crate::page::BlockImage::decode(bytes) {
-                bad = true;
-                if e.is_checksum_mismatch() {
-                    self.stats.checksum_mismatches += 1;
-                    self.events.record(
-                        self.clock.now(),
-                        EngineEvent::ChecksumMismatch { path: path.to_string(), block },
-                    );
-                }
-            }
+    /// The checksum walk on behalf of a recovery procedure: says whether
+    /// any written block of the datafile fails to decode (the file needs a
+    /// restore), recording each CRC failure. `None` if the vfs refuses the
+    /// file as a whole — loud damage, which each procedure treats its own
+    /// way.
+    pub(crate) fn scan_for_bad_blocks(&mut self, vfs_id: FileId, path: &str) -> Option<bool> {
+        let walk = checksum_walk(&self.fs.lock(), vfs_id, path).ok()?;
+        for (_, e) in &walk.bad {
+            self.note_checksum_mismatch(e);
         }
-        bad
+        Some(!walk.bad.is_empty())
     }
 }
 
@@ -315,51 +342,35 @@ impl StandbyServer {
     /// work).
     pub(crate) fn mutate_block(
         server: &mut DbServer,
-        key: (crate::types::FileNo, u32),
+        key: BlockKey,
         at: SimTime,
         addr: RedoAddr,
         f: impl FnOnce(&mut BlockImage) -> bool,
     ) -> DbResult<()> {
-        let vfs_id = {
-            let inst = server.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
-            match inst.catalog.datafiles.get(&key.0) {
-                Some(df) => df.vfs_id,
-                // The file was dropped by a replayed DDL; skip.
-                None => return Ok(()),
-            }
-        };
-        let resident = {
-            let inst = server.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
-            inst.cache.contains(key)
-        };
-        if !resident {
+        let inst = server.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
+        // The file was dropped by a replayed DDL; skip.
+        let Ok(df) = datafile(&inst.catalog, key.0) else { return Ok(()) };
+        if !inst.cache.contains(key) {
             let img = {
                 let mut fs = server.fs.lock();
-                let bytes = fs.peek_block(vfs_id, key.1 as u64)?;
-                let disk = fs.meta(vfs_id)?.disk;
+                let bytes = fs.peek_block(df.vfs_id, key.1 as u64)?;
+                let disk = fs.meta(df.vfs_id)?.disk;
                 fs.charge_io(disk, IoKind::Read, bytes.len() as u64, at)?;
-                BlockImage::decode(bytes)
+                // Nothing to restore a stand-by's own block from: whatever
+                // the damage, managed recovery ends here.
+                decode(bytes, &df.path, key.1 as u64)
                     .map_err(|_| DbError::Unrecoverable("stand-by block corrupt".into()))?
             };
-            let evicted = {
-                let inst = server.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
-                inst.cache.insert(key, img)
-            };
-            if let Some(ev) = evicted {
+            if let Some(ev) = inst.cache.insert(key, img) {
                 if ev.dirty.is_some() {
-                    let ev_vfs = {
-                        let inst = server.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
-                        inst.catalog.datafiles.get(&ev.key.0).map(|d| d.vfs_id)
-                    };
-                    if let Some(ev_vfs) = ev_vfs {
+                    if let Ok(ev_df) = datafile(&inst.catalog, ev.key.0) {
                         let mut fs = server.fs.lock();
                         // tidy-allow(write-site-coverage): standby redo-apply eviction targets the standby's own fs; the crash sweep drives the primary only
-                        fs.write_block(ev_vfs, ev.key.1 as u64, ev.img.encode(), at)?;
+                        fs.write_block(ev_df.vfs_id, ev.key.1 as u64, ev.img.encode(), at)?;
                     }
                 }
             }
         }
-        let inst = server.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
         let img = inst
             .cache
             .get_mut(key)
@@ -368,26 +379,6 @@ impl StandbyServer {
             inst.cache.mark_dirty(key, addr, at);
         }
         Ok(())
-    }
-}
-
-impl Instance {
-    /// Read-only view of a cached block, if resident (no stats, no LRU
-    /// effect) — used by the zero-cost inspection paths.
-    pub(crate) fn cache_peek(&self, key: BlockKey) -> Option<&BlockImage> {
-        // `contains` + `get` would bump stats; peek goes around them.
-        self.cache.peek(key)
-    }
-}
-
-/// Decode-failure classification for the read-only peek paths (no `&mut`
-/// access, so no event is recorded; the typed error still distinguishes a
-/// CRC failure from structural garbage).
-fn peek_decode_failed(e: &crate::codec::DecodeError, path: &str, block: u64) -> DbError {
-    if e.is_checksum_mismatch() {
-        DbError::ChecksumMismatch { path: path.to_string(), block }
-    } else {
-        DbError::Media(VfsError::Corrupt(path.to_string()))
     }
 }
 
@@ -409,27 +400,21 @@ impl PeekReader<'_> {
     ///
     /// Fails if the table or its storage is unreadable.
     pub fn row(&mut self, obj: ObjectId, rid: RowId) -> DbResult<Option<Row>> {
-        let inst = self.server.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
+        let server = self.server;
+        let inst = server.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
         inst.catalog.table(obj)?;
         let key = (rid.file, rid.block);
         // The buffer cache may hold a newer (dirty) image than disk, so it
         // wins over the memo.
-        if let Some(img) = inst.cache_peek(key) {
-            return Ok(img.row(rid.slot).cloned());
-        }
-        if let Some(img) = self.decoded.get(&key) {
-            return Ok(img.row(rid.slot).cloned());
-        }
-        let df = inst
-            .catalog
-            .datafiles
-            .get(&rid.file)
-            .ok_or_else(|| DbError::NotFound(format!("datafile {}", rid.file.0)))?;
-        let bytes = self.server.fs.lock().peek_block(df.vfs_id, rid.block as u64)?;
-        let img = BlockImage::decode(bytes)
-            .map_err(|e| peek_decode_failed(&e, &df.path, rid.block as u64))?;
-        let row = img.row(rid.slot).cloned();
-        self.decoded.insert(key, img);
-        Ok(row)
+        let img = match inst.cache.peek(key) {
+            Some(img) => img,
+            None => match self.decoded.entry(key) {
+                Entry::Occupied(memo) => memo.into_mut(),
+                Entry::Vacant(memo) => {
+                    memo.insert(stored_image(&inst.catalog, &server.fs.lock(), key)?)
+                }
+            },
+        };
+        Ok(img.row(rid.slot).cloned())
     }
 }

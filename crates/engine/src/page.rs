@@ -370,8 +370,8 @@ mod tests {
 
     /// A malformed row behind a *valid* CRC is structural garbage, not
     /// silent corruption: the error keeps the row decoder's context and is
-    /// not a checksum mismatch — the predicate `block_decode_failed`
-    /// branches on, so the block reads as media corruption.
+    /// not a checksum mismatch — the predicate `blockio::decode` branches
+    /// on, so the block reads as media corruption.
     #[test]
     fn a_malformed_row_behind_a_valid_crc_is_not_a_checksum_mismatch() {
         for (what, row_bytes, context) in crate::row::malformed_rows() {

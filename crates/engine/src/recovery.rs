@@ -19,6 +19,7 @@ use recobench_sim::SimTime;
 use recobench_vfs::IoKind;
 
 use crate::apply::{rollback_unlogged, ReplayState};
+use crate::blockio::{datafile, unavailable};
 use crate::controlfile::{CkptRecord, SeqLocation};
 use crate::error::{DbError, DbResult};
 use crate::events::{EngineEvent, RecoveryPhase, RecoveryProcedure};
@@ -150,33 +151,18 @@ impl DbServer {
     /// business.
     // tidy-entry(recovery)
     fn restore_fractured_datafiles(&mut self, from: RedoAddr) -> DbResult<RedoAddr> {
-        let files: Vec<(FileNo, recobench_vfs::FileId, String)> = {
-            let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
-            inst.catalog
-                .datafiles
-                .iter()
-                .map(|(no, df)| (*no, df.vfs_id, df.path.clone()))
-                .collect()
-        };
+        let control = self.control_ref()?;
+        let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
+        let files: Vec<(FileNo, recobench_vfs::FileId, String)> = inst
+            .catalog
+            .datafiles
+            .iter()
+            .filter(|(no, df)| unavailable(control, &inst.catalog, **no, df.tablespace).is_none())
+            .map(|(no, df)| (*no, df.vfs_id, df.path.clone()))
+            .collect();
         let mut from = from;
         for (file_no, vfs_id, path) in files {
-            let offline = {
-                let control = self.control_ref()?;
-                let df_ts = {
-                    let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
-                    inst.catalog
-                        .datafiles
-                        .get(&file_no)
-                        .ok_or_else(|| DbError::NotFound(format!("datafile {file_no}")))?
-                        .tablespace
-                };
-                control.file_state(file_no).offline || control.is_ts_offline(df_ts)
-            };
-            if offline {
-                continue;
-            }
-            let readable = self.fs.lock().peek_blocks_written(vfs_id).is_ok();
-            if !readable || !self.scan_for_bad_blocks(vfs_id, &path) {
+            if self.scan_for_bad_blocks(vfs_id, &path) != Some(true) {
                 continue;
             }
             from = from.min(self.restore_datafile(file_no, vfs_id, &path, "torn by crash")?);
@@ -281,11 +267,7 @@ impl DbServer {
         };
         let (vfs_id, damaged) = {
             let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
-            let df = inst
-                .catalog
-                .datafiles
-                .get(&file_no)
-                .ok_or_else(|| DbError::NotFound(format!("datafile {file_no}")))?;
+            let df = datafile(&inst.catalog, file_no)?;
             let fs = self.fs.lock();
             let damaged = match fs.meta(df.vfs_id) {
                 Ok(m) => m.deleted || m.corrupt,
@@ -295,8 +277,9 @@ impl DbServer {
         };
         // Deletion and vfs-level corruption are loud; a torn write or
         // bit-rot is not — the file reads fine and only the per-block CRC
-        // knows. Scan before concluding the file is healthy.
-        let damaged = damaged || self.scan_for_bad_blocks(vfs_id, path);
+        // knows. Scan before concluding the file is healthy (a file the
+        // scan cannot read at all is damaged by definition).
+        let damaged = damaged || self.scan_for_bad_blocks(vfs_id, path).unwrap_or(true);
         let from = if damaged {
             self.restore_datafile(file_no, vfs_id, path, "lost")?
         } else {

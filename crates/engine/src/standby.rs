@@ -138,6 +138,8 @@ impl StandbyServer {
                     df.blocks,
                 )?;
                 if let Some(piece) = backup.piece_for(*file_no) {
+                    // A raw copy between machines: the one block read
+                    // outside `blockio`, and it decodes nothing.
                     for (block, img) in primary_fs.peek_blocks_written(piece)? {
                         // tidy-allow(write-site-coverage): standby instantiation writes to the standby's own fs; the crash sweep drives the primary only
                         fs.write_block(new_id, block, img, now)?;

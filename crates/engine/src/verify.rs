@@ -19,6 +19,7 @@
 //! perturb simulated time. The torture oracle (`recobench-oracle`) runs
 //! them after every experiment alongside its differential row check.
 
+use crate::blockio::{checksum_walk, unavailable};
 use crate::error::{DbError, DbResult};
 use crate::server::DbServer;
 
@@ -89,8 +90,8 @@ impl DbServer {
             let fs = self.fs.lock();
             for (no, df) in &inst.catalog.datafiles {
                 report.datafiles_checked += 1;
-                let offline = control.file_state(*no).offline
-                    || control.is_ts_offline(df.tablespace);
+                let offline =
+                    unavailable(control, &inst.catalog, *no, df.tablespace).is_some();
                 let healthy = match fs.meta(df.vfs_id) {
                     Ok(m) => !m.deleted && !m.corrupt,
                     Err(_) => false,
@@ -101,25 +102,20 @@ impl DbServer {
                         no.0, df.path
                     ));
                 }
-                // Checksum walk: every written block of a readable file
-                // must decode with a valid CRC. This is what catches
-                // *silent* damage — bit-rot and torn writes leave the vfs
-                // metadata pristine; only the per-block checksum knows.
+                // Every written block of a readable file must decode with
+                // a valid CRC.
                 if healthy && !offline {
-                    if let Ok(blocks) = fs.peek_blocks_written(df.vfs_id) {
-                        for (block, bytes) in blocks {
-                            report.blocks_checksummed += 1;
-                            if let Err(e) = crate::page::BlockImage::decode(bytes) {
-                                let what = if e.is_checksum_mismatch() {
-                                    "checksum mismatch"
-                                } else {
-                                    "undecodable image"
-                                };
-                                report.violations.push(format!(
-                                    "datafile {} ({}): block {block} fails verification ({what})",
-                                    no.0, df.path
-                                ));
-                            }
+                    if let Ok(walk) = checksum_walk(&fs, df.vfs_id, &df.path) {
+                        report.blocks_checksummed += walk.blocks;
+                        for (block, e) in walk.bad {
+                            let what = match e {
+                                DbError::ChecksumMismatch { .. } => "checksum mismatch",
+                                _ => "undecodable image",
+                            };
+                            report.violations.push(format!(
+                                "datafile {} ({}): block {block} fails verification ({what})",
+                                no.0, df.path
+                            ));
                         }
                     }
                 }
@@ -152,8 +148,9 @@ impl DbServer {
                     }
                 }
             }
-            let skip_scan = control.is_ts_offline(table.tablespace)
-                || table.segment.extents.iter().any(|e| control.file_state(e.file).offline);
+            let skip_scan = table.segment.extents.iter().any(|e| {
+                unavailable(control, &inst.catalog, e.file, table.tablespace).is_some()
+            });
             if skip_scan {
                 // Storage legitimately offline: heap contents unreadable
                 // by design, nothing to cross-check.
@@ -259,14 +256,13 @@ impl DbServer {
         let fs = self.fs.lock();
         let mut bad = Vec::new();
         for (no, df) in &inst.catalog.datafiles {
-            if control.file_state(*no).offline || control.is_ts_offline(df.tablespace) {
+            if unavailable(control, &inst.catalog, *no, df.tablespace).is_some() {
                 continue;
             }
             // Loud damage (deletion, whole-file corruption) is the
             // integrity walk's business; this probe hunts silent damage
             // only, so an unreadable file is simply skipped.
-            let Ok(blocks) = fs.peek_blocks_written(df.vfs_id) else { continue };
-            if blocks.into_iter().any(|(_, bytes)| crate::page::BlockImage::decode(bytes).is_err()) {
+            if checksum_walk(&fs, df.vfs_id, &df.path).is_ok_and(|walk| !walk.bad.is_empty()) {
                 bad.push(df.path.clone());
             }
         }
