@@ -94,11 +94,6 @@ impl RecoveryBreakdown {
             + self.other_us
             + self.service_resume_us
     }
-
-    /// Total in seconds.
-    pub fn total_secs(&self) -> f64 {
-        self.total_us() as f64 / 1_000_000.0
-    }
 }
 
 impl Default for Measures {
@@ -136,7 +131,6 @@ mod tests {
             service_resume_us: 500_000,
         };
         assert_eq!(b.total_us(), 500_036);
-        assert!((b.total_secs() - 0.500_036).abs() < 1e-12);
     }
 
     #[test]

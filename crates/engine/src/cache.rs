@@ -368,22 +368,6 @@ impl BufferCache {
         }
     }
 
-    /// Drains and returns every dirty frame matching `pred` (the caller
-    /// writes them out and they become clean). Copies each image; the
-    /// checkpoint path uses [`BufferCache::dirty_matching`] instead.
-    pub fn take_dirty<F>(&mut self, pred: F) -> Vec<(BlockKey, BlockImage, DirtyInfo)>
-    where
-        F: FnMut(BlockKey, &DirtyInfo) -> bool,
-    {
-        self.dirty_matching(pred)
-            .into_iter()
-            .map(|(key, d)| {
-                self.clear_dirty(key);
-                (key, self.peek(key).expect("dirty frame is resident").clone(), d)
-            })
-            .collect()
-    }
-
     /// Number of dirty frames (maintained incrementally; O(1)).
     pub fn dirty_count(&self) -> usize {
         self.dirty_n
@@ -472,12 +456,13 @@ mod tests {
         c.insert(key(1), BlockImage::empty());
         c.mark_dirty(key(1), addr(100), SimTime::from_secs(1));
         c.mark_dirty(key(1), addr(300), SimTime::from_secs(3));
-        let dirty = c.take_dirty(|_, _| true);
+        let dirty = c.dirty_matching(|_, _| true);
         assert_eq!(dirty.len(), 1);
-        let d = dirty[0].2;
+        let (k, d) = dirty[0];
         assert_eq!(d.first_addr, addr(100));
         assert_eq!(d.last_addr, addr(300));
         assert_eq!(d.first_time, SimTime::from_secs(1));
+        c.clear_dirty(k);
         assert_eq!(c.dirty_count(), 0);
     }
 
@@ -490,8 +475,9 @@ mod tests {
         c.mark_dirty(key(2), addr(200), SimTime::ZERO);
         assert_eq!(c.min_dirty_addr(), Some(addr(200)));
         // Writing the older one advances the position.
-        let taken = c.take_dirty(|_, d| d.first_addr <= addr(200));
-        assert_eq!(taken.len(), 1);
+        let old = c.dirty_matching(|_, d| d.first_addr <= addr(200));
+        assert_eq!(old.len(), 1);
+        c.clear_dirty(old[0].0);
         assert_eq!(c.min_dirty_addr(), Some(addr(500)));
     }
 

@@ -83,11 +83,6 @@ impl Segment {
     pub fn blocks(&self) -> impl Iterator<Item = (FileNo, u32)> + '_ {
         self.extents.iter().flat_map(|e| (e.start..e.start + e.len).map(move |b| (e.file, b)))
     }
-
-    /// Total allocated blocks.
-    pub fn block_count(&self) -> u64 {
-        self.extents.iter().map(|e| e.len as u64).sum()
-    }
 }
 
 /// A table definition plus its storage map.
@@ -573,7 +568,6 @@ mod tests {
             blocks,
             vec![(FileNo(1), 0), (FileNo(1), 1), (FileNo(2), 8), (FileNo(2), 9)]
         );
-        assert_eq!(seg.block_count(), 4);
     }
 
     #[test]

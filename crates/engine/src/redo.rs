@@ -281,22 +281,6 @@ impl RedoState {
         encoded_len as u64 + self.overhead
     }
 
-    /// Whether appending `cost` more bytes would overflow a log of
-    /// `group_bytes` (and therefore requires a switch first).
-    pub fn would_overflow(&self, cost: u64, group_bytes: u64) -> bool {
-        self.current_offset + cost > group_bytes
-    }
-
-    /// Buffers an encoded record and returns its assigned address.
-    pub fn buffer_record(&mut self, encoded: Bytes) -> RedoAddr {
-        let addr = self.tail();
-        let cost = self.record_cost(encoded.len());
-        self.current_offset += cost;
-        self.buffer_pad += self.overhead;
-        self.buffer.put_slice_raw(&encoded);
-        addr
-    }
-
     /// Encodes `rec` straight into the log buffer (no per-record
     /// allocation) and returns its assigned address and padded cost.
     pub fn buffer_encode(&mut self, rec: &RedoRecord) -> (RedoAddr, u64) {
@@ -577,16 +561,19 @@ mod tests {
 
     #[test]
     fn state_assigns_monotone_addresses() {
+        let rec = RedoRecord { scn: Scn(1), txn: Some(TxnId(1)), op: RedoOp::Commit };
+        let len = rec.encode().len() as u64;
         let mut s = RedoState::new(0, 1, 0, 100);
-        let a1 = s.buffer_record(Bytes::from_static(b"0123456789"));
-        let a2 = s.buffer_record(Bytes::from_static(b"0123456789"));
+        let (a1, cost) = s.buffer_encode(&rec);
+        let (a2, _) = s.buffer_encode(&rec);
+        assert_eq!(cost, len + 100);
         assert_eq!(a1, RedoAddr { seq: 1, offset: 0 });
-        assert_eq!(a2, RedoAddr { seq: 1, offset: 110 });
+        assert_eq!(a2, RedoAddr { seq: 1, offset: len + 100 });
         assert!(s.has_unflushed());
         let (payload, pad, flushed) = s.take_buffer();
-        assert_eq!(payload.len(), 20);
+        assert_eq!(payload.len() as u64, 2 * len);
         assert_eq!(pad, 200);
-        assert_eq!(flushed, 220);
+        assert_eq!(flushed, 2 * len + 200);
         assert!(!s.has_unflushed());
     }
 
@@ -616,11 +603,16 @@ mod tests {
 
     #[test]
     fn overflow_check_and_switch() {
+        let rec = RedoRecord { scn: Scn(1), txn: Some(TxnId(1)), op: RedoOp::Commit };
+        let len = rec.encode().len() as u64;
         let mut s = RedoState::new(0, 1, 0, 0);
-        s.buffer_record(Bytes::from(vec![0u8; 900]));
-        assert!(s.would_overflow(200, 1000));
-        assert!(!s.would_overflow(100, 1000));
-        s.take_buffer();
+        s.buffer_encode(&rec);
+        // A record that would end past the group's size is not admitted
+        // and leaves no trace; one that ends exactly at it is.
+        assert_eq!(s.buffer_encode_checked(&rec, 2 * len - 1), None);
+        assert_eq!(s.tail(), RedoAddr { seq: 1, offset: len });
+        assert_eq!(s.buffer_encode_checked(&rec, 2 * len), Some((RedoAddr { seq: 1, offset: len }, len)));
+        assert_eq!(s.take_buffer().0.len() as u64, 2 * len);
         s.switch_to(1, 2);
         assert_eq!(s.tail(), RedoAddr { seq: 2, offset: 0 });
         assert_eq!(s.current_group, 1);
@@ -630,7 +622,7 @@ mod tests {
     #[should_panic(expected = "unflushed")]
     fn switch_with_unflushed_redo_panics() {
         let mut s = RedoState::new(0, 1, 0, 0);
-        s.buffer_record(Bytes::from_static(b"x"));
+        s.buffer_encode(&RedoRecord { scn: Scn(1), txn: None, op: RedoOp::Commit });
         s.switch_to(1, 2);
     }
 }

@@ -89,11 +89,6 @@ impl TxnTable {
         self.active.get_mut(&txn).ok_or_else(|| DbError::TxnNotActive(txn))
     }
 
-    /// Whether the transaction is active.
-    pub fn is_active(&self, txn: TxnId) -> bool {
-        self.active.contains_key(&txn)
-    }
-
     /// Ends a transaction, returning its state (for lock release or undo).
     ///
     /// # Errors
@@ -317,9 +312,10 @@ mod tests {
         let b = t.begin();
         assert_ne!(a, b);
         assert_eq!(t.active_count(), 2);
-        assert!(t.is_active(a));
+        assert!(t.get_mut(a).is_ok());
         t.finish(a).unwrap();
-        assert!(!t.is_active(a));
+        assert_eq!(t.active_count(), 1);
+        assert!(matches!(t.get_mut(a), Err(DbError::TxnNotActive(_))));
         assert!(matches!(t.finish(a), Err(DbError::TxnNotActive(_))));
     }
 

@@ -127,11 +127,6 @@ impl Disk {
         self.busy_until
     }
 
-    /// Whether the disk is idle at `now`.
-    pub fn is_idle_at(&self, now: SimTime) -> bool {
-        self.busy_until <= now
-    }
-
     /// Cumulative counters.
     pub fn stats(&self) -> DiskStats {
         self.stats
@@ -206,7 +201,7 @@ mod tests {
         let mut d = Disk::new(DiskProfile::server_2000());
         d.submit(SimTime::ZERO, IoKind::Write, 4096, false);
         d.reset();
-        assert!(d.is_idle_at(SimTime::ZERO));
+        assert_eq!(d.busy_until(), SimTime::ZERO);
         assert_eq!(d.stats(), DiskStats::default());
     }
 }

@@ -75,15 +75,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.at, e.event))
     }
 
-    /// Removes and returns the earliest event if it is due at or before `now`.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time().is_some_and(|t| t <= now) {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
     /// The timestamp of the earliest scheduled event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
@@ -114,15 +105,6 @@ impl<E> Default for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pop_due_respects_now() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(5), 1u32);
-        assert_eq!(q.pop_due(SimTime::from_secs(4)), None);
-        assert_eq!(q.pop_due(SimTime::from_secs(5)), Some((SimTime::from_secs(5), 1)));
-        assert!(q.is_empty());
-    }
 
     #[test]
     fn fifo_among_equal_times() {

@@ -91,18 +91,6 @@ impl SimRng {
         z ^ (z >> 31)
     }
 
-    /// Chooses a uniformly random element of `slice`.
-    ///
-    /// Returns `None` when the slice is empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            let i = self.gen_range(0..slice.len());
-            Some(&slice[i])
-        }
-    }
-
     /// Uniform draw in `[0, n)` without modulo bias worth worrying about
     /// at simulation scales.
     fn below(&mut self, n: u64) -> u64 {
@@ -201,15 +189,6 @@ mod tests {
         let mut f1 = root.fork(1);
         let mut f2 = root2.fork(2);
         assert_ne!(f1.next_u64(), f2.next_u64());
-    }
-
-    #[test]
-    fn choose_handles_empty_and_nonempty() {
-        let mut rng = SimRng::seed_from(9);
-        let empty: [u8; 0] = [];
-        assert_eq!(rng.choose(&empty), None);
-        let one = [42u8];
-        assert_eq!(rng.choose(&one), Some(&42));
     }
 
     #[test]

@@ -121,11 +121,6 @@ impl SimDuration {
         self.0 as f64 / 1e6
     }
 
-    /// Whether this span is empty.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Saturating subtraction of two spans.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))

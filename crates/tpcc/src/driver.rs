@@ -497,11 +497,6 @@ impl TpccDriver {
         n as f64 * 60.0 / window
     }
 
-    /// First errored attempt at or after `t` (service-loss detection).
-    pub fn first_error_after(&self, t: SimTime) -> Option<SimTime> {
-        self.errors.iter().copied().find(|&e| e >= t)
-    }
-
     /// Records a service loss the client observed at `at` without running
     /// a transaction — the experiment harness calls this at fault
     /// activation, where the client's in-flight attempt fails while the
@@ -736,7 +731,7 @@ mod tests {
             driver.step(&mut srv);
         }
         assert!(driver.error_count() >= 15);
-        assert!(driver.first_error_after(fault_at).is_some());
+        assert!(driver.error_times().iter().any(|&e| e >= fault_at));
         // Recovery restores service; the driver sees successes again.
         srv.startup().unwrap();
         let recovered_at = srv.clock().now();

@@ -403,6 +403,29 @@ impl SimFs {
         Ok(id)
     }
 
+    /// The stored image of one block (all zeros if never written) and the
+    /// disk and block size a charged read of it costs.
+    fn block_image(&self, id: FileId, block: u64) -> VfsResult<(DiskId, u64, Bytes)> {
+        let e = self.entry(id)?;
+        e.check_readable()?;
+        if e.corrupt_blocks.contains(&block) {
+            return Err(VfsError::Corrupt(e.path.clone()));
+        }
+        match &e.content {
+            Content::Blocks { block_size, nblocks, data } => {
+                if block >= *nblocks {
+                    return Err(VfsError::OutOfRange { file: e.path.clone(), block, blocks: *nblocks });
+                }
+                let img = data
+                    .get(&block)
+                    .cloned()
+                    .unwrap_or_else(|| Bytes::from(vec![0u8; *block_size as usize]));
+                Ok((e.disk, *block_size as u64, img))
+            }
+            Content::Append { .. } => Err(VfsError::WrongAccessStyle(e.path.clone())),
+        }
+    }
+
     /// Reads one block. Returns the completion instant and the block image.
     ///
     /// # Errors
@@ -410,30 +433,7 @@ impl SimFs {
     /// Fails if the file is missing, deleted, corrupt, not block-addressed,
     /// or the index is out of range.
     pub fn read_block(&mut self, id: FileId, block: u64, now: SimTime) -> VfsResult<(SimTime, Bytes)> {
-        let (disk, bytes, img) = {
-            let e = self.entry(id)?;
-            e.check_readable()?;
-            if e.corrupt_blocks.contains(&block) {
-                return Err(VfsError::Corrupt(e.path.clone()));
-            }
-            match &e.content {
-                Content::Blocks { block_size, nblocks, data } => {
-                    if block >= *nblocks {
-                        return Err(VfsError::OutOfRange {
-                            file: e.path.clone(),
-                            block,
-                            blocks: *nblocks,
-                        });
-                    }
-                    let img = data
-                        .get(&block)
-                        .cloned()
-                        .unwrap_or_else(|| Bytes::from(vec![0u8; *block_size as usize]));
-                    (e.disk, *block_size as u64, img)
-                }
-                Content::Append { .. } => return Err(VfsError::WrongAccessStyle(e.path.clone())),
-            }
-        };
+        let (disk, bytes, img) = self.block_image(id, block)?;
         let done = self.charge(disk, IoKind::Read, bytes, false, now)?;
         Ok((done, img))
     }
@@ -555,24 +555,6 @@ impl SimFs {
         interrupted.map_or(Ok((done, ())), Err)
     }
 
-    /// Reads the whole contents of an append-only file (sequential read).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the file is missing, deleted, corrupt or not append-only.
-    pub fn read_all(&mut self, id: FileId, now: SimTime) -> VfsResult<(SimTime, Vec<Bytes>)> {
-        let (disk, bytes, segs) = {
-            let e = self.entry(id)?;
-            e.check_readable()?;
-            match &e.content {
-                Content::Append { segments, len } => (e.disk, *len, segments.clone()),
-                Content::Blocks { .. } => return Err(VfsError::WrongAccessStyle(e.path.clone())),
-            }
-        };
-        let done = self.charge(disk, IoKind::Read, bytes, true, now)?;
-        Ok((done, segs))
-    }
-
     /// Reads an append-only file starting at logical byte `offset`
     /// (sequential read charged for `len - offset` bytes). The returned
     /// segments are the *complete* informative contents — callers that need
@@ -605,23 +587,7 @@ impl SimFs {
     /// Fails if the file is missing, deleted, corrupt or the index is out
     /// of range.
     pub fn peek_block(&self, id: FileId, block: u64) -> VfsResult<Bytes> {
-        let e = self.entry(id)?;
-        e.check_readable()?;
-        if e.corrupt_blocks.contains(&block) {
-            return Err(VfsError::Corrupt(e.path.clone()));
-        }
-        match &e.content {
-            Content::Blocks { block_size, nblocks, data } => {
-                if block >= *nblocks {
-                    return Err(VfsError::OutOfRange { file: e.path.clone(), block, blocks: *nblocks });
-                }
-                Ok(data
-                    .get(&block)
-                    .cloned()
-                    .unwrap_or_else(|| Bytes::from(vec![0u8; *block_size as usize])))
-            }
-            Content::Append { .. } => Err(VfsError::WrongAccessStyle(e.path.clone())),
-        }
+        self.block_image(id, block).map(|(_, _, img)| img)
     }
 
     /// Zero-cost enumeration of every written block of a block file (for
@@ -1082,7 +1048,7 @@ mod tests {
         let f = fs.create_append_file("/u03/redo01.log", DiskId(2), FileKind::Redo).unwrap();
         fs.append(f, Bytes::from_static(b"one"), SimTime::ZERO).unwrap();
         fs.append(f, Bytes::from_static(b"two"), SimTime::ZERO).unwrap();
-        let (_, segs) = fs.read_all(f, SimTime::ZERO).unwrap();
+        let (_, segs) = fs.read_from(f, 0, SimTime::ZERO).unwrap();
         assert_eq!(segs, vec![Bytes::from_static(b"one"), Bytes::from_static(b"two")]);
         assert_eq!(fs.meta(f).unwrap().size_bytes, 6);
     }
@@ -1224,7 +1190,7 @@ mod extended_tests {
         let f = fs.create_append_file("/r", DiskId(0), FileKind::Redo).unwrap();
         fs.append_padded(f, Bytes::from_static(b"abc"), 1000, SimTime::ZERO).unwrap();
         assert_eq!(fs.meta(f).unwrap().size_bytes, 1003);
-        let (_, segs) = fs.read_all(f, SimTime::ZERO).unwrap();
+        let (_, segs) = fs.read_from(f, 0, SimTime::ZERO).unwrap();
         assert_eq!(segs, vec![Bytes::from_static(b"abc")]);
     }
 
@@ -1342,7 +1308,7 @@ mod fault_tests {
         .unwrap();
         let err = fs.append(f, Bytes::from_static(b"second"), SimTime::ZERO).unwrap_err();
         assert!(matches!(err, VfsError::Interrupted(_)));
-        let (_, segs) = fs.read_all(f, SimTime::ZERO).unwrap();
+        let (_, segs) = fs.read_from(f, 0, SimTime::ZERO).unwrap();
         assert_eq!(segs, vec![Bytes::from_static(b"first"), Bytes::from_static(b"sec")]);
         assert_eq!(fs.meta(f).unwrap().size_bytes, 8, "five whole bytes plus the torn three");
         // One-shot: appends work again.
@@ -1425,7 +1391,7 @@ mod fault_tests {
         // The machine is dead: every further write fails, reads still work.
         let err = fs.append(f, Bytes::from_static(b"dddd"), SimTime::ZERO).unwrap_err();
         assert!(matches!(err, VfsError::Interrupted(_)));
-        let (_, segs) = fs.read_all(f, SimTime::ZERO).unwrap();
+        let (_, segs) = fs.read_from(f, 0, SimTime::ZERO).unwrap();
         assert_eq!(segs, vec![Bytes::from_static(b"aaaa"), Bytes::from_static(b"bbbb"), Bytes::from_static(b"cc")]);
         // Power restored: writes work again and the counter kept counting.
         fs.clear_faults();

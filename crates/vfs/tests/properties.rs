@@ -41,7 +41,7 @@ proptest! {
             expected_len += seg.len() as u64 + pad;
         }
         prop_assert_eq!(fs.meta(f).unwrap().size_bytes, expected_len);
-        let (_, got) = fs.read_all(f, SimTime::ZERO).unwrap();
+        let (_, got) = fs.read_from(f, 0, SimTime::ZERO).unwrap();
         let got_flat: Vec<u8> = got.iter().flat_map(|b| b.iter().copied()).collect();
         let want_flat: Vec<u8> = segments.iter().flatten().copied().collect();
         prop_assert_eq!(got_flat, want_flat);
@@ -80,7 +80,7 @@ proptest! {
         prop_assert_eq!(fs.meta(f2).unwrap().size_bytes, 0);
         // The old handle stays inspectable but unreadable.
         prop_assert!(fs.meta(f1).unwrap().deleted);
-        prop_assert!(fs.read_all(f1, SimTime::ZERO).is_err());
+        prop_assert!(fs.read_from(f1, 0, SimTime::ZERO).is_err());
     }
 
     #[test]
