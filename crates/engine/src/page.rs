@@ -11,21 +11,17 @@ use crate::codec::{crc32, DecodeError, DecodeResult, Reader, Writer};
 use crate::row::Row;
 use crate::types::Scn;
 
-/// Current on-disk block image format: v2, with a per-block CRC-32.
-///
-/// The catalog's `block_format` advertises this, but decoding is
-/// self-describing — each stored image carries its own format tag — so
-/// snapshots written before checksums existed still load.
+/// The on-disk block image format: v2, with a per-block CRC-32. Every
+/// stored image carries this tag behind its magic byte.
 pub const BLOCK_FORMAT: u8 = 2;
 
-/// First byte of a v2 (checksummed) block image. Legacy images start with
-/// the big-endian block SCN, whose leading byte is zero at any attainable
-/// SCN, and never-written blocks read back all-zero — so a nonzero magic
-/// cleanly separates the formats.
+/// First byte of every stored block image. A never-written block reads
+/// back all-zero; any other image that does not start with this byte is
+/// damage.
 const BLOCK_MAGIC: u8 = 0xB1;
 
-/// Bytes of v2 header in front of the legacy payload: magic, format
-/// version, CRC-32 of everything after the header.
+/// Bytes of header in front of the payload: magic, format version, CRC-32
+/// of everything after the header.
 const CHECKSUM_HEADER: usize = 6;
 
 /// Decoded image of one datafile block.
@@ -167,35 +163,35 @@ impl BlockImage {
     }
 
     /// Decodes a stored block image. An all-zero (never written) image
-    /// decodes as an empty block; a legacy (pre-checksum) image decodes
-    /// without verification; a v2 image must pass its CRC. The rows are
-    /// validated views into `buf`, which they share and keep alive (one
-    /// block-sized read buffer per cached block at most).
+    /// decodes as an empty block; anything else must start with the magic
+    /// byte and pass its CRC. The rows are validated views into `buf`,
+    /// which they share and keep alive (one block-sized read buffer per
+    /// cached block at most).
     ///
     /// # Errors
     ///
     /// Fails on malformed bytes; fails with a checksum-mismatch error
-    /// (see [`DecodeError::is_checksum_mismatch`]) when a v2 image's CRC
-    /// does not cover its payload — bit-rot or a torn write.
+    /// (see [`DecodeError::is_checksum_mismatch`]) when the image does not
+    /// start with the magic byte or its CRC does not cover its payload —
+    /// bit-rot or a torn write, in the header as anywhere else.
     pub fn decode(buf: Bytes) -> DecodeResult<BlockImage> {
         if buf.is_empty() || buf.iter().all(|&b| b == 0) {
             return Ok(BlockImage::empty());
         }
-        if buf[0] == BLOCK_MAGIC {
-            if buf.len() < CHECKSUM_HEADER {
-                return Err(DecodeError { context: "block checksum header" });
-            }
-            if buf[1] != BLOCK_FORMAT {
-                return Err(DecodeError { context: "block format version" });
-            }
-            let stored = u32::from_be_bytes([buf[2], buf[3], buf[4], buf[5]]);
-            if crc32(&buf[CHECKSUM_HEADER..]) != stored {
-                return Err(DecodeError::checksum_mismatch());
-            }
-            return Self::decode_body(buf.slice(CHECKSUM_HEADER..buf.len()));
+        if buf[0] != BLOCK_MAGIC {
+            return Err(DecodeError::checksum_mismatch());
         }
-        // Legacy image from before checksums existed: no header to verify.
-        Self::decode_body(buf)
+        if buf.len() < CHECKSUM_HEADER {
+            return Err(DecodeError { context: "block checksum header" });
+        }
+        if buf[1] != BLOCK_FORMAT {
+            return Err(DecodeError { context: "block format version" });
+        }
+        let stored = u32::from_be_bytes([buf[2], buf[3], buf[4], buf[5]]);
+        if crc32(&buf[CHECKSUM_HEADER..]) != stored {
+            return Err(DecodeError::checksum_mismatch());
+        }
+        Self::decode_body(buf.slice(CHECKSUM_HEADER..buf.len()))
     }
 
     fn decode_body(buf: Bytes) -> DecodeResult<BlockImage> {
@@ -391,21 +387,58 @@ mod tests {
         }
     }
 
+    /// No flipped bit gets an image past `decode` — the magic byte
+    /// included, which used to send the image down an unverified path that
+    /// could read it as an empty block. A flipped version byte is refused
+    /// as an unknown format; every other bit is a checksum mismatch.
     #[test]
-    fn legacy_unchecksummed_images_still_decode() {
-        // A v1 image: SCN + row count + rows, no magic/CRC header — what a
-        // snapshot from before checksums existed holds.
+    fn every_single_bit_flip_of_an_encoded_image_is_refused() {
+        let mut b = BlockImage::empty();
+        b.put(0, row(10), Scn(7));
+        b.put(5, row(20), Scn(9));
+        let encoded = b.encode();
+        for bit in 0..encoded.len() * 8 {
+            let mut rotted = encoded.to_vec();
+            rotted[bit / 8] ^= 1 << (bit % 8);
+            let err = BlockImage::decode(Bytes::from(rotted))
+                .expect_err(&format!("bit {bit} flipped and the image still decodes"));
+            assert_eq!(err.is_checksum_mismatch(), bit / 8 != 1, "bit {bit}: {err:?}");
+        }
+    }
+
+    /// Each way an image can be malformed, with the error it is refused
+    /// with. What is not all-zero and not a v2 image whose CRC holds is
+    /// not a block.
+    #[test]
+    fn malformed_images_are_refused_with_their_pinned_errors() {
         let mut b = BlockImage::empty();
         b.put(2, row(42), Scn(9));
-        let mut w = Writer::new();
-        w.put_u64(b.last_scn.0);
-        w.put_u32(1);
-        w.put_u16(2);
-        w.put_u32(row(42).encoded_len() as u32);
-        row(42).encode_into(&mut w);
-        let legacy = BlockImage::decode(w.into_bytes()).unwrap();
-        assert_eq!(legacy.last_scn, Scn(9));
-        assert_eq!(legacy.row(2), b.row(2));
+        let good = b.encode().to_vec();
+        let with = |at: usize, byte: u8| {
+            let mut image = good.clone();
+            image[at] = byte;
+            image
+        };
+        // A valid CRC over a body that stops inside the block SCN.
+        let mut short_body = vec![super::BLOCK_MAGIC, BLOCK_FORMAT];
+        short_body.extend_from_slice(&crc32(&[0, 0, 0, 9]).to_be_bytes());
+        short_body.extend_from_slice(&[0, 0, 0, 9]);
+        let checksum = crate::codec::CHECKSUM_CONTEXT;
+        let table: Vec<(&str, Vec<u8>, &str)> = vec![
+            ("magic with its low bit flipped", with(0, 0xB0), checksum),
+            ("no magic: a bare v1 payload", good[super::CHECKSUM_HEADER..].to_vec(), checksum),
+            ("no magic: zeros, then anything", with(0, 0), checksum),
+            ("header cut short", good[..super::CHECKSUM_HEADER - 1].to_vec(), "block checksum header"),
+            ("unknown format version", with(1, 3), "block format version"),
+            ("stored CRC damaged", with(3, good[3] ^ 0x10), checksum),
+            ("payload damaged", with(good.len() - 1, !good[good.len() - 1]), checksum),
+            ("payload cut short", good[..good.len() - 1].to_vec(), checksum),
+            ("valid CRC, body cut short", short_body, "block scn"),
+        ];
+        for (what, image, context) in table {
+            let err = BlockImage::decode(Bytes::from(image)).unwrap_err();
+            assert_eq!(err.context, context, "{what}");
+        }
     }
 
     #[test]

@@ -99,6 +99,15 @@ const DAMAGE: &[Damage] = &[
         silent: true,
     },
     Damage {
+        // Header damage is silent damage like any other: with the low bit
+        // flipped the image used to pass for a pre-checksum one and read,
+        // unverified, as an empty block.
+        name: "the magic byte",
+        inflict: |srv, path, block| flip_stored_bit(srv, path, block, 0),
+        error: checksum_mismatch,
+        silent: true,
+    },
+    Damage {
         name: "vfs-level corruption",
         inflict: |srv, path, block| {
             let (_, blocks) = srv.fs().lock().corrupt_path(path, 1).unwrap();
