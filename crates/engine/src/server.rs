@@ -5,12 +5,17 @@
 //! the union of the interfaces the paper's experiment needs:
 //!
 //! * the **client** surface (transactions and DML) used by the TPC-C
-//!   driver;
-//! * the **administrator** surface (DDL, startup/shutdown, online/offline,
-//!   backup, recovery) used both for legitimate administration and — via
-//!   the fault injector — for reproducing operator mistakes;
-//! * the **OS** surface (deleting files by path) for mistakes made outside
-//!   the DBMS.
+//!   driver — `session.rs`;
+//! * the **administrator** surface (DDL, online/offline, backup) used both
+//!   for legitimate administration and — via the fault injector — for
+//!   reproducing operator mistakes, and the **OS** surface (deleting files
+//!   by path) for mistakes made outside the DBMS — `admin.rs`; startup and
+//!   the recovery procedures are `recovery.rs`;
+//! * how any of them gets at a datafile block — `blockio.rs`.
+//!
+//! This file holds the struct itself, construction and accessors, the
+//! instance lifecycle (create, shutdown) and the background choreography:
+//! DBWR's incremental checkpointing, LGWR, log switches and checkpoints.
 //!
 //! Every operation advances the shared simulated clock by the CPU and I/O
 //! it costs, so the workload driver measures throughput and recovery time
