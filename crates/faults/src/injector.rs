@@ -295,6 +295,11 @@ mod tests {
         let t = srv.table_id("STOCK").unwrap();
         assert_eq!(srv.peek_scan(t).unwrap().len(), 60, "complete recovery");
         assert!(out.recovery_finished_at > out.recovery_started_at);
+        assert_eq!(
+            out.recovery_started_at,
+            out.record.injected_at + SimDuration::from_secs(1),
+            "the paper's constant detection time"
+        );
     }
 
     #[test]
@@ -303,6 +308,8 @@ mod tests {
         let t = srv.table_id("STOCK").unwrap();
         assert_eq!(srv.peek_scan(t).unwrap().len(), 60, "media recovery loses nothing");
         assert!(out.records_applied > 0);
+        let first = srv.datafile_paths("TPCC").unwrap().remove(0);
+        assert_eq!(out.record.detail, format!("rm {first}"), "the victim is TPCC's first datafile");
     }
 
     #[test]
