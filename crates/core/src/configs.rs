@@ -1,7 +1,6 @@
 //! The recovery configurations of the paper's Table 3.
 
 use recobench_engine::InstanceConfig;
-use serde::{Deserialize, Serialize};
 
 /// One recovery configuration: the knobs the paper varies.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(c.redo_groups, 3);
 /// assert_eq!(c.checkpoint_timeout_secs, 300);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryConfig {
     /// Paper-style name.
     pub name: String,

@@ -17,7 +17,6 @@ use recobench_sim::{SimClock, SimDuration, SimTime};
 use recobench_tpcc::{
     check_consistency, AvailabilityTimeline, DriverConfig, TpccScale, TpccSchema,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
 
 use crate::configs::RecoveryConfig;
@@ -214,7 +213,7 @@ pub struct ExperimentBuilder {
 }
 
 /// Everything one experiment produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentOutcome {
     /// Configuration name (paper scheme).
     pub config_name: String,
@@ -223,26 +222,20 @@ pub struct ExperimentOutcome {
     /// Whether a stand-by database was used.
     pub standby: bool,
     /// Replica topology behind the primary (`none` when unprotected).
-    #[serde(default)]
     pub topology: String,
     /// Failover policy in force for the replica set.
-    #[serde(default)]
     pub policy: String,
     /// Failovers the replica set completed during the run.
-    #[serde(default)]
     pub failovers: u64,
     /// The injected fault, if any.
     pub fault: Option<FaultType>,
     /// Trigger offset in seconds, if a fault was injected.
     pub trigger_secs: Option<u64>,
     /// Emulated terminals driving the workload.
-    #[serde(default)]
     pub terminals: usize,
     /// Lock waits the engine recorded over the run.
-    #[serde(default)]
     pub lock_waits: u64,
     /// Deadlocks the engine detected (and broke) over the run.
-    #[serde(default)]
     pub deadlocks: u64,
     /// The measures.
     pub measures: Measures,

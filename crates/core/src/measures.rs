@@ -1,10 +1,8 @@
 //! The benchmark's measures: performance plus the paper's three
 //! dependability extensions.
 
-use serde::{Deserialize, Serialize};
-
 /// Measures of one experiment, taken from the end-user point of view.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Measures {
     /// Committed New-Order transactions per minute over the measurement
     /// window (up to the fault, or the whole run when fault-free).
@@ -57,7 +55,7 @@ impl Measures {
 /// committing at the client again. By construction
 /// [`total_us`](RecoveryBreakdown::total_us) equals the reported recovery
 /// time exactly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryBreakdown {
     /// Operator detection time between fault activation and the start of
     /// the recovery procedure.

@@ -10,21 +10,20 @@
 use std::collections::BTreeMap;
 
 use recobench_vfs::FileId;
-use serde::{Deserialize, Serialize};
 
 use crate::codec::{DecodeError, DecodeResult, Reader, Writer};
 use crate::error::{DbError, DbResult};
 use crate::types::{FileNo, ObjectId, TablespaceId, UserId};
 
 /// A database user (schema owner).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UserDef {
     /// Unique user name.
     pub name: String,
 }
 
 /// A tablespace: a named container of datafiles.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TablespaceDef {
     /// Unique tablespace name.
     pub name: String,
@@ -33,7 +32,7 @@ pub struct TablespaceDef {
 }
 
 /// A datafile registered with the database.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DatafileDef {
     /// Path of the file in the simulated filesystem.
     pub path: String,
@@ -46,7 +45,7 @@ pub struct DatafileDef {
 }
 
 /// A secondary or primary index over column positions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexDef {
     /// Index name, unique within the table.
     pub name: String,
@@ -61,7 +60,7 @@ pub struct IndexDef {
 }
 
 /// A contiguous run of blocks allocated to a segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Extent {
     /// Datafile holding the extent.
     pub file: FileNo,
@@ -72,7 +71,7 @@ pub struct Extent {
 }
 
 /// The storage map of a table: its allocated extents.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Segment {
     /// Allocated extents, in allocation order.
     pub extents: Vec<Extent>,
@@ -86,7 +85,7 @@ impl Segment {
 }
 
 /// A table definition plus its storage map.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableDef {
     /// Unique table name.
     pub name: String,
@@ -101,7 +100,7 @@ pub struct TableDef {
 }
 
 /// The data dictionary.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Catalog {
     /// Registered users.
     pub users: BTreeMap<UserId, UserDef>,
@@ -275,7 +274,7 @@ impl Catalog {
 }
 
 /// A logical, idempotent mutation of the data dictionary.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CatalogChange {
     /// Registers a user.
     CreateUser {

@@ -2,7 +2,6 @@
 //! cost model of the simulated platform.
 
 use recobench_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a database instance.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 ///     .build();
 /// assert_eq!(cfg.redo_file_bytes, 40 * 1024 * 1024);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceConfig {
     /// Size of each online redo log file, in bytes.
     pub redo_file_bytes: u64,
@@ -128,7 +127,7 @@ impl InstanceConfigBuilder {
 /// Calibrated costs of the simulated platform (a year-2000 Pentium III
 /// class server, per DESIGN.md §6). These are *platform* constants — the
 /// quantities the paper varies live in [`InstanceConfig`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// CPU time to execute one DML row operation.
     pub cpu_per_dml: SimDuration,

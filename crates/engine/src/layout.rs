@@ -2,7 +2,6 @@
 
 use recobench_sim::DiskProfile;
 use recobench_vfs::{DiskId, SimFs};
-use serde::{Deserialize, Serialize};
 
 /// Which simulated disk holds which class of file.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// datafiles spread over two spindles, the online redo logs on their own
 /// spindle (so log writes do not seek against data I/O), and archives plus
 /// backups on the fourth.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiskLayout {
     /// Disks that hold datafiles (round-robin placement).
     pub data_disks: Vec<DiskId>,

@@ -10,7 +10,6 @@
 use std::cell::RefCell;
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::codec::{DecodeError, DecodeResult, Writer};
 
@@ -25,7 +24,7 @@ const TAG_BYTES: u8 = 4;
 /// The engine is schema-light: rows are tuples of values, and index
 /// definitions name column positions. This is enough for TPC-C (whose
 /// monetary amounts are carried as integer cents to keep keys exact).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// SQL NULL.
     Null,

@@ -1,11 +1,9 @@
 //! Engine counters for reporting and calibration.
 
-use serde::{Deserialize, Serialize};
-
 /// Cumulative engine counters, kept on the server so they survive instance
 /// restarts. The benchmark runner snapshots and diffs them per measurement
 /// window.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Committed transactions.
     pub commits: u64,
@@ -57,17 +55,13 @@ pub struct EngineStats {
     pub checksum_mismatches: u64,
     /// Failovers begun by the replica-set controller (quorum reached or
     /// operator-decided).
-    #[serde(default)]
     pub failovers: u64,
     /// Stand-bys promoted to primary.
-    #[serde(default)]
     pub promotions: u64,
     /// Surviving stand-bys re-instantiated behind a newly promoted
     /// primary.
-    #[serde(default)]
     pub replica_resyncs: u64,
     /// Repaired ex-primaries re-enrolled as stand-bys.
-    #[serde(default)]
     pub failbacks: u64,
 }
 

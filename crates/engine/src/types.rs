@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// System change number: the engine's logical clock.
 ///
 /// Every redo record is stamped with a fresh SCN; block images remember the
 /// SCN of the last change applied to them, which makes redo application
 /// idempotent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Scn(pub u64);
 
 impl Scn {
@@ -29,7 +27,7 @@ impl fmt::Display for Scn {
 }
 
 /// Transaction identifier, unique within one incarnation of the database.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnId(pub u64);
 
 impl fmt::Display for TxnId {
@@ -42,7 +40,7 @@ impl fmt::Display for TxnId {
 ///
 /// Sessions are volatile — an instance crash disconnects every session —
 /// and are never reused within one server's lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SessionId(pub u64);
 
 impl fmt::Display for SessionId {
@@ -52,11 +50,11 @@ impl fmt::Display for SessionId {
 }
 
 /// Identifier of a user (schema owner).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct UserId(pub u32);
 
 /// Identifier of a database object (table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(pub u32);
 
 impl fmt::Display for ObjectId {
@@ -66,11 +64,11 @@ impl fmt::Display for ObjectId {
 }
 
 /// Identifier of a tablespace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TablespaceId(pub u32);
 
 /// Engine-level datafile number (stable across restore; maps to a vfs file).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FileNo(pub u32);
 
 impl fmt::Display for FileNo {
@@ -81,7 +79,7 @@ impl fmt::Display for FileNo {
 
 /// Physical row address: datafile number, block within the file, slot
 /// within the block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RowId {
     /// Datafile number.
     pub file: FileNo,
@@ -100,7 +98,7 @@ impl fmt::Display for RowId {
 /// Address of a byte position in the redo stream: log sequence number plus
 /// byte offset within that log. Totally ordered; later positions are
 /// strictly greater.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RedoAddr {
     /// Log sequence number (increments at every log switch).
     pub seq: u64,

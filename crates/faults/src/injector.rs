@@ -4,12 +4,11 @@
 
 use recobench_engine::{DbResult, DbServer, EngineEvent, RecoveryPhase, Scn};
 use recobench_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::taxonomy::FaultType;
 
 /// What the fault is aimed at.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultTarget {
     /// Tablespace the fault targets (storage faults).
     pub tablespace: String,
@@ -26,7 +25,7 @@ impl Default for FaultTarget {
 }
 
 /// A planned fault: what, when, and how quickly it is noticed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// The fault type.
     pub fault: FaultType,

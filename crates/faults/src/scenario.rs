@@ -11,13 +11,12 @@
 //! or degrades — that `DbResult` is the first mistake becoming visible.
 
 use recobench_engine::{DbResult, DbServer};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A recovery-mechanism-administration mistake (paper Table 2, last
 /// class). Silent on its own: performance and service are unaffected
 /// until recovery is needed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sabotage {
     /// `rm /arch/*` — "delete a archive log file" (all of them, the worst
     /// case).

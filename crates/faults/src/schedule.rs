@@ -245,8 +245,8 @@ impl FaultSchedule {
 }
 
 /// A minimal recursive-descent parser for exactly the schedule shape —
-/// the repo's no-external-deps rule means no serde_json, and the shape is
-/// small enough that a bespoke parser is clearer than a generic one.
+/// the repo's no-external-deps rule means no JSON dependency, and the shape
+/// is small enough that a bespoke parser is clearer than a generic one.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,

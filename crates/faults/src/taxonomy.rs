@@ -1,10 +1,9 @@
 //! The operator-fault classification (paper Tables 1 and 2).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The five classes of DBMS operator faults (paper Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultClass {
     /// Mistakes in the administration of processes and memory structures
     /// (wrong SGA parameters, accidental shutdown, killed sessions).
@@ -72,7 +71,7 @@ impl fmt::Display for FaultClass {
 
 /// Portability of a concrete fault type to DBMS other than Oracle 8i
 /// (the right-hand column of the paper's Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Portability {
     /// Exactly the same fault exists in other DBMS.
     Yes,
@@ -93,7 +92,7 @@ impl fmt::Display for Portability {
 }
 
 /// The concrete operator fault types of the paper's Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // the names are the documentation; see `description`
 pub enum OperatorFaultType {
     InstanceShutdown,
@@ -283,7 +282,7 @@ impl OperatorFaultType {
 /// Whether a fault leads to *complete* recovery (no committed work lost —
 /// paper Table 5) or *incomplete* recovery (the tail of history is
 /// sacrificed — paper Table 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecoveryKind {
     /// All committed transactions survive.
     Complete,
@@ -292,7 +291,7 @@ pub enum RecoveryKind {
 }
 
 /// The six fault types injected in the paper's experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultType {
     /// `SHUTDOWN ABORT` of the instance.
     ShutdownAbort,
@@ -354,7 +353,7 @@ impl FaultType {
 /// first three are detected by the engine's per-block CRC checksums (and
 /// by the torn-tail end-of-log rule for the redo log); the last two are
 /// loud at the vfs level (`ENOSPC` / latency).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StorageFaultType {
     /// A block write persists only a prefix of the new image; the rest of
     /// the block keeps its previous contents (torn page).
@@ -430,7 +429,7 @@ impl StorageFaultType {
 /// node's last applied commit and the crash is sacrificed — the same
 /// incomplete-recovery shape as the paper's Table 4, but decided by
 /// replication lag rather than by a restore stop point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReplicaFaultType {
     /// Kill the primary instance outright; the replica set must detect it
     /// and promote a stand-by (quorum or operator decision).

@@ -8,15 +8,13 @@
 //! latency, checkpoint write bursts depressing foreground throughput, and
 //! archive copies competing for spindles.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 
 /// Static performance characteristics of a simulated disk.
 ///
 /// The defaults model the paper's testbed class (year-2000 7200 rpm SCSI
 /// disks on a Pentium III server): 8 ms average access, 20 MB/s transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskProfile {
     /// Average positioning (seek + rotational) latency for a random access.
     pub access: SimDuration,
@@ -52,7 +50,7 @@ impl Default for DiskProfile {
 }
 
 /// Cumulative per-disk counters, for reporting and tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskStats {
     /// Number of read requests served.
     pub reads: u64,
@@ -68,7 +66,7 @@ pub struct DiskStats {
 
 /// Whether a request is a read or a write (for accounting only; the service
 /// model treats them identically).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoKind {
     /// Data flows from the disk.
     Read,

@@ -8,8 +8,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// An absolute instant on the simulated timeline.
 ///
 /// Instants are measured in microseconds since the start of the experiment.
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// let t = SimTime::ZERO + SimDuration::from_secs(150);
 /// assert_eq!(t.as_secs_f64(), 150.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in microseconds.
@@ -31,7 +29,7 @@ pub struct SimTime(u64);
 /// let d = SimDuration::from_millis(8) + SimDuration::from_micros(500);
 /// assert_eq!(d.as_micros(), 8_500);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

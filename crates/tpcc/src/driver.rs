@@ -25,14 +25,13 @@
 
 use recobench_engine::{DbError, DbResult, DbServer, SessionId};
 use recobench_sim::{EventQueue, SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::schema::{ix, TpccSchema};
 use crate::tx::{Audit, InFlight, StmtResult, TxnKind};
 use recobench_engine::row::{Value, ValueRef};
 
 /// Driver configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriverConfig {
     /// Number of emulated terminals.
     pub terminals: usize,
@@ -42,7 +41,6 @@ pub struct DriverConfig {
     pub mean_think: SimDuration,
     /// Mean keying time between drawing a transaction's inputs and
     /// submitting its first statement (uniformly jittered ±50 %).
-    #[serde(default = "default_mean_keying")]
     pub mean_keying: SimDuration,
     /// How long a terminal waits before retrying after an error.
     pub retry_interval: SimDuration,
@@ -71,7 +69,7 @@ impl Default for DriverConfig {
 /// back, all as the *client* saw them. This is the ResBench-style view the
 /// breakdown report plots: not just "recovery took 34 s" but the shape of
 /// the outage.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AvailabilityTimeline {
     /// Window start, µs of sim time.
     pub start_us: u64,
@@ -149,7 +147,7 @@ pub struct StepEvent {
 }
 
 /// Per-kind success counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MixCounts {
     /// Committed New-Orders.
     pub new_order: u64,

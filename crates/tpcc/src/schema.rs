@@ -6,7 +6,6 @@
 
 use recobench_engine::catalog::IndexDef;
 use recobench_engine::{DbResult, DbServer, ObjectId};
-use serde::{Deserialize, Serialize};
 
 /// Scale of the generated database.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// keeping the *structure* (row mix, access skew, growth behaviour) that
 /// the recovery mechanisms react to. Restore timing uses the nominal
 /// database size from the engine cost model, not these counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TpccScale {
     /// Number of warehouses.
     pub warehouses: u64,

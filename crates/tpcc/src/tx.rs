@@ -19,13 +19,12 @@
 use recobench_engine::row::{Row, Value, ValueRef};
 use recobench_engine::{DbError, DbResult, DbServer, RowId, SessionId};
 use recobench_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 use crate::gen::{last_name, nurand};
 use crate::schema::{self, ix, TpccSchema};
 
 /// The transaction mix classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TxnKind {
     /// New-Order (45 % of the mix; the tpmC-counted class).
     NewOrder,

@@ -7,20 +7,19 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use recobench_sim::disk::IoKind;
 use recobench_sim::{Disk, DiskProfile, DiskStats, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::error::{VfsError, VfsResult};
 
 /// Identifies one of the simulated spindles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DiskId(pub usize);
 
 /// Stable handle to a file, valid until the file is purged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FileId(pub u64);
 
 /// What role a file plays; used for reporting and for targeting faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FileKind {
     /// A database datafile (block-addressed).
     Data,
