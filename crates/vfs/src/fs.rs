@@ -19,12 +19,13 @@ pub struct DiskId(pub usize);
 pub struct FileId(pub u64);
 
 /// What role a file plays; used for reporting and for targeting faults.
+/// These four are everything the engine stores as bytes: its control
+/// file, dictionary and backup catalog are structs the server holds
+/// outside the fault model (DESIGN §2, §11.1), so they have no kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FileKind {
     /// A database datafile (block-addressed).
     Data,
-    /// A control file (block-addressed).
-    Control,
     /// An online redo log member (append-only).
     Redo,
     /// An archived redo log (append-only).
