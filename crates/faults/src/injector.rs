@@ -7,24 +7,17 @@ use recobench_sim::{SimDuration, SimTime};
 
 use crate::taxonomy::FaultType;
 
-/// What the fault is aimed at.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultTarget {
-    /// Tablespace the fault targets (storage faults).
-    pub tablespace: String,
-    /// Table the fault targets (object faults).
-    pub victim_table: String,
-    /// Which datafile of the tablespace (datafile faults).
-    pub datafile_index: usize,
-}
+/// Constant detection time before the recovery procedure starts. The
+/// paper assumes a small constant: the goal is to assess the recovery
+/// mechanisms, not the administrator's reaction time.
+const DETECTION: SimDuration = SimDuration::from_secs(1);
+/// Tablespace the storage faults target; datafile faults take its first
+/// datafile.
+const TABLESPACE: &str = "TPCC";
+/// Table the object fault drops.
+const VICTIM_TABLE: &str = "STOCK";
 
-impl Default for FaultTarget {
-    fn default() -> Self {
-        FaultTarget { tablespace: "TPCC".into(), victim_table: "STOCK".into(), datafile_index: 0 }
-    }
-}
-
-/// A planned fault: what, when, and how quickly it is noticed.
+/// A planned fault: what and when.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// The fault type.
@@ -32,29 +25,22 @@ pub struct FaultPlan {
     /// Trigger instant, as an offset from workload start (the paper uses
     /// 150 s, 300 s and 600 s).
     pub trigger_after: SimDuration,
-    /// Constant detection time before the recovery procedure starts. The
-    /// paper assumes a small constant: the goal is to assess the recovery
-    /// mechanisms, not the administrator's reaction time.
-    pub detection: SimDuration,
     /// Imprecision of time-based incomplete recovery: `RECOVER UNTIL
     /// TIME` stops this much *before* the fault, so transactions committed
     /// in the margin are lost (the paper's "small number of lost committed
-    /// transactions").
+    /// transactions"). Only `FaultPlan::new` writes it; it is a field and
+    /// not a constant because the callers that apply the cutoff read it
+    /// from here, the frozen `perf` benchmark among them.
     pub pitr_margin: SimDuration,
-    /// Target selection.
-    pub target: FaultTarget,
 }
 
 impl FaultPlan {
-    /// A plan with the paper's defaults (immediate detection, TPC-C
-    /// tablespace targets).
+    /// A plan with the paper's two-second recovery-time imprecision.
     pub fn new(fault: FaultType, trigger_after_secs: u64) -> Self {
         FaultPlan {
             fault,
             trigger_after: SimDuration::from_secs(trigger_after_secs),
-            detection: SimDuration::from_secs(1),
             pitr_margin: SimDuration::from_secs(2),
-            target: FaultTarget::default(),
         }
     }
 }
@@ -119,33 +105,32 @@ impl FaultInjector {
     /// Fails if the target does not exist (mis-planned experiment).
     pub fn inject(&self, server: &mut DbServer) -> DbResult<InjectionRecord> {
         let scn_before = server.current_scn();
-        let t = &self.plan.target;
         let detail = match self.plan.fault {
             FaultType::ShutdownAbort => {
                 server.shutdown_abort()?;
                 "SHUTDOWN ABORT".to_string()
             }
             FaultType::DeleteDatafile => {
-                let path = self.victim_path(server)?;
+                let path = victim_path(server)?;
                 server.os_delete_file(&path)?;
                 format!("rm {path}")
             }
             FaultType::DeleteTablespace => {
-                server.drop_tablespace(&t.tablespace)?;
-                format!("DROP TABLESPACE {} INCLUDING CONTENTS AND DATAFILES", t.tablespace)
+                server.drop_tablespace(TABLESPACE)?;
+                format!("DROP TABLESPACE {TABLESPACE} INCLUDING CONTENTS AND DATAFILES")
             }
             FaultType::SetDatafileOffline => {
-                let path = self.victim_path(server)?;
+                let path = victim_path(server)?;
                 server.offline_datafile(&path)?;
                 format!("ALTER DATABASE DATAFILE '{path}' OFFLINE")
             }
             FaultType::SetTablespaceOffline => {
-                server.offline_tablespace(&t.tablespace)?;
-                format!("ALTER TABLESPACE {} OFFLINE", t.tablespace)
+                server.offline_tablespace(TABLESPACE)?;
+                format!("ALTER TABLESPACE {TABLESPACE} OFFLINE")
             }
             FaultType::DeleteUsersObject => {
-                server.drop_table(&t.victim_table)?;
-                format!("DROP TABLE {}", t.victim_table)
+                server.drop_table(VICTIM_TABLE)?;
+                format!("DROP TABLE {VICTIM_TABLE}")
             }
         };
         Ok(InjectionRecord {
@@ -154,14 +139,6 @@ impl FaultInjector {
             scn_before,
             detail,
         })
-    }
-
-    fn victim_path(&self, server: &DbServer) -> DbResult<String> {
-        let paths = server.datafile_paths(&self.plan.target.tablespace)?;
-        paths
-            .get(self.plan.target.datafile_index % paths.len().max(1))
-            .cloned()
-            .ok_or_else(|| recobench_engine::DbError::NotFound("victim datafile".into()))
     }
 
     /// Runs the recovery procedure the fault requires, after the modelled
@@ -174,7 +151,7 @@ impl FaultInjector {
     /// tolerate this fault.
     pub fn recover(&self, server: &mut DbServer, record: &InjectionRecord) -> DbResult<FaultOutcome> {
         let noticed_from = server.clock().now();
-        server.clock().advance(self.plan.detection);
+        server.clock().advance(DETECTION);
         server.emit(EngineEvent::PhaseSpan {
             phase: RecoveryPhase::Detection,
             started_at: noticed_from,
@@ -214,7 +191,7 @@ impl FaultInjector {
                 archives = summary.archives_read;
             }
             FaultType::SetTablespaceOffline => {
-                server.online_tablespace(&self.plan.target.tablespace)?;
+                server.online_tablespace(TABLESPACE)?;
             }
             FaultType::DeleteTablespace | FaultType::DeleteUsersObject => {
                 // Stop just *after* the last pre-fault SCN: everything
@@ -233,6 +210,15 @@ impl FaultInjector {
             archives_processed: archives,
         })
     }
+}
+
+/// The datafile faults' victim: the target tablespace's first datafile.
+fn victim_path(server: &DbServer) -> DbResult<String> {
+    server
+        .datafile_paths(TABLESPACE)?
+        .into_iter()
+        .next()
+        .ok_or_else(|| recobench_engine::DbError::NotFound("victim datafile".into()))
 }
 
 #[cfg(test)]

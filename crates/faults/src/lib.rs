@@ -17,7 +17,7 @@ pub mod scenario;
 pub mod schedule;
 pub mod taxonomy;
 
-pub use injector::{FaultInjector, FaultOutcome, FaultPlan, FaultTarget, InjectionRecord};
+pub use injector::{FaultInjector, FaultOutcome, FaultPlan, InjectionRecord};
 pub use scenario::Sabotage;
 pub use schedule::{FaultSchedule, ScheduledFault, TortureFaultKind};
 pub use taxonomy::{
