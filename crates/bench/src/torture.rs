@@ -10,7 +10,8 @@
 //!   as JSON to `--out` (default `torture_minimized.json`), and the
 //!   process exits non-zero — CI uploads the artifact and the schedule
 //!   goes into `tests/corpus/` once the bug is fixed.
-//! * **replay** (`--replay PATH`) — run one schedule JSON and report.
+//! * **replay** (`--replay PATH`) — run one schedule JSON and report; it
+//!   takes none of the sweep's flags.
 //! * **self-test** (`--sabotage N`, combinable with either mode) — arm
 //!   the engine's test-only redo-skip sabotage so the oracle *must*
 //!   diverge; this is how the harness proves the oracle catches real
@@ -69,6 +70,15 @@ struct Sweep {
 ///
 /// A refused command line; everything after that is an exit code.
 pub fn run(mut args: Args) -> CmdResult {
+    let sabotage_skip_redo = args.value("--sabotage")?.unwrap_or(0);
+    let runner =
+        TortureRunner::new(TortureOptions { sabotage_skip_redo, ..TortureOptions::default() });
+    // A replay runs the schedule's own seed, duration and faults: a sweep
+    // flag beside `--replay` is refused, not read and ignored.
+    if let Some(path) = args.value::<String>("--replay")? {
+        args.finish()?;
+        return Ok(replay(&runner, &path));
+    }
     let sweep = Sweep {
         pool: args
             .value("--faultload")?
@@ -79,15 +89,8 @@ pub fn run(mut args: Args) -> CmdResult {
         seed: args.value("--seed")?.unwrap_or(42),
         out: args.value("--out")?.unwrap_or_else(|| "torture_minimized.json".to_string()),
     };
-    let sabotage_skip_redo = args.value("--sabotage")?.unwrap_or(0);
-    let replay_path = args.value::<String>("--replay")?;
     args.finish()?;
-    let runner =
-        TortureRunner::new(TortureOptions { sabotage_skip_redo, ..TortureOptions::default() });
-    Ok(match replay_path {
-        Some(path) => replay(&runner, &path),
-        None => sweep.run(&runner),
-    })
+    Ok(sweep.run(&runner))
 }
 
 fn replay(runner: &TortureRunner, path: &str) -> ExitCode {
