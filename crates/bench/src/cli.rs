@@ -15,7 +15,7 @@ use std::str::FromStr;
 use recobench_core::report::Table;
 use recobench_core::{Experiment, RecoveryConfig};
 use recobench_engine::ReplicaTopology;
-use recobench_faults::{FaultClass, FaultType, OperatorFaultType};
+use recobench_faults::FaultType;
 
 use crate::reports::{render_reports, write_paper, Opts, REPORTS};
 use crate::{breakdown, topologies, torture};
@@ -33,7 +33,7 @@ struct Tool {
     run: fn(Args) -> CmdResult,
 }
 
-const TOOLS: [Tool; 7] = [
+const TOOLS: [Tool; 5] = [
     Tool {
         name: "paper",
         flags: "[--quick] [--threads N] [--seed N] [--out DIR]",
@@ -55,13 +55,11 @@ const TOOLS: [Tool; 7] = [
     },
     Tool {
         name: "torture",
-        flags: "[--faultload standard|storage|replica|extended] [--sweep-seconds N | --runs N] \
-                [--replay PATH] [--sabotage N] [--threads N] [--seed N] [--out PATH]",
+        flags: "[--sabotage N] ([--faultload standard|storage|replica|extended] \
+                [--sweep-seconds N | --runs N] [--threads N] [--seed N] [--out PATH] | --replay PATH)",
         about: "random multi-fault schedules against the differential oracle",
         run: torture::run,
     },
-    Tool { name: "configs", flags: "", about: "list the Table 3 configurations", run: configs },
-    Tool { name: "faults", flags: "", about: "list the operator-fault taxonomy", run: faults },
     Tool {
         name: "run",
         flags: "[--config NAME] [--fault TYPE] [--at SECS] [--duration SECS] [--seed N] \
@@ -197,37 +195,6 @@ fn paper(mut args: Args) -> CmdResult {
     args.finish()?;
     write_paper(&opts, dir.as_ref()).map_err(|e| format!("cannot write under {dir}: {e}"))?;
     eprintln!("paper: {} reports and campaign.log -> {dir}/", REPORTS.len());
-    Ok(ExitCode::SUCCESS)
-}
-
-fn configs(args: Args) -> CmdResult {
-    args.finish()?;
-    let mut t = Table::new(vec!["Name", "File size", "Groups", "Checkpoint timeout"])
-        .title("Recovery configurations (paper Table 3)");
-    for c in RecoveryConfig::table3() {
-        t.row(vec![
-            c.name.clone(),
-            format!("{} MB", c.redo_file_mb),
-            c.redo_groups.to_string(),
-            format!("{} s", c.checkpoint_timeout_secs),
-        ]);
-    }
-    println!("{}", t.render());
-    Ok(ExitCode::SUCCESS)
-}
-
-fn faults(args: Args) -> CmdResult {
-    args.finish()?;
-    let mut t = Table::new(vec!["Class", "Fault type", "Portability"])
-        .title("Operator-fault taxonomy (paper Tables 1 & 2)");
-    for class in FaultClass::all() {
-        for f in OperatorFaultType::all().into_iter().filter(|f| f.class() == class) {
-            t.row(vec![class.to_string(), f.description().into(), f.portability().to_string()]);
-        }
-    }
-    println!("{}", t.render());
-    println!("Injectable types: shutdown-abort, delete-datafile, delete-tablespace,");
-    println!("                  datafile-offline, tablespace-offline, drop-table");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -373,12 +340,18 @@ mod tests {
             &["paper", "--runs", "3"],
             &["torture", "--quick"],
             &["recovery_breakdown", "--smoke"],
-            &["configs", "--seed", "1"],
             &["run", "--threads", "2"],
         ] {
             let err = dispatch(&args(line)).unwrap_err();
             assert!(err.contains(line[0]) && err.contains(line[1]), "{line:?}: {err}");
         }
+        // A replay runs its schedule's own seed, duration and faults.
+        let err = dispatch(&args(&["torture", "--replay", "x.json", "--runs", "3"])).unwrap_err();
+        assert!(err.contains("torture") && err.contains("--runs"), "{err}");
+        // `configs` reprinted a report; the list names the report.
+        let err = dispatch(&args(&["configs", "--seed", "1"])).unwrap_err();
+        assert!(err.contains("unknown subcommand 'configs'"), "{err}");
+        assert!(err.contains("table3_configs"), "{err}");
     }
 
     #[test]
