@@ -198,21 +198,6 @@ impl From<RecoveryError> for DbError {
     }
 }
 
-impl DbError {
-    /// Whether this error indicates the whole service is unavailable (the
-    /// client should wait for recovery) rather than a single statement
-    /// failing.
-    pub fn is_service_loss(&self) -> bool {
-        matches!(
-            self,
-            DbError::InstanceDown
-                | DbError::RecoveryRequired(_)
-                | DbError::Unrecoverable(_)
-                | DbError::Recovery(_)
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,13 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn lock_errors_are_not_service_loss() {
-        assert!(!DbError::LockWait { holder: TxnId(1) }.is_service_loss());
-        assert!(!DbError::Deadlock { victim: TxnId(1), cycle: vec![TxnId(1)] }.is_service_loss());
-        assert!(!DbError::NoSession(SessionId(1)).is_service_loss());
-    }
-
-    #[test]
     fn media_error_chains_source() {
         let e = DbError::Media(VfsError::Deleted("/u02/a.dbf".into()));
         assert!(e.source().is_some());
@@ -245,17 +223,8 @@ mod tests {
         let e: DbError = VfsError::DiskFull { disk: 2, path: "/u01/a.dbf".into() }.into();
         assert_eq!(e, DbError::DiskFull { disk: 2 });
         assert!(e.to_string().contains("ENOSPC"));
-        assert!(!e.is_service_loss(), "ENOSPC fails the statement, not the service");
         let c = DbError::ChecksumMismatch { path: "/u01/a.dbf".into(), block: 7 };
         assert!(c.to_string().contains("block 7"));
-        assert!(!c.is_service_loss());
-    }
-
-    #[test]
-    fn service_loss_classification() {
-        assert!(DbError::InstanceDown.is_service_loss());
-        assert!(!DbError::NoSuchRow(RowId { file: crate::types::FileNo(1), block: 0, slot: 0 })
-            .is_service_loss());
     }
 
     #[test]
@@ -267,7 +236,6 @@ mod tests {
         assert!(gap.to_string().contains("redo gap"));
         assert!(gap.to_string().contains("seq 9"));
         assert_ne!(corrupt, gap);
-        assert!(corrupt.is_service_loss(), "a broken standby copy voids the recovery attempt");
     }
 
     #[test]

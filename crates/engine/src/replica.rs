@@ -480,12 +480,6 @@ impl ReplicaSet {
         Ok(())
     }
 
-    /// Shipping-failure reason for replica `i`, if its shipping broke:
-    /// distinguishes a redo gap from media corruption in reports.
-    pub fn broken_reason(&self, i: usize) -> Option<&RecoveryError> {
-        self.nodes.get(i).and_then(|n| n.broken.as_ref())
-    }
-
     /// Kills the promoted replica's machine (the double-fault scenario:
     /// the newly promoted node dies too). Follow with
     /// [`ReplicaSet::fail_over`]`(None)` to promote a survivor.
@@ -913,7 +907,7 @@ mod tests {
         run_workload(&mut p, t, &mut rs, 200, 400);
         assert_eq!(rs.status(0), Some(ReplicaStatus::Broken));
         assert!(matches!(
-            rs.broken_reason(0),
+            rs.nodes[0].broken,
             Some(RecoveryError::ShippedArchiveCorrupt { .. })
         ));
         assert!(

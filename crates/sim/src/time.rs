@@ -99,16 +99,6 @@ impl SimDuration {
         SimDuration(secs * 1_000_000)
     }
 
-    /// Creates a span from a float number of seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative or not finite.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(secs.is_finite() && secs >= 0.0, "duration must be finite and non-negative");
-        SimDuration((secs * 1e6).round() as u64)
-    }
-
     /// The span in whole microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -209,18 +199,6 @@ mod tests {
         let late = SimTime::from_secs(2);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
         assert_eq!(late.saturating_since(early), SimDuration::from_secs(1));
-    }
-
-    #[test]
-    fn duration_from_secs_f64_rounds() {
-        assert_eq!(SimDuration::from_secs_f64(0.0000015).as_micros(), 2);
-        assert_eq!(SimDuration::from_secs_f64(1.5).as_micros(), 1_500_000);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn duration_from_secs_f64_rejects_negative() {
-        let _ = SimDuration::from_secs_f64(-1.0);
     }
 
     #[test]
