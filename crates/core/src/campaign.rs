@@ -462,7 +462,7 @@ mod tests {
     use super::*;
     use crate::configs::RecoveryConfig;
     use recobench_faults::FaultType;
-    use recobench_tpcc::TpccScale;
+    use recobench_tpcc::{DriverConfig, TpccScale};
 
     fn mk(cfg: &str, fault: Option<FaultType>) -> Experiment {
         let mut b = Experiment::builder(RecoveryConfig::named(cfg).unwrap())
@@ -607,7 +607,7 @@ mod tests {
                 .duration_secs(150)
                 .scale(TpccScale::tiny())
                 .seed(11)
-                .terminals(n)
+                .driver(DriverConfig { terminals: n, ..DriverConfig::default() })
                 .build()
         };
         let with = Campaign::new(vec![cell(1), cell(8)]).threads(2).run().expect_all();

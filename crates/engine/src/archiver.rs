@@ -72,14 +72,15 @@ mod tests {
         let (mut fs, mut control) = setup();
         let g = control.groups[0].vfs_id;
         fs.append(g, Bytes::from(vec![1u8; 4096]), SimTime::ZERO).unwrap();
-        let mut events = EventSink::new(16);
+        let mut events = EventSink::default();
+        let seen = crate::events::collect(&mut events);
         let done =
             archive_seq(&mut fs, &mut control, DiskId(1), 1, SimTime::from_secs(1), &mut events)
                 .unwrap();
         assert!(done > SimTime::from_secs(1));
         assert_eq!(
-            events.events().collect::<Vec<_>>(),
-            [&(SimTime::from_secs(1), EngineEvent::Archived { seq: 1, complete_at: done })]
+            *seen.lock().unwrap(),
+            [(SimTime::from_secs(1), EngineEvent::Archived { seq: 1, complete_at: done })]
         );
         assert_eq!(events.derived().archives_created, 1);
         let loc = control.seq(1).unwrap();
@@ -93,18 +94,19 @@ mod tests {
     #[test]
     fn archiving_unknown_seq_fails() {
         let (mut fs, mut control) = setup();
-        let mut events = EventSink::new(16);
+        let mut events = EventSink::default();
+        let seen = crate::events::collect(&mut events);
         let err = archive_seq(&mut fs, &mut control, DiskId(1), 42, SimTime::ZERO, &mut events)
             .unwrap_err();
         assert!(matches!(err, DbError::BadAdminCommand(_)));
-        assert_eq!(events.events().len(), 0, "no event on failure");
+        assert!(seen.lock().unwrap().is_empty(), "no event on failure");
     }
 
     #[test]
     fn archiving_overwritten_seq_fails() {
         let (mut fs, mut control) = setup();
         control.seqs.get_mut(&1).unwrap().group = None;
-        let mut events = EventSink::new(16);
+        let mut events = EventSink::default();
         assert!(archive_seq(&mut fs, &mut control, DiskId(1), 1, SimTime::ZERO, &mut events).is_err());
     }
 }

@@ -513,6 +513,19 @@ impl EventSink {
     }
 }
 
+/// Every event a sink recorded since [`collect`] subscribed, in order.
+#[cfg(test)]
+pub(crate) type Collected = std::sync::Arc<std::sync::Mutex<Vec<(SimTime, EngineEvent)>>>;
+
+/// Collects every event `sink` records from here on, with its instant.
+#[cfg(test)]
+pub(crate) fn collect(sink: &mut EventSink) -> Collected {
+    let seen = Collected::default();
+    let tap = std::sync::Arc::clone(&seen);
+    sink.subscribe(move |at, e| tap.lock().unwrap().push((at, e.clone())));
+    seen
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,34 +534,31 @@ mod tests {
         EngineEvent::LogSwitch { seq, group: 0 }
     }
 
-    #[test]
-    fn records_in_order_within_capacity() {
-        let mut s = EventSink::new(8);
-        for i in 0..5 {
-            s.record(SimTime::from_secs(i), ev(i));
+    /// Records `events` (instants in µs) on a fresh sink: the JSON line of
+    /// each event its subscriber saw, tagged with `server`, and the
+    /// counters derived from them.
+    fn record_all(server: &str, events: Vec<(u64, EngineEvent)>) -> (Vec<String>, EngineStats) {
+        let mut s = EventSink::default();
+        let seen = collect(&mut s);
+        for (us, e) in events {
+            s.record(SimTime::from_micros(us), e);
         }
-        assert_eq!(s.events().len(), 5);
-        assert_eq!(s.dropped(), 0);
-        assert_eq!(s.events().next().unwrap().1, ev(0));
-        assert_eq!(s.events().next_back().unwrap().1, ev(4));
-    }
-
-    #[test]
-    fn capacity_bound_drops_oldest_but_keeps_derived() {
-        let mut s = EventSink::new(3);
-        for i in 0..10 {
-            s.record(SimTime::from_secs(i), ev(i));
-        }
-        assert_eq!(s.events().len(), 3);
-        assert_eq!(s.dropped(), 7);
-        assert_eq!(s.events().next().unwrap().1, ev(7), "oldest retained is #7");
-        assert_eq!(s.events().next_back().unwrap().1, ev(9), "newest is kept");
-        assert_eq!(s.derived().log_switches, 10, "derived counters ignore the bound");
+        let lines = seen
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|(at, e)| {
+                let mut line = String::new();
+                e.write_json(*at, server, &mut line);
+                line
+            })
+            .collect();
+        (lines, s.derived())
     }
 
     #[test]
     fn derived_counters_follow_the_stream() {
-        let mut s = EventSink::new(64);
+        let mut s = EventSink::default();
         s.record(SimTime::ZERO, EngineEvent::SwitchStall { seq: 2, micros: 1_500 });
         s.record(SimTime::ZERO, EngineEvent::Checkpoint { blocks: 8, complete_at: SimTime::ZERO });
         s.record(
@@ -574,86 +584,59 @@ mod tests {
 
     #[test]
     fn subscribers_see_everything_even_past_the_bound() {
-        use std::sync::{Arc, Mutex};
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let mut s = EventSink::new(2);
-        let seen2 = Arc::clone(&seen);
-        s.subscribe(move |at, e| seen2.lock().unwrap().push((at, e.clone())));
+        let mut s = EventSink::default();
+        let seen = collect(&mut s);
         for i in 0..6 {
             s.record(SimTime::from_secs(i), ev(i));
         }
-        assert_eq!(s.events().len(), 2);
-        assert_eq!(seen.lock().unwrap().len(), 6);
-    }
-
-    #[test]
-    fn window_count_and_clear() {
-        let mut s = EventSink::new(16);
-        s.record(SimTime::from_secs(1), ev(1));
-        s.record(
-            SimTime::from_secs(5),
-            EngineEvent::Checkpoint { blocks: 3, complete_at: SimTime::from_secs(6) },
-        );
-        s.record(SimTime::from_secs(9), ev(2));
-        assert_eq!(s.window(SimTime::from_secs(2), SimTime::from_secs(9)).len(), 1);
-        assert_eq!(s.count(|e| matches!(e, EngineEvent::LogSwitch { .. })), 2);
-        s.clear();
-        assert_eq!(s.events().len(), 0);
-        assert_eq!(s.dropped(), 0);
-        assert_eq!(s.derived().log_switches, 2, "clear never resets derived counters");
+        let want: Vec<_> = (0..6).map(|i| (SimTime::from_secs(i), ev(i))).collect();
+        assert_eq!(*seen.lock().unwrap(), want, "every event, in order");
+        assert_eq!(s.derived().log_switches, 6);
     }
 
     #[test]
     fn jsonl_lines_are_stable_and_self_describing() {
-        let mut s = EventSink::new(4);
-        s.record(SimTime::from_micros(42), ev(7));
-        s.record(
-            SimTime::from_micros(99),
-            EngineEvent::PhaseSpan {
-                phase: RecoveryPhase::RedoApply,
-                started_at: SimTime::from_micros(50),
-            },
-        );
-        let jsonl = s.to_jsonl("PRIMARY");
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(
-            lines[0],
-            "{\"t_us\":42,\"server\":\"PRIMARY\",\"type\":\"log_switch\",\"seq\":7,\"group\":0}"
+        let (lines, _) = record_all(
+            "PRIMARY",
+            vec![
+                (42, ev(7)),
+                (
+                    99,
+                    EngineEvent::PhaseSpan {
+                        phase: RecoveryPhase::RedoApply,
+                        started_at: SimTime::from_micros(50),
+                    },
+                ),
+            ],
         );
         assert_eq!(
-            lines[1],
-            "{\"t_us\":99,\"server\":\"PRIMARY\",\"type\":\"phase_span\",\"phase\":\"redo_apply\",\"start_us\":50}"
+            lines,
+            [
+                "{\"t_us\":42,\"server\":\"PRIMARY\",\"type\":\"log_switch\",\"seq\":7,\"group\":0}",
+                "{\"t_us\":99,\"server\":\"PRIMARY\",\"type\":\"phase_span\",\"phase\":\"redo_apply\",\"start_us\":50}",
+            ]
         );
     }
 
     #[test]
     fn lock_events_serialize_and_derive_contention_counters() {
         use crate::types::{ObjectId, TxnId};
-        let mut s = EventSink::new(8);
-        s.record(
-            SimTime::from_micros(10),
-            EngineEvent::LockWait { waiter: TxnId(2), holder: TxnId(1), obj: ObjectId(7) },
-        );
-        s.record(SimTime::from_micros(30), EngineEvent::LockAcquired { txn: TxnId(2), wait_us: 20 });
-        s.record(
-            SimTime::from_micros(50),
-            EngineEvent::DeadlockVictim { victim: TxnId(3), cycle_len: 2 },
-        );
-        let lines: Vec<String> = s.to_jsonl("P").lines().map(str::to_owned).collect();
-        assert_eq!(
-            lines[0],
-            "{\"t_us\":10,\"server\":\"P\",\"type\":\"lock_wait\",\"waiter\":2,\"holder\":1,\"obj\":7}"
+        let (lines, d) = record_all(
+            "P",
+            vec![
+                (10, EngineEvent::LockWait { waiter: TxnId(2), holder: TxnId(1), obj: ObjectId(7) }),
+                (30, EngineEvent::LockAcquired { txn: TxnId(2), wait_us: 20 }),
+                (50, EngineEvent::DeadlockVictim { victim: TxnId(3), cycle_len: 2 }),
+            ],
         );
         assert_eq!(
-            lines[1],
-            "{\"t_us\":30,\"server\":\"P\",\"type\":\"lock_acquired\",\"txn\":2,\"wait_us\":20}"
+            lines,
+            [
+                "{\"t_us\":10,\"server\":\"P\",\"type\":\"lock_wait\",\"waiter\":2,\"holder\":1,\"obj\":7}",
+                "{\"t_us\":30,\"server\":\"P\",\"type\":\"lock_acquired\",\"txn\":2,\"wait_us\":20}",
+                "{\"t_us\":50,\"server\":\"P\",\"type\":\"deadlock_victim\",\"victim\":3,\"cycle_len\":2}",
+            ]
         );
-        assert_eq!(
-            lines[2],
-            "{\"t_us\":50,\"server\":\"P\",\"type\":\"deadlock_victim\",\"victim\":3,\"cycle_len\":2}"
-        );
-        let d = s.derived();
         assert_eq!(d.lock_waits, 1);
         assert_eq!(d.lock_grants, 1);
         assert_eq!(d.lock_wait_micros, 20);
@@ -662,32 +645,24 @@ mod tests {
 
     #[test]
     fn replica_events_serialize_and_derive_failover_counters() {
-        let mut s = EventSink::new(8);
-        s.record(SimTime::from_micros(5), EngineEvent::FailoverStarted { votes: 2, replicas: 2 });
-        s.record(
-            SimTime::from_micros(9),
-            EngineEvent::ReplicaPromoted { replica: 1, applied_seq: 14 },
-        );
-        s.record(SimTime::from_micros(12), EngineEvent::ReplicaResync { replica: 0, applied_seq: 15 });
-        s.record(SimTime::from_micros(20), EngineEvent::FailbackComplete { replica: 2 });
-        let lines: Vec<String> = s.to_jsonl("STANDBY2").lines().map(str::to_owned).collect();
-        assert_eq!(
-            lines[0],
-            "{\"t_us\":5,\"server\":\"STANDBY2\",\"type\":\"failover_started\",\"votes\":2,\"replicas\":2}"
+        let (lines, d) = record_all(
+            "STANDBY2",
+            vec![
+                (5, EngineEvent::FailoverStarted { votes: 2, replicas: 2 }),
+                (9, EngineEvent::ReplicaPromoted { replica: 1, applied_seq: 14 }),
+                (12, EngineEvent::ReplicaResync { replica: 0, applied_seq: 15 }),
+                (20, EngineEvent::FailbackComplete { replica: 2 }),
+            ],
         );
         assert_eq!(
-            lines[1],
-            "{\"t_us\":9,\"server\":\"STANDBY2\",\"type\":\"replica_promoted\",\"replica\":1,\"applied_seq\":14}"
+            lines,
+            [
+                "{\"t_us\":5,\"server\":\"STANDBY2\",\"type\":\"failover_started\",\"votes\":2,\"replicas\":2}",
+                "{\"t_us\":9,\"server\":\"STANDBY2\",\"type\":\"replica_promoted\",\"replica\":1,\"applied_seq\":14}",
+                "{\"t_us\":12,\"server\":\"STANDBY2\",\"type\":\"replica_resync\",\"replica\":0,\"applied_seq\":15}",
+                "{\"t_us\":20,\"server\":\"STANDBY2\",\"type\":\"failback_complete\",\"replica\":2}",
+            ]
         );
-        assert_eq!(
-            lines[2],
-            "{\"t_us\":12,\"server\":\"STANDBY2\",\"type\":\"replica_resync\",\"replica\":0,\"applied_seq\":15}"
-        );
-        assert_eq!(
-            lines[3],
-            "{\"t_us\":20,\"server\":\"STANDBY2\",\"type\":\"failback_complete\",\"replica\":2}"
-        );
-        let d = s.derived();
         assert_eq!(d.failovers, 1);
         assert_eq!(d.promotions, 1);
         assert_eq!(d.replica_resyncs, 1);
@@ -696,15 +671,14 @@ mod tests {
 
     #[test]
     fn checksum_mismatch_serializes_and_derives() {
-        let mut s = EventSink::new(4);
-        s.record(
-            SimTime::from_micros(7),
-            EngineEvent::ChecksumMismatch { path: "/u01/tpcc_data01.dbf".into(), block: 42 },
+        let (lines, d) = record_all(
+            "P",
+            vec![(7, EngineEvent::ChecksumMismatch { path: "/u01/tpcc_data01.dbf".into(), block: 42 })],
         );
         assert_eq!(
-            s.to_jsonl("P").trim_end(),
-            "{\"t_us\":7,\"server\":\"P\",\"type\":\"checksum_mismatch\",\"path\":\"/u01/tpcc_data01.dbf\",\"block\":42}"
+            lines,
+            ["{\"t_us\":7,\"server\":\"P\",\"type\":\"checksum_mismatch\",\"path\":\"/u01/tpcc_data01.dbf\",\"block\":42}"]
         );
-        assert_eq!(s.derived().checksum_mismatches, 1);
+        assert_eq!(d.checksum_mismatches, 1);
     }
 }

@@ -535,11 +535,21 @@ mod tests {
                 }
             }
         }
-        w.into_vec()
+        w.as_slice().to_vec()
+    }
+
+    fn owned(v: ValueRef<'_>) -> Value {
+        match v {
+            ValueRef::Null => Value::Null,
+            ValueRef::U64(v) => Value::U64(v),
+            ValueRef::I64(v) => Value::I64(v),
+            ValueRef::Str(s) => Value::Str(s.to_owned()),
+            ValueRef::Bytes(b) => Value::Bytes(b.to_vec()),
+        }
     }
 
     fn values_of(row: &Row) -> Vec<Value> {
-        row.iter().map(ValueRef::to_value).collect()
+        row.iter().map(owned).collect()
     }
 
     proptest! {
@@ -551,7 +561,7 @@ mod tests {
             prop_assert_eq!(&values_of(&row), &vs);
             prop_assert_eq!(row.len(), vs.len());
             for (i, v) in vs.iter().enumerate() {
-                prop_assert_eq!(row.get(i).map(ValueRef::to_value).as_ref(), Some(v));
+                prop_assert_eq!(row.get(i).map(owned).as_ref(), Some(v));
             }
             prop_assert_eq!(row.get(vs.len()), None);
             let reference = reference_encoding(&vs);

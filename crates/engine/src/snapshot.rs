@@ -211,8 +211,6 @@ mod tests {
 
         let restored = DbServer::from_snapshot(SimClock::shared(), &src.snapshot());
         assert_eq!(restored.stats(), counted);
-        assert_eq!(restored.events().dropped(), src.events().dropped());
-        assert_eq!(restored.events().to_jsonl("S"), src.events().to_jsonl("S"));
     }
 
     /// A fork taken while one session holds a row lock, a second is parked
@@ -236,6 +234,7 @@ mod tests {
         assert_eq!(fork.session_count(), 3, "connections are part of the fork");
 
         let resume = |srv: &mut DbServer| {
+            let seen = crate::events::collect(srv.events_mut());
             srv.clock().advance(recobench_sim::SimDuration::from_millis(5));
             srv.commit(holder).unwrap();
             let grants = srv.take_lock_grants();
@@ -247,14 +246,18 @@ mod tests {
                 srv.commit(s).unwrap();
                 commits.push(srv.current_scn());
             }
-            (grants, commits, srv.clock().now(), srv.stats(), srv.events().to_jsonl("S"), srv.peek_scan(t).unwrap())
+            let events = std::mem::take(&mut *seen.lock().unwrap());
+            (grants, commits, srv.clock().now(), srv.stats(), events, srv.peek_scan(t).unwrap())
         };
         // The fork goes first: whatever it writes must not reach the source.
         let forked = resume(&mut fork);
         let held = src.peek_scan(t).unwrap().into_iter().find(|(r, _)| *r == rid).unwrap().1;
         assert_eq!(held, row(7, "held"), "the source is where it was");
         assert_eq!(forked, resume(&mut src));
-        assert!(forked.4.contains("lock_acquired"), "the grant is on the event stream");
+        assert!(
+            forked.4.iter().any(|(_, e)| matches!(e, crate::events::EngineEvent::LockAcquired { .. })),
+            "the grant is on the event stream"
+        );
         assert_eq!(forked.5.len(), 201);
     }
 

@@ -453,6 +453,7 @@ mod tests {
     fn every_kind_round_trips_by_name() {
         for kind in TortureFaultKind::all_extended() {
             assert_eq!(TortureFaultKind::from_name(kind.name()), Some(kind));
+            assert!(kind.name().chars().all(|c| c.is_ascii_lowercase() || c == '_'), "{kind}");
         }
         assert_eq!(TortureFaultKind::from_name("bogus"), None);
     }
@@ -544,8 +545,8 @@ mod tests {
     fn random_schedules_are_deterministic_and_in_range() {
         let mut a = SimRng::seed_from(99);
         let mut b = SimRng::seed_from(99);
-        let s1 = FaultSchedule::random(&mut a, 5, 300, 30);
-        let s2 = FaultSchedule::random(&mut b, 5, 300, 30);
+        let s1 = FaultSchedule::random_from(&mut a, &TortureFaultKind::all(), 5, 300, 30);
+        let s2 = FaultSchedule::random_from(&mut b, &TortureFaultKind::all(), 5, 300, 30);
         assert_eq!(s1, s2);
         assert_eq!(s1.faults.len(), 5);
         for f in &s1.faults {

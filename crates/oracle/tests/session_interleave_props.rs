@@ -116,7 +116,7 @@ fn submit(
                 match srv.get_row(t, rid) {
                     Ok(current) => {
                         let mut replacement = row.clone();
-                        replacement.set(0, current.get(0).map_or(Value::U64(0), ValueRef::to_value));
+                        replacement.set(0, Value::U64(current.get(0).and_then(ValueRef::as_u64).unwrap_or(0)));
                         srv.update(s, t, rid, replacement)
                     }
                     Err(e) => Err(e),
