@@ -668,13 +668,6 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Number of emulated terminals (a campaign dimension; default 12).
-    /// Shorthand for adjusting only that field of the driver config.
-    pub fn terminals(mut self, n: usize) -> Self {
-        self.exp.driver_cfg.terminals = n;
-        self
-    }
-
     /// Captures the full engine event stream (both servers) into
     /// [`ExperimentOutcome::events_jsonl`] for export. Off by default —
     /// long runs generate tens of thousands of events.

@@ -147,7 +147,7 @@ impl Rig {
     }
 
     /// Installs `observer` on the primary now and on every stand-by the
-    /// replica set has or later creates (resync, failback).
+    /// replica set has or later creates (resync).
     pub fn observe(&mut self, mut observer: ReplicaObserver) {
         let name = self.primary.name().to_string();
         observer(&mut self.primary, &name);

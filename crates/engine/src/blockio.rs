@@ -203,11 +203,10 @@ impl DbServer {
     }
 
     /// The half of a failed decode only a `&mut` path can do: a CRC
-    /// failure gets its event and its counter bump. The error itself comes
-    /// from [`decode`]; nobody re-derives it.
+    /// failure gets its event, which `stats()` counts. The error itself
+    /// comes from [`decode`]; nobody re-derives it.
     fn note_checksum_mismatch(&mut self, e: &DbError) {
         if let DbError::ChecksumMismatch { path, block } = e {
-            self.stats.checksum_mismatches += 1;
             self.events.record(
                 self.clock.now(),
                 EngineEvent::ChecksumMismatch { path: path.clone(), block: *block },

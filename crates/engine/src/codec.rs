@@ -107,9 +107,8 @@ pub type DecodeResult<T> = Result<T, DecodeError>;
 /// Incremental writer over a growable byte buffer.
 ///
 /// Backed by a plain `Vec<u8>` so hot paths can recycle one allocation:
-/// take the vector out with [`Writer::into_vec`], hand it back with
-/// [`Writer::from_vec`] (or keep appending to a long-lived writer, copy
-/// [`Writer::as_slice`] out and [`Writer::truncate`] it).
+/// keep appending to a long-lived writer, copy [`Writer::as_slice`] out
+/// and [`Writer::truncate`] it.
 #[derive(Debug, Default, Clone)]
 pub struct Writer {
     buf: Vec<u8>,
@@ -119,11 +118,6 @@ impl Writer {
     /// Creates an empty writer.
     pub fn new() -> Self {
         Writer { buf: Vec::with_capacity(128) }
-    }
-
-    /// Creates a writer that appends to `buf`, reusing its allocation.
-    pub fn from_vec(buf: Vec<u8>) -> Self {
-        Writer { buf }
     }
 
     /// Appends a `u8`.
@@ -196,11 +190,6 @@ impl Writer {
     /// Finishes and returns the encoded buffer.
     pub fn into_bytes(self) -> Bytes {
         Bytes::from(self.buf)
-    }
-
-    /// Finishes and returns the raw vector (allocation reusable).
-    pub fn into_vec(self) -> Vec<u8> {
-        self.buf
     }
 
     /// Discards everything written after byte `at`, keeping the

@@ -112,12 +112,6 @@ impl InstanceConfigBuilder {
         self
     }
 
-    /// Overrides the platform cost model.
-    pub fn costs(mut self, costs: CostModel) -> Self {
-        self.cfg.costs = costs;
-        self
-    }
-
     /// Finishes the builder.
     pub fn build(self) -> InstanceConfig {
         self.cfg

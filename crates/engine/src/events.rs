@@ -9,19 +9,14 @@
 //! instant comes off the simulated clock, so spans are exact and
 //! deterministic to the microsecond.
 //!
-//! The [`EventSink`] replaces the old bounded `Trace`:
+//! The [`EventSink`] holds nothing but what the stream implies:
 //!
 //! * every event passes through [`EventSink::record`], which updates a set
-//!   of **derived counters** (the recovery-related fields of
-//!   `EngineStats`) before buffering — the counters and the stream can
-//!   never disagree;
+//!   of **derived counters** (every `EngineStats` field but the six
+//!   hot-path ones) — the counters and the stream can never disagree;
 //! * subscribers registered with [`EventSink::subscribe`] see every event
-//!   as it happens, regardless of the retention bound (the experiment
-//!   harness uses this for span collection and JSONL export);
-//! * the retained buffer is bounded ([`EventSink::events`], oldest dropped
-//!   first) for cheap in-process inspection by tests and report binaries.
-
-use std::collections::VecDeque;
+//!   as it happens (the experiment harness uses this for span collection
+//!   and JSONL export, tests to collect what they inspect).
 
 use recobench_sim::SimTime;
 
@@ -85,8 +80,8 @@ impl RecoveryProcedure {
     }
 }
 
-/// One engine event. The record instant (the first element of the pairs
-/// returned by [`EventSink::events`]) is the event's own timestamp; for
+/// One engine event. The record instant (the first argument every
+/// subscriber is called with) is the event's own timestamp; for
 /// [`EngineEvent::PhaseSpan`] it is the span's **end**.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineEvent {
@@ -235,12 +230,6 @@ pub enum EngineEvent {
         /// Log sequence the fresh instantiation starts from.
         applied_seq: u64,
     },
-    /// A repaired ex-primary rejoined the set as a freshly instantiated
-    /// stand-by of the current primary.
-    FailbackComplete {
-        /// Index the rejoining machine was enrolled at.
-        replica: u64,
-    },
 }
 
 impl EngineEvent {
@@ -267,7 +256,6 @@ impl EngineEvent {
             EngineEvent::FailoverStarted { .. } => "failover_started",
             EngineEvent::ReplicaPromoted { .. } => "replica_promoted",
             EngineEvent::ReplicaResync { .. } => "replica_resync",
-            EngineEvent::FailbackComplete { .. } => "failback_complete",
         }
     }
 
@@ -343,76 +331,43 @@ impl EngineEvent {
             EngineEvent::ReplicaResync { replica, applied_seq } => {
                 let _ = write!(out, ",\"replica\":{replica},\"applied_seq\":{applied_seq}");
             }
-            EngineEvent::FailbackComplete { replica } => {
-                let _ = write!(out, ",\"replica\":{replica}");
-            }
         }
         out.push('}');
     }
 }
 
-/// A subscriber sees every recorded event, in order, before buffering.
+/// A subscriber sees every recorded event, in order.
 pub type EventSubscriber = Box<dyn FnMut(SimTime, &EngineEvent) + Send>;
 
-/// The engine-wide event sink: bounded retention, live subscribers, and
-/// counters derived from the stream itself.
+/// The engine-wide event sink: counters derived from the stream, and the
+/// live subscribers it is passed on to.
 #[derive(Default)]
 pub struct EventSink {
-    events: VecDeque<(SimTime, EngineEvent)>,
-    capacity: usize,
-    dropped: u64,
     derived: EngineStats,
     subscribers: Vec<EventSubscriber>,
 }
 
 impl std::fmt::Debug for EventSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventSink")
-            .field("events", &self.events.len())
-            .field("capacity", &self.capacity)
-            .field("dropped", &self.dropped)
-            .field("subscribers", &self.subscribers.len())
-            .finish()
+        f.debug_struct("EventSink").field("subscribers", &self.subscribers.len()).finish()
     }
 }
 
 impl EventSink {
-    /// Creates a sink retaining at most `capacity` events (oldest dropped
-    /// first). Subscribers and derived counters are unaffected by the
-    /// bound.
-    pub fn new(capacity: usize) -> Self {
-        EventSink { capacity, ..Default::default() }
-    }
-
-    /// The sink of a forked server: everything the stream has counted and
-    /// retained so far, and no subscribers — observers belong to one run,
-    /// and whoever drives the fork subscribes its own.
+    /// The sink of a forked server: everything the stream has counted so
+    /// far, and no subscribers — observers belong to one run, and whoever
+    /// drives the fork subscribes its own.
     pub(crate) fn fork(&self) -> EventSink {
-        EventSink {
-            events: self.events.clone(),
-            capacity: self.capacity,
-            dropped: self.dropped,
-            derived: self.derived,
-            subscribers: Vec::new(),
-        }
+        EventSink { derived: self.derived, subscribers: Vec::new() }
     }
 
     /// Records an event at instant `at`: updates the derived counters,
-    /// notifies subscribers, then buffers (within the retention bound).
+    /// then notifies subscribers.
     pub fn record(&mut self, at: SimTime, event: EngineEvent) {
         self.derive(&event);
         for sub in &mut self.subscribers {
             sub(at, &event);
         }
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.events.len() >= self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back((at, event));
     }
 
     fn derive(&mut self, event: &EngineEvent) {
@@ -448,7 +403,6 @@ impl EventSink {
             EngineEvent::FailoverStarted { .. } => d.failovers += 1,
             EngineEvent::ReplicaPromoted { .. } => d.promotions += 1,
             EngineEvent::ReplicaResync { .. } => d.replica_resyncs += 1,
-            EngineEvent::FailbackComplete { .. } => d.failbacks += 1,
             EngineEvent::BackupTaken { .. }
             | EngineEvent::InstanceStopped { .. }
             | EngineEvent::InstanceOpened { .. }
@@ -457,59 +411,19 @@ impl EventSink {
         }
     }
 
-    /// Counters derived from every event ever recorded (not just the
-    /// retained window). Only the recovery/checkpoint/archive fields of
-    /// `EngineStats` are populated; the hot-path counters stay zero.
+    /// Counters derived from every event ever recorded. The six hot-path
+    /// fields of `EngineStats` stay zero; [`DbServer::stats`] writes them
+    /// over these.
+    ///
+    /// [`DbServer::stats`]: crate::server::DbServer::stats
     pub fn derived(&self) -> EngineStats {
         self.derived
     }
 
     /// Registers a live subscriber. Subscribers see every subsequent event
-    /// regardless of the retention bound and cannot be removed (they live
-    /// as long as the server).
+    /// and cannot be removed (they live as long as the server).
     pub fn subscribe<F: FnMut(SimTime, &EngineEvent) + Send + 'static>(&mut self, f: F) {
         self.subscribers.push(Box::new(f));
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(
-        &self,
-    ) -> impl ExactSizeIterator<Item = &(SimTime, EngineEvent)> + DoubleEndedIterator {
-        self.events.iter()
-    }
-
-    /// Events dropped from the retained buffer because of the bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Retained events in `[from, to)`.
-    pub fn window(&self, from: SimTime, to: SimTime) -> Vec<&(SimTime, EngineEvent)> {
-        self.events.iter().filter(|(t, _)| *t >= from && *t < to).collect()
-    }
-
-    /// Count of retained events matching `pred`.
-    pub fn count<F: Fn(&EngineEvent) -> bool>(&self, pred: F) -> usize {
-        self.events.iter().filter(|(_, e)| pred(e)).count()
-    }
-
-    /// Clears the retained buffer (e.g. at the start of a measurement
-    /// window). Derived counters are cumulative and are **not** reset;
-    /// subscribers stay registered.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.dropped = 0;
-    }
-
-    /// The retained events as JSONL, one event per line, tagged with
-    /// `server`.
-    pub fn to_jsonl(&self, server: &str) -> String {
-        let mut out = String::with_capacity(self.events.len() * 96);
-        for (at, ev) in &self.events {
-            ev.write_json(*at, server, &mut out);
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -651,7 +565,6 @@ mod tests {
                 (5, EngineEvent::FailoverStarted { votes: 2, replicas: 2 }),
                 (9, EngineEvent::ReplicaPromoted { replica: 1, applied_seq: 14 }),
                 (12, EngineEvent::ReplicaResync { replica: 0, applied_seq: 15 }),
-                (20, EngineEvent::FailbackComplete { replica: 2 }),
             ],
         );
         assert_eq!(
@@ -660,13 +573,11 @@ mod tests {
                 "{\"t_us\":5,\"server\":\"STANDBY2\",\"type\":\"failover_started\",\"votes\":2,\"replicas\":2}",
                 "{\"t_us\":9,\"server\":\"STANDBY2\",\"type\":\"replica_promoted\",\"replica\":1,\"applied_seq\":14}",
                 "{\"t_us\":12,\"server\":\"STANDBY2\",\"type\":\"replica_resync\",\"replica\":0,\"applied_seq\":15}",
-                "{\"t_us\":20,\"server\":\"STANDBY2\",\"type\":\"failback_complete\",\"replica\":2}",
             ]
         );
         assert_eq!(d.failovers, 1);
         assert_eq!(d.promotions, 1);
         assert_eq!(d.replica_resyncs, 1);
-        assert_eq!(d.failbacks, 1);
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub use config::{CostModel, InstanceConfig};
 pub use error::{DbError, DbResult, RecoveryError};
 pub use events::{EngineEvent, EventSink, RecoveryPhase, RecoveryProcedure};
 pub use layout::DiskLayout;
-pub use replica::{FailoverPolicy, ReplicaSet, ReplicaSpec, ReplicaStatus, ReplicaTopology};
+pub use replica::{FailoverPolicy, ReplicaSet, ReplicaStatus, ReplicaTopology};
 pub use row::{Row, Value};
 pub use server::DbServer;
 pub use snapshot::DbSnapshot;

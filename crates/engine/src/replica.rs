@@ -63,29 +63,19 @@ impl FailoverPolicy {
     }
 }
 
-/// One stand-by's place in the topology.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplicaSpec {
-    /// `None`: ships from the primary. `Some(i)`: ships from replica `i`
-    /// (cascaded; must be an earlier index).
-    pub upstream: Option<usize>,
-    /// Extra network lag added to every archive ship to this replica.
-    pub ship_lag: SimDuration,
-    /// Extra delay before each shipped archive's background apply begins.
-    pub apply_delay: SimDuration,
-}
-
 /// A replica-set shape: how many stand-bys and who ships from whom.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicaTopology {
     name: String,
-    specs: Vec<ReplicaSpec>,
+    /// Per stand-by, in order: `None` ships from the primary, `Some(i)`
+    /// from replica `i` (cascaded; always an earlier index).
+    upstreams: Vec<Option<usize>>,
 }
 
 impl ReplicaTopology {
     /// No replicas at all (the paper's unprotected baseline).
     pub fn none() -> ReplicaTopology {
-        ReplicaTopology { name: "none".into(), specs: Vec::new() }
+        ReplicaTopology { name: "none".into(), upstreams: Vec::new() }
     }
 
     /// The paper's configuration: one stand-by shipping from the primary.
@@ -97,16 +87,7 @@ impl ReplicaTopology {
 
     /// `n` stand-bys, each shipping directly from the primary.
     pub fn fan_out(n: usize) -> ReplicaTopology {
-        ReplicaTopology {
-            name: format!("fanout{n}"),
-            specs: (0..n)
-                .map(|_| ReplicaSpec {
-                    upstream: None,
-                    ship_lag: SimDuration::ZERO,
-                    apply_delay: SimDuration::ZERO,
-                })
-                .collect(),
-        }
+        ReplicaTopology { name: format!("fanout{n}"), upstreams: vec![None; n] }
     }
 
     /// A chain `depth` deep: replica 0 ships from the primary, replica 1
@@ -115,24 +96,8 @@ impl ReplicaTopology {
     pub fn cascade(depth: usize) -> ReplicaTopology {
         ReplicaTopology {
             name: format!("cascade{depth}"),
-            specs: (0..depth)
-                .map(|i| ReplicaSpec {
-                    upstream: i.checked_sub(1),
-                    ship_lag: SimDuration::ZERO,
-                    apply_delay: SimDuration::ZERO,
-                })
-                .collect(),
+            upstreams: (0..depth).map(|i| i.checked_sub(1)).collect(),
         }
-    }
-
-    /// Sets replica `i`'s ship lag and apply delay (builder-style). Out of
-    /// range indexes are ignored.
-    pub fn lag(mut self, i: usize, ship_lag: SimDuration, apply_delay: SimDuration) -> Self {
-        if let Some(spec) = self.specs.get_mut(i) {
-            spec.ship_lag = ship_lag;
-            spec.apply_delay = apply_delay;
-        }
-        self
     }
 
     /// The topology's stable name (`none`, `single`, `fanout2`,
@@ -141,19 +106,9 @@ impl ReplicaTopology {
         &self.name
     }
 
-    /// Number of replicas.
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
     /// Whether the topology has no replicas.
     pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
-    /// The per-replica specs.
-    pub fn specs(&self) -> &[ReplicaSpec] {
-        &self.specs
+        self.upstreams.is_empty()
     }
 }
 
@@ -173,16 +128,13 @@ pub enum ReplicaStatus {
 }
 
 /// Callback invoked whenever the set creates a stand-by server
-/// (instantiation, resync, failback) so harnesses can attach span
-/// collectors and JSONL writers to it.
+/// (instantiation, resync) so harnesses can attach span collectors and
+/// JSONL writers to it.
 pub type ReplicaObserver = Box<dyn FnMut(&mut DbServer, &str) + Send>;
 
 struct ReplicaNode {
     standby: StandbyServer,
-    name: String,
     upstream: Option<usize>,
-    ship_lag: SimDuration,
-    apply_delay: SimDuration,
     partitioned: bool,
     dead: bool,
     broken: Option<RecoveryError>,
@@ -199,7 +151,6 @@ pub struct ReplicaSet {
     clock: Arc<SimClock>,
     layout: DiskLayout,
     config: InstanceConfig,
-    next_name: usize,
     observer: Option<ReplicaObserver>,
 }
 
@@ -232,27 +183,16 @@ impl ReplicaSet {
         layout: DiskLayout,
         config: InstanceConfig,
     ) -> DbResult<ReplicaSet> {
-        let mut nodes = Vec::with_capacity(topology.len());
-        for (i, spec) in topology.specs().iter().enumerate() {
-            let name = format!("STANDBY{}", i + 1);
-            let mut standby = StandbyServer::instantiate(
+        let mut nodes = Vec::with_capacity(topology.upstreams.len());
+        for (i, &upstream) in topology.upstreams.iter().enumerate() {
+            let standby = StandbyServer::instantiate(
                 primary,
-                &name,
+                &format!("STANDBY{}", i + 1),
                 Arc::clone(&clock),
                 layout.clone(),
                 config.clone(),
             )?;
-            standby.set_lags(spec.ship_lag, spec.apply_delay);
-            nodes.push(ReplicaNode {
-                standby,
-                name,
-                upstream: spec.upstream,
-                ship_lag: spec.ship_lag,
-                apply_delay: spec.apply_delay,
-                partitioned: false,
-                dead: false,
-                broken: None,
-            });
+            nodes.push(ReplicaNode { standby, upstream, partitioned: false, dead: false, broken: None });
         }
         Ok(ReplicaSet {
             nodes,
@@ -263,7 +203,6 @@ impl ReplicaSet {
             clock,
             layout,
             config,
-            next_name: topology.len() + 1,
             observer: None,
         })
     }
@@ -279,10 +218,7 @@ impl ReplicaSet {
                 .iter()
                 .map(|n| ReplicaNode {
                     standby: n.standby.fork(Arc::clone(&clock)),
-                    name: n.name.clone(),
                     upstream: n.upstream,
-                    ship_lag: n.ship_lag,
-                    apply_delay: n.apply_delay,
                     partitioned: n.partitioned,
                     dead: n.dead,
                     broken: n.broken.clone(),
@@ -295,7 +231,6 @@ impl ReplicaSet {
             clock,
             layout: self.layout.clone(),
             config: self.config.clone(),
-            next_name: self.next_name,
             observer: None,
         }
     }
@@ -304,29 +239,11 @@ impl ReplicaSet {
     /// creates, and immediately invokes it on the existing nodes.
     pub fn set_observer(&mut self, mut observer: ReplicaObserver) {
         for node in &mut self.nodes {
-            observer(node.standby.server_mut(), &node.name);
+            let server = node.standby.server_mut();
+            let name = server.name().to_string();
+            observer(server, &name);
         }
         self.observer = Some(observer);
-    }
-
-    /// Number of enrolled replicas (including dead and partitioned ones).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the set has no replicas.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// The governing policy.
-    pub fn policy(&self) -> FailoverPolicy {
-        self.policy
-    }
-
-    /// The topology's stable name.
-    pub fn topology_name(&self) -> &str {
-        &self.topology_name
     }
 
     /// Index of the currently promoted replica, if a failover happened.
@@ -621,62 +538,6 @@ impl ReplicaSet {
         Ok(Some(ready))
     }
 
-    /// Re-enrolls the repaired old primary's machine as a fresh stand-by
-    /// of the current primary (re-imaged from a new backup — the copy it
-    /// diverged from is discarded, exactly what a DBA does after fencing).
-    /// Returns the new replica's index.
-    ///
-    /// # Errors
-    ///
-    /// Fails when no replica is promoted, or on storage errors.
-    // tidy-entry(recovery)
-    pub fn failback(&mut self) -> DbResult<usize> {
-        let Some(k) = self.promoted else {
-            return Err(DbError::BadAdminCommand("failback requires a promoted primary".into()));
-        };
-        {
-            let node = self
-                .nodes
-                .get_mut(k)
-                .ok_or_else(|| DbError::Unrecoverable(format!("replica {k} vanished from the set")))?;
-            node.standby.server_mut().take_cold_backup()?;
-        }
-        let idx = self.nodes.len();
-        let name = format!("STANDBY{}", self.next_name);
-        self.next_name += 1;
-        let source = self
-            .nodes
-            .get(k)
-            .ok_or_else(|| DbError::Unrecoverable(format!("replica {k} vanished from the set")))?
-            .standby
-            .server();
-        let mut standby = StandbyServer::instantiate(
-            source,
-            &name,
-            Arc::clone(&self.clock),
-            self.layout.clone(),
-            self.config.clone(),
-        )?;
-        standby
-            .server_mut()
-            .events
-            .record(self.clock.now(), EngineEvent::FailbackComplete { replica: idx as u64 });
-        if let Some(observer) = self.observer.as_mut() {
-            observer(standby.server_mut(), &name);
-        }
-        self.nodes.push(ReplicaNode {
-            standby,
-            name,
-            upstream: Some(k),
-            ship_lag: SimDuration::ZERO,
-            apply_delay: SimDuration::ZERO,
-            partitioned: false,
-            dead: false,
-            broken: None,
-        });
-        Ok(idx)
-    }
-
     /// Re-instantiates survivor `i` from the promoted replica `k`'s fresh
     /// backup and points its shipping at the new primary.
     fn resync_node(&mut self, i: usize, k: usize) -> DbResult<()> {
@@ -687,8 +548,10 @@ impl ReplicaSet {
             .nodes
             .get(i)
             .ok_or_else(|| DbError::Unrecoverable(format!("replica {i} vanished from the set")))?
-            .name
-            .clone();
+            .standby
+            .server()
+            .name()
+            .to_string();
         let source = self
             .nodes
             .get(k)
@@ -706,7 +569,6 @@ impl ReplicaSet {
             .nodes
             .get_mut(i)
             .ok_or_else(|| DbError::Unrecoverable(format!("replica {i} vanished from the set")))?;
-        standby.set_lags(node.ship_lag, node.apply_delay);
         let applied = standby.applied_seq();
         standby
             .server_mut()
@@ -809,10 +671,10 @@ mod tests {
         assert_eq!(rs.failovers(), 1);
         assert_eq!(rs.status(1), Some(ReplicaStatus::Following), "survivor follows the new primary");
         // The survivor was re-instantiated and its counters show it.
-        let promoted_stats = rs.nodes[0].standby.server().events().derived();
+        let promoted_stats = rs.nodes[0].standby.server().stats();
         assert_eq!(promoted_stats.failovers, 1);
         assert_eq!(promoted_stats.promotions, 1);
-        let survivor_stats = rs.nodes[1].standby.server().events().derived();
+        let survivor_stats = rs.nodes[1].standby.server().stats();
         assert_eq!(survivor_stats.replica_resyncs, 1);
         // The new primary accepts work from `ready` on.
         assert!(ready >= SimTime::ZERO);
@@ -933,73 +795,16 @@ mod tests {
     }
 
     #[test]
-    fn failback_enrolls_a_new_standby_behind_the_promoted_primary() {
-        let (mut p, t) = primary_with_data();
-        let mut rs = replica_set(&p, &ReplicaTopology::fan_out(1), FailoverPolicy::Manual);
-        run_workload(&mut p, t, &mut rs, 100, 300);
-        p.shutdown_abort().unwrap();
-        rs.fail_over(Some(&mut p)).unwrap().expect("manual failover");
-        let idx = rs.failback().unwrap();
-        assert_eq!(idx, 1);
-        assert_eq!(rs.status(idx), Some(ReplicaStatus::Following));
-        assert_eq!(rs.nodes[idx].standby.server().events().derived().failbacks, 1);
-        // The failback node follows the new primary's redo.
-        {
-            let srv = rs.active_mut().unwrap();
-            let s = srv.connect().unwrap();
-            for i in 2_000..2_200 {
-                srv.insert(s, t, Row::new(vec![Value::U64(i), Value::from("post-failback-load")]))
-                    .unwrap();
-                srv.commit(s).unwrap();
-            }
-        }
-        rs.sync_all_inner(None).unwrap();
-        assert!(rs.nodes[idx].standby.archives_shipped > 0, "failback node ships from the promoted");
-        // And it can itself be promoted when the new primary dies.
-        rs.kill_promoted().unwrap();
-        rs.fail_over(None).unwrap().expect("failback node takes over");
-        assert_eq!(rs.promoted(), Some(idx));
-    }
-
-    #[test]
     fn topology_constructors_and_names() {
         assert!(ReplicaTopology::none().is_empty());
-        assert_eq!(ReplicaTopology::single().len(), 1);
+        assert_eq!(ReplicaTopology::single().upstreams, [None]);
         assert_eq!(ReplicaTopology::single().name(), "single");
         let f = ReplicaTopology::fan_out(3);
         assert_eq!(f.name(), "fanout3");
-        assert!(f.specs().iter().all(|s| s.upstream.is_none()));
+        assert_eq!(f.upstreams, [None; 3]);
         let c = ReplicaTopology::cascade(3);
         assert_eq!(c.name(), "cascade3");
-        assert_eq!(
-            c.specs().iter().map(|s| s.upstream).collect::<Vec<_>>(),
-            vec![None, Some(0), Some(1)]
-        );
-        let lagged = ReplicaTopology::fan_out(2).lag(
-            1,
-            SimDuration::from_millis(50),
-            SimDuration::from_secs(2),
-        );
-        assert_eq!(lagged.specs()[1].ship_lag, SimDuration::from_millis(50));
+        assert_eq!(c.upstreams, [None, Some(0), Some(1)]);
         assert_eq!(FailoverPolicy::AutoWithFencing.name(), "auto_fencing");
-    }
-
-    #[test]
-    fn lagged_replica_trails_its_unlagged_peer() {
-        let (mut p, t) = primary_with_data();
-        let topo = ReplicaTopology::fan_out(2).lag(
-            1,
-            SimDuration::from_secs(30),
-            SimDuration::from_secs(30),
-        );
-        let mut rs = replica_set(&p, &topo, FailoverPolicy::AutoQuorum);
-        run_workload(&mut p, t, &mut rs, 100, 300);
-        assert!(
-            rs.nodes[1].standby.applied_seq() <= rs.nodes[0].standby.applied_seq(),
-            "a heavily lagged replica can never be ahead"
-        );
-        p.shutdown_abort().unwrap();
-        rs.fail_over(Some(&mut p)).unwrap().expect("quorum");
-        assert_eq!(rs.promoted(), Some(0), "the unlagged replica wins promotion");
     }
 }

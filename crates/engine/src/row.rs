@@ -131,17 +131,6 @@ impl<'a> ValueRef<'a> {
             _ => None,
         }
     }
-
-    /// An owned copy of the value.
-    pub fn to_value(self) -> Value {
-        match self {
-            ValueRef::Null => Value::Null,
-            ValueRef::U64(v) => Value::U64(v),
-            ValueRef::I64(v) => Value::I64(v),
-            ValueRef::Str(s) => Value::Str(s.to_owned()),
-            ValueRef::Bytes(b) => Value::Bytes(b.to_vec()),
-        }
-    }
 }
 
 /// Cuts the column at the front of `buf` into its tag, its payload (without

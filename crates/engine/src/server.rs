@@ -134,7 +134,7 @@ impl DbServer {
             next_session: 0,
             lock_grants: Vec::new(),
             deferred_undo: Vec::new(),
-            events: EventSink::new(4096),
+            events: EventSink::default(),
             dml_tap: None,
             #[cfg(any(test, feature = "sabotage"))]
             sabotage_skip_redo: 0,
@@ -181,29 +181,21 @@ impl DbServer {
         self.inst.is_some() && !self.managed_recovery
     }
 
-    /// Cumulative engine counters. The hot-path counters (commits, redo,
-    /// flushes, block writes) are maintained directly; everything related
-    /// to checkpoints, archiving and recovery is **derived from the event
-    /// stream**, so these numbers can never disagree with the events.
+    /// Cumulative engine counters. The six hot-path counters (commits,
+    /// rollbacks, redo records and bytes, flushes, block writes) are
+    /// maintained directly; every other field is **derived from the event
+    /// stream**, so those numbers can never disagree with the events.
     pub fn stats(&self) -> EngineStats {
-        let mut s = self.stats;
-        let d = self.events.derived();
-        s.log_switches = d.log_switches;
-        s.full_checkpoints = d.full_checkpoints;
-        s.incremental_advances = d.incremental_advances;
-        s.switch_stall_micros = d.switch_stall_micros;
-        s.archives_created = d.archives_created;
-        s.recovery_records_applied = d.recovery_records_applied;
-        s.recovery_records_skipped = d.recovery_records_skipped;
-        s.recovery_archives_processed = d.recovery_archives_processed;
-        s.crash_recoveries = d.crash_recoveries;
-        s.media_recoveries = d.media_recoveries;
-        s.incomplete_recoveries = d.incomplete_recoveries;
-        s.lock_waits = d.lock_waits;
-        s.lock_grants = d.lock_grants;
-        s.lock_wait_micros = d.lock_wait_micros;
-        s.deadlocks = d.deadlocks;
-        s
+        let hot = &self.stats;
+        EngineStats {
+            commits: hot.commits,
+            rollbacks: hot.rollbacks,
+            redo_records: hot.redo_records,
+            redo_bytes: hot.redo_bytes,
+            log_flushes: hot.log_flushes,
+            blocks_written: hot.blocks_written,
+            ..self.events.derived()
+        }
     }
 
     /// The current SCN (zero when the instance is down).
@@ -269,15 +261,9 @@ impl DbServer {
         self.backup.as_ref()
     }
 
-    /// The engine event sink (log switches, stalls, checkpoints,
-    /// archiving, instance lifecycle, recovery phases).
-    pub fn events(&self) -> &EventSink {
-        &self.events
-    }
-
-    /// Mutable access to the event sink — for registering subscribers,
-    /// raising the retention bound, or clearing the buffer at the start of
-    /// a measurement window.
+    /// Mutable access to the event sink (log switches, stalls,
+    /// checkpoints, archiving, instance lifecycle, recovery phases) — for
+    /// registering subscribers.
     pub fn events_mut(&mut self) -> &mut EventSink {
         &mut self.events
     }

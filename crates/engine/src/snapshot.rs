@@ -9,10 +9,10 @@
 //! clone of the filesystem with its disk queues, control file, backup
 //! catalog) *and* the volatile one (buffer cache, transaction table, lock
 //! wait queues, redo position, connected sessions with their pending
-//! grants and deferred undo, what the event stream has counted and
-//! retained), so it is indistinguishable from the server it was taken
-//! from — except that nobody observes it yet: event subscribers and the
-//! DML tap belong to one run and are not carried.
+//! grants and deferred undo, what the event stream has counted), so it is
+//! indistinguishable from the server it was taken from — except that
+//! nobody observes it yet: event subscribers and the DML tap belong to one
+//! run and are not carried.
 //!
 //! A [`DbSnapshot`] is such a fork parked at its capture instant;
 //! [`DbServer::from_snapshot`] forks it again. Forking advances the target

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use recobench_sim::{SimClock, SimDuration, SimTime};
+use recobench_sim::{SimClock, SimTime};
 use recobench_vfs::{FileKind, IoKind};
 
 use crate::apply::{rollback_unlogged, ReplayState};
@@ -58,10 +58,6 @@ pub(crate) struct StandbyServer {
     activated: bool,
     /// Shipped copies retained for cascaded downstream stand-bys.
     pub(crate) received: BTreeMap<u64, ShippedArchive>,
-    /// Extra network/link lag added to every ship (topology tuning).
-    ship_lag: SimDuration,
-    /// Extra delay before each archive's background apply begins.
-    apply_delay: SimDuration,
     /// When armed, the next shipped copy lands corrupted (fault injection).
     corrupt_next_ship: bool,
     /// Records applied so far (reporting).
@@ -205,8 +201,6 @@ impl StandbyServer {
             },
             activated: false,
             received: BTreeMap::new(),
-            ship_lag: SimDuration::ZERO,
-            apply_delay: SimDuration::ZERO,
             corrupt_next_ship: false,
             records_applied: 0,
             archives_shipped: 0,
@@ -223,8 +217,6 @@ impl StandbyServer {
             replayed: self.replayed.clone(),
             activated: self.activated,
             received: self.received.clone(),
-            ship_lag: self.ship_lag,
-            apply_delay: self.apply_delay,
             corrupt_next_ship: self.corrupt_next_ship,
             records_applied: self.records_applied,
             archives_shipped: self.archives_shipped,
@@ -254,14 +246,6 @@ impl StandbyServer {
         self.replayed.last_commit_scn
     }
 
-    /// Tunes this stand-by's topology lags: `ship_lag` is extra network
-    /// latency added to every archive ship, `apply_delay` postpones each
-    /// archive's background apply.
-    pub fn set_lags(&mut self, ship_lag: SimDuration, apply_delay: SimDuration) {
-        self.ship_lag = ship_lag;
-        self.apply_delay = apply_delay;
-    }
-
     /// Arms a media fault: the next shipped archive copy lands corrupted,
     /// so its decode fails with
     /// [`RecoveryError::ShippedArchiveCorrupt`](crate::error::RecoveryError::ShippedArchiveCorrupt).
@@ -287,7 +271,7 @@ impl StandbyServer {
             let Ok(control) = primary.control_ref() else { break };
             let Some(loc) = control.seq(next) else { break };
             let (Some(archive), Some(done_at)) = (loc.archive, loc.archive_done_at) else { break };
-            if done_at + self.ship_lag > now {
+            if done_at > now {
                 break;
             }
             // Ship: read on the primary's archive disk, network latency,
@@ -329,7 +313,7 @@ impl StandbyServer {
                 }
                 break;
             };
-            if copy.ready_at + self.ship_lag > now {
+            if copy.ready_at > now {
                 break;
             }
             let (segments, bytes, available_at) = (copy.segments.clone(), copy.bytes, copy.ready_at);
@@ -348,8 +332,8 @@ impl StandbyServer {
     }
 
     /// Lands one shipped archive on this stand-by: charges the archive-disk
-    /// write (after the configured ship lag), decodes, applies in the
-    /// background and retains the copy for any downstream stand-by.
+    /// write (after the ship latency), decodes, applies in the background
+    /// and retains the copy for any downstream stand-by.
     fn ingest(
         &mut self,
         next: u64,
@@ -359,8 +343,7 @@ impl StandbyServer {
     ) -> DbResult<()> {
         let ship_done = {
             let mut fs = self.server.fs.lock();
-            let arrived =
-                available_at + self.server.config.costs.standby_ship_latency + self.ship_lag;
+            let arrived = available_at + self.server.config.costs.standby_ship_latency;
             fs.charge_io(self.server.layout.archive_disk, IoKind::Write, bytes, arrived)?
         };
         self.archives_shipped += 1;
@@ -381,7 +364,7 @@ impl StandbyServer {
         let overhead = self.server.config.costs.redo_overhead_bytes;
         let records = decode_stream(&segments, overhead)
             .map_err(|_| RecoveryError::ShippedArchiveCorrupt { seq: next })?;
-        let apply_start = ship_done.max(self.apply_done_at) + self.apply_delay;
+        let apply_start = ship_done.max(self.apply_done_at);
         let nrecords = records.len() as u64;
         let cpu = self.server.config.costs.cpu_apply_record * nrecords;
         self.apply_done_at = apply_start + cpu;
@@ -453,6 +436,7 @@ mod tests {
     use crate::catalog::IndexDef;
     use crate::row::{Row, Value};
     use crate::types::ObjectId;
+    use recobench_sim::SimDuration;
 
     fn cfg(redo_kb: u64) -> InstanceConfig {
         InstanceConfig::builder()

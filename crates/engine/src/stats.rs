@@ -61,8 +61,6 @@ pub struct EngineStats {
     /// Surviving stand-bys re-instantiated behind a newly promoted
     /// primary.
     pub replica_resyncs: u64,
-    /// Repaired ex-primaries re-enrolled as stand-bys.
-    pub failbacks: u64,
 }
 
 impl EngineStats {
@@ -105,7 +103,6 @@ impl EngineStats {
             failovers: self.failovers.saturating_sub(earlier.failovers),
             promotions: self.promotions.saturating_sub(earlier.promotions),
             replica_resyncs: self.replica_resyncs.saturating_sub(earlier.replica_resyncs),
-            failbacks: self.failbacks.saturating_sub(earlier.failbacks),
         }
     }
 }

@@ -164,26 +164,22 @@ impl FaultSchedule {
         FaultSchedule { seed, duration_secs, faults: Vec::new() }
     }
 
-    /// Draws a random schedule: `n_faults` faults of random kinds at
-    /// random times in `[min_at, duration_secs)`. Deterministic in the
-    /// RNG; the schedule's own `seed` is drawn from the same stream.
-    ///
-    /// `min_at` keeps faults out of the first seconds so the driver has
-    /// ramped up before the first injection (the paper triggers at
-    /// steady state for the same reason).
-    pub fn random(rng: &mut SimRng, n_faults: usize, duration_secs: u64, min_at: u64) -> FaultSchedule {
-        Self::random_from(rng, &TortureFaultKind::all(), n_faults, duration_secs, min_at)
-    }
-
     /// Whether any scheduled fault targets the replica set — the torture
     /// runner provisions stand-bys only when one does.
     pub fn has_replica_faults(&self) -> bool {
         self.faults.iter().any(|f| matches!(f.kind, TortureFaultKind::Replica(_)))
     }
 
-    /// Draws a random schedule from an explicit kind pool. The draw order
-    /// (kind, then time, per fault; schedule seed last) is part of the
-    /// corpus contract — changing it invalidates committed seeds.
+    /// Draws a random schedule: `n_faults` faults of kinds drawn from
+    /// `kinds` at random times in `[min_at, duration_secs)`. Deterministic
+    /// in the RNG; the schedule's own `seed` is drawn from the same stream.
+    /// The draw order (kind, then time, per fault; schedule seed last) is
+    /// part of the corpus contract — changing it invalidates committed
+    /// seeds.
+    ///
+    /// `min_at` keeps faults out of the first seconds so the driver has
+    /// ramped up before the first injection (the paper triggers at
+    /// steady state for the same reason).
     pub fn random_from(
         rng: &mut SimRng,
         kinds: &[TortureFaultKind],

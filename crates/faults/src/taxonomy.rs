@@ -33,27 +33,6 @@ impl FaultClass {
             FaultClass::RecoveryMechanismsAdministration,
         ]
     }
-
-    /// The paper's description of the class.
-    pub fn description(self) -> &'static str {
-        match self {
-            FaultClass::MemoryAndProcesses => {
-                "mistakes in the administration of processes and memory structures"
-            }
-            FaultClass::SecurityManagement => {
-                "mistakes in the attribution of passwords, access privileges and disk space"
-            }
-            FaultClass::StorageAdministration => {
-                "mistakes in the administration of the physical and logical storage structures"
-            }
-            FaultClass::DatabaseObjectAdministration => {
-                "errors related to the management of the user objects"
-            }
-            FaultClass::RecoveryMechanismsAdministration => {
-                "mistakes in the configuration and administration of the recovery mechanisms"
-            }
-        }
-    }
 }
 
 impl fmt::Display for FaultClass {
@@ -372,17 +351,6 @@ pub enum StorageFaultType {
 }
 
 impl StorageFaultType {
-    /// All five, in a fixed order.
-    pub fn all() -> [StorageFaultType; 5] {
-        [
-            StorageFaultType::TornWrite,
-            StorageFaultType::PartialAppend,
-            StorageFaultType::BitRot,
-            StorageFaultType::DiskFull,
-            StorageFaultType::SlowIo,
-        ]
-    }
-
     /// Stable snake_case name used in schedule JSON and reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -392,29 +360,6 @@ impl StorageFaultType {
             StorageFaultType::DiskFull => "disk_full",
             StorageFaultType::SlowIo => "slow_io",
         }
-    }
-
-    /// Human-readable description of the hardware failure.
-    pub fn description(self) -> &'static str {
-        match self {
-            StorageFaultType::TornWrite => "torn block write (prefix of the image persists)",
-            StorageFaultType::PartialAppend => "interrupted redo append (torn log tail)",
-            StorageFaultType::BitRot => "silent single-bit rot in a written block",
-            StorageFaultType::DiskFull => "disk out of space (ENOSPC on writes)",
-            StorageFaultType::SlowIo => "limping disk (every I/O retried, multiplying latency)",
-        }
-    }
-
-    /// The taxonomy class the fault maps into: storage administration —
-    /// the same territory the paper's removed/corrupted-file faults cover.
-    pub fn class(self) -> FaultClass {
-        FaultClass::StorageAdministration
-    }
-
-    /// Storage-hardware faults never require sacrificing committed
-    /// history: detection plus media or crash recovery restores them.
-    pub fn recovery_kind(self) -> RecoveryKind {
-        RecoveryKind::Complete
     }
 }
 
@@ -449,16 +394,6 @@ pub enum ReplicaFaultType {
 }
 
 impl ReplicaFaultType {
-    /// All four, in a fixed order.
-    pub fn all() -> [ReplicaFaultType; 4] {
-        [
-            ReplicaFaultType::KillPrimary,
-            ReplicaFaultType::KillPromoted,
-            ReplicaFaultType::CorruptShippedArchive,
-            ReplicaFaultType::PartitionReplica,
-        ]
-    }
-
     /// Stable snake_case name used in schedule JSON and reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -467,67 +402,6 @@ impl ReplicaFaultType {
             ReplicaFaultType::CorruptShippedArchive => "corrupt_shipped_archive",
             ReplicaFaultType::PartitionReplica => "partition_replica",
         }
-    }
-
-    /// Human-readable description of the failure.
-    pub fn description(self) -> &'static str {
-        match self {
-            ReplicaFaultType::KillPrimary => "kill the primary; the replica set must fail over",
-            ReplicaFaultType::KillPromoted => {
-                "kill the newly promoted node after failover (double fault)"
-            }
-            ReplicaFaultType::CorruptShippedArchive => {
-                "corrupt the next shipped archive copy on a stand-by"
-            }
-            ReplicaFaultType::PartitionReplica => {
-                "partition a stand-by away from the set (no archives, no vote)"
-            }
-        }
-    }
-
-    /// The taxonomy class the fault maps into: all four are failures of
-    /// the recovery machinery itself (the stand-by apparatus the paper
-    /// files under recovery-mechanisms administration).
-    pub fn class(self) -> FaultClass {
-        FaultClass::RecoveryMechanismsAdministration
-    }
-
-    /// Whether committed history can be lost. Killing an instance is
-    /// recoverable in full as long as a sufficiently caught-up stand-by
-    /// wins promotion; shipping corruption and partitions damage only the
-    /// replica, never acknowledged history.
-    pub fn recovery_kind(self) -> RecoveryKind {
-        match self {
-            ReplicaFaultType::KillPrimary | ReplicaFaultType::KillPromoted => {
-                RecoveryKind::Incomplete
-            }
-            ReplicaFaultType::CorruptShippedArchive | ReplicaFaultType::PartitionReplica => {
-                RecoveryKind::Complete
-            }
-        }
-    }
-}
-
-impl fmt::Display for ReplicaFaultType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ReplicaFaultType::KillPrimary => "Kill primary",
-            ReplicaFaultType::KillPromoted => "Kill promoted node",
-            ReplicaFaultType::CorruptShippedArchive => "Corrupt shipped archive",
-            ReplicaFaultType::PartitionReplica => "Partition replica",
-        })
-    }
-}
-
-impl fmt::Display for StorageFaultType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            StorageFaultType::TornWrite => "Torn block write",
-            StorageFaultType::PartialAppend => "Partial redo append",
-            StorageFaultType::BitRot => "Silent bit-rot",
-            StorageFaultType::DiskFull => "Disk full",
-            StorageFaultType::SlowIo => "Slow I/O",
-        })
     }
 }
 
@@ -604,38 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn storage_faults_are_complete_recovery_storage_class() {
-        assert_eq!(StorageFaultType::all().len(), 5);
-        for s in StorageFaultType::all() {
-            assert_eq!(s.class(), FaultClass::StorageAdministration);
-            assert_eq!(s.recovery_kind(), RecoveryKind::Complete);
-            assert!(!s.name().is_empty());
-            assert!(!s.description().is_empty());
-            assert!(!s.to_string().is_empty());
-            assert!(s.name().chars().all(|c| c.is_ascii_lowercase() || c == '_'));
-        }
-    }
-
-    #[test]
-    fn replica_faults_classify_as_recovery_mechanisms() {
-        assert_eq!(ReplicaFaultType::all().len(), 4);
-        for r in ReplicaFaultType::all() {
-            assert_eq!(r.class(), FaultClass::RecoveryMechanismsAdministration);
-            assert!(!r.name().is_empty());
-            assert!(!r.description().is_empty());
-            assert!(!r.to_string().is_empty());
-            assert!(r.name().chars().all(|c| c.is_ascii_lowercase() || c == '_'));
-        }
-        // Node kills can lose the acked tail (replication lag); shipping
-        // faults damage only the replica.
-        assert_eq!(ReplicaFaultType::KillPrimary.recovery_kind(), RecoveryKind::Incomplete);
-        assert_eq!(
-            ReplicaFaultType::CorruptShippedArchive.recovery_kind(),
-            RecoveryKind::Complete
-        );
-    }
-
-    #[test]
     fn descriptions_and_display_are_nonempty() {
         for t in OperatorFaultType::all() {
             assert!(!t.description().is_empty());
@@ -645,7 +487,6 @@ mod tests {
         }
         for c in FaultClass::all() {
             assert!(!c.to_string().is_empty());
-            assert!(!c.description().is_empty());
         }
     }
 }

@@ -129,18 +129,6 @@ impl Disk {
     pub fn stats(&self) -> DiskStats {
         self.stats
     }
-
-    /// The disk's static profile.
-    pub fn profile(&self) -> DiskProfile {
-        self.profile
-    }
-
-    /// Forgets all queued work and counters (used when a machine is
-    /// power-cycled in a simulation).
-    pub fn reset(&mut self) {
-        self.busy_until = SimTime::ZERO;
-        self.stats = DiskStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -192,14 +180,5 @@ mod tests {
         assert_eq!(s.bytes_read, 100);
         assert_eq!(s.bytes_written, 200);
         assert!(s.busy_micros > 0);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut d = Disk::new(DiskProfile::server_2000());
-        d.submit(SimTime::ZERO, IoKind::Write, 4096, false);
-        d.reset();
-        assert_eq!(d.busy_until(), SimTime::ZERO);
-        assert_eq!(d.stats(), DiskStats::default());
     }
 }

@@ -200,7 +200,6 @@ pub struct TpccDriver {
     errors: Vec<SimTime>,
     counts: MixCounts,
     attempted: u64,
-    deliberate_rollbacks: u64,
     deadlock_aborts: u64,
 }
 
@@ -226,7 +225,6 @@ impl TpccDriver {
             errors: Vec::new(),
             counts: MixCounts::default(),
             attempted: 0,
-            deliberate_rollbacks: 0,
             deadlock_aborts: 0,
         }
     }
@@ -321,8 +319,6 @@ impl TpccDriver {
                     if let Audit::Order { w, d, o, entry } = outcome.audit {
                         self.committed_orders.push(CommittedOrder { w, d, o, entry, at: now });
                     }
-                } else {
-                    self.deliberate_rollbacks += 1;
                 }
                 StmtFate::Finished(StepEvent { at: now, kind: outcome.kind, ok: outcome.committed, error: false })
             }
@@ -574,11 +570,6 @@ impl TpccDriver {
     /// than the first loss/return pair.
     pub fn error_times(&self) -> &[SimTime] {
         &self.errors
-    }
-
-    /// The spec-mandated 1 % New-Order rollbacks observed.
-    pub fn deliberate_rollbacks(&self) -> u64 {
-        self.deliberate_rollbacks
     }
 
     /// Counts acknowledged-committed New-Orders that are **absent** from

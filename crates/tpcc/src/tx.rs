@@ -924,60 +924,6 @@ pub fn execute(
     result
 }
 
-/// Executes one New-Order transaction (clause 2.4).
-///
-/// # Errors
-///
-/// Propagates storage errors after rolling the transaction back.
-pub fn new_order(server: &mut DbServer, schema: &TpccSchema, rng: &mut SimRng) -> DbResult<TxnOutcome> {
-    execute(server, schema, rng, TxnKind::NewOrder)
-}
-
-/// Executes one Payment transaction (clause 2.5).
-///
-/// # Errors
-///
-/// Propagates storage errors after rolling the transaction back.
-pub fn payment(server: &mut DbServer, schema: &TpccSchema, rng: &mut SimRng) -> DbResult<TxnOutcome> {
-    execute(server, schema, rng, TxnKind::Payment)
-}
-
-/// Executes one Order-Status transaction (clause 2.6, read-only).
-///
-/// # Errors
-///
-/// Propagates storage errors after rolling the transaction back.
-pub fn order_status(
-    server: &mut DbServer,
-    schema: &TpccSchema,
-    rng: &mut SimRng,
-) -> DbResult<TxnOutcome> {
-    execute(server, schema, rng, TxnKind::OrderStatus)
-}
-
-/// Executes one Delivery transaction (clause 2.7): delivers the oldest
-/// undelivered order of every district of one warehouse.
-///
-/// # Errors
-///
-/// Propagates storage errors after rolling the transaction back.
-pub fn delivery(server: &mut DbServer, schema: &TpccSchema, rng: &mut SimRng) -> DbResult<TxnOutcome> {
-    execute(server, schema, rng, TxnKind::Delivery)
-}
-
-/// Executes one Stock-Level transaction (clause 2.8, read-only).
-///
-/// # Errors
-///
-/// Propagates storage errors after rolling the transaction back.
-pub fn stock_level(
-    server: &mut DbServer,
-    schema: &TpccSchema,
-    rng: &mut SimRng,
-) -> DbResult<TxnOutcome> {
-    execute(server, schema, rng, TxnKind::StockLevel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1006,7 +952,7 @@ mod tests {
         let before = srv.peek_scan(schema.orders).unwrap().len();
         let mut committed = 0;
         for _ in 0..20 {
-            let out = new_order(&mut srv, &schema, &mut rng).unwrap();
+            let out = execute(&mut srv, &schema, &mut rng, TxnKind::NewOrder).unwrap();
             if out.committed {
                 committed += 1;
                 assert!(matches!(out.audit, Audit::Order { .. }));
@@ -1022,7 +968,7 @@ mod tests {
     fn payment_moves_money_consistently() {
         let (mut srv, schema, mut rng) = loaded();
         for _ in 0..20 {
-            payment(&mut srv, &schema, &mut rng).unwrap();
+            execute(&mut srv, &schema, &mut rng, TxnKind::Payment).unwrap();
         }
         // W_YTD still equals the sum of its districts' D_YTD.
         let report = crate::consistency::check_consistency(&srv, &schema).unwrap();
@@ -1034,12 +980,12 @@ mod tests {
     fn delivery_clears_new_orders() {
         let (mut srv, schema, mut rng) = loaded();
         for _ in 0..30 {
-            new_order(&mut srv, &schema, &mut rng).unwrap();
+            execute(&mut srv, &schema, &mut rng, TxnKind::NewOrder).unwrap();
         }
         let pending_before = srv.peek_scan(schema.new_order).unwrap().len();
         assert!(pending_before > 0);
         for _ in 0..40 {
-            delivery(&mut srv, &schema, &mut rng).unwrap();
+            execute(&mut srv, &schema, &mut rng, TxnKind::Delivery).unwrap();
         }
         let pending_after = srv.peek_scan(schema.new_order).unwrap().len();
         assert_eq!(pending_after, 0, "all pending orders delivered");
@@ -1049,13 +995,13 @@ mod tests {
     fn read_only_profiles_change_nothing() {
         let (mut srv, schema, mut rng) = loaded();
         for _ in 0..10 {
-            new_order(&mut srv, &schema, &mut rng).unwrap();
+            execute(&mut srv, &schema, &mut rng, TxnKind::NewOrder).unwrap();
         }
         let orders = srv.peek_scan(schema.orders).unwrap();
         let stock = srv.peek_scan(schema.stock).unwrap();
         for _ in 0..10 {
-            order_status(&mut srv, &schema, &mut rng).unwrap();
-            stock_level(&mut srv, &schema, &mut rng).unwrap();
+            execute(&mut srv, &schema, &mut rng, TxnKind::OrderStatus).unwrap();
+            execute(&mut srv, &schema, &mut rng, TxnKind::StockLevel).unwrap();
         }
         assert_eq!(srv.peek_scan(schema.orders).unwrap(), orders);
         assert_eq!(srv.peek_scan(schema.stock).unwrap(), stock);
