@@ -10,7 +10,7 @@ use crate::taxonomy::FaultType;
 /// Constant detection time before the recovery procedure starts. The
 /// paper assumes a small constant: the goal is to assess the recovery
 /// mechanisms, not the administrator's reaction time.
-const DETECTION: SimDuration = SimDuration::from_secs(1);
+pub const DETECTION: SimDuration = SimDuration::from_secs(1);
 /// Tablespace the storage faults target; datafile faults take its first
 /// datafile.
 const TABLESPACE: &str = "TPCC";
@@ -55,7 +55,8 @@ pub struct InjectionRecord {
     /// SCN just before the wrong action (the stop point for incomplete
     /// recovery).
     pub scn_before: Scn,
-    /// Human-readable detail (e.g. the deleted path).
+    /// Human-readable detail (e.g. the deleted path). Display text only:
+    /// recovery finds its victim again the way the injection did.
     pub detail: String,
 }
 
@@ -166,26 +167,14 @@ impl FaultInjector {
             FaultType::DeleteDatafile => {
                 // The DBA notices errors, offlines the damaged file, then
                 // restores + recovers it.
-                let path = {
-                    // The path was deleted; recover it by its recorded name.
-                    record
-                        .detail
-                        .strip_prefix("rm ")
-                        .unwrap_or(&record.detail)
-                        .to_string()
-                };
+                let path = victim_path(server)?;
                 server.offline_datafile(&path)?;
                 let summary = server.recover_datafile(&path)?;
                 records_applied = summary.applied;
                 archives = summary.archives_read;
             }
             FaultType::SetDatafileOffline => {
-                let path = record
-                    .detail
-                    .strip_prefix("ALTER DATABASE DATAFILE '")
-                    .and_then(|s| s.strip_suffix("' OFFLINE"))
-                    .unwrap_or(&record.detail)
-                    .to_string();
+                let path = victim_path(server)?;
                 let summary = server.recover_datafile(&path)?;
                 records_applied = summary.applied;
                 archives = summary.archives_read;
@@ -282,7 +271,7 @@ mod tests {
         assert!(out.recovery_finished_at > out.recovery_started_at);
         assert_eq!(
             out.recovery_started_at,
-            out.record.injected_at + SimDuration::from_secs(1),
+            out.record.injected_at + DETECTION,
             "the paper's constant detection time"
         );
     }
@@ -295,6 +284,21 @@ mod tests {
         assert!(out.records_applied > 0);
         let first = srv.datafile_paths("TPCC").unwrap().remove(0);
         assert_eq!(out.record.detail, format!("rm {first}"), "the victim is TPCC's first datafile");
+    }
+
+    /// Recovery finds the datafile victim in the catalog, as the injection
+    /// did, not in the record's display text.
+    #[test]
+    fn datafile_faults_recover_whatever_the_detail_says() {
+        for fault in [FaultType::DeleteDatafile, FaultType::SetDatafileOffline] {
+            let mut srv = server_with_data();
+            let injector = FaultInjector::new(FaultPlan::new(fault, 150));
+            let mut rec = injector.inject(&mut srv).unwrap();
+            rec.detail = format!("the operator's own words for {fault}");
+            injector.recover(&mut srv, &rec).unwrap();
+            let t = srv.table_id("STOCK").unwrap();
+            assert_eq!(srv.peek_scan(t).unwrap().len(), 60, "{fault}");
+        }
     }
 
     #[test]

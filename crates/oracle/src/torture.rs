@@ -37,7 +37,7 @@ use recobench_core::{apply_margin_cutoff, RecoveryConfig};
 use recobench_engine::{DbResult, DiskLayout, FailoverPolicy, ReplicaTopology};
 use recobench_faults::{
     FaultInjector, FaultPlan, FaultSchedule, RecoveryKind, ReplicaFaultType, ScheduledFault,
-    TortureFaultKind,
+    TortureFaultKind, DETECTION,
 };
 use recobench_sim::{SimClock, SimDuration, SimTime};
 use recobench_tpcc::{AvailabilityTimeline, DriverConfig, TpccScale};
@@ -153,11 +153,6 @@ impl TortureRunner {
     /// A runner with the given options.
     pub fn new(opts: TortureOptions) -> TortureRunner {
         TortureRunner { opts }
-    }
-
-    /// The options in force.
-    pub fn options(&self) -> &TortureOptions {
-        &self.opts
     }
 
     /// Runs one schedule to completion. Deterministic: the same schedule
@@ -328,7 +323,7 @@ impl Oracle {
                 rig.driver.record_outage(at);
                 // The operator notices the dead instance after the same
                 // constant detection delay the injector models.
-                srv.clock().advance(SimDuration::from_secs(1));
+                srv.clock().advance(DETECTION);
                 match srv.startup() {
                     Ok(()) => {
                         let ready = srv.clock().now();
@@ -575,7 +570,7 @@ impl Oracle {
                 }
                 report.injected_at = Some(at);
                 driver.record_outage(at);
-                srv.clock().advance(SimDuration::from_secs(1));
+                srv.clock().advance(DETECTION);
                 for path in &bad {
                     if srv.recover_datafile(path).is_err() {
                         report.unrecoverable = true;
@@ -616,7 +611,7 @@ impl Oracle {
                 report.injected_at = Some(at);
                 driver.record_outage(at);
                 srv.fs().lock().clear_faults();
-                srv.clock().advance(SimDuration::from_secs(1));
+                srv.clock().advance(DETECTION);
                 if srv.startup().is_err() {
                     report.unrecoverable = true;
                     return;
@@ -656,7 +651,7 @@ impl Oracle {
                 // operator gets the alarm.
                 // tidy-allow(error-swallow): the ENOSPC failure is the injected fault under test
                 let _ = srv.checkpoint_now();
-                srv.clock().advance(SimDuration::from_secs(1));
+                srv.clock().advance(DETECTION);
                 // Operator frees space; the retried checkpoint drains the
                 // write-out backlog.
                 srv.fs().lock().clear_faults();
