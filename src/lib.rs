@@ -24,7 +24,7 @@
 //!   an independent reference model checked against the engine after
 //!   randomized multi-fault schedules, with shrinking to minimal
 //!   reproducers.
-//! * [`bench`] — everything behind the `recobench` command line: the
+//! * [`mod@bench`] — everything behind the `recobench` command line: the
 //!   reports that regenerate `results/`, the one-campaign `paper` run and
 //!   the torture sweep.
 //!
