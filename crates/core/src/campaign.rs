@@ -99,13 +99,16 @@ impl Campaign {
         Campaign { experiments, threads: 0, progress: None }
     }
 
-    /// Caps the worker threads (0 = one per available core, the default).
+    /// Caps the workers (0 = one per available core, the default). The
+    /// calling thread is one of them: `threads(1)` runs every cell on it
+    /// and spawns nothing.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
         self
     }
 
-    /// Registers a callback invoked after every finished experiment. It
+    /// Registers a callback invoked after every finished experiment, on
+    /// the worker that ran it — the caller's own thread among them. It
     /// may be called concurrently from several workers.
     pub fn on_progress<F>(mut self, f: F) -> Self
     where
@@ -175,9 +178,11 @@ impl Campaign {
 /// available core) and returns the results in index order; indices are
 /// handed out in ascending order, one at a time. The one worker pool of
 /// the workspace: [`Campaign::run`] gives it its cells, the bench front
-/// end its torture runs and double-fault cells. Every worker is a spawned
-/// thread and the caller only waits, so what a job leaves behind never
-/// piles up on the calling thread.
+/// end its torture runs and double-fault cells. The caller is worker 0
+/// and only the other `threads - 1` are spawned: a spawned thread
+/// allocates from a malloc arena of its own, so a pool of spawned workers
+/// keeps a second heap beside the caller's, and one worker spawns nothing.
+/// A panicking job propagates once every other worker has finished.
 pub fn run_indexed<T, F>(n: usize, threads: usize, job: F) -> Vec<T>
 where
     T: Send,
@@ -190,17 +195,19 @@ where
     };
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(n.max(1)) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                *slots[i].lock().expect("a slot is locked once, by the worker that fills it") =
-                    Some(job(i));
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        *slots[i].lock().expect("a slot is locked once, by the worker that fills it") =
+            Some(job(i));
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers.min(n) {
+            scope.spawn(work);
+        }
+        work();
     });
     slots
         .into_iter()
@@ -630,6 +637,56 @@ mod tests {
             assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
         }
         assert!(run_indexed(0, 3, |i| i).is_empty());
+    }
+
+    /// One worker is the caller itself: no job and no progress tick of a
+    /// one-thread campaign leaves the calling thread.
+    #[test]
+    fn one_worker_runs_everything_on_the_caller() {
+        let caller = std::thread::current().id();
+        let ran = run_indexed(9, 1, |_| std::thread::current().id());
+        assert!(ran.iter().all(|&id| id == caller), "every job ran on the caller");
+
+        let ticks: Arc<Mutex<Vec<std::thread::ThreadId>>> = Arc::default();
+        let sink = Arc::clone(&ticks);
+        let report = Campaign::new(vec![mk("F10G3T5", None), mk("F40G3T10", None)])
+            .threads(1)
+            .on_progress(move |_| sink.lock().unwrap().push(std::thread::current().id()))
+            .run();
+        assert_eq!(report.failures().count(), 0);
+        assert_eq!(*ticks.lock().unwrap(), vec![caller; 2], "every tick arrived on the caller");
+    }
+
+    /// A panic in a job the caller runs still waits for the spawned
+    /// workers: they finish every other job before it propagates.
+    #[test]
+    #[should_panic(expected = "a job on the caller")]
+    fn a_panic_on_the_caller_propagates_after_the_other_workers_finish() {
+        let (n, caller) = (12, std::thread::current().id());
+        let finished = AtomicUsize::new(0);
+        // The spawned workers hold back until the caller has claimed a
+        // job, so one surely lands on it.
+        let (claimed, wake) = (Mutex::new(false), std::sync::Condvar::new());
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_indexed(n, 3, |_| {
+                if std::thread::current().id() == caller {
+                    *claimed.lock().unwrap() = true;
+                    wake.notify_all();
+                    panic!("a job on the caller");
+                }
+                let held = claimed.lock().unwrap();
+                let wait = std::time::Duration::from_secs(10);
+                drop(wake.wait_timeout_while(held, wait, |claimed| !*claimed).unwrap());
+                finished.fetch_add(1, Ordering::SeqCst);
+            })
+        }));
+        let payload = caught.expect_err("the caller's panic reaches the caller");
+        assert_eq!(
+            finished.load(Ordering::SeqCst),
+            n - 1,
+            "the spawned workers ran every job but the one that panicked"
+        );
+        std::panic::resume_unwind(payload);
     }
 
     #[test]

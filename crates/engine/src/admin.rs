@@ -117,7 +117,8 @@ impl DbServer {
             indexes: indexes.clone(),
         })?;
         let inst = self.inst_mut()?;
-        inst.indexes.insert(id, indexes.into_iter().map(crate::index::Index::new).collect());
+        let set = indexes.into_iter().map(crate::index::Index::new).collect();
+        inst.indexes.insert(id, Arc::new(set));
         inst.cursors.insert(id, PlacementCursor::new());
         Ok(id)
     }

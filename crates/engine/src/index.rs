@@ -20,7 +20,9 @@ use crate::types::RowId;
 thread_local! {
     /// Scratch buffer for `&self` key probes. Thread-local rather than a
     /// per-index `RefCell` so `Index` stays `Sync`: campaign workers share
-    /// read-only snapshot templates (which contain indexes) across threads.
+    /// read-only snapshot templates (which contain indexes) across threads,
+    /// and a parked stage's `Arc`-shared index sets are read by its forks
+    /// on other workers.
     static PROBE_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 
     /// The match list of a prefix scan whose caller is done with it before

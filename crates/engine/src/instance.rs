@@ -1,5 +1,7 @@
 //! The volatile instance: everything a crash destroys.
 
+use std::sync::Arc;
+
 use recobench_sim::SimTime;
 
 use crate::cache::BufferCache;
@@ -23,8 +25,10 @@ pub struct Instance {
     pub txns: TxnTable,
     /// Row locks.
     pub locks: LockTable,
-    /// In-memory indexes per table.
-    pub indexes: FastMap<ObjectId, Vec<Index>>,
+    /// In-memory indexes per table, one copy-on-write set per table: a
+    /// fork shares every set with its source until it inserts, deletes or
+    /// moves a key in that table (`Arc::make_mut` at each such site).
+    pub indexes: FastMap<ObjectId, Arc<Vec<Index>>>,
     /// Volatile redo position and log buffer.
     pub redo: RedoState,
     /// Per-table insert cursors.
@@ -64,7 +68,7 @@ impl Instance {
             ix.bulk_load(&rows);
         }
         let entries = (rows.len() * indexes.len()) as u64;
-        self.indexes.insert(obj, indexes);
+        self.indexes.insert(obj, Arc::new(indexes));
         entries
     }
 }

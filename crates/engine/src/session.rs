@@ -2,6 +2,7 @@
 //! rollback with their undo, and the direct-path load.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use recobench_sim::SimTime;
 
@@ -131,7 +132,7 @@ impl DbServer {
     fn check_unique(&self, obj: ObjectId, row: &Row, exclude: Option<RowId>) -> DbResult<()> {
         let inst = self.inst_ref()?;
         if let Some(indexes) = inst.indexes.get(&obj) {
-            for ix in indexes {
+            for ix in indexes.iter() {
                 if !ix.def().unique {
                     continue;
                 }
@@ -219,7 +220,7 @@ impl DbServer {
         // index points at a row that never reached its block.
         {
             let inst = self.inst_mut()?;
-            if let Some(indexes) = inst.indexes.get_mut(&obj) {
+            if let Some(indexes) = inst.indexes.get_mut(&obj).map(Arc::make_mut) {
                 for i in 0..indexes.len() {
                     if let Err(e) = indexes[i].insert(&row, rid) {
                         let (done, _) = indexes.split_at_mut(i);
@@ -339,7 +340,7 @@ impl DbServer {
     /// Best-effort removal of `row`'s index entries after a failed insert.
     fn unwind_index_insert(&mut self, obj: ObjectId, row: &Row, rid: RowId) {
         if let Ok(inst) = self.inst_mut() {
-            if let Some(indexes) = inst.indexes.get_mut(&obj) {
+            if let Some(indexes) = inst.indexes.get_mut(&obj).map(Arc::make_mut) {
                 for ix in indexes {
                     ix.remove(row, rid);
                 }
@@ -418,7 +419,7 @@ impl DbServer {
         logged?;
         let RedoOp::Update { before, after: row, .. } = op else { unreachable!() };
         if changed_mask != 0 {
-            if let Some(indexes) = self.inst_mut()?.indexes.get_mut(&obj) {
+            if let Some(indexes) = self.inst_mut()?.indexes.get_mut(&obj).map(Arc::make_mut) {
                 for (i, ix) in indexes.iter_mut().enumerate() {
                     if changed_mask & (1 << i.min(63)) != 0 {
                         ix.replace(&before, &row, rid)?;
@@ -457,7 +458,7 @@ impl DbServer {
         let (op, logged) = self.log_and_apply(txn, RedoOp::Delete { obj, rid, before });
         logged?;
         let RedoOp::Delete { before, .. } = op else { unreachable!() };
-        if let Some(indexes) = self.inst_mut()?.indexes.get_mut(&obj) {
+        if let Some(indexes) = self.inst_mut()?.indexes.get_mut(&obj).map(Arc::make_mut) {
             for ix in indexes {
                 ix.remove(&before, rid);
             }
@@ -795,7 +796,7 @@ impl DbServer {
             RedoOp::Delete { obj, before, .. } => (obj, Some(before), None),
             RedoOp::Commit | RedoOp::Rollback | RedoOp::Catalog(_) => return Ok(()),
         };
-        if let Some(indexes) = self.inst_mut()?.indexes.get_mut(obj) {
+        if let Some(indexes) = self.inst_mut()?.indexes.get_mut(obj).map(Arc::make_mut) {
             for ix in indexes {
                 if let Some(gone) = gone {
                     ix.remove(gone, rid);
@@ -849,7 +850,7 @@ impl DbServer {
             let op = RedoOp::Insert { obj, rid, row };
             self.block_access(key, Some(addr), |img| op.apply_to(img, scn))?;
             let RedoOp::Insert { row, .. } = op else { unreachable!() };
-            if let Some(indexes) = self.inst_mut()?.indexes.get_mut(&obj) {
+            if let Some(indexes) = self.inst_mut()?.indexes.get_mut(&obj).map(Arc::make_mut) {
                 for ix in indexes {
                     ix.insert(&row, rid)?;
                 }

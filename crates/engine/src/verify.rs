@@ -188,7 +188,7 @@ impl DbServer {
             let mut by_rid: Vec<u32> = (0..rows.len() as u32).collect();
             by_rid.sort_unstable_by_key(|&i| rows[i as usize].0);
             let mut key = Vec::new();
-            for ix in indexes {
+            for ix in indexes.iter() {
                 // Every heap row must be reachable under its key.
                 for (rid, row) in &rows {
                     if !ix.lookup_row_ref(row).contains(rid) {
@@ -428,7 +428,7 @@ mod tests {
         // BY_GROUP loses row 5 and gains a dangling entry in group 3.
         let ghost = RowId { file: extents[1].file, block: 9999, slot: 1 };
         let inst = srv.inst.as_mut().unwrap();
-        let ixs = inst.indexes.get_mut(&wide).unwrap();
+        let ixs = std::sync::Arc::make_mut(inst.indexes.get_mut(&wide).unwrap());
         ixs[0].remove(&row(3), rids[3]);
         ixs[0].remove(&row(330), rids[330]);
         ixs[0].remove(&row(331), rids[331]);
@@ -467,7 +467,7 @@ mod tests {
         // Corrupt the index directly: remove the entry behind the heap's back.
         let inst = srv.inst.as_mut().unwrap();
         let row = Row::new(vec![Value::U64(1), Value::from("v")]);
-        inst.indexes.get_mut(&t).unwrap()[0].remove(&row, rid);
+        std::sync::Arc::make_mut(inst.indexes.get_mut(&t).unwrap())[0].remove(&row, rid);
         let report = srv.verify_integrity().unwrap();
         assert!(!report.is_clean());
         assert!(report.violations.iter().any(|v| v.contains("missing from index")));
