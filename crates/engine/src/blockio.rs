@@ -112,7 +112,7 @@ pub(crate) struct ChecksumWalk {
 ///
 /// # Errors
 ///
-/// Loud damage: the vfs refuses the file as a whole (deleted, corrupt).
+/// Loud damage: the vfs refuses the file as a whole (it was deleted).
 pub(crate) fn checksum_walk(fs: &SimFs, vfs_id: FileId, path: &str) -> VfsResult<ChecksumWalk> {
     let mut walk = ChecksumWalk { blocks: 0, bad: Vec::new() };
     for (block, bytes) in fs.peek_blocks_written(vfs_id)? {

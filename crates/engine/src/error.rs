@@ -113,8 +113,9 @@ pub enum DbError {
     /// The session is not connected (never existed, disconnected, or
     /// severed by an instance crash or recovery drain).
     NoSession(SessionId),
-    /// An underlying storage failure (the usual symptom of an operator
-    /// fault: a deleted or corrupted file).
+    /// An underlying storage failure: a deleted file (the usual symptom of
+    /// an operator fault), or a block image that is structural garbage
+    /// behind a valid CRC (`VfsError::Corrupt`, from the block decoder).
     Media(VfsError),
     /// A stored block's CRC did not cover its payload: silent corruption
     /// (bit-rot or a torn write) caught by the per-block checksum.

@@ -268,17 +268,12 @@ impl DbServer {
         let (vfs_id, damaged) = {
             let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
             let df = datafile(&inst.catalog, file_no)?;
-            let fs = self.fs.lock();
-            let damaged = match fs.meta(df.vfs_id) {
-                Ok(m) => m.deleted || m.corrupt,
-                Err(_) => true,
-            };
-            (df.vfs_id, damaged)
+            (df.vfs_id, self.fs.lock().meta(df.vfs_id).map_or(true, |m| m.deleted))
         };
-        // Deletion and vfs-level corruption are loud; a torn write or
-        // bit-rot is not — the file reads fine and only the per-block CRC
-        // knows. Scan before concluding the file is healthy (a file the
-        // scan cannot read at all is damaged by definition).
+        // Deletion is loud; every other damage is bytes — the file reads
+        // fine and only decoding its blocks tells. Scan before concluding
+        // the file is healthy (a file the scan cannot read at all is
+        // damaged by definition).
         let damaged = damaged || self.scan_for_bad_blocks(vfs_id, path).unwrap_or(true);
         let from = if damaged {
             self.restore_datafile(file_no, vfs_id, path, "lost")?

@@ -92,10 +92,7 @@ impl DbServer {
                 report.datafiles_checked += 1;
                 let offline =
                     unavailable(control, &inst.catalog, *no, df.tablespace).is_some();
-                let healthy = match fs.meta(df.vfs_id) {
-                    Ok(m) => !m.deleted && !m.corrupt,
-                    Err(_) => false,
-                };
+                let healthy = fs.meta(df.vfs_id).is_ok_and(|m| !m.deleted);
                 if !healthy && !offline {
                     report.violations.push(format!(
                         "datafile {} ({}) is damaged but not offline",
@@ -259,9 +256,9 @@ impl DbServer {
             if unavailable(control, &inst.catalog, *no, df.tablespace).is_some() {
                 continue;
             }
-            // Loud damage (deletion, whole-file corruption) is the
-            // integrity walk's business; this probe hunts silent damage
-            // only, so an unreadable file is simply skipped.
+            // Loud damage (a deleted file) is the integrity walk's
+            // business; this probe hunts damaged bytes only, so a file the
+            // vfs refuses is simply skipped.
             if checksum_walk(&fs, df.vfs_id, &df.path).is_ok_and(|walk| !walk.bad.is_empty()) {
                 bad.push(df.path.clone());
             }

@@ -17,7 +17,9 @@ pub enum VfsError {
     NotFound(String),
     /// The file was deleted out from under the engine.
     Deleted(String),
-    /// The file's contents are unreadable.
+    /// A stored image is structural garbage behind a valid checksum. The
+    /// vfs stores bytes and never says this itself: the engine's block
+    /// decoder does.
     Corrupt(String),
     /// A block index beyond the file's allocated size was addressed.
     OutOfRange { file: String, block: u64, blocks: u64 },

@@ -30,7 +30,7 @@ pub enum FileKind {
     Redo,
     /// An archived redo log (append-only).
     Archive,
-    /// A backup piece (append-only).
+    /// A backup piece (a block copy of a datafile).
     Backup,
 }
 
@@ -49,8 +49,6 @@ pub struct FileMeta {
     pub size_bytes: u64,
     /// Whether the file has been deleted by an operator action.
     pub deleted: bool,
-    /// Whether the file has been corrupted by an operator action.
-    pub corrupt: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -67,44 +65,35 @@ struct FileEntry {
     disk: DiskId,
     kind: FileKind,
     deleted: bool,
-    corrupt: bool,
-    /// Individually corrupted blocks of a block file (block-granular
-    /// damage from [`SimFs::corrupt_path`]); reads of these blocks fail
-    /// while the rest of the file stays readable. An overwrite heals.
-    corrupt_blocks: BTreeSet<u64>,
     content: Content,
 }
 
 impl FileEntry {
-    fn check_readable(&self) -> VfsResult<()> {
+    /// The one thing the vfs refuses a file for besides addressing it
+    /// wrongly: it is gone. Every other damage is bytes, judged by whoever
+    /// decodes them.
+    fn check_live(&self) -> VfsResult<()> {
         if self.deleted {
             return Err(VfsError::Deleted(self.path.clone()));
         }
-        if self.corrupt {
-            return Err(VfsError::Corrupt(self.path.clone()));
-        }
         Ok(())
-    }
-
-    /// Like [`FileEntry::check_readable`], but also fails if *any* block is
-    /// individually corrupt — for whole-file reads (copies, restores) that
-    /// would hit every block.
-    fn check_fully_readable(&self) -> VfsResult<()> {
-        self.check_readable()?;
-        if !self.corrupt_blocks.is_empty() {
-            return Err(VfsError::Corrupt(self.path.clone()));
-        }
-        Ok(())
-    }
-
-    fn is_corrupt(&self) -> bool {
-        self.corrupt || !self.corrupt_blocks.is_empty()
     }
 
     fn size_bytes(&self) -> u64 {
         match &self.content {
             Content::Blocks { block_size, nblocks, .. } => *nblocks * *block_size as u64,
             Content::Append { len, .. } => *len,
+        }
+    }
+
+    fn meta(&self, id: FileId) -> FileMeta {
+        FileMeta {
+            id,
+            path: self.path.clone(),
+            disk: self.disk,
+            kind: self.kind,
+            size_bytes: self.size_bytes(),
+            deleted: self.deleted,
         }
     }
 }
@@ -131,7 +120,7 @@ impl FileMatch {
 ///
 /// These model the hardware/OS end of the faultload — what a flaky disk or
 /// an abrupt power loss does underneath the DBMS — as opposed to the
-/// operator faults injected by path (`delete_path` / `corrupt_path`).
+/// operator's fault injected by path ([`SimFs::delete_path`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultArm {
     /// One-shot **torn block write**: the next block write to a matching
@@ -217,24 +206,16 @@ impl FaultState {
         }
         Ok(None)
     }
+}
 
-    fn take_one_shot_torn(&mut self, path: &str, kind: FileKind) -> Option<(u32, u32)> {
-        match self.torn.take() {
-            Some((t, num, den)) if t.matches(path, kind) => Some((num, den)),
-            other => {
-                self.torn = other;
-                None
-            }
-        }
-    }
-
-    fn take_one_shot_partial(&mut self, path: &str, kind: FileKind) -> Option<(u32, u32)> {
-        match self.partial.take() {
-            Some((t, num, den)) if t.matches(path, kind) => Some((num, den)),
-            other => {
-                self.partial = other;
-                None
-            }
+/// Fires a one-shot arm (torn write, partial append) if it matches the file
+/// written: returns its tear fraction and disarms it; otherwise leaves it.
+fn take_one_shot(arm: &mut Option<(FileMatch, u32, u32)>, path: &str, kind: FileKind) -> Option<(u32, u32)> {
+    match arm.take() {
+        Some((t, num, den)) if t.matches(path, kind) => Some((num, den)),
+        other => {
+            *arm = other;
+            None
         }
     }
 }
@@ -320,9 +301,11 @@ impl SimFs {
         self.disks.get_mut(disk.0).ok_or_else(|| VfsError::DiskUnavailable(disk.0))
     }
 
-    fn alloc_id(&mut self) -> FileId {
+    /// Allocates the next id for a live file at `path` holding `content`.
+    fn add_file(&mut self, path: &str, disk: DiskId, kind: FileKind, content: Content) -> FileId {
         let id = FileId(self.next_id);
         self.next_id += 1;
+        self.files.insert(id, FileEntry { path: path.to_string(), disk, kind, deleted: false, content });
         id
     }
 
@@ -361,20 +344,7 @@ impl SimFs {
         if disk.0 >= self.disks.len() {
             return Err(VfsError::DiskUnavailable(disk.0));
         }
-        let id = self.alloc_id();
-        self.files.insert(
-            id,
-            FileEntry {
-                path: path.to_string(),
-                disk,
-                kind,
-                deleted: false,
-                corrupt: false,
-                corrupt_blocks: BTreeSet::new(),
-                content: Content::Blocks { block_size, nblocks, data: BTreeMap::new() },
-            },
-        );
-        Ok(id)
+        Ok(self.add_file(path, disk, kind, Content::Blocks { block_size, nblocks, data: BTreeMap::new() }))
     }
 
     /// Creates an empty append-only file.
@@ -387,30 +357,14 @@ impl SimFs {
         if disk.0 >= self.disks.len() {
             return Err(VfsError::DiskUnavailable(disk.0));
         }
-        let id = self.alloc_id();
-        self.files.insert(
-            id,
-            FileEntry {
-                path: path.to_string(),
-                disk,
-                kind,
-                deleted: false,
-                corrupt: false,
-                corrupt_blocks: BTreeSet::new(),
-                content: Content::Append { segments: Vec::new(), len: 0 },
-            },
-        );
-        Ok(id)
+        Ok(self.add_file(path, disk, kind, Content::Append { segments: Vec::new(), len: 0 }))
     }
 
     /// The stored image of one block (all zeros if never written) and the
     /// disk and block size a charged read of it costs.
     fn block_image(&self, id: FileId, block: u64) -> VfsResult<(DiskId, u64, Bytes)> {
         let e = self.entry(id)?;
-        e.check_readable()?;
-        if e.corrupt_blocks.contains(&block) {
-            return Err(VfsError::Corrupt(e.path.clone()));
-        }
+        e.check_live()?;
         match &e.content {
             Content::Blocks { block_size, nblocks, data } => {
                 if block >= *nblocks {
@@ -430,8 +384,8 @@ impl SimFs {
     ///
     /// # Errors
     ///
-    /// Fails if the file is missing, deleted, corrupt, not block-addressed,
-    /// or the index is out of range.
+    /// Fails if the file is missing, deleted, not block-addressed, or the
+    /// index is out of range.
     pub fn read_block(&mut self, id: FileId, block: u64, now: SimTime) -> VfsResult<(SimTime, Bytes)> {
         let (disk, bytes, img) = self.block_image(id, block)?;
         let done = self.charge(disk, IoKind::Read, bytes, false, now)?;
@@ -442,8 +396,8 @@ impl SimFs {
     ///
     /// # Errors
     ///
-    /// Fails if the file is missing, deleted, corrupt, not block-addressed,
-    /// or the index is out of range.
+    /// Fails if the file is missing, deleted, not block-addressed, or the
+    /// index is out of range.
     #[track_caller]
     pub fn write_block(
         &mut self,
@@ -454,9 +408,7 @@ impl SimFs {
     ) -> VfsResult<(SimTime, ())> {
         self.note_write_site();
         let e = self.files.get_mut(&id).ok_or_else(|| no_such_file(id))?;
-        if e.deleted {
-            return Err(VfsError::Deleted(e.path.clone()));
-        }
+        e.check_live()?;
         let (disk, path, kind) = (e.disk, e.path.as_str(), e.kind);
         let Content::Blocks { block_size, nblocks, data } = &mut e.content else {
             return Err(VfsError::WrongAccessStyle(e.path.clone()));
@@ -468,7 +420,7 @@ impl SimFs {
         self.faults.writes_observed += 1;
         let crash = self.faults.crash_gate(path)?;
         self.faults.consume_disk_budget(disk, bytes, path)?;
-        let tear = crash.or_else(|| self.faults.take_one_shot_torn(path, kind));
+        let tear = crash.or_else(|| take_one_shot(&mut self.faults.torn, path, kind));
         let persisted = match tear {
             None => image,
             Some((num, den)) => {
@@ -483,7 +435,6 @@ impl SimFs {
                 Bytes::from(buf)
             }
         };
-        e.corrupt_blocks.remove(&block);
         data.insert(block, persisted);
         let interrupted = crash.map(|_| VfsError::Interrupted(path.to_string()));
         let done = self.charge(disk, IoKind::Write, bytes, false, now)?;
@@ -522,9 +473,7 @@ impl SimFs {
     ) -> VfsResult<(SimTime, ())> {
         self.note_write_site();
         let e = self.files.get_mut(&id).ok_or_else(|| no_such_file(id))?;
-        if e.deleted {
-            return Err(VfsError::Deleted(e.path.clone()));
-        }
+        e.check_live()?;
         let (disk, path, kind) = (e.disk, e.path.as_str(), e.kind);
         let Content::Append { segments, len } = &mut e.content else {
             return Err(VfsError::WrongAccessStyle(e.path.clone()));
@@ -533,7 +482,7 @@ impl SimFs {
         self.faults.writes_observed += 1;
         let crash = self.faults.crash_gate(path)?;
         let partial =
-            if crash.is_none() { self.faults.take_one_shot_partial(path, kind) } else { None };
+            if crash.is_none() { take_one_shot(&mut self.faults.partial, path, kind) } else { None };
         let tear = crash.or(partial);
         self.faults.consume_disk_budget(disk, n, path)?;
         let (persist, charged) = match tear {
@@ -563,11 +512,11 @@ impl SimFs {
     ///
     /// # Errors
     ///
-    /// Fails if the file is missing, deleted, corrupt or not append-only.
+    /// Fails if the file is missing, deleted or not append-only.
     pub fn read_from(&mut self, id: FileId, offset: u64, now: SimTime) -> VfsResult<(SimTime, Vec<Bytes>)> {
         let (disk, bytes, segs) = {
             let e = self.entry(id)?;
-            e.check_readable()?;
+            e.check_live()?;
             match &e.content {
                 Content::Append { segments, len } => {
                     (e.disk, len.saturating_sub(offset), segments.clone())
@@ -584,8 +533,7 @@ impl SimFs {
     ///
     /// # Errors
     ///
-    /// Fails if the file is missing, deleted, corrupt or the index is out
-    /// of range.
+    /// Fails if the file is missing, deleted or the index is out of range.
     pub fn peek_block(&self, id: FileId, block: u64) -> VfsResult<Bytes> {
         self.block_image(id, block).map(|(_, _, img)| img)
     }
@@ -595,11 +543,10 @@ impl SimFs {
     ///
     /// # Errors
     ///
-    /// Fails if the file is missing, deleted, corrupt or not
-    /// block-addressed.
+    /// Fails if the file is missing, deleted or not block-addressed.
     pub fn peek_blocks_written(&self, id: FileId) -> VfsResult<Vec<(u64, Bytes)>> {
         let e = self.entry(id)?;
-        e.check_fully_readable()?;
+        e.check_live()?;
         match &e.content {
             Content::Blocks { data, .. } => Ok(data.iter().map(|(b, img)| (*b, img.clone())).collect()),
             Content::Append { .. } => Err(VfsError::WrongAccessStyle(e.path.clone())),
@@ -610,10 +557,10 @@ impl SimFs {
     ///
     /// # Errors
     ///
-    /// Fails if the file is missing, deleted, corrupt or not append-only.
+    /// Fails if the file is missing, deleted or not append-only.
     pub fn peek_all(&self, id: FileId) -> VfsResult<Vec<Bytes>> {
         let e = self.entry(id)?;
-        e.check_readable()?;
+        e.check_live()?;
         match &e.content {
             Content::Append { segments, .. } => Ok(segments.clone()),
             Content::Blocks { .. } => Err(VfsError::WrongAccessStyle(e.path.clone())),
@@ -638,9 +585,7 @@ impl SimFs {
     /// Fails if the file is missing, deleted or not append-only.
     pub fn truncate(&mut self, id: FileId) -> VfsResult<()> {
         let e = self.entry_mut(id)?;
-        if e.deleted {
-            return Err(VfsError::Deleted(e.path.clone()));
-        }
+        e.check_live()?;
         match &mut e.content {
             Content::Append { segments, len } => {
                 segments.clear();
@@ -671,52 +616,6 @@ impl SimFs {
         Ok(id)
     }
 
-    /// Corrupts a file's contents **by path** — block-granular and
-    /// deterministic per `seed`.
-    ///
-    /// For a block file with written blocks, `1 + seed % 3` of them (chosen
-    /// deterministically from `seed`) become individually unreadable; the
-    /// rest of the file stays readable, so shrunk fault schedules keep the
-    /// damage minimal. Overwriting a damaged block heals it. Append files —
-    /// and block files nothing has been written to — fall back to the old
-    /// whole-file corrupt mark. Returns the id and the damaged block
-    /// indexes (empty for the whole-file fallback).
-    ///
-    /// # Errors
-    ///
-    /// Fails if no live file has this path.
-    pub fn corrupt_path(&mut self, path: &str, seed: u64) -> VfsResult<(FileId, Vec<u64>)> {
-        let id = self.lookup(path)?;
-        let e = self.entry_mut(id)?;
-        let written: Vec<u64> = match &e.content {
-            Content::Blocks { data, .. } => data.keys().copied().collect(),
-            Content::Append { .. } => Vec::new(),
-        };
-        if written.is_empty() {
-            e.corrupt = true;
-            return Ok((id, Vec::new()));
-        }
-        let n_damage = (1 + mix64(seed) % 3).min(written.len() as u64);
-        let mut damaged = Vec::new();
-        for i in 0..n_damage {
-            let block = written[(mix64(seed ^ (i + 1)) % written.len() as u64) as usize];
-            if e.corrupt_blocks.insert(block) {
-                damaged.push(block);
-            }
-        }
-        damaged.sort_unstable();
-        Ok((id, damaged))
-    }
-
-    /// Block indexes of `id` currently marked individually corrupt.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the id has been purged.
-    pub fn corrupt_blocks(&self, id: FileId) -> VfsResult<Vec<u64>> {
-        Ok(self.entry(id)?.corrupt_blocks.iter().copied().collect())
-    }
-
     /// Finds a live (non-deleted) file by path.
     ///
     /// # Errors
@@ -737,50 +636,18 @@ impl SimFs {
     ///
     /// Fails if the id has been purged.
     pub fn meta(&self, id: FileId) -> VfsResult<FileMeta> {
-        let e = self.entry(id)?;
-        Ok(FileMeta {
-            id,
-            path: e.path.clone(),
-            disk: e.disk,
-            kind: e.kind,
-            size_bytes: e.size_bytes(),
-            deleted: e.deleted,
-            corrupt: e.is_corrupt(),
-        })
+        Ok(self.entry(id)?.meta(id))
     }
 
     /// Metadata for every file, in creation order. The snapshot layer
     /// derives its deterministic identity from this listing.
     pub fn file_metas(&self) -> Vec<FileMeta> {
-        self.files
-            .iter()
-            .map(|(id, f)| FileMeta {
-                id: *id,
-                path: f.path.clone(),
-                disk: f.disk,
-                kind: f.kind,
-                size_bytes: f.size_bytes(),
-                deleted: f.deleted,
-                corrupt: f.is_corrupt(),
-            })
-            .collect()
+        self.files.iter().map(|(id, f)| f.meta(*id)).collect()
     }
 
     /// Metadata for every file of the given kind, in creation order.
     pub fn list(&self, kind: FileKind) -> Vec<FileMeta> {
-        self.files
-            .iter()
-            .filter(|(_, f)| f.kind == kind)
-            .map(|(id, f)| FileMeta {
-                id: *id,
-                path: f.path.clone(),
-                disk: f.disk,
-                kind: f.kind,
-                size_bytes: f.size_bytes(),
-                deleted: f.deleted,
-                corrupt: f.is_corrupt(),
-            })
-            .collect()
+        self.files.iter().filter(|(_, f)| f.kind == kind).map(|(id, f)| f.meta(*id)).collect()
     }
 
     /// Duplicates the *contents* of `src` into a fresh file at `dst_path` on
@@ -801,7 +668,7 @@ impl SimFs {
     ) -> VfsResult<(SimTime, FileId)> {
         let (src_disk, size, content) = {
             let e = self.entry(src)?;
-            e.check_fully_readable()?;
+            e.check_live()?;
             (e.disk, e.size_bytes(), e.content.clone())
         };
         self.check_path_free(dst_path)?;
@@ -811,33 +678,21 @@ impl SimFs {
         self.faults.consume_disk_budget(dst_disk, size, dst_path)?;
         let read_done = self.charge(src_disk, IoKind::Read, size, true, now)?;
         let write_done = self.charge(dst_disk, IoKind::Write, size, true, now)?;
-        let id = self.alloc_id();
-        self.files.insert(
-            id,
-            FileEntry {
-                path: dst_path.to_string(),
-                disk: dst_disk,
-                kind: dst_kind,
-                deleted: false,
-                corrupt: false,
-                corrupt_blocks: BTreeSet::new(),
-                content,
-            },
-        );
+        let id = self.add_file(dst_path, dst_disk, dst_kind, content);
         Ok((read_done.max(write_done), id))
     }
 
     /// Overwrites the contents of `dst` with the contents of `src`
     /// (restore-from-backup), charging both disks. The destination keeps its
-    /// path, kind and id, and any deleted/corrupt marks are cleared.
+    /// path, kind and id, and its deleted mark is cleared.
     ///
     /// # Errors
     ///
-    /// Fails if either file is missing or the source is unreadable.
+    /// Fails if either file is missing or the source is deleted.
     pub fn restore_into(&mut self, src: FileId, dst: FileId, now: SimTime) -> VfsResult<SimTime> {
         let (src_disk, size, content) = {
             let e = self.entry(src)?;
-            e.check_fully_readable()?;
+            e.check_live()?;
             (e.disk, e.size_bytes(), e.content.clone())
         };
         let dst_disk = self.entry(dst)?.disk;
@@ -846,8 +701,6 @@ impl SimFs {
             let e = self.entry_mut(dst)?;
             e.content = content;
             e.deleted = false;
-            e.corrupt = false;
-            e.corrupt_blocks.clear();
         }
         let read_done = self.charge(src_disk, IoKind::Read, size, true, now)?;
         let write_done = self.charge(dst_disk, IoKind::Write, size, true, now)?;
@@ -1073,46 +926,6 @@ mod tests {
         assert!(fs.lookup("/u02/users01.dbf").is_err());
         // But metadata is still inspectable for damage assessment.
         assert!(fs.meta(f).unwrap().deleted);
-    }
-
-    #[test]
-    fn corrupt_path_fails_reads_but_not_meta() {
-        let mut fs = fs4();
-        let f = fs.create_block_file("/u02/users01.dbf", DiskId(1), FileKind::Data, 512, 2).unwrap();
-        // No blocks written yet: falls back to the whole-file corrupt mark.
-        let (_, damaged) = fs.corrupt_path("/u02/users01.dbf", 42).unwrap();
-        assert!(damaged.is_empty());
-        assert!(matches!(fs.read_block(f, 0, SimTime::ZERO).unwrap_err(), VfsError::Corrupt(_)));
-        assert!(fs.meta(f).unwrap().corrupt);
-    }
-
-    #[test]
-    fn corrupt_path_is_block_granular_and_deterministic() {
-        let mk = || {
-            let mut fs = fs4();
-            let f = fs.create_block_file("/u02/u.dbf", DiskId(1), FileKind::Data, 512, 8).unwrap();
-            for b in 0..8 {
-                fs.write_block(f, b, Bytes::from(vec![b as u8 + 1; 512]), SimTime::ZERO).unwrap();
-            }
-            (fs, f)
-        };
-        let (mut fs, f) = mk();
-        let (_, damaged) = fs.corrupt_path("/u02/u.dbf", 9).unwrap();
-        assert!(!damaged.is_empty() && damaged.len() <= 3);
-        let (mut fs2, _) = mk();
-        let (_, damaged2) = fs2.corrupt_path("/u02/u.dbf", 9).unwrap();
-        assert_eq!(damaged, damaged2, "same seed damages the same blocks");
-        // Damaged blocks fail, the rest of the file stays readable.
-        assert!(matches!(fs.read_block(f, damaged[0], SimTime::ZERO).unwrap_err(), VfsError::Corrupt(_)));
-        let healthy = (0..8).find(|b| !damaged.contains(b)).unwrap();
-        assert!(fs.read_block(f, healthy, SimTime::ZERO).is_ok());
-        assert!(fs.meta(f).unwrap().corrupt, "metadata still reports damage");
-        assert_eq!(fs.corrupt_blocks(f).unwrap(), damaged);
-        // Whole-file reads refuse to cross the bad block.
-        assert!(fs.peek_blocks_written(f).is_err());
-        // An overwrite heals the block.
-        fs.write_block(f, damaged[0], Bytes::from(vec![9u8; 512]), SimTime::ZERO).unwrap();
-        assert!(fs.read_block(f, damaged[0], SimTime::ZERO).is_ok());
     }
 
     #[test]

@@ -1,19 +1,23 @@
 //! Simulated storage substrate for RecoBench.
 //!
-//! The DBMS engine stores everything — datafiles, online redo logs, archived
-//! logs, backups and the control file — in a [`SimFs`]: a set of simulated
-//! disks (with the single-server service model from `recobench-sim`) holding
-//! named files. Two access styles are supported per file:
+//! The DBMS engine stores its bytes — datafiles, online redo logs, archived
+//! logs and backup pieces — in a [`SimFs`]: a set of simulated disks (with
+//! the single-server service model from `recobench-sim`) holding named
+//! files. Two access styles are supported per file:
 //!
 //! * **block files** — fixed-size randomly addressable blocks (datafiles,
-//!   control files);
-//! * **append files** — sequential byte streams (online redo logs, archived
-//!   logs, backup pieces).
+//!   and backup pieces, which are block copies of them);
+//! * **append files** — sequential byte streams (online redo logs, and
+//!   archived logs, which are append copies of them).
 //!
-//! The filesystem also exposes the *operator's* surface: files can be
-//! deleted or corrupted by path, exactly the way a DBA with a shell on the
-//! server would damage a real installation. That is what the fault injector
-//! uses.
+//! The vfs stores bytes and judges none of them: it refuses a file only
+//! when it is deleted or missing, or addressed out of range or in the wrong
+//! access style. Every other damage is bytes, which the engine's own
+//! decoder classifies.
+//!
+//! The filesystem also exposes the *operator's* surface: a file can be
+//! deleted by path, exactly the way a DBA with a shell on the server would
+//! damage a real installation. That is what the fault injector uses.
 //!
 //! Below the operator's surface sits the *hardware's*: storage faults armed
 //! through [`FaultArm`] — torn block writes, interrupted appends, silent

@@ -62,19 +62,18 @@ impl FsSnapshot {
     }
 }
 
-/// One line per file: `id path kind disk size [deleted] [corrupt]`.
+/// One line per file: `id path kind disk size [deleted]`.
 fn manifest_string(metas: &[FileMeta]) -> String {
     let mut out = String::new();
     for m in metas {
         out.push_str(&format!(
-            "{} {} {:?} d{} {}B{}{}\n",
+            "{} {} {:?} d{} {}B{}\n",
             m.id.0,
             m.path,
             m.kind,
             m.disk.0,
             m.size_bytes,
             if m.deleted { " deleted" } else { "" },
-            if m.corrupt { " corrupt" } else { "" },
         ));
     }
     out
