@@ -8,6 +8,7 @@ use recobench_vfs::FileKind;
 use crate::backup::BackupSet;
 use crate::catalog::{CatalogChange, DatafileDef, IndexDef};
 use crate::checkpoint;
+use crate::config::{costs, BLOCK_SIZE};
 use crate::error::{DbError, DbResult};
 use crate::heap::PlacementCursor;
 use crate::redo::{RedoOp, RedoRecord};
@@ -76,11 +77,7 @@ impl DbServer {
     ) -> DbResult<()> {
         let disk = self.layout.data_disk_for(self.datafile_total);
         let path = format!("/u0{}/{}_{:02}.dbf", disk.0 + 1, ts_name.to_lowercase(), index + 1);
-        let block_size = self.config.block_size;
-        let vfs_id = {
-            let mut fs = self.fs.lock();
-            fs.create_block_file(&path, disk, FileKind::Data, block_size, blocks)?
-        };
+        let vfs_id = self.fs.lock().create_block_file(&path, disk, FileKind::Data, BLOCK_SIZE, blocks)?;
         self.datafile_total += 1;
         let file_no = self.inst_mut()?.catalog.next_file_no();
         self.ddl(CatalogChange::AddDatafile {
@@ -183,7 +180,7 @@ impl DbServer {
             let scn = self.current_scn();
             self.emit_dml(DmlChange::DropTablespace { tables, scn });
         }
-        self.clock.advance(self.config.costs.admin_command);
+        self.clock.advance(costs::ADMIN_COMMAND);
         Ok(())
     }
 
@@ -255,7 +252,7 @@ impl DbServer {
         if files.is_empty() {
             return Err(DbError::BadAdminCommand("nothing to back up".into()));
         }
-        let nominal_per_file = self.config.costs.nominal_db_bytes / files.len() as u64;
+        let nominal_per_file = costs::NOMINAL_DB_BYTES / files.len() as u64;
         let backup_disk = self.layout.backup_disk;
         self.backups_taken += 1;
         let tag = self.backups_taken;
@@ -278,7 +275,6 @@ impl DbServer {
             self.clock.advance_to(last);
         }
         let backup = BackupSet {
-            taken_at: last,
             position,
             scn,
             catalog: snapshot,
@@ -343,7 +339,7 @@ impl DbServer {
         let st = self.control_mut()?.file_state_mut(file_no);
         st.offline = true;
         st.recover_from = Some(position);
-        self.clock.advance(self.config.costs.admin_command);
+        self.clock.advance(costs::ADMIN_COMMAND);
         Ok(file_no)
     }
 
@@ -379,7 +375,7 @@ impl DbServer {
         if !control.ts_offline.contains(&ts) {
             control.ts_offline.push(ts);
         }
-        self.clock.advance(self.config.costs.admin_command);
+        self.clock.advance(costs::ADMIN_COMMAND);
         Ok(ts)
     }
 
@@ -395,7 +391,7 @@ impl DbServer {
         // Rollbacks that could not reach this tablespace while it was
         // offline finish now that its blocks are readable again.
         self.drain_deferred_undo();
-        self.clock.advance(self.config.costs.admin_command);
+        self.clock.advance(costs::ADMIN_COMMAND);
         Ok(())
     }
 

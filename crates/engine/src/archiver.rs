@@ -37,12 +37,11 @@ pub(crate) fn archive_seq(
         .and_then(|loc| loc.group)
         .ok_or_else(|| DbError::BadAdminCommand(format!("log seq {seq} is not online")))?;
     let group_file =
-        control.groups.get(group_idx).ok_or_else(|| RecoveryError::SeqLocationLost(seq))?.vfs_id;
+        *control.groups.get(group_idx).ok_or_else(|| RecoveryError::SeqLocationLost(seq))?;
     let path = format!("/arch/{}_{:06}.arc", control.db_name, seq);
     let (done, archive_id) = fs.copy_file(group_file, &path, archive_disk, FileKind::Archive, now)?;
     let loc = control.seqs.get_mut(&seq).ok_or_else(|| RecoveryError::SeqLocationLost(seq))?;
-    loc.archive = Some(archive_id);
-    loc.archive_done_at = Some(done);
+    loc.archive = Some((archive_id, done));
     events.record(now, EngineEvent::Archived { seq, complete_at: done });
     Ok(done)
 }
@@ -51,7 +50,6 @@ pub(crate) fn archive_seq(
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
-    use crate::controlfile::LogGroup;
     use bytes::Bytes;
     use recobench_sim::DiskProfile;
     use std::sync::Arc;
@@ -59,18 +57,14 @@ mod tests {
     fn setup() -> (SimFs, ControlFile) {
         let mut fs = SimFs::new(vec![DiskProfile::server_2000(); 2]);
         let g1 = fs.create_append_file("/u03/redo01.log", DiskId(0), FileKind::Redo).unwrap();
-        let control = ControlFile::new(
-            "TEST",
-            vec![LogGroup { path: "/u03/redo01.log".into(), vfs_id: g1 }],
-            Arc::new(Catalog::new()),
-        );
+        let control = ControlFile::new("TEST", vec![g1], Arc::new(Catalog::new()));
         (fs, control)
     }
 
     #[test]
     fn archive_copies_and_records_completion() {
         let (mut fs, mut control) = setup();
-        let g = control.groups[0].vfs_id;
+        let g = control.groups[0];
         fs.append(g, Bytes::from(vec![1u8; 4096]), SimTime::ZERO).unwrap();
         let mut events = EventSink::default();
         let seen = crate::events::collect(&mut events);
@@ -83,9 +77,8 @@ mod tests {
             [(SimTime::from_secs(1), EngineEvent::Archived { seq: 1, complete_at: done })]
         );
         assert_eq!(events.derived().archives_created, 1);
-        let loc = control.seq(1).unwrap();
-        assert_eq!(loc.archive_done_at, Some(done));
-        let archive = loc.archive.unwrap();
+        let (archive, archived_at) = control.seq(1).unwrap().archive.unwrap();
+        assert_eq!(archived_at, done);
         let segs = fs.peek_all(archive).unwrap();
         assert_eq!(segs[0].len(), 4096, "archive holds the group contents");
         assert!(control.seq_available(1, done));

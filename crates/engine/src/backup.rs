@@ -4,7 +4,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use recobench_sim::SimTime;
 use recobench_vfs::FileId;
 
 use crate::catalog::Catalog;
@@ -18,8 +17,6 @@ use crate::types::{FileNo, RedoAddr, Scn};
 /// point-in-time recovery (whole database).
 #[derive(Debug, Clone)]
 pub struct BackupSet {
-    /// When the backup completed.
-    pub taken_at: SimTime,
     /// Redo position to roll forward from.
     pub position: RedoAddr,
     /// SCN at backup time.
@@ -58,7 +55,6 @@ mod tests {
         let mut pieces = BTreeMap::new();
         pieces.insert(FileNo(1), FileId(10));
         let b = BackupSet {
-            taken_at: SimTime::ZERO,
             position: RedoAddr::start_of(1),
             scn: Scn(5),
             catalog: Arc::new(Catalog::new()),

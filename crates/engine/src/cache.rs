@@ -53,17 +53,6 @@ pub struct Evicted {
     pub dirty: Option<DirtyInfo>,
 }
 
-/// Cache hit/miss counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups satisfied from memory.
-    pub hits: u64,
-    /// Lookups requiring a disk read.
-    pub misses: u64,
-    /// Frames written back on eviction.
-    pub dirty_evictions: u64,
-}
-
 /// The buffer cache.
 ///
 /// Frames live in a slab (`slots`) threaded onto an intrusive
@@ -86,7 +75,6 @@ pub struct BufferCache {
     /// Conservative lower bound on the oldest dirty `first_time` (clears
     /// only raise the true minimum, so staleness errs toward scanning).
     oldest_dirty: Option<SimTime>,
-    stats: CacheStats,
 }
 
 impl BufferCache {
@@ -106,7 +94,6 @@ impl BufferCache {
             tail: NIL,
             dirty_n: 0,
             oldest_dirty: None,
-            stats: CacheStats::default(),
         }
     }
 
@@ -158,34 +145,26 @@ impl BufferCache {
         }
     }
 
-    /// Looks up a block, bumping its recency. Records a hit or miss.
+    /// Looks up a block, bumping its recency.
     pub fn get(&mut self, key: BlockKey) -> Option<&BlockImage> {
-        match self.map.get(&key).copied() {
-            Some(i) => {
-                self.stats.hits += 1;
-                self.touch(i);
-                Some(&self.slots[i].img)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let i = self.map.get(&key).copied()?;
+        self.touch(i);
+        Some(&self.slots[i].img)
     }
 
-    /// Whether the block is resident (no recency bump, no stats).
+    /// Whether the block is resident (no recency bump).
     pub fn contains(&self, key: BlockKey) -> bool {
         self.map.contains_key(&key)
     }
 
-    /// Read-only view of a resident block without touching recency or
-    /// hit/miss counters (zero-cost inspection paths).
+    /// Read-only view of a resident block without touching recency
+    /// (zero-cost inspection paths).
     pub fn peek(&self, key: BlockKey) -> Option<&BlockImage> {
         self.map.get(&key).map(|&i| &self.slots[i].img)
     }
 
-    /// Mutable access to a *resident* block (no hit/miss accounting; use
-    /// after [`BufferCache::get`] or [`BufferCache::insert`]).
+    /// Mutable access to a *resident* block (use after
+    /// [`BufferCache::get`] or [`BufferCache::insert`]).
     pub fn get_mut(&mut self, key: BlockKey) -> Option<&mut BlockImage> {
         match self.map.get(&key).copied() {
             Some(i) => {
@@ -196,12 +175,12 @@ impl BufferCache {
         }
     }
 
-    /// Single-probe hot-path lookup: on residency, counts a hit, bumps
-    /// recency, and hands out the frame mutably — marked dirty at `dirty`'s
-    /// address and instant first, for a caller about to apply a logged
-    /// change (what [`BufferCache::mark_dirty`] after the change would do,
-    /// without its second probe). A miss counts nothing — the caller falls
-    /// back to the full read path, which records it.
+    /// Single-probe hot-path lookup: on residency, bumps recency and hands
+    /// out the frame mutably — marked dirty at `dirty`'s address and
+    /// instant first, for a caller about to apply a logged change (what
+    /// [`BufferCache::mark_dirty`] after the change would do, without its
+    /// second probe). On a miss the caller falls back to the full read
+    /// path.
     pub fn probe_mut(
         &mut self,
         key: BlockKey,
@@ -211,7 +190,6 @@ impl BufferCache {
         if let Some((addr, now)) = dirty {
             self.dirty_slot(i, addr, now);
         }
-        self.stats.hits += 1;
         self.touch(i);
         Some(&mut self.slots[i].img)
     }
@@ -256,9 +234,6 @@ impl BufferCache {
         let dirty = self.slots[i].dirty.take();
         self.free.push(i);
         self.note_dirty_cleared(dirty.is_some());
-        if dirty.is_some() {
-            self.stats.dirty_evictions += 1;
-        }
         Some(Evicted { key, img, dirty })
     }
 
@@ -398,11 +373,6 @@ impl BufferCache {
         }
     }
 
-    /// Hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
     /// Iterates over resident slots (skipping freed slab entries).
     fn iter_resident(&self) -> impl Iterator<Item = &Slot> {
         self.map.values().map(|&i| &self.slots[i])
@@ -427,16 +397,6 @@ mod tests {
         let mut img = BlockImage::empty();
         img.put(0, Row::new(vec![Value::U64(n)]), Scn(n));
         img
-    }
-
-    #[test]
-    fn hit_and_miss_accounting() {
-        let mut c = BufferCache::new(2);
-        assert!(c.get(key(1)).is_none());
-        c.insert(key(1), BlockImage::empty());
-        assert!(c.get(key(1)).is_some());
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
     }
 
     #[test]
@@ -490,7 +450,6 @@ mod tests {
         assert_eq!(ev.key, key(1));
         assert!(ev.dirty.is_some());
         assert_eq!(ev.img.row(0).unwrap().get(0).unwrap().as_u64(), Some(7));
-        assert_eq!(c.stats().dirty_evictions, 1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Instance configuration: the paper's tuning knobs plus the calibrated
-//! cost model of the simulated platform.
+//! Instance configuration: the paper's tuning knobs, plus the constants of
+//! the simulated platform, which no experiment varies.
 
 use recobench_sim::SimDuration;
 
@@ -7,7 +7,7 @@ use recobench_sim::SimDuration;
 ///
 /// The first four fields are exactly the knobs the paper's Table 3 varies
 /// (redo log file size, number of redo groups, checkpoint timeout, archive
-/// mode); the rest size the instance and the simulated platform.
+/// mode); `cache_blocks` sizes the buffer cache.
 ///
 /// ```
 /// use recobench_engine::InstanceConfig;
@@ -33,13 +33,6 @@ pub struct InstanceConfig {
     pub archive_mode: bool,
     /// Buffer cache capacity, in blocks.
     pub cache_blocks: usize,
-    /// Database block size in bytes.
-    pub block_size: u32,
-    /// How often the database writer evaluates the incremental checkpoint
-    /// target.
-    pub dbwr_tick: SimDuration,
-    /// Calibrated platform costs.
-    pub costs: CostModel,
 }
 
 impl InstanceConfig {
@@ -57,9 +50,6 @@ impl Default for InstanceConfig {
             checkpoint_timeout: SimDuration::from_secs(600),
             archive_mode: true,
             cache_blocks: 384,
-            block_size: 8192,
-            dbwr_tick: SimDuration::from_secs(5),
-            costs: CostModel::default(),
         }
     }
 }
@@ -118,66 +108,54 @@ impl InstanceConfigBuilder {
     }
 }
 
+/// Database block size in bytes.
+pub(crate) const BLOCK_SIZE: u32 = 8192;
+
+/// How often the database writer evaluates the incremental checkpoint
+/// target.
+pub(crate) const DBWR_TICK: SimDuration = SimDuration::from_secs(5);
+
 /// Calibrated costs of the simulated platform (a year-2000 Pentium III
 /// class server, per DESIGN.md §6). These are *platform* constants — the
 /// quantities the paper varies live in [`InstanceConfig`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CostModel {
+pub(crate) mod costs {
+    use recobench_sim::SimDuration;
+
     /// CPU time to execute one DML row operation.
-    pub cpu_per_dml: SimDuration,
+    pub(crate) const CPU_PER_DML: SimDuration = SimDuration::from_micros(100);
     /// CPU time to execute one row read (excluding I/O).
-    pub cpu_per_read: SimDuration,
+    pub(crate) const CPU_PER_READ: SimDuration = SimDuration::from_micros(50);
     /// CPU time of transaction begin/commit bookkeeping.
-    pub cpu_commit: SimDuration,
+    pub(crate) const CPU_COMMIT: SimDuration = SimDuration::from_micros(300);
     /// Extra bytes charged per redo record beyond its logical encoding,
     /// modelling Oracle's block-level change vectors. Calibrated so the
     /// full-throughput redo generation rate is ~0.45 MB/s, which is what
     /// the paper's Table 3 "#CKPT per experiment" column implies.
-    pub redo_overhead_bytes: u64,
+    pub(crate) const REDO_OVERHEAD_BYTES: u64 = 640;
     /// CPU time to re-apply one redo record during recovery.
-    pub cpu_apply_record: SimDuration,
+    pub(crate) const CPU_APPLY_RECORD: SimDuration = SimDuration::from_micros(350);
     /// CPU time to scan past one non-matching redo record during filtered
     /// (single-datafile) recovery.
-    pub cpu_skip_record: SimDuration,
+    pub(crate) const CPU_SKIP_RECORD: SimDuration = SimDuration::from_micros(45);
     /// Fixed per-archive-file processing overhead during media recovery
     /// (open, header validation, sequence switch).
-    pub archive_file_overhead: SimDuration,
+    pub(crate) const ARCHIVE_FILE_OVERHEAD: SimDuration = SimDuration::from_millis(1_000);
     /// Fixed instance startup cost (process creation, SGA allocation).
-    pub instance_startup: SimDuration,
+    pub(crate) const INSTANCE_STARTUP: SimDuration = SimDuration::from_secs(11);
     /// Cost of mounting and opening the database (control file reads,
     /// datafile header checks).
-    pub mount_open: SimDuration,
+    pub(crate) const MOUNT_OPEN: SimDuration = SimDuration::from_secs(2);
     /// Cost of an administrative command round-trip (server manager).
-    pub admin_command: SimDuration,
+    pub(crate) const ADMIN_COMMAND: SimDuration = SimDuration::from_millis(700);
     /// Nominal size of the database for backup/restore sizing. The scaled
     /// TPC-C rows occupy far less, but restore time must reflect the
     /// paper's full-size database.
-    pub nominal_db_bytes: u64,
+    pub(crate) const NOMINAL_DB_BYTES: u64 = 4_500 * 1024 * 1024;
     /// Extra latency added to every archive shipped to a stand-by server
     /// (network copy).
-    pub standby_ship_latency: SimDuration,
+    pub(crate) const STANDBY_SHIP_LATENCY: SimDuration = SimDuration::from_millis(500);
     /// Fixed part of stand-by activation (role switch, client failover).
-    pub standby_activation: SimDuration,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            cpu_per_dml: SimDuration::from_micros(100),
-            cpu_per_read: SimDuration::from_micros(50),
-            cpu_commit: SimDuration::from_micros(300),
-            redo_overhead_bytes: 640,
-            cpu_apply_record: SimDuration::from_micros(350),
-            cpu_skip_record: SimDuration::from_micros(45),
-            archive_file_overhead: SimDuration::from_millis(1_000),
-            instance_startup: SimDuration::from_secs(11),
-            mount_open: SimDuration::from_secs(2),
-            admin_command: SimDuration::from_millis(700),
-            nominal_db_bytes: 4_500 * 1024 * 1024,
-            standby_ship_latency: SimDuration::from_millis(500),
-            standby_activation: SimDuration::from_secs(18),
-        }
-    }
+    pub(crate) const STANDBY_ACTIVATION: SimDuration = SimDuration::from_secs(18);
 }
 
 #[cfg(test)]

@@ -20,31 +20,26 @@ use recobench_vfs::FileId;
 use crate::catalog::Catalog;
 use crate::types::{FileNo, RedoAddr, Scn, TablespaceId};
 
-/// One online redo log group.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogGroup {
-    /// Path of the group's (single-member) log file.
-    pub path: String,
-    /// Filesystem handle.
-    pub vfs_id: FileId,
-}
-
 /// Where a log sequence lives and when it stops being needed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeqLocation {
     /// Online group still holding this sequence, if not yet overwritten.
     pub group: Option<usize>,
-    /// Archive file holding a copy, if archived.
-    pub archive: Option<FileId>,
-    /// When the archive copy completed.
-    pub archive_done_at: Option<SimTime>,
+    /// Archive file holding a copy and the instant the copy completed, if
+    /// archived.
+    pub archive: Option<(FileId, SimTime)>,
     /// When the checkpoint triggered by switching *out* of this sequence
     /// completed (after which the sequence's redo is no longer needed for
     /// crash recovery).
     pub released_at: Option<SimTime>,
-    /// Size of the sequence when it was closed (padding included); `None`
-    /// while it is still being written.
-    pub end_offset: Option<u64>,
+}
+
+impl SeqLocation {
+    /// A sequence written into online group `group`, not yet archived or
+    /// released.
+    pub(crate) fn online(group: usize) -> Self {
+        SeqLocation { group: Some(group), archive: None, released_at: None }
+    }
 }
 
 /// A completed (or completing) checkpoint.
@@ -75,8 +70,8 @@ pub struct FileRuntime {
 pub struct ControlFile {
     /// Database name.
     pub db_name: String,
-    /// Online redo log groups, in order.
-    pub groups: Vec<LogGroup>,
+    /// Online redo log groups (one single-member log file each), in order.
+    pub groups: Vec<FileId>,
     /// Group currently being written.
     pub current_group: usize,
     /// Sequence currently being written.
@@ -95,33 +90,18 @@ pub struct ControlFile {
     pub clean_shutdown: bool,
     /// Instant the last instance terminated (crash or shutdown).
     pub stopped_at: Option<SimTime>,
-    /// Highest SCN known durable (updated at checkpoints and shutdown).
-    pub last_scn: Scn,
-    /// Incarnation number; bumped by every `open resetlogs`.
-    pub incarnation: u32,
 }
 
 impl ControlFile {
     /// Creates the control file for a fresh database.
-    pub fn new(db_name: &str, groups: Vec<LogGroup>, initial_catalog: Arc<Catalog>) -> Self {
-        let mut seqs = BTreeMap::new();
-        seqs.insert(
-            1,
-            SeqLocation {
-                group: Some(0),
-                archive: None,
-                archive_done_at: None,
-                released_at: None,
-                end_offset: None,
-            },
-        );
+    pub fn new(db_name: &str, groups: Vec<FileId>, initial_catalog: Arc<Catalog>) -> Self {
         ControlFile {
             db_name: db_name.to_string(),
             groups,
             current_group: 0,
             current_seq: 1,
             current_flushed: 0,
-            seqs,
+            seqs: BTreeMap::from([(1, SeqLocation::online(0))]),
             checkpoints: vec![CkptRecord {
                 position: RedoAddr::start_of(1),
                 scn: Scn::ZERO,
@@ -132,8 +112,6 @@ impl ControlFile {
             ts_offline: Vec::new(),
             clean_shutdown: true,
             stopped_at: None,
-            last_scn: Scn::ZERO,
-            incarnation: 1,
         }
     }
 
@@ -200,8 +178,7 @@ impl ControlFile {
         match self.seqs.get(&seq) {
             None => false,
             Some(loc) => {
-                loc.group.is_some()
-                    || matches!(loc.archive_done_at, Some(t) if t <= at && loc.archive.is_some())
+                loc.group.is_some() || matches!(loc.archive, Some((_, t)) if t <= at)
             }
         }
     }
@@ -212,14 +189,7 @@ mod tests {
     use super::*;
 
     fn cf() -> ControlFile {
-        ControlFile::new(
-            "TEST",
-            vec![
-                LogGroup { path: "/u03/redo01.log".into(), vfs_id: FileId(1) },
-                LogGroup { path: "/u03/redo02.log".into(), vfs_id: FileId(2) },
-            ],
-            Arc::new(Catalog::new()),
-        )
+        ControlFile::new("TEST", vec![FileId(1), FileId(2)], Arc::new(Catalog::new()))
     }
 
     fn ckpt(seq: u64, complete_secs: u64) -> CkptRecord {
@@ -271,10 +241,8 @@ mod tests {
             2,
             SeqLocation {
                 group: None,
-                archive: Some(FileId(7)),
-                archive_done_at: Some(SimTime::from_secs(50)),
+                archive: Some((FileId(7), SimTime::from_secs(50))),
                 released_at: None,
-                end_offset: Some(1000),
             },
         );
         assert!(!c.seq_available(2, SimTime::from_secs(49)));

@@ -2,8 +2,6 @@
 
 use std::sync::Arc;
 
-use recobench_sim::SimTime;
-
 use crate::cache::BufferCache;
 use crate::catalog::Catalog;
 use crate::fasthash::FastMap;
@@ -35,8 +33,6 @@ pub struct Instance {
     pub cursors: FastMap<ObjectId, PlacementCursor>,
     /// SCN allocator.
     pub scn: Scn,
-    /// When the instance opened.
-    pub opened_at: SimTime,
 }
 
 impl Instance {
@@ -87,10 +83,9 @@ mod tests {
             txns: TxnTable::new(),
             locks: LockTable::new(),
             indexes: FastMap::default(),
-            redo: RedoState::new(0, 1, 0, 0),
+            redo: RedoState::new(0, 1, 0),
             cursors: FastMap::default(),
             scn: Scn::ZERO,
-            opened_at: SimTime::ZERO,
         }
     }
 

@@ -64,7 +64,7 @@ pub mod txn;
 pub mod types;
 pub mod verify;
 
-pub use config::{CostModel, InstanceConfig};
+pub use config::InstanceConfig;
 pub use error::{DbError, DbResult, RecoveryError};
 pub use events::{EngineEvent, EventSink, RecoveryPhase, RecoveryProcedure};
 pub use layout::DiskLayout;

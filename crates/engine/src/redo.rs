@@ -11,6 +11,7 @@ use bytes::Bytes;
 
 use crate::catalog::CatalogChange;
 use crate::codec::{DecodeError, DecodeResult, Reader, Writer};
+use crate::config::costs::REDO_OVERHEAD_BYTES;
 use crate::row::Row;
 use crate::types::{FileNo, ObjectId, RedoAddr, RowId, Scn, TxnId};
 
@@ -252,14 +253,12 @@ pub struct RedoState {
     /// LGWR log buffer). The allocation is recycled across flushes.
     buffer: Writer,
     buffer_pad: u64,
-    /// Per-record padding (change-vector overhead).
-    pub overhead: u64,
 }
 
 impl RedoState {
     /// Creates the state for an instance resuming at `(group, seq)` with
     /// `flushed` bytes already in the current log.
-    pub fn new(current_group: usize, current_seq: u64, flushed: u64, overhead: u64) -> Self {
+    pub fn new(current_group: usize, current_seq: u64, flushed: u64) -> Self {
         RedoState {
             current_group,
             current_seq,
@@ -267,7 +266,6 @@ impl RedoState {
             flushed_offset: flushed,
             buffer: Writer::new(),
             buffer_pad: 0,
-            overhead,
         }
     }
 
@@ -278,7 +276,7 @@ impl RedoState {
 
     /// Padded size the record would occupy in the log.
     pub fn record_cost(&self, encoded_len: usize) -> u64 {
-        encoded_len as u64 + self.overhead
+        encoded_len as u64 + REDO_OVERHEAD_BYTES
     }
 
     /// Encodes `rec` straight into the log buffer (no per-record
@@ -289,7 +287,7 @@ impl RedoState {
         rec.encode_into(&mut self.buffer);
         let cost = self.record_cost(self.buffer.len() - before);
         self.current_offset += cost;
-        self.buffer_pad += self.overhead;
+        self.buffer_pad += REDO_OVERHEAD_BYTES;
         (addr, cost)
     }
 
@@ -314,7 +312,7 @@ impl RedoState {
         }
         let addr = self.tail();
         self.current_offset += cost;
-        self.buffer_pad += self.overhead;
+        self.buffer_pad += REDO_OVERHEAD_BYTES;
         Some((addr, cost))
     }
 
@@ -561,40 +559,42 @@ mod tests {
 
     #[test]
     fn state_assigns_monotone_addresses() {
+        const PAD: u64 = REDO_OVERHEAD_BYTES;
         let rec = RedoRecord { scn: Scn(1), txn: Some(TxnId(1)), op: RedoOp::Commit };
         let len = rec.encode().len() as u64;
-        let mut s = RedoState::new(0, 1, 0, 100);
+        let mut s = RedoState::new(0, 1, 0);
         let (a1, cost) = s.buffer_encode(&rec);
         let (a2, _) = s.buffer_encode(&rec);
-        assert_eq!(cost, len + 100);
+        assert_eq!(cost, len + PAD);
         assert_eq!(a1, RedoAddr { seq: 1, offset: 0 });
-        assert_eq!(a2, RedoAddr { seq: 1, offset: len + 100 });
+        assert_eq!(a2, RedoAddr { seq: 1, offset: len + PAD });
         assert!(s.has_unflushed());
         let (payload, pad, flushed) = s.take_buffer();
         assert_eq!(payload.len() as u64, 2 * len);
-        assert_eq!(pad, 200);
-        assert_eq!(flushed, 2 * len + 200);
+        assert_eq!(pad, 2 * PAD);
+        assert_eq!(flushed, 2 * len + 2 * PAD);
         assert!(!s.has_unflushed());
     }
 
     #[test]
     fn each_take_returns_what_was_appended_since_the_last_and_keeps_the_buffer() {
+        const PAD: u64 = REDO_OVERHEAD_BYTES;
         let commit = |scn| RedoRecord { scn: Scn(scn), txn: Some(TxnId(1)), op: RedoOp::Commit };
         let first_two = [&commit(1).encode()[..], &commit(2).encode()[..]].concat();
-        let mut s = RedoState::new(0, 1, 0, 100);
+        let mut s = RedoState::new(0, 1, 0);
         s.buffer_encode(&commit(1));
         s.buffer_encode(&commit(2));
         let allocation = s.buffer.as_slice().as_ptr();
         let (first, pad, flushed) = s.take_buffer();
         assert_eq!(first, first_two);
-        assert_eq!((pad, flushed), (200, first.len() as u64 + 200));
+        assert_eq!((pad, flushed), (2 * PAD, first.len() as u64 + 2 * PAD));
         assert!(!s.has_unflushed());
 
         s.buffer_encode(&commit(3));
         assert_eq!(s.buffer.as_slice().as_ptr(), allocation, "the buffer is the one it was");
         let (second, pad, flushed) = s.take_buffer();
         assert_eq!(second, commit(3).encode());
-        assert_eq!((pad, flushed), (100, (first.len() + second.len()) as u64 + 300));
+        assert_eq!((pad, flushed), (PAD, (first.len() + second.len()) as u64 + 3 * PAD));
         assert_eq!(first, first_two, "a taken payload is its own");
 
         let (nothing, pad, _) = s.take_buffer();
@@ -605,13 +605,14 @@ mod tests {
     fn overflow_check_and_switch() {
         let rec = RedoRecord { scn: Scn(1), txn: Some(TxnId(1)), op: RedoOp::Commit };
         let len = rec.encode().len() as u64;
-        let mut s = RedoState::new(0, 1, 0, 0);
+        let cost = len + REDO_OVERHEAD_BYTES;
+        let mut s = RedoState::new(0, 1, 0);
         s.buffer_encode(&rec);
         // A record that would end past the group's size is not admitted
         // and leaves no trace; one that ends exactly at it is.
-        assert_eq!(s.buffer_encode_checked(&rec, 2 * len - 1), None);
-        assert_eq!(s.tail(), RedoAddr { seq: 1, offset: len });
-        assert_eq!(s.buffer_encode_checked(&rec, 2 * len), Some((RedoAddr { seq: 1, offset: len }, len)));
+        assert_eq!(s.buffer_encode_checked(&rec, 2 * cost - 1), None);
+        assert_eq!(s.tail(), RedoAddr { seq: 1, offset: cost });
+        assert_eq!(s.buffer_encode_checked(&rec, 2 * cost), Some((RedoAddr { seq: 1, offset: cost }, cost)));
         assert_eq!(s.take_buffer().0.len() as u64, 2 * len);
         s.switch_to(1, 2);
         assert_eq!(s.tail(), RedoAddr { seq: 2, offset: 0 });
@@ -621,7 +622,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unflushed")]
     fn switch_with_unflushed_redo_panics() {
-        let mut s = RedoState::new(0, 1, 0, 0);
+        let mut s = RedoState::new(0, 1, 0);
         s.buffer_encode(&RedoRecord { scn: Scn(1), txn: None, op: RedoOp::Commit });
         s.switch_to(1, 2);
     }

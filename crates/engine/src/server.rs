@@ -25,14 +25,14 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use recobench_sim::{SimClock, SimTime};
-use recobench_vfs::{FileKind, SharedFs, VfsError};
+use recobench_vfs::{FileId, FileKind, SharedFs, VfsError};
 
 use crate::backup::BackupSet;
 use crate::cache::BufferCache;
 use crate::catalog::Catalog;
 use crate::checkpoint;
-use crate::config::InstanceConfig;
-use crate::controlfile::{CkptRecord, ControlFile, LogGroup, SeqLocation};
+use crate::config::{costs, InstanceConfig, DBWR_TICK};
+use crate::controlfile::{CkptRecord, ControlFile, SeqLocation};
 use crate::error::{DbError, DbResult};
 use crate::instance::Instance;
 use crate::layout::DiskLayout;
@@ -311,23 +311,26 @@ impl DbServer {
         if self.control.is_some() {
             return Err(DbError::AlreadyExists(format!("database {}", self.name)));
         }
-        let mut groups = Vec::new();
-        {
-            let mut fs = self.fs.lock();
-            for i in 0..self.config.redo_groups {
-                let path = format!("/u03/{}_redo{:02}.log", self.name, i + 1);
-                let id = fs.create_append_file(&path, self.layout.redo_disk, FileKind::Redo)?;
-                groups.push(LogGroup { path, vfs_id: id });
-            }
-        }
+        let groups = self.create_redo_groups()?;
         let catalog = Catalog::new();
         let mut control = ControlFile::new(&self.name, groups, Arc::new(catalog.clone()));
         control.clean_shutdown = false;
         self.control = Some(control);
         self.inst = Some(self.fresh_instance(catalog, Scn::ZERO, 0, 1, 0));
-        self.clock.advance(self.config.costs.mount_open);
-        self.next_dbwr_tick = self.clock.now() + self.config.dbwr_tick;
+        self.clock.advance(costs::MOUNT_OPEN);
+        self.next_dbwr_tick = self.clock.now() + DBWR_TICK;
         Ok(())
+    }
+
+    /// Creates this server's online redo log groups, one log file each.
+    pub(crate) fn create_redo_groups(&self) -> DbResult<Vec<FileId>> {
+        let mut fs = self.fs.lock();
+        (0..self.config.redo_groups)
+            .map(|i| {
+                let path = format!("/u03/{}_redo{:02}.log", self.name, i + 1);
+                Ok(fs.create_append_file(&path, self.layout.redo_disk, FileKind::Redo)?)
+            })
+            .collect()
     }
 
     pub(crate) fn fresh_instance(
@@ -346,10 +349,9 @@ impl DbServer {
             txns,
             locks: crate::txn::LockTable::new(),
             indexes: crate::fasthash::FastMap::default(),
-            redo: RedoState::new(group, seq, flushed, self.config.costs.redo_overhead_bytes),
+            redo: RedoState::new(group, seq, flushed),
             cursors: crate::fasthash::FastMap::default(),
             scn,
-            opened_at: self.clock.now(),
         }
     }
 
@@ -395,11 +397,9 @@ impl DbServer {
         let done = self.full_checkpoint()?;
         self.clock.advance_to(done);
         let now = self.clock.now();
-        let scn = self.current_scn();
         let control = self.control_mut()?;
         control.stopped_at = Some(now);
         control.clean_shutdown = true;
-        control.last_scn = scn;
         self.inst = None;
         self.next_dbwr_tick = SimTime::MAX;
         self.events.record(now, EngineEvent::InstanceStopped { clean: true });
@@ -417,7 +417,7 @@ impl DbServer {
         while self.inst.is_some() && !self.managed_recovery && self.next_dbwr_tick <= self.clock.now()
         {
             let t = self.next_dbwr_tick;
-            self.next_dbwr_tick = t + self.config.dbwr_tick;
+            self.next_dbwr_tick = t + DBWR_TICK;
             // Incremental checkpointing failures are impossible in normal
             // operation; if storage is damaged the write helper skips the
             // affected blocks.
@@ -513,11 +513,10 @@ impl DbServer {
             let group = inst.redo.current_group;
             let (payload, pad, flushed) = inst.redo.take_buffer();
             let control = self.control.as_ref().ok_or_else(|| DbError::NotFound("database".into()))?;
-            let group_vfs = control
+            let group_vfs = *control
                 .groups
                 .get(group)
-                .ok_or_else(|| DbError::Unrecoverable(format!("redo group {group} missing")))?
-                .vfs_id;
+                .ok_or_else(|| DbError::Unrecoverable(format!("redo group {group} missing")))?;
             (payload, pad, flushed, group_vfs)
         };
         let done = {
@@ -551,31 +550,18 @@ impl DbServer {
     pub(crate) fn log_switch(&mut self) -> DbResult<()> {
         self.flush_redo()?;
         let now = self.clock.now();
-        let (old_seq, old_group, old_offset) = {
+        let (old_seq, old_group) = {
             let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
-            (inst.redo.current_seq, inst.redo.current_group, inst.redo.current_offset)
+            (inst.redo.current_seq, inst.redo.current_group)
         };
         let archive_mode = self.config.archive_mode;
-        // Close the old sequence and archive it.
-        {
+        // Archive the old sequence.
+        if archive_mode {
+            let fs = Arc::clone(&self.fs);
+            let mut fs = fs.lock();
+            let control = self.control.as_mut().ok_or_else(|| DbError::NotFound("database".into()))?;
             let archive_disk = self.layout.archive_disk;
-            if let Some(loc) = self.control_mut()?.seqs.get_mut(&old_seq) {
-                loc.end_offset = Some(old_offset);
-            }
-            if archive_mode {
-                let fs = Arc::clone(&self.fs);
-                let mut fs = fs.lock();
-                let control =
-                    self.control.as_mut().ok_or_else(|| DbError::NotFound("database".into()))?;
-                crate::archiver::archive_seq(
-                    &mut fs,
-                    control,
-                    archive_disk,
-                    old_seq,
-                    now,
-                    &mut self.events,
-                )?;
-            }
+            crate::archiver::archive_seq(&mut fs, control, archive_disk, old_seq, now, &mut self.events)?;
         }
         // Find the next group and stall until it is reusable.
         let ngroups = self.control_ref()?.groups.len();
@@ -589,7 +575,7 @@ impl DbServer {
                 .map(|(seq, loc)| {
                     let mut ready = loc.released_at.unwrap_or(now);
                     if archive_mode {
-                        ready = ready.max(loc.archive_done_at.unwrap_or(now));
+                        ready = ready.max(loc.archive.map_or(now, |(_, done)| done));
                     }
                     (*seq, ready)
                 })
@@ -609,22 +595,13 @@ impl DbServer {
         // Reuse the group for the new sequence.
         let new_seq = old_seq + 1;
         {
-            let vfs_id = self.control_ref()?.groups[ng].vfs_id;
+            let vfs_id = self.control_ref()?.groups[ng];
             self.fs.lock().truncate(vfs_id)?;
             let control = self.control_mut()?;
             control.current_group = ng;
             control.current_seq = new_seq;
             control.current_flushed = 0;
-            control.seqs.insert(
-                new_seq,
-                SeqLocation {
-                    group: Some(ng),
-                    archive: None,
-                    archive_done_at: None,
-                    released_at: None,
-                    end_offset: None,
-                },
-            );
+            control.seqs.insert(new_seq, SeqLocation::online(ng));
         }
         {
             let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
@@ -681,7 +658,6 @@ impl DbServer {
             complete_at: out.complete_at,
             catalog: snapshot,
         });
-        control.last_scn = scn;
         Ok(out.complete_at)
     }
 

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use recobench_sim::SimTime;
 
 use crate::catalog::CatalogChange;
+use crate::config::{costs, BLOCK_SIZE};
 use crate::error::{DbError, DbResult};
 use crate::events::EngineEvent;
 use crate::heap::plan_extent;
@@ -146,7 +147,6 @@ impl DbServer {
     }
 
     fn find_insert_slot(&mut self, obj: ObjectId, row_len: usize) -> DbResult<(BlockKey, u16)> {
-        let block_size = self.config.block_size;
         loop {
             let cand = {
                 let inst = self.inst_ref()?;
@@ -158,7 +158,7 @@ impl DbServer {
                     let key = (file, block);
                     // One probe answers both "does it fit" and "which slot".
                     let slot = self.with_block(key, |img| {
-                        if img.fits(row_len, block_size) { Some(img.next_free_slot()) } else { None }
+                        if img.fits(row_len, BLOCK_SIZE) { Some(img.next_free_slot()) } else { None }
                     })?;
                     if let Some(slot) = slot {
                         return Ok((key, slot));
@@ -255,7 +255,7 @@ impl DbServer {
         if self.dml_tap.is_some() {
             self.emit_dml(DmlChange::Insert { txn, obj, rid, row });
         }
-        self.clock.advance(self.config.costs.cpu_per_dml);
+        self.clock.advance(costs::CPU_PER_DML);
         Ok(rid)
     }
 
@@ -430,7 +430,7 @@ impl DbServer {
         if self.dml_tap.is_some() {
             self.emit_dml(DmlChange::Update { txn, obj, rid, row });
         }
-        self.clock.advance(self.config.costs.cpu_per_dml);
+        self.clock.advance(costs::CPU_PER_DML);
         Ok(())
     }
 
@@ -466,7 +466,7 @@ impl DbServer {
         if self.dml_tap.is_some() {
             self.emit_dml(DmlChange::Delete { txn, obj, rid });
         }
-        self.clock.advance(self.config.costs.cpu_per_dml);
+        self.clock.advance(costs::CPU_PER_DML);
         Ok(())
     }
 
@@ -481,7 +481,7 @@ impl DbServer {
         let key = (rid.file, rid.block);
         let row =
             self.with_block(key, |img| img.row(rid.slot).cloned())?.ok_or_else(|| DbError::NoSuchRow(rid))?;
-        self.clock.advance(self.config.costs.cpu_per_read);
+        self.clock.advance(costs::CPU_PER_READ);
         Ok(row)
     }
 
@@ -501,7 +501,7 @@ impl DbServer {
     /// Fails if the table or index is unknown.
     pub fn lookup(&mut self, obj: ObjectId, index: usize, key: &[Value]) -> DbResult<Vec<RowId>> {
         self.poll();
-        self.clock.advance(self.config.costs.cpu_per_read);
+        self.clock.advance(costs::CPU_PER_READ);
         let ix = self.index_ref(obj, index)?;
         Ok(ix.lookup(key))
     }
@@ -519,7 +519,7 @@ impl DbServer {
         key: &[Value],
     ) -> DbResult<Option<RowId>> {
         self.poll();
-        self.clock.advance(self.config.costs.cpu_per_read);
+        self.clock.advance(costs::CPU_PER_READ);
         let ix = self.index_ref(obj, index)?;
         Ok(ix.lookup_ref(key).first().copied())
     }
@@ -531,7 +531,7 @@ impl DbServer {
     /// Fails if the table or index is unknown.
     pub fn prefix_scan(&mut self, obj: ObjectId, index: usize, prefix: &[Value]) -> DbResult<Vec<RowId>> {
         self.poll();
-        self.clock.advance(self.config.costs.cpu_per_read);
+        self.clock.advance(costs::CPU_PER_READ);
         let ix = self.index_ref(obj, index)?;
         Ok(ix.prefix_scan(prefix))
     }
@@ -599,7 +599,7 @@ impl DbServer {
             }
             i = next;
         }
-        self.clock.advance(self.config.costs.cpu_per_read * (1 + rows.len() as u64));
+        self.clock.advance(costs::CPU_PER_READ * (1 + rows.len() as u64));
         Ok(rows)
     }
 
@@ -616,7 +616,7 @@ impl DbServer {
         prefix: &[Value],
     ) -> DbResult<Vec<RowId>> {
         self.poll();
-        self.clock.advance(self.config.costs.cpu_per_read);
+        self.clock.advance(costs::CPU_PER_READ);
         let ix = self.index_ref(obj, index)?;
         Ok(ix.last_under_prefix(prefix).map(|(_, rids)| rids.to_vec()).unwrap_or_default())
     }
@@ -636,7 +636,7 @@ impl DbServer {
         prefix: &[Value],
     ) -> DbResult<Vec<RowId>> {
         self.poll();
-        self.clock.advance(self.config.costs.cpu_per_read);
+        self.clock.advance(costs::CPU_PER_READ);
         let ix = self.index_ref(obj, index)?;
         Ok(ix.first_under_prefix(prefix).map(|(_, rids)| rids.to_vec()).unwrap_or_default())
     }
@@ -694,7 +694,7 @@ impl DbServer {
             self.emit_dml(DmlChange::Commit { txn, scn });
         }
         self.apply_lock_grants(grants);
-        self.clock.advance(self.config.costs.cpu_commit);
+        self.clock.advance(costs::CPU_COMMIT);
         Ok(())
     }
 
@@ -712,7 +712,7 @@ impl DbServer {
             self.emit_dml(DmlChange::Rollback { txn });
         }
         self.apply_lock_grants(grants);
-        self.clock.advance(self.config.costs.cpu_commit);
+        self.clock.advance(costs::CPU_COMMIT);
         self.end_rollback(txn, deferred)?;
         self.flush_redo()
     }
@@ -806,7 +806,7 @@ impl DbServer {
                 }
             }
         }
-        self.clock.advance(self.config.costs.cpu_per_dml);
+        self.clock.advance(costs::CPU_PER_DML);
         Ok(())
     }
 
@@ -856,7 +856,7 @@ impl DbServer {
                 }
             }
             n += 1;
-            self.clock.advance(self.config.costs.cpu_per_dml / 5);
+            self.clock.advance(costs::CPU_PER_DML / 5);
         }
         Ok(n)
     }

@@ -23,8 +23,8 @@ use recobench_vfs::{FileKind, IoKind};
 
 use crate::apply::{rollback_unlogged, ReplayState};
 use crate::catalog::Catalog;
-use crate::config::InstanceConfig;
-use crate::controlfile::{CkptRecord, ControlFile, LogGroup};
+use crate::config::{costs, InstanceConfig, BLOCK_SIZE};
+use crate::controlfile::{CkptRecord, ControlFile};
 use crate::error::{DbError, DbResult, RecoveryError};
 use crate::events::{EngineEvent, RecoveryPhase};
 use crate::layout::DiskLayout;
@@ -126,13 +126,7 @@ impl StandbyServer {
             let mut fs = server.fs.lock();
             for (i, (file_no, df)) in backup.catalog.datafiles.iter().enumerate() {
                 let disk = server.layout.data_disk_for(i);
-                let new_id = fs.create_block_file(
-                    &df.path,
-                    disk,
-                    FileKind::Data,
-                    server.config.block_size,
-                    df.blocks,
-                )?;
+                let new_id = fs.create_block_file(&df.path, disk, FileKind::Data, BLOCK_SIZE, df.blocks)?;
                 if let Some(piece) = backup.piece_for(*file_no) {
                     // A raw copy between machines: the one block read
                     // outside `blockio`, and it decodes nothing.
@@ -167,15 +161,7 @@ impl StandbyServer {
         server.datafile_total = catalog.datafiles.len();
         // Control file: checkpoint at the backup position; redo groups for
         // life after activation.
-        let mut groups = Vec::new();
-        {
-            let mut fs = server.fs.lock();
-            for i in 0..server.config.redo_groups {
-                let path = format!("/u03/{}_redo{:02}.log", name, i + 1);
-                let id = fs.create_append_file(&path, server.layout.redo_disk, FileKind::Redo)?;
-                groups.push(LogGroup { path, vfs_id: id });
-            }
-        }
+        let groups = server.create_redo_groups()?;
         let snapshot = Arc::new(catalog.clone());
         let mut control = ControlFile::new(name, groups, Arc::clone(&snapshot));
         control.checkpoints = vec![CkptRecord {
@@ -270,7 +256,7 @@ impl StandbyServer {
             let next = self.applied_seq + 1;
             let Ok(control) = primary.control_ref() else { break };
             let Some(loc) = control.seq(next) else { break };
-            let (Some(archive), Some(done_at)) = (loc.archive, loc.archive_done_at) else { break };
+            let Some((archive, done_at)) = loc.archive else { break };
             if done_at > now {
                 break;
             }
@@ -343,7 +329,7 @@ impl StandbyServer {
     ) -> DbResult<()> {
         let ship_done = {
             let mut fs = self.server.fs.lock();
-            let arrived = available_at + self.server.config.costs.standby_ship_latency;
+            let arrived = available_at + costs::STANDBY_SHIP_LATENCY;
             fs.charge_io(self.server.layout.archive_disk, IoKind::Write, bytes, arrived)?
         };
         self.archives_shipped += 1;
@@ -361,12 +347,11 @@ impl StandbyServer {
             }
         }
         // Apply in the background: serialized after previous applies.
-        let overhead = self.server.config.costs.redo_overhead_bytes;
-        let records = decode_stream(&segments, overhead)
+        let records = decode_stream(&segments, costs::REDO_OVERHEAD_BYTES)
             .map_err(|_| RecoveryError::ShippedArchiveCorrupt { seq: next })?;
         let apply_start = ship_done.max(self.apply_done_at);
         let nrecords = records.len() as u64;
-        let cpu = self.server.config.costs.cpu_apply_record * nrecords;
+        let cpu = costs::CPU_APPLY_RECORD * nrecords;
         self.apply_done_at = apply_start + cpu;
         for (offset, rec) in &records {
             let addr = RedoAddr { seq: next, offset: *offset };
@@ -402,7 +387,7 @@ impl StandbyServer {
         let clock = Arc::clone(&self.server.clock);
         let activation_began = clock.now();
         clock.advance_to(self.apply_done_at);
-        clock.advance(self.server.config.costs.standby_activation);
+        clock.advance(costs::STANDBY_ACTIVATION);
         // Roll back transactions with no commit record in the applied redo,
         // at SCNs past everything applied. Unlogged: the new incarnation's
         // log starts empty, so no later replay can cross this rollback.
