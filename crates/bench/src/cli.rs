@@ -18,7 +18,7 @@ use recobench_engine::ReplicaTopology;
 use recobench_faults::FaultType;
 
 use crate::reports::{render_reports, write_paper, Opts, REPORTS};
-use crate::{breakdown, topologies, torture};
+use crate::torture;
 
 /// What a subcommand returns: its exit code, or why the command line was
 /// refused (or, from `run` and `paper`, could not be carried out).
@@ -33,25 +33,13 @@ struct Tool {
     run: fn(Args) -> CmdResult,
 }
 
-const TOOLS: [Tool; 5] = [
+const TOOLS: [Tool; 3] = [
     Tool {
         name: "paper",
         flags: "[--quick] [--threads N] [--seed N] [--out DIR]",
         about: "every report from one campaign: DIR/<report>.txt and campaign.log (default \
                 target/paper)",
         run: paper,
-    },
-    Tool {
-        name: "recovery_breakdown",
-        flags: "[--quick] [--threads N] [--seed N] [--out PATH]",
-        about: "recovery time by engine phase; writes BENCH_breakdown.json",
-        run: breakdown::run,
-    },
-    Tool {
-        name: "fig6_topologies",
-        flags: "[--quick] [--threads N] [--seed N] [--out PATH]",
-        about: "replica topologies x failover policies; writes BENCH_topologies.json",
-        run: topologies::run,
     },
     Tool {
         name: "torture",

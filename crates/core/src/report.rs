@@ -84,7 +84,7 @@ impl Table {
 
 /// Lays out recovery-time breakdowns — one labelled cell per row, one
 /// column per phase, all in seconds — for the `recovery_breakdown`
-/// tool and anything else that wants Table 5 decomposed.
+/// report and anything else that wants Table 5 decomposed.
 pub fn breakdown_table(
     title: &str,
     rows: &[(String, crate::measures::RecoveryBreakdown)],

@@ -1,10 +1,9 @@
-//! A minimal JSON reader for artifact-shape checks.
+//! A minimal JSON reader for the write-site manifest.
 //!
-//! The workspace deliberately has no JSON dependency; the benchmark
-//! binaries hand-write their reports and the schedule corpus has its own
-//! bespoke parser in `recobench-faults`. Tidy only needs to *validate*
-//! shapes — is this a JSON object, which keys does it have — so a small
-//! recursive-descent reader is enough.
+//! The workspace deliberately has no JSON dependency, and the schedule
+//! corpus has its own bespoke parser in `recobench-faults`. Tidy only
+//! needs to read shapes — is this a JSON object, which keys does it
+//! have — so a small recursive-descent reader is enough.
 
 use std::collections::BTreeMap;
 

@@ -68,8 +68,9 @@ const SKIP_DIRS: &[&str] = &["target", ".git", "third_party", "node_modules"];
 /// real run would make a clean tree impossible.
 const SKIP_PREFIXES: &[&str] = &["crates/tidy/tests/fixtures"];
 
-/// File extensions collected by the walker (source + data artifacts).
-const EXTENSIONS: &[&str] = &["rs", "json", "jsonl"];
+/// File extensions collected by the walker (sources, and the corpus and
+/// manifest JSON the lints read).
+const EXTENSIONS: &[&str] = &["rs", "json"];
 
 /// The walked workspace: every lintable file, with sources pre-analyzed
 /// and the Rust files parsed into the call-graph model.
@@ -284,7 +285,7 @@ pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
 }
 
 /// Cost of one tidy run, recorded in the JSON report so analysis cost is
-/// tracked alongside the BENCH artifacts.
+/// tracked from run to run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunStats {
     /// Wall-clock of load + analysis, milliseconds.

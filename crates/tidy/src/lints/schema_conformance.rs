@@ -1,6 +1,6 @@
-//! Lint: event/schedule schemas and shipped artifacts stay in sync.
+//! Lint: the event and schedule schemas stay in sync with their encoders.
 //!
-//! Three checks:
+//! Two checks:
 //!
 //! 1. **Event enum ↔ exporter coverage** — every variant of
 //!    `EngineEvent` in `crates/engine/src/events.rs` is doc-commented and
@@ -9,14 +9,9 @@
 //! 2. **Corpus conformance** — every `tests/corpus/*.json` parses with
 //!    the real `FaultSchedule` parser and is in canonical `to_json` form
 //!    (so reproducers diff cleanly and replay byte-for-byte).
-//! 3. **Benchmark-report conformance** — any `BENCH_*.json` in the tree
-//!    is a JSON object with a string `"mode"` key, and any
-//!    `BENCH_*.jsonl` is valid JSONL whose every line carries the
-//!    `t_us`/`server`/`type` envelope the exporter promises.
 
 use recobench_faults::FaultSchedule;
 
-use crate::json::{self, Value};
 use crate::source::brace_region;
 use crate::{Diagnostics, Lint, Workspace};
 
@@ -29,13 +24,12 @@ impl Lint for SchemaConformance {
     }
 
     fn description(&self) -> &'static str {
-        "event enum matches the JSONL exporter; corpus and BENCH artifacts parse against their schemas"
+        "event enum matches the JSONL exporter; the corpus parses in canonical form"
     }
 
     fn check(&self, ws: &Workspace, diags: &mut Diagnostics) {
         self.check_event_enum(ws, diags);
         self.check_corpus(ws, diags);
-        self.check_bench_artifacts(ws, diags);
     }
 }
 
@@ -168,64 +162,6 @@ impl SchemaConformance {
                              so corpus entries diff cleanly"
                                 .into(),
                         );
-                    }
-                }
-            }
-        }
-    }
-
-    fn check_bench_artifacts(&self, ws: &Workspace, diags: &mut Diagnostics) {
-        for f in &ws.files {
-            let base = f.rel.rsplit('/').next().unwrap_or(&f.rel);
-            if !base.starts_with("BENCH_") {
-                continue;
-            }
-            if base.ends_with(".json") {
-                match json::parse(&f.text()) {
-                    Err(e) => {
-                        diags.emit(self.name(), &f.rel, 1, format!("invalid JSON: {e}"));
-                    }
-                    Ok(v) => {
-                        let mode_ok = v
-                            .as_object()
-                            .and_then(|o| o.get("mode"))
-                            .is_some_and(|m| matches!(m, Value::String(_)));
-                        if !mode_ok {
-                            diags.emit(
-                                self.name(),
-                                &f.rel,
-                                1,
-                                "benchmark report must be a JSON object with a string \"mode\" \
-                                 key (smoke/mini/full)"
-                                    .into(),
-                            );
-                        }
-                    }
-                }
-            } else if base.ends_with(".jsonl") {
-                for (i, line) in f.lines.iter().enumerate() {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    let problem = match json::parse(line) {
-                        Err(e) => Some(format!("invalid JSONL line: {e}")),
-                        Ok(v) => {
-                            let obj = v.as_object();
-                            let has = |k: &str| obj.is_some_and(|o| o.contains_key(k));
-                            if !(has("t_us") && has("server") && has("type")) {
-                                Some(
-                                    "event line missing the t_us/server/type envelope the \
-                                     exporter promises"
-                                        .to_string(),
-                                )
-                            } else {
-                                None
-                            }
-                        }
-                    };
-                    if let Some(msg) = problem {
-                        diags.emit(self.name(), &f.rel, i + 1, msg);
-                        break; // one diagnostic per malformed file is enough
                     }
                 }
             }

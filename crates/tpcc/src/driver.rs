@@ -95,26 +95,6 @@ impl AvailabilityTimeline {
     pub fn total(&self) -> u64 {
         self.buckets.iter().sum()
     }
-
-    /// The timeline as one hand-rolled JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(32 + self.buckets.len() * 4);
-        let _ = write!(out, "{{\"start_us\":{},\"bucket_us\":{},\"buckets\":[", self.start_us, self.bucket_us);
-        for (i, b) in self.buckets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{b}");
-        }
-        let _ = write!(
-            out,
-            "],\"first_error_us\":{},\"service_return_us\":{}}}",
-            self.first_error_us.map_or("null".to_string(), |v| v.to_string()),
-            self.service_return_us.map_or("null".to_string(), |v| v.to_string()),
-        );
-        out
-    }
 }
 
 /// One committed New-Order acknowledgement, as the client saw it.
@@ -771,12 +751,6 @@ mod tests {
         let hi = ((back - tl.start_us) / tl.bucket_us) as usize;
         for b in &tl.buckets[lo.min(tl.buckets.len())..hi.min(tl.buckets.len())] {
             assert_eq!(*b, 0, "no successes between service loss and return");
-        }
-        // JSON round-trips structurally: the serialized form mentions every
-        // field once.
-        let json = tl.to_json();
-        for key in ["start_us", "bucket_us", "buckets", "first_error_us", "service_return_us"] {
-            assert!(json.contains(key), "JSON must carry {key}");
         }
     }
 

@@ -50,7 +50,7 @@ fn paper_quick_writes_what_each_report_prints_alone() {
     }
 
     let log = std::fs::read_to_string(dir.join("campaign.log")).expect("written by paper");
-    assert!(log.contains("cells planned 44, cells run 32, distinct set-ups 10"), "{log}");
+    assert!(log.contains("cells planned 58, cells run 37, distinct set-ups 10"), "{log}");
     assert!(log.contains("campaign: templates built 10, "), "each set-up built once:\n{log}");
 }
 
@@ -81,6 +81,9 @@ fn a_refused_command_line_exits_2_and_runs_nothing() {
         &["table4_incomplete", "--sabotage", "3"],
         &["torture", "--faultload", "bogus"],
         &["recovery_breakdown", "--smoke"],
+        // A report prints; `--out` belongs to `paper` and `torture`.
+        &["recovery_breakdown", "--out", "x.json"],
+        &["fig6_topologies", "--out", "x.json"],
         &["paper", "--threads"],
     ] {
         let out = recobench(line);
