@@ -18,6 +18,8 @@
 //!   as it happens (the experiment harness uses this for span collection
 //!   and JSONL export, tests to collect what they inspect).
 
+#![deny(missing_docs)]
+
 use recobench_sim::SimTime;
 
 use crate::stats::EngineStats;
@@ -232,6 +234,7 @@ pub enum EngineEvent {
     },
 }
 
+#[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
 impl EngineEvent {
     /// Stable snake_case event name used in the JSONL export.
     pub fn name(&self) -> &'static str {
@@ -370,6 +373,7 @@ impl EventSink {
         }
     }
 
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
     fn derive(&mut self, event: &EngineEvent) {
         let d = &mut self.derived;
         match event {

@@ -183,11 +183,6 @@ impl Model {
         model
     }
 
-    /// Total call-graph edge count (for the runtime report).
-    pub fn edge_count(&self) -> usize {
-        self.edges.iter().map(Vec::len).sum()
-    }
-
     /// The token stream of the file a fn lives in.
     pub fn toks_of(&self, fn_idx: usize) -> &[Tok] {
         &self.files[self.fns[fn_idx].file].items.toks

@@ -3,16 +3,15 @@
 //! The benchmark's measures (recovery time, lost transactions, integrity
 //! violations) are only trustworthy because every run is bit-for-bit
 //! deterministic on the simulated clock and every recovery path reports
-//! failure instead of panicking. Ordinary clippy cannot express those
-//! rules — they are about *this* repo's layering — so, in the style of
-//! rustc's `tidy` pass, this crate walks the workspace sources and data
-//! files and enforces them with `file:line` diagnostics. v2 parses every
+//! failure instead of panicking. The determinism half is clippy's
+//! (`clippy.toml` disallows the wall clock and env-seeded hashing); the
+//! rest is about *this* repo's layering, which clippy cannot express, so,
+//! in the style of rustc's `tidy` pass, this crate walks the workspace
+//! sources and enforces it with `file:line` diagnostics. It parses every
 //! Rust file ([`lex`] → [`items`]) into an approximate intra-workspace
 //! call graph with dataflow-lite receiver resolution ([`callgraph`]), so
 //! lints can reason about reachability, not just text:
 //!
-//! * [`lints::determinism`] — no wall-clock or env-seeded randomness
-//!   outside `crates/bench` (alias-aware through the use table);
 //! * [`lints::panic_freedom`] — nothing reachable from a
 //!   `// tidy-entry(recovery)` fn may `unwrap()`/`expect()`/`panic!` or
 //!   index with an unguarded `[]`; diagnostics carry the call path;
@@ -28,10 +27,7 @@
 //! * [`lints::ordered_serialization`] — no `HashMap`/`HashSet` in modules
 //!   whose output must be byte-stable (alias- and type-alias-aware);
 //! * [`lints::sorted_uses`] — import blocks in byte-stable modules are
-//!   sorted (auto-fixable with [`fix`]);
-//! * [`lints::schema_conformance`] — event enum ↔ JSONL exporter
-//!   coverage, and corpus / benchmark artifacts parse against their
-//!   schemas;
+//!   sorted;
 //! * [`lints::sabotage_isolation`] — test-only `sabotage_*` hooks stay
 //!   behind `cfg(any(test, feature = "sabotage"))`.
 //!
@@ -43,17 +39,13 @@
 //! ```
 //!
 //! Waivers that no longer suppress anything are themselves reported
-//! (`unused-allow`), so stale exemptions cannot accumulate; `FIXME`
-//! placeholder justifications (what `--fix` drafts) are flagged even
-//! while they suppress.
+//! (`unused-allow`), so stale exemptions cannot accumulate.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 pub mod callgraph;
-pub mod fix;
 pub mod items;
-pub mod json;
 pub mod lex;
 pub mod lints;
 pub mod source;
@@ -68,23 +60,19 @@ const SKIP_DIRS: &[&str] = &["target", ".git", "third_party", "node_modules"];
 /// real run would make a clean tree impossible.
 const SKIP_PREFIXES: &[&str] = &["crates/tidy/tests/fixtures"];
 
-/// File extensions collected by the walker (sources, and the corpus and
-/// manifest JSON the lints read).
-const EXTENSIONS: &[&str] = &["rs", "json"];
-
-/// The walked workspace: every lintable file, with sources pre-analyzed
-/// and the Rust files parsed into the call-graph model.
+/// The walked workspace: every Rust file, pre-analyzed and parsed into
+/// the call-graph model.
 pub struct Workspace {
     /// Absolute workspace root.
     pub root: PathBuf,
-    /// All collected files, sorted by relative path for stable output.
+    /// All collected `.rs` files, sorted by relative path for stable output.
     pub files: Vec<SourceFile>,
-    /// Items + approximate call graph over every `.rs` file.
+    /// Items + approximate call graph over every file.
     pub model: callgraph::Model,
 }
 
 impl Workspace {
-    /// Walks `root` and loads every lintable file.
+    /// Walks `root` and loads every Rust file.
     ///
     /// # Errors
     ///
@@ -99,7 +87,6 @@ impl Workspace {
         files.sort_by(|a, b| a.rel.cmp(&b.rel));
         let parsed = files
             .iter()
-            .filter(|f| f.is_rust())
             .map(|f| callgraph::FileModel {
                 rel: f.rel.clone(),
                 items: items::parse(&f.text(), &f.lines, &|l| f.in_test_region(l)),
@@ -137,7 +124,7 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> Result<(), String
                 continue;
             }
             walk(root, &path, out)?;
-        } else if EXTENSIONS.iter().any(|e| name.ends_with(&format!(".{e}"))) {
+        } else if name.ends_with(".rs") {
             out.push(SourceFile::load(root, &path)?);
         }
     }
@@ -173,17 +160,14 @@ impl fmt::Display for Diagnostic {
 /// Collects diagnostics, honouring per-line `tidy-allow` waivers.
 pub struct Diagnostics {
     violations: Vec<Diagnostic>,
-    /// (file, line, lint, reason, used) for every parsed waiver.
+    /// (file, line, lint, used) for every parsed waiver.
     allows: Vec<AllowState>,
-    /// Files checked, for the report.
-    pub files_checked: usize,
 }
 
 struct AllowState {
     file: String,
     line: usize,
     lint: String,
-    reason: String,
     used: bool,
 }
 
@@ -197,12 +181,11 @@ impl Diagnostics {
                     file: f.rel.clone(),
                     line: a.line,
                     lint: a.lint.clone(),
-                    reason: a.reason.clone(),
                     used: false,
                 });
             }
         }
-        Diagnostics { violations: Vec::new(), allows, files_checked: ws.files.len() }
+        Diagnostics { violations: Vec::new(), allows }
     }
 
     /// Records a finding unless a matching waiver covers `line` (same
@@ -243,18 +226,6 @@ impl Diagnostics {
                         a.lint
                     ),
                 });
-            } else if a.reason.contains("FIXME") {
-                // `--fix` inserts waiver templates with a FIXME reason so
-                // the tree stays red until a human justifies them.
-                self.violations.push(Diagnostic {
-                    lint: "unused-allow",
-                    file: a.file.clone(),
-                    line: a.line,
-                    message: format!(
-                        "tidy-allow({}) has a FIXME placeholder justification; write a real one",
-                        a.lint
-                    ),
-                });
             }
         }
         self.violations.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
@@ -269,7 +240,7 @@ impl Diagnostics {
 pub trait Lint {
     /// Stable kebab-case name used in diagnostics and `tidy-allow`.
     fn name(&self) -> &'static str;
-    /// One-line human description for `--list` and the JSON report.
+    /// One-line human description for `--list`.
     fn description(&self) -> &'static str;
     /// Checks the workspace, emitting findings into `diags`.
     fn check(&self, ws: &Workspace, diags: &mut Diagnostics);
@@ -282,65 +253,4 @@ pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
         lint.check(ws, &mut diags);
     }
     diags.finish()
-}
-
-/// Cost of one tidy run, recorded in the JSON report so analysis cost is
-/// tracked from run to run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunStats {
-    /// Wall-clock of load + analysis, milliseconds.
-    pub millis: u128,
-    /// Files walked.
-    pub files: usize,
-    /// Functions in the call-graph model.
-    pub fns: usize,
-    /// Resolved call-graph edges.
-    pub edges: usize,
-}
-
-impl RunStats {
-    /// Fills the model-shaped fields from a workspace.
-    pub fn for_workspace(ws: &Workspace, millis: u128) -> RunStats {
-        RunStats {
-            millis,
-            files: ws.files.len(),
-            fns: ws.model.fns.len(),
-            edges: ws.model.edge_count(),
-        }
-    }
-}
-
-/// Renders the machine-readable JSON report (one stable shape the CI job
-/// uploads as an artifact).
-pub fn json_report(ws: &Workspace, diagnostics: &[Diagnostic], stats: &RunStats) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("{\n  \"tool\": \"recobench-tidy\",\n");
-    let _ = writeln!(out, "  \"files_checked\": {},", ws.files.len());
-    let _ = writeln!(
-        out,
-        "  \"runtime\": {{\"millis\": {}, \"files\": {}, \"fns\": {}, \"call_graph_edges\": {}}},",
-        stats.millis, stats.files, stats.fns, stats.edges
-    );
-    out.push_str("  \"lints\": [");
-    for (i, l) in lints::all().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{:?}", l.name());
-    }
-    out.push_str("],\n  \"violations\": [");
-    for (i, d) in diagnostics.iter().enumerate() {
-        out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-        let _ = write!(
-            out,
-            "{{\"lint\": {:?}, \"file\": {:?}, \"line\": {}, \"message\": {:?}}}",
-            d.lint, d.file, d.line, d.message
-        );
-    }
-    if !diagnostics.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
 }

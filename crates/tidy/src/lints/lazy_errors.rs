@@ -31,7 +31,7 @@ impl Lint for LazyErrors {
 
     fn check(&self, ws: &Workspace, diags: &mut Diagnostics) {
         for f in &ws.files {
-            if !f.is_rust() || !SCOPED_PREFIXES.iter().any(|p| f.rel.starts_with(p)) {
+            if !SCOPED_PREFIXES.iter().any(|p| f.rel.starts_with(p)) {
                 continue;
             }
             for (i, code) in f.code.iter().enumerate() {

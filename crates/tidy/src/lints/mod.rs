@@ -6,21 +6,18 @@
 
 use crate::Lint;
 
-pub mod determinism;
 pub mod error_swallow;
 pub mod lazy_errors;
 pub mod lock_discipline;
 pub mod ordered_serialization;
 pub mod panic_freedom;
 pub mod sabotage_isolation;
-pub mod schema_conformance;
 pub mod sorted_uses;
 pub mod write_site_coverage;
 
 /// Every registered lint, in the order they run and are listed.
 pub fn all() -> Vec<Box<dyn Lint>> {
     vec![
-        Box::new(determinism::Determinism),
         Box::new(panic_freedom::PanicFreedom),
         Box::new(error_swallow::ErrorSwallow),
         Box::new(lazy_errors::LazyErrors),
@@ -28,7 +25,6 @@ pub fn all() -> Vec<Box<dyn Lint>> {
         Box::new(write_site_coverage::WriteSiteCoverage),
         Box::new(ordered_serialization::OrderedSerialization),
         Box::new(sorted_uses::SortedUses),
-        Box::new(schema_conformance::SchemaConformance),
         Box::new(sabotage_isolation::SabotageIsolation),
     ]
 }

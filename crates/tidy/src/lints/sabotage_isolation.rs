@@ -30,7 +30,7 @@ impl Lint for SabotageIsolation {
 
     fn check(&self, ws: &Workspace, diags: &mut Diagnostics) {
         for f in &ws.files {
-            if !f.is_rust() || !GUARDED_PREFIXES.iter().any(|p| f.rel.starts_with(p)) {
+            if !GUARDED_PREFIXES.iter().any(|p| f.rel.starts_with(p)) {
                 continue;
             }
             for (i, code) in f.code.iter().enumerate() {

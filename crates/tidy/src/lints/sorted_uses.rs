@@ -2,9 +2,7 @@
 //!
 //! The codec/report modules are diffed byte-for-byte in review whenever a
 //! serialization contract changes; keeping their import blocks in sorted
-//! order keeps those diffs minimal and mechanical. This is also the
-//! demonstration target for `tidy --fix`, which rewrites an unsorted
-//! block in place.
+//! order keeps those diffs minimal and mechanical.
 
 use crate::{Diagnostics, Lint, Workspace};
 
@@ -23,7 +21,7 @@ pub const SORTED_FILES: &[&str] = &[
 
 /// Finds unsorted contiguous `use` blocks: returns `(start, end)` 0-based
 /// inclusive line ranges that need re-sorting.
-pub fn unsorted_blocks(lines: &[String]) -> Vec<(usize, usize)> {
+fn unsorted_blocks(lines: &[String]) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < lines.len() {
@@ -61,7 +59,7 @@ impl Lint for SortedUses {
     }
 
     fn description(&self) -> &'static str {
-        "import blocks in byte-stable modules are sorted (fixable with --fix)"
+        "import blocks in byte-stable modules are sorted"
     }
 
     fn check(&self, ws: &Workspace, diags: &mut Diagnostics) {
@@ -73,7 +71,7 @@ impl Lint for SortedUses {
                     &f.rel,
                     start + 1,
                     format!(
-                        "`use` block (lines {}–{}) is not sorted; run `cargo tidy -- --fix`",
+                        "`use` block (lines {}–{}) is not sorted; sort its lines",
                         start + 1,
                         end + 1
                     ),

@@ -12,12 +12,9 @@
 //! `UPDATE_WRITE_SITES=1 cargo test -p recobench-oracle --test
 //! write_point_sweep`) or a waiver documents why the sweep cannot reach
 //! it (e.g. standby-only paths). Stale manifest entries are flagged too.
-//!
-//! `tidy --write-sites FILE` emits the static enumeration as JSON; CI
-//! uploads it and diffs it against the sweep's manifest.
 
 use crate::callgraph::CallStyle;
-use crate::{json, Diagnostics, Lint, Workspace};
+use crate::{Diagnostics, Lint, Workspace};
 
 /// The manifest the sweep maintains.
 pub const MANIFEST_REL: &str = "crates/oracle/tests/write_site_coverage.json";
@@ -35,7 +32,7 @@ pub struct WriteSite {
     pub line: usize,
     /// The `SimFs` method called.
     pub method: String,
-    /// The enclosing fn, for the manifest reader.
+    /// The enclosing fn, for diagnostics.
     pub in_fn: String,
 }
 
@@ -85,26 +82,6 @@ pub fn engine_write_sites(ws: &Workspace) -> (Vec<WriteSite>, Vec<WriteSite>) {
     (sites, unresolved)
 }
 
-/// Renders the static enumeration as the `--write-sites` JSON manifest.
-pub fn manifest_json(sites: &[WriteSite]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("{\n  \"tool\": \"recobench-tidy --write-sites\",\n  \"sites\": [");
-    for (i, s) in sites.iter().enumerate() {
-        out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-        let _ = write!(
-            out,
-            "{{\"file\": {:?}, \"line\": {}, \"method\": {:?}, \"fn\": {:?}}}",
-            s.file, s.line, s.method, s.in_fn
-        );
-    }
-    if !sites.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
 /// See the module docs.
 pub struct WriteSiteCoverage;
 
@@ -134,7 +111,7 @@ impl Lint for WriteSiteCoverage {
                 ),
             );
         }
-        let Some(manifest) = ws.file(MANIFEST_REL) else {
+        let Ok(manifest) = std::fs::read_to_string(ws.root.join(MANIFEST_REL)) else {
             diags.emit(
                 self.name(),
                 MANIFEST_REL,
@@ -148,10 +125,10 @@ impl Lint for WriteSiteCoverage {
             );
             return;
         };
-        let covered: Vec<(String, usize)> = match parse_manifest(&manifest.text()) {
+        let covered = match parse_manifest(&manifest) {
             Ok(v) => v,
             Err(e) => {
-                diags.emit(self.name(), MANIFEST_REL, 0, format!("manifest unreadable: {e}"));
+                diags.emit(self.name(), MANIFEST_REL, 0, e);
                 return;
             }
         };
@@ -191,24 +168,54 @@ impl Lint for WriteSiteCoverage {
     }
 }
 
-/// Reads the sweep manifest: `{"sites": [{"file": …, "line": …}, …]}`.
+/// Reads the sweep manifest's site lines: one `{"file": "…", "line": N}`
+/// per line, as `write_point_sweep` renders them (that test pins the
+/// bytes). A line naming a `"file"` in any other shape is an error, not a
+/// skipped site: a skipped site would void the coverage claim.
 fn parse_manifest(text: &str) -> Result<Vec<(String, usize)>, String> {
-    let v = json::parse(text)?;
-    let sites = v
-        .get("sites")
-        .and_then(json::Value::as_array)
-        .ok_or_else(|| "no `sites` array".to_string())?;
-    let mut out = Vec::new();
-    for s in sites {
-        let file = s
-            .get("file")
-            .and_then(json::Value::as_str)
-            .ok_or_else(|| "site without `file`".to_string())?;
-        let line = s
-            .get("line")
-            .and_then(json::Value::as_u64)
-            .ok_or_else(|| "site without `line`".to_string())?;
-        out.push((file.to_string(), line as usize));
+    let mut sites = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        if !line.contains("\"file\"") {
+            continue;
+        }
+        let site = line
+            .trim()
+            .trim_end_matches(',')
+            .strip_prefix("{\"file\": \"")
+            .and_then(|rest| rest.strip_suffix('}'))
+            .and_then(|rest| rest.split_once("\", \"line\": "))
+            .and_then(|(file, n)| Some((file.to_string(), n.parse::<usize>().ok()?)));
+        let Some(site) = site else {
+            return Err(format!(
+                "manifest unreadable: line {} is not a `{{\"file\": \"…\", \"line\": N}}` site",
+                i + 1
+            ));
+        };
+        sites.push(site);
     }
-    Ok(out)
+    Ok(sites)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MANIFEST: &str = "{\n  \"generated_by\": \"UPDATE_WRITE_SITES=1\",\n  \"sites\": [\n    \
+                            {\"file\": \"crates/engine/src/a.rs\", \"line\": 7},\n    \
+                            {\"file\": \"crates/engine/src/b.rs\", \"line\": 12}\n  ]\n}\n";
+
+    #[test]
+    fn reads_every_site_line() {
+        assert_eq!(
+            parse_manifest(MANIFEST).unwrap(),
+            vec![("crates/engine/src/a.rs".to_string(), 7), ("crates/engine/src/b.rs".to_string(), 12)]
+        );
+    }
+
+    #[test]
+    fn a_site_line_it_cannot_read_is_an_error_not_a_skipped_site() {
+        let bad = MANIFEST.replace("\"line\": 12", "\"line\": \"twelve\"");
+        let err = parse_manifest(&bad).unwrap_err();
+        assert!(err.starts_with("manifest unreadable: line 5 "), "{err}");
+    }
 }

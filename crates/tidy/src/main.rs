@@ -3,9 +3,6 @@
 //! ```text
 //! cargo run -p recobench-tidy               # lint the workspace, exit 1 on findings
 //! cargo run -p recobench-tidy -- --list     # list registered lints
-//! cargo run -p recobench-tidy -- --json tidy-report.json
-//! cargo run -p recobench-tidy -- --write-sites write-sites.json
-//! cargo run -p recobench-tidy -- --fix --dry-run
 //! cargo run -p recobench-tidy -- --root some/tree
 //! ```
 //!
@@ -14,16 +11,10 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use recobench_tidy::lints::write_site_coverage;
-use recobench_tidy::{fix, json_report, lints, run, RunStats, Workspace};
+use recobench_tidy::{lints, run, Workspace};
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut json_out: Option<PathBuf> = None;
-    let mut write_sites_out: Option<PathBuf> = None;
-    let mut quiet = false;
-    let mut do_fix = false;
-    let mut dry_run = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -34,16 +25,8 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--root" => root = args.next().map(PathBuf::from),
-            "--json" => json_out = args.next().map(PathBuf::from),
-            "--write-sites" => write_sites_out = args.next().map(PathBuf::from),
-            "--fix" => do_fix = true,
-            "--dry-run" => dry_run = true,
-            "--quiet" | "-q" => quiet = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: recobench-tidy [--root DIR] [--json REPORT.json] \
-                     [--write-sites SITES.json] [--fix [--dry-run]] [--list] [--quiet]"
-                );
+                println!("usage: recobench-tidy [--root DIR] [--list]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -51,10 +34,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-    }
-    if dry_run && !do_fix {
-        eprintln!("recobench-tidy: --dry-run only makes sense with --fix");
-        return ExitCode::from(2);
     }
 
     let root = match root {
@@ -71,9 +50,6 @@ fn main() -> ExitCode {
         },
     };
 
-    #[allow(clippy::disallowed_methods)]
-    // tidy-allow(determinism): tidy measures its own analysis cost for the --json report
-    let started = std::time::Instant::now();
     let ws = match Workspace::load(&root) {
         Ok(ws) => ws,
         Err(e) => {
@@ -82,63 +58,9 @@ fn main() -> ExitCode {
         }
     };
     let diagnostics = run(&ws);
-    let stats = RunStats::for_workspace(&ws, started.elapsed().as_millis());
-
-    if let Some(path) = &write_sites_out {
-        let (sites, _) = write_site_coverage::engine_write_sites(&ws);
-        let manifest = write_site_coverage::manifest_json(&sites);
-        let write_res = if path.as_os_str() == "-" {
-            print!("{manifest}");
-            Ok(())
-        } else {
-            std::fs::write(path, manifest)
-        };
-        if let Err(e) = write_res {
-            eprintln!("recobench-tidy: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    if let Some(path) = json_out {
-        if let Err(e) = std::fs::write(&path, json_report(&ws, &diagnostics, &stats)) {
-            eprintln!("recobench-tidy: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    if do_fix {
-        match fix::run(&ws, &diagnostics, dry_run) {
-            Ok((diff, changed)) => {
-                if !diff.is_empty() {
-                    print!("{diff}");
-                }
-                println!(
-                    "tidy --fix{}: {changed} file(s) {}",
-                    if dry_run { " --dry-run" } else { "" },
-                    if dry_run { "would change" } else { "changed" }
-                );
-                if !dry_run && changed > 0 {
-                    println!("re-run tidy: inserted waivers carry FIXME reasons and stay red");
-                }
-            }
-            Err(e) => {
-                eprintln!("recobench-tidy: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
 
     if diagnostics.is_empty() {
-        if !quiet {
-            println!(
-                "tidy: {} files clean across {} lints ({} fns, {} call edges, {} ms)",
-                ws.files.len(),
-                lints::all().len(),
-                stats.fns,
-                stats.edges,
-                stats.millis
-            );
-        }
+        println!("tidy: {} files clean across {} lints", ws.files.len(), lints::all().len());
         ExitCode::SUCCESS
     } else {
         for d in &diagnostics {

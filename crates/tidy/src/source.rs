@@ -2,7 +2,7 @@
 //! stripping, `#[cfg(test)]` region detection, attribute-gated region
 //! detection, and `tidy-allow` waiver parsing.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// One parsed `// tidy-allow(<lint>): <reason>` waiver.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,8 +19,6 @@ pub struct Allow {
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators.
     pub rel: String,
-    /// Absolute path.
-    pub abs: PathBuf,
     /// Raw lines, 0-indexed (diagnostics add 1).
     pub lines: Vec<String>,
     /// Lines with line comments and string-literal contents blanked, so
@@ -57,7 +55,7 @@ impl SourceFile {
         let sabotage_regions = attribute_regions(&lines, &code, |attr| {
             attr.contains("cfg(any(test, feature = \"sabotage\"))")
         });
-        Ok(SourceFile { rel, abs: path.to_path_buf(), lines, code, allows, test_regions, sabotage_regions })
+        Ok(SourceFile { rel, lines, code, allows, test_regions, sabotage_regions })
     }
 
     /// Whether 1-based `line` is inside a `#[cfg(test)]`-gated region.
@@ -69,11 +67,6 @@ impl SourceFile {
     /// `cfg(any(test, feature = "sabotage"))`.
     pub fn in_sabotage_region(&self, line: usize) -> bool {
         self.sabotage_regions.iter().any(|&(a, b)| (a..=b).contains(&line))
-    }
-
-    /// Whether this is a Rust source file.
-    pub fn is_rust(&self) -> bool {
-        self.rel.ends_with(".rs")
     }
 
     /// The file's full text (lossless enough for whole-file parses —
@@ -171,30 +164,6 @@ fn parse_allows(lines: &[String], code: &[String]) -> Vec<Allow> {
     out
 }
 
-/// Given comment/string-stripped lines and a 0-based line on or after
-/// which an item's `{` opens, returns the 0-based line of the matching
-/// `}` (or the last line if unbalanced).
-pub fn brace_region(code: &[String], start: usize) -> usize {
-    let mut depth: i64 = 0;
-    let mut opened = false;
-    for (k, c) in code.iter().enumerate().skip(start) {
-        for ch in c.chars() {
-            match ch {
-                '{' => {
-                    depth += 1;
-                    opened = true;
-                }
-                '}' => depth -= 1,
-                _ => {}
-            }
-        }
-        if opened && depth <= 0 {
-            return k;
-        }
-    }
-    code.len().saturating_sub(1)
-}
-
 /// Finds the 1-based inclusive line ranges of items gated by an attribute
 /// matching `pred`. The region starts at the first code line after the
 /// attribute (skipping further attributes and comments) and runs to the
@@ -276,16 +245,16 @@ mod tests {
         // sources, never mistakes this test data for real waivers.
         let m = format!("tidy-{}", "allow");
         let ls = lines(&format!(
-            "foo(); // {m}(determinism): bench-only timer\n\
+            "foo(); // {m}(lazy-errors): the error is a constant\n\
              bar(); // {m}(panic-freedom):\n\
              // {m}(ordered-serialization): scratch map, drained sorted\n\
              // {m}(<lint>): placeholder names never parse\n\
-             let s = \"// {m}(determinism): inside a string literal\";",
+             let s = \"// {m}(lazy-errors): inside a string literal\";",
         ));
         let code: Vec<String> = ls.iter().map(|l| strip_noncode(l)).collect();
         let allows = parse_allows(&ls, &code);
         assert_eq!(allows.len(), 2);
-        assert_eq!(allows[0], Allow { line: 1, lint: "determinism".into(), reason: "bench-only timer".into() });
+        assert_eq!(allows[0], Allow { line: 1, lint: "lazy-errors".into(), reason: "the error is a constant".into() });
         assert_eq!(allows[1].line, 3);
     }
 

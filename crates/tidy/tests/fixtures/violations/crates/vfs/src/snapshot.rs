@@ -1,10 +1,9 @@
 //! Fixture: violations in the snapshot-manifest module — hash-order
-//! iteration, wall-clock identity, and an unsorted import block.
+//! iteration and an unsorted import block.
 
 use std::collections::HashMap;
 use std::cmp::Ordering;
 
 pub fn manifest_of(files: &HashMap<u64, String>, _o: Ordering) -> String {
-    let stamp = std::time::SystemTime::now();
-    format!("{files:?} at {stamp:?}")
+    format!("{files:?}")
 }

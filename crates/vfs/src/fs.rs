@@ -264,8 +264,8 @@ pub struct SimFs {
     /// Caller sites (source file, 1-based line) that invoked a durable
     /// write entry point (`write_block` / `append` / `append_padded`),
     /// captured via `#[track_caller]`. Feeds the write-site coverage
-    /// manifest the crash sweep cross-checks against `tidy
-    /// --write-sites`; deliberately NOT reset by
+    /// manifest that tidy's `write-site-coverage` lint checks against
+    /// the static write sites; deliberately NOT reset by
     /// [`SimFs::clear_faults`], so sites observed before a crash survive
     /// the recovery run.
     write_sites: BTreeSet<(&'static str, u32)>,
@@ -783,7 +783,7 @@ impl SimFs {
     /// Every caller site (source file, 1-based line) that has invoked a
     /// durable-write entry point on this filesystem, sorted. The
     /// write-point sweep unions these across its runs into the coverage
-    /// manifest that `tidy --write-sites` is checked against.
+    /// manifest that tidy's `write-site-coverage` lint reads.
     pub fn write_sites_observed(&self) -> Vec<(&'static str, u32)> {
         self.write_sites.iter().copied().collect()
     }
