@@ -363,11 +363,11 @@ impl ReplicaSet {
             }
             let result = match node.upstream {
                 Some(j) if j != i && self.promoted == Some(j) => {
-                    let (node, upstream) = pair_mut(&mut self.nodes, i, j);
+                    let [node, upstream] = lookup(self.nodes.get_disjoint_mut([i, j]).ok(), j)?;
                     node.standby.sync(upstream.standby.server())
                 }
                 Some(j) if j != i => {
-                    let (node, upstream) = pair_mut(&mut self.nodes, i, j);
+                    let [node, upstream] = lookup(self.nodes.get_disjoint_mut([i, j]).ok(), j)?;
                     node.standby.sync_from_standby(&upstream.standby)
                 }
                 _ => match primary {
@@ -408,10 +408,7 @@ impl ReplicaSet {
         let Some(k) = self.promoted else {
             return Err(DbError::BadAdminCommand("no promoted replica to kill".into()));
         };
-        let node = self
-            .nodes
-            .get_mut(k)
-            .ok_or_else(|| DbError::Unrecoverable(format!("replica {k} vanished from the set")))?;
+        let node = lookup(self.nodes.get_mut(k), k)?;
         node.standby.server_mut().shutdown_abort()?;
         node.dead = true;
         Ok(self.clock.now())
@@ -497,10 +494,7 @@ impl ReplicaSet {
         }
         let Some(k) = candidate else { return Ok(None) };
         let now = self.clock.now();
-        let promoted_node = self
-            .nodes
-            .get_mut(k)
-            .ok_or_else(|| DbError::Unrecoverable(format!("replica {k} vanished from the set")))?;
+        let promoted_node = lookup(self.nodes.get_mut(k), k)?;
         promoted_node.standby.server_mut().events.record(
             now,
             EngineEvent::FailoverStarted { votes: votes as u64, replicas: total as u64 },
@@ -526,10 +520,7 @@ impl ReplicaSet {
             // A fresh backup of the new primary: survivors re-instantiate
             // from it. Backgrounded — the new primary serves clients from
             // `ready`; re-protecting the set only keeps the disks busy.
-            let source = self
-                .nodes
-                .get_mut(k)
-                .ok_or_else(|| DbError::Unrecoverable(format!("replica {k} vanished from the set")))?;
+            let source = lookup(self.nodes.get_mut(k), k)?;
             source.standby.server_mut().take_cold_backup_in_background()?;
             for i in survivors {
                 self.resync_node(i, k)?;
@@ -544,20 +535,8 @@ impl ReplicaSet {
         if i == k {
             return Ok(());
         }
-        let name = self
-            .nodes
-            .get(i)
-            .ok_or_else(|| DbError::Unrecoverable(format!("replica {i} vanished from the set")))?
-            .standby
-            .server()
-            .name()
-            .to_string();
-        let source = self
-            .nodes
-            .get(k)
-            .ok_or_else(|| DbError::Unrecoverable(format!("replica {k} vanished from the set")))?
-            .standby
-            .server();
+        let name = lookup(self.nodes.get(i), i)?.standby.server().name().to_string();
+        let source = lookup(self.nodes.get(k), k)?.standby.server();
         let mut standby = StandbyServer::instantiate_in_background(
             source,
             &name,
@@ -565,10 +544,7 @@ impl ReplicaSet {
             self.layout.clone(),
             self.config.clone(),
         )?;
-        let node = self
-            .nodes
-            .get_mut(i)
-            .ok_or_else(|| DbError::Unrecoverable(format!("replica {i} vanished from the set")))?;
+        let node = lookup(self.nodes.get_mut(i), i)?;
         let applied = standby.applied_seq();
         standby
             .server_mut()
@@ -584,17 +560,10 @@ impl ReplicaSet {
     }
 }
 
-/// Disjoint mutable/shared access to two different nodes.
-fn pair_mut(nodes: &mut [ReplicaNode], i: usize, j: usize) -> (&mut ReplicaNode, &ReplicaNode) {
-    if i < j {
-        let (lo, hi) = nodes.split_at_mut(j);
-        // tidy-allow(panic-freedom): i < j = lo.len() and hi is non-empty because j indexes nodes
-        (&mut lo[i], &hi[0])
-    } else {
-        let (lo, hi) = nodes.split_at_mut(i);
-        // tidy-allow(panic-freedom): j < i = lo.len() (callers never pass i == j) and hi is non-empty because i indexes nodes
-        (&mut hi[0], &lo[j])
-    }
+/// A node the set's own bookkeeping names (the promoted id, an upstream, a
+/// survivor); `None` means that bookkeeping broke.
+fn lookup<T>(node: Option<T>, k: usize) -> DbResult<T> {
+    node.ok_or_else(|| DbError::Unrecoverable(format!("replica {k} vanished from the set")))
 }
 
 #[cfg(test)]

@@ -462,7 +462,7 @@ impl DbServer {
             return Ok(());
         }
         let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
-        let position = inst.cache.min_dirty_addr().unwrap_or(inst.redo.tail());
+        let position = inst.cache.min_dirty_addr().unwrap_or_else(|| inst.redo.tail());
         let scn = inst.scn;
         let snapshot = Arc::new(inst.catalog.clone());
         let control = self.control_mut()?;

@@ -4,10 +4,13 @@
 //! violations) are only trustworthy because every run is bit-for-bit
 //! deterministic on the simulated clock and every recovery path reports
 //! failure instead of panicking. The determinism half is clippy's
-//! (`clippy.toml` disallows the wall clock and env-seeded hashing); the
-//! rest is about *this* repo's layering, which clippy cannot express, so,
-//! in the style of rustc's `tidy` pass, this crate walks the workspace
-//! sources and enforces it with `file:line` diagnostics. It parses every
+//! (`clippy.toml` disallows the wall clock and env-seeded hashing), and so
+//! is the error built on the success path (`clippy::or_fun_call` at the
+//! engine and vfs crate roots); the rest is about *this* repo's layering,
+//! which clippy cannot express: its rules need the callee's return type,
+//! the receiver's type or reach from an entry point. So, in the style of
+//! rustc's `tidy` pass, this crate walks the workspace sources and
+//! enforces it with `file:line` diagnostics. It parses every
 //! Rust file ([`lex`] → [`items`]) into an approximate intra-workspace
 //! call graph with dataflow-lite receiver resolution ([`callgraph`]), so
 //! lints can reason about reachability, not just text:
@@ -17,8 +20,6 @@
 //!   index with an unguarded `[]`; diagnostics carry the call path;
 //! * [`lints::error_swallow`] — engine/oracle code never discards a
 //!   typed error (`let _ =`, statement `.ok();`, dropped results);
-//! * [`lints::lazy_errors`] — engine/vfs code builds no typed error on
-//!   the success path (`.ok_or(DbError::…)`);
 //! * [`lints::lock_discipline`] — `lock_row` only via the `lock_for_dml`
 //!   chokepoint, locks before WAL append, session-path VFS writes only
 //!   inside the sanctioned writers;
@@ -26,8 +27,6 @@
 //!   site appears in the crash sweep's coverage manifest;
 //! * [`lints::ordered_serialization`] — no `HashMap`/`HashSet` in modules
 //!   whose output must be byte-stable (alias- and type-alias-aware);
-//! * [`lints::sorted_uses`] — import blocks in byte-stable modules are
-//!   sorted;
 //! * [`lints::sabotage_isolation`] — test-only `sabotage_*` hooks stay
 //!   behind `cfg(any(test, feature = "sabotage"))`.
 //!

@@ -7,12 +7,10 @@
 use crate::Lint;
 
 pub mod error_swallow;
-pub mod lazy_errors;
 pub mod lock_discipline;
 pub mod ordered_serialization;
 pub mod panic_freedom;
 pub mod sabotage_isolation;
-pub mod sorted_uses;
 pub mod write_site_coverage;
 
 /// Every registered lint, in the order they run and are listed.
@@ -20,11 +18,9 @@ pub fn all() -> Vec<Box<dyn Lint>> {
     vec![
         Box::new(panic_freedom::PanicFreedom),
         Box::new(error_swallow::ErrorSwallow),
-        Box::new(lazy_errors::LazyErrors),
         Box::new(lock_discipline::LockDiscipline),
         Box::new(write_site_coverage::WriteSiteCoverage),
         Box::new(ordered_serialization::OrderedSerialization),
-        Box::new(sorted_uses::SortedUses),
         Box::new(sabotage_isolation::SabotageIsolation),
     ]
 }

@@ -245,16 +245,16 @@ mod tests {
         // sources, never mistakes this test data for real waivers.
         let m = format!("tidy-{}", "allow");
         let ls = lines(&format!(
-            "foo(); // {m}(lazy-errors): the error is a constant\n\
+            "foo(); // {m}(error-swallow): the error is a constant\n\
              bar(); // {m}(panic-freedom):\n\
              // {m}(ordered-serialization): scratch map, drained sorted\n\
              // {m}(<lint>): placeholder names never parse\n\
-             let s = \"// {m}(lazy-errors): inside a string literal\";",
+             let s = \"// {m}(error-swallow): inside a string literal\";",
         ));
         let code: Vec<String> = ls.iter().map(|l| strip_noncode(l)).collect();
         let allows = parse_allows(&ls, &code);
         assert_eq!(allows.len(), 2);
-        assert_eq!(allows[0], Allow { line: 1, lint: "lazy-errors".into(), reason: "the error is a constant".into() });
+        assert_eq!(allows[0], Allow { line: 1, lint: "error-swallow".into(), reason: "the error is a constant".into() });
         assert_eq!(allows[1].line, 3);
     }
 

@@ -1,5 +1,5 @@
 //! Fixture: violations in the snapshot-manifest module — hash-order
-//! iteration and an unsorted import block.
+//! iteration, imported and used.
 
 use std::collections::HashMap;
 use std::cmp::Ordering;

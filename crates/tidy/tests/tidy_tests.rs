@@ -6,7 +6,7 @@
 
 use std::path::Path;
 
-use recobench_tidy::{run, Workspace};
+use recobench_tidy::{lints, run, Workspace};
 
 fn fixture_ws() -> Workspace {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/violations");
@@ -55,12 +55,7 @@ fn fixtures_produce_exact_diagnostics() {
         ("crates/engine/src/standby.rs", 18, "lock-discipline"),
         // Stale manifest entries anchor on the manifest itself.
         ("crates/oracle/tests/write_site_coverage.json", 0, "write-site-coverage"),
-        // An error value built before the `Option` is looked at: on the
-        // call's own line, and with the argument on the line after it.
-        ("crates/vfs/src/fs.rs", 4, "lazy-errors"),
-        ("crates/vfs/src/fs.rs", 8, "lazy-errors"),
         ("crates/vfs/src/snapshot.rs", 4, "ordered-serialization"),
-        ("crates/vfs/src/snapshot.rs", 4, "sorted-uses"),
         ("crates/vfs/src/snapshot.rs", 7, "ordered-serialization"),
     ];
     assert_eq!(
@@ -69,6 +64,20 @@ fn fixtures_produce_exact_diagnostics() {
         "full diagnostics:\n{}",
         diags.iter().map(ToString::to_string).collect::<Vec<_>>().join("\n")
     );
+    // The registry is exactly these six lints, and each fires above.
+    let names: Vec<&str> = lints::all().iter().map(|l| l.name()).collect();
+    assert_eq!(
+        names,
+        [
+            "panic-freedom",
+            "error-swallow",
+            "lock-discipline",
+            "write-site-coverage",
+            "ordered-serialization",
+            "sabotage-isolation"
+        ]
+    );
+    assert!(names.iter().all(|n| want.iter().any(|w| w.2 == *n)));
 }
 
 #[test]
@@ -113,8 +122,6 @@ fn messages_name_the_offending_construct() {
     // The stale manifest entry points at the regeneration command.
     assert!(msg("crates/oracle/tests/write_site_coverage.json", 0)
         .contains("server.rs:999 matches no current write site"));
-    // Lazy errors names the type and the fix.
-    assert!(msg("crates/vfs/src/fs.rs", 8).contains("`.ok_or_else(|| RecoveryError::…)`"));
     // Ordered serialization: textual in ORDERED_FILES, alias across files.
     assert!(msg("crates/engine/src/codec.rs", 4).contains("HashMap"));
     assert!(msg("crates/engine/src/codec.rs", 18).contains("`FastMap` resolves to a std hash container"));
@@ -154,11 +161,6 @@ fn waivers_suppress_and_exemptions_hold() {
     // A fallible call in final-expression position is the fn's return
     // value, not a swallowed error (session.rs:19).
     silent("crates/engine/src/session.rs", 19);
-    // `.ok_or_else`, an argument that is none of the error enums, and a
-    // test module are not the lazy-errors lint's business (fs.rs:14, 18, 25).
-    silent("crates/vfs/src/fs.rs", 14);
-    silent("crates/vfs/src/fs.rs", 18);
-    silent("crates/vfs/src/fs.rs", 25);
 }
 
 #[test]

@@ -890,40 +890,6 @@ impl StockLevelTxn {
     }
 }
 
-// -------------------------------------------------- one-shot conveniences
-
-/// Runs one transaction of `kind` to completion on a throwaway session.
-///
-/// With a single session there is no lock contention, so this never sees
-/// `LockWait` or `Deadlock`; it is the serial path used by unit tests and
-/// single-terminal drivers.
-///
-/// # Errors
-///
-/// Propagates storage errors after rolling the transaction back.
-pub fn execute(
-    server: &mut DbServer,
-    schema: &TpccSchema,
-    rng: &mut SimRng,
-    kind: TxnKind,
-) -> DbResult<TxnOutcome> {
-    let session = server.connect()?;
-    let now = server.clock().now().as_micros();
-    let mut txn = InFlight::new(schema, rng, kind, now);
-    let result = loop {
-        match txn.step(server, session, schema) {
-            Ok(StmtResult::Continue) => {}
-            Ok(StmtResult::Done(out)) => break Ok(out),
-            Err(e) => {
-                let _ = server.rollback(session);
-                break Err(e);
-            }
-        }
-    };
-    server.disconnect(session);
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -944,6 +910,32 @@ mod tests {
         let mut rng = SimRng::seed_from(11);
         load_database(&mut srv, &schema, &mut rng).unwrap();
         (srv, schema, rng.fork(99))
+    }
+
+    /// Runs one transaction of `kind` to completion on a throwaway
+    /// session: with one session there is no lock contention, so no
+    /// `LockWait` or `Deadlock`.
+    fn execute(
+        server: &mut DbServer,
+        schema: &TpccSchema,
+        rng: &mut SimRng,
+        kind: TxnKind,
+    ) -> DbResult<TxnOutcome> {
+        let session = server.connect()?;
+        let now = server.clock().now().as_micros();
+        let mut txn = InFlight::new(schema, rng, kind, now);
+        let result = loop {
+            match txn.step(server, session, schema) {
+                Ok(StmtResult::Continue) => {}
+                Ok(StmtResult::Done(out)) => break Ok(out),
+                Err(e) => {
+                    let _ = server.rollback(session);
+                    break Err(e);
+                }
+            }
+        };
+        server.disconnect(session);
+        result
     }
 
     #[test]
