@@ -24,7 +24,7 @@ use crate::config::{costs, DBWR_TICK};
 use crate::controlfile::{CkptRecord, SeqLocation};
 use crate::error::{DbError, DbResult};
 use crate::events::{EngineEvent, RecoveryPhase, RecoveryProcedure};
-use crate::redo::{decode_stream_tolerant, RedoOp};
+use crate::redo::{RedoOp, RedoReader};
 use crate::server::DbServer;
 use crate::txn::UndoOp;
 use crate::types::{FileNo, RedoAddr, Scn, TxnId};
@@ -39,10 +39,6 @@ pub struct ReplaySummary {
     pub skipped: u64,
     /// Archive files read.
     pub archives_read: u64,
-    /// Highest SCN seen.
-    pub max_scn: Scn,
-    /// Highest transaction id seen.
-    pub max_txn: u64,
     /// Transactions rolled back because they never committed.
     pub rolled_back: u64,
 }
@@ -109,7 +105,7 @@ impl DbServer {
                 only_file: None,
             })?;
             recovered_records = summary.applied;
-            self.resume_after(summary.max_scn, summary.max_txn)?;
+            self.resume_after(replayed.max_scn, replayed.max_txn)?;
             // The log lives on past this crash, so the in-flight
             // transactions' rollback must be in it.
             let rollback_began = self.clock.now();
@@ -436,7 +432,7 @@ impl DbServer {
         // cross this rollback: nothing needs to be logged.
         self.rollback_unresolved(&mut summary, &replayed.live)?;
         let new_seq = self.control_ref()?.seqs.keys().next_back().copied().unwrap_or(0) + 1;
-        self.open_resetlogs(summary.max_scn.max(stop_scn), summary.max_txn, new_seq)?;
+        self.open_resetlogs(replayed.max_scn.max(stop_scn), replayed.max_txn, new_seq)?;
         self.finalize_open()?;
         self.events.record(
             self.clock.now(),
@@ -486,35 +482,26 @@ impl DbServer {
     /// transactions left unresolved: how those end is the calling
     /// procedure's decision.
     fn replay(&mut self, opts: ReplayOpts) -> DbResult<(ReplaySummary, ReplayState)> {
-        let mut summary = ReplaySummary::default();
-        let mut state = ReplayState::default();
+        let (mut summary, mut state) = (ReplaySummary::default(), ReplayState::default());
         let end_seq = self.control_ref()?.current_seq;
         let mut stopped = false;
         for seq in opts.from.seq..=end_seq {
             if stopped {
                 break;
             }
-            let loc = match self.control_ref()?.seq(seq) {
-                Some(l) => l.clone(),
-                None => {
-                    if seq == opts.from.seq && opts.from.offset == 0 {
-                        continue;
-                    }
-                    return Err(DbError::Unrecoverable(format!("no record of log seq {seq}")));
+            let Some(loc) = self.control_ref()?.seq(seq).cloned() else {
+                if seq == opts.from.seq && opts.from.offset == 0 {
+                    continue;
                 }
+                return Err(DbError::Unrecoverable(format!("no record of log seq {seq}")));
             };
             let start_offset = if seq == opts.from.seq { opts.from.offset } else { 0 };
             let scan_began = self.clock.now();
-            let (segments, from_archive) = if let Some(group) = loc.group {
+            let (file, from_archive) = if let Some(group) = loc.group {
                 let vfs_id = *self.control_ref()?.groups.get(group).ok_or_else(|| {
                     DbError::Unrecoverable(format!("log seq {seq} maps to a missing redo group"))
                 })?;
-                let now = self.clock.now();
-                let mut fs = self.fs.lock();
-                let (done, segs) = fs.read_from(vfs_id, start_offset, now)?;
-                drop(fs);
-                self.clock.advance_to(done);
-                (segs, false)
+                (vfs_id, false)
             } else if let Some((archive, done_at)) = loc.archive {
                 if done_at > opts.available_at {
                     return Err(DbError::Unrecoverable(format!(
@@ -522,44 +509,40 @@ impl DbServer {
                     )));
                 }
                 self.clock.advance(costs::ARCHIVE_FILE_OVERHEAD);
-                let now = self.clock.now();
-                let mut fs = self.fs.lock();
-                let (done, segs) = fs.read_from(archive, start_offset, now)?;
-                drop(fs);
-                self.clock.advance_to(done);
                 summary.archives_read += 1;
-                (segs, true)
+                (archive, true)
             } else {
                 return Err(DbError::Unrecoverable(format!(
                     "redo for log seq {seq} was overwritten and never archived"
                 )));
             };
+            let (done, segments) = self.fs.lock().read_from(file, start_offset, self.clock.now())?;
+            self.clock.advance_to(done);
             self.events.record(
                 self.clock.now(),
                 EngineEvent::PhaseSpan { phase: RecoveryPhase::RedoScan, started_at: scan_began },
             );
-            // A torn tail on the *current* log is what a crash mid-flush
-            // leaves behind: Oracle treats the last intact record as
-            // end-of-log and opens anyway. Anywhere earlier in the chain
-            // the same damage means lost committed history — unrecoverable.
-            let (records, truncated) = decode_stream_tolerant(&segments, costs::REDO_OVERHEAD_BYTES);
-            if truncated && seq != end_seq {
-                return Err(DbError::Unrecoverable(format!("log seq {seq} is corrupt")));
-            }
-            let applied_before = summary.applied;
-            let skipped_before = summary.skipped;
+            let (applied_before, skipped_before) = (summary.applied, summary.skipped);
             let apply_began = self.clock.now();
-            for (offset, rec) in records {
+            for next in RedoReader::new(&segments) {
+                // A torn tail on the *current* log is what a crash mid-flush
+                // leaves behind: Oracle treats the last intact record as
+                // end-of-log and opens anyway. Anywhere earlier in the chain
+                // the same damage means lost committed history — unrecoverable.
+                let Ok((offset, rec)) = next else {
+                    if seq == end_seq {
+                        break;
+                    }
+                    return Err(DbError::Unrecoverable(format!("log seq {seq} is corrupt")));
+                };
                 if offset < start_offset {
                     summary.skipped += 1;
                     self.clock.advance(costs::CPU_SKIP_RECORD);
                     continue;
                 }
-                if let Some(stop) = opts.stop_scn {
-                    if rec.scn >= stop {
-                        stopped = true;
-                        break;
-                    }
+                if opts.stop_scn.is_some_and(|stop| rec.scn >= stop) {
+                    stopped = true;
+                    break;
                 }
                 // Markers and dictionary changes concern every file.
                 #[allow(unused_mut)]
@@ -571,11 +554,9 @@ impl DbServer {
                 // commit marker fails loudly (rollback of committed work), a lost
                 // row change is the silent corruption we want to prove detectable.
                 #[cfg(any(test, feature = "sabotage"))]
-                {
-                    if !skip && self.sabotage_skip_redo > 0 && rec.target_file().is_some() {
-                        self.sabotage_skip_redo -= 1;
-                        skip = true;
-                    }
+                if !skip && self.sabotage_skip_redo > 0 && rec.target_file().is_some() {
+                    self.sabotage_skip_redo -= 1;
+                    skip = true;
                 }
                 if skip {
                     state.note(&rec);
@@ -610,8 +591,6 @@ impl DbServer {
                 },
             );
         }
-        summary.max_scn = state.max_scn;
-        summary.max_txn = state.max_txn;
         Ok((summary, state))
     }
 

@@ -193,48 +193,69 @@ fn decode_rid(r: &mut Reader) -> DecodeResult<RowId> {
     })
 }
 
-/// Decodes every record in a sequence's byte segments (as returned by the
-/// filesystem), together with each record's starting offset within the
-/// sequence. `overhead` is the per-record padding the log writer charged.
+/// Where a sequence's whole records end, logically and as stored.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CleanEnd {
+    /// Logical offset, as [`RedoAddr::offset`] counts it.
+    pub offset: u64,
+    /// Stored bytes, as the filesystem holds them.
+    pub stored: u64,
+}
+
+/// The one redo reader: a sequence's records in log order with their
+/// logical offsets. Each occupies its encoding plus `REDO_OVERHEAD_BYTES` of
+/// padding, charged but never stored (only here and in [`RedoState`]). The
+/// first record that fails to decode is yielded as the error and ends the
+/// walk; only on the head sequence of a chain is that the end of the log.
+#[derive(Debug)]
+pub struct RedoReader<'a> {
+    segments: std::slice::Iter<'a, Bytes>,
+    current: Reader,
+    overhead: u64,
+    end: CleanEnd,
+}
+
+impl<'a> RedoReader<'a> {
+    /// A reader over one sequence's segments.
+    pub fn new(segments: &'a [Bytes]) -> Self {
+        let (current, end) = (Reader::new(Bytes::new()), CleanEnd::default());
+        RedoReader { segments: segments.iter(), current, overhead: REDO_OVERHEAD_BYTES, end }
+    }
+
+    /// Where the records read so far end: the clean end, once exhausted.
+    pub fn clean_end(&self) -> CleanEnd {
+        self.end
+    }
+}
+
+impl Iterator for RedoReader<'_> {
+    type Item = DecodeResult<(u64, RedoRecord)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while self.current.remaining() == 0 {
+            self.current = Reader::new(self.segments.next()?.clone());
+        }
+        let (before, at) = (self.current.remaining(), self.end.offset);
+        let rec = RedoRecord::decode_from(&mut self.current);
+        if rec.is_ok() {
+            let stored = (before - self.current.remaining()) as u64;
+            self.end = CleanEnd { offset: at + stored + self.overhead, stored: self.end.stored + stored };
+        } else {
+            // Nothing past a record that does not decode is read.
+            (self.segments, self.current) = (Default::default(), Reader::new(Bytes::new()));
+        }
+        Some(rec.map(|rec| (at, rec)))
+    }
+}
+
+/// Every record of a sequence, `overhead` standing in for the padding: a
+/// `collect` over [`RedoReader`], kept for the benchmark's decode probe.
 ///
 /// # Errors
 ///
-/// Fails on malformed bytes.
+/// Fails with the first record that does not decode.
 pub fn decode_stream(segments: &[Bytes], overhead: u64) -> DecodeResult<Vec<(u64, RedoRecord)>> {
-    let (records, truncated) = decode_stream_tolerant(segments, overhead);
-    if truncated {
-        return Err(DecodeError { context: "redo stream tail" });
-    }
-    Ok(records)
-}
-
-/// Like [`decode_stream`], but tolerant of a torn tail: decodes records
-/// until the stream either ends cleanly or stops mid-record, returning the
-/// cleanly decoded prefix plus whether a torn tail was found.
-///
-/// This is the Oracle end-of-log convention for the *current* online log —
-/// a crash can interrupt LGWR mid-write, and everything before the torn
-/// record is still valid, durable redo. Callers must only tolerate
-/// truncation on the head sequence of the log chain; a torn *archived* or
-/// mid-chain sequence means real data loss.
-pub fn decode_stream_tolerant(segments: &[Bytes], overhead: u64) -> (Vec<(u64, RedoRecord)>, bool) {
-    let mut out = Vec::new();
-    let mut offset = 0u64;
-    for seg in segments {
-        let mut r = Reader::new(seg.clone());
-        while r.remaining() > 0 {
-            let before = r.remaining();
-            match RedoRecord::decode_from(&mut r) {
-                Ok(rec) => {
-                    let consumed = (before - r.remaining()) as u64;
-                    out.push((offset, rec));
-                    offset += consumed + overhead;
-                }
-                Err(_) => return (out, true),
-            }
-        }
-    }
-    (out, false)
+    RedoReader { overhead, ..RedoReader::new(segments) }.collect()
 }
 
 /// Volatile state of the redo subsystem: the log buffer and the write
@@ -421,6 +442,29 @@ mod tests {
         assert_eq!(recs[1].1, b);
     }
 
+    /// Drains a reader: the whole records, the error that ended it (if
+    /// any), and its clean end.
+    fn read_all(seg: &[u8], overhead: u64) -> (Vec<RedoRecord>, Option<DecodeError>, CleanEnd) {
+        let segments = [Bytes::copy_from_slice(seg)];
+        let mut reader = RedoReader { overhead, ..RedoReader::new(&segments) };
+        let (mut records, mut error) = (Vec::new(), None);
+        for item in reader.by_ref() {
+            match item {
+                Ok((offset, rec)) => {
+                    assert_eq!(offset, reader_offset(&records, overhead), "offsets count the padding");
+                    records.push(rec);
+                }
+                Err(e) => error = Some(e),
+            }
+        }
+        assert_eq!(reader.next(), None, "an exhausted reader stays exhausted");
+        (records, error, reader.clean_end())
+    }
+
+    fn reader_offset(records: &[RedoRecord], overhead: u64) -> u64 {
+        records.iter().map(|r| r.encoded_len() as u64 + overhead).sum()
+    }
+
     #[test]
     fn tolerant_decode_returns_the_clean_prefix_of_a_torn_stream() {
         let a = RedoRecord { scn: Scn(1), txn: Some(TxnId(1)), op: RedoOp::Commit };
@@ -430,26 +474,46 @@ mod tests {
             op: RedoOp::Insert { obj: ObjectId(1), rid: rid(), row: row(7) },
         };
         let mut seg = a.encode().to_vec();
+        let len_a = seg.len() as u64;
         let eb = b.encode();
         // Tear the second record at every interior point: the first must
-        // always survive, the second never half-apply.
+        // always survive, the second never half-apply, and the clean end
+        // stays just past the first.
         for cut in 1..eb.len() {
             let mut torn = seg.clone();
             torn.extend_from_slice(&eb[..cut]);
-            let (records, truncated) = decode_stream_tolerant(&[Bytes::from(torn)], 10);
-            assert!(truncated, "cut at {cut} must be seen as torn");
-            assert_eq!(records.len(), 1);
-            assert_eq!(records[0].1, a);
-            // The strict decoder refuses the same stream outright.
-            let mut torn2 = seg.clone();
-            torn2.extend_from_slice(&eb[..cut]);
-            assert!(decode_stream(&[Bytes::from(torn2)], 10).is_err());
+            let (records, error, end) = read_all(&torn, 10);
+            assert!(error.is_some(), "cut at {cut} must be seen as torn");
+            assert_eq!(records, std::slice::from_ref(&a));
+            assert_eq!(end, CleanEnd { offset: len_a + 10, stored: len_a });
+            // `decode_stream` refuses the same stream outright.
+            assert!(decode_stream(&[Bytes::from(torn)], 10).is_err());
         }
         // An untorn stream decodes identically through both entry points.
         seg.extend_from_slice(&eb);
-        let (records, truncated) = decode_stream_tolerant(&[Bytes::from(seg.clone())], 10);
-        assert!(!truncated);
-        assert_eq!(records, decode_stream(&[Bytes::from(seg)], 10).unwrap());
+        let (records, error, end) = read_all(&seg, 10);
+        assert_eq!(error, None);
+        assert_eq!(end, CleanEnd { offset: seg.len() as u64 + 20, stored: seg.len() as u64 });
+        let whole: Vec<_> = decode_stream(&[Bytes::from(seg)], 10).unwrap().into_iter().map(|(_, r)| r).collect();
+        assert_eq!(records, whole);
+    }
+
+    /// The reader walks every segment in order, and a record never spans
+    /// two of them (each is one whole flush).
+    #[test]
+    fn the_reader_walks_segments_in_order_and_skips_empty_ones() {
+        let recs: Vec<_> =
+            (1..=3).map(|n| RedoRecord { scn: Scn(n), txn: Some(TxnId(n)), op: RedoOp::Commit }).collect();
+        let tail = [&recs[1].encode()[..], &recs[2].encode()[..]].concat();
+        let segments = [recs[0].encode(), Bytes::new(), Bytes::from(tail)];
+        let got: Vec<_> = RedoReader::new(&segments).map(Result::unwrap).collect();
+        let len = recs[0].encoded_len() as u64;
+        let offsets: Vec<_> = got.iter().map(|(o, _)| *o).collect();
+        assert_eq!(offsets, [0, len + REDO_OVERHEAD_BYTES, 2 * (len + REDO_OVERHEAD_BYTES)]);
+        assert_eq!(got.into_iter().map(|(_, r)| r).collect::<Vec<_>>(), recs);
+        let whole = recs[0].encode();
+        let split = [whole.slice(0..5), whole.slice(5..whole.len())];
+        assert!(RedoReader::new(&split).next().unwrap().is_err());
     }
 
     /// The redo record format byte for byte, next to `page.rs`'s pinned v2
@@ -484,8 +548,8 @@ mod tests {
     }
 
     /// A malformed row image inside a record fails the record with the row
-    /// decoder's own context, and ends a tolerant stream decode exactly
-    /// like a torn tail: the records before it survive.
+    /// decoder's own context, and ends the reader exactly like a torn
+    /// tail: the records before it survive.
     #[test]
     fn a_malformed_row_inside_a_record_ends_the_stream_there() {
         let good = RedoRecord { scn: Scn(1), txn: Some(TxnId(1)), op: RedoOp::Commit };
@@ -504,15 +568,10 @@ mod tests {
 
             let mut seg = good.encode().to_vec();
             seg.extend_from_slice(&bad);
-            let (records, truncated) = decode_stream_tolerant(&[Bytes::from(seg.clone())], 10);
-            assert!(truncated, "{what}");
-            assert_eq!(records.len(), 1, "{what}");
-            assert_eq!(records[0].1, good, "{what}");
-            assert_eq!(
-                decode_stream(&[Bytes::from(seg)], 10).unwrap_err().context,
-                "redo stream tail",
-                "{what}"
-            );
+            let (records, error, _) = read_all(&seg, 10);
+            assert_eq!(error.map(|e| e.context), Some(context), "{what}");
+            assert_eq!(records, std::slice::from_ref(&good), "{what}");
+            assert_eq!(decode_stream(&[Bytes::from(seg)], 10).unwrap_err().context, context, "{what}");
         }
     }
 
@@ -547,13 +606,12 @@ mod tests {
             ends.push(seg.len());
         }
         for cut in 0..=seg.len() {
-            let (got, truncated) = decode_stream_tolerant(&[Bytes::from(seg[..cut].to_vec())], 10);
+            let (got, error, end) = read_all(&seg[..cut], 10);
             let whole = ends.iter().filter(|&&e| e <= cut).count();
-            assert_eq!(got.len(), whole, "cut at {cut}");
-            assert_eq!(truncated, cut != 0 && !ends.contains(&cut), "cut at {cut}");
-            for ((_, rec), want) in got.iter().zip(&records) {
-                assert_eq!(rec, want, "cut at {cut}");
-            }
+            assert_eq!(got, records[..whole], "cut at {cut}");
+            assert_eq!(error.is_some(), cut != 0 && !ends.contains(&cut), "cut at {cut}");
+            let stored = ends[..whole].last().map_or(0, |&e| e as u64);
+            assert_eq!(end, CleanEnd { offset: stored + 10 * whole as u64, stored }, "cut at {cut}");
         }
     }
 

@@ -28,7 +28,7 @@ use crate::controlfile::{CkptRecord, ControlFile};
 use crate::error::{DbError, DbResult, RecoveryError};
 use crate::events::{EngineEvent, RecoveryPhase};
 use crate::layout::DiskLayout;
-use crate::redo::decode_stream;
+use crate::redo::RedoReader;
 use crate::server::DbServer;
 use crate::types::{RedoAddr, Scn};
 
@@ -347,12 +347,12 @@ impl StandbyServer {
             }
         }
         // Apply in the background: serialized after previous applies.
-        let records = decode_stream(&segments, costs::REDO_OVERHEAD_BYTES)
+        let records: Vec<_> = RedoReader::new(&segments)
+            .collect::<Result<_, _>>()
             .map_err(|_| RecoveryError::ShippedArchiveCorrupt { seq: next })?;
         let apply_start = ship_done.max(self.apply_done_at);
         let nrecords = records.len() as u64;
-        let cpu = costs::CPU_APPLY_RECORD * nrecords;
-        self.apply_done_at = apply_start + cpu;
+        self.apply_done_at = apply_start + costs::CPU_APPLY_RECORD * nrecords;
         for (offset, rec) in &records {
             let addr = RedoAddr { seq: next, offset: *offset };
             self.replayed.note_and_apply(&mut self.server, rec, |srv, key, change| {
