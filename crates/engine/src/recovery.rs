@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use recobench_sim::SimTime;
-use recobench_vfs::IoKind;
+use recobench_vfs::{FileId, IoKind};
 
 use crate::apply::{rollback_unlogged, ReplayState};
 use crate::blockio::{datafile, unavailable};
@@ -24,7 +24,7 @@ use crate::config::{costs, DBWR_TICK};
 use crate::controlfile::{CkptRecord, SeqLocation};
 use crate::error::{DbError, DbResult};
 use crate::events::{EngineEvent, RecoveryPhase, RecoveryProcedure};
-use crate::redo::{RedoOp, RedoReader};
+use crate::redo::{CleanEnd, RedoOp, RedoReader, RedoState};
 use crate::server::DbServer;
 use crate::txn::UndoOp;
 use crate::types::{FileNo, RedoAddr, Scn, TxnId};
@@ -56,6 +56,10 @@ struct ReplayOpts {
     /// markers are always honoured).
     only_file: Option<FileNo>,
 }
+
+/// The head sequence's group file and where its whole records end, when a
+/// torn record ends it.
+type TornHead = Option<(FileId, CleanEnd)>;
 
 impl DbServer {
     /// Starts the instance: mount, open, and crash recovery if the last
@@ -98,12 +102,22 @@ impl DbServer {
         let mut recovered_records = 0;
         if !clean {
             let from = self.restore_fractured_datafiles(ckpt.position)?;
-            let (summary, replayed) = self.replay(ReplayOpts {
+            let (summary, replayed, torn_head) = self.replay(ReplayOpts {
                 from,
                 available_at: crash_time,
                 stop_scn: None,
                 only_file: None,
             })?;
+            // The log ends at the torn record, so the next flush must land
+            // right behind the last whole one: written after the torn
+            // bytes, it would sit where every later read stops short of
+            // it. Oracle overwrites the torn block at open the same way.
+            if let Some((head, end)) = torn_head {
+                self.fs.lock().truncate_to(head, end.stored, end.offset)?;
+                self.control_mut()?.current_flushed = end.offset;
+                let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
+                inst.redo = RedoState::new(group, seq, end.offset);
+            }
             recovered_records = summary.applied;
             self.resume_after(replayed.max_scn, replayed.max_txn)?;
             // The log lives on past this crash, so the in-flight
@@ -150,7 +164,7 @@ impl DbServer {
     fn restore_fractured_datafiles(&mut self, from: RedoAddr) -> DbResult<RedoAddr> {
         let control = self.control_ref()?;
         let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
-        let files: Vec<(FileNo, recobench_vfs::FileId, String)> = inst
+        let files: Vec<(FileNo, FileId, String)> = inst
             .catalog
             .datafiles
             .iter()
@@ -173,8 +187,8 @@ impl DbServer {
     /// the clock waits for it.
     fn restore_piece(
         &self,
-        piece: recobench_vfs::FileId,
-        vfs_id: recobench_vfs::FileId,
+        piece: FileId,
+        vfs_id: FileId,
         nominal: u64,
         at: SimTime,
     ) -> DbResult<SimTime> {
@@ -192,7 +206,7 @@ impl DbServer {
     fn restore_datafile(
         &mut self,
         file_no: FileNo,
-        vfs_id: recobench_vfs::FileId,
+        vfs_id: FileId,
         path: &str,
         damage: &str,
     ) -> DbResult<RedoAddr> {
@@ -281,7 +295,7 @@ impl DbServer {
                 .recover_from
                 .unwrap_or_else(|| control.effective_checkpoint(now).position)
         };
-        let (mut summary, replayed) = self.replay(ReplayOpts {
+        let (mut summary, replayed, _) = self.replay(ReplayOpts {
             from,
             available_at: self.clock.now(),
             stop_scn: None,
@@ -422,7 +436,7 @@ impl DbServer {
             (c.current_group, c.current_seq, c.current_flushed)
         };
         self.inst = Some(self.fresh_instance((*b_catalog).clone(), b_scn, group, seq, flushed));
-        let (mut summary, replayed) = self.replay(ReplayOpts {
+        let (mut summary, replayed, _) = self.replay(ReplayOpts {
             from: b_position,
             available_at: self.clock.now(),
             stop_scn: Some(stop_scn),
@@ -480,9 +494,11 @@ impl DbServer {
     /// Rolls the redo stream forward from `opts.from`. Returns what was
     /// applied and what was learnt on the way — in particular the
     /// transactions left unresolved: how those end is the calling
-    /// procedure's decision.
-    fn replay(&mut self, opts: ReplayOpts) -> DbResult<(ReplaySummary, ReplayState)> {
+    /// procedure's decision — and, if the head sequence ends in a torn
+    /// record, its group file and where its whole records end.
+    fn replay(&mut self, opts: ReplayOpts) -> DbResult<(ReplaySummary, ReplayState, TornHead)> {
         let (mut summary, mut state) = (ReplaySummary::default(), ReplayState::default());
+        let mut torn_head = None;
         let end_seq = self.control_ref()?.current_seq;
         let mut stopped = false;
         for seq in opts.from.seq..=end_seq {
@@ -524,13 +540,15 @@ impl DbServer {
             );
             let (applied_before, skipped_before) = (summary.applied, summary.skipped);
             let apply_began = self.clock.now();
-            for next in RedoReader::new(&segments) {
+            let mut reader = RedoReader::new(&segments);
+            while let Some(next) = reader.next() {
                 // A torn tail on the *current* log is what a crash mid-flush
                 // leaves behind: Oracle treats the last intact record as
                 // end-of-log and opens anyway. Anywhere earlier in the chain
                 // the same damage means lost committed history — unrecoverable.
                 let Ok((offset, rec)) = next else {
                     if seq == end_seq {
+                        torn_head = Some((file, reader.clean_end()));
                         break;
                     }
                     return Err(DbError::Unrecoverable(format!("log seq {seq} is corrupt")));
@@ -591,7 +609,7 @@ impl DbServer {
                 },
             );
         }
-        Ok((summary, state))
+        Ok((summary, state, torn_head))
     }
 
     /// Ends a replay by rolling its unresolved transactions back without
@@ -1009,5 +1027,45 @@ mod tests {
         assert_eq!(phases, [RecoveryPhase::MediaRestore, RecoveryPhase::RedoScan]);
         assert!(srv.control_ref().unwrap().file_state(rid.file).offline);
         assert_eq!(srv.get_row(t, rid), Err(DbError::DatafileOffline(rid.file.0)));
+    }
+    /// A crash tears the head log inside a record; crash recovery ends the
+    /// log at the last whole record. The work committed after the reopen
+    /// lands in the same sequence, so once that sequence is archived a
+    /// media recovery reads it in the middle of its chain and must find
+    /// every acknowledged commit there, not the torn bytes.
+    #[test]
+    fn commits_after_a_torn_head_survive_media_recovery_through_its_archive() {
+        use recobench_vfs::{FaultArm, FileKind, FileMatch};
+        let mut srv = server(true);
+        let t = setup_table(&mut srv);
+        srv.take_cold_backup().unwrap();
+        let s = srv.connect().unwrap();
+        let rid = srv.insert(s, t, row(0, "before the tear")).unwrap();
+        srv.commit(s).unwrap();
+        let torn_seq = srv.control_ref().unwrap().current_seq;
+        let tear = FaultArm::PartialAppend { target: FileMatch::Kind(FileKind::Redo), keep_num: 1, keep_den: 40 };
+        srv.fs.lock().arm_fault(tear).unwrap();
+        srv.insert(s, t, row(1, "torn, never acknowledged")).unwrap();
+        assert!(srv.commit(s).is_err() && !srv.is_open(), "the torn flush aborts the instance");
+        srv.fs.lock().clear_faults();
+        srv.startup().unwrap();
+
+        let s = srv.connect().unwrap();
+        for i in 2..12 {
+            srv.insert(s, t, row(i, "acknowledged after the reopen")).unwrap();
+            srv.commit(s).unwrap();
+        }
+        let mut i = 100;
+        while srv.control_ref().unwrap().seq(torn_seq).unwrap().group.is_some() {
+            srv.insert(s, t, row(i, "spin-the-logs-around-plenty")).unwrap();
+            srv.commit(s).unwrap();
+            i += 1;
+        }
+        let victim = srv.inst.as_ref().unwrap().catalog.datafiles[&rid.file].path.clone();
+        srv.os_delete_file(&victim).unwrap();
+        srv.offline_datafile(&victim).unwrap();
+        let summary = srv.recover_datafile(&victim).unwrap();
+        assert!(summary.archives_read >= 1, "the torn sequence was read from its archive");
+        assert_eq!(srv.peek_scan(t).unwrap().len(), 11 + (i - 100) as usize);
     }
 }

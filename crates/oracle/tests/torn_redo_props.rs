@@ -8,7 +8,9 @@
 //! (Oracle's end-of-log behavior). Whatever it decides, no transaction
 //! committed *before* the tear may be lost, nothing unacknowledged may leak
 //! in, and the one genuinely ambiguous commit (errored at the client, maybe
-//! durable anyway) is settled by probing the recovered engine.
+//! durable anyway) is settled by probing the recovered engine. Then the
+//! recovered log takes more commits and crashes again: every commit
+//! acknowledged after the first recovery must survive the second.
 
 use std::sync::{Arc, Mutex};
 
@@ -55,11 +57,14 @@ proptest! {
     #[test]
     fn torn_redo_tail_never_loses_committed_work(
         n_pre in 1u64..20,
-        keep_den in 1u32..=8,
+        keep_den in 1u32..=64,
         keep_raw in 0u32..=8,
+        n_post in 1u64..12,
     ) {
         // Tear fraction spans "nothing persists" through "everything
-        // persists but the ack is still lost".
+        // persists but the ack is still lost". A flush is one record's
+        // encoding plus 640 bytes of padding per record, so only the small
+        // fractions (large `keep_den`) cut a record rather than padding.
         let keep_num = keep_raw % (keep_den + 1);
         let (mut srv, t) = build_server();
         let model = Arc::new(Mutex::new(RefModel::from_server(&srv).unwrap()));
@@ -126,5 +131,28 @@ proptest! {
             "a pre-tear committed txn was lost: {} survive of {n_pre} acked",
             m.surviving_commits()
         );
+        let survived = m.surviving_commits();
+        drop(m);
+
+        // The recovered log takes new commits behind its last whole
+        // record; a second crash must keep every one of them.
+        let s = srv.connect().unwrap();
+        for i in 1_000..1_000 + n_post {
+            srv.insert(s, t, row(i)).unwrap();
+            srv.commit(s).unwrap();
+        }
+        srv.shutdown_abort().unwrap();
+        if let Err(e) = srv.startup() {
+            prop_assert!(false, "second crash recovery failed (keep {keep_num}/{keep_den}): {e}");
+        }
+        let m = model.lock().unwrap();
+        let divergences = diff_states(&srv, &m).unwrap();
+        prop_assert!(
+            divergences.is_empty(),
+            "keep {keep_num}/{keep_den}, second crash: {} divergences, first: {}",
+            divergences.len(),
+            divergences[0]
+        );
+        prop_assert_eq!(m.surviving_commits(), survived + n_post, "acknowledged commits lost");
     }
 }

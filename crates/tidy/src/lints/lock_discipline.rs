@@ -49,8 +49,15 @@ const APPLIER: &str = "crates/engine/src/apply.rs";
 const PAGE: &str = "crates/engine/src/page.rs";
 
 /// The VFS write surface (methods of `SimFs`).
-const VFS_WRITE_METHODS: &[&str] =
-    &["write_block", "append", "append_padded", "truncate", "copy_file", "restore_into"];
+const VFS_WRITE_METHODS: &[&str] = &[
+    "write_block",
+    "append",
+    "append_padded",
+    "truncate",
+    "truncate_to",
+    "copy_file",
+    "restore_into",
+];
 
 /// See the module docs.
 pub struct LockDiscipline;
