@@ -130,8 +130,6 @@ pub enum DbError {
         /// The full disk's index.
         disk: usize,
     },
-    /// The database needs recovery before it can be opened.
-    RecoveryRequired(String),
     /// The requested recovery is impossible with the available logs and
     /// backups (e.g. archive mode was off).
     Unrecoverable(String),
@@ -166,7 +164,6 @@ impl fmt::Display for DbError {
                 write!(f, "checksum mismatch in block {block} of {path}")
             }
             DbError::DiskFull { disk } => write!(f, "disk {disk} full (ENOSPC)"),
-            DbError::RecoveryRequired(what) => write!(f, "recovery required: {what}"),
             DbError::Unrecoverable(why) => write!(f, "unrecoverable: {why}"),
             DbError::BadAdminCommand(why) => write!(f, "invalid administrative command: {why}"),
             DbError::DuplicateKey { index } => write!(f, "duplicate key in index {index}"),

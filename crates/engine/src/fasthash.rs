@@ -19,6 +19,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
 /// A `HashMap` using [`FastHasher`].
+#[allow(clippy::disallowed_types)] // the fixed seed is the determinism rule's sanctioned hash map
 pub type FastMap<K, V> = std::collections::HashMap<K, V, FastBuildHasher>;
 
 /// Creates an empty [`FastMap`] with at least `capacity` slots.

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// The five classes of DBMS operator faults (paper Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultClass {
     /// Mistakes in the administration of processes and memory structures
     /// (wrong SGA parameters, accidental shutdown, killed sessions).
@@ -447,7 +447,7 @@ mod tests {
 
     #[test]
     fn six_injectable_types_cover_three_classes() {
-        let classes: std::collections::HashSet<_> =
+        let classes: std::collections::BTreeSet<_> =
             FaultType::all().iter().map(|f| f.class()).collect();
         assert_eq!(classes.len(), 3, "the experiments cover three fault classes");
         assert!(!classes.contains(&FaultClass::SecurityManagement));

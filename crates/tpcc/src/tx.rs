@@ -24,7 +24,7 @@ use crate::gen::{last_name, nurand};
 use crate::schema::{self, ix, TpccSchema};
 
 /// The transaction mix classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TxnKind {
     /// New-Order (45 % of the mix; the tpmC-counted class).
     NewOrder,
@@ -1002,7 +1002,7 @@ mod tests {
     #[test]
     fn mix_draw_is_weighted() {
         let mut rng = SimRng::seed_from(5);
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for _ in 0..10_000 {
             *counts.entry(TxnKind::draw(&mut rng)).or_insert(0u32) += 1;
         }

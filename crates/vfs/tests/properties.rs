@@ -16,7 +16,7 @@ proptest! {
     ) {
         let mut fs = fs();
         let f = fs.create_block_file("/f", DiskId(0), FileKind::Data, 64, 16).unwrap();
-        let mut model = std::collections::HashMap::new();
+        let mut model = std::collections::BTreeMap::new();
         for (block, fill) in writes {
             fs.write_block(f, block, Bytes::from(vec![fill; 64]), SimTime::ZERO).unwrap();
             model.insert(block, fill);
