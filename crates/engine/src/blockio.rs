@@ -10,9 +10,9 @@
 //! * **Fetch it, charged** — [`DbServer::ensure_resident`] and friends:
 //!   foreground I/O that advances the shared clock and writes a dirty
 //!   victim back behind a redo flush. The stand-by's
-//!   [`StandbyServer::mutate_block`] sits beside it and stays separate: it
-//!   charges disk busy time at an instant of its own, never moves the
-//!   clock, writes back without a flush and skips a dropped file.
+//!   [`StandbyServer::mutate_block`] sits beside it and stays separate:
+//!   it differs at every step (its docs list them), so one path for both
+//!   would branch on the caller at each.
 //! * **Read it, uncharged** — [`stored_image`] under `peek_scan`,
 //!   `peek_row` and [`PeekReader`]: audits and index rebuilds cost no
 //!   simulated time.
@@ -333,6 +333,16 @@ impl StandbyServer {
     /// Background block mutation: charges stand-by disk *busy time* but
     /// never advances the shared clock (another machine is doing this
     /// work).
+    ///
+    /// It stays apart from the foreground fetch
+    /// ([`DbServer::ensure_resident`]) because it differs at every step:
+    /// - the read is an uncharged `peek_block` plus a `charge_io` at the
+    ///   apply instant `at`; the clock never moves;
+    /// - a block that fails to decode is `Unrecoverable("stand-by block
+    ///   corrupt")`, not a `ChecksumMismatch`, and records no event;
+    /// - a dirty victim is written back without a redo flush, every
+    ///   write-back error propagates, and `blocks_written` is not counted;
+    /// - a block of a file a replayed DDL dropped is skipped.
     pub(crate) fn mutate_block(
         server: &mut DbServer,
         key: BlockKey,
