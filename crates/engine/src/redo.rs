@@ -440,6 +440,13 @@ mod tests {
         assert_eq!(recs[0].0, 0);
         assert_eq!(recs[1].0, len_a + 100);
         assert_eq!(recs[1].1, b);
+        // One segment per flush, an empty one between, reads the same; the
+        // reader's own padding is the log writer's; and a record never
+        // spans two segments.
+        let segments = [ea.clone(), Bytes::new(), b.encode()];
+        assert_eq!(decode_stream(&segments, 100).unwrap(), recs);
+        assert_eq!(RedoReader::new(&segments).nth(1), Some(Ok((len_a + REDO_OVERHEAD_BYTES, b))));
+        assert!(decode_stream(&[ea.slice(0..5), ea.slice(5..ea.len())], 100).is_err());
     }
 
     /// Drains a reader: the whole records, the error that ended it (if
@@ -496,24 +503,6 @@ mod tests {
         assert_eq!(end, CleanEnd { offset: seg.len() as u64 + 20, stored: seg.len() as u64 });
         let whole: Vec<_> = decode_stream(&[Bytes::from(seg)], 10).unwrap().into_iter().map(|(_, r)| r).collect();
         assert_eq!(records, whole);
-    }
-
-    /// The reader walks every segment in order, and a record never spans
-    /// two of them (each is one whole flush).
-    #[test]
-    fn the_reader_walks_segments_in_order_and_skips_empty_ones() {
-        let recs: Vec<_> =
-            (1..=3).map(|n| RedoRecord { scn: Scn(n), txn: Some(TxnId(n)), op: RedoOp::Commit }).collect();
-        let tail = [&recs[1].encode()[..], &recs[2].encode()[..]].concat();
-        let segments = [recs[0].encode(), Bytes::new(), Bytes::from(tail)];
-        let got: Vec<_> = RedoReader::new(&segments).map(Result::unwrap).collect();
-        let len = recs[0].encoded_len() as u64;
-        let offsets: Vec<_> = got.iter().map(|(o, _)| *o).collect();
-        assert_eq!(offsets, [0, len + REDO_OVERHEAD_BYTES, 2 * (len + REDO_OVERHEAD_BYTES)]);
-        assert_eq!(got.into_iter().map(|(_, r)| r).collect::<Vec<_>>(), recs);
-        let whole = recs[0].encode();
-        let split = [whole.slice(0..5), whole.slice(5..whole.len())];
-        assert!(RedoReader::new(&split).next().unwrap().is_err());
     }
 
     /// The redo record format byte for byte, next to `page.rs`'s pinned v2

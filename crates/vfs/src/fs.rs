@@ -930,24 +930,17 @@ mod tests {
         fs.append(f, Bytes::from_static(b"abc"), SimTime::ZERO).unwrap();
         fs.truncate(f).unwrap();
         assert_eq!(fs.meta(f).unwrap().size_bytes, 0);
-    }
-
-    #[test]
-    fn truncate_to_keeps_a_stored_prefix_and_sets_the_logical_length() {
-        let mut fs = fs4();
-        let f = fs.create_append_file("/u03/redo01.log", DiskId(2), FileKind::Redo).unwrap();
+        // `truncate_to` keeps a stored prefix and sets the logical length:
+        // here the cut falls inside the second segment and the third goes,
+        // then on a segment boundary.
         for (data, pad) in [(&b"one"[..], 10), (b"two", 10), (b"three", 10)] {
             fs.append_padded(f, Bytes::copy_from_slice(data), pad, SimTime::ZERO).unwrap();
         }
-        // The cut falls inside the second segment; the third goes.
         fs.truncate_to(f, 5, 15).unwrap();
         assert_eq!(fs.peek_all(f).unwrap(), vec![Bytes::from_static(b"one"), Bytes::from_static(b"tw")]);
         assert_eq!(fs.meta(f).unwrap().size_bytes, 15);
-        // A cut on a segment boundary keeps whole segments only.
         fs.truncate_to(f, 3, 13).unwrap();
         assert_eq!(fs.peek_all(f).unwrap(), vec![Bytes::from_static(b"one")]);
-        fs.truncate_to(f, 0, 0).unwrap();
-        assert!(fs.peek_all(f).unwrap().is_empty());
         let blocks = fs.create_block_file("/u02/users01.dbf", DiskId(1), FileKind::Data, 512, 2).unwrap();
         assert!(matches!(fs.truncate_to(blocks, 0, 0), Err(VfsError::WrongAccessStyle(_))));
     }
