@@ -1028,6 +1028,7 @@ mod tests {
         assert!(srv.control_ref().unwrap().file_state(rid.file).offline);
         assert_eq!(srv.get_row(t, rid), Err(DbError::DatafileOffline(rid.file.0)));
     }
+
     /// A crash tears the head log inside a record; crash recovery ends the
     /// log at the last whole record. The work committed after the reopen
     /// lands in the same sequence, so once that sequence is archived a

@@ -62,8 +62,8 @@ proptest! {
         n_post in 1u64..12,
     ) {
         // Tear fraction spans "nothing persists" through "everything
-        // persists but the ack is still lost". A flush is one record's
-        // encoding plus 640 bytes of padding per record, so only the small
+        // persists but the ack is still lost". A flush charges 640 bytes
+        // of padding per record beyond its encoding, so only the small
         // fractions (large `keep_den`) cut a record rather than padding.
         let keep_num = keep_raw % (keep_den + 1);
         let (mut srv, t) = build_server();
