@@ -443,7 +443,7 @@ impl DbServer {
             inst.cache.oldest_dirty_time().is_some_and(|t| t <= cutoff)
         };
         let mut complete_at = tick;
-        let mut wrote = false;
+        let mut blocks = 0;
         if has_old {
             self.flush_redo()?;
             let mut fs = self.fs.lock();
@@ -453,12 +453,12 @@ impl DbServer {
             });
             inst.cache.refresh_dirty_bound();
             if out.blocks > 0 {
-                wrote = true;
+                blocks = out.blocks;
                 complete_at = out.complete_at;
                 self.stats.blocks_written += out.blocks;
             }
         }
-        if !wrote {
+        if blocks == 0 {
             return Ok(());
         }
         let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
@@ -474,7 +474,7 @@ impl DbServer {
             .unwrap_or(RedoAddr::ZERO);
         if position > best {
             control.add_checkpoint(CkptRecord { position, scn, complete_at, catalog: snapshot });
-            self.events.record(tick, EngineEvent::IncrementalAdvance { blocks: 0 });
+            self.events.record(tick, EngineEvent::IncrementalAdvance { blocks });
         }
         Ok(())
     }

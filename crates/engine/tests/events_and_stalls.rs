@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 use recobench_engine::catalog::IndexDef;
 use recobench_engine::row::{Row, Value};
 use recobench_engine::{DbServer, DiskLayout, EngineEvent, InstanceConfig};
-use recobench_sim::{SimClock, SimTime};
+use recobench_sim::{SimClock, SimDuration, SimTime};
 
 /// Every event a server has recorded since it was built, with its instant.
 type Seen = Arc<Mutex<Vec<(SimTime, EngineEvent)>>>;
@@ -70,10 +70,26 @@ fn stats_are_derived_from_the_event_stream() {
     // event sink, so they equal a count of what its subscribers saw.
     let (mut srv, seen) = server(3, 48, true);
     churn(&mut srv, 300);
+    // Past the 60 s checkpoint timeout the DBWR ticks write the churn's
+    // dirty blocks and advance the incremental checkpoint.
+    srv.clock().advance(SimDuration::from_secs(120));
+    srv.poll();
     let stats = srv.stats();
     assert_eq!(stats.log_switches, count(&seen, |e| matches!(e, EngineEvent::LogSwitch { .. })));
     assert_eq!(stats.full_checkpoints, count(&seen, |e| matches!(e, EngineEvent::Checkpoint { .. })));
     assert_eq!(stats.archives_created, count(&seen, |e| matches!(e, EngineEvent::Archived { .. })));
+    let advances: Vec<u64> = seen
+        .lock()
+        .unwrap()
+        .iter()
+        .filter_map(|(_, e)| match e {
+            EngineEvent::IncrementalAdvance { blocks } => Some(*blocks),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(stats.incremental_advances, advances.len() as u64);
+    assert!(!advances.is_empty(), "the ticks past the timeout advanced the checkpoint");
+    assert!(advances.iter().all(|b| *b > 0), "each advance says what it wrote: {advances:?}");
 }
 
 #[test]
