@@ -35,9 +35,10 @@ type SpanLog = Arc<Mutex<Vec<(SimTime, RecoveryPhase, SimTime)>>>;
 /// transactions; an empty or too-recent trail leaves the record alone
 /// (nothing committed in the margin, nothing extra to lose).
 ///
-/// Shared between [`Experiment::run`] and the torture runner
-/// (`recobench-oracle`), whose differential model must truncate at
-/// exactly the SCN the engine will recover to.
+/// [`Rig::inject`] applies it for both fault-driving runners — the
+/// torture runner's differential model must truncate at exactly the SCN
+/// the engine will recover to; the frozen `perf` benchmark calls it
+/// directly.
 pub fn apply_margin_cutoff(
     record: &mut recobench_faults::InjectionRecord,
     trail: &[(SimTime, recobench_engine::Scn)],
@@ -559,10 +560,8 @@ impl Experiment {
             if tt <= rig.driver.next_ready() && tt <= rig.end {
                 rig.clock.advance_to(tt);
                 rig.ship()?;
-                let mut record = inj.inject(&mut rig.primary)?;
+                let record = rig.inject(inj)?;
                 st.fault_time = Some(record.injected_at);
-                rig.driver.record_outage(record.injected_at);
-                apply_margin_cutoff(&mut record, rig.trail(), inj.plan().pitr_margin);
                 if rig.replicas.is_some() {
                     // Fail over to the replica set, whatever the fault.
                     st.recovery_ready = rig.failover();

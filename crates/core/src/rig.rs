@@ -15,6 +15,7 @@ use recobench_engine::{
     DbError, DbResult, DbServer, DiskLayout, FailoverPolicy, InstanceConfig, ReplicaSet,
     ReplicaTopology, Scn,
 };
+use recobench_faults::{FaultInjector, InjectionRecord};
 use recobench_sim::{SimClock, SimDuration, SimRng, SimTime};
 use recobench_tpcc::{
     create_schema, load_database, DriverConfig, TpccDriver, TpccScale, TpccSchema,
@@ -222,6 +223,22 @@ impl Rig {
         let ready = rs.fail_over(old_primary).ok().flatten()?;
         self.driver.sever_all(ready);
         Some(ready)
+    }
+
+    /// Injects an operator fault on the primary. The terminals see the
+    /// outage from its instant, and the record's stop SCN is cut back by
+    /// the plan's PITR margin over the trail
+    /// ([`crate::apply_margin_cutoff`]), where a real `RECOVER UNTIL TIME`
+    /// would stop.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the injection itself fails; nothing is recorded then.
+    pub fn inject(&mut self, injector: &FaultInjector) -> DbResult<InjectionRecord> {
+        let mut record = injector.inject(&mut self.primary)?;
+        self.driver.record_outage(record.injected_at);
+        crate::apply_margin_cutoff(&mut record, &self.trail, injector.plan().pitr_margin);
+        Ok(record)
     }
 
     /// The double fault: the promoted node dies too and the controller

@@ -33,14 +33,15 @@
 use std::sync::{Arc, Mutex};
 
 use recobench_core::rig::{set_up, Rig};
-use recobench_core::{apply_margin_cutoff, RecoveryConfig};
-use recobench_engine::{DbResult, DiskLayout, FailoverPolicy, ReplicaTopology};
+use recobench_core::RecoveryConfig;
+use recobench_engine::{DbResult, DbServer, DiskLayout, FailoverPolicy, ReplicaTopology, Scn};
 use recobench_faults::{
-    FaultInjector, FaultPlan, FaultSchedule, RecoveryKind, ReplicaFaultType, ScheduledFault,
-    TortureFaultKind, DETECTION,
+    FaultInjector, FaultPlan, FaultSchedule, FaultType, RecoveryKind, ReplicaFaultType,
+    ScheduledFault, StorageFaultType, TortureFaultKind, DETECTION,
 };
 use recobench_sim::{SimClock, SimDuration, SimTime};
 use recobench_tpcc::{AvailabilityTimeline, DriverConfig, TpccScale};
+use recobench_vfs::{FaultArm, FileKind, FileMatch};
 
 use crate::diff::{diff_states, Divergence};
 use crate::model::RefModel;
@@ -117,9 +118,10 @@ pub struct TortureOutcome {
     /// The end-user availability timeline over the whole run.
     pub timeline: AvailabilityTimeline,
     /// Recovery windows `(outage start, service-capable end)` in µs of
-    /// sim time, one per recovered fault. The driver can record no
-    /// success strictly inside any window — the consistency property the
-    /// timeline tests pin down.
+    /// sim time, read off [`faults`](Self::faults): one per fault that
+    /// took the service away and got it back, in report order. The driver
+    /// can record no success strictly inside any window — the consistency
+    /// property the timeline tests pin down.
     pub recovery_spans_us: Vec<(u64, u64)>,
     /// Client transaction attempts over the run.
     pub attempted: u64,
@@ -194,11 +196,8 @@ impl TortureRunner {
         if self.opts.sabotage_skip_redo > 0 {
             rig.primary.sabotage_skip_redo_records(self.opts.sabotage_skip_redo);
         }
-        let mut oracle = Oracle {
-            model: Arc::new(Mutex::new(RefModel::from_server(&rig.primary)?)),
-            spans_us: Vec::new(),
-            lost_commits: 0,
-        };
+        let model = Arc::new(Mutex::new(RefModel::from_server(&rig.primary)?));
+        let mut oracle = Oracle { model, lost_commits: 0 };
         oracle.tap(&mut rig);
 
         let faults = schedule.sorted_faults();
@@ -232,19 +231,10 @@ impl TortureRunner {
 
         // Faults the run never reached (scheduled past the end, or after
         // the database became unrecoverable).
+        let why =
+            if unrecoverable { "database unrecoverable" } else { "scheduled after end of run" };
         for f in faults.iter().skip(next_fault) {
-            reports.push(FaultReport {
-                scheduled: *f,
-                injected_at: None,
-                ready_at: None,
-                overtaken: false,
-                unrecoverable: false,
-                skipped: Some(if unrecoverable {
-                    "database unrecoverable".to_string()
-                } else {
-                    "scheduled after end of run".to_string()
-                }),
-            });
+            reports.push(FaultReport::new(*f, false, Err(why.to_string())));
         }
 
         // The differential oracle compares committed state; `Rig::run`
@@ -259,10 +249,10 @@ impl TortureRunner {
         let commits = oracle.model.lock().unwrap().acked_commits();
         Ok(TortureOutcome {
             schedule: schedule.clone(),
+            recovery_spans_us: recovery_spans_us(&reports),
             faults: reports,
             divergences,
             timeline,
-            recovery_spans_us: oracle.spans_us,
             attempted: rig.driver.attempted(),
             commits,
             unrecoverable,
@@ -272,11 +262,66 @@ impl TortureRunner {
     }
 }
 
+/// Whether a fault of `kind` takes the service away. A limping disk only
+/// slows it, and a corrupted shipment or a partitioned stand-by leaves the
+/// primary serving.
+fn takes_service_away(kind: TortureFaultKind) -> bool {
+    !matches!(
+        kind,
+        TortureFaultKind::Storage(StorageFaultType::SlowIo)
+            | TortureFaultKind::Replica(
+                ReplicaFaultType::CorruptShippedArchive | ReplicaFaultType::PartitionReplica
+            )
+    )
+}
+
+/// The recovery windows of a run, read off its reports in order: the
+/// injection and service-back instants, in µs, of every fault that took
+/// the service away and got it back.
+fn recovery_spans_us(reports: &[FaultReport]) -> Vec<(u64, u64)> {
+    reports
+        .iter()
+        .filter(|r| takes_service_away(r.scheduled.kind))
+        .filter_map(|r| Some((r.injected_at?.as_micros(), r.ready_at?.as_micros())))
+        .collect()
+}
+
+/// What one fault came to: `Err` says why it was skipped; `Ok` holds the
+/// instant it was injected and the instant service was back, and no
+/// return instant means the recovery failed.
+type Answer = Result<(Option<SimTime>, Option<SimTime>), String>;
+
+impl FaultReport {
+    /// The report of `scheduled` from its answer.
+    fn new(scheduled: ScheduledFault, overtaken: bool, answer: Answer) -> FaultReport {
+        let (injected_at, ready_at, skipped) = match answer {
+            Ok((injected_at, ready_at)) => (injected_at, ready_at, None),
+            Err(why) => (None, None, Some(why)),
+        };
+        let unrecoverable = skipped.is_none() && ready_at.is_none();
+        FaultReport { scheduled, injected_at, ready_at, overtaken, unrecoverable, skipped }
+    }
+}
+
+/// Kills the primary's instance; the terminals see the outage from the
+/// returned instant.
+fn kill_primary(rig: &mut Rig) -> Result<SimTime, String> {
+    if !rig.primary.is_open() {
+        return Err(INSTANCE_DOWN.to_string());
+    }
+    let at = rig.clock.now();
+    rig.primary.shutdown_abort().map_err(|e| format!("kill failed: {e}"))?;
+    rig.driver.record_outage(at);
+    Ok(at)
+}
+
+/// Why a fault that needs a live primary instance was skipped.
+const INSTANCE_DOWN: &str = "instance already down";
+
 /// The oracle's side of one run: the reference model the DML tap feeds,
-/// and what the faults cost so far.
+/// and the commits failovers sacrificed so far.
 struct Oracle {
     model: Arc<Mutex<RefModel>>,
-    spans_us: Vec<(u64, u64)>,
     lost_commits: u64,
 }
 
@@ -289,172 +334,107 @@ impl Oracle {
         rig.active_mut().set_dml_tap(move |change| model.lock().unwrap().observe(change));
     }
 
-    /// Injects one fault and drives its recovery (both synchronous).
+    /// Settles every transaction the model still holds open — none of
+    /// them acked — the way `node` did by `scn`; `false` if a probe failed.
+    fn settle_in_doubt(&self, node: &DbServer, scn: Scn) -> bool {
+        let mut m = self.model.lock().unwrap();
+        m.open_txn_ids().into_iter().all(|txn| m.resolve_in_doubt(node, txn, scn).is_ok())
+    }
+
+    /// Injects one fault, drives its recovery (both synchronous) and
+    /// reports what it came to.
     fn one_fault(&mut self, rig: &mut Rig, f: ScheduledFault, overtaken: bool) -> FaultReport {
-        let mut report = FaultReport {
-            scheduled: f,
-            injected_at: None,
-            ready_at: None,
-            overtaken,
-            unrecoverable: false,
-            skipped: None,
-        };
-        // Once the primary has been failed away from, the legacy fault
-        // kinds would hit the retired machine — skip them rather than
-        // pretend the dead node's backups and datafiles still matter.
-        if rig.failed_over() && !matches!(f.kind, TortureFaultKind::Replica(_)) {
-            report.skipped = Some("primary failed over; fault targets the retired node".to_string());
-            return report;
-        }
-        match f.kind {
-            TortureFaultKind::Replica(r) => self.one_replica_fault(rig, r, &mut report),
-            TortureFaultKind::InstanceKill => {
-                let srv = &mut rig.primary;
-                if !srv.is_open() {
-                    report.skipped = Some("instance already down".to_string());
-                    return report;
-                }
-                let at = srv.clock().now();
-                if let Err(e) = srv.shutdown_abort() {
-                    report.skipped = Some(format!("kill failed: {e}"));
-                    return report;
-                }
-                report.injected_at = Some(at);
-                rig.driver.record_outage(at);
+        let answer = match f.kind {
+            TortureFaultKind::Replica(r) => self.one_replica_fault(rig, r),
+            // Once the primary has been failed away from, the other kinds
+            // would hit the retired machine — skip them rather than
+            // pretend the dead node's backups and datafiles still matter.
+            _ if rig.failed_over() => {
+                Err("primary failed over; fault targets the retired node".to_string())
+            }
+            TortureFaultKind::InstanceKill => kill_primary(rig).map(|at| {
                 // The operator notices the dead instance after the same
                 // constant detection delay the injector models.
-                srv.clock().advance(DETECTION);
-                match srv.startup() {
-                    Ok(()) => {
-                        let ready = srv.clock().now();
-                        self.spans_us.push((at.as_micros(), ready.as_micros()));
-                        report.ready_at = Some(ready);
-                    }
-                    Err(_) => report.unrecoverable = true,
-                }
+                rig.clock.advance(DETECTION);
+                (Some(at), rig.primary.startup().is_ok().then(|| rig.clock.now()))
+            }),
+            TortureFaultKind::Storage(_) if !rig.primary.is_open() => {
+                Err(INSTANCE_DOWN.to_string())
             }
-            TortureFaultKind::Storage(s) => {
-                if !rig.primary.is_open() {
-                    report.skipped = Some("instance already down".to_string());
-                    return report;
-                }
-                self.one_storage_fault(rig, s, f, &mut report);
+            TortureFaultKind::Storage(s) => self.one_storage_fault(rig, s, f.at_secs),
+            TortureFaultKind::Operator(fault) => self.one_operator_fault(rig, fault, f.at_secs),
+        };
+        FaultReport::new(f, overtaken, answer)
+    }
+
+    /// Injects one operator fault and runs its recovery procedure.
+    fn one_operator_fault(&mut self, rig: &mut Rig, fault: FaultType, at_secs: u64) -> Answer {
+        let injector = FaultInjector::new(FaultPlan::new(fault, at_secs));
+        let mut record = rig.inject(&injector).map_err(|e| format!("injection failed: {e}"))?;
+        let at = Some(record.injected_at);
+        let srv = &mut rig.primary;
+        // The margin (or a sparse trail) can point before the current
+        // backup; the engine cannot rewind past what it restores from, so
+        // neither may the stop SCN.
+        if let Some(backup) = srv.backup() {
+            record.scn_before = record.scn_before.max(backup.scn);
+        }
+        if injector.recover(srv, &record).is_err() {
+            // Recovery failed. Try a plain restart so the run can report
+            // *unavailability* rather than wedge — but the state is no
+            // longer specified, so the differential check is off from here.
+            if !srv.is_open() {
+                // tidy-allow(error-swallow): best-effort restart after failed recovery; the report already says unrecoverable
+                let _ = srv.startup();
             }
-            TortureFaultKind::Operator(fault) => {
-                let injector = FaultInjector::new(FaultPlan::new(fault, f.at_secs));
-                let mut record = match injector.inject(&mut rig.primary) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        report.skipped = Some(format!("injection failed: {e}"));
-                        return report;
-                    }
-                };
-                report.injected_at = Some(record.injected_at);
-                rig.driver.record_outage(record.injected_at);
-                apply_margin_cutoff(&mut record, rig.trail(), injector.plan().pitr_margin);
-                let srv = &mut rig.primary;
-                // The margin (or a sparse trail) can point before the
-                // current backup; the engine cannot rewind past what it
-                // restores from, so neither may the stop SCN.
-                if let Some(backup) = srv.backup() {
-                    if record.scn_before < backup.scn {
-                        record.scn_before = backup.scn;
-                    }
-                }
-                let incomplete = fault.recovery_kind() == RecoveryKind::Incomplete;
-                match injector.recover(srv, &record) {
-                    Ok(_out) => {
-                        if incomplete {
-                            self.model.lock().unwrap().truncate_to(record.scn_before.next());
-                            // RESETLOGS invalidated the backup chain; take
-                            // a fresh cold backup before resuming service.
-                            if srv.take_cold_backup().is_err() {
-                                report.unrecoverable = true;
-                                return report;
-                            }
-                        }
-                        let ready = srv.clock().now();
-                        self.spans_us.push((record.injected_at.as_micros(), ready.as_micros()));
-                        report.ready_at = Some(ready);
-                    }
-                    Err(_) => {
-                        // Recovery failed. Try a plain restart so the run
-                        // can report *unavailability* rather than wedge —
-                        // but the state is no longer specified, so the
-                        // differential check is off from here.
-                        if !srv.is_open() {
-                            // tidy-allow(error-swallow): best-effort restart after failed recovery; the report already says unrecoverable
-                            let _ = srv.startup();
-                        }
-                        report.unrecoverable = true;
-                    }
-                }
+            return Ok((at, None));
+        }
+        if fault.recovery_kind() == RecoveryKind::Incomplete {
+            self.model.lock().unwrap().truncate_to(record.scn_before.next());
+            // RESETLOGS invalidated the backup chain; take a fresh cold
+            // backup before resuming service.
+            if srv.take_cold_backup().is_err() {
+                return Ok((at, None));
             }
         }
-        report
+        Ok((at, Some(srv.clock().now())))
     }
 
     /// Injects one replica-set fault. Node kills trigger a failover (the
     /// quorum decides under the configured policy); shipping faults arm
     /// damage on a stand-by and let the run continue — the primary never
     /// notices, only the replica set's health changes.
-    fn one_replica_fault(&mut self, rig: &mut Rig, r: ReplicaFaultType, report: &mut FaultReport) {
+    fn one_replica_fault(&mut self, rig: &mut Rig, r: ReplicaFaultType) -> Answer {
         let now = rig.clock.now();
-        let Some(rs) = rig.replicas.as_mut() else {
-            report.skipped = Some("no replica set provisioned".to_string());
-            return;
-        };
+        let rs = rig.replicas.as_mut().ok_or("no replica set provisioned")?;
         match r {
             ReplicaFaultType::KillPrimary => {
                 if rs.promoted().is_some() {
-                    report.skipped = Some("primary already failed over".to_string());
-                    return;
+                    return Err("primary already failed over".to_string());
                 }
-                if !rig.primary.is_open() {
-                    report.skipped = Some("instance already down".to_string());
-                    return;
-                }
-                if let Err(e) = rig.primary.shutdown_abort() {
-                    report.skipped = Some(format!("kill failed: {e}"));
-                    return;
-                }
-                report.injected_at = Some(now);
-                rig.driver.record_outage(now);
+                let at = kill_primary(rig)?;
                 let ready = rig.failover();
-                self.reconcile(rig, now, ready, report);
+                Ok((Some(at), self.reconcile(rig, ready)))
             }
             ReplicaFaultType::KillPromoted => {
                 if rs.promoted().is_none() {
-                    report.skipped =
-                        Some("no promoted node to kill (needs a prior kill_primary)".to_string());
-                    return;
+                    return Err("no promoted node to kill (needs a prior kill_primary)".to_string());
                 }
-                match rig.double_fault() {
-                    Ok((at, ready)) => {
-                        report.injected_at = Some(at);
-                        self.reconcile(rig, at, ready, report);
-                    }
-                    Err(e) => report.skipped = Some(format!("kill failed: {e}")),
-                }
+                let (at, ready) = rig.double_fault().map_err(|e| format!("kill failed: {e}"))?;
+                Ok((Some(at), self.reconcile(rig, ready)))
             }
-            ReplicaFaultType::CorruptShippedArchive => match rs.first_followable() {
-                Some(i) => {
-                    rs.arm_ship_corruption(i);
-                    // No outage: the primary keeps serving; only the
-                    // targeted stand-by freezes when the bad copy lands.
-                    report.injected_at = Some(now);
-                    report.ready_at = Some(now);
-                }
-                None => report.skipped = Some("no followable replica to corrupt".to_string()),
-            },
-            ReplicaFaultType::PartitionReplica => match rs.first_followable() {
-                Some(i) => {
-                    rs.partition(i);
-                    report.injected_at = Some(now);
-                    report.ready_at = Some(now);
-                }
-                None => report.skipped = Some("no followable replica to partition".to_string()),
-            },
+            ReplicaFaultType::CorruptShippedArchive => {
+                let i = rs.first_followable().ok_or("no followable replica to corrupt")?;
+                rs.arm_ship_corruption(i);
+                // No outage: the primary keeps serving; only the targeted
+                // stand-by freezes when the bad copy lands.
+                Ok((Some(now), Some(now)))
+            }
+            ReplicaFaultType::PartitionReplica => {
+                let i = rs.first_followable().ok_or("no followable replica to partition")?;
+                rs.partition(i);
+                Ok((Some(now), Some(now)))
+            }
         }
     }
 
@@ -462,41 +442,25 @@ impl Oracle {
     /// in-doubt transactions are settled against its state first, then the
     /// model is truncated to the promoted node's last applied commit —
     /// everything past it is the acked-but-unshipped tail the failover
-    /// sacrificed, and it is *specified* as lost.
-    fn reconcile(
-        &mut self,
-        rig: &mut Rig,
-        at: SimTime,
-        ready: Option<SimTime>,
-        report: &mut FaultReport,
-    ) {
-        let promoted = rig.replicas.as_ref().and_then(|rs| {
-            Some((rs.active()?, rs.promoted_last_commit_scn()?))
-        });
-        // `ready` is `None` when the quorum was denied or no survivor
-        // could be promoted: the service stays down.
-        let (Some(ready), Some((promoted, stop))) = (ready, promoted) else {
-            report.unrecoverable = true;
-            return;
-        };
-        {
-            let mut m = self.model.lock().unwrap();
-            // Transactions open at the kill never acked; probe the
-            // promoted node to settle them (at `stop`, so a resolved
-            // commit survives the truncation below).
-            for txn in m.open_txn_ids() {
-                if m.resolve_in_doubt(promoted, txn, stop).is_err() {
-                    report.unrecoverable = true;
-                    return;
-                }
-            }
-            let before = m.surviving_commits();
-            m.truncate_to(stop.next());
-            self.lost_commits += before.saturating_sub(m.surviving_commits());
+    /// sacrificed, and it is *specified* as lost. Returns `ready` once the
+    /// model agrees; `None` when the service stays down (`ready` is `None`
+    /// when the quorum was denied or no survivor could be promoted).
+    fn reconcile(&mut self, rig: &mut Rig, ready: Option<SimTime>) -> Option<SimTime> {
+        let rs = rig.replicas.as_ref()?;
+        let (ready, promoted, stop) = (ready?, rs.active()?, rs.promoted_last_commit_scn()?);
+        // Transactions open at the kill never acked; probe the promoted
+        // node to settle them (at `stop`, so a resolved commit survives
+        // the truncation below).
+        if !self.settle_in_doubt(promoted, stop) {
+            return None;
         }
+        let mut m = self.model.lock().unwrap();
+        let before = m.surviving_commits();
+        m.truncate_to(stop.next());
+        self.lost_commits += before.saturating_sub(m.surviving_commits());
+        drop(m);
         self.tap(rig);
-        self.spans_us.push((at.as_micros(), ready.as_micros()));
-        report.ready_at = Some(ready);
+        Some(ready)
     }
 
     /// Injects one storage fault and drives its recovery. The five kinds
@@ -511,38 +475,34 @@ impl Oracle {
     ///   retries after the operator frees space;
     /// * **slow I/O** — pure degradation: service continues, commits
     ///   drag, nothing to recover — so no outage and no recovery span.
-    fn one_storage_fault(
-        &mut self,
-        rig: &mut Rig,
-        s: recobench_faults::StorageFaultType,
-        f: ScheduledFault,
-        report: &mut FaultReport,
-    ) {
-        use recobench_faults::StorageFaultType;
-        use recobench_vfs::{FaultArm, FileKind, FileMatch};
+    fn one_storage_fault(&mut self, rig: &mut Rig, s: StorageFaultType, at_secs: u64) -> Answer {
         let (srv, driver) = (&mut rig.primary, &mut rig.driver);
+        let arm = match s {
+            StorageFaultType::TornWrite => FaultArm::TornWrite {
+                target: FileMatch::Kind(FileKind::Data),
+                keep_num: 1,
+                keep_den: 2,
+            },
+            StorageFaultType::BitRot => FaultArm::BitRot {
+                target: FileMatch::Kind(FileKind::Data),
+                seed: at_secs ^ 0xB17_0B07,
+            },
+            StorageFaultType::PartialAppend => FaultArm::PartialAppend {
+                target: FileMatch::Kind(FileKind::Redo),
+                keep_num: 1,
+                keep_den: 2,
+            },
+            StorageFaultType::DiskFull => {
+                FaultArm::DiskFull { disk: DiskLayout::four_disk().data_disks[0], after_bytes: 0 }
+            }
+            StorageFaultType::SlowIo => {
+                FaultArm::SlowIo { disk: DiskLayout::four_disk().redo_disk, multiplier: 8 }
+            }
+        };
+        let at = srv.clock().now();
+        srv.fs().lock().arm_fault(arm).map_err(|e| format!("injection failed: {e}"))?;
         match s {
             StorageFaultType::TornWrite | StorageFaultType::BitRot => {
-                let at = srv.clock().now();
-                let armed = {
-                    let mut fs = srv.fs().lock();
-                    if s == StorageFaultType::TornWrite {
-                        fs.arm_fault(FaultArm::TornWrite {
-                            target: FileMatch::Kind(FileKind::Data),
-                            keep_num: 1,
-                            keep_den: 2,
-                        })
-                    } else {
-                        fs.arm_fault(FaultArm::BitRot {
-                            target: FileMatch::Kind(FileKind::Data),
-                            seed: f.at_secs ^ 0xB17_0B07,
-                        })
-                    }
-                };
-                if let Err(e) = armed {
-                    report.skipped = Some(format!("injection failed: {e}"));
-                    return;
-                }
                 if s == StorageFaultType::TornWrite {
                     // The tear waits for a datafile write; force one with
                     // a checkpoint, then disarm whether or not it fired.
@@ -551,46 +511,22 @@ impl Oracle {
                     let fired = !srv.fs().lock().fault_pending();
                     srv.fs().lock().clear_faults();
                     if !fired {
-                        report.skipped = Some("no datafile write to tear".to_string());
-                        return;
+                        return Err("no datafile write to tear".to_string());
                     }
                 }
                 // Detection: the damage is silent — only the block
-                // checksums know. The probe names the files to repair.
-                let bad = match srv.datafiles_with_bad_checksums() {
-                    Ok(b) => b,
-                    Err(_) => {
-                        report.unrecoverable = true;
-                        return;
-                    }
-                };
+                // checksums know. The probe names the files to repair; when
+                // the probe itself fails, there is no injection instant.
+                let Ok(bad) = srv.datafiles_with_bad_checksums() else { return Ok((None, None)) };
                 if bad.is_empty() {
-                    report.skipped = Some("damage landed harmlessly".to_string());
-                    return;
+                    return Err("damage landed harmlessly".to_string());
                 }
-                report.injected_at = Some(at);
                 driver.record_outage(at);
                 srv.clock().advance(DETECTION);
-                for path in &bad {
-                    if srv.recover_datafile(path).is_err() {
-                        report.unrecoverable = true;
-                        return;
-                    }
-                }
-                let ready = srv.clock().now();
-                self.spans_us.push((at.as_micros(), ready.as_micros()));
-                report.ready_at = Some(ready);
+                let repaired = bad.iter().all(|path| srv.recover_datafile(path).is_ok());
+                Ok((Some(at), repaired.then(|| srv.clock().now())))
             }
             StorageFaultType::PartialAppend => {
-                let armed = srv.fs().lock().arm_fault(FaultArm::PartialAppend {
-                    target: FileMatch::Kind(FileKind::Redo),
-                    keep_num: 1,
-                    keep_den: 2,
-                });
-                if let Err(e) = armed {
-                    report.skipped = Some(format!("injection failed: {e}"));
-                    return;
-                }
                 // The next redo flush dies mid-write and the instance dies
                 // with it (LGWR semantics). Step the workload until that
                 // happens; commits flush, so it is at most a step or two.
@@ -602,49 +538,22 @@ impl Oracle {
                     }
                     driver.step(srv);
                 }
+                srv.fs().lock().clear_faults();
                 if !fired {
-                    srv.fs().lock().clear_faults();
-                    report.skipped = Some("no redo flush to interrupt".to_string());
-                    return;
+                    return Err("no redo flush to interrupt".to_string());
                 }
                 let at = srv.clock().now();
-                report.injected_at = Some(at);
                 driver.record_outage(at);
-                srv.fs().lock().clear_faults();
                 srv.clock().advance(DETECTION);
-                if srv.startup().is_err() {
-                    report.unrecoverable = true;
-                    return;
-                }
                 // The torn flush may or may not have made the in-flight
                 // commit durable before it died; the client only heard an
                 // error. Ask the recovered engine which way it went and
                 // settle every dead transaction the same way it did.
-                {
-                    let scn = srv.current_scn();
-                    let mut m = self.model.lock().unwrap();
-                    for txn in m.open_txn_ids() {
-                        if m.resolve_in_doubt(srv, txn, scn).is_err() {
-                            report.unrecoverable = true;
-                            return;
-                        }
-                    }
-                }
-                let ready = srv.clock().now();
-                self.spans_us.push((at.as_micros(), ready.as_micros()));
-                report.ready_at = Some(ready);
+                let recovered =
+                    srv.startup().is_ok() && self.settle_in_doubt(srv, srv.current_scn());
+                Ok((Some(at), recovered.then(|| srv.clock().now())))
             }
             StorageFaultType::DiskFull => {
-                let at = srv.clock().now();
-                let armed = srv.fs().lock().arm_fault(FaultArm::DiskFull {
-                    disk: DiskLayout::four_disk().data_disks[0],
-                    after_bytes: 0,
-                });
-                if let Err(e) = armed {
-                    report.skipped = Some(format!("injection failed: {e}"));
-                    return;
-                }
-                report.injected_at = Some(at);
                 driver.record_outage(at);
                 // The next checkpoint hits ENOSPC: the affected blocks
                 // stay dirty, the recovery position holds, and the
@@ -655,25 +564,9 @@ impl Oracle {
                 // Operator frees space; the retried checkpoint drains the
                 // write-out backlog.
                 srv.fs().lock().clear_faults();
-                match srv.checkpoint_now() {
-                    Ok(()) => {
-                        let ready = srv.clock().now();
-                        self.spans_us.push((at.as_micros(), ready.as_micros()));
-                        report.ready_at = Some(ready);
-                    }
-                    Err(_) => report.unrecoverable = true,
-                }
+                Ok((Some(at), srv.checkpoint_now().is_ok().then(|| srv.clock().now())))
             }
             StorageFaultType::SlowIo => {
-                let armed = srv.fs().lock().arm_fault(FaultArm::SlowIo {
-                    disk: DiskLayout::four_disk().redo_disk,
-                    multiplier: 8,
-                });
-                if let Err(e) = armed {
-                    report.skipped = Some(format!("injection failed: {e}"));
-                    return;
-                }
-                report.injected_at = Some(srv.clock().now());
                 // A limping disk degrades service but never interrupts
                 // it: commits keep succeeding (slowly), so there is no
                 // outage and no recovery span — only a slower stretch on
@@ -685,7 +578,7 @@ impl Oracle {
                     driver.step(srv);
                 }
                 srv.fs().lock().clear_faults();
-                report.ready_at = Some(srv.clock().now());
+                Ok((Some(at), Some(srv.clock().now())))
             }
         }
     }

@@ -401,11 +401,22 @@ fn replica_shipping_faults_degrade_the_set_without_an_outage() {
 /// auto-provisions a two-node fan-out — the corpus-replay path.
 #[test]
 fn replica_faults_auto_provision_a_fan_out() {
-    let schedule = sched(5, 200, vec![replica(ReplicaFaultType::KillPrimary, 60)]);
+    // The operator fault after the kill targets the retired primary.
+    let schedule = sched(
+        5,
+        200,
+        vec![replica(ReplicaFaultType::KillPrimary, 60), op(FaultType::DeleteDatafile, 120)],
+    );
     let outcome = TortureRunner::default().run(&schedule).unwrap();
     assert_clean(&outcome);
     assert_eq!(outcome.failovers, 1, "the kill must promote: {:?}", outcome.faults);
     assert!(outcome.faults[0].ready_at.is_some());
+    // A skipped fault leaves no recovery window.
+    let skipped = &outcome.faults[1];
+    let why = skipped.skipped.as_deref().unwrap_or_default();
+    assert!(why.starts_with("primary failed over"), "{skipped:?}");
+    assert_eq!((skipped.injected_at, skipped.ready_at), (None, None));
+    assert_eq!(outcome.recovery_spans_us.len(), 1, "{:?}", outcome.recovery_spans_us);
 }
 
 /// A cascaded chain behind the primary fails over too: the chain head is
