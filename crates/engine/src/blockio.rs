@@ -265,6 +265,9 @@ impl DbServer {
             .ok_or_else(|| RecoveryError::BlockNotResident { file: key.0, block: key.1 })?;
         if f(img) {
             inst.cache.mark_dirty(key, addr, now);
+            if let Some(base) = self.carried_indexes.as_mut() {
+                base.changed.insert(key);
+            }
         }
         Ok(())
     }
@@ -282,10 +285,18 @@ impl DbServer {
     /// Fails if the table is unknown or its storage unreadable.
     pub fn peek_scan(&self, obj: ObjectId) -> DbResult<Vec<(RowId, Row)>> {
         let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
-        let table = inst.catalog.table(obj)?;
+        self.peek_blocks(&mut inst.catalog.table(obj)?.segment.blocks())
+    }
+
+    /// The rows of `blocks`, read like [`DbServer::peek_scan`] reads them.
+    pub(crate) fn peek_blocks(
+        &self,
+        blocks: &mut dyn Iterator<Item = BlockKey>,
+    ) -> DbResult<Vec<(RowId, Row)>> {
+        let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
         let fs = self.fs.lock();
         let mut out = Vec::new();
-        for (file, block) in table.segment.blocks() {
+        for (file, block) in blocks {
             let img = peek(inst, &fs, (file, block))?;
             for (slot, row) in img.iter() {
                 out.push((RowId { file, block, slot }, row.clone()));

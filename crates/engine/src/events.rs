@@ -171,11 +171,15 @@ pub enum EngineEvent {
         /// Records it contained.
         records: u64,
     },
-    /// Indexes were rebuilt from recovered heap data.
+    /// A recovery gave every table the index set its recovered heap
+    /// implies, re-derived from the changed blocks or rebuilt from a full
+    /// scan.
     IndexesRebuilt {
         /// Tables whose indexes were rebuilt.
         tables: u64,
-        /// Total index entries inserted.
+        /// The size of the rebuilt sets: rows × indexes, summed over the
+        /// tables — not the work done, which a re-derivation keeps to the
+        /// changed blocks.
         entries: u64,
     },
     /// A statement blocked on a row lock and its transaction was queued.

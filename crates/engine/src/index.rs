@@ -1,7 +1,10 @@
 //! In-memory indexes over heap rows.
 //!
 //! Indexes are maintained transactionally during normal operation and
-//! rebuilt from the heap when an instance (re)opens. Their I/O is not
+//! re-derived when a recovery opens the instance: the entries of the
+//! blocks it changed are derived from the heap, the rest kept
+//! (`Index::rederive`; a full [`Index::bulk_load`] without an exact
+//! base). Their I/O is not
 //! separately modelled: conceptually index blocks live in the same
 //! datafiles as the heap (see DESIGN.md §2 for this simplification).
 
@@ -242,6 +245,10 @@ impl KeyStore {
 pub struct Index {
     def: IndexDef,
     map: KeyStore,
+    /// Whether building this unique index dropped a row whose key a
+    /// lower rid already held: its entries then no longer say which rows
+    /// the heap holds, so only a full scan can re-derive it.
+    shadowed: bool,
     scratch: Vec<u8>,
     /// Second scratch for operations that need two keys at once
     /// ([`Index::replace`]).
@@ -256,7 +263,13 @@ impl Index {
         } else {
             KeyStore::Point(FastMap::default())
         };
-        Index { def, map, scratch: Vec::with_capacity(32), scratch2: Vec::with_capacity(32) }
+        Index {
+            def,
+            map,
+            shadowed: false,
+            scratch: Vec::with_capacity(32),
+            scratch2: Vec::with_capacity(32),
+        }
     }
 
     /// The definition this index implements.
@@ -307,6 +320,75 @@ impl Index {
     /// probe per row — recovery rebuilds hundreds of thousands of entries,
     /// where the difference is a measurable slice of time-to-open.
     pub fn bulk_load(&mut self, rows: &[(RowId, Row)]) {
+        let pairs = self.sorted_pairs(rows);
+        self.shadowed = false;
+        let (grouped, _) = self.merge(&mut std::iter::empty(), pairs.len(), &|_| false, pairs);
+        self.install(grouped);
+    }
+
+    /// What [`Index::bulk_load`] over the heap builds, derived from this
+    /// index — which matched the heap before the blocks `changed` names
+    /// changed — and `fresh`, the rows those blocks hold now. The entries
+    /// of unchanged blocks are kept, the changed blocks' are replaced, and
+    /// the result is built fresh from the merged sorted entries, so it is
+    /// as compact as a bulk-built index and its rids ascend under every
+    /// key even where forward inserts appended them out of order. Returns
+    /// it with how many of this index's entries it kept, or `None` if this
+    /// index is [shadowed](Index::is_canonical): which row holds a
+    /// duplicated unique key is then known only to the heap.
+    pub(crate) fn rederive(
+        &self,
+        changed: &dyn Fn(RowId) -> bool,
+        fresh: &[(RowId, Row)],
+    ) -> Option<(Index, usize)> {
+        if self.shadowed {
+            return None;
+        }
+        let mut out = Index::new(self.def.clone());
+        let added = out.sorted_pairs(fresh);
+        let capacity = self.key_count() + added.len();
+        let (grouped, kept) = match &self.map {
+            KeyStore::Ordered(m) => out.merge(&mut m.iter(), capacity, changed, added),
+            KeyStore::Point(m) => {
+                let mut old: Vec<(&KeyBuf, &RidSet)> = m.iter().collect();
+                old.sort_unstable_by(|a, b| a.0.cmp(b.0));
+                out.merge(&mut old.into_iter(), capacity, changed, added)
+            }
+        };
+        out.install(grouped);
+        Some((out, kept))
+    }
+
+    /// Whether this index is what [`Index::bulk_load`] over its own rows
+    /// builds: every key's rids ascend and no duplicated unique key was
+    /// dropped. Forward inserts append a key's rids in insertion order, so
+    /// a non-unique index can hold the right entries in another order.
+    pub(crate) fn is_canonical(&self) -> bool {
+        if self.shadowed {
+            return false;
+        }
+        let ascend = |set: &RidSet| set.as_slice().windows(2).all(|w| w[0] < w[1]);
+        self.def.unique
+            || match &self.map {
+                KeyStore::Ordered(m) => m.values().all(ascend),
+                KeyStore::Point(m) => m.values().all(ascend),
+            }
+    }
+
+    /// Whether `other` has the same definition and entries, each key's
+    /// rids in the same order. A point index's bucket order follows its
+    /// insertion history and is not compared.
+    pub(crate) fn same_entries(&self, other: &Index) -> bool {
+        fn sorted(ix: &Index) -> Vec<(&[u8], &[RowId])> {
+            let mut entries: Vec<(&[u8], &[RowId])> = ix.entries().collect();
+            entries.sort_unstable_by_key(|(k, _)| *k);
+            entries
+        }
+        self.def == other.def && self.shadowed == other.shadowed && sorted(self) == sorted(other)
+    }
+
+    /// The `(key, rid)` pairs of `rows` under this index, sorted.
+    fn sorted_pairs(&mut self, rows: &[(RowId, Row)]) -> Vec<(KeyBuf, RowId)> {
         let mut key = std::mem::take(&mut self.scratch);
         let mut pairs: Vec<(KeyBuf, RowId)> = Vec::with_capacity(rows.len());
         for (rid, row) in rows {
@@ -318,17 +400,61 @@ impl Index {
         // order), which the run-merging stable sort exploits; every pair is
         // distinct, so stability itself changes nothing.
         pairs.sort();
-        let mut grouped: Vec<(KeyBuf, RidSet)> = Vec::with_capacity(pairs.len());
-        for (k, rid) in pairs {
-            match grouped.last_mut() {
-                Some((last, set)) if *last == k => {
-                    if !self.def.unique {
-                        set.push(rid);
-                    }
-                }
-                _ => grouped.push((k, RidSet::One(rid))),
+        pairs
+    }
+
+    /// Merges `old` entries (in key order; rids `changed` names are
+    /// dropped) with `added` pairs (sorted) into at most `capacity`
+    /// key-ordered groups of ascending rids, a unique key keeping its
+    /// lowest rid; marks the index shadowed if that drops one. Returns the
+    /// groups and how many old rids were kept.
+    fn merge<'a>(
+        &mut self,
+        old: &mut dyn Iterator<Item = (&'a KeyBuf, &'a RidSet)>,
+        capacity: usize,
+        changed: &dyn Fn(RowId) -> bool,
+        added: Vec<(KeyBuf, RowId)>,
+    ) -> (Vec<(KeyBuf, RidSet)>, usize) {
+        let (mut old, mut added) = (old.peekable(), added.into_iter().peekable());
+        let mut grouped: Vec<(KeyBuf, RidSet)> = Vec::with_capacity(capacity);
+        let (mut kept, mut rids) = (0, Vec::new());
+        loop {
+            // The next key is the lower of the two streams' heads.
+            let key = match (old.peek(), added.peek()) {
+                (None, None) => break,
+                (Some((o, _)), Some((a, _))) if a < *o => a.clone(),
+                (Some((o, _)), _) => (*o).clone(),
+                (None, Some((a, _))) => a.clone(),
+            };
+            rids.clear();
+            if let Some((_, set)) = old.next_if(|(o, _)| **o == key) {
+                rids.extend(set.as_slice().iter().filter(|r| !changed(**r)));
+                kept += rids.len();
             }
+            while let Some((_, rid)) = added.next_if(|(a, _)| *a == key) {
+                rids.push(rid);
+            }
+            if rids.is_empty() {
+                continue;
+            }
+            if rids.len() > 1 {
+                rids.sort_unstable();
+                if self.def.unique {
+                    self.shadowed = true;
+                    rids.truncate(1);
+                }
+            }
+            let set = match rids.as_slice() {
+                [one] => RidSet::One(*one),
+                many => RidSet::Many(many.to_vec()),
+            };
+            grouped.push((key, set));
         }
+        (grouped, kept)
+    }
+
+    /// Replaces the map with `grouped`, which is in key order.
+    fn install(&mut self, grouped: Vec<(KeyBuf, RidSet)>) {
         match &mut self.map {
             KeyStore::Ordered(m) => *m = grouped.into_iter().collect(),
             KeyStore::Point(m) => {
@@ -496,6 +622,17 @@ impl Index {
     }
 }
 
+/// One index per definition in `defs`, each bulk-loaded from `rows`.
+pub(crate) fn bulk_built(defs: &[IndexDef], rows: &[(RowId, Row)]) -> Vec<Index> {
+    defs.iter()
+        .map(|def| {
+            let mut ix = Index::new(def.clone());
+            ix.bulk_load(rows);
+            ix
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -598,6 +735,83 @@ mod tests {
             }
             assert_eq!((many.key_count(), many.entry_count()), (20, 60));
             assert_eq!((one.key_count(), one.entry_count()), (20, 20));
+        }
+    }
+
+    proptest::proptest! {
+        /// Re-deriving from an index that matched the heap, and the rows the
+        /// changed blocks now hold, gives what `bulk_load` over the edited
+        /// heap gives: the same keys, the same rids in the same order, even
+        /// where the old non-unique index was built by forward inserts out
+        /// of rid order and where a unique key is held twice.
+        #[test]
+        fn rederive_equals_bulk_load_over_the_edited_heap(
+            old_rows in proptest::collection::vec((0u32..6, 0u64..8, 0u64..3), 0..40),
+            distinct in proptest::arbitrary::any::<bool>(),
+            changed_mask in 0u8..64,
+            keep_mask in proptest::arbitrary::any::<u64>(),
+            added in proptest::collection::vec((0u32..6, 0u64..48, 0u64..3), 0..12),
+            order_seed in proptest::arbitrary::any::<u64>(),
+        ) {
+            let changed = |block: u32| changed_mask & (1 << block) != 0;
+            let rid_in = |block: u32, slot: u16| RowId { file: FileNo(1 + block % 2), block, slot };
+            // The old heap; `distinct` gives every row a key of its own.
+            let mut slots = [0u16; 6];
+            let mut next_slot = |block: u32| {
+                slots[block as usize] += 1;
+                slots[block as usize] - 1
+            };
+            let old: Vec<(RowId, Row)> = old_rows
+                .iter()
+                .enumerate()
+                .map(|(i, &(block, a, b))| {
+                    let a = if distinct { 100 + i as u64 } else { a };
+                    (rid_in(block, next_slot(block)), row(a, b))
+                })
+                .collect();
+            // The edit: a changed block keeps some of its rows and gains others.
+            let mut new: Vec<(RowId, Row)> = old
+                .iter()
+                .enumerate()
+                .filter(|(i, (rid, _))| !changed(rid.block) || keep_mask & (1 << (i % 64)) != 0)
+                .map(|(_, r)| r.clone())
+                .collect();
+            for &(block, a, b) in added.iter().filter(|(block, ..)| changed(*block)) {
+                new.push((rid_in(block, next_slot(block)), row(a, b)));
+            }
+            let fresh: Vec<(RowId, Row)> =
+                new.iter().filter(|(rid, _)| changed(rid.block)).cloned().collect();
+            // Forward inserts in a scrambled order, so a key's rids append
+            // out of rid order.
+            let mut forward = old.clone();
+            forward.sort_by_key(|(rid, _)| {
+                (u64::from(rid.block) << 16 | u64::from(rid.slot)).wrapping_mul(order_seed | 1)
+            });
+            for ordered in [true, false] {
+                for unique in [true, false] {
+                    let d = IndexDef { ordered, ..def(unique) };
+                    let mut base = Index::new(d.clone());
+                    if unique {
+                        base.bulk_load(&old);
+                    } else {
+                        for (rid, r) in &forward {
+                            base.insert(r, *rid).unwrap();
+                        }
+                    }
+                    let mut expected = Index::new(d);
+                    expected.bulk_load(&new);
+                    let Some((derived, kept)) =
+                        base.rederive(&|rid| changed(rid.block), &fresh)
+                    else {
+                        proptest::prop_assert!(unique && !distinct && !base.is_canonical());
+                        continue;
+                    };
+                    proptest::prop_assert!(derived.same_entries(&expected));
+                    proptest::prop_assert!(derived.entries().eq(expected.entries()));
+                    proptest::prop_assert_eq!(derived.is_canonical(), expected.is_canonical());
+                    proptest::prop_assert_eq!(kept, new.len() - fresh.len());
+                }
+            }
         }
     }
 

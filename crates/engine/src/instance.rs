@@ -56,15 +56,8 @@ impl Instance {
         I: IntoIterator<Item = (crate::types::RowId, crate::row::Row)>,
     {
         let rows: Vec<(crate::types::RowId, crate::row::Row)> = rows.into_iter().collect();
-        let mut indexes: Vec<Index> = defs.iter().cloned().map(Index::new).collect();
-        for ix in &mut indexes {
-            // Duplicate keys on a unique index cannot happen for data
-            // produced through the engine; bulk_load would keep the lowest
-            // rid.
-            ix.bulk_load(&rows);
-        }
-        let entries = (rows.len() * indexes.len()) as u64;
-        self.indexes.insert(obj, Arc::new(indexes));
+        let entries = (rows.len() * defs.len()) as u64;
+        self.indexes.insert(obj, Arc::new(crate::index::bulk_built(defs, &rows)));
         entries
     }
 }

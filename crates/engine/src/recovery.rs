@@ -24,10 +24,13 @@ use crate::config::{costs, DBWR_TICK};
 use crate::controlfile::{CkptRecord, SeqLocation};
 use crate::error::{DbError, DbResult};
 use crate::events::{EngineEvent, RecoveryPhase, RecoveryProcedure};
+use crate::fasthash::FastMap;
+use crate::index::{bulk_built, Index};
+use crate::instance::Instance;
 use crate::redo::{CleanEnd, RedoOp, RedoReader, RedoState};
-use crate::server::DbServer;
+use crate::server::{BlockKey, DbServer};
 use crate::txn::UndoOp;
-use crate::types::{FileNo, RedoAddr, Scn, TxnId};
+use crate::types::{FileNo, ObjectId, RedoAddr, Scn, TxnId};
 
 /// What a replay pass applied, for reporting and tests.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -60,6 +63,50 @@ struct ReplayOpts {
 /// The head sequence's group file and where its whole records end, when a
 /// torn record ends it.
 type TornHead = Option<(FileId, CleanEnd)>;
+
+/// The blocks whose rows may differ from an [`IndexBase`]'s sets: whole
+/// datafiles and single blocks.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ChangedBlocks {
+    files: Vec<FileNo>,
+    blocks: FastMap<BlockKey, ()>,
+}
+
+impl ChangedBlocks {
+    /// Every block of `file`.
+    fn file(file: FileNo) -> Self {
+        ChangedBlocks { files: vec![file], ..Self::default() }
+    }
+
+    fn contains(&self, key: BlockKey) -> bool {
+        self.files.contains(&key.0) || self.blocks.contains_key(&key)
+    }
+
+    pub(crate) fn insert(&mut self, key: BlockKey) {
+        self.blocks.insert(key, ());
+    }
+}
+
+/// What recovery re-derives indexes from: index sets that matched the heap
+/// when they were taken, and the blocks that have changed since.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct IndexBase {
+    sets: FastMap<ObjectId, Arc<Vec<Index>>>,
+    pub(crate) changed: ChangedBlocks,
+}
+
+impl IndexBase {
+    /// What a crash leaves of `inst` for crash recovery: its index sets,
+    /// and its dirty blocks — the ones whose stored image is not what the
+    /// sets were maintained against.
+    pub(crate) fn carried(inst: Instance) -> Self {
+        let mut changed = ChangedBlocks::default();
+        for (key, _) in inst.cache.dirty_matching(|_, _| true) {
+            changed.insert(key);
+        }
+        IndexBase { sets: inst.indexes, changed }
+    }
+}
 
 impl DbServer {
     /// Starts the instance: mount, open, and crash recovery if the last
@@ -100,7 +147,9 @@ impl DbServer {
         self.inst = Some(self.fresh_instance((*ckpt.catalog).clone(), ckpt.scn, group, seq, flushed));
         self.control_mut()?.clean_shutdown = false;
         let mut recovered_records = 0;
-        if !clean {
+        if clean {
+            self.carried_indexes = None;
+        } else {
             let from = self.restore_fractured_datafiles(ckpt.position)?;
             let (summary, replayed, torn_head) = self.replay(ReplayOpts {
                 from,
@@ -123,6 +172,11 @@ impl DbServer {
             // The log lives on past this crash, so the in-flight
             // transactions' rollback must be in it.
             let rollback_began = self.clock.now();
+            if let Some(base) = self.carried_indexes.as_mut() {
+                for undo in replayed.live.values().flatten() {
+                    base.changed.insert((undo.rid().file, undo.rid().block));
+                }
+            }
             self.rollback_dead_txns(&replayed.live)?;
             if replayed.live.values().any(|undo| !undo.is_empty()) {
                 self.events.record(
@@ -226,6 +280,9 @@ impl DbServer {
         );
         let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
         inst.cache.invalidate_file(file_no);
+        if let Some(base) = self.carried_indexes.as_mut() {
+            base.changed.files.push(file_no);
+        }
         Ok(position)
     }
 
@@ -239,10 +296,12 @@ impl DbServer {
         Ok(())
     }
 
-    /// Rebuilds indexes and insert cursors, takes the post-recovery
+    /// Re-derives indexes (from the crashed instance's, if crash recovery
+    /// carried them) and rebuilds insert cursors, takes the post-recovery
     /// checkpoint, and arms background work.
     pub(crate) fn finalize_open(&mut self) -> DbResult<()> {
-        self.rebuild_all_indexes()?;
+        let base = self.carried_indexes.take();
+        self.rederive_indexes(base)?;
         let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
         for (obj, table) in &inst.catalog.tables {
             let cursor = inst.cursors.entry(*obj).or_default();
@@ -325,8 +384,10 @@ impl DbServer {
             drop(fs);
             self.clock.advance_to(out.complete_at);
         }
-        // Index entries for recovered rows may have diverged; rebuild.
-        self.rebuild_all_indexes()?;
+        // Only the recovered file's rows may differ from the live indexes.
+        let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
+        let sets = std::mem::take(&mut inst.indexes);
+        self.rederive_indexes(Some(IndexBase { sets, changed: ChangedBlocks::file(file_no) }))?;
         // Rollback work deferred while this file's storage was unreachable
         // can complete now.
         self.drain_deferred_undo();
@@ -342,7 +403,16 @@ impl DbServer {
         Ok(summary)
     }
 
-    fn rebuild_all_indexes(&mut self) -> DbResult<()> {
+    /// Gives every table the index set [`Index::bulk_load`] over its heap
+    /// builds, re-deriving it from `base` where that is exact: a table
+    /// whose set `base` carries, whose datafiles are neither deleted nor
+    /// altered by a storage fault, and whose set did not drop a duplicated
+    /// unique key keeps the entries of its unchanged blocks and reads only
+    /// its changed blocks. Every other table is rebuilt from a full scan,
+    /// as is every table when there is no base. In debug builds each
+    /// re-derivation is checked against that full rebuild.
+    fn rederive_indexes(&mut self, base: Option<IndexBase>) -> DbResult<()> {
+        let IndexBase { mut sets, changed } = base.unwrap_or_default();
         let objs: Vec<_> = {
             let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
             inst.catalog.tables.keys().copied().collect()
@@ -354,13 +424,75 @@ impl DbServer {
                 let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
                 inst.catalog.table(obj)?.indexes.clone()
             };
-            let rows = self.peek_scan(obj).unwrap_or_default();
-            let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
-            entries += inst.rebuild_indexes_for(obj, &defs, rows);
+            let derived = match sets.remove(&obj) {
+                Some(old) => self.rederive_table(obj, old, &changed)?,
+                None => None,
+            };
+            if cfg!(debug_assertions) {
+                if let Some((set, rows)) = &derived {
+                    let scan = self.peek_scan(obj).unwrap_or_default();
+                    let full = bulk_built(&defs, &scan);
+                    assert!(
+                        rows * defs.len() == scan.len() * defs.len()
+                            && set.iter().zip(&full).all(|(d, f)| d.same_entries(f)),
+                        "table {obj}: re-derived indexes differ from a full rebuild"
+                    );
+                }
+            }
+            entries += match derived {
+                Some((set, rows)) => {
+                    self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?.indexes.insert(obj, set);
+                    (rows * defs.len()) as u64
+                }
+                None => {
+                    let rows = self.peek_scan(obj).unwrap_or_default();
+                    let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
+                    inst.rebuild_indexes_for(obj, &defs, rows)
+                }
+            };
             tables += 1;
         }
         self.events.record(self.clock.now(), EngineEvent::IndexesRebuilt { tables, entries });
         Ok(())
+    }
+
+    /// `obj`'s index set re-derived from `old`, which matched the heap
+    /// before the blocks `changed` names changed, with the table's row
+    /// count; `None` where only a full scan is exact (see
+    /// [`DbServer::rederive_indexes`]).
+    fn rederive_table(
+        &self,
+        obj: ObjectId,
+        old: Arc<Vec<Index>>,
+        changed: &ChangedBlocks,
+    ) -> DbResult<Option<(Arc<Vec<Index>>, usize)>> {
+        let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
+        let table = inst.catalog.table(obj)?;
+        let same_defs = old.len() == table.indexes.len()
+            && old.iter().zip(&table.indexes).all(|(ix, def)| ix.def() == def);
+        let intact = {
+            let fs = self.fs.lock();
+            table.segment.extents.iter().all(|e| {
+                datafile(&inst.catalog, e.file)
+                    .is_ok_and(|df| fs.meta(df.vfs_id).is_ok_and(|m| !m.deleted && !m.damaged))
+            })
+        };
+        if !same_defs || !intact {
+            return Ok(None);
+        }
+        let mut blocks = table.segment.blocks().filter(|&k| changed.contains(k)).peekable();
+        if blocks.peek().is_none() && old.iter().all(Index::is_canonical) {
+            let rows = old.first().map_or(0, Index::entry_count);
+            return Ok(Some((old, rows)));
+        }
+        let Ok(fresh) = self.peek_blocks(&mut blocks) else { return Ok(None) };
+        let derived: Option<Vec<(Index, usize)>> = old
+            .iter()
+            .map(|ix| ix.rederive(&|rid| changed.contains((rid.file, rid.block)), &fresh))
+            .collect();
+        let Some(derived) = derived else { return Ok(None) };
+        let rows = fresh.len() + derived.first().map_or(0, |(_, kept)| *kept);
+        Ok(Some((Arc::new(derived.into_iter().map(|(ix, _)| ix).collect()), rows)))
     }
 
     /// Incomplete point-in-time recovery: restore the whole database from
@@ -390,6 +522,7 @@ impl DbServer {
         if self.inst.is_some() {
             self.shutdown_abort()?;
         }
+        self.carried_indexes = None;
         self.sessions.clear();
         self.lock_grants.clear();
         self.deferred_undo.clear();
@@ -1068,5 +1201,43 @@ mod tests {
         let summary = srv.recover_datafile(&victim).unwrap();
         assert!(summary.archives_read >= 1, "the torn sequence was read from its archive");
         assert_eq!(srv.peek_scan(t).unwrap().len(), 11 + (i - 100) as usize);
+    }
+
+    /// Recovery re-derives only what it changed: after media recovery of
+    /// one table's datafile, and after crash recovery of a quiesced
+    /// database, a table on an untouched datafile keeps the very index set
+    /// it had. A silent fall-back to the full rebuild fails here.
+    #[test]
+    fn recovery_keeps_the_index_set_of_a_table_on_an_untouched_datafile() {
+        let mut srv = server(true);
+        srv.create_user("app").unwrap();
+        srv.create_tablespace("A", 1, 256).unwrap();
+        srv.create_tablespace("B", 1, 256).unwrap();
+        let pk = || vec![IndexDef { name: "PK".into(), cols: vec![0], unique: true, ordered: true }];
+        let a = srv.create_table("TA", "app", "A", pk()).unwrap();
+        let b = srv.create_table("TB", "app", "B", pk()).unwrap();
+        let s = srv.connect().unwrap();
+        for i in 0..50 {
+            srv.insert(s, a, row(i, "a")).unwrap();
+            srv.insert(s, b, row(i, "b")).unwrap();
+            srv.commit(s).unwrap();
+        }
+        srv.take_cold_backup().unwrap();
+        let set = |srv: &DbServer, t| Arc::clone(&srv.inst.as_ref().unwrap().indexes[&t]);
+        let (booted_a, booted_b) = (set(&srv, a), set(&srv, b));
+
+        let path = srv.datafile_paths("A").unwrap().remove(0);
+        srv.recover_datafile(&path).unwrap();
+        assert!(Arc::ptr_eq(&set(&srv, b), &booted_b), "media recovery of A's file rebuilt B's set");
+        assert!(!Arc::ptr_eq(&set(&srv, a), &booted_a), "A's set is re-derived");
+        assert_eq!(srv.lookup(a, 0, &[Value::U64(7)]).unwrap(), booted_a[0].lookup(&[Value::U64(7)]));
+
+        srv.checkpoint_now().unwrap();
+        let (quiesced_a, quiesced_b) = (set(&srv, a), set(&srv, b));
+        srv.shutdown_abort().unwrap();
+        srv.startup().unwrap();
+        assert!(Arc::ptr_eq(&set(&srv, a), &quiesced_a), "crash recovery rebuilt A's set");
+        assert!(Arc::ptr_eq(&set(&srv, b), &quiesced_b), "crash recovery rebuilt B's set");
+        assert_eq!(srv.peek_scan(b).unwrap().len(), 50);
     }
 }

@@ -36,6 +36,7 @@ use crate::controlfile::{CkptRecord, ControlFile, SeqLocation};
 use crate::error::{DbError, DbResult};
 use crate::instance::Instance;
 use crate::layout::DiskLayout;
+use crate::recovery::IndexBase;
 use crate::redo::{RedoRecord, RedoState};
 use crate::events::{EngineEvent, EventSink};
 use crate::stats::EngineStats;
@@ -93,6 +94,9 @@ pub struct DbServer {
     /// and the transaction resolved then — the engine's version of
     /// Oracle's deferred rollback segments.
     pub(crate) deferred_undo: Vec<(TxnId, Vec<UndoOp>)>,
+    /// A crashed instance's index sets and the blocks changed since, from
+    /// `shutdown_abort` to the crash recovery that re-derives from them.
+    pub(crate) carried_indexes: Option<IndexBase>,
     pub(crate) events: EventSink,
     /// Observer of the acknowledged operation stream (differential
     /// oracles). `None` in normal operation — the write path pays one
@@ -134,6 +138,7 @@ impl DbServer {
             next_session: 0,
             lock_grants: Vec::new(),
             deferred_undo: Vec::new(),
+            carried_indexes: None,
             events: EventSink::default(),
             dml_tap: None,
             #[cfg(any(test, feature = "sabotage"))]
@@ -369,7 +374,7 @@ impl DbServer {
         let control = self.control_mut()?;
         control.stopped_at = Some(now);
         control.clean_shutdown = false;
-        self.inst = None;
+        self.carried_indexes = self.inst.take().map(IndexBase::carried);
         self.managed_recovery = false;
         self.next_dbwr_tick = SimTime::MAX;
         // Sessions die with the instance; crash recovery rolls their

@@ -82,6 +82,7 @@ impl DbServer {
             next_session: self.next_session,
             lock_grants: self.lock_grants.clone(),
             deferred_undo: self.deferred_undo.clone(),
+            carried_indexes: self.carried_indexes.clone(),
             events: self.events.fork(),
             dml_tap: None,
             #[cfg(any(test, feature = "sabotage"))]

@@ -96,3 +96,60 @@ fn injected_bit_rot_is_flagged_by_both_detection_layers() {
     assert!(divergences.is_empty(), "post-recovery divergences: {divergences:?}");
     assert!(srv.datafiles_with_bad_checksums().unwrap().is_empty());
 }
+
+/// Pins a defect the index re-derivation deliberately keeps: media
+/// recovery of one datafile silently empties the index of a table that has
+/// a rotten block on *another* datafile. The rebuild reads the table with
+/// `peek_scan(..).unwrap_or_default()`, so the unreadable heap becomes an
+/// empty index with no error and the database opens without its
+/// ORDER_LINE key. Re-deriving only the recovered file's entries would
+/// keep the other file's; the damaged datafile's mark sends the table to
+/// the full scan instead, so the damaged database ends as it always did.
+/// The fix is a typed refusal naming the block (ROADMAP, "Typed
+/// refusals"); this test moves with it.
+#[test]
+fn media_recovery_empties_the_index_of_a_table_with_a_rotten_block_on_another_datafile() {
+    use recobench_core::{rig, RecoveryConfig};
+    use recobench_sim::{SimDuration, SimRng};
+    use recobench_tpcc::{DriverConfig, TpccDriver, TpccScale};
+
+    let icfg = RecoveryConfig::new(1, 3, 300).to_instance_config(true);
+    let (mut srv, schema) = rig::set_up(
+        "ROTOL",
+        SimClock::shared(),
+        DiskLayout::four_disk(),
+        icfg,
+        TpccScale::tiny(),
+        7,
+        |_| {},
+    )
+    .unwrap();
+    let ol = schema.order_line;
+    let t0 = srv.clock().now();
+    let end = t0 + SimDuration::from_secs(300);
+    let mut driver = TpccDriver::new(schema, DriverConfig::default(), SimRng::seed_from(7).fork(2), t0);
+    while driver.next_ready() < end {
+        driver.step(&mut srv);
+    }
+    driver.quiesce(&mut srv);
+    srv.checkpoint_now().unwrap();
+    let prefix = [Value::U64(1), Value::U64(1)];
+    assert!(!srv.prefix_scan(ol, 0, &prefix).unwrap().is_empty());
+
+    let paths = srv.datafile_paths(recobench_tpcc::schema::TPCC_TABLESPACE).unwrap();
+    // The first seed whose flipped bit lands in an ORDER_LINE block of
+    // datafile 2 (the rot drops that file's cached frames).
+    let seed = (0..64)
+        .find(|&seed| {
+            let mut probe = srv.fork(SimClock::shared());
+            probe.sabotage_bit_rot(&paths[1], seed).unwrap();
+            probe.peek_scan(ol).is_err()
+        })
+        .expect("some seed rots an ORDER_LINE block");
+    srv.sabotage_bit_rot(&paths[1], seed).unwrap();
+    srv.offline_datafile(&paths[0]).unwrap();
+    srv.recover_datafile(&paths[0]).unwrap();
+
+    assert!(srv.peek_scan(ol).is_err(), "the rotten block is still there");
+    assert!(srv.prefix_scan(ol, 0, &prefix).unwrap().is_empty(), "ORDER_LINE's index kept entries");
+}
