@@ -79,4 +79,4 @@ pub use snapshot::DbSnapshot;
 pub use tap::{DmlChange, DmlTap};
 pub use txn::{LockGrant, LockOutcome};
 pub use types::{ObjectId, RowId, Scn, SessionId, TablespaceId, TxnId, UserId};
-pub use verify::IntegrityReport;
+pub use verify::{HeapVisitor, IntegrityReport};

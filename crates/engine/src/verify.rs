@@ -6,7 +6,10 @@
 //!
 //! * **index ↔ heap** — every heap row is reachable through every index of
 //!   its table under the right key, and every index entry resolves to a
-//!   live heap row (no stale or dangling entries);
+//!   live heap row (no stale or dangling entries). One pass over the
+//!   entries proves both: an entry resolving to a row under the row's own
+//!   key marks the row, and as an index holds each key once, a row is
+//!   reachable under its key exactly when it is marked;
 //! * **catalog ↔ storage** — every datafile the dictionary knows about is
 //!   alive in the filesystem (unless the control file says it is
 //!   legitimately offline), and every segment extent lies inside its
@@ -16,12 +19,17 @@
 //!   tablespaces.
 //!
 //! The walkers use the zero-cost inspection interfaces, so they never
-//! perturb simulated time. The torture oracle (`recobench-oracle`) runs
-//! them after every experiment alongside its differential row check.
+//! perturb simulated time. Each table's heap is scanned once: the torture
+//! oracle (`recobench-oracle`) runs them after every experiment and merges
+//! its model's rows against that scan, which
+//! [`DbServer::verify_integrity_with`] lends in rid order.
 
 use crate::blockio::{checksum_walk, unavailable};
 use crate::error::{DbError, DbResult};
+use crate::index::Index;
+use crate::row::Row;
 use crate::server::DbServer;
+use crate::types::{ObjectId, RowId};
 
 /// Outcome of one integrity walk. `violations` is empty iff the database
 /// passed every check; each entry is one human-readable finding.
@@ -48,6 +56,10 @@ impl IntegrityReport {
     }
 }
 
+/// What [`DbServer::verify_integrity_with`] lends each table's heap scan
+/// to: the table, and its rows in rid order.
+pub type HeapVisitor<'a> = dyn FnMut(ObjectId, &mut dyn Iterator<Item = &(RowId, Row)>) + 'a;
+
 impl DbServer {
     /// Walks the heap/index/control-file/catalog invariants of the open
     /// database and reports every violation found.
@@ -58,6 +70,18 @@ impl DbServer {
     /// a *violation*, not an error, so a damaged database still produces a
     /// report.
     pub fn verify_integrity(&self) -> DbResult<IntegrityReport> {
+        self.verify_integrity_with(&mut |_, _| {})
+    }
+
+    /// [`DbServer::verify_integrity`], lending each table's heap rows, in
+    /// rid order, to `visit` as the walk reads them, in table-id order. A
+    /// table the walk does not read (its storage legitimately offline, its
+    /// heap unreadable, no control file) is not visited.
+    ///
+    /// # Errors
+    ///
+    /// As [`DbServer::verify_integrity`].
+    pub fn verify_integrity_with(&self, visit: &mut HeapVisitor<'_>) -> DbResult<IntegrityReport> {
         let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
         let mut report = IntegrityReport::default();
 
@@ -163,6 +187,12 @@ impl DbServer {
                 }
             };
             report.rows_checked += rows.len() as u64;
+            // The scan in rid order, each rid with its row's place in
+            // `rows` (which stays in scan order for the findings).
+            let mut by_rid: Vec<(RowId, u32)> =
+                rows.iter().zip(0..).map(|((rid, _), at)| (*rid, at)).collect();
+            by_rid.sort_unstable();
+            visit(*obj, &mut by_rid.iter().map(|&(_, at)| &rows[at as usize]));
             let Some(indexes) = inst.indexes.get(obj) else {
                 if !table.indexes.is_empty() {
                     report
@@ -179,61 +209,8 @@ impl DbServer {
                     table.indexes.len()
                 ));
             }
-            // The heap scan in rid order, as positions into `rows` (which
-            // stays in scan order for the reports below): index entries
-            // resolve by binary search instead of a scan per entry.
-            let mut by_rid: Vec<u32> = (0..rows.len() as u32).collect();
-            by_rid.sort_unstable_by_key(|&i| rows[i as usize].0);
-            let mut key = Vec::new();
             for ix in indexes.iter() {
-                // Every heap row must be reachable under its key.
-                for (rid, row) in &rows {
-                    if !ix.lookup_row_ref(row).contains(rid) {
-                        report.violations.push(format!(
-                            "table {}: row {:?} missing from index {}",
-                            table.name, rid, ix.def().name
-                        ));
-                    }
-                }
-                // Every index entry must resolve to a live row with the
-                // same key; entry count equal to row count then rules out
-                // duplicates and leftovers wholesale.
-                let entries = ix.entry_count();
-                report.index_entries_checked += entries as u64;
-                if entries != rows.len() {
-                    report.violations.push(format!(
-                        "table {}: index {} holds {} entries for {} heap rows",
-                        table.name,
-                        ix.def().name,
-                        entries,
-                        rows.len()
-                    ));
-                }
-                for (entry_key, rids) in ix.entries() {
-                    for rid in rids {
-                        match by_rid.binary_search_by_key(rid, |&i| rows[i as usize].0) {
-                            Ok(at) => {
-                                ix.key_of_into(&rows[by_rid[at] as usize].1, &mut key);
-                                if key != entry_key {
-                                    report.violations.push(format!(
-                                        "table {}: index {} entry {:?} keyed under stale key",
-                                        table.name,
-                                        ix.def().name,
-                                        rid
-                                    ));
-                                }
-                            }
-                            Err(_) => {
-                                report.violations.push(format!(
-                                    "table {}: index {} entry {:?} dangles (no heap row)",
-                                    table.name,
-                                    ix.def().name,
-                                    rid
-                                ));
-                            }
-                        }
-                    }
-                }
+                check_index(&table.name, ix, &rows, &by_rid, &mut report);
             }
         }
         Ok(report)
@@ -267,14 +244,59 @@ impl DbServer {
     }
 }
 
+/// Checks `ix` against the heap in one pass over its entries, marking the
+/// rows they reach under the rows' own keys: the unmarked rows are the
+/// ones missing from the index (module doc).
+fn check_index(
+    table: &str,
+    ix: &Index,
+    rows: &[(RowId, Row)],
+    by_rid: &[(RowId, u32)],
+    report: &mut IntegrityReport,
+) {
+    let name = &ix.def().name;
+    let (mut marked, mut entries) = (vec![false; rows.len()], 0);
+    let (mut entry_findings, mut key) = (Vec::new(), Vec::new());
+    for (entry_key, rids) in ix.entries() {
+        entries += rids.len();
+        for rid in rids {
+            let finding = match by_rid.binary_search_by_key(rid, |&(r, _)| r) {
+                Err(_) => "dangles (no heap row)",
+                Ok(at) => {
+                    let at = by_rid[at].1 as usize;
+                    ix.key_of_into(&rows[at].1, &mut key);
+                    if key == entry_key {
+                        marked[at] = true;
+                        continue;
+                    }
+                    "keyed under stale key"
+                }
+            };
+            entry_findings.push(format!("table {table}: index {name} entry {rid:?} {finding}"));
+        }
+    }
+    // Missing rows in scan order, the entry count, then the entries'
+    // findings in entry order.
+    for ((rid, _), _) in rows.iter().zip(&marked).filter(|(_, marked)| !**marked) {
+        report.violations.push(format!("table {table}: row {rid:?} missing from index {name}"));
+    }
+    report.index_entries_checked += entries as u64;
+    if entries != rows.len() {
+        report.violations.push(format!(
+            "table {table}: index {name} holds {entries} entries for {} heap rows",
+            rows.len()
+        ));
+    }
+    report.violations.append(&mut entry_findings);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::IndexDef;
     use crate::config::InstanceConfig;
     use crate::layout::DiskLayout;
-    use crate::row::{Row, Value};
-    use crate::types::RowId;
+    use crate::row::Value;
     use recobench_sim::SimClock;
 
     fn server() -> DbServer {
@@ -452,6 +474,176 @@ mod tests {
         assert_eq!(report.index_entries_checked, 1 + 339 + 340);
         assert_eq!(report.datafiles_checked, 2);
         assert_eq!(report.blocks_checksummed, 69);
+    }
+
+    /// The walk's heap ↔ index half as it was before `check_index`, kept
+    /// as the reference the one-pass check must equal: per table, a
+    /// rid-sorted view of the scan as positions into it; per index, every
+    /// heap row probed through the index under its key, then every entry
+    /// resolved back to the heap. Starts from `walked`, the one-pass
+    /// walk's report, with its index findings and entry count cleared.
+    fn two_pass_report(srv: &DbServer, walked: &IntegrityReport) -> IntegrityReport {
+        let mut report =
+            IntegrityReport { index_entries_checked: 0, violations: Vec::new(), ..walked.clone() };
+        let inst = srv.inst.as_ref().unwrap();
+        for (obj, table) in &inst.catalog.tables {
+            let rows = srv.peek_scan(*obj).unwrap();
+            let mut by_rid: Vec<u32> = (0..rows.len() as u32).collect();
+            by_rid.sort_unstable_by_key(|&i| rows[i as usize].0);
+            let mut key = Vec::new();
+            for ix in inst.indexes[obj].iter() {
+                let (table, name) = (&table.name, &ix.def().name);
+                for (rid, row) in &rows {
+                    if !ix.lookup_row_ref(row).contains(rid) {
+                        report
+                            .violations
+                            .push(format!("table {table}: row {rid:?} missing from index {name}"));
+                    }
+                }
+                let entries = ix.entry_count();
+                report.index_entries_checked += entries as u64;
+                if entries != rows.len() {
+                    report.violations.push(format!(
+                        "table {table}: index {name} holds {entries} entries for {} heap rows",
+                        rows.len()
+                    ));
+                }
+                for (entry_key, rids) in ix.entries() {
+                    for rid in rids {
+                        match by_rid.binary_search_by_key(rid, |&i| rows[i as usize].0) {
+                            Ok(at) => {
+                                ix.key_of_into(&rows[by_rid[at] as usize].1, &mut key);
+                                if key != entry_key {
+                                    report.violations.push(format!(
+                                        "table {table}: index {name} entry {rid:?} keyed under stale key"
+                                    ));
+                                }
+                            }
+                            Err(_) => report.violations.push(format!(
+                                "table {table}: index {name} entry {rid:?} dangles (no heap row)"
+                            )),
+                        }
+                    }
+                }
+            }
+        }
+        report
+    }
+
+    fn wide_row(i: u64) -> Row {
+        Row::new(vec![Value::U64(i), Value::from("x".repeat(1500).as_str()), Value::U64(i % 7)])
+    }
+
+    /// `WIDE`, 340 rows over two extents whose scan order is not rid
+    /// order, under every kind of index: ordered and point, unique and
+    /// not. Returns the server, the table and the rows' rids.
+    fn wide_server() -> (DbServer, ObjectId, Vec<RowId>) {
+        let mut srv = server();
+        let def = |name: &str, col, unique, ordered| IndexDef {
+            name: name.into(),
+            cols: vec![col],
+            unique,
+            ordered,
+        };
+        srv.create_table(
+            "WIDE",
+            "app",
+            "DATA",
+            vec![
+                def("PK_ORDERED", 0, true, true),
+                def("GROUP_ORDERED", 2, false, true),
+                def("PK_POINT", 0, true, false),
+                def("GROUP_POINT", 2, false, false),
+            ],
+        )
+        .unwrap();
+        let t = srv.table_id("T").unwrap();
+        let wide = srv.table_id("WIDE").unwrap();
+        let s = srv.connect().unwrap();
+        srv.insert(s, t, Row::new(vec![Value::U64(0), Value::from("v")])).unwrap();
+        let rids = (0..340u64).map(|i| srv.insert(s, wide, wide_row(i)).unwrap()).collect();
+        srv.commit(s).unwrap();
+        srv.checkpoint_now().unwrap();
+        (srv, wide, rids)
+    }
+
+    #[test]
+    fn the_visitor_sees_each_read_table_once_in_rid_order() {
+        let (srv, wide, _) = wide_server();
+        let mut seen = Vec::new();
+        let report = srv
+            .verify_integrity_with(&mut |obj, rows| {
+                seen.push((obj, rows.map(|(rid, _)| *rid).collect()));
+            })
+            .unwrap();
+        assert!(report.is_clean(), "violations: {:?}", report.violations);
+        let want: Vec<(ObjectId, Vec<RowId>)> = [srv.table_id("T").unwrap(), wide]
+            .into_iter()
+            .map(|obj| {
+                let mut rids: Vec<RowId> =
+                    srv.peek_scan(obj).unwrap().into_iter().map(|(r, _)| r).collect();
+                rids.sort_unstable();
+                (obj, rids)
+            })
+            .collect();
+        assert_eq!(seen, want);
+    }
+
+    /// The one-pass walk reports exactly what the two-pass walk it
+    /// replaced reports — every counter, every finding, in order — under
+    /// random damage to ordered and point indexes, unique and not: an
+    /// entry removed, an entry re-keyed, a ghost rid, a rid listed twice.
+    #[test]
+    fn one_pass_index_check_equals_the_two_pass_walk() {
+        use proptest::prelude::{Strategy, TestRng};
+
+        let (mut srv, wide, rids) = wide_server();
+        let heap = srv.peek_scan(wide).unwrap();
+        let pristine = std::sync::Arc::clone(&srv.inst.as_ref().unwrap().indexes[&wide]);
+        let damages = proptest::collection::vec((0usize..4, 0u8..4, 0usize..340, 0u64..400), 0..8);
+        let mut rng = TestRng::deterministic("verify::one_pass_index_check");
+        let kinds = ["missing from index", "entries for", "stale key", "dangles"];
+        let mut seen = [0; 4];
+        for _ in 0..128 {
+            let damage = damages.generate(&mut rng);
+            let mut ixs = (*pristine).clone();
+            for &(ix, kind, n, param) in &damage {
+                let (rid, ix) = (rids[n], &mut ixs[ix]);
+                match kind {
+                    0 => ix.remove(&wide_row(n as u64), rid),
+                    1 => {
+                        ix.remove(&wide_row(n as u64), rid);
+                        let _ = ix.insert(&wide_row(param), rid);
+                    }
+                    2 => {
+                        let ghost = if param % 2 == 0 {
+                            RowId { block: 9000 + param as u32, ..rid }
+                        } else {
+                            RowId { slot: rid.slot + 100, ..rid }
+                        };
+                        let _ = ix.insert(&wide_row(param), ghost);
+                    }
+                    // Listed twice: under its own key again (a rebuild from
+                    // a scan that read the row twice), or, where a unique
+                    // index keeps one rid per key, under a second key.
+                    _ if !ix.def().unique => {
+                        let mut twice = heap.clone();
+                        twice.push((rid, wide_row(n as u64)));
+                        ix.bulk_load(&twice);
+                    }
+                    _ => {
+                        let _ = ix.insert(&wide_row(1000 + param), rid);
+                    }
+                }
+            }
+            srv.inst.as_mut().unwrap().indexes.insert(wide, std::sync::Arc::new(ixs));
+            let one_pass = srv.verify_integrity().unwrap();
+            assert_eq!(one_pass, two_pass_report(&srv, &one_pass), "damage {damage:?}");
+            for (kind, seen) in kinds.iter().zip(&mut seen) {
+                *seen += one_pass.violations.iter().filter(|v| v.contains(kind)).count();
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 20), "every kind of finding must come up: {seen:?}");
     }
 
     #[test]

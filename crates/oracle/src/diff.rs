@@ -12,7 +12,8 @@
 //!   stayed dropped) after recovery;
 //! * **integrity violations** — the engine's own structural invariants
 //!   (heap ↔ index ↔ control file ↔ catalog), via
-//!   [`DbServer::verify_integrity`].
+//!   [`DbServer::verify_integrity_with`], whose one heap scan per table
+//!   the row check shares.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -94,7 +95,10 @@ impl fmt::Display for Divergence {
 
 /// Compares the open engine against the model and returns every
 /// divergence, table-set mismatches first, then row differences in
-/// address order, then the engine's own integrity violations.
+/// address order (lost rows and value mismatches, then phantom rows),
+/// then the engine's own integrity violations. Each table's rows are one
+/// merge of the integrity walk's scan, lent in rid order, against the
+/// model's rows for the table.
 ///
 /// Call only when the database is fully recovered (open, nothing
 /// offline); a row diff against half-restored storage would blame the
@@ -122,59 +126,63 @@ pub fn diff_states(server: &DbServer, model: &RefModel) -> DbResult<Vec<Divergen
     }
 
     // ---- rows, over tables both sides agree exist --------------------
-    let mut engine_rows: BTreeMap<(ObjectId, RowId), Row> = BTreeMap::new();
+    let mut merged = BTreeMap::new();
+    let report = server.verify_integrity_with(&mut |obj, rows| {
+        if expected.contains_key(&obj) {
+            merged.insert(obj, diff_rows(model, obj, rows));
+        }
+    })?;
+    let (mut lost, mut phantom) = (Vec::new(), Vec::new());
     for obj in engine_tables.keys() {
-        if expected.contains_key(obj) {
-            // An unreadable heap (e.g. a block failing its checksum) is a
-            // finding in its own right, not a reason to abort the diff —
-            // the model's rows for it then surface as lost.
-            let rows = match server.peek_scan(*obj) {
-                Ok(rows) => rows,
-                Err(e) => {
-                    divergences
-                        .push(Divergence::Integrity(format!("table {} unreadable: {e}", obj.0)));
-                    continue;
-                }
-            };
-            for (rid, row) in rows {
-                engine_rows.insert((*obj, rid), row);
-            }
-        }
+        let (table_lost, table_phantom) = merged.remove(obj).unwrap_or_else(|| {
+            // A table the walk did not read is scanned here. An unreadable
+            // heap (e.g. a block failing its checksum) is a finding in its
+            // own right, not a reason to abort the diff — the model's rows
+            // for it then surface as lost.
+            let scan =
+                if expected.contains_key(obj) { server.peek_scan(*obj) } else { Ok(Vec::new()) };
+            let mut rows = scan.unwrap_or_else(|e| {
+                let finding = format!("table {} unreadable: {e}", obj.0);
+                divergences.push(Divergence::Integrity(finding));
+                Vec::new()
+            });
+            rows.sort_unstable_by_key(|(rid, _)| *rid);
+            diff_rows(model, *obj, &mut rows.iter())
+        });
+        lost.extend(table_lost);
+        phantom.extend(table_phantom);
     }
-    for (key @ (obj, rid), expected_row) in model.state() {
-        if !engine_tables.contains_key(obj) {
-            continue; // already reported as MissingTable
-        }
-        match engine_rows.get(key) {
-            None => divergences.push(Divergence::LostRow {
-                obj: *obj,
-                rid: *rid,
-                expected: expected_row.clone(),
-            }),
-            Some(actual) if actual != expected_row => {
-                divergences.push(Divergence::ValueMismatch {
-                    obj: *obj,
-                    rid: *rid,
-                    expected: expected_row.clone(),
-                    actual: actual.clone(),
-                });
+    divergences.extend(lost.into_iter().chain(phantom));
+
+    // ---- structural invariants ---------------------------------------
+    divergences.extend(report.violations.into_iter().map(Divergence::Integrity));
+
+    Ok(divergences)
+}
+
+/// One table's rows merged in rid order, the model's against the engine's
+/// (`actual`, ascending): its lost rows and value mismatches, and its
+/// phantom rows.
+fn diff_rows(
+    model: &RefModel,
+    obj: ObjectId,
+    actual: &mut dyn Iterator<Item = &(RowId, Row)>,
+) -> (Vec<Divergence>, Vec<Divergence>) {
+    let phantom_row =
+        |(rid, row): &(RowId, Row)| Divergence::PhantomRow { obj, rid: *rid, actual: row.clone() };
+    let mut actual = actual.peekable();
+    let (mut lost, mut phantom) = (Vec::new(), Vec::new());
+    for ((_, rid), want) in model.rows_of(obj) {
+        phantom.extend(std::iter::from_fn(|| actual.next_if(|(at, _)| at < rid)).map(phantom_row));
+        match actual.next_if(|(at, _)| at == rid) {
+            None => lost.push(Divergence::LostRow { obj, rid: *rid, expected: want.clone() }),
+            Some((_, got)) if got != want => {
+                let (expected, actual) = (want.clone(), got.clone());
+                lost.push(Divergence::ValueMismatch { obj, rid: *rid, expected, actual });
             }
             Some(_) => {}
         }
     }
-    for (key @ (obj, rid), actual) in &engine_rows {
-        if !model.state().contains_key(key) {
-            divergences.push(Divergence::PhantomRow {
-                obj: *obj,
-                rid: *rid,
-                actual: actual.clone(),
-            });
-        }
-    }
-
-    // ---- structural invariants ---------------------------------------
-    let report = server.verify_integrity()?;
-    divergences.extend(report.violations.into_iter().map(Divergence::Integrity));
-
-    Ok(divergences)
+    phantom.extend(actual.map(phantom_row));
+    (lost, phantom)
 }
