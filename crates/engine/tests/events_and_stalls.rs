@@ -4,9 +4,12 @@
 
 use std::sync::{Arc, Mutex};
 
+use bytes::Bytes;
 use recobench_engine::catalog::IndexDef;
 use recobench_engine::row::{Row, Value};
-use recobench_engine::{DbServer, DiskLayout, EngineEvent, InstanceConfig};
+use recobench_engine::{
+    DbServer, DiskLayout, EngineEvent, FailoverPolicy, InstanceConfig, ReplicaSet, ReplicaTopology, RowId,
+};
 use recobench_sim::{SimClock, SimDuration, SimTime};
 
 /// Every event a server has recorded since it was built, with its instant.
@@ -145,4 +148,199 @@ fn subscribers_see_live_events_without_retention_loss() {
     });
     churn(&mut srv, 300);
     assert_eq!(*switches.lock().unwrap(), srv.stats().log_switches);
+}
+
+// ----------------------------------------------------------------------
+// Each recovery procedure's whole event stream, instants included. The
+// golden digests only say that an outcome moved; these name the event.
+// ----------------------------------------------------------------------
+
+fn row(k: u64, v: &str) -> Row {
+    Row::new(vec![Value::U64(k), Value::from(v)])
+}
+
+/// Inserts and commits one row per key in `keys`; returns their row ids.
+fn commit_rows(srv: &mut DbServer, keys: std::ops::Range<u64>) -> Vec<RowId> {
+    let t = srv.table_id("T").unwrap();
+    let s = srv.connect().unwrap();
+    let rids = keys
+        .map(|k| {
+            let rid = srv.insert(s, t, row(k, "committed")).unwrap();
+            srv.commit(s).unwrap();
+            rid
+        })
+        .collect();
+    srv.disconnect(s);
+    rids
+}
+
+/// Leaves `rid`'s update in flight and makes it durable in the redo
+/// stream through another session's commit.
+fn update_in_flight(srv: &mut DbServer, rid: RowId, key: u64) {
+    let t = srv.table_id("T").unwrap();
+    let doomed = srv.connect().unwrap();
+    srv.update(doomed, t, rid, row(key, "never committed")).unwrap();
+    commit_rows(srv, 1_000..1_001);
+}
+
+/// The one datafile of `D` that holds written blocks, and its first one.
+fn written_block(srv: &DbServer) -> (String, u64) {
+    let fs = srv.fs().lock();
+    srv.datafile_paths("D")
+        .unwrap()
+        .into_iter()
+        .find_map(|p| {
+            let blocks = fs.peek_blocks_written(fs.lookup(&p).unwrap()).unwrap();
+            blocks.first().map(|(b, _)| (p.clone(), *b))
+        })
+        .unwrap()
+}
+
+/// The JSON line of every event `seen` holds from index `mark` on.
+fn lines_since(seen: &Seen, mark: usize, server: &str) -> Vec<String> {
+    seen.lock().unwrap()[mark..]
+        .iter()
+        .map(|(at, e)| {
+            let mut line = String::new();
+            e.write_json(*at, server, &mut line);
+            line
+        })
+        .collect()
+}
+
+fn assert_stream(got: &[String], want: &[&str]) {
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g, w, "event {i} differs");
+    }
+    assert_eq!(got.len(), want.len(), "event count differs; got:\n{}", got.join("\n"));
+}
+
+#[test]
+fn crash_recovery_restoring_a_fractured_datafile_records_each_step() {
+    let (mut srv, seen) = server(3, 64, true);
+    let rids = commit_rows(&mut srv, 0..10);
+    srv.take_cold_backup().unwrap();
+    commit_rows(&mut srv, 10..20);
+    update_in_flight(&mut srv, rids[3], 3);
+    srv.checkpoint_now().unwrap();
+    // A crash-torn write: one CRC-covered bit of the stored image flips.
+    let (path, block) = written_block(&srv);
+    {
+        let mut fs = srv.fs().lock();
+        let id = fs.lookup(&path).unwrap();
+        let mut image = fs.peek_block(id, block).unwrap().to_vec();
+        image[10] ^= 1;
+        fs.write_block(id, block, Bytes::from(image), SimTime::ZERO).unwrap();
+    }
+    srv.shutdown_abort().unwrap();
+    let mark = seen.lock().unwrap().len();
+    srv.startup().unwrap();
+    let t = srv.table_id("T").unwrap();
+    assert_eq!(srv.peek_row(t, rids[3]).unwrap(), Some(row(3, "committed")));
+    let want = [
+        r#"{"t_us":240859241,"server":"TRC","type":"phase_span","phase":"instance_startup","start_us":227859241}"#,
+        r#"{"t_us":240859241,"server":"TRC","type":"checksum_mismatch","path":"/u01/d_01.dbf","block":0}"#,
+        r#"{"t_us":353760841,"server":"TRC","type":"phase_span","phase":"media_restore","start_us":240859241}"#,
+        r#"{"t_us":353763230,"server":"TRC","type":"phase_span","phase":"redo_scan","start_us":353760841}"#,
+        r#"{"t_us":353788770,"server":"TRC","type":"phase_span","phase":"redo_apply","start_us":353763230}"#,
+        r#"{"t_us":353788770,"server":"TRC","type":"sequence_replayed","seq":1,"applied":49,"skipped":0,"archived":false}"#,
+        r#"{"t_us":353789736,"server":"TRC","type":"phase_span","phase":"txn_rollback","start_us":353788770}"#,
+        r#"{"t_us":353789736,"server":"TRC","type":"recovery_completed","procedure":"crash","records_applied":49,"archives_read":0}"#,
+        r#"{"t_us":353789736,"server":"TRC","type":"indexes_rebuilt","tables":1,"entries":21}"#,
+        r#"{"t_us":353789736,"server":"TRC","type":"checkpoint","blocks":1,"complete_us":353798126}"#,
+        r#"{"t_us":353798126,"server":"TRC","type":"instance_opened","recovered_records":49}"#,
+    ];
+    assert_stream(&lines_since(&seen, mark, "TRC"), &want);
+}
+
+#[test]
+fn media_recovery_of_a_deleted_datafile_records_each_step() {
+    let (mut srv, seen) = server(3, 64, true);
+    commit_rows(&mut srv, 0..10);
+    srv.take_cold_backup().unwrap();
+    commit_rows(&mut srv, 10..20);
+    let (path, _) = written_block(&srv);
+    srv.os_delete_file(&path).unwrap();
+    srv.offline_datafile(&path).unwrap();
+    let mark = seen.lock().unwrap().len();
+    srv.recover_datafile(&path).unwrap();
+    let want = [
+        r#"{"t_us":341451052,"server":"TRC","type":"phase_span","phase":"media_restore","start_us":228549452}"#,
+        r#"{"t_us":341452499,"server":"TRC","type":"phase_span","phase":"redo_scan","start_us":341451052}"#,
+        r#"{"t_us":341469059,"server":"TRC","type":"phase_span","phase":"redo_apply","start_us":341452499}"#,
+        r#"{"t_us":341469059,"server":"TRC","type":"sequence_replayed","seq":1,"applied":20,"skipped":26,"archived":false}"#,
+        r#"{"t_us":341477449,"server":"TRC","type":"indexes_rebuilt","tables":1,"entries":20}"#,
+        r#"{"t_us":342177449,"server":"TRC","type":"recovery_completed","procedure":"media","records_applied":20,"archives_read":0}"#,
+    ];
+    assert_stream(&lines_since(&seen, mark, "TRC"), &want);
+}
+
+#[test]
+fn point_in_time_recovery_rolling_back_a_transaction_records_each_step() {
+    let (mut srv, seen) = server(3, 64, true);
+    let rids = commit_rows(&mut srv, 0..10);
+    srv.take_cold_backup().unwrap();
+    commit_rows(&mut srv, 10..20);
+    update_in_flight(&mut srv, rids[3], 3);
+    let stop = srv.current_scn().next();
+    let mark = seen.lock().unwrap().len();
+    let summary = srv.recover_database_until(stop).unwrap();
+    assert_eq!(summary.rolled_back, 1);
+    let want = [
+        r#"{"t_us":227850851,"server":"TRC","type":"instance_stopped","clean":false}"#,
+        r#"{"t_us":241550851,"server":"TRC","type":"phase_span","phase":"instance_startup","start_us":227850851}"#,
+        r#"{"t_us":467354051,"server":"TRC","type":"phase_span","phase":"media_restore","start_us":241550851}"#,
+        r#"{"t_us":467355597,"server":"TRC","type":"phase_span","phase":"redo_scan","start_us":467354051}"#,
+        r#"{"t_us":467373207,"server":"TRC","type":"phase_span","phase":"redo_apply","start_us":467355597}"#,
+        r#"{"t_us":467373207,"server":"TRC","type":"sequence_replayed","seq":1,"applied":23,"skipped":26,"archived":false}"#,
+        r#"{"t_us":467373557,"server":"TRC","type":"phase_span","phase":"txn_rollback","start_us":467373207}"#,
+        r#"{"t_us":467373557,"server":"TRC","type":"indexes_rebuilt","tables":1,"entries":21}"#,
+        r#"{"t_us":467373557,"server":"TRC","type":"checkpoint","blocks":1,"complete_us":467381947}"#,
+        r#"{"t_us":467381947,"server":"TRC","type":"recovery_completed","procedure":"incomplete","records_applied":23,"archives_read":0}"#,
+    ];
+    assert_stream(&lines_since(&seen, mark, "TRC"), &want);
+}
+
+#[test]
+fn standby_activation_rolling_back_a_transaction_records_each_step() {
+    let (mut srv, _) = server(3, 16, true);
+    let rids = commit_rows(&mut srv, 0..10);
+    srv.take_cold_backup().unwrap();
+    let mut rs = ReplicaSet::instantiate(
+        &srv,
+        &ReplicaTopology::single(),
+        FailoverPolicy::Manual,
+        Arc::clone(srv.clock()),
+        DiskLayout::four_disk(),
+        srv.config().clone(),
+    )
+    .unwrap();
+    let seen = Seen::default();
+    let tap = Arc::clone(&seen);
+    rs.set_observer(Box::new(move |standby, _| {
+        let tap = Arc::clone(&tap);
+        standby.events_mut().subscribe(move |at, e| tap.lock().unwrap().push((at, e.clone())));
+    }));
+    update_in_flight(&mut srv, rids[3], 3);
+    // Enough commits to archive (and ship) the in-flight update's sequence.
+    let t = srv.table_id("T").unwrap();
+    let s = srv.connect().unwrap();
+    for k in 10..200 {
+        srv.insert(s, t, row(k, "shipped-with-some-payload")).unwrap();
+        srv.commit(s).unwrap();
+        rs.sync_all(&srv).unwrap();
+    }
+    srv.shutdown_abort().unwrap();
+    let mark = seen.lock().unwrap().len();
+    rs.fail_over(Some(&mut srv)).unwrap().expect("a lone live stand-by is promoted");
+    let active = rs.active().unwrap();
+    assert_eq!(active.peek_row(t, rids[3]).unwrap(), Some(row(3, "committed")));
+    let want = [
+        r#"{"t_us":453131024,"server":"STANDBY1","type":"failover_started","votes":1,"replicas":1}"#,
+        r#"{"t_us":471629377,"server":"STANDBY1","type":"indexes_rebuilt","tables":1,"entries":192}"#,
+        r#"{"t_us":471629377,"server":"STANDBY1","type":"checkpoint","blocks":2,"complete_us":471646157}"#,
+        r#"{"t_us":471646157,"server":"STANDBY1","type":"phase_span","phase":"standby_activation","start_us":453131024}"#,
+        r#"{"t_us":471646157,"server":"STANDBY1","type":"replica_promoted","replica":0,"applied_seq":17}"#,
+    ];
+    assert_stream(&lines_since(&seen, mark, "STANDBY1"), &want);
 }
