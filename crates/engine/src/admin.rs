@@ -352,31 +352,30 @@ impl DbServer {
     pub fn offline_tablespace(&mut self, name: &str) -> DbResult<TablespaceId> {
         self.poll();
         self.flush_redo()?;
-        let ts = self.inst_ref()?.catalog.tablespace_by_name(name)?;
-        let done = {
-            let mut fs = self.fs.lock();
-            let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
-            let files: Vec<FileNo> = inst
-                .catalog
-                .datafiles
-                .iter()
-                .filter(|(_, d)| d.tablespace == ts)
-                .map(|(no, _)| *no)
-                .collect();
-            let now = self.clock.now();
-            let out = checkpoint::write_dirty(&mut fs, &inst.catalog, &mut inst.cache, now, |k, _| {
-                files.contains(&k.0)
-            });
-            self.stats.blocks_written += out.blocks;
-            out.complete_at
-        };
-        self.clock.advance_to(done);
+        let inst = self.inst_ref()?;
+        let ts = inst.catalog.tablespace_by_name(name)?;
+        let files: Vec<FileNo> =
+            inst.catalog.datafiles.iter().filter(|(_, d)| d.tablespace == ts).map(|(no, _)| *no).collect();
+        self.write_dirty_files(&files)?;
         let control = self.control_mut()?;
         if !control.ts_offline.contains(&ts) {
             control.ts_offline.push(ts);
         }
         self.clock.advance(costs::ADMIN_COMMAND);
         Ok(ts)
+    }
+
+    /// Writes the dirty cached blocks of `files` and waits for the writes.
+    pub(crate) fn write_dirty_files(&mut self, files: &[FileNo]) -> DbResult<()> {
+        let mut fs = self.fs.lock();
+        let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
+        let now = self.clock.now();
+        let out =
+            checkpoint::write_dirty(&mut fs, &inst.catalog, &mut inst.cache, now, |k, _| files.contains(&k.0));
+        self.stats.blocks_written += out.blocks;
+        drop(fs);
+        self.clock.advance_to(out.complete_at);
+        Ok(())
     }
 
     /// Brings a cleanly offlined tablespace back online.

@@ -1,16 +1,17 @@
-//! Recovery: crash recovery, single-datafile media recovery, and
-//! incomplete (point-in-time) recovery of the whole database.
+//! Recovery's four procedures: crash recovery, single-datafile media
+//! recovery, incomplete (point-in-time) recovery, and the open that ends
+//! a stand-by's activation (`standby.rs`).
 //!
-//! All three share one engine: *replay the redo stream*. They differ only
-//! in where replay starts (checkpoint position, file recovery position, or
-//! backup position), which records they apply (everything, one datafile,
-//! or everything before a stop SCN) and what happens afterwards (open,
-//! online the file, or `RESETLOGS`).
+//! Each is a short sequence of steps written once here — `mount`,
+//! `restore`, `replay`, `roll_back`, `open_resetlogs`/`finalize_open`,
+//! `completed` — in its own order. Replay differs in where it starts
+//! (checkpoint, file recovery or backup position) and which records it
+//! applies (all, one datafile's, or those before a stop SCN).
 //!
-//! The paper's Table 5 faults resolve through the first two (no committed
-//! work lost — *complete* recovery); its Table 4 faults require the third
-//! (the damage itself was a committed operation, so the tail of history is
-//! sacrificed — *incomplete* recovery).
+//! The paper's Table 5 faults resolve through crash and media recovery
+//! (no committed work lost — *complete* recovery); its Table 4 faults need
+//! point-in-time recovery (the committed tail is sacrificed —
+//! *incomplete* recovery); Figure 6 times the activation.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -122,21 +123,10 @@ impl DbServer {
             return Err(DbError::AlreadyOpen);
         }
         self.control_ref()?;
-        // Sessions never survive an instance boundary; deferred undo does
-        // (it belongs to the server, not the instance) so rollbacks parked
-        // on an offline tablespace can still finish after a clean restart.
-        self.sessions.clear();
-        self.lock_grants.clear();
-        let startup_began = self.clock.now();
-        self.clock.advance(costs::INSTANCE_STARTUP);
-        self.clock.advance(costs::MOUNT_OPEN);
-        self.events.record(
-            self.clock.now(),
-            EngineEvent::PhaseSpan {
-                phase: RecoveryPhase::InstanceStartup,
-                started_at: startup_began,
-            },
-        );
+        // Deferred undo survives the restart: it belongs to the server,
+        // not the instance, so rollbacks parked on an offline tablespace
+        // can still finish after a clean one.
+        self.mount(false);
         let now = self.clock.now();
         let control = self.control_ref()?;
         let crash_time = control.stopped_at.unwrap_or(now);
@@ -169,32 +159,8 @@ impl DbServer {
             }
             recovered_records = summary.applied;
             self.resume_after(replayed.max_scn, replayed.max_txn)?;
-            // The log lives on past this crash, so the in-flight
-            // transactions' rollback must be in it.
-            let rollback_began = self.clock.now();
-            if let Some(base) = self.carried_indexes.as_mut() {
-                for undo in replayed.live.values().flatten() {
-                    base.changed.insert((undo.rid().file, undo.rid().block));
-                }
-            }
-            self.rollback_dead_txns(&replayed.live)?;
-            if replayed.live.values().any(|undo| !undo.is_empty()) {
-                self.events.record(
-                    self.clock.now(),
-                    EngineEvent::PhaseSpan {
-                        phase: RecoveryPhase::TxnRollback,
-                        started_at: rollback_began,
-                    },
-                );
-            }
-            self.events.record(
-                self.clock.now(),
-                EngineEvent::RecoveryCompleted {
-                    procedure: RecoveryProcedure::Crash,
-                    records_applied: summary.applied,
-                    archives_read: summary.archives_read,
-                },
-            );
+            self.roll_back(&replayed.live, true)?;
+            self.completed(RecoveryProcedure::Crash, &summary);
         }
         self.finalize_open()?;
         self.events.record(self.clock.now(), EngineEvent::InstanceOpened { recovered_records });
@@ -235,25 +201,6 @@ impl DbServer {
         Ok(from)
     }
 
-    /// Copies one backup piece over its datafile from `at`, charging the
-    /// nominal-size transfer on the backup disk and the file's disk.
-    /// Returns the instant the restore completes; the caller decides how
-    /// the clock waits for it.
-    fn restore_piece(
-        &self,
-        piece: FileId,
-        vfs_id: FileId,
-        nominal: u64,
-        at: SimTime,
-    ) -> DbResult<SimTime> {
-        let mut fs = self.fs.lock();
-        let done = fs.restore_into(piece, vfs_id, at)?;
-        let file_disk = fs.meta(vfs_id)?.disk;
-        let d1 = fs.charge_io(self.layout.backup_disk, IoKind::Read, nominal, at)?;
-        let d2 = fs.charge_io(file_disk, IoKind::Write, nominal, at)?;
-        Ok(done.max(d1).max(d2))
-    }
-
     /// Restores one damaged (`damage` says how) datafile of the open
     /// instance from the cold backup, waiting for the copy. Returns the
     /// backup's redo position — where the file's replay must start.
@@ -270,19 +217,8 @@ impl DbServer {
         let piece = backup.piece_for(file_no).ok_or_else(|| {
             DbError::Unrecoverable(format!("no backup piece for datafile {path}"))
         })?;
-        let position = backup.position;
-        let began = self.clock.now();
-        let done = self.restore_piece(piece, vfs_id, backup.nominal_bytes_per_file, began)?;
-        self.clock.advance_to(done);
-        self.events.record(
-            self.clock.now(),
-            EngineEvent::PhaseSpan { phase: RecoveryPhase::MediaRestore, started_at: began },
-        );
-        let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
-        inst.cache.invalidate_file(file_no);
-        if let Some(base) = self.carried_indexes.as_mut() {
-            base.changed.files.push(file_no);
-        }
+        let (position, nominal) = (backup.position, backup.nominal_bytes_per_file);
+        self.restore(&[(file_no, vfs_id, piece)], nominal)?;
         Ok(position)
     }
 
@@ -331,21 +267,15 @@ impl DbServer {
         self.kill_all_sessions();
         self.flush_redo()?;
         let now = self.clock.now();
-        let file_no = {
+        let (file_no, vfs_id) = {
             let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
-            inst.catalog.datafile_by_path(path)?
-        };
-        let (vfs_id, damaged) = {
-            let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
-            let df = datafile(&inst.catalog, file_no)?;
-            (df.vfs_id, self.fs.lock().meta(df.vfs_id).map_or(true, |m| m.deleted))
+            let file_no = inst.catalog.datafile_by_path(path)?;
+            (file_no, datafile(&inst.catalog, file_no)?.vfs_id)
         };
         // Deletion is loud; every other damage is bytes — the file reads
-        // fine and only decoding its blocks tells. Scan before concluding
-        // the file is healthy (a file the scan cannot read at all is
-        // damaged by definition).
-        let damaged = damaged || self.scan_for_bad_blocks(vfs_id, path).unwrap_or(true);
-        let from = if damaged {
+        // fine and only decoding its blocks tells. A file the scan cannot
+        // read at all (a deleted one) is damaged by definition.
+        let from = if self.scan_for_bad_blocks(vfs_id, path).unwrap_or(true) {
             self.restore_datafile(file_no, vfs_id, path, "lost")?
         } else {
             let control = self.control_ref()?;
@@ -362,28 +292,14 @@ impl DbServer {
         })?;
         // What is still unresolved here is rollback parked on this file
         // (`deferred_undo`); `drain_deferred_undo` below logs it.
-        self.rollback_unresolved(&mut summary, &replayed.live)?;
+        summary.rolled_back = self.roll_back(&replayed.live, false)?;
         // Bring the file online and persist its recovered blocks.
         {
             let st = self.control_mut()?.file_state_mut(file_no);
             st.offline = false;
             st.recover_from = None;
         }
-        {
-            let mut fs = self.fs.lock();
-            let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
-            let now = self.clock.now();
-            let out = crate::checkpoint::write_dirty(
-                &mut fs,
-                &inst.catalog,
-                &mut inst.cache,
-                now,
-                |k, _| k.0 == file_no,
-            );
-            self.stats.blocks_written += out.blocks;
-            drop(fs);
-            self.clock.advance_to(out.complete_at);
-        }
+        self.write_dirty_files(&[file_no])?;
         // Only the recovered file's rows may differ from the live indexes.
         let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
         let sets = std::mem::take(&mut inst.indexes);
@@ -392,14 +308,7 @@ impl DbServer {
         // can complete now.
         self.drain_deferred_undo();
         self.clock.advance(costs::ADMIN_COMMAND);
-        self.events.record(
-            self.clock.now(),
-            EngineEvent::RecoveryCompleted {
-                procedure: RecoveryProcedure::Media,
-                records_applied: summary.applied,
-                archives_read: summary.archives_read,
-            },
-        );
+        self.completed(RecoveryProcedure::Media, &summary);
         Ok(summary)
     }
 
@@ -509,13 +418,13 @@ impl DbServer {
         let backup = self.backup.as_ref().ok_or_else(|| {
             DbError::Unrecoverable("point-in-time recovery requires a backup".into())
         })?;
-        let (b_position, b_scn, b_catalog, pieces, nominal) = (
-            backup.position,
-            backup.scn,
-            Arc::clone(&backup.catalog),
-            backup.pieces.clone(),
-            backup.nominal_bytes_per_file,
-        );
+        let (b_position, b_scn, b_catalog, nominal) =
+            (backup.position, backup.scn, Arc::clone(&backup.catalog), backup.nominal_bytes_per_file);
+        let files: Vec<_> = b_catalog
+            .datafiles
+            .iter()
+            .filter_map(|(no, df)| Some((*no, df.vfs_id, backup.piece_for(*no)?)))
+            .collect();
         // The damaged instance is taken down hard, and the new incarnation
         // starts with no clients and no pending undo: everything after the
         // stop point — including deferred rollbacks — is discarded.
@@ -523,34 +432,9 @@ impl DbServer {
             self.shutdown_abort()?;
         }
         self.carried_indexes = None;
-        self.sessions.clear();
-        self.lock_grants.clear();
         self.deferred_undo.clear();
-        let startup_began = self.clock.now();
-        self.clock.advance(costs::INSTANCE_STARTUP);
-        self.clock.advance(costs::MOUNT_OPEN);
-        self.clock.advance(costs::ADMIN_COMMAND);
-        self.events.record(
-            self.clock.now(),
-            EngineEvent::PhaseSpan {
-                phase: RecoveryPhase::InstanceStartup,
-                started_at: startup_began,
-            },
-        );
-        // Restore every datafile from its backup piece, all at once.
-        {
-            let now = self.clock.now();
-            let mut last = now;
-            for (file_no, df) in &b_catalog.datafiles {
-                let Some(piece) = pieces.get(file_no) else { continue };
-                last = last.max(self.restore_piece(*piece, df.vfs_id, nominal, now)?);
-            }
-            self.clock.advance_to(last);
-            self.events.record(
-                self.clock.now(),
-                EngineEvent::PhaseSpan { phase: RecoveryPhase::MediaRestore, started_at: now },
-            );
-        }
+        self.mount(true);
+        self.restore(&files, nominal)?;
         // Reset runtime state to the backup's view of the world.
         {
             let now = self.clock.now();
@@ -575,49 +459,143 @@ impl DbServer {
             stop_scn: Some(stop_scn),
             only_file: None,
         })?;
-        // The new incarnation's log starts empty, so no later replay can
-        // cross this rollback: nothing needs to be logged.
-        self.rollback_unresolved(&mut summary, &replayed.live)?;
+        summary.rolled_back = self.roll_back(&replayed.live, false)?;
         let new_seq = self.control_ref()?.seqs.keys().next_back().copied().unwrap_or(0) + 1;
         self.open_resetlogs(replayed.max_scn.max(stop_scn), replayed.max_txn, new_seq)?;
-        self.finalize_open()?;
+        self.completed(RecoveryProcedure::Incomplete, &summary);
+        Ok(summary)
+    }
+
+    /// `ALTER DATABASE OPEN RESETLOGS`: discard the online logs, start a
+    /// new incarnation at log sequence `new_seq`, with SCNs and
+    /// transaction ids clear of everything replayed into it, and open it
+    /// ([`DbServer::finalize_open`]).
+    // tidy-entry(recovery)
+    pub(crate) fn open_resetlogs(&mut self, max_scn: Scn, max_txn: u64, new_seq: u64) -> DbResult<()> {
+        self.resume_after(max_scn, max_txn)?;
+        let group_files = self.control_ref()?.groups.clone();
+        {
+            let mut fs = self.fs.lock();
+            for id in group_files {
+                fs.truncate(id)?;
+            }
+        }
+        let control = self.control_mut()?;
+        for loc in control.seqs.values_mut() {
+            loc.group = None;
+        }
+        control.seqs.insert(new_seq, SeqLocation::online(0));
+        control.current_group = 0;
+        control.current_seq = new_seq;
+        control.current_flushed = 0;
+        let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
+        inst.redo = crate::redo::RedoState::new(0, new_seq, 0);
+        self.finalize_open()
+    }
+
+    // ------------------------------------------------------------------
+    // The steps the procedures share
+    // ------------------------------------------------------------------
+
+    /// Starts an instance — no session or lock grant survives the
+    /// boundary — charging startup and mount, plus one typed command when
+    /// an operator starts the procedure (`admin`): one `InstanceStartup`
+    /// span.
+    fn mount(&mut self, admin: bool) {
+        self.sessions.clear();
+        self.lock_grants.clear();
+        let began = self.clock.now();
+        self.clock.advance(costs::INSTANCE_STARTUP);
+        self.clock.advance(costs::MOUNT_OPEN);
+        if admin {
+            self.clock.advance(costs::ADMIN_COMMAND);
+        }
+        self.events.record(
+            self.clock.now(),
+            EngineEvent::PhaseSpan { phase: RecoveryPhase::InstanceStartup, started_at: began },
+        );
+    }
+
+    /// Copies every `(datafile, its vfs file, backup piece)` of `files` at
+    /// once, charging the nominal-size transfer on the backup disk and
+    /// the file's disk, and waits for the last copy: one `MediaRestore`
+    /// span. The files' cached images are dropped, and a carried index
+    /// base counts every block of them as changed.
+    fn restore(&mut self, files: &[(FileNo, FileId, FileId)], nominal: u64) -> DbResult<()> {
+        let began = self.clock.now();
+        let mut done = began;
+        {
+            let mut fs = self.fs.lock();
+            for &(_, vfs_id, piece) in files {
+                let copied = fs.restore_into(piece, vfs_id, began)?;
+                let file_disk = fs.meta(vfs_id)?.disk;
+                let read = fs.charge_io(self.layout.backup_disk, IoKind::Read, nominal, began)?;
+                let written = fs.charge_io(file_disk, IoKind::Write, nominal, began)?;
+                done = done.max(copied).max(read).max(written);
+            }
+        }
+        self.clock.advance_to(done);
+        self.events.record(
+            self.clock.now(),
+            EngineEvent::PhaseSpan { phase: RecoveryPhase::MediaRestore, started_at: began },
+        );
+        for &(file_no, ..) in files {
+            if let Some(inst) = self.inst.as_mut() {
+                inst.cache.invalidate_file(file_no);
+            }
+            if let Some(base) = self.carried_indexes.as_mut() {
+                base.changed.files.push(file_no);
+            }
+        }
+        Ok(())
+    }
+
+    /// Ends a replay by rolling its unresolved transactions back: one
+    /// `TxnRollback` span if there were any, and their count. Only crash
+    /// recovery's rollback is `logged` ([`DbServer::rollback_dead_txns`]):
+    /// that log lives on past the crash. Media recovery's leftovers are
+    /// rollback parked on its file, which `drain_deferred_undo` logs, and
+    /// a new incarnation's log starts empty, so no later replay can cross
+    /// the unlogged rollback ([`rollback_unlogged`]); the post-recovery
+    /// checkpoint makes it durable.
+    fn roll_back(&mut self, unresolved: &BTreeMap<TxnId, Vec<UndoOp>>, logged: bool) -> DbResult<u64> {
+        let began = self.clock.now();
+        if logged {
+            if let Some(base) = self.carried_indexes.as_mut() {
+                for undo in unresolved.values().flatten() {
+                    base.changed.insert((undo.rid().file, undo.rid().block));
+                }
+            }
+            self.rollback_dead_txns(unresolved)?;
+        } else {
+            let addr = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?.redo.tail();
+            rollback_unlogged(self, unresolved, |srv, key, change| {
+                let changed = srv.change_block_for_recovery(key, addr, change);
+                srv.clock.advance(costs::CPU_APPLY_RECORD);
+                changed
+            })?;
+        }
+        let rolled_back = unresolved.values().filter(|ops| !ops.is_empty()).count() as u64;
+        if rolled_back > 0 {
+            self.events.record(
+                self.clock.now(),
+                EngineEvent::PhaseSpan { phase: RecoveryPhase::TxnRollback, started_at: began },
+            );
+        }
+        Ok(rolled_back)
+    }
+
+    /// Records that `procedure` completed, with what its replay applied
+    /// and read.
+    fn completed(&mut self, procedure: RecoveryProcedure, summary: &ReplaySummary) {
         self.events.record(
             self.clock.now(),
             EngineEvent::RecoveryCompleted {
-                procedure: RecoveryProcedure::Incomplete,
+                procedure,
                 records_applied: summary.applied,
                 archives_read: summary.archives_read,
             },
         );
-        Ok(summary)
-    }
-
-    /// `ALTER DATABASE OPEN RESETLOGS`: discard the online logs and start
-    /// a new incarnation at log sequence `new_seq`, with SCNs and
-    /// transaction ids clear of everything replayed into it.
-    // tidy-entry(recovery)
-    pub(crate) fn open_resetlogs(&mut self, max_scn: Scn, max_txn: u64, new_seq: u64) -> DbResult<()> {
-        self.resume_after(max_scn, max_txn)?;
-        {
-            let group_files = self.control_ref()?.groups.clone();
-            {
-                let mut fs = self.fs.lock();
-                for id in group_files {
-                    fs.truncate(id)?;
-                }
-            }
-            let control = self.control_mut()?;
-            for loc in control.seqs.values_mut() {
-                loc.group = None;
-            }
-            control.seqs.insert(new_seq, SeqLocation::online(0));
-            control.current_group = 0;
-            control.current_seq = new_seq;
-            control.current_flushed = 0;
-        }
-        let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
-        inst.redo = crate::redo::RedoState::new(0, new_seq, 0);
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -743,31 +721,6 @@ impl DbServer {
             );
         }
         Ok((summary, state, torn_head))
-    }
-
-    /// Ends a replay by rolling its unresolved transactions back without
-    /// logging (see [`rollback_unlogged`] for when that is sound); the
-    /// post-recovery checkpoint makes the result durable.
-    fn rollback_unresolved(
-        &mut self,
-        summary: &mut ReplaySummary,
-        unresolved: &BTreeMap<TxnId, Vec<UndoOp>>,
-    ) -> DbResult<()> {
-        let began = self.clock.now();
-        let addr = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?.redo.tail();
-        rollback_unlogged(self, unresolved, |srv, key, change| {
-            let changed = srv.change_block_for_recovery(key, addr, change);
-            srv.clock.advance(costs::CPU_APPLY_RECORD);
-            changed
-        })?;
-        summary.rolled_back = unresolved.values().filter(|ops| !ops.is_empty()).count() as u64;
-        if summary.rolled_back > 0 {
-            self.events.record(
-                self.clock.now(),
-                EngineEvent::PhaseSpan { phase: RecoveryPhase::TxnRollback, started_at: began },
-            );
-        }
-        Ok(())
     }
 }
 

@@ -399,10 +399,9 @@ impl StandbyServer {
             Self::mutate_block(srv, key, now, addr, change)
         })?;
         // Become a normal, open database in a fresh incarnation.
+        self.server.managed_recovery = false;
         let max_scn = self.server.current_scn();
         self.server.open_resetlogs(max_scn, self.replayed.max_txn, self.applied_seq + 1)?;
-        self.server.managed_recovery = false;
-        self.server.finalize_open()?;
         self.activated = true;
         self.server.events.record(
             clock.now(),
