@@ -41,33 +41,11 @@ impl Instance {
         self.scn = self.scn.next();
         self.scn
     }
-
-    /// Rebuilds every index of `obj` from an iterator of `(rid, row)`.
-    /// Existing index state for the table is discarded first. Returns the
-    /// number of index entries inserted (rows x indexes) so callers can
-    /// report rebuild work on the event stream.
-    pub fn rebuild_indexes_for<I>(
-        &mut self,
-        obj: ObjectId,
-        defs: &[crate::catalog::IndexDef],
-        rows: I,
-    ) -> u64
-    where
-        I: IntoIterator<Item = (crate::types::RowId, crate::row::Row)>,
-    {
-        let rows: Vec<(crate::types::RowId, crate::row::Row)> = rows.into_iter().collect();
-        let entries = (rows.len() * defs.len()) as u64;
-        self.indexes.insert(obj, Arc::new(crate::index::bulk_built(defs, &rows)));
-        entries
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::IndexDef;
-    use crate::row::{Row, Value};
-    use crate::types::{FileNo, RowId};
 
     fn blank_instance() -> Instance {
         Instance {
@@ -88,18 +66,5 @@ mod tests {
         let a = i.next_scn();
         let b = i.next_scn();
         assert!(b > a);
-    }
-
-    #[test]
-    fn rebuild_indexes_replaces_state() {
-        let mut i = blank_instance();
-        let defs = vec![IndexDef { name: "PK".into(), cols: vec![0], unique: true, ordered: true }];
-        let rid = RowId { file: FileNo(1), block: 0, slot: 0 };
-        i.rebuild_indexes_for(ObjectId(1), &defs, vec![(rid, Row::new(vec![Value::U64(5)]))]);
-        let ix = &i.indexes[&ObjectId(1)][0];
-        assert_eq!(ix.lookup(&[Value::U64(5)]), vec![rid]);
-        // Rebuilding with nothing clears it.
-        i.rebuild_indexes_for(ObjectId(1), &defs, Vec::new());
-        assert_eq!(i.indexes[&ObjectId(1)][0].key_count(), 0);
     }
 }

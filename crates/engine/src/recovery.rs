@@ -29,9 +29,10 @@ use crate::fasthash::FastMap;
 use crate::index::{bulk_built, Index};
 use crate::instance::Instance;
 use crate::redo::{CleanEnd, RedoOp, RedoReader, RedoState};
+use crate::row::Row;
 use crate::server::{BlockKey, DbServer};
 use crate::txn::UndoOp;
-use crate::types::{FileNo, ObjectId, RedoAddr, Scn, TxnId};
+use crate::types::{FileNo, ObjectId, RedoAddr, RowId, Scn, TxnId};
 
 /// What a replay pass applied, for reporting and tests.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -107,6 +108,19 @@ impl IndexBase {
         }
         IndexBase { sets: inst.indexes, changed }
     }
+}
+
+/// `old` re-derived by [`Index::rederive`], with the table's row count;
+/// `None` if a set is shadowed.
+fn rederived(
+    old: &[Index],
+    changed: &dyn Fn(RowId) -> bool,
+    fresh: &[(RowId, Row)],
+) -> Option<(Arc<Vec<Index>>, usize)> {
+    let derived: Vec<(Index, usize)> =
+        old.iter().map(|ix| ix.rederive(changed, fresh)).collect::<Option<_>>()?;
+    let rows = fresh.len() + derived.first().map_or(0, |(_, kept)| *kept);
+    Some((Arc::new(derived.into_iter().map(|(ix, _)| ix).collect()), rows))
 }
 
 impl DbServer {
@@ -314,12 +328,14 @@ impl DbServer {
 
     /// Gives every table the index set [`Index::bulk_load`] over its heap
     /// builds, re-deriving it from `base` where that is exact: a table
-    /// whose set `base` carries, whose datafiles are neither deleted nor
-    /// altered by a storage fault, and whose set did not drop a duplicated
-    /// unique key keeps the entries of its unchanged blocks and reads only
-    /// its changed blocks. Every other table is rebuilt from a full scan,
-    /// as is every table when there is no base. In debug builds each
-    /// re-derivation is checked against that full rebuild.
+    /// whose set `base` carries under the same definitions, and whose set
+    /// did not drop a duplicated unique key, keeps the entries of its
+    /// unchanged blocks and reads only its changed blocks. Every other
+    /// table is rebuilt from a full scan, as is every table when there is
+    /// no base. A block that is read and fails its checksum ends recovery
+    /// with [`DbError::ChecksumMismatch`] naming it; an unchanged block is
+    /// not read, and its damage shows at its first read. In debug builds
+    /// each re-derivation is checked against a full rebuild.
     fn rederive_indexes(&mut self, base: Option<IndexBase>) -> DbResult<()> {
         let IndexBase { mut sets, changed } = base.unwrap_or_default();
         let objs: Vec<_> = {
@@ -329,36 +345,21 @@ impl DbServer {
         let mut tables = 0u64;
         let mut entries = 0u64;
         for obj in objs {
-            let defs = {
-                let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
-                inst.catalog.table(obj)?.indexes.clone()
-            };
             let derived = match sets.remove(&obj) {
                 Some(old) => self.rederive_table(obj, old, &changed)?,
                 None => None,
             };
-            if cfg!(debug_assertions) {
-                if let Some((set, rows)) = &derived {
-                    let scan = self.peek_scan(obj).unwrap_or_default();
-                    let full = bulk_built(&defs, &scan);
-                    assert!(
-                        rows * defs.len() == scan.len() * defs.len()
-                            && set.iter().zip(&full).all(|(d, f)| d.same_entries(f)),
-                        "table {obj}: re-derived indexes differ from a full rebuild"
-                    );
-                }
-            }
-            entries += match derived {
-                Some((set, rows)) => {
-                    self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?.indexes.insert(obj, set);
-                    (rows * defs.len()) as u64
-                }
+            let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
+            let defs = &inst.catalog.table(obj)?.indexes;
+            let (set, rows) = match derived {
+                Some(derived) => derived,
                 None => {
-                    let rows = self.peek_scan(obj).unwrap_or_default();
-                    let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
-                    inst.rebuild_indexes_for(obj, &defs, rows)
+                    let rows = self.peek_scan(obj)?;
+                    (Arc::new(bulk_built(defs, &rows)), rows.len())
                 }
             };
+            entries += (rows * defs.len()) as u64;
+            self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?.indexes.insert(obj, set);
             tables += 1;
         }
         self.events.record(self.clock.now(), EngineEvent::IndexesRebuilt { tables, entries });
@@ -369,6 +370,10 @@ impl DbServer {
     /// before the blocks `changed` names changed, with the table's row
     /// count; `None` where only a full scan is exact (see
     /// [`DbServer::rederive_indexes`]).
+    ///
+    /// In debug builds the result is compared with a full rebuild: over
+    /// the blocks that read, plus `old`'s entries on the blocks that do
+    /// not, which are never changed ones.
     fn rederive_table(
         &self,
         obj: ObjectId,
@@ -377,31 +382,36 @@ impl DbServer {
     ) -> DbResult<Option<(Arc<Vec<Index>>, usize)>> {
         let inst = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?;
         let table = inst.catalog.table(obj)?;
-        let same_defs = old.len() == table.indexes.len()
-            && old.iter().zip(&table.indexes).all(|(ix, def)| ix.def() == def);
-        let intact = {
-            let fs = self.fs.lock();
-            table.segment.extents.iter().all(|e| {
-                datafile(&inst.catalog, e.file)
-                    .is_ok_and(|df| fs.meta(df.vfs_id).is_ok_and(|m| !m.deleted && !m.damaged))
-            })
-        };
-        if !same_defs || !intact {
+        if old.len() != table.indexes.len()
+            || old.iter().zip(&table.indexes).any(|(ix, def)| ix.def() != def)
+        {
             return Ok(None);
         }
         let mut blocks = table.segment.blocks().filter(|&k| changed.contains(k)).peekable();
-        if blocks.peek().is_none() && old.iter().all(Index::is_canonical) {
-            let rows = old.first().map_or(0, Index::entry_count);
-            return Ok(Some((old, rows)));
+        let derived = if blocks.peek().is_none() && old.iter().all(Index::is_canonical) {
+            (Arc::clone(&old), old.first().map_or(0, Index::entry_count))
+        } else {
+            let fresh = self.peek_blocks(&mut blocks)?;
+            let is_changed = |rid: RowId| changed.contains((rid.file, rid.block));
+            let Some(derived) = rederived(&old, &is_changed, &fresh) else { return Ok(None) };
+            derived
+        };
+        if cfg!(debug_assertions) {
+            let (mut fresh, mut unreadable) = (Vec::new(), Vec::new());
+            for key in table.segment.blocks() {
+                match self.peek_blocks(&mut std::iter::once(key)) {
+                    Ok(rows) => fresh.extend(rows),
+                    Err(_) => unreadable.push(key),
+                }
+            }
+            let full = rederived(&old, &|rid| !unreadable.contains(&(rid.file, rid.block)), &fresh);
+            assert!(
+                full.is_some_and(|(set, rows)| rows * set.len() == derived.1 * set.len()
+                    && set.iter().zip(derived.0.iter()).all(|(f, d)| f.same_entries(d))),
+                "table {obj}: re-derived indexes differ from a full rebuild"
+            );
         }
-        let Ok(fresh) = self.peek_blocks(&mut blocks) else { return Ok(None) };
-        let derived: Option<Vec<(Index, usize)>> = old
-            .iter()
-            .map(|ix| ix.rederive(&|rid| changed.contains((rid.file, rid.block)), &fresh))
-            .collect();
-        let Some(derived) = derived else { return Ok(None) };
-        let rows = fresh.len() + derived.first().map_or(0, |(_, kept)| *kept);
-        Ok(Some((Arc::new(derived.into_iter().map(|(ix, _)| ix).collect()), rows)))
+        Ok(Some(derived))
     }
 
     /// Incomplete point-in-time recovery: restore the whole database from

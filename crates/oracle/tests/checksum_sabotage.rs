@@ -13,11 +13,16 @@
 //!
 //! Media recovery of the rotted file must then close the loop: restore
 //! from backup, replay, and the oracle goes clean again.
+//!
+//! Recovery finds rot the same way, by reading: a block it reads and that
+//! fails its checksum refuses the recovery with the typed
+//! `ChecksumMismatch` naming the block, and a block it does not read keeps
+//! its index entries until its own first read fails.
 
 use std::sync::{Arc, Mutex};
 
 use recobench_engine::catalog::IndexDef;
-use recobench_engine::{DbServer, DiskLayout, InstanceConfig, ObjectId, Row, Value};
+use recobench_engine::{DbError, DbServer, DiskLayout, InstanceConfig, ObjectId, Row, Value};
 use recobench_oracle::{diff_states, RefModel};
 use recobench_sim::SimClock;
 
@@ -97,18 +102,13 @@ fn injected_bit_rot_is_flagged_by_both_detection_layers() {
     assert!(srv.datafiles_with_bad_checksums().unwrap().is_empty());
 }
 
-/// Pins a defect the index re-derivation deliberately keeps: media
-/// recovery of one datafile silently empties the index of a table that has
-/// a rotten block on *another* datafile. The rebuild reads the table with
-/// `peek_scan(..).unwrap_or_default()`, so the unreadable heap becomes an
-/// empty index with no error and the database opens without its
-/// ORDER_LINE key. Re-deriving only the recovered file's entries would
-/// keep the other file's; the damaged datafile's mark sends the table to
-/// the full scan instead, so the damaged database ends as it always did.
-/// The fix is a typed refusal naming the block (ROADMAP, "Typed
-/// refusals"); this test moves with it.
+/// Media recovery of one datafile keeps ORDER_LINE's index entries when
+/// the table has a rotten block on *another* datafile. Recovery re-derives
+/// only the recovered file's entries and never reads the rotten block, so
+/// every entry of the prefix survives and the damage waits for the block's
+/// first read, which still fails.
 #[test]
-fn media_recovery_empties_the_index_of_a_table_with_a_rotten_block_on_another_datafile() {
+fn media_recovery_keeps_the_index_entries_of_a_rotten_block_on_another_datafile() {
     use recobench_core::{rig, RecoveryConfig};
     use recobench_sim::{SimDuration, SimRng};
     use recobench_tpcc::{DriverConfig, TpccDriver, TpccScale};
@@ -134,7 +134,8 @@ fn media_recovery_empties_the_index_of_a_table_with_a_rotten_block_on_another_da
     driver.quiesce(&mut srv);
     srv.checkpoint_now().unwrap();
     let prefix = [Value::U64(1), Value::U64(1)];
-    assert!(!srv.prefix_scan(ol, 0, &prefix).unwrap().is_empty());
+    let before = srv.prefix_scan(ol, 0, &prefix).unwrap().len();
+    assert!(before > 0);
 
     let paths = srv.datafile_paths(recobench_tpcc::schema::TPCC_TABLESPACE).unwrap();
     // The first seed whose flipped bit lands in an ORDER_LINE block of
@@ -151,5 +152,26 @@ fn media_recovery_empties_the_index_of_a_table_with_a_rotten_block_on_another_da
     srv.recover_datafile(&paths[0]).unwrap();
 
     assert!(srv.peek_scan(ol).is_err(), "the rotten block is still there");
-    assert!(srv.prefix_scan(ol, 0, &prefix).unwrap().is_empty(), "ORDER_LINE's index kept entries");
+    assert_eq!(srv.prefix_scan(ol, 0, &prefix).unwrap().len(), before, "ORDER_LINE's index lost entries");
+}
+
+/// A datafile block that rots while the database is shut down cleanly is
+/// read by the next startup's index rebuild, which refuses to open with
+/// the typed error naming the block instead of an index missing its rows.
+#[test]
+fn startup_refuses_a_rotten_block_by_name() {
+    let (mut srv, t) = build_server();
+    let s = srv.connect().unwrap();
+    for i in 0..40u64 {
+        srv.insert(s, t, Row::new(vec![Value::U64(i), Value::U64(1_000_000 + i)])).unwrap();
+        srv.commit(s).unwrap();
+    }
+    let paths = srv.datafile_paths("DATA").unwrap();
+    srv.shutdown_normal().unwrap();
+    let rotted = paths
+        .into_iter()
+        .find(|p| srv.sabotage_bit_rot(p, 0xB17_0B07).is_ok())
+        .expect("a clean shutdown writes the table's blocks");
+
+    assert_eq!(srv.startup(), Err(DbError::ChecksumMismatch { path: rotted, block: 0 }));
 }

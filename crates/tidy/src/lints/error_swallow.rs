@@ -8,6 +8,8 @@
 //!
 //! * `let _ = fallible();` — unless the expression propagates with `?`;
 //! * statement-position `fallible().ok();` — the error is erased;
+//! * `fallible().unwrap_or_default()` — the error becomes an empty value
+//!   (an unreadable heap, an empty index);
 //! * a bare `fallible();` statement whose `#[must_use]` result is
 //!   discarded (rustc warns too, but tidy also sees it in fixtures).
 //!
@@ -32,7 +34,7 @@ impl Lint for ErrorSwallow {
     }
 
     fn description(&self) -> &'static str {
-        "no `let _ =`/`.ok();`/ignored results discarding DbError/VfsError/RecoveryError"
+        "no `let _ =`/`.ok();`/`.unwrap_or_default()`/ignored results discarding DbError/VfsError/RecoveryError"
     }
 
     fn check(&self, ws: &Workspace, diags: &mut Diagnostics) {
@@ -94,12 +96,30 @@ impl Lint for ErrorSwallow {
                     }
                 }
             }
-            // Bare `fallible(…);` statements: the whole statement is one
-            // call whose must-use result is dropped.
+            // Bare `fallible(…);` statements, whose must-use result is
+            // dropped, and `fallible(…).unwrap_or_default()`.
             for site in &m.sites[fn_idx] {
                 if site.targets.iter().any(|&t| m.returns_fallible(t)) {
                     let open = site.tok + 1;
                     let Some(close) = crate::callgraph::match_group(toks, open) else { continue };
+                    let callee = site
+                        .targets
+                        .first()
+                        .map(|&t| m.display_name(t))
+                        .unwrap_or_else(|| site.name.clone());
+                    if toks.get(close + 1).is_some_and(|t| t.is_punct('.'))
+                        && toks.get(close + 2).is_some_and(|t| t.is_ident("unwrap_or_default"))
+                    {
+                        diags.emit(
+                            self.name(),
+                            &rel,
+                            site.line,
+                            format!(
+                                "`.unwrap_or_default()` turns the error of fallible `{callee}` \
+                                 into a default value; handle it or propagate with `?`"
+                            ),
+                        );
+                    }
                     if !toks.get(close + 1).is_some_and(|t| t.is_punct(';')) {
                         continue;
                     }
@@ -113,11 +133,6 @@ impl Lint for ErrorSwallow {
                             || t.is_punct('*')
                     });
                     if leading_ok && !toks[start..site.tok].iter().any(|t| t.is_punct('=')) {
-                        let callee = site
-                            .targets
-                            .first()
-                            .map(|&t| m.display_name(t))
-                            .unwrap_or_else(|| site.name.clone());
                         diags.emit(
                             self.name(),
                             &rel,

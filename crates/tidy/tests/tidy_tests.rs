@@ -43,6 +43,8 @@ fn fixtures_produce_exact_diagnostics() {
         // not cover.
         ("crates/engine/src/server.rs", 45, "lock-discipline"),
         ("crates/engine/src/server.rs", 45, "write-site-coverage"),
+        // A read error turned into an empty value.
+        ("crates/engine/src/server.rs", 53, "error-swallow"),
         // `impl DbServer` in a second file: the chokepoint, the declared
         // order and the swallowed errors are found there all the same.
         ("crates/engine/src/session.rs", 13, "lock-discipline"),
@@ -119,6 +121,8 @@ fn messages_name_the_offending_construct() {
     // Error swallowing names the discarded fallible callee.
     assert!(msg("crates/engine/src/session.rs", 17).contains("DbServer::append_record"));
     assert!(msg("crates/engine/src/session.rs", 18).contains("`.ok();`"));
+    assert!(msg("crates/engine/src/server.rs", 53).contains("`.unwrap_or_default()`"));
+    assert!(msg("crates/engine/src/server.rs", 53).contains("DbServer::scan"));
     // The stale manifest entry points at the regeneration command.
     assert!(msg("crates/oracle/tests/write_site_coverage.json", 0)
         .contains("server.rs:999 matches no current write site"));

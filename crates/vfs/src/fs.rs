@@ -34,7 +34,9 @@ pub enum FileKind {
     Backup,
 }
 
-/// Metadata snapshot for a file.
+/// Metadata snapshot for a file: what a real filesystem reports about it.
+/// Damage to the stored bytes (a torn write, bit rot) is not in it; only
+/// decoding the blocks tells.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileMeta {
     /// Handle of the file.
@@ -49,10 +51,6 @@ pub struct FileMeta {
     pub size_bytes: u64,
     /// Whether the file has been deleted by an operator action.
     pub deleted: bool,
-    /// Whether a storage fault altered the stored blocks (a torn write,
-    /// a crash-at-write tear, bit rot) since the content was last
-    /// replaced wholesale: a copy or restore carries its source's mark.
-    pub damaged: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -69,7 +67,6 @@ struct FileEntry {
     disk: DiskId,
     kind: FileKind,
     deleted: bool,
-    damaged: bool,
     content: Content,
 }
 
@@ -99,7 +96,6 @@ impl FileEntry {
             kind: self.kind,
             size_bytes: self.size_bytes(),
             deleted: self.deleted,
-            damaged: self.damaged,
         }
     }
 }
@@ -311,8 +307,7 @@ impl SimFs {
     fn add_file(&mut self, path: &str, disk: DiskId, kind: FileKind, content: Content) -> FileId {
         let id = FileId(self.next_id);
         self.next_id += 1;
-        let entry =
-            FileEntry { path: path.to_string(), disk, kind, deleted: false, damaged: false, content };
+        let entry = FileEntry { path: path.to_string(), disk, kind, deleted: false, content };
         self.files.insert(id, entry);
         id
     }
@@ -418,7 +413,6 @@ impl SimFs {
         let e = self.files.get_mut(&id).ok_or_else(|| no_such_file(id))?;
         e.check_live()?;
         let (disk, path, kind) = (e.disk, e.path.as_str(), e.kind);
-        let damaged = &mut e.damaged;
         let Content::Blocks { block_size, nblocks, data } = &mut e.content else {
             return Err(VfsError::WrongAccessStyle(e.path.clone()));
         };
@@ -435,7 +429,6 @@ impl SimFs {
             Some((num, den)) => {
                 // The prefix of the new image lands; the tail of whatever
                 // was on the platter before survives underneath it.
-                *damaged = true;
                 let k = keep_bytes(image.len(), num, den);
                 // tidy-allow(panic-freedom): keep_bytes clamps k to image.len()
                 let mut buf = image[..k].to_vec();
@@ -693,10 +686,10 @@ impl SimFs {
         dst_kind: FileKind,
         now: SimTime,
     ) -> VfsResult<(SimTime, FileId)> {
-        let (src_disk, size, content, damaged) = {
+        let (src_disk, size, content) = {
             let e = self.entry(src)?;
             e.check_live()?;
-            (e.disk, e.size_bytes(), e.content.clone(), e.damaged)
+            (e.disk, e.size_bytes(), e.content.clone())
         };
         self.check_path_free(dst_path)?;
         if dst_disk.0 >= self.disks.len() {
@@ -706,23 +699,21 @@ impl SimFs {
         let read_done = self.charge(src_disk, IoKind::Read, size, true, now)?;
         let write_done = self.charge(dst_disk, IoKind::Write, size, true, now)?;
         let id = self.add_file(dst_path, dst_disk, dst_kind, content);
-        self.entry_mut(id)?.damaged = damaged;
         Ok((read_done.max(write_done), id))
     }
 
     /// Overwrites the contents of `dst` with the contents of `src`
     /// (restore-from-backup), charging both disks. The destination keeps its
-    /// path, kind and id, its deleted mark is cleared, and its damaged mark
-    /// is the source's.
+    /// path, kind and id, and its deleted mark is cleared.
     ///
     /// # Errors
     ///
     /// Fails if either file is missing or the source is deleted.
     pub fn restore_into(&mut self, src: FileId, dst: FileId, now: SimTime) -> VfsResult<SimTime> {
-        let (src_disk, size, content, damaged) = {
+        let (src_disk, size, content) = {
             let e = self.entry(src)?;
             e.check_live()?;
-            (e.disk, e.size_bytes(), e.content.clone(), e.damaged)
+            (e.disk, e.size_bytes(), e.content.clone())
         };
         let dst_disk = self.entry(dst)?.disk;
         self.faults.consume_disk_budget(dst_disk, size, "restore destination")?;
@@ -730,7 +721,6 @@ impl SimFs {
             let e = self.entry_mut(dst)?;
             e.content = content;
             e.deleted = false;
-            e.damaged = damaged;
         }
         let read_done = self.charge(src_disk, IoKind::Read, size, true, now)?;
         let write_done = self.charge(dst_disk, IoKind::Write, size, true, now)?;
@@ -840,11 +830,11 @@ impl SimFs {
                 return None;
             }
             match &mut e.content {
-                Content::Blocks { data, .. } if !data.is_empty() => Some((data, &mut e.damaged)),
+                Content::Blocks { data, .. } if !data.is_empty() => Some(data),
                 _ => None,
             }
         });
-        let Some((data, damaged)) = victim else {
+        let Some(data) = victim else {
             return Err(VfsError::NotFound("bit-rot target with written blocks".to_string()));
         };
         let keys: Vec<u64> = data.keys().copied().collect();
@@ -857,7 +847,6 @@ impl SimFs {
         let mut buf = img.to_vec();
         buf[(bit / 8) as usize] ^= 1 << (bit % 8);
         data.insert(block, Bytes::from(buf));
-        *damaged = true;
         Ok(())
     }
 
@@ -1013,7 +1002,6 @@ mod tests {
         fs.delete_path("/u01/a.dbf").unwrap();
         fs.restore_into(bak, f, SimTime::ZERO).unwrap();
         assert!(!fs.meta(f).unwrap().deleted);
-        assert!(!fs.meta(f).unwrap().damaged, "the restore takes the clean piece's mark");
         let (_, got) = fs.read_block(f, 0, SimTime::ZERO).unwrap();
         assert_eq!(got[0], 3);
         assert!(fs.lookup("/u01/a.dbf").is_ok());
@@ -1106,13 +1094,10 @@ mod fault_tests {
             keep_den: 2,
         })
         .unwrap();
-        // The torn write reports success — the damage is silent, except
-        // to the file's damaged mark.
-        assert!(!fs.meta(f).unwrap().damaged);
+        // The torn write reports success — the damage is silent.
         fs.write_block(f, 0, Bytes::from(vec![2u8; 8]), SimTime::ZERO).unwrap();
         let (_, got) = fs.read_block(f, 0, SimTime::ZERO).unwrap();
         assert_eq!(&got[..], &[2, 2, 2, 2, 1, 1, 1, 1]);
-        assert!(fs.meta(f).unwrap().damaged);
         // One-shot: the next write is whole.
         fs.write_block(f, 0, Bytes::from(vec![3u8; 8]), SimTime::ZERO).unwrap();
         let (_, got) = fs.read_block(f, 0, SimTime::ZERO).unwrap();
@@ -1195,9 +1180,6 @@ mod fault_tests {
         }
         assert_eq!(flipped.len(), 1, "exactly one block touched");
         assert_eq!(flipped[0].1, 1, "exactly one bit flipped");
-        assert!(fs.meta(f).unwrap().damaged);
-        let (_, copy) = fs.copy_file(f, "/d.bak", DiskId(0), FileKind::Backup, SimTime::ZERO).unwrap();
-        assert!(fs.meta(copy).unwrap().damaged, "a copy carries the mark");
         // Rot targeting a file with no written blocks is rejected.
         fs.create_block_file("/e.dbf", DiskId(0), FileKind::Data, 16, 4).unwrap();
         let err = fs
