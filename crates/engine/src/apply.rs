@@ -9,8 +9,8 @@
 //! whether a rollback is logged.
 //!
 //! Outside [`crate::page`] this is the only code that calls
-//! [`BlockImage::put`] / [`BlockImage::remove`] (tidy's `lock-discipline`
-//! lint enforces it).
+//! [`BlockImage::put`] / [`BlockImage::remove`] / `BlockImage::detach`
+//! (tidy's `lock-discipline` lint enforces it).
 
 use std::collections::BTreeMap;
 
@@ -34,16 +34,17 @@ impl RedoOp {
     }
 
     /// The undo entry that takes this replayed change back (`None` for
-    /// markers and DDL). The entry can outlive the log segment the record
-    /// was decoded from, so its before-image is detached from it.
+    /// markers and DDL). Its before-image is a view into the log segment
+    /// the record was decoded from until [`ReplayState::end_pass`]
+    /// detaches it.
     fn undo(&self) -> Option<UndoOp> {
         match self {
             RedoOp::Insert { obj, rid, .. } => Some(UndoOp::UndoInsert { obj: *obj, rid: *rid }),
             RedoOp::Update { obj, rid, before, .. } => {
-                Some(UndoOp::UndoUpdate { obj: *obj, rid: *rid, before: before.detached() })
+                Some(UndoOp::UndoUpdate { obj: *obj, rid: *rid, before: before.clone() })
             }
             RedoOp::Delete { obj, rid, before } => {
-                Some(UndoOp::UndoDelete { obj: *obj, rid: *rid, before: before.detached() })
+                Some(UndoOp::UndoDelete { obj: *obj, rid: *rid, before: before.clone() })
             }
             RedoOp::Commit | RedoOp::Rollback | RedoOp::Catalog(_) => None,
         }
@@ -52,32 +53,28 @@ impl RedoOp {
     /// Writes the change into its block image, stamping it with `scn`: the
     /// forward write, unconditional — a new change is never already there.
     pub(crate) fn apply_to(&self, img: &mut BlockImage, scn: Scn) {
-        self.write_to(img, scn, Row::clone);
-    }
-
-    /// Replays the change onto its block unless the image already carries
-    /// it (`img.last_scn >= scn`) — the test that makes replay idempotent.
-    /// Returns whether the image changed. The block outlives the log
-    /// segment the record was decoded from, so the row it stores is
-    /// detached from it: a cached block never pins a segment.
-    fn replay_onto(&self, img: &mut BlockImage, scn: Scn) -> bool {
-        if img.last_scn >= scn {
-            return false;
-        }
-        self.write_to(img, scn, Row::detached);
-        true
-    }
-
-    fn write_to(&self, img: &mut BlockImage, scn: Scn, stored: impl FnOnce(&Row) -> Row) {
         match self {
             RedoOp::Insert { rid, row, .. } | RedoOp::Update { rid, after: row, .. } => {
-                img.put(rid.slot, stored(row), scn);
+                img.put(rid.slot, row.clone(), scn);
             }
             RedoOp::Delete { rid, .. } => {
                 img.remove(rid.slot, scn);
             }
             RedoOp::Commit | RedoOp::Rollback | RedoOp::Catalog(_) => {}
         }
+    }
+
+    /// Replays the change onto its block unless the image already carries
+    /// it (`img.last_scn >= scn`) — the test that makes replay idempotent.
+    /// Returns whether the image changed. The row it stores is a view into
+    /// the log segment the record was decoded from until
+    /// [`ReplayState::end_pass`] detaches it.
+    fn replay_onto(&self, img: &mut BlockImage, scn: Scn) -> bool {
+        if img.last_scn >= scn {
+            return false;
+        }
+        self.apply_to(img, scn);
+        true
     }
 }
 
@@ -88,6 +85,13 @@ impl UndoOp {
             UndoOp::UndoInsert { rid, .. }
             | UndoOp::UndoUpdate { rid, .. }
             | UndoOp::UndoDelete { rid, .. } => *rid,
+        }
+    }
+
+    /// Gives the before-image, if any, an allocation of its own.
+    fn detach(&mut self) {
+        if let UndoOp::UndoUpdate { before, .. } | UndoOp::UndoDelete { before, .. } = self {
+            *before = before.detached();
         }
     }
 
@@ -121,11 +125,20 @@ impl UndoOp {
 /// What a replay learns from the records it scans: which transactions are
 /// still unresolved (with the undo that takes them back) and how far the
 /// SCN and transaction-id spaces were used.
+///
+/// A pass — one [`DbServer::replay`], one stand-by ingest — leaves the
+/// rows it stores in blocks and the before-images it puts in `live` as
+/// views into the log segments it read, which the file being replayed
+/// keeps alive anyway. [`ReplayState::end_pass`] detaches each survivor
+/// once, so between passes nothing pins a segment.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ReplayState {
     /// Transactions with no terminal record yet, in id order, each with
     /// its undo in log order.
     pub(crate) live: BTreeMap<TxnId, Vec<UndoOp>>,
+    /// For each transaction in `live` when the last pass ended, how many
+    /// of its undo entries that pass left detached.
+    pub(crate) settled: BTreeMap<TxnId, usize>,
     /// Highest SCN seen.
     pub(crate) max_scn: Scn,
     /// Highest transaction id seen.
@@ -151,12 +164,19 @@ impl ReplayState {
     /// goes to the dictionary, a row change goes to its block through
     /// `block` and onto its transaction's undo. `block` makes the frame
     /// resident under the caller's I/O accounting, runs the change on it
-    /// and marks it dirty if the change applied.
+    /// and, if the change applied, marks it dirty and notes the row slot
+    /// it passes (the one the change stores a view at) for the end of the
+    /// pass.
     pub(crate) fn note_and_apply(
         &mut self,
         server: &mut DbServer,
         rec: &RedoRecord,
-        block: impl FnOnce(&mut DbServer, BlockKey, &dyn Fn(&mut BlockImage) -> bool) -> DbResult<()>,
+        block: impl FnOnce(
+            &mut DbServer,
+            BlockKey,
+            Option<u16>,
+            &dyn Fn(&mut BlockImage) -> bool,
+        ) -> DbResult<()>,
     ) -> DbResult<()> {
         self.note(rec);
         match (&rec.op, rec.txn) {
@@ -171,13 +191,28 @@ impl ReplayState {
                 op @ (RedoOp::Insert { rid, .. } | RedoOp::Update { rid, .. } | RedoOp::Delete { rid, .. }),
                 txn,
             ) => {
-                block(server, (rid.file, rid.block), &|img| op.replay_onto(img, rec.scn))?;
+                // An insert or update stores its row: a view, until the pass ends.
+                let view = (!matches!(op, RedoOp::Delete { .. })).then_some(rid.slot);
+                block(server, (rid.file, rid.block), view, &|img| op.replay_onto(img, rec.scn))?;
                 if let Some(t) = txn {
                     self.live.entry(t).or_default().extend(op.undo());
                 }
             }
         }
         Ok(())
+    }
+
+    /// Ends a replay pass, on every exit: detaches each row this pass left
+    /// a view in a resident block and each undo entry it added to `live`.
+    pub(crate) fn end_pass(&mut self, server: &mut DbServer) {
+        if let Some(inst) = server.inst.as_mut() {
+            inst.cache.detach_views(|img, slot| img.detach(slot));
+        }
+        for (t, ops) in &mut self.live {
+            let from = self.settled.get(t).copied().unwrap_or(0);
+            ops.iter_mut().skip(from).for_each(UndoOp::detach);
+        }
+        self.settled = self.live.iter().map(|(t, ops)| (*t, ops.len())).collect();
     }
 }
 
@@ -213,28 +248,47 @@ pub(crate) fn rollback_unlogged(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use bytes::Bytes;
     use recobench_sim::SimClock;
+    use recobench_vfs::FileKind;
 
     use super::*;
+    use crate::catalog::IndexDef;
     use crate::codec::Writer;
     use crate::config::InstanceConfig;
     use crate::layout::DiskLayout;
     use crate::redo::decode_stream;
     use crate::row::Value;
-    use crate::types::{FileNo, ObjectId};
+    use crate::standby::StandbyServer;
+    use crate::types::{ObjectId, RedoAddr, SessionId};
 
-    /// A decoded record's rows are views into its log segment; what replay
-    /// keeps of them — the row stored in the block, the undo entry in
-    /// `ReplayState::live` — must not be, or one cached block or one open
-    /// transaction would keep a megabyte of log alive.
+    fn row(k: u64, v: &str) -> Row {
+        Row::new(vec![Value::U64(k), Value::from(v)])
+    }
+
+    /// A decoded record's rows are views into its log segment. A replay
+    /// pass keeps them so — the row stored in the block, the before-image
+    /// in `ReplayState::live` — and its end detaches each once, or one
+    /// cached block or one open transaction would keep a segment alive
+    /// between passes.
     #[test]
-    fn a_replayed_row_and_its_undo_entry_do_not_pin_the_log_segment() {
-        let row = |v: &str| Row::new(vec![Value::U64(7), Value::from(v)]);
-        let rid = RowId { file: FileNo(2), block: 5, slot: 3 };
+    fn a_replay_pass_keeps_views_until_it_ends() {
+        let mut srv = DbServer::on_fresh_disks(
+            "PIN",
+            SimClock::shared(),
+            DiskLayout::four_disk(),
+            InstanceConfig::default(),
+        );
+        srv.create_database().unwrap();
+        srv.create_tablespace("D", 1, 16).unwrap();
+        let file = *srv.inst.as_ref().unwrap().catalog.datafiles.keys().next().unwrap();
+        let rid = RowId { file, block: 5, slot: 3 };
         let rec = RedoRecord {
             scn: Scn(9),
             txn: Some(TxnId(4)),
-            op: RedoOp::Update { obj: ObjectId(1), rid, before: row("before"), after: row("after") },
+            op: RedoOp::Update { obj: ObjectId(1), rid, before: row(7, "before"), after: row(7, "after") },
         };
         let mut w = Writer::new();
         while w.len() < 1 << 20 {
@@ -242,36 +296,202 @@ mod tests {
         }
         let segment = w.into_bytes();
         let span = segment.as_ptr_range();
+        let inside = |row: &Row| span.contains(&row.encode().as_ptr());
         let records = decode_stream(std::slice::from_ref(&segment), 0).unwrap();
         let (_, decoded) = records.last().unwrap();
-        let RedoOp::Update { after, .. } = &decoded.op else { unreachable!() };
-        assert!(span.contains(&after.encode().as_ptr()), "decoding slices, it does not copy");
 
-        let mut srv = DbServer::on_fresh_disks(
-            "PIN",
-            SimClock::shared(),
-            DiskLayout::four_disk(),
-            InstanceConfig::default(),
-        );
-        let mut img = BlockImage::empty();
         let mut state = ReplayState::default();
+        let addr = RedoAddr { seq: 1, offset: 0 };
         state
-            .note_and_apply(&mut srv, decoded, |_, key, change| {
-                assert_eq!(key, (rid.file, rid.block));
-                assert!(change(&mut img));
-                Ok(())
+            .note_and_apply(&mut srv, decoded, |srv, key, view, change| {
+                assert_eq!((key, view), ((rid.file, rid.block), Some(rid.slot)));
+                srv.change_block_for_recovery(key, addr, view, change)
             })
             .unwrap();
-        drop(records);
-        drop(segment);
-
-        let stored = img.row(rid.slot).unwrap();
-        assert_eq!(stored, &row("after"));
-        assert!(!span.contains(&stored.encode().as_ptr()));
-        let [UndoOp::UndoUpdate { before, .. }] = &state.live[&TxnId(4)][..] else {
-            panic!("one undo entry for the one replayed update: {:?}", state.live);
+        let kept = |srv: &DbServer, state: &ReplayState| {
+            let stored =
+                srv.inst.as_ref().unwrap().cache.peek((rid.file, rid.block)).unwrap().row(rid.slot).cloned();
+            let [UndoOp::UndoUpdate { before, .. }] = &state.live[&TxnId(4)][..] else {
+                panic!("one undo entry for the one replayed update: {:?}", state.live);
+            };
+            (stored.unwrap(), before.clone())
         };
-        assert_eq!(before, &row("before"));
-        assert!(!span.contains(&before.encode().as_ptr()));
+        let (stored, before) = kept(&srv, &state);
+        assert_eq!((&stored, &before), (&row(7, "after"), &row(7, "before")));
+        assert!(inside(&stored) && inside(&before), "within a pass, replay copies no row");
+
+        state.end_pass(&mut srv);
+        let (stored, before) = kept(&srv, &state);
+        assert_eq!((&stored, &before), (&row(7, "after"), &row(7, "before")));
+        assert!(!inside(&stored) && !inside(&before), "the end of the pass detaches both");
+        // Once: a second end detaches neither again.
+        state.end_pass(&mut srv);
+        let again = kept(&srv, &state);
+        assert_eq!(again.0.encode().as_ptr(), stored.encode().as_ptr());
+        assert_eq!(again.1.encode().as_ptr(), before.encode().as_ptr());
+    }
+
+    // ------------------------------------------------------------------
+    // The end of the pass, on every procedure's exit
+    // ------------------------------------------------------------------
+
+    fn cfg() -> InstanceConfig {
+        InstanceConfig::builder()
+            .redo_file_bytes(64 * 1024)
+            .redo_groups(3)
+            .checkpoint_timeout_secs(60)
+            .archive_mode(true)
+            .cache_blocks(64)
+            .build()
+    }
+
+    /// A table of 40 rows under a cold backup, then committed updates that
+    /// switch the log three times, then one transaction left open over
+    /// updates and deletes whose records a last commit flushed.
+    fn worked_database() -> (DbServer, ObjectId, Vec<RowId>, SessionId) {
+        let mut srv = DbServer::on_fresh_disks("PASS", SimClock::shared(), DiskLayout::four_disk(), cfg());
+        srv.create_database().unwrap();
+        srv.create_user("u").unwrap();
+        srv.create_tablespace("D", 2, 512).unwrap();
+        let pk = IndexDef { name: "PK".into(), cols: vec![0], unique: true, ordered: true };
+        let t = srv.create_table("T", "u", "D", vec![pk]).unwrap();
+        let s = srv.connect().unwrap();
+        let rids: Vec<RowId> = (0..40).map(|k| srv.insert(s, t, row(k, "seed")).unwrap()).collect();
+        srv.commit(s).unwrap();
+        srv.take_cold_backup().unwrap();
+        switch_logs(&mut srv, t, &rids, 3);
+        let open = srv.connect().unwrap();
+        for (k, &rid) in rids.iter().enumerate().take(8) {
+            if k < 5 {
+                srv.update(open, t, rid, row(k as u64, "never committed")).unwrap();
+            } else {
+                srv.delete(open, t, rid).unwrap();
+            }
+        }
+        let s = srv.connect().unwrap();
+        srv.update(s, t, rids[8], row(8, "flushes the open transaction")).unwrap();
+        srv.commit(s).unwrap();
+        (srv, t, rids, open)
+    }
+
+    /// Commits updates of rows 9 and up until the log has switched `n`
+    /// more times.
+    fn switch_logs(srv: &mut DbServer, t: ObjectId, rids: &[RowId], n: u64) {
+        let s = srv.connect().unwrap();
+        let until = srv.stats().log_switches + n;
+        for i in 0.. {
+            if srv.stats().log_switches >= until {
+                break;
+            }
+            let k = 9 + i % 31;
+            srv.update(s, t, rids[k], row(k as u64, &format!("committed update {i}"))).unwrap();
+            srv.commit(s).unwrap();
+        }
+    }
+
+    /// Every segment of every online and archived log `srv` holds: all a
+    /// replay pass from here can read. Holding them keeps their
+    /// allocations, so no later allocation lands inside one.
+    fn log_segments(srv: &DbServer) -> Vec<Bytes> {
+        let fs = srv.fs.lock();
+        [FileKind::Redo, FileKind::Archive]
+            .into_iter()
+            .flat_map(|kind| fs.list(kind))
+            .flat_map(|meta| fs.peek_all(meta.id).unwrap())
+            .collect()
+    }
+
+    /// The per-pass memory rule: no row resident in `srv`'s cache and no
+    /// undo entry in `live` lies inside any of `segments`. A procedure
+    /// whose replay state ends with it still rolls its unresolved
+    /// transactions back into blocks, so the resident rows cover its undo
+    /// too.
+    fn assert_nothing_pins(srv: &DbServer, live: &BTreeMap<TxnId, Vec<UndoOp>>, segments: &[Bytes]) {
+        let inside = |row: &Row| {
+            let at = row.encode().as_ptr();
+            segments.iter().any(|s| s.as_ptr_range().contains(&at))
+        };
+        let cache = &srv.inst.as_ref().unwrap().cache;
+        assert!(cache.resident_rows().next().is_some(), "the check looks at some rows");
+        assert_eq!(cache.resident_rows().filter(|r| inside(r)).count(), 0, "resident rows pin the log");
+        let pinned = live.values().flatten().filter(|undo| match undo {
+            UndoOp::UndoUpdate { before, .. } | UndoOp::UndoDelete { before, .. } => inside(before),
+            UndoOp::UndoInsert { .. } => false,
+        });
+        assert_eq!(pinned.count(), 0, "undo entries pin the log");
+    }
+
+    #[test]
+    fn crash_recovery_ends_its_pass() {
+        let (mut srv, t, rids, _) = worked_database();
+        let segments = log_segments(&srv);
+        srv.shutdown_abort().unwrap();
+        srv.startup().unwrap();
+        assert_eq!(srv.get_row(t, rids[0]).unwrap(), row(0, "seed"), "the open update rolled back");
+        assert_nothing_pins(&srv, &BTreeMap::new(), &segments);
+    }
+
+    #[test]
+    fn media_recovery_ends_its_pass() {
+        let (mut srv, t, rids, _) = worked_database();
+        let segments = log_segments(&srv);
+        let victim = srv.inst.as_ref().unwrap().catalog.datafiles[&rids[8].file].path.clone();
+        srv.os_delete_file(&victim).unwrap();
+        srv.offline_datafile(&victim).unwrap();
+        srv.recover_datafile(&victim).unwrap();
+        assert_eq!(srv.get_row(t, rids[0]).unwrap(), row(0, "seed"));
+        assert_nothing_pins(&srv, &BTreeMap::new(), &segments);
+    }
+
+    #[test]
+    fn point_in_time_recovery_ends_its_pass() {
+        let (mut srv, t, rids, _) = worked_database();
+        let segments = log_segments(&srv);
+        srv.recover_database_until(srv.current_scn().next()).unwrap();
+        assert_eq!(srv.get_row(t, rids[0]).unwrap(), row(0, "seed"));
+        assert_nothing_pins(&srv, &BTreeMap::new(), &segments);
+    }
+
+    /// The stand-by keeps its replay state across ingests: after one,
+    /// the open transaction's undo is still there, and detached.
+    #[test]
+    fn a_standby_ingest_and_its_activation_end_their_passes() {
+        let (mut p, t, rids, _) = worked_database();
+        switch_logs(&mut p, t, &rids, 1);
+        let mut sb =
+            StandbyServer::instantiate(&p, "SBY", Arc::clone(p.clock()), DiskLayout::four_disk(), cfg())
+                .unwrap();
+        let segments = log_segments(&p);
+        sb.sync(&p).unwrap();
+        let before_images = sb.replayed.live.values().flatten();
+        assert!(before_images.filter(|u| !matches!(u, UndoOp::UndoInsert { .. })).count() >= 8);
+        assert_nothing_pins(sb.server(), &sb.replayed.live, &segments);
+        sb.activate().unwrap();
+        assert_nothing_pins(sb.server(), &sb.replayed.live, &segments);
+    }
+
+    /// The setup of `recovery.rs`'s
+    /// `a_damaged_archive_mid_chain_ends_media_recovery_with_its_sequence`:
+    /// the replay applies the damaged sequence's whole records, then fails.
+    #[test]
+    fn a_failed_replay_ends_its_pass() {
+        let (mut srv, _, rids, open) = worked_database();
+        srv.rollback(open).unwrap();
+        let seq = srv.backup().unwrap().position.seq;
+        let control = srv.control_ref().unwrap();
+        assert!(control.current_seq > seq + 1, "the damaged sequence is not the head");
+        let archive = format!("/arch/{}_{seq:06}.arc", srv.name());
+        let segments = log_segments(&srv);
+        {
+            let mut fs = srv.fs.lock();
+            let id = fs.lookup(&archive).unwrap();
+            fs.append(id, Bytes::from_static(&[0x5A]), recobench_sim::SimTime::ZERO).unwrap();
+        }
+        let victim = srv.inst.as_ref().unwrap().catalog.datafiles[&rids[8].file].path.clone();
+        srv.os_delete_file(&victim).unwrap();
+        srv.offline_datafile(&victim).unwrap();
+        let err = srv.recover_datafile(&victim);
+        assert_eq!(err, Err(DbError::Unrecoverable(format!("log seq {seq} is corrupt"))));
+        assert_nothing_pins(&srv, &BTreeMap::new(), &segments);
     }
 }

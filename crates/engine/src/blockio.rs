@@ -249,22 +249,23 @@ impl DbServer {
 
     /// Block change for replay on this machine: ignores offline state, a
     /// miss is foreground I/O (it advances the shared clock), and the frame
-    /// is marked dirty at `addr` if `f` reports a change.
+    /// is marked dirty at `addr` if `f` reports a change, with `view` noted
+    /// for the end of the replay pass ([`crate::cache::BufferCache::replay_on`]).
     pub(crate) fn change_block_for_recovery(
         &mut self,
         key: BlockKey,
         addr: RedoAddr,
+        view: Option<u16>,
         f: impl FnOnce(&mut BlockImage) -> bool,
     ) -> DbResult<()> {
         self.ensure_resident_raw(key)?;
         let now = self.clock.now();
         let inst = self.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
-        let img = inst
+        let changed = inst
             .cache
-            .get_mut(key)
+            .replay_on(key, addr, now, view, f)
             .ok_or_else(|| RecoveryError::BlockNotResident { file: key.0, block: key.1 })?;
-        if f(img) {
-            inst.cache.mark_dirty(key, addr, now);
+        if changed {
             if let Some(base) = self.carried_indexes.as_mut() {
                 base.changed.insert(key);
             }
@@ -359,6 +360,7 @@ impl StandbyServer {
         key: BlockKey,
         at: SimTime,
         addr: RedoAddr,
+        view: Option<u16>,
         f: impl FnOnce(&mut BlockImage) -> bool,
     ) -> DbResult<()> {
         let inst = server.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?;
@@ -385,13 +387,9 @@ impl StandbyServer {
                 }
             }
         }
-        let img = inst
-            .cache
-            .get_mut(key)
+        inst.cache
+            .replay_on(key, addr, at, view, f)
             .ok_or_else(|| RecoveryError::BlockNotResident { file: key.0, block: key.1 })?;
-        if f(img) {
-            inst.cache.mark_dirty(key, addr, at);
-        }
         Ok(())
     }
 }

@@ -36,6 +36,10 @@ struct Slot {
     key: BlockKey,
     img: BlockImage,
     dirty: Option<DirtyInfo>,
+    /// Row slots a replay pass stored a row at since the pass began (each
+    /// once): rows that may be views into a log segment until
+    /// [`BufferCache::detach_views`] ends the pass.
+    views: Vec<u16>,
     /// Neighbours in the recency list (`NIL`-terminated both ways).
     prev: usize,
     next: usize,
@@ -97,31 +101,27 @@ impl BufferCache {
         }
     }
 
+    /// Takes slot `i` out of the recency list. A link is a slab index or
+    /// `NIL`, which no slab entry has.
     fn unlink(&mut self, i: usize) {
-        // tidy-allow(panic-freedom): callers pass slab indices from the resident map
-        let (prev, next) = (self.slots[i].prev, self.slots[i].next);
-        if prev == NIL {
-            self.head = next;
-        } else {
-            // tidy-allow(panic-freedom): intrusive LRU links are valid slab indices or NIL, branched away above
-            self.slots[prev].next = next;
+        let Some(&Slot { prev, next, .. }) = self.slots.get(i) else { return };
+        match self.slots.get_mut(prev) {
+            Some(p) => p.next = next,
+            None => self.head = next,
         }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            // tidy-allow(panic-freedom): intrusive LRU links are valid slab indices or NIL, branched away above
-            self.slots[next].prev = prev;
+        match self.slots.get_mut(next) {
+            Some(n) => n.prev = prev,
+            None => self.tail = prev,
         }
     }
 
     fn push_front(&mut self, i: usize) {
-        // tidy-allow(panic-freedom): callers pass slab indices from the resident map
-        self.slots[i].prev = NIL;
-        // tidy-allow(panic-freedom): callers pass slab indices from the resident map
-        self.slots[i].next = self.head;
-        if self.head != NIL {
-            // tidy-allow(panic-freedom): head is a valid slab index or NIL, branched away above
-            self.slots[self.head].prev = i;
+        let head = self.head;
+        let Some(slot) = self.slots.get_mut(i) else { return };
+        slot.prev = NIL;
+        slot.next = head;
+        if let Some(h) = self.slots.get_mut(head) {
+            h.prev = i;
         }
         self.head = i;
         if self.tail == NIL {
@@ -194,19 +194,58 @@ impl BufferCache {
         Some(&mut self.slots[i].img)
     }
 
+    /// Replays a change on a resident frame in one probe: bumps recency,
+    /// runs `change` on the image and, if it reports a change, marks the
+    /// frame dirty at `addr`/`now` and records `view`, the row slot the
+    /// change stored a row at, for [`BufferCache::detach_views`]. Returns
+    /// what `change` reported, or `None` if the block is not resident.
+    pub(crate) fn replay_on(
+        &mut self,
+        key: BlockKey,
+        addr: RedoAddr,
+        now: SimTime,
+        view: Option<u16>,
+        change: impl FnOnce(&mut BlockImage) -> bool,
+    ) -> Option<bool> {
+        let i = self.map.get(&key).copied()?;
+        self.touch(i);
+        let slot = self.slots.get_mut(i)?;
+        let changed = change(&mut slot.img);
+        if changed {
+            if let Some(v) = view.filter(|v| !slot.views.contains(v)) {
+                slot.views.push(v);
+            }
+            self.dirty_slot(i, addr, now);
+        }
+        Some(changed)
+    }
+
+    /// Ends a replay pass: calls `detach` with each resident frame's image
+    /// and each row slot [`BufferCache::replay_on`] recorded on it, then
+    /// forgets the records. A frame that left the cache took its record
+    /// with it: eviction encodes the image and drops it.
+    pub(crate) fn detach_views(&mut self, mut detach: impl FnMut(&mut BlockImage, u16)) {
+        for slot in &mut self.slots {
+            for v in slot.views.drain(..) {
+                detach(&mut slot.img, v);
+            }
+        }
+    }
+
     /// Inserts a block image read from disk. If the cache is full, the
     /// least-recently-used frame is returned for the caller to write back.
     pub fn insert(&mut self, key: BlockKey, img: BlockImage) -> Option<Evicted> {
         if let Some(&i) = self.map.get(&key) {
             // Replacing a resident block: fresh image, clean state.
             self.slots[i].img = img;
+            self.slots[i].views.clear();
             let was_dirty = self.slots[i].dirty.take().is_some();
             self.note_dirty_cleared(was_dirty);
             self.touch(i);
             return None;
         }
         let evicted = if self.map.len() >= self.capacity { self.evict_lru() } else { None };
-        let slot = Slot { key, img, dirty: None, prev: NIL, next: NIL };
+        let slot = Slot { key, img, dirty: None, views: Vec::new(), prev: NIL, next: NIL };
         let i = match self.free.pop() {
             Some(i) => {
                 self.slots[i] = slot;
@@ -232,6 +271,7 @@ impl BufferCache {
         self.map.remove(&key);
         let img = std::mem::take(&mut self.slots[i].img);
         let dirty = self.slots[i].dirty.take();
+        self.slots[i].views.clear();
         self.free.push(i);
         self.note_dirty_cleared(dirty.is_some());
         Some(Evicted { key, img, dirty })
@@ -366,6 +406,7 @@ impl BufferCache {
             if let Some(i) = self.map.remove(&k) {
                 self.unlink(i);
                 self.slots[i].img = BlockImage::empty();
+                self.slots[i].views.clear();
                 let was_dirty = self.slots[i].dirty.take().is_some();
                 self.note_dirty_cleared(was_dirty);
                 self.free.push(i);
@@ -376,6 +417,15 @@ impl BufferCache {
     /// Iterates over resident slots (skipping freed slab entries).
     fn iter_resident(&self) -> impl Iterator<Item = &Slot> {
         self.map.values().map(|&i| &self.slots[i])
+    }
+}
+
+#[cfg(test)]
+impl BufferCache {
+    /// Every row held by a resident frame — what the tests of the
+    /// per-pass memory rule look at.
+    pub(crate) fn resident_rows(&self) -> impl Iterator<Item = &crate::row::Row> {
+        self.iter_resident().flat_map(|s| s.img.iter().map(|(_, row)| row))
     }
 }
 

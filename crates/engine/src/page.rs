@@ -136,6 +136,15 @@ impl BlockImage {
         prev
     }
 
+    /// Gives the row at `slot`, if any, an allocation of its own
+    /// ([`Row::detached`]): the end of a replay pass, for a row that may be
+    /// a view into a log segment. The block's contents do not change.
+    pub(crate) fn detach(&mut self, slot: u16) {
+        if let Some((_, row)) = self.position(slot).ok().and_then(|i| self.rows.get_mut(i)) {
+            *row = row.detached();
+        }
+    }
+
     /// Encodes the block for storage.
     pub fn encode(&self) -> Bytes {
         let mut w = Writer::new();
@@ -265,7 +274,7 @@ mod tests {
         /// the dense "slot i sits at index i" check has to fall back.
         #[test]
         fn a_block_image_behaves_like_a_map_from_slot_to_row(
-            ops in proptest::collection::vec((0u8..4, 0u16..12, proptest::prelude::any::<u64>()), 0..80)
+            ops in proptest::collection::vec((0u8..5, 0u16..12, proptest::prelude::any::<u64>()), 0..80)
         ) {
             use proptest::prelude::*;
             let mut img = BlockImage::empty();
@@ -278,10 +287,12 @@ mod tests {
                     0 | 1 => prop_assert_eq!(img.put(slot, row(n), Scn(1)), model.insert(slot, row(n))),
                     2 => prop_assert_eq!(img.remove(slot, Scn(1)), model.remove(&slot)),
                     // An insert the way the engine places one.
-                    _ => {
+                    3 => {
                         let free = img.next_free_slot();
                         prop_assert_eq!(img.put(free, row(n), Scn(1)), model.insert(free, row(n)));
                     }
+                    // Detaching a row, present or not, changes nothing.
+                    _ => img.detach(slot),
                 }
                 for s in 0..14 {
                     prop_assert_eq!(img.row(s), model.get(&s));

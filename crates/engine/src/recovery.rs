@@ -580,7 +580,7 @@ impl DbServer {
         } else {
             let addr = self.inst.as_ref().ok_or_else(|| DbError::InstanceDown)?.redo.tail();
             rollback_unlogged(self, unresolved, |srv, key, change| {
-                let changed = srv.change_block_for_recovery(key, addr, change);
+                let changed = srv.change_block_for_recovery(key, addr, None, change);
                 srv.clock.advance(costs::CPU_APPLY_RECORD);
                 changed
             })?;
@@ -616,9 +616,23 @@ impl DbServer {
     /// applied and what was learnt on the way — in particular the
     /// transactions left unresolved: how those end is the calling
     /// procedure's decision — and, if the head sequence ends in a torn
-    /// record, its group file and where its whole records end.
+    /// record, its group file and where its whole records end. The pass
+    /// ends ([`ReplayState::end_pass`]) on every exit, errors included.
     fn replay(&mut self, opts: ReplayOpts) -> DbResult<(ReplaySummary, ReplayState, TornHead)> {
-        let (mut summary, mut state) = (ReplaySummary::default(), ReplayState::default());
+        let mut state = ReplayState::default();
+        let scanned = self.replay_pass(opts, &mut state);
+        state.end_pass(self);
+        let (summary, torn_head) = scanned?;
+        Ok((summary, state, torn_head))
+    }
+
+    /// [`DbServer::replay`]'s scan and apply, into `state`.
+    fn replay_pass(
+        &mut self,
+        opts: ReplayOpts,
+        state: &mut ReplayState,
+    ) -> DbResult<(ReplaySummary, TornHead)> {
+        let mut summary = ReplaySummary::default();
         let mut torn_head = None;
         let end_seq = self.control_ref()?.current_seq;
         let mut stopped = false;
@@ -709,8 +723,8 @@ impl DbServer {
                     state.note(&rec);
                 } else {
                     let addr = RedoAddr { seq, offset };
-                    state.note_and_apply(self, &rec, |srv, key, change| {
-                        srv.change_block_for_recovery(key, addr, change)
+                    state.note_and_apply(self, &rec, |srv, key, view, change| {
+                        srv.change_block_for_recovery(key, addr, view, change)
                     })?;
                 }
                 summary.applied += 1;
@@ -730,7 +744,7 @@ impl DbServer {
                 },
             );
         }
-        Ok((summary, state, torn_head))
+        Ok((summary, torn_head))
     }
 }
 

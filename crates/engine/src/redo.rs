@@ -132,8 +132,9 @@ impl RedoRecord {
     }
 
     /// Decodes one record from a reader positioned at a record boundary.
-    /// Row images are validated views into the reader's buffer — whoever
-    /// keeps one past the record detaches it ([`Row::detached`]).
+    /// Row images are validated views into the reader's buffer; a replay
+    /// pass keeps them so and detaches, at its end, the ones it still
+    /// holds ([`Row::detached`]).
     ///
     /// # Errors
     ///

@@ -196,7 +196,8 @@ thread_local! {
 /// equality (the encoding is injective), and storing the row is a copy of
 /// the slice. A decoded row is a view into the buffer it was decoded from
 /// and keeps that buffer alive; [`Row::detached`] gives it an allocation of
-/// its own.
+/// its own, as a replay pass does, once, for each row it keeps when it
+/// ends.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Row {
     bytes: Bytes,
@@ -328,8 +329,10 @@ impl Row {
 
     /// Takes a row out of the front of `buf`, as a view into it, after
     /// checking the column count, every tag, every length against the
-    /// buffer and the UTF-8 of every string. Bytes after the last column
-    /// are ignored (stored row images are length-prefixed).
+    /// buffer and the UTF-8 of every string, each once: cutting a column
+    /// out checks its tag and lengths (an integer is exactly 8 bytes), which
+    /// leaves the UTF-8 of text. Bytes after the last column are ignored
+    /// (stored row images are length-prefixed).
     ///
     /// # Errors
     ///
@@ -339,7 +342,9 @@ impl Row {
             buf.split_first_chunk().ok_or(DecodeError { context: "row column count" })?;
         for _ in 0..u16::from_be_bytes(*count) {
             let (tag, payload, after) = split_col(rest)?;
-            ValueRef::from_col(tag, payload)?;
+            if tag == TAG_STR && !payload.is_ascii() && std::str::from_utf8(payload).is_err() {
+                return Err(DecodeError { context: "str value" });
+            }
             rest = after;
         }
         let len = buf.len() - rest.len();
@@ -348,9 +353,9 @@ impl Row {
     }
 
     /// The same row in an allocation of exactly its own size — for a row
-    /// that outlives the buffer it was decoded from (a replayed record's
-    /// row stored in a block, an undo entry kept across log segments),
-    /// which it would otherwise keep alive whole.
+    /// that outlives the buffer it was decoded from, which it would
+    /// otherwise keep alive whole: the end of a replay pass detaches each
+    /// row the pass stored in a block or kept in undo.
     pub fn detached(&self) -> Row {
         Row { bytes: Bytes::copy_from_slice(&self.bytes) }
     }
@@ -527,6 +532,24 @@ mod tests {
         w.as_slice().to_vec()
     }
 
+    /// The walk `Row::decode` made before it validated each column once:
+    /// cut the column, then decode it in full. Kept as the reference the
+    /// one-pass validation must agree with: `Ok` with the length consumed,
+    /// or the failing `DecodeError` context.
+    fn reference_decode(buf: &[u8]) -> Result<usize, &'static str> {
+        let (count, mut rest) = buf.split_first_chunk().ok_or("row column count")?;
+        for _ in 0..u16::from_be_bytes(*count) {
+            let (tag, payload, after) = split_col(rest).map_err(|e| e.context)?;
+            ValueRef::from_col(tag, payload).map_err(|e| e.context)?;
+            rest = after;
+        }
+        Ok(buf.len() - rest.len())
+    }
+
+    fn decode_outcome(buf: &[u8]) -> Result<usize, &'static str> {
+        Row::decode(Bytes::copy_from_slice(buf)).map(|r| r.encoded_len()).map_err(|e| e.context)
+    }
+
     fn owned(v: ValueRef<'_>) -> Value {
         match v {
             ValueRef::Null => Value::Null,
@@ -616,6 +639,28 @@ mod tests {
             if let Some(sharer) = sharer {
                 prop_assert_eq!(values_of(&sharer), vs);
             }
+        }
+
+        /// Text here is ASCII and multi-byte UTF-8 alike, so the mutated
+        /// byte lands in both.
+        #[test]
+        fn validating_each_column_once_agrees_with_the_reference_walk(
+            vs in proptest::collection::vec(
+                prop_oneof![value_strategy(), "[a-zà-ÿ€-₯一-丠]{0,12}".prop_map(Value::from)],
+                0..8,
+            ),
+            mutation in proptest::option::of((any::<usize>(), any::<u8>())),
+            cut in proptest::option::of(any::<usize>()),
+        ) {
+            let mut bytes = Row::new(vs).encode().to_vec();
+            if let Some((at, b)) = mutation {
+                let i = at % bytes.len();
+                bytes[i] = b;
+            }
+            if let Some(cut) = cut {
+                bytes.truncate(cut % (bytes.len() + 1));
+            }
+            prop_assert_eq!(decode_outcome(&bytes), reference_decode(&bytes));
         }
 
         #[test]
@@ -749,6 +794,7 @@ mod tests {
     #[test]
     fn each_malformed_row_fails_with_its_pinned_context() {
         for (what, bytes, context) in malformed_rows() {
+            assert_eq!(reference_decode(&bytes), Err(context), "{what}");
             let err = Row::decode(Bytes::from(bytes)).unwrap_err();
             assert_eq!(err.context, context, "{what}");
         }

@@ -54,7 +54,7 @@ pub(crate) struct StandbyServer {
     /// the last commit SCN of the redo applied so far (seeded with the
     /// backup's SCN): the last commit is the exact boundary of the
     /// committed prefix this stand-by would open with.
-    replayed: ReplayState,
+    pub(crate) replayed: ReplayState,
     activated: bool,
     /// Shipped copies retained for cascaded downstream stand-bys.
     pub(crate) received: BTreeMap<u64, ShippedArchive>,
@@ -319,7 +319,8 @@ impl StandbyServer {
 
     /// Lands one shipped archive on this stand-by: charges the archive-disk
     /// write (after the ship latency), decodes, applies in the background
-    /// and retains the copy for any downstream stand-by.
+    /// — one replay pass, ended on every exit — and retains the copy for
+    /// any downstream stand-by.
     fn ingest(
         &mut self,
         next: u64,
@@ -353,13 +354,16 @@ impl StandbyServer {
         let apply_start = ship_done.max(self.apply_done_at);
         let nrecords = records.len() as u64;
         self.apply_done_at = apply_start + costs::CPU_APPLY_RECORD * nrecords;
-        for (offset, rec) in &records {
+        let applied: DbResult<()> = records.iter().try_for_each(|(offset, rec)| {
             let addr = RedoAddr { seq: next, offset: *offset };
-            self.replayed.note_and_apply(&mut self.server, rec, |srv, key, change| {
-                Self::mutate_block(srv, key, apply_start, addr, change)
+            self.replayed.note_and_apply(&mut self.server, rec, |srv, key, view, change| {
+                Self::mutate_block(srv, key, apply_start, addr, view, change)
             })?;
             self.records_applied += 1;
-        }
+            Ok(())
+        });
+        self.replayed.end_pass(&mut self.server);
+        applied?;
         self.applied_seq = next;
         self.received.insert(next, ShippedArchive { segments, bytes, ready_at: ship_done });
         self.server.events.record(
@@ -396,7 +400,7 @@ impl StandbyServer {
         let addr = RedoAddr { seq: self.applied_seq, offset: u64::MAX };
         self.server.inst.as_mut().ok_or_else(|| DbError::InstanceDown)?.scn = self.replayed.max_scn;
         rollback_unlogged(&mut self.server, &unresolved, |srv, key, change| {
-            Self::mutate_block(srv, key, now, addr, change)
+            Self::mutate_block(srv, key, now, addr, None, change)
         })?;
         // Become a normal, open database in a fresh incarnation.
         self.server.managed_recovery = false;

@@ -16,11 +16,12 @@
 //!    write surface only inside the declared writer fns (redo append,
 //!    log switch, checkpoint block flush). Any new direct write while row
 //!    locks may be held must be routed through those or explicitly waived.
-//! 4. **One applier** — `BlockImage::put` / `BlockImage::remove` are
-//!    called only from the applier (`apply.rs`; the `page` module that
-//!    defines them is exempt). Forward DML, rollback, every replay and the
-//!    stand-by change a block through that one place, so a logged change
-//!    cannot mean different things on different paths.
+//! 4. **One applier** — `BlockImage::put` / `BlockImage::remove` /
+//!    `BlockImage::detach` are called only from the applier (`apply.rs`;
+//!    the `page` module that defines them is exempt). Forward DML,
+//!    rollback, every replay, the end of a replay pass and the stand-by
+//!    change a block through that one place, so a logged change cannot
+//!    mean different things on different paths.
 
 use crate::callgraph::CallStyle;
 use crate::{Diagnostics, Lint, Workspace};
@@ -47,6 +48,9 @@ const SANCTIONED_WRITERS: &[&str] =
 /// change a block image.
 const APPLIER: &str = "crates/engine/src/apply.rs";
 const PAGE: &str = "crates/engine/src/page.rs";
+
+/// The `BlockImage` mutators only the applier may call.
+const BLOCK_MUTATORS: &[&str] = &["put", "remove", "detach"];
 
 /// The VFS write surface (methods of `SimFs`).
 const VFS_WRITE_METHODS: &[&str] = &[
@@ -149,8 +153,7 @@ impl Lint for LockDiscipline {
             }
             let toks = m.toks_of(fn_idx);
             for site in &m.sites[fn_idx] {
-                if site.style != CallStyle::Method || !matches!(site.name.as_str(), "put" | "remove")
-                {
+                if site.style != CallStyle::Method || !BLOCK_MUTATORS.contains(&site.name.as_str()) {
                     continue;
                 }
                 let on_block_image = match site.recv_type.as_deref() {

@@ -1,6 +1,6 @@
 //! Fixture: lock-discipline rule 4 — block images changed outside the
-//! applier, through a typed binding and through an untyped closure
-//! parameter.
+//! applier, through a typed binding, through an untyped closure parameter
+//! and by a detached row.
 
 pub struct BlockImage;
 
@@ -8,6 +8,8 @@ impl BlockImage {
     pub fn put(&mut self, _slot: u16) {}
 
     pub fn remove(&mut self, _slot: u16) {}
+
+    pub fn detach(&mut self, _slot: u16) {}
 }
 
 pub fn redo_here(image: &mut BlockImage) {
@@ -16,4 +18,8 @@ pub fn redo_here(image: &mut BlockImage) {
 
 pub fn undo_here(with_block: impl Fn(&dyn Fn(&mut BlockImage))) {
     with_block(&|img| img.remove(3));
+}
+
+pub fn end_pass_here(image: &mut BlockImage) {
+    image.detach(3);
 }

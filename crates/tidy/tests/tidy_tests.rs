@@ -51,10 +51,12 @@ fn fixtures_produce_exact_diagnostics() {
         ("crates/engine/src/session.rs", 14, "lock-discipline"),
         ("crates/engine/src/session.rs", 17, "error-swallow"),
         ("crates/engine/src/session.rs", 18, "error-swallow"),
-        // A block image changed outside the applier: once through a typed
-        // binding, once through an untyped closure parameter named `img`.
-        ("crates/engine/src/standby.rs", 14, "lock-discipline"),
-        ("crates/engine/src/standby.rs", 18, "lock-discipline"),
+        // A block image changed outside the applier: through a typed
+        // binding, through an untyped closure parameter named `img`, and
+        // a row detached the way only the end of a replay pass may.
+        ("crates/engine/src/standby.rs", 16, "lock-discipline"),
+        ("crates/engine/src/standby.rs", 20, "lock-discipline"),
+        ("crates/engine/src/standby.rs", 24, "lock-discipline"),
         // Stale manifest entries anchor on the manifest itself.
         ("crates/oracle/tests/write_site_coverage.json", 0, "write-site-coverage"),
         ("crates/vfs/src/snapshot.rs", 4, "ordered-serialization"),
@@ -105,8 +107,9 @@ fn messages_name_the_offending_construct() {
     // Lock discipline names the rule that broke.
     assert!(msg("crates/engine/src/session.rs", 13).contains("outside the `lock_for_dml` chokepoint"));
     assert!(msg("crates/engine/src/session.rs", 14).contains("appends WAL before acquiring row locks"));
-    assert!(msg("crates/engine/src/standby.rs", 14).contains("`BlockImage::put` called outside the applier"));
-    assert!(msg("crates/engine/src/standby.rs", 18).contains("`BlockImage::remove` called outside the applier"));
+    assert!(msg("crates/engine/src/standby.rs", 16).contains("`BlockImage::put` called outside the applier"));
+    assert!(msg("crates/engine/src/standby.rs", 20).contains("`BlockImage::remove` called outside the applier"));
+    assert!(msg("crates/engine/src/standby.rs", 24).contains("`BlockImage::detach` called outside the applier"));
     let rule3: Vec<_> = diags
         .iter()
         .filter(|d| d.file == "crates/engine/src/server.rs" && d.line == 45)
