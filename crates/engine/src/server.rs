@@ -821,12 +821,70 @@ mod tests {
     fn duplicate_key_rejected_without_side_effects() {
         let mut srv = test_server(small_config());
         let t = setup_table(&mut srv);
+        // The unique index holds exactly the committed rows, and nothing
+        // else disagrees with the heap.
+        let assert_committed = |srv: &DbServer, committed: &[(u64, RowId)]| {
+            let report = srv.verify_integrity().unwrap();
+            assert!(report.is_clean(), "{:?}", report.violations);
+            let pk = &srv.inst.as_ref().unwrap().indexes[&t][0];
+            let entries: Vec<Vec<RowId>> = pk.entries().map(|(_, rids)| rids.to_vec()).collect();
+            assert_eq!(entries, committed.iter().map(|&(_, rid)| vec![rid]).collect::<Vec<_>>());
+            for &(k, rid) in committed {
+                assert_eq!(srv.peek_lookup(t, 0, &[Value::U64(k)]).unwrap(), vec![rid]);
+            }
+        };
         let s = srv.connect().unwrap();
-        srv.insert(s, t, row(1, "a")).unwrap();
+        let first = srv.insert(s, t, row(1, "a")).unwrap();
         let err = srv.insert(s, t, row(1, "dup")).unwrap_err();
         assert!(matches!(err, DbError::DuplicateKey { .. }));
         srv.commit(s).unwrap();
         assert_eq!(srv.peek_scan(t).unwrap().len(), 1);
+        assert_committed(&srv, &[(1, first)]);
+
+        // A key an open delete vacated is not free: the insert queues
+        // behind the deleter's row lock and leaves no index entry behind.
+        let second = srv.insert(s, t, row(2, "b")).unwrap();
+        srv.commit(s).unwrap();
+        let other = srv.connect().unwrap();
+        srv.delete(s, t, first).unwrap();
+        let err = srv.insert(other, t, row(1, "retaken")).unwrap_err();
+        assert!(matches!(err, DbError::LockWait { .. }), "{err:?}");
+        assert_eq!(srv.peek_lookup(t, 0, &[Value::U64(1)]).unwrap(), vec![]);
+        srv.rollback(other).unwrap();
+        srv.rollback(s).unwrap();
+        assert_committed(&srv, &[(1, first), (2, second)]);
+    }
+
+    /// Rollback puts a row back under every index, even one whose key the
+    /// update left in place: on a non-unique key that moves the rid to the
+    /// end of the key's list (TPC-C's customer-by-last-name pick reads
+    /// that order). A forward update that moves no key leaves the list as
+    /// it is.
+    #[test]
+    fn a_rolled_back_update_moves_its_rid_last_under_a_non_unique_key() {
+        let mut srv = test_server(small_config());
+        srv.create_user("tpcc").unwrap();
+        srv.create_tablespace("TPCC", 2, 256).unwrap();
+        let by_name = IndexDef { name: "BY_NAME".into(), cols: vec![1], unique: false, ordered: true };
+        let pk = IndexDef { name: "PK".into(), cols: vec![0], unique: true, ordered: true };
+        let t = srv.create_table("C", "tpcc", "TPCC", vec![pk, by_name]).unwrap();
+        let wide = |k: u64, note: &str| Row::new(vec![Value::U64(k), Value::from("smith"), Value::from(note)]);
+        let s = srv.connect().unwrap();
+        let [a, b, c] = [1, 2, 3].map(|k| srv.insert(s, t, wide(k, "seed")).unwrap());
+        srv.commit(s).unwrap();
+        let smiths = |srv: &DbServer| srv.peek_lookup(t, 1, &[Value::from("smith")]).unwrap();
+        assert_eq!(smiths(&srv), vec![a, b, c]);
+
+        srv.update(s, t, b, wide(2, "committed")).unwrap();
+        srv.commit(s).unwrap();
+        assert_eq!(smiths(&srv), vec![a, b, c], "a forward update keeps the order");
+
+        srv.update(s, t, a, wide(1, "rolled back")).unwrap();
+        assert_eq!(smiths(&srv), vec![a, b, c]);
+        srv.rollback(s).unwrap();
+        assert_eq!(smiths(&srv), vec![b, c, a], "the compensation re-inserts the rid last");
+        assert_eq!(srv.get_row(t, a).unwrap(), wide(1, "seed"));
+        assert!(srv.verify_integrity().unwrap().is_clean());
     }
 
     #[test]

@@ -315,6 +315,37 @@ mod tests {
         assert_eq!(lookup(&src, kv, 10_009), vec![]);
     }
 
+    /// On a table with a unique and a non-unique index, an update that
+    /// moves neither key leaves the fork on its source's set; its
+    /// rollback, which takes the row out from under every index and puts
+    /// it back, copies it.
+    #[test]
+    fn a_fork_update_that_moves_no_key_keeps_sharing_a_two_index_set() {
+        let mut src = prepared();
+        let pk = IndexDef { name: "PK".into(), cols: vec![0], unique: true, ordered: true };
+        let by_name = IndexDef { name: "BY_NAME".into(), cols: vec![1], unique: false, ordered: false };
+        let t = src.create_table("TWO", "u", "T", vec![pk, by_name]).unwrap();
+        let row = |k: u64, v: &str| Row::new(vec![Value::U64(k), Value::from("name"), Value::from(v)]);
+        let s = src.connect().unwrap();
+        let rid = src.insert(s, t, row(1, "seed")).unwrap();
+        src.commit(s).unwrap();
+        src.disconnect(s);
+        let shared = |src: &DbServer, fork: &DbServer| {
+            let set = |srv: &DbServer| Arc::clone(&srv.inst.as_ref().unwrap().indexes[&t]);
+            Arc::ptr_eq(&set(src), &set(fork))
+        };
+
+        let mut fork = src.fork(SimClock::shared());
+        let s = fork.connect().unwrap();
+        fork.update(s, t, rid, row(1, "no key moves")).unwrap();
+        assert!(shared(&src, &fork), "an update that moves no key copies no set");
+        fork.commit(s).unwrap();
+        assert!(shared(&src, &fork));
+        fork.update(s, t, rid, row(1, "rolled back")).unwrap();
+        fork.rollback(s).unwrap();
+        assert!(!shared(&src, &fork), "the compensation re-inserts the row on every index");
+    }
+
     #[test]
     fn snapshot_ids_are_deterministic() {
         let fs_id = |snap: DbSnapshot| recobench_vfs::FsSnapshot::capture(&snap.parked().fs.lock()).id();
