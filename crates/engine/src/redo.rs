@@ -171,7 +171,7 @@ impl RedoRecord {
 
     /// The datafile this record's change lands in, if it is a row change.
     pub fn target_file(&self) -> Option<FileNo> {
-        self.op.rid().map(|rid| rid.file)
+        self.op.target().map(|(_, rid)| rid.file)
     }
 }
 
