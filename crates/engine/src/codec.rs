@@ -161,6 +161,17 @@ impl Writer {
         self.buf.extend_from_slice(v);
     }
 
+    /// Appends what `fill` writes behind its `u32` length.
+    pub fn put_framed(&mut self, fill: impl FnOnce(&mut Writer)) {
+        let at = self.buf.len();
+        self.put_u32(0);
+        fill(self);
+        let len = (self.buf.len() - at - 4) as u32;
+        if let Some(prefix) = self.buf.get_mut(at..at + 4) {
+            prefix.copy_from_slice(&len.to_be_bytes());
+        }
+    }
+
     /// Overwrites the 4 bytes at `at` with `v` (for back-patched length
     /// prefixes).
     ///

@@ -49,6 +49,16 @@ pub enum RecoveryError {
         /// The first missing log sequence.
         seq: u64,
     },
+    /// A logged column delta (an update stored as the columns it changed)
+    /// does not fit the row in its slot: the slot is empty, or the row has
+    /// fewer columns than the delta names. Replay's SCN test says the block
+    /// holds the update's predecessor, so the log and the block disagree.
+    DeltaMisfit {
+        /// The row the delta is for.
+        rid: RowId,
+        /// How many columns the row in the slot has (`None`: no row).
+        columns: Option<usize>,
+    },
 }
 
 impl fmt::Display for RecoveryError {
@@ -68,6 +78,12 @@ impl fmt::Display for RecoveryError {
             }
             RecoveryError::ArchiveGap { seq } => {
                 write!(f, "redo gap: log seq {seq} is no longer available from the upstream")
+            }
+            RecoveryError::DeltaMisfit { rid, columns: None } => {
+                write!(f, "column delta for {rid} meets an empty slot")
+            }
+            RecoveryError::DeltaMisfit { rid, columns: Some(n) } => {
+                write!(f, "column delta for {rid} names a column past the row's {n}")
             }
         }
     }

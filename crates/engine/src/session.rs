@@ -280,8 +280,9 @@ impl DbServer {
             let Some((_, rid)) = rec.op.target() else { return Ok(()) };
             self.block_access((rid.file, rid.block), Some(addr), |img| {
                 debug_assert!(img.last_scn < scn, "a new change carries an SCN its block has not seen");
-                rec.op.apply_to(img, scn);
-            })
+                rec.op.apply_to(img, scn)
+            })?
+            .map_err(DbError::from)
         });
         (rec.op, logged)
     }
@@ -724,7 +725,7 @@ impl DbServer {
     fn apply_undo_logged(&mut self, txn: TxnId, undo: &UndoOp) -> DbResult<()> {
         let rid = undo.rid();
         let current = self.with_block((rid.file, rid.block), |img| img.row(rid.slot).cloned())?;
-        let Some(comp) = undo.compensation(current.as_ref()) else { return Ok(()) };
+        let Some(comp) = undo.compensation(current.as_ref())? else { return Ok(()) };
         let (comp, logged) = self.log_and_apply(txn, comp);
         logged?;
         comp.reindex(&mut self.inst_mut()?.indexes);
@@ -770,7 +771,7 @@ impl DbServer {
             let addr = self.inst_ref()?.redo.tail();
             // Direct path: the applier's insert, with nothing logged.
             let op = RedoOp::Insert { obj, rid, row };
-            self.block_access(key, Some(addr), |img| op.apply_to(img, scn))?;
+            self.block_access(key, Some(addr), |img| op.apply_to(img, scn))??;
             op.apply_to_indexes(&mut self.inst_mut()?.indexes, 0)?;
             n += 1;
             self.clock.advance(costs::CPU_PER_DML / 5);

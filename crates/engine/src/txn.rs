@@ -6,7 +6,7 @@ use recobench_sim::SimTime;
 
 use crate::error::{DbError, DbResult};
 use crate::fasthash::FastMap;
-use crate::row::Row;
+use crate::row::{ColumnDelta, Row};
 use crate::types::{ObjectId, RowId, TxnId};
 
 /// The logical inverse of one change, retained until commit.
@@ -27,6 +27,16 @@ pub enum UndoOp {
         rid: RowId,
         /// Image to restore.
         before: Row,
+    },
+    /// Undo a replayed column delta by splicing its before-values back
+    /// onto the row: only a replay keeps this form, as the log stores it.
+    UndoColumns {
+        /// Table changed.
+        obj: ObjectId,
+        /// Row updated.
+        rid: RowId,
+        /// The changed columns, before and after.
+        delta: ColumnDelta,
     },
     /// Undo a delete by re-inserting the before-image.
     UndoDelete {

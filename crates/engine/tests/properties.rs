@@ -47,18 +47,71 @@ fn rid_strategy() -> impl Strategy<Value = RowId> {
         .prop_map(|(f, b, s)| RowId { file: FileNo(f), block: b, slot: s })
 }
 
+/// The two images of an update: the same columns with none, some or all
+/// of them changed, or, one time in five, an after-image with its own
+/// column count.
+fn update_pair_strategy() -> impl Strategy<Value = (Row, Row)> {
+    let cols = proptest::collection::vec((value_strategy(), any::<bool>(), value_strategy()), 0..8);
+    let other = prop_oneof![
+        4 => Just(None),
+        1 => proptest::collection::vec(value_strategy(), 0..8).prop_map(Some),
+    ];
+    (cols, 0u8..3, other).prop_map(|(cols, changed, other)| {
+        let before = Row::new(cols.iter().map(|(was, _, _)| was.clone()));
+        let after = other.unwrap_or_else(|| {
+            // 0: none changed, 1: the picked ones, 2: all.
+            cols.into_iter().map(|(was, picked, now)| if changed == 2 || changed == 1 && picked { now } else { was }).collect()
+        });
+        (before, Row::new(after))
+    })
+}
+
 fn redo_op_strategy() -> impl Strategy<Value = RedoOp> {
     prop_oneof![
         (any::<u32>(), rid_strategy(), row_strategy())
             .prop_map(|(o, rid, row)| RedoOp::Insert { obj: ObjectId(o), rid, row }),
-        (any::<u32>(), rid_strategy(), row_strategy(), row_strategy())
-            .prop_map(|(o, rid, before, after)| RedoOp::Update { obj: ObjectId(o), rid, before, after }),
+        (any::<u32>(), rid_strategy(), update_pair_strategy())
+            .prop_map(|(o, rid, (before, after))| RedoOp::Update { obj: ObjectId(o), rid, before, after }),
         (any::<u32>(), rid_strategy(), row_strategy())
             .prop_map(|(o, rid, before)| RedoOp::Delete { obj: ObjectId(o), rid, before }),
         Just(RedoOp::Commit),
         Just(RedoOp::Rollback),
         any::<u32>().prop_map(|o| RedoOp::Catalog(CatalogChange::DropTable { id: ObjectId(o) })),
     ]
+}
+
+/// The length of `op`'s record in the full-image form: for an update, the
+/// two images behind their lengths, as the log stored every update before
+/// it stored column deltas.
+fn full_image_len(op: &RedoOp) -> usize {
+    match op {
+        RedoOp::Update { before, after, .. } => 8 + 8 + 1 + 4 + 10 + 4 + before.encoded_len() + 4 + after.encoded_len(),
+        op => RedoRecord { scn: Scn(1), txn: None, op: op.clone() }.encode().len(),
+    }
+}
+
+/// `decoded` is what the log gives back for `rec`: `rec` itself, except
+/// that an update keeping its column count may come back as its column
+/// delta, which must hold exactly the changed columns, take `before` to
+/// `after` and `after` back to `before`, and be charged as the full image.
+fn reads_back_as(decoded: &RedoRecord, rec: &RedoRecord) {
+    prop_assert_eq!(decoded.charged_len(), full_image_len(&rec.op));
+    prop_assert!(rec.encode().len() <= rec.charged_len(), "a record never stores more than it is charged");
+    let (RedoOp::Update { obj, rid, before, after }, RedoOp::UpdateDelta { obj: o, rid: r, delta, .. }) =
+        (&rec.op, &decoded.op)
+    else {
+        prop_assert_eq!(decoded, rec);
+        return;
+    };
+    prop_assert_eq!((decoded.scn, decoded.txn, o, r), (rec.scn, rec.txn, obj, rid));
+    prop_assert_eq!(before.len(), after.len());
+    prop_assert_eq!(delta.len(), changed_columns(before, after));
+    prop_assert_eq!(delta.apply(before).as_ref(), Some(after));
+    prop_assert_eq!(delta.revert(after).as_ref(), Some(before));
+}
+
+fn changed_columns(before: &Row, after: &Row) -> usize {
+    before.iter().zip(after.iter()).filter(|(b, a)| b != a).count()
 }
 
 proptest! {
@@ -155,8 +208,29 @@ proptest! {
     ) {
         let rec = RedoRecord { scn: Scn(scn), txn: txn.map(TxnId), op };
         let mut r = Reader::new(rec.encode());
-        prop_assert_eq!(RedoRecord::decode_from(&mut r).unwrap(), rec);
+        reads_back_as(&RedoRecord::decode_from(&mut r).unwrap(), &rec);
         prop_assert_eq!(r.remaining(), 0);
+    }
+
+    /// An update that keeps the column count and changes no more columns
+    /// than it keeps (here: some of the even ones) is stored as its column
+    /// delta, which re-encodes to the bytes it was decoded from.
+    #[test]
+    fn an_update_of_some_columns_is_stored_as_its_delta(
+        cols in proptest::collection::vec((value_strategy(), any::<bool>(), value_strategy()), 0..8),
+        rid in rid_strategy(),
+    ) {
+        let before = Row::new(cols.iter().map(|(was, _, _)| was.clone()));
+        let after = Row::new(
+            cols.into_iter().enumerate().map(|(i, (was, picked, now))| if i % 2 == 0 && picked { now } else { was }),
+        );
+        let op = RedoOp::Update { obj: ObjectId(1), rid, before, after };
+        let rec = RedoRecord { scn: Scn(3), txn: Some(TxnId(2)), op };
+        let stored = rec.encode();
+        let decoded = RedoRecord::decode_from(&mut Reader::new(stored.clone())).unwrap();
+        prop_assert!(matches!(decoded.op, RedoOp::UpdateDelta { .. }), "{:?}", decoded);
+        reads_back_as(&decoded, &rec);
+        prop_assert_eq!(decoded.encode(), stored);
     }
 
     #[test]
@@ -173,16 +247,15 @@ proptest! {
         let mut offsets = Vec::new();
         let mut pos = 0u64;
         for rec in &records {
-            let enc = rec.encode();
             offsets.push(pos);
-            pos += enc.len() as u64 + overhead;
-            stream.extend_from_slice(&enc);
+            pos += full_image_len(&rec.op) as u64 + overhead;
+            stream.extend_from_slice(&rec.encode());
         }
         let decoded = decode_stream(&[Bytes::from(stream)], overhead).unwrap();
         prop_assert_eq!(decoded.len(), records.len());
         for ((off, rec), (want_off, want_rec)) in decoded.iter().zip(offsets.iter().zip(&records)) {
             prop_assert_eq!(off, want_off);
-            prop_assert_eq!(rec, want_rec);
+            reads_back_as(rec, want_rec);
         }
     }
 
