@@ -7,6 +7,7 @@ use std::sync::{Arc, Mutex};
 use bytes::Bytes;
 use recobench_engine::catalog::IndexDef;
 use recobench_engine::row::{Row, Value};
+use recobench_engine::types::Scn;
 use recobench_engine::{
     DbServer, DiskLayout, EngineEvent, FailoverPolicy, InstanceConfig, ReplicaSet, ReplicaTopology, RowId,
 };
@@ -343,4 +344,146 @@ fn standby_activation_rolling_back_a_transaction_records_each_step() {
         r#"{"t_us":471646157,"server":"STANDBY1","type":"replica_promoted","replica":0,"applied_seq":17}"#,
     ];
     assert_stream(&lines_since(&seen, mark, "STANDBY1"), &want);
+}
+
+/// The JSONL line of every archive apply, resync, promotion and backup the
+/// set's stand-bys record from here on, each under its stand-by's name.
+fn replica_lines(rs: &mut ReplicaSet) -> Arc<Mutex<Vec<String>>> {
+    let lines = Arc::<Mutex<Vec<String>>>::default();
+    let tap = Arc::clone(&lines);
+    rs.set_observer(Box::new(move |standby, name| {
+        let (tap, name) = (Arc::clone(&tap), name.to_string());
+        standby.events_mut().subscribe(move |at, e| {
+            if matches!(
+                e,
+                EngineEvent::StandbyArchiveApplied { .. }
+                    | EngineEvent::ReplicaResync { .. }
+                    | EngineEvent::ReplicaPromoted { .. }
+                    | EngineEvent::BackupTaken { .. }
+            ) {
+                let mut line = String::new();
+                e.write_json(at, &name, &mut line);
+                tap.lock().unwrap().push(line);
+            }
+        });
+    }));
+    lines
+}
+
+/// A primary with a backup, a replica set of `topology` behind it, and the
+/// stand-bys' lines from just after their instantiation.
+fn replica_set(topology: &ReplicaTopology) -> (DbServer, ReplicaSet, Arc<Mutex<Vec<String>>>) {
+    let (mut srv, _) = server(3, 16, true);
+    commit_rows(&mut srv, 0..10);
+    srv.take_cold_backup().unwrap();
+    let mut rs = ReplicaSet::instantiate(
+        &srv,
+        topology,
+        FailoverPolicy::AutoQuorum,
+        Arc::clone(srv.clock()),
+        DiskLayout::four_disk(),
+        srv.config().clone(),
+    )
+    .unwrap();
+    let lines = replica_lines(&mut rs);
+    let t = srv.table_id("T").unwrap();
+    let s = srv.connect().unwrap();
+    for k in 10..70 {
+        srv.insert(s, t, row(k, "shipped-with-some-payload")).unwrap();
+        srv.commit(s).unwrap();
+        rs.sync_all(&srv).unwrap();
+    }
+    (srv, rs, lines)
+}
+
+/// Commits on the promoted node and ships to its followers.
+fn work_on_promoted(rs: &mut ReplicaSet, keys: std::ops::Range<u64>) {
+    let active = rs.active_mut().unwrap();
+    let t = active.table_id("T").unwrap();
+    let s = active.connect().unwrap();
+    for k in keys {
+        let active = rs.active_mut().unwrap();
+        active.insert(s, t, row(k, "after-the-failover")).unwrap();
+        active.commit(s).unwrap();
+        rs.sync_followers().unwrap();
+    }
+}
+
+fn drain(lines: &Arc<Mutex<Vec<String>>>) -> Vec<String> {
+    std::mem::take(&mut *lines.lock().unwrap())
+}
+
+/// A multi-node replica set's own stream, instants included: what each
+/// stand-by applied, when the new primary's backup completed, which node
+/// was promoted with what, and what that node had applied.
+#[test]
+fn replica_set_failovers_record_each_node_step() {
+    use recobench_engine::ReplicaStatus::{Dead, Following, Promoted};
+    let (mut srv, mut rs, lines) = replica_set(&ReplicaTopology::fan_out(2));
+    srv.shutdown_abort().unwrap();
+    rs.fail_over(Some(&mut srv)).unwrap().expect("2 votes of 2 promote");
+    work_on_promoted(&mut rs, 2_000..2_060);
+    let want = [
+        r#"{"t_us":678370278,"server":"STANDBY1","type":"standby_archive_applied","seq":2,"records":23}"#,
+        r#"{"t_us":678370278,"server":"STANDBY2","type":"standby_archive_applied","seq":2,"records":23}"#,
+        r#"{"t_us":678386873,"server":"STANDBY1","type":"standby_archive_applied","seq":3,"records":23}"#,
+        r#"{"t_us":678386873,"server":"STANDBY2","type":"standby_archive_applied","seq":3,"records":23}"#,
+        r#"{"t_us":678403179,"server":"STANDBY1","type":"standby_archive_applied","seq":4,"records":23}"#,
+        r#"{"t_us":678403179,"server":"STANDBY2","type":"standby_archive_applied","seq":4,"records":23}"#,
+        r#"{"t_us":678419773,"server":"STANDBY1","type":"standby_archive_applied","seq":5,"records":23}"#,
+        r#"{"t_us":678419773,"server":"STANDBY2","type":"standby_archive_applied","seq":5,"records":23}"#,
+        r#"{"t_us":678436079,"server":"STANDBY1","type":"standby_archive_applied","seq":6,"records":23}"#,
+        r#"{"t_us":678436079,"server":"STANDBY2","type":"standby_archive_applied","seq":6,"records":23}"#,
+        r#"{"t_us":696939791,"server":"STANDBY1","type":"replica_promoted","replica":0,"applied_seq":6}"#,
+        r#"{"t_us":922742991,"server":"STANDBY1","type":"backup_taken","files":2,"scn":1140}"#,
+        r#"{"t_us":1148254941,"server":"STANDBY2","type":"standby_archive_applied","seq":7,"records":23}"#,
+        r#"{"t_us":1148262991,"server":"STANDBY2","type":"standby_archive_applied","seq":8,"records":23}"#,
+        r#"{"t_us":1148271041,"server":"STANDBY2","type":"standby_archive_applied","seq":9,"records":23}"#,
+        r#"{"t_us":1148279091,"server":"STANDBY2","type":"standby_archive_applied","seq":10,"records":23}"#,
+        r#"{"t_us":1148287832,"server":"STANDBY2","type":"standby_archive_applied","seq":11,"records":23}"#,
+    ];
+    assert_stream(&drain(&lines), &want);
+    assert_eq!((rs.status(0), rs.status(1)), (Some(Promoted), Some(Following)));
+    assert_eq!(rs.promoted_records_applied(), 115);
+    assert_eq!(rs.promoted_last_commit_scn(), Some(Scn(138)));
+    rs.kill_promoted().unwrap();
+    rs.fail_over(None).unwrap().expect("the lone survivor is promoted");
+    let want = [
+        r#"{"t_us":1166790283,"server":"STANDBY2","type":"replica_promoted","replica":1,"applied_seq":11}"#,
+    ];
+    assert_stream(&drain(&lines), &want);
+    assert_eq!((rs.status(0), rs.status(1)), (Some(Dead), Some(Promoted)));
+    assert_eq!(rs.active().unwrap().stats().replica_resyncs, 1, "the survivor was re-instantiated");
+    assert_eq!(rs.promoted_records_applied(), 115);
+    assert_eq!(rs.promoted_last_commit_scn(), Some(Scn(1254)));
+
+    let (mut srv, mut rs, lines) = replica_set(&ReplicaTopology::cascade(2));
+    srv.clock().advance(SimDuration::from_secs(5));
+    rs.sync_all(&srv).unwrap();
+    srv.shutdown_abort().unwrap();
+    rs.fail_over(Some(&mut srv)).unwrap().expect("the chain promotes its head");
+    work_on_promoted(&mut rs, 2_000..2_060);
+    let want = [
+        r#"{"t_us":678370278,"server":"STANDBY1","type":"standby_archive_applied","seq":2,"records":23}"#,
+        r#"{"t_us":678386873,"server":"STANDBY1","type":"standby_archive_applied","seq":3,"records":23}"#,
+        r#"{"t_us":678403179,"server":"STANDBY1","type":"standby_archive_applied","seq":4,"records":23}"#,
+        r#"{"t_us":678419773,"server":"STANDBY1","type":"standby_archive_applied","seq":5,"records":23}"#,
+        r#"{"t_us":678436079,"server":"STANDBY1","type":"standby_archive_applied","seq":6,"records":23}"#,
+        r#"{"t_us":678871831,"server":"STANDBY2","type":"standby_archive_applied","seq":2,"records":23}"#,
+        r#"{"t_us":678888424,"server":"STANDBY2","type":"standby_archive_applied","seq":3,"records":23}"#,
+        r#"{"t_us":678904733,"server":"STANDBY2","type":"standby_archive_applied","seq":4,"records":23}"#,
+        r#"{"t_us":678921324,"server":"STANDBY2","type":"standby_archive_applied","seq":5,"records":23}"#,
+        r#"{"t_us":678937633,"server":"STANDBY2","type":"standby_archive_applied","seq":6,"records":23}"#,
+        r#"{"t_us":701939791,"server":"STANDBY1","type":"replica_promoted","replica":0,"applied_seq":6}"#,
+        r#"{"t_us":927742991,"server":"STANDBY1","type":"backup_taken","files":2,"scn":1140}"#,
+        r#"{"t_us":1153254941,"server":"STANDBY2","type":"standby_archive_applied","seq":7,"records":23}"#,
+        r#"{"t_us":1153262991,"server":"STANDBY2","type":"standby_archive_applied","seq":8,"records":23}"#,
+        r#"{"t_us":1153271041,"server":"STANDBY2","type":"standby_archive_applied","seq":9,"records":23}"#,
+        r#"{"t_us":1153279091,"server":"STANDBY2","type":"standby_archive_applied","seq":10,"records":23}"#,
+        r#"{"t_us":1153287832,"server":"STANDBY2","type":"standby_archive_applied","seq":11,"records":23}"#,
+    ];
+    assert_stream(&drain(&lines), &want);
+    assert_eq!((rs.status(0), rs.status(1)), (Some(Promoted), Some(Following)));
+    assert_eq!(rs.promoted_records_applied(), 115);
+    assert_eq!(rs.promoted_last_commit_scn(), Some(Scn(138)));
 }
