@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use recobench_sim::SimTime;
 use recobench_vfs::FileKind;
 
 use crate::backup::BackupSet;
@@ -220,23 +221,15 @@ impl DbServer {
     ///
     /// Fails if the instance is down or a copy fails.
     pub fn take_cold_backup(&mut self) -> DbResult<()> {
-        self.take_cold_backup_inner(true)
+        let done = self.cold_backup()?;
+        self.clock.advance_to(done);
+        Ok(())
     }
 
-    /// Backgrounded cold backup: the copies keep the disks busy (later
-    /// I/O queues behind them) but the caller's timeline is not blocked —
-    /// the backup is simply *complete* at a future instant. Used after a
-    /// failover, where the new primary must serve clients immediately
-    /// while the DBA re-protects it.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the instance is down or a copy fails.
-    pub fn take_cold_backup_in_background(&mut self) -> DbResult<()> {
-        self.take_cold_backup_inner(false)
-    }
-
-    fn take_cold_backup_inner(&mut self, advance_clock: bool) -> DbResult<()> {
+    /// [`DbServer::take_cold_backup`] without the wait: the copies keep
+    /// the disks busy (later I/O queues behind them) until the returned
+    /// instant, when the backup is complete, and the clock does not move.
+    pub(crate) fn cold_backup(&mut self) -> DbResult<SimTime> {
         self.poll();
         // Cold means cold: no client may be mid-transaction while the
         // datafiles are copied.
@@ -271,9 +264,6 @@ impl DbServer {
                 pieces.insert(*no, piece);
             }
         }
-        if advance_clock {
-            self.clock.advance_to(last);
-        }
         let backup = BackupSet {
             position,
             scn,
@@ -283,7 +273,7 @@ impl DbServer {
         };
         self.events.record(last, backup.event());
         self.backup = Some(backup);
-        Ok(())
+        Ok(last)
     }
 
     /// Paths of every archived log currently on disk (fault targeting:

@@ -398,7 +398,7 @@ mod tests {
     use crate::layout::DiskLayout;
     use crate::redo::decode_stream;
     use crate::row::{ColumnDelta, Value};
-    use crate::standby::StandbyServer;
+    use crate::standby::{Standby, Upstream};
     use crate::types::{ObjectId, RedoAddr, SessionId};
 
     fn row(k: u64, v: &str) -> Row {
@@ -769,16 +769,17 @@ mod tests {
     fn a_standby_ingest_and_its_activation_end_their_passes() {
         let (mut p, t, rids, _) = worked_database();
         switch_logs(&mut p, t, &rids, 1);
-        let mut sb =
-            StandbyServer::instantiate(&p, "SBY", Arc::clone(p.clock()), DiskLayout::four_disk(), cfg())
+        let (mut sb, restored) =
+            Standby::instantiate(&p, "SBY", Arc::clone(p.clock()), DiskLayout::four_disk(), cfg(), None)
                 .unwrap();
+        p.clock().advance_to(restored);
         let segments = log_segments(&p);
-        sb.sync(&p).unwrap();
+        sb.sync(Upstream::Server(&p)).unwrap();
         let before_images = sb.replayed.live.values().flatten();
         assert!(before_images.filter(|u| !matches!(u, UndoOp::UndoInsert { .. })).count() >= 8);
-        assert_nothing_pins(sb.server(), &sb.replayed.live, &segments);
+        assert_nothing_pins(&sb.server, &sb.replayed.live, &segments);
         sb.activate().unwrap();
-        assert_nothing_pins(sb.server(), &sb.replayed.live, &segments);
+        assert_nothing_pins(&sb.server, &sb.replayed.live, &segments);
     }
 
     /// The setup of `recovery.rs`'s

@@ -10,7 +10,7 @@
 //! * **Fetch it, charged** — [`DbServer::ensure_resident`] and friends:
 //!   foreground I/O that advances the shared clock and writes a dirty
 //!   victim back behind a redo flush. The stand-by's
-//!   [`StandbyServer::mutate_block`] sits beside it and stays separate:
+//!   [`Standby::mutate_block`] sits beside it and stays separate:
 //!   it differs at every step (its docs list them), so one path for both
 //!   would branch on the caller at each.
 //! * **Read it, uncharged** — [`stored_image`] under `peek_scan`,
@@ -23,7 +23,7 @@
 //! All of them decode through [`decode`], so what a block that fails to
 //! decode *means* is said once. No other module calls
 //! `BlockImage::decode` or the vfs block reads; the raw piece copy in
-//! `StandbyServer::instantiate` moves images between machines without
+//! `Standby::instantiate` moves images between machines without
 //! looking inside them.
 
 use std::borrow::Cow;
@@ -41,7 +41,7 @@ use crate::instance::Instance;
 use crate::page::BlockImage;
 use crate::row::Row;
 use crate::server::{BlockKey, DbServer};
-use crate::standby::StandbyServer;
+use crate::standby::Standby;
 use crate::types::{FileNo, ObjectId, RedoAddr, RowId, TablespaceId};
 
 /// Which datafile is this: the dictionary entry of `file`.
@@ -341,7 +341,7 @@ impl DbServer {
     }
 }
 
-impl StandbyServer {
+impl Standby {
     /// Background block mutation: charges stand-by disk *busy time* but
     /// never advances the shared clock (another machine is doing this
     /// work).

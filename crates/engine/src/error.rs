@@ -59,6 +59,12 @@ pub enum RecoveryError {
         /// How many columns the row in the slot has (`None`: no row).
         columns: Option<usize>,
     },
+    /// A replica the replica set's own bookkeeping names (the promoted
+    /// node, an upstream, a survivor) is not in the set.
+    ReplicaVanished {
+        /// The index the bookkeeping holds.
+        replica: usize,
+    },
 }
 
 impl fmt::Display for RecoveryError {
@@ -84,6 +90,9 @@ impl fmt::Display for RecoveryError {
             }
             RecoveryError::DeltaMisfit { rid, columns: Some(n) } => {
                 write!(f, "column delta for {rid} names a column past the row's {n}")
+            }
+            RecoveryError::ReplicaVanished { replica } => {
+                write!(f, "replica {replica} vanished from the set")
             }
         }
     }

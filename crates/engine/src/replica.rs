@@ -23,7 +23,7 @@ use crate::error::{DbError, DbResult, RecoveryError};
 use crate::events::EngineEvent;
 use crate::layout::DiskLayout;
 use crate::server::DbServer;
-use crate::standby::StandbyServer;
+use crate::standby::{Standby, Upstream};
 use crate::types::Scn;
 
 /// Heartbeat timeout charged before an automatic policy declares the
@@ -132,18 +132,10 @@ pub enum ReplicaStatus {
 /// JSONL writers to it.
 pub type ReplicaObserver = Box<dyn FnMut(&mut DbServer, &str) + Send>;
 
-struct ReplicaNode {
-    standby: StandbyServer,
-    upstream: Option<usize>,
-    partitioned: bool,
-    dead: bool,
-    broken: Option<RecoveryError>,
-}
-
 /// N stand-bys plus the deterministic failover controller that governs
 /// them.
 pub struct ReplicaSet {
-    nodes: Vec<ReplicaNode>,
+    nodes: Vec<Standby>,
     policy: FailoverPolicy,
     topology_name: String,
     promoted: Option<usize>,
@@ -185,14 +177,16 @@ impl ReplicaSet {
     ) -> DbResult<ReplicaSet> {
         let mut nodes = Vec::with_capacity(topology.upstreams.len());
         for (i, &upstream) in topology.upstreams.iter().enumerate() {
-            let standby = StandbyServer::instantiate(
+            let (node, restored) = Standby::instantiate(
                 primary,
                 &format!("STANDBY{}", i + 1),
                 Arc::clone(&clock),
                 layout.clone(),
                 config.clone(),
+                upstream,
             )?;
-            nodes.push(ReplicaNode { standby, upstream, partitioned: false, dead: false, broken: None });
+            clock.advance_to(restored);
+            nodes.push(node);
         }
         Ok(ReplicaSet {
             nodes,
@@ -216,8 +210,13 @@ impl ReplicaSet {
             nodes: self
                 .nodes
                 .iter()
-                .map(|n| ReplicaNode {
-                    standby: n.standby.fork(Arc::clone(&clock)),
+                .map(|n| Standby {
+                    server: n.server.fork(Arc::clone(&clock)),
+                    applied_seq: n.applied_seq,
+                    apply_done_at: n.apply_done_at,
+                    replayed: n.replayed.clone(),
+                    received: n.received.clone(),
+                    corrupt_next_ship: n.corrupt_next_ship,
                     upstream: n.upstream,
                     partitioned: n.partitioned,
                     dead: n.dead,
@@ -239,9 +238,8 @@ impl ReplicaSet {
     /// creates, and immediately invokes it on the existing nodes.
     pub fn set_observer(&mut self, mut observer: ReplicaObserver) {
         for node in &mut self.nodes {
-            let server = node.standby.server_mut();
-            let name = server.name().to_string();
-            observer(server, &name);
+            let name = node.server.name().to_string();
+            observer(&mut node.server, &name);
         }
         self.observer = Some(observer);
     }
@@ -276,27 +274,26 @@ impl ReplicaSet {
     /// failover), for the workload driver.
     pub fn active_mut(&mut self) -> Option<&mut DbServer> {
         let k = self.promoted?;
-        Some(self.nodes.get_mut(k)?.standby.server_mut())
+        Some(&mut self.nodes.get_mut(k)?.server)
     }
 
     /// The promoted replica's server, for evaluation.
     pub fn active(&self) -> Option<&DbServer> {
         let k = self.promoted?;
-        Some(self.nodes.get(k)?.standby.server())
+        Some(&self.nodes.get(k)?.server)
     }
 
     /// Redo records the promoted replica applied while it was following
-    /// (0 before any failover).
+    /// (0 before any failover), as its event stream counts them.
     pub fn promoted_records_applied(&self) -> u64 {
-        self.promoted.and_then(|k| self.nodes.get(k)).map_or(0, |n| n.standby.records_applied)
+        self.active().map_or(0, |server| server.stats().recovery_records_applied)
     }
 
     /// The highest commit SCN the promoted replica had applied when it
     /// activated: the differential oracle truncates its reference model to
     /// this boundary after a failover.
     pub fn promoted_last_commit_scn(&self) -> Option<Scn> {
-        let k = self.promoted?;
-        Some(self.nodes.get(k)?.standby.last_commit_scn())
+        Some(self.nodes.get(self.promoted?)?.replayed.last_commit_scn)
     }
 
     /// Isolates replica `i` behind a network partition: it stops shipping
@@ -311,7 +308,7 @@ impl ReplicaSet {
     /// lands corrupted, fails its decode and freezes the node.
     pub fn arm_ship_corruption(&mut self, i: usize) {
         if let Some(node) = self.nodes.get_mut(i) {
-            node.standby.arm_ship_corruption();
+            node.corrupt_next_ship = true;
         }
     }
 
@@ -361,22 +358,19 @@ impl ReplicaSet {
             {
                 continue;
             }
-            let result = match node.upstream {
-                Some(j) if j != i && self.promoted == Some(j) => {
-                    let [node, upstream] = lookup(self.nodes.get_disjoint_mut([i, j]).ok(), j)?;
-                    node.standby.sync(upstream.standby.server())
+            let result = match (node.upstream, primary) {
+                (Some(j), _) if j != i => {
+                    let [node, up] = lookup(self.nodes.get_disjoint_mut([i, j]).ok(), j)?;
+                    let upstream = if self.promoted == Some(j) {
+                        // A promoted upstream ships its own archives.
+                        Upstream::Server(&up.server)
+                    } else {
+                        Upstream::Standby(up)
+                    };
+                    node.sync(upstream)
                 }
-                Some(j) if j != i => {
-                    let [node, upstream] = lookup(self.nodes.get_disjoint_mut([i, j]).ok(), j)?;
-                    node.standby.sync_from_standby(&upstream.standby)
-                }
-                _ => match primary {
-                    Some(p) => match self.nodes.get_mut(i) {
-                        Some(n) => n.standby.sync(p),
-                        None => continue,
-                    },
-                    None => continue,
-                },
+                (_, Some(p)) => lookup(self.nodes.get_mut(i), i)?.sync(Upstream::Server(p)),
+                (_, None) => continue,
             };
             match result {
                 Ok(()) => {}
@@ -409,7 +403,7 @@ impl ReplicaSet {
             return Err(DbError::BadAdminCommand("no promoted replica to kill".into()));
         };
         let node = lookup(self.nodes.get_mut(k), k)?;
-        node.standby.server_mut().shutdown_abort()?;
+        node.server.shutdown_abort()?;
         node.dead = true;
         Ok(self.clock.now())
     }
@@ -486,7 +480,7 @@ impl ReplicaSet {
             }
             let better = match candidate.and_then(|c| self.nodes.get(c)) {
                 None => true,
-                Some(c) => n.standby.applied_seq() > c.standby.applied_seq(),
+                Some(c) => n.applied_seq > c.applied_seq,
             };
             if better {
                 candidate = Some(i);
@@ -495,15 +489,14 @@ impl ReplicaSet {
         let Some(k) = candidate else { return Ok(None) };
         let now = self.clock.now();
         let promoted_node = lookup(self.nodes.get_mut(k), k)?;
-        promoted_node.standby.server_mut().events.record(
+        promoted_node.server.events.record(
             now,
             EngineEvent::FailoverStarted { votes: votes as u64, replicas: total as u64 },
         );
-        let ready = promoted_node.standby.activate()?;
-        let applied = promoted_node.standby.applied_seq();
+        let ready = promoted_node.activate()?;
+        let applied = promoted_node.applied_seq;
         promoted_node
-            .standby
-            .server_mut()
+            .server
             .events
             .record(ready, EngineEvent::ReplicaPromoted { replica: k as u64, applied_seq: applied });
         self.promoted = Some(k);
@@ -518,10 +511,9 @@ impl ReplicaSet {
             .collect();
         if !survivors.is_empty() {
             // A fresh backup of the new primary: survivors re-instantiate
-            // from it. Backgrounded — the new primary serves clients from
-            // `ready`; re-protecting the set only keeps the disks busy.
-            let source = lookup(self.nodes.get_mut(k), k)?;
-            source.standby.server_mut().take_cold_backup_in_background()?;
+            // from it. Nobody waits for it — the new primary serves clients
+            // from `ready`; re-protecting the set only keeps the disks busy.
+            lookup(self.nodes.get_mut(k), k)?.server.cold_backup()?;
             for i in survivors {
                 self.resync_node(i, k)?;
             }
@@ -530,32 +522,25 @@ impl ReplicaSet {
     }
 
     /// Re-instantiates survivor `i` from the promoted replica `k`'s fresh
-    /// backup and points its shipping at the new primary.
+    /// backup, shipping from the new primary. Nobody waits for the
+    /// restore: it only keeps both machines' disks busy.
     fn resync_node(&mut self, i: usize, k: usize) -> DbResult<()> {
-        if i == k {
-            return Ok(());
-        }
-        let name = lookup(self.nodes.get(i), i)?.standby.server().name().to_string();
-        let source = lookup(self.nodes.get(k), k)?.standby.server();
-        let mut standby = StandbyServer::instantiate_in_background(
+        let name = lookup(self.nodes.get(i), i)?.server.name().to_string();
+        let source = &lookup(self.nodes.get(k), k)?.server;
+        let (mut node, _restored) = Standby::instantiate(
             source,
             &name,
             Arc::clone(&self.clock),
             self.layout.clone(),
             self.config.clone(),
+            Some(k),
         )?;
-        let node = lookup(self.nodes.get_mut(i), i)?;
-        let applied = standby.applied_seq();
-        standby
-            .server_mut()
-            .events
-            .record(self.clock.now(), EngineEvent::ReplicaResync { replica: i as u64, applied_seq: applied });
+        let resync = EngineEvent::ReplicaResync { replica: i as u64, applied_seq: node.applied_seq };
+        node.server.events.record(self.clock.now(), resync);
         if let Some(observer) = self.observer.as_mut() {
-            observer(standby.server_mut(), &name);
+            observer(&mut node.server, &name);
         }
-        node.standby = standby;
-        node.upstream = Some(k);
-        node.broken = None;
+        *lookup(self.nodes.get_mut(i), i)? = node;
         Ok(())
     }
 }
@@ -563,7 +548,7 @@ impl ReplicaSet {
 /// A node the set's own bookkeeping names (the promoted id, an upstream, a
 /// survivor); `None` means that bookkeeping broke.
 fn lookup<T>(node: Option<T>, k: usize) -> DbResult<T> {
-    node.ok_or_else(|| DbError::Unrecoverable(format!("replica {k} vanished from the set")))
+    node.ok_or_else(|| RecoveryError::ReplicaVanished { replica: k }.into())
 }
 
 #[cfg(test)]
@@ -633,17 +618,17 @@ mod tests {
         let (mut p, t) = primary_with_data();
         let mut rs = replica_set(&p, &ReplicaTopology::fan_out(2), FailoverPolicy::AutoQuorum);
         run_workload(&mut p, t, &mut rs, 100, 300);
-        assert!(rs.nodes[0].standby.archives_shipped > 0);
+        assert!(rs.nodes[0].server.stats().recovery_records_applied > 0, "archives shipped");
         p.shutdown_abort().unwrap();
         let ready = rs.fail_over(Some(&mut p)).unwrap().expect("quorum of 2/2 must promote");
         assert_eq!(rs.promoted(), Some(0), "equal applied_seq ties break to the lowest id");
         assert_eq!(rs.failovers(), 1);
         assert_eq!(rs.status(1), Some(ReplicaStatus::Following), "survivor follows the new primary");
         // The survivor was re-instantiated and its counters show it.
-        let promoted_stats = rs.nodes[0].standby.server().stats();
+        let promoted_stats = rs.nodes[0].server.stats();
         assert_eq!(promoted_stats.failovers, 1);
         assert_eq!(promoted_stats.promotions, 1);
-        let survivor_stats = rs.nodes[1].standby.server().stats();
+        let survivor_stats = rs.nodes[1].server.stats();
         assert_eq!(survivor_stats.replica_resyncs, 1);
         // The new primary accepts work from `ready` on.
         assert!(ready >= SimTime::ZERO);
@@ -717,10 +702,11 @@ mod tests {
         // transfer drain before inspecting the chain.
         p.clock().advance(SimDuration::from_secs(5));
         rs.sync_all(&p).unwrap();
-        assert!(rs.nodes[0].standby.archives_shipped > 0, "chain head ships from the primary");
-        assert!(rs.nodes[1].standby.archives_shipped > 0, "chain tail ships from the head");
+        let applied = |i: usize| rs.nodes[i].server.stats().recovery_records_applied;
+        assert!(applied(0) > 0, "chain head ships from the primary");
+        assert!(applied(1) > 0, "chain tail ships from the head");
         assert!(
-            rs.nodes[1].standby.applied_seq() <= rs.nodes[0].standby.applied_seq(),
+            rs.nodes[1].applied_seq <= rs.nodes[0].applied_seq,
             "the tail can never be ahead of its upstream"
         );
         p.shutdown_abort().unwrap();
@@ -742,7 +728,7 @@ mod tests {
             Some(RecoveryError::ShippedArchiveCorrupt { .. })
         ));
         assert!(
-            rs.nodes[0].standby.applied_seq() < rs.nodes[1].standby.applied_seq(),
+            rs.nodes[0].applied_seq < rs.nodes[1].applied_seq,
             "the broken node froze while the healthy one advanced"
         );
         p.shutdown_abort().unwrap();
@@ -761,6 +747,17 @@ mod tests {
         assert!(p.is_open());
         rs.fail_over(Some(&mut p)).unwrap().expect("fencing failover");
         assert!(!p.is_open(), "STONITH must have force-killed the old primary");
+    }
+
+    /// A promoted id the set does not hold is the set's own bug, typed
+    /// apart from every refusal.
+    #[test]
+    fn a_node_missing_from_the_set_is_a_typed_invariant_breach() {
+        let (p, _) = primary_with_data();
+        let mut rs = replica_set(&p, &ReplicaTopology::single(), FailoverPolicy::Manual);
+        rs.promoted = Some(1);
+        let breach = RecoveryError::ReplicaVanished { replica: 1 };
+        assert_eq!(rs.kill_promoted(), Err(DbError::Recovery(breach)));
     }
 
     #[test]
