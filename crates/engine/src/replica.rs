@@ -535,11 +535,11 @@ impl ReplicaSet {
             self.config.clone(),
             Some(k),
         )?;
-        let resync = EngineEvent::ReplicaResync { replica: i as u64, applied_seq: node.applied_seq };
-        node.server.events.record(self.clock.now(), resync);
         if let Some(observer) = self.observer.as_mut() {
             observer(&mut node.server, &name);
         }
+        let resync = EngineEvent::ReplicaResync { replica: i as u64, applied_seq: node.applied_seq };
+        node.server.events.record(self.clock.now(), resync);
         *lookup(self.nodes.get_mut(i), i)? = node;
         Ok(())
     }

@@ -436,6 +436,7 @@ fn replica_set_failovers_record_each_node_step() {
         r#"{"t_us":678436079,"server":"STANDBY2","type":"standby_archive_applied","seq":6,"records":23}"#,
         r#"{"t_us":696939791,"server":"STANDBY1","type":"replica_promoted","replica":0,"applied_seq":6}"#,
         r#"{"t_us":922742991,"server":"STANDBY1","type":"backup_taken","files":2,"scn":1140}"#,
+        r#"{"t_us":696939791,"server":"STANDBY2","type":"replica_resync","replica":1,"applied_seq":6}"#,
         r#"{"t_us":1148254941,"server":"STANDBY2","type":"standby_archive_applied","seq":7,"records":23}"#,
         r#"{"t_us":1148262991,"server":"STANDBY2","type":"standby_archive_applied","seq":8,"records":23}"#,
         r#"{"t_us":1148271041,"server":"STANDBY2","type":"standby_archive_applied","seq":9,"records":23}"#,
@@ -476,6 +477,7 @@ fn replica_set_failovers_record_each_node_step() {
         r#"{"t_us":678937633,"server":"STANDBY2","type":"standby_archive_applied","seq":6,"records":23}"#,
         r#"{"t_us":701939791,"server":"STANDBY1","type":"replica_promoted","replica":0,"applied_seq":6}"#,
         r#"{"t_us":927742991,"server":"STANDBY1","type":"backup_taken","files":2,"scn":1140}"#,
+        r#"{"t_us":701939791,"server":"STANDBY2","type":"replica_resync","replica":1,"applied_seq":6}"#,
         r#"{"t_us":1153254941,"server":"STANDBY2","type":"standby_archive_applied","seq":7,"records":23}"#,
         r#"{"t_us":1153262991,"server":"STANDBY2","type":"standby_archive_applied","seq":8,"records":23}"#,
         r#"{"t_us":1153271041,"server":"STANDBY2","type":"standby_archive_applied","seq":9,"records":23}"#,
