@@ -951,11 +951,12 @@ fn ext_double_faults(opts: &Opts) -> (Vec<Experiment>, Render) {
         FaultType::DeleteUsersObject,
     ];
     let render = move |_: &[&ExperimentOutcome]| {
-        // Every cell prepares its own server from the same seed, so the
+        // Every cell boots its own server from one prepared image, so the
         // matrix parallelizes without coupling cells.
+        let prepared = prepared_server(seed).snapshot();
         let rows = run_indexed(Sabotage::all().len() * faults.len(), threads, |i| {
             let (sabotage, fault) = (Sabotage::all()[i / faults.len()], faults[i % faults.len()]);
-            let mut srv = prepared_server(seed);
+            let mut srv = DbServer::from_snapshot(SimClock::shared(), &prepared);
             sabotage.perform(&mut srv).expect("archives and backups can be deleted");
             let injector = FaultInjector::new(FaultPlan::new(fault, 0));
             let record = injector.inject(&mut srv).expect("injection is valid");
