@@ -217,9 +217,6 @@ impl Catalog {
                 self.users.entry(*id).or_insert_with(|| UserDef { name: name.clone() });
                 self.next_user = self.next_user.max(id.0);
             }
-            CatalogChange::DropUser { id } => {
-                self.users.remove(id);
-            }
             CatalogChange::CreateTablespace { id, name } => {
                 self.tablespaces
                     .entry(*id)
@@ -283,11 +280,6 @@ pub enum CatalogChange {
         /// Unique name.
         name: String,
     },
-    /// Removes a user.
-    DropUser {
-        /// Target user.
-        id: UserId,
-    },
     /// Registers a tablespace.
     CreateTablespace {
         /// Assigned id.
@@ -342,10 +334,6 @@ impl CatalogChange {
                 w.put_u8(1);
                 w.put_u32(id.0);
                 w.put_str(name);
-            }
-            CatalogChange::DropUser { id } => {
-                w.put_u8(2);
-                w.put_u32(id.0);
             }
             CatalogChange::CreateTablespace { id, name } => {
                 w.put_u8(3);
@@ -407,7 +395,6 @@ impl CatalogChange {
                 id: UserId(r.get_u32("user id")?),
                 name: r.get_str("user name")?,
             },
-            2 => CatalogChange::DropUser { id: UserId(r.get_u32("user id")?) },
             3 => CatalogChange::CreateTablespace {
                 id: TablespaceId(r.get_u32("ts id")?),
                 name: r.get_str("ts name")?,
@@ -527,7 +514,6 @@ mod tests {
     fn change_codec_round_trips() {
         let changes = vec![
             CatalogChange::CreateUser { id: UserId(5), name: "dba".into() },
-            CatalogChange::DropUser { id: UserId(5) },
             CatalogChange::CreateTablespace { id: TablespaceId(2), name: "SYSTEM".into() },
             CatalogChange::AddDatafile {
                 file_no: FileNo(7),
@@ -552,6 +538,16 @@ mod tests {
             let mut r = Reader::new(w.into_bytes());
             assert_eq!(CatalogChange::decode(&mut r).unwrap(), ch);
         }
+        // Tag 2 was a user drop nothing ever logged; it now decodes as a
+        // malformed change.
+        let mut w = Writer::new();
+        w.put_u8(2);
+        w.put_u32(5);
+        let mut r = Reader::new(w.into_bytes());
+        assert_eq!(
+            CatalogChange::decode(&mut r),
+            Err(DecodeError { context: "catalog change tag" })
+        );
     }
 
     #[test]
