@@ -61,24 +61,12 @@ impl TortureFaultKind {
     /// replica-set faults, appended in that order so the slice layout
     /// stays `[legacy 7][storage 5][replica 4]` for corpus stability.
     pub fn all_extended() -> [TortureFaultKind; 16] {
-        [
-            TortureFaultKind::Operator(FaultType::ShutdownAbort),
-            TortureFaultKind::Operator(FaultType::DeleteDatafile),
-            TortureFaultKind::Operator(FaultType::DeleteTablespace),
-            TortureFaultKind::Operator(FaultType::SetDatafileOffline),
-            TortureFaultKind::Operator(FaultType::SetTablespaceOffline),
-            TortureFaultKind::Operator(FaultType::DeleteUsersObject),
-            TortureFaultKind::InstanceKill,
-            TortureFaultKind::Storage(StorageFaultType::TornWrite),
-            TortureFaultKind::Storage(StorageFaultType::PartialAppend),
-            TortureFaultKind::Storage(StorageFaultType::BitRot),
-            TortureFaultKind::Storage(StorageFaultType::DiskFull),
-            TortureFaultKind::Storage(StorageFaultType::SlowIo),
-            TortureFaultKind::Replica(ReplicaFaultType::KillPrimary),
-            TortureFaultKind::Replica(ReplicaFaultType::KillPromoted),
-            TortureFaultKind::Replica(ReplicaFaultType::CorruptShippedArchive),
-            TortureFaultKind::Replica(ReplicaFaultType::PartitionReplica),
-        ]
+        let mut out = [TortureFaultKind::InstanceKill; 16];
+        let kinds = Self::all().into_iter().chain(Self::storage()).chain(Self::replica());
+        for (slot, kind) in out.iter_mut().zip(kinds) {
+            *slot = kind;
+        }
+        out
     }
 
     /// The five storage-hardware kinds (the `--faultload storage` pool).
