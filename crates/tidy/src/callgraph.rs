@@ -22,8 +22,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::items::{FileItems, FnItem};
+use crate::items::{self, FnItem};
 use crate::lex::{Tok, TokKind};
+use crate::source::SourceFile;
 
 /// Smart-pointer-ish wrappers skipped when inferring the interesting type
 /// inside a type expression.
@@ -97,18 +98,10 @@ pub struct FnNode {
     pub item: FnItem,
 }
 
-/// One parsed file.
-pub struct FileModel {
-    /// Workspace-relative path.
-    pub rel: String,
-    /// Parsed items + token stream.
-    pub items: FileItems,
-}
-
 /// The whole-workspace model.
 pub struct Model {
-    /// Parsed files, in workspace order.
-    pub files: Vec<FileModel>,
+    /// The lexed files, in workspace order.
+    pub files: Vec<SourceFile>,
     /// Global fn table.
     pub fns: Vec<FnNode>,
     /// Call sites per fn (indexed like [`Model::fns`]).
@@ -128,25 +121,22 @@ pub struct Model {
 }
 
 impl Model {
-    /// Builds the model from parsed files.
-    pub fn build(files: Vec<FileModel>) -> Model {
+    /// Parses the items of every file and builds the model over them.
+    pub fn build(files: Vec<SourceFile>) -> Model {
         let mut fns = Vec::new();
-        for (fi, f) in files.iter().enumerate() {
-            for item in &f.items.fns {
-                fns.push(FnNode { file: fi, item: item.clone() });
-            }
-        }
         let mut fields = BTreeMap::new();
         let mut aliases = BTreeMap::new();
-        for f in &files {
-            for s in &f.items.structs {
+        for (fi, f) in files.iter().enumerate() {
+            let parsed = items::parse(f);
+            fns.extend(parsed.fns.into_iter().map(|item| FnNode { file: fi, item }));
+            for s in &parsed.structs {
                 for (fname, fty) in &s.fields {
                     if let Some(t) = first_type_ident(fty, WRAPPERS) {
                         fields.insert((s.name.clone(), fname.clone()), t);
                     }
                 }
             }
-            for a in &f.items.aliases {
+            for a in &parsed.aliases {
                 if let Some(t) = first_type_ident(&a.target, WRAPPERS) {
                     aliases.insert(a.name.clone(), t);
                 }
@@ -185,7 +175,7 @@ impl Model {
 
     /// The token stream of the file a fn lives in.
     pub fn toks_of(&self, fn_idx: usize) -> &[Tok] {
-        &self.files[self.fns[fn_idx].file].items.toks
+        &self.files[self.fns[fn_idx].file].toks
     }
 
     /// Workspace-relative path of the file a fn lives in.
@@ -254,24 +244,6 @@ impl Model {
     /// `VfsError` / `RecoveryError`).
     pub fn returns_fallible(&self, fn_idx: usize) -> bool {
         ret_is_fallible(&self.fns[fn_idx].item.ret)
-    }
-
-    /// Resolves what `name` means in `file` through its `use`
-    /// declarations, following one level of workspace `pub use`
-    /// re-exports. Returns the full path when an import exists.
-    pub fn resolve_use(&self, file: usize, name: &str) -> Option<String> {
-        let u = self.files[file].items.uses.iter().find(|u| u.binding == name)?;
-        // One level of re-export chasing: `use crate::x::Y` where some
-        // workspace file declares `pub use std::…::Z as Y`.
-        let leaf = u.path.rsplit("::").next().unwrap_or(&u.path);
-        for f in &self.files {
-            for ru in &f.items.uses {
-                if ru.is_pub && ru.binding == leaf && ru.path != u.path {
-                    return Some(ru.path.clone());
-                }
-            }
-        }
-        Some(u.path.clone())
     }
 
     /// The local type environment of a fn: parameter names (and `self`)
@@ -681,20 +653,10 @@ pub fn ret_is_fallible(ret: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::items;
 
     fn model_of(srcs: &[(&str, &str)]) -> Model {
-        let files = srcs
-            .iter()
-            .map(|(rel, src)| {
-                let lines: Vec<String> = src.lines().map(str::to_string).collect();
-                FileModel {
-                    rel: (*rel).to_string(),
-                    items: items::parse(src, &lines, &|_| false),
-                }
-            })
-            .collect();
-        Model::build(files)
+        let files = srcs.iter().map(|(rel, src)| SourceFile::parse((*rel).to_string(), src));
+        Model::build(files.collect())
     }
 
     const ENGINE: &str = "
@@ -776,19 +738,6 @@ fn helper() { x.unwrap(); }
         let user = idx(&m, "user");
         let site = m.sites[user].iter().find(|s| s.name == "insert").unwrap();
         assert!(site.targets.is_empty(), "BTreeMap::insert must not edge to Index::insert");
-    }
-
-    #[test]
-    fn use_resolution_follows_aliases_and_reexports() {
-        let m = model_of(&[
-            ("a.rs", "use std::collections::HashMap as FastMap;\nfn f() {}\n"),
-            ("b.rs", "pub use std::collections::HashSet as Pool;\n"),
-            ("c.rs", "use crate::b::Pool;\nfn g() {}\n"),
-        ]);
-        assert_eq!(m.resolve_use(0, "FastMap").as_deref(), Some("std::collections::HashMap"));
-        // One level of re-export chasing: c.rs's `Pool` resolves through
-        // b.rs's `pub use`.
-        assert_eq!(m.resolve_use(2, "Pool").as_deref(), Some("std::collections::HashSet"));
     }
 
     #[test]

@@ -1,29 +1,14 @@
-//! Item-level parser over the token stream: `use` declarations (with
-//! aliases and nested groups), `struct` fields, `type` aliases, `impl`
-//! blocks and `fn` items with parameter and return types.
+//! Item-level parser over a file's token stream: `struct` fields, `type`
+//! aliases, `impl` blocks and `fn` items with parameter and return types.
+//! Every other item (`use`, `enum`, `const`, macros) is skipped.
 //!
-//! This is the layer the call graph and the use-resolution lints build
-//! on. It is deliberately approximate — no generics instantiation, no
-//! type inference — but it is *syntax*-aware where the old tidy was
-//! line-oriented: an aliased `use std::collections::HashMap as Map`
-//! resolves, a fn body is a token range, and `impl T { fn m }` methods
-//! know their `Self` type.
+//! This is the layer the call graph builds on. It is deliberately
+//! approximate — no generics instantiation, no type inference — but it
+//! is *syntax*-aware: a fn body is a token range, and `impl T { fn m }`
+//! methods know their `Self` type.
 
-use crate::lex::{lex, Tok, TokKind};
-
-/// One `use` declaration leaf: the full path and the name it binds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UseDecl {
-    /// 1-based line of the leaf.
-    pub line: usize,
-    /// Full `::`-joined path, e.g. `std::collections::HashMap`.
-    pub path: String,
-    /// The name visible in this file (`Map` for `… as Map`, otherwise the
-    /// last path segment; `*` for glob imports).
-    pub binding: String,
-    /// Whether the declaration is `pub use` (a re-export).
-    pub is_pub: bool,
-}
+use crate::lex::{Tok, TokKind};
+use crate::source::SourceFile;
 
 /// A `struct` definition with its named fields (tuple structs keep an
 /// empty field list — no lint needs their positional types).
@@ -72,10 +57,6 @@ pub struct FnItem {
 /// Everything parsed out of one file.
 #[derive(Debug, Default)]
 pub struct FileItems {
-    /// Token stream (comment-free).
-    pub toks: Vec<Tok>,
-    /// `use` declarations.
-    pub uses: Vec<UseDecl>,
     /// Struct definitions.
     pub structs: Vec<StructItem>,
     /// Type aliases.
@@ -84,35 +65,18 @@ pub struct FileItems {
     pub fns: Vec<FnItem>,
 }
 
-/// Parses one file. `lines` is the raw line table (for marker comments);
-/// `in_test_region` reports whether a 1-based line sits under
-/// `#[cfg(test)]`.
-pub fn parse(text: &str, lines: &[String], in_test_region: &dyn Fn(usize) -> bool) -> FileItems {
-    let toks = lex(text);
-    let mut out = FileItems { toks, ..FileItems::default() };
-    let mut p = Parser {
-        toks: &out.toks,
-        i: 0,
-        lines,
-        in_test_region,
-        uses: &mut out.uses,
-        structs: &mut out.structs,
-        aliases: &mut out.aliases,
-        fns: &mut out.fns,
-    };
+/// Parses one lexed file.
+pub fn parse(file: &SourceFile) -> FileItems {
+    let mut p = Parser { file, toks: &file.toks, i: 0, out: FileItems::default() };
     p.items(None);
-    out
+    p.out
 }
 
 struct Parser<'a> {
+    file: &'a SourceFile,
     toks: &'a [Tok],
     i: usize,
-    lines: &'a [String],
-    in_test_region: &'a dyn Fn(usize) -> bool,
-    uses: &'a mut Vec<UseDecl>,
-    structs: &'a mut Vec<StructItem>,
-    aliases: &'a mut Vec<TypeAlias>,
-    fns: &'a mut Vec<FnItem>,
+    out: FileItems,
 }
 
 impl<'a> Parser<'a> {
@@ -221,7 +185,6 @@ impl<'a> Parser<'a> {
             }
             let attrs = std::mem::take(&mut pending_attrs);
             match t.text.as_str() {
-                "use" => self.use_decl(false),
                 "pub" => {
                     // `pub`, `pub(crate)`, … then re-dispatch on the next
                     // keyword with attributes preserved.
@@ -230,7 +193,6 @@ impl<'a> Parser<'a> {
                         self.paren_group();
                     }
                     match self.peek().map(|t| t.text.clone()).unwrap_or_default().as_str() {
-                        "use" => self.use_decl(true),
                         "fn" => self.fn_item(impl_type, &attrs),
                         "struct" => self.struct_item(),
                         "type" => self.type_alias(),
@@ -258,8 +220,8 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Not an item head (enum/const/static/macro/…): skip to
-                    // the next `;` or balanced `{}` at this level.
+                    // Not an item head (use/enum/const/static/macro/…): skip
+                    // to the next `;` or balanced `{}` at this level.
                     self.skip_item_like();
                 }
             }
@@ -304,85 +266,6 @@ impl<'a> Parser<'a> {
         start..self.i
     }
 
-    fn use_decl(&mut self, is_pub: bool) {
-        let line = self.peek().map_or(0, |t| t.line);
-        self.i += 1; // `use`
-        let mut prefix: Vec<String> = Vec::new();
-        self.use_tree(&mut prefix, line, is_pub);
-        if self.peek().is_some_and(|t| t.is_punct(';')) {
-            self.i += 1;
-        }
-    }
-
-    /// Recursive `use` tree: `a::b::{c, d as e, f::*}`.
-    fn use_tree(&mut self, prefix: &mut Vec<String>, line: usize, is_pub: bool) {
-        let depth_at_entry = prefix.len();
-        let mut segs: Vec<String> = Vec::new();
-        loop {
-            match self.peek() {
-                Some(t) if t.kind == TokKind::Ident => {
-                    segs.push(t.text.clone());
-                    self.i += 1;
-                }
-                Some(t) if t.is_punct('*') => {
-                    segs.push("*".to_string());
-                    self.i += 1;
-                }
-                Some(t) if t.is_punct('{') => {
-                    self.i += 1;
-                    prefix.append(&mut segs);
-                    loop {
-                        self.use_tree(prefix, line, is_pub);
-                        match self.peek() {
-                            Some(t) if t.is_punct(',') => self.i += 1,
-                            _ => break,
-                        }
-                    }
-                    if self.peek().is_some_and(|t| t.is_punct('}')) {
-                        self.i += 1;
-                    }
-                    prefix.truncate(depth_at_entry);
-                    return;
-                }
-                _ => break,
-            }
-            // `::` continues the path; `as` renames; anything else ends it.
-            match self.peek() {
-                Some(t) if t.is_punct(':') => {
-                    self.i += 1;
-                    if self.peek().is_some_and(|t| t.is_punct(':')) {
-                        self.i += 1;
-                    }
-                }
-                Some(t) if t.is_ident("as") => {
-                    self.i += 1;
-                    let alias =
-                        self.bump().map(|t| t.text.clone()).unwrap_or_default();
-                    self.push_use(prefix, &segs, Some(alias), line, is_pub);
-                    return;
-                }
-                _ => break,
-            }
-        }
-        if !segs.is_empty() {
-            self.push_use(prefix, &segs, None, line, is_pub);
-        }
-    }
-
-    fn push_use(
-        &mut self,
-        prefix: &[String],
-        segs: &[String],
-        alias: Option<String>,
-        line: usize,
-        is_pub: bool,
-    ) {
-        let full: Vec<&str> =
-            prefix.iter().map(String::as_str).chain(segs.iter().map(String::as_str)).collect();
-        let binding = alias.unwrap_or_else(|| (*full.last().unwrap_or(&"")).to_string());
-        self.uses.push(UseDecl { line, path: full.join("::"), binding, is_pub });
-    }
-
     fn struct_item(&mut self) {
         self.i += 1; // `struct`
         let name = self.bump().map(|t| t.text.clone()).unwrap_or_default();
@@ -391,7 +274,7 @@ impl<'a> Parser<'a> {
         if !self.peek().is_some_and(|t| t.is_punct('{')) {
             self.skip_item_like();
             if !name.is_empty() {
-                self.structs.push(StructItem { name, fields: Vec::new() });
+                self.out.structs.push(StructItem { name, fields: Vec::new() });
             }
             return;
         }
@@ -437,7 +320,7 @@ impl<'a> Parser<'a> {
             }
             j += 1;
         }
-        self.structs.push(StructItem { name, fields });
+        self.out.structs.push(StructItem { name, fields });
     }
 
     fn type_alias(&mut self) {
@@ -462,7 +345,7 @@ impl<'a> Parser<'a> {
             self.i += 1;
         }
         if !name.is_empty() {
-            self.aliases.push(TypeAlias { name, target });
+            self.out.aliases.push(TypeAlias { name, target });
         }
     }
 
@@ -556,10 +439,10 @@ impl<'a> Parser<'a> {
             self.i += 1; // bodyless trait declaration
             self.i..self.i
         };
-        let is_test = (self.in_test_region)(line)
+        let is_test = self.file.in_test_region(line)
             || attrs.iter().any(|a| a == "test" || a.contains("cfg ( test") || a.contains("cfg(test"));
-        self.fns.push(FnItem {
-            entry_roles: entry_markers(self.lines, line),
+        self.out.fns.push(FnItem {
+            entry_roles: entry_markers(self.file, line),
             name,
             impl_type: impl_type.map(str::to_string),
             line,
@@ -615,27 +498,23 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Parses `// tidy-entry(<role>)` markers on the comment/attribute lines
-/// directly above 1-based line `fn_line`.
-fn entry_markers(lines: &[String], fn_line: usize) -> Vec<String> {
+/// Parses `// tidy-entry(<role>)` markers in the run of comment-only and
+/// attribute lines directly above 1-based line `fn_line`.
+fn entry_markers(file: &SourceFile, fn_line: usize) -> Vec<String> {
     let mut roles = Vec::new();
-    let mut j = fn_line.saturating_sub(1); // 0-based index of the line above
-    while j > 0 {
-        j -= 1;
-        let t = lines.get(j).map(|l| l.trim_start()).unwrap_or("");
-        if t.starts_with("#[") || t.starts_with("///") || t.starts_with("//!") {
-            continue;
-        }
-        if let Some(rest) = t.strip_prefix("//") {
-            let rest = rest.trim();
-            if let Some(inner) =
-                rest.strip_prefix("tidy-entry(").and_then(|r| r.strip_suffix(')'))
-            {
-                roles.push(inner.trim().to_string());
+    for line in (1..fn_line).rev() {
+        let first_tok = file.toks.get(file.toks.partition_point(|t| t.line < line));
+        let comment = file.comments.get(file.comments.partition_point(|c| c.line < line));
+        match (first_tok.filter(|t| t.line == line), comment.filter(|c| c.line == line)) {
+            (Some(t), _) if t.is_punct('#') => {}
+            (None, Some(c)) => {
+                let marker = c.text.trim().strip_prefix("tidy-entry(");
+                if let Some(role) = marker.and_then(|r| r.strip_suffix(')')) {
+                    roles.push(role.trim().to_string());
+                }
             }
-            continue;
+            _ => break,
         }
-        break;
     }
     roles.reverse();
     roles
@@ -646,32 +525,7 @@ mod tests {
     use super::*;
 
     fn parse_src(src: &str) -> FileItems {
-        let lines: Vec<String> = src.lines().map(str::to_string).collect();
-        parse(src, &lines, &|_| false)
-    }
-
-    #[test]
-    fn parses_use_trees_with_aliases_and_groups() {
-        let items = parse_src(
-            "use std::collections::{HashMap as Map, BTreeMap, hash_map::Entry};\n\
-             pub use crate::fs::SimFs;\n\
-             use super::*;\n",
-        );
-        let got: Vec<(&str, &str, bool)> = items
-            .uses
-            .iter()
-            .map(|u| (u.path.as_str(), u.binding.as_str(), u.is_pub))
-            .collect();
-        assert_eq!(
-            got,
-            vec![
-                ("std::collections::HashMap", "Map", false),
-                ("std::collections::BTreeMap", "BTreeMap", false),
-                ("std::collections::hash_map::Entry", "Entry", false),
-                ("crate::fs::SimFs", "SimFs", true),
-                ("super::*", "*", false),
-            ]
-        );
+        parse(&SourceFile::parse("a.rs".into(), src))
     }
 
     #[test]

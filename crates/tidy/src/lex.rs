@@ -1,13 +1,15 @@
-//! A hand-rolled Rust lexer: the token layer under tidy's item parser
-//! and call graph.
+//! A hand-rolled Rust lexer: the one reader of a file's syntax, under
+//! tidy's regions, waivers, item parser and call graph.
 //!
 //! The workspace is offline/vendored, so no syn/proc-macro2 — and none is
 //! needed: tidy's analyses are about *this* repo's idioms, not arbitrary
-//! Rust. The lexer produces a flat token stream with line numbers;
-//! comments are dropped (waiver markers are parsed line-wise by
-//! [`crate::source`]), string/char literals become single tokens so no
-//! pattern lint can fire on quoted text, and raw strings (`r#"…"#`) are
-//! handled so multi-line literals cannot desynchronize the stream.
+//! Rust. The lexer produces a flat token stream with line numbers and,
+//! beside it, every `//` line comment (where [`crate::source`] finds
+//! waivers and [`crate::items`] entry markers); block comments are
+//! dropped. String/char literals become single tokens, so no pattern lint
+//! can fire on quoted text and no comment is ever found inside one, and
+//! raw strings (`r#"…"#`) are handled so multi-line literals cannot
+//! desynchronize the stream.
 
 /// What a token is, coarsely — fine distinctions (keyword vs identifier)
 /// are left to the consumer, which has the text.
@@ -17,7 +19,7 @@ pub enum TokKind {
     Ident,
     /// Single punctuation character (`.`, `(`, `{`, `<`, `!`, …).
     Punct,
-    /// String literal (`"…"`, `r#"…"#`, `b"…"`), content dropped.
+    /// String literal (`"…"`, `r#"…"#`, `b"…"`).
     Str,
     /// Char or byte literal (`'x'`, `b'\n'`).
     Char,
@@ -32,8 +34,7 @@ pub enum TokKind {
 pub struct Tok {
     /// Coarse kind.
     pub kind: TokKind,
-    /// The token text (empty for [`TokKind::Str`] — contents are never
-    /// meaningful to a lint and dropping them keeps the stream small).
+    /// The token's source text (a lifetime's without its tick).
     pub text: String,
     /// 1-based line the token starts on.
     pub line: usize,
@@ -51,12 +52,25 @@ impl Tok {
     }
 }
 
-/// Lexes `text` into a token stream. Never fails: unterminated constructs
-/// simply run to end-of-file (tidy lints a tree that rustc compiles, so
-/// malformed input only occurs in fixtures, where best-effort is fine).
-pub fn lex(text: &str) -> Vec<Tok> {
+/// One `//` line comment (doc comments included).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Comment {
+    /// 1-based line.
+    pub line: usize,
+    /// 1-based byte column of the `//`.
+    pub col: usize,
+    /// Everything after the `//`, to the end of the line.
+    pub text: String,
+}
+
+/// Lexes `text` into a token stream and its line comments. Never fails:
+/// unterminated constructs simply run to end-of-file (tidy lints a tree
+/// that rustc compiles, so malformed input only occurs in fixtures, where
+/// best-effort is fine).
+pub fn lex(text: &str) -> (Vec<Tok>, Vec<Comment>) {
     let b = text.as_bytes();
     let mut toks = Vec::with_capacity(text.len() / 4);
+    let mut comments = Vec::new();
     let mut i = 0usize;
     let mut line = 1usize;
     while i < b.len() {
@@ -68,10 +82,16 @@ pub fn lex(text: &str) -> Vec<Tok> {
             }
             c if c.is_ascii_whitespace() => i += 1,
             b'/' if b.get(i + 1) == Some(&b'/') => {
-                // Line comment: consume to end of line.
+                let start = i;
                 while i < b.len() && b[i] != b'\n' {
                     i += 1;
                 }
+                let line_start = b[..start].iter().rposition(|&c| c == b'\n').map_or(0, |p| p + 1);
+                comments.push(Comment {
+                    line,
+                    col: start - line_start + 1,
+                    text: text[start + 2..i].to_string(),
+                });
             }
             b'/' if b.get(i + 1) == Some(&b'*') => {
                 // Block comment, nested.
@@ -95,9 +115,9 @@ pub fn lex(text: &str) -> Vec<Tok> {
             b'r' | b'b' if raw_string_hashes(b, i).is_some() => {
                 // Raw string r"…", r#"…"#, br#"…"# — find the matching
                 // closing quote + hashes.
-                let (start, hashes) = raw_string_hashes(b, i).unwrap_or((i + 1, 0));
-                let tok_line = line;
-                i = start + 1; // past the opening quote
+                let (quote, hashes) = raw_string_hashes(b, i).unwrap_or((i + 1, 0));
+                let (start, tok_line) = (i, line);
+                i = quote + 1; // past the opening quote
                 'raw: while i < b.len() {
                     if b[i] == b'\n' {
                         line += 1;
@@ -116,14 +136,20 @@ pub fn lex(text: &str) -> Vec<Tok> {
                     }
                     i += 1;
                 }
-                toks.push(Tok { kind: TokKind::Str, text: String::new(), line: tok_line });
+                toks.push(literal(TokKind::Str, text, start, i, tok_line));
             }
             b'"' => {
-                let tok_line = line;
+                let (start, tok_line) = (i, line);
                 i += 1;
                 while i < b.len() {
                     match b[i] {
-                        b'\\' => i += 2,
+                        b'\\' => {
+                            // `\` at a line end continues the literal on the next.
+                            if b.get(i + 1) == Some(&b'\n') {
+                                line += 1;
+                            }
+                            i += 2;
+                        }
                         b'"' => {
                             i += 1;
                             break;
@@ -135,7 +161,7 @@ pub fn lex(text: &str) -> Vec<Tok> {
                         _ => i += 1,
                     }
                 }
-                toks.push(Tok { kind: TokKind::Str, text: String::new(), line: tok_line });
+                toks.push(literal(TokKind::Str, text, start, i, tok_line));
             }
             b'\'' => {
                 // Char literal vs lifetime: a lifetime is `'ident` with no
@@ -145,7 +171,7 @@ pub fn lex(text: &str) -> Vec<Tok> {
                     (Some(b'\\'), _) | (Some(_), Some(b'\''))
                 );
                 if is_char {
-                    let tok_line = line;
+                    let start = i;
                     i += 1;
                     if b.get(i) == Some(&b'\\') {
                         i += 2;
@@ -157,7 +183,7 @@ pub fn lex(text: &str) -> Vec<Tok> {
                         i += 1;
                     }
                     i += 1;
-                    toks.push(Tok { kind: TokKind::Char, text: String::new(), line: tok_line });
+                    toks.push(literal(TokKind::Char, text, start, i, line));
                 } else {
                     let start = i + 1;
                     i += 1;
@@ -210,7 +236,14 @@ pub fn lex(text: &str) -> Vec<Tok> {
             }
         }
     }
-    toks
+    (toks, comments)
+}
+
+/// The literal token spanning `text[start..end]`, clamped to the text for
+/// one left unterminated at end-of-file.
+fn literal(kind: TokKind, text: &str, start: usize, end: usize, line: usize) -> Tok {
+    let text = text.get(start..end.min(text.len())).unwrap_or_default().to_string();
+    Tok { kind, text, line }
 }
 
 /// If `b[i]` starts a raw-string prefix (`r`, `br`, `rb` + hashes +
@@ -241,12 +274,12 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<(TokKind, String)> {
-        lex(src).into_iter().map(|t| (t.kind, t.text)).collect()
+        lex(src).0.into_iter().map(|t| (t.kind, t.text)).collect()
     }
 
     #[test]
     fn lexes_idents_puncts_numbers() {
-        let toks = lex("fn f(x: u64) -> bool { x < 10 }");
+        let (toks, _) = lex("fn f(x: u64) -> bool { x < 10 }");
         let names: Vec<&str> =
             toks.iter().filter(|t| t.kind == TokKind::Ident).map(|t| t.text.as_str()).collect();
         assert_eq!(names, vec!["fn", "f", "x", "u64", "bool", "x"]);
@@ -266,16 +299,32 @@ mod tests {
     }
 
     #[test]
+    fn line_comments_are_kept_beside_the_tokens() {
+        let src = "let a = 1; // tail\n/// doc\nlet s = \"// quoted\";\n\
+                   let r = r#\"\n// raw\n\"#; /* block */";
+        let (toks, comments) = lex(src);
+        let got: Vec<(usize, usize, &str)> =
+            comments.iter().map(|c| (c.line, c.col, c.text.as_str())).collect();
+        assert_eq!(got, vec![(1, 12, " tail"), (2, 1, "/ doc")]);
+        let strs: Vec<&str> =
+            toks.iter().filter(|t| t.kind == TokKind::Str).map(|t| t.text.as_str()).collect();
+        assert_eq!(strs, vec!["\"// quoted\"", "r#\"\n// raw\n\"#"]);
+    }
+
+    #[test]
     fn raw_strings_do_not_desync_lines() {
         let src = "let a = r#\"multi\nline \" quote\"#;\nlet b = 1;";
-        let toks = lex(src);
+        let (toks, _) = lex(src);
         let b_tok = toks.iter().find(|t| t.is_ident("b")).unwrap();
         assert_eq!(b_tok.line, 3);
+        // A `\` line continuation inside a string literal is a line too.
+        let (toks, _) = lex("let a = \"one \\\n   two\";\nlet b = 1;");
+        assert_eq!(toks.iter().find(|t| t.is_ident("b")).unwrap().line, 3);
     }
 
     #[test]
     fn chars_vs_lifetimes() {
-        let toks = lex("let c: char = 'x'; fn f<'a>(s: &'a str) {} let e = '\\n';");
+        let (toks, _) = lex("let c: char = 'x'; fn f<'a>(s: &'a str) {} let e = '\\n';");
         assert_eq!(toks.iter().filter(|t| t.kind == TokKind::Char).count(), 2);
         let lifetimes: Vec<&str> = toks
             .iter()
@@ -287,7 +336,7 @@ mod tests {
 
     #[test]
     fn numeric_ranges_split_correctly() {
-        let toks = lex("for i in 0..xs.len() { let f = 1.5e3; }");
+        let (toks, _) = lex("for i in 0..xs.len() { let f = 1.5e3; }");
         assert!(toks.iter().any(|t| t.kind == TokKind::Num && t.text == "0"));
         assert!(toks.iter().any(|t| t.kind == TokKind::Num && t.text == "1.5e3"));
         // The two dots of `..` survive as puncts.
@@ -296,7 +345,7 @@ mod tests {
 
     #[test]
     fn lines_are_tracked() {
-        let toks = lex("a\nb\n\nc");
+        let (toks, _) = lex("a\nb\n\nc");
         let lines: Vec<usize> = toks.iter().map(|t| t.line).collect();
         assert_eq!(lines, vec![1, 2, 4]);
     }

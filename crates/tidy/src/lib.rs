@@ -10,10 +10,12 @@
 //! which clippy cannot express: its rules need the callee's return type,
 //! the receiver's type or reach from an entry point. So, in the style of
 //! rustc's `tidy` pass, this crate walks the workspace sources and
-//! enforces it with `file:line` diagnostics. It parses every
-//! Rust file ([`lex`] → [`items`]) into an approximate intra-workspace
-//! call graph with dataflow-lite receiver resolution ([`callgraph`]), so
-//! lints can reason about reachability, not just text:
+//! enforces it with `file:line` diagnostics. It lexes every Rust file
+//! once ([`lex`]: tokens plus line comments), reads its waivers and
+//! `cfg`-gated regions off those ([`source`]), and parses the tokens
+//! ([`items`]) into an approximate intra-workspace call graph with
+//! dataflow-lite receiver resolution ([`callgraph`]), so lints can
+//! reason about reachability, not just text:
 //!
 //! * [`lints::panic_freedom`] — nothing reachable from a
 //!   `// tidy-entry(recovery)` fn may `unwrap()`/`expect()`/`panic!` or
@@ -25,8 +27,6 @@
 //!   inside the sanctioned writers;
 //! * [`lints::write_site_coverage`] — every static engine `SimFs` write
 //!   site appears in the crash sweep's coverage manifest;
-//! * [`lints::ordered_serialization`] — no `HashMap`/`HashSet` in modules
-//!   whose output must be byte-stable (alias- and type-alias-aware);
 //! * [`lints::sabotage_isolation`] — test-only `sabotage_*` hooks stay
 //!   behind `cfg(any(test, feature = "sabotage"))`.
 //!
@@ -59,14 +59,13 @@ const SKIP_DIRS: &[&str] = &["target", ".git", "third_party", "node_modules"];
 /// real run would make a clean tree impossible.
 const SKIP_PREFIXES: &[&str] = &["crates/tidy/tests/fixtures"];
 
-/// The walked workspace: every Rust file, pre-analyzed and parsed into
-/// the call-graph model.
+/// The walked workspace: every Rust file, lexed and parsed into the
+/// call-graph model.
 pub struct Workspace {
     /// Absolute workspace root.
     pub root: PathBuf,
-    /// All collected `.rs` files, sorted by relative path for stable output.
-    pub files: Vec<SourceFile>,
-    /// Items + approximate call graph over every file.
+    /// Every collected `.rs` file, sorted by relative path for stable
+    /// output, with its items and the approximate call graph over them.
     pub model: callgraph::Model,
 }
 
@@ -84,25 +83,12 @@ impl Workspace {
         let mut files = Vec::new();
         walk(&root, &root, &mut files)?;
         files.sort_by(|a, b| a.rel.cmp(&b.rel));
-        let parsed = files
-            .iter()
-            .map(|f| callgraph::FileModel {
-                rel: f.rel.clone(),
-                items: items::parse(&f.text(), &f.lines, &|l| f.in_test_region(l)),
-            })
-            .collect();
-        let model = callgraph::Model::build(parsed);
-        Ok(Workspace { root, files, model })
-    }
-
-    /// The file with this workspace-relative path, if it was collected.
-    pub fn file(&self, rel: &str) -> Option<&SourceFile> {
-        self.files.iter().find(|f| f.rel == rel)
+        Ok(Workspace { root, model: callgraph::Model::build(files) })
     }
 
     /// Files whose relative path starts with `prefix`.
     pub fn under<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a SourceFile> {
-        self.files.iter().filter(move |f| f.rel.starts_with(prefix))
+        self.model.files.iter().filter(move |f| f.rel.starts_with(prefix))
     }
 }
 
@@ -174,7 +160,7 @@ impl Diagnostics {
     /// Builds the collector, registering every waiver found in `ws`.
     pub fn new(ws: &Workspace) -> Diagnostics {
         let mut allows = Vec::new();
-        for f in &ws.files {
+        for f in &ws.model.files {
             for a in &f.allows {
                 allows.push(AllowState {
                     file: f.rel.clone(),

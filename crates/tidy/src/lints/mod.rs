@@ -8,7 +8,6 @@ use crate::Lint;
 
 pub mod error_swallow;
 pub mod lock_discipline;
-pub mod ordered_serialization;
 pub mod panic_freedom;
 pub mod sabotage_isolation;
 pub mod write_site_coverage;
@@ -20,7 +19,6 @@ pub fn all() -> Vec<Box<dyn Lint>> {
         Box::new(error_swallow::ErrorSwallow),
         Box::new(lock_discipline::LockDiscipline),
         Box::new(write_site_coverage::WriteSiteCoverage),
-        Box::new(ordered_serialization::OrderedSerialization),
         Box::new(sabotage_isolation::SabotageIsolation),
     ]
 }

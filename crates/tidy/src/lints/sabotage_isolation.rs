@@ -8,6 +8,7 @@
 //! `#[cfg(any(test, feature = "sabotage"))]` (or inside a `#[cfg(test)]`
 //! module).
 
+use crate::lex::TokKind;
 use crate::{Diagnostics, Lint, Workspace};
 
 /// Crates whose sources may define or call the hooks only behind the
@@ -29,22 +30,22 @@ impl Lint for SabotageIsolation {
     }
 
     fn check(&self, ws: &Workspace, diags: &mut Diagnostics) {
-        for f in &ws.files {
+        for f in &ws.model.files {
             if !GUARDED_PREFIXES.iter().any(|p| f.rel.starts_with(p)) {
                 continue;
             }
-            for (i, code) in f.code.iter().enumerate() {
-                if !has_identifier(code, "sabotage_") {
-                    continue;
-                }
-                let line = i + 1;
-                if f.in_test_region(line) || f.in_sabotage_region(line) {
+            for t in &f.toks {
+                if t.kind != TokKind::Ident
+                    || !t.text.starts_with("sabotage_")
+                    || f.in_test_region(t.line)
+                    || f.in_sabotage_region(t.line)
+                {
                     continue;
                 }
                 diags.emit(
                     self.name(),
                     &f.rel,
-                    line,
+                    t.line,
                     "sabotage_* hook outside cfg(any(test, feature = \"sabotage\")); gate the \
                      item (or the enclosing statement) so production builds compile it out"
                         .into(),
@@ -52,22 +53,4 @@ impl Lint for SabotageIsolation {
             }
         }
     }
-}
-
-/// Whether `code` contains `needle` starting at an identifier boundary.
-fn has_identifier(code: &str, needle: &str) -> bool {
-    let mut from = 0;
-    while let Some(pos) = code[from..].find(needle) {
-        let abs = from + pos;
-        let boundary = abs == 0
-            || !code[..abs]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
-        if boundary {
-            return true;
-        }
-        from = abs + needle.len();
-    }
-    false
 }

@@ -60,7 +60,7 @@ fn main() -> ExitCode {
     let diagnostics = run(&ws);
 
     if diagnostics.is_empty() {
-        println!("tidy: {} files clean across {} lints", ws.files.len(), lints::all().len());
+        println!("tidy: {} files clean across {} lints", ws.model.files.len(), lints::all().len());
         ExitCode::SUCCESS
     } else {
         for d in &diagnostics {
