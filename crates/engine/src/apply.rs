@@ -11,7 +11,8 @@
 //! whether a rollback is logged.
 //!
 //! Outside [`crate::page`] this is the only code that calls
-//! [`BlockImage::put`] / [`BlockImage::remove`] / `BlockImage::detach`, and
+//! [`BlockImage::put`] / [`BlockImage::remove`] / `BlockImage::detach` /
+//! `BlockImage::patch`, and
 //! outside [`crate::index`] the only code that calls [`Index::insert`] /
 //! [`Index::remove`] / [`Index::replace`] (tidy's `lock-discipline` lint
 //! enforces both).
@@ -65,7 +66,8 @@ impl RedoOp {
 
     /// Writes the change into its block image, stamping it with `scn`: the
     /// forward write, unconditional — a new change is never already there.
-    /// A column delta splices its after-values into the row in the slot.
+    /// A column delta splices its after-values into the row in the slot,
+    /// in place where that row allows it ([`crate::row::ColumnDelta::apply_in_place`]).
     ///
     /// # Errors
     ///
@@ -77,8 +79,10 @@ impl RedoOp {
                 img.put(rid.slot, row.clone(), scn);
             }
             RedoOp::UpdateDelta { rid, delta, .. } => {
-                let row = spliced(img.row(rid.slot), *rid, |row| delta.apply(row))?;
-                img.put(rid.slot, row, scn);
+                if !img.patch(rid.slot, scn, |row| delta.apply_in_place(row)) {
+                    let row = spliced(img.row(rid.slot), *rid, |row| delta.apply(row))?;
+                    img.put(rid.slot, row, scn);
+                }
             }
             RedoOp::Delete { rid, .. } => {
                 img.remove(rid.slot, scn);

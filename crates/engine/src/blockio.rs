@@ -18,13 +18,13 @@
 //!   simulated time.
 //! * **Verify it** — [`checksum_walk`] over every written block of a file,
 //!   under `verify_integrity`, `datafiles_with_bad_checksums` and
-//!   [`DbServer::scan_for_bad_blocks`].
+//!   [`DbServer::scan_for_bad_blocks`]: decode's own checks, without
+//!   building the image ([`BlockImage::validate`]).
 //!
-//! All of them decode through [`decode`], so what a block that fails to
-//! decode *means* is said once. No other module calls
-//! `BlockImage::decode` or the vfs block reads; the raw piece copy in
-//! `Standby::instantiate` moves images between machines without
-//! looking inside them.
+//! What a block that fails them *means* is said once, in [`refusal`]. No
+//! other module calls `BlockImage::decode` or the vfs block reads; the raw
+//! piece copy in `Standby::instantiate` moves images between machines
+//! without looking inside them.
 
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
@@ -67,18 +67,19 @@ pub(crate) fn unavailable(
     None
 }
 
-/// Stored bytes become a [`BlockImage`] here and nowhere else. An image
-/// whose CRC does not hold is silent damage, the typed
-/// [`DbError::ChecksumMismatch`]; structural garbage behind a valid CRC
-/// keeps the media-corruption shape.
+/// Stored bytes become a [`BlockImage`] here and nowhere else.
 fn decode(bytes: Bytes, path: &str, block: u64) -> DbResult<BlockImage> {
-    BlockImage::decode(bytes).map_err(|e| {
-        if e.is_checksum_mismatch() {
-            DbError::ChecksumMismatch { path: path.to_string(), block }
-        } else {
-            DbError::Media(VfsError::Corrupt(path.to_string()))
-        }
-    })
+    BlockImage::decode(bytes).map_err(|e| refusal(e, path, block))
+}
+
+/// What a block that fails to decode means: a CRC that does not hold is
+/// silent damage ([`DbError::ChecksumMismatch`]), garbage behind it media.
+fn refusal(e: crate::codec::DecodeError, path: &str, block: u64) -> DbError {
+    if e.is_checksum_mismatch() {
+        DbError::ChecksumMismatch { path: path.to_string(), block }
+    } else {
+        DbError::Media(VfsError::Corrupt(path.to_string()))
+    }
 }
 
 /// The stored image of a block, verified, read without charging simulated
@@ -101,8 +102,7 @@ fn peek<'a>(inst: &'a Instance, fs: &SimFs, key: BlockKey) -> DbResult<Cow<'a, B
 pub(crate) struct ChecksumWalk {
     /// Written blocks whose stored image was verified.
     pub(crate) blocks: u64,
-    /// The blocks that failed, in block order, each with what its failure
-    /// means.
+    /// The blocks that failed, in block order, each with its [`refusal`].
     pub(crate) bad: Vec<(u64, DbError)>,
 }
 
@@ -117,8 +117,8 @@ pub(crate) fn checksum_walk(fs: &SimFs, vfs_id: FileId, path: &str) -> VfsResult
     let mut walk = ChecksumWalk { blocks: 0, bad: Vec::new() };
     for (block, bytes) in fs.peek_blocks_written(vfs_id)? {
         walk.blocks += 1;
-        if let Err(e) = decode(bytes, path, block) {
-            walk.bad.push((block, e));
+        if let Err(e) = BlockImage::validate(&bytes) {
+            walk.bad.push((block, refusal(e, path, block)));
         }
     }
     Ok(walk)
@@ -428,5 +428,84 @@ impl PeekReader<'_> {
             },
         };
         Ok(img.row(rid.slot).cloned())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use recobench_sim::{DiskProfile, SimTime};
+    use recobench_vfs::{DiskId, FileKind};
+
+    use super::*;
+    use crate::codec::{crc32, Writer};
+    use crate::row::Value;
+
+    /// A v2 image of `body`, sealed with a CRC that holds.
+    fn seal(body: &Writer) -> Vec<u8> {
+        let mut image = vec![0xB1, crate::page::BLOCK_FORMAT];
+        image.extend_from_slice(&crc32(body.as_slice()).to_be_bytes());
+        image.extend_from_slice(body.as_slice());
+        image
+    }
+
+    /// A v2 image of block SCN 9 holding `rows`, each `(slot, row bytes)`
+    /// as stored: behind a `u32` length that claims `extra` bytes more.
+    fn sealed(rows: &[(u16, Vec<u8>)], extra: u32) -> Vec<u8> {
+        let mut body = Writer::new();
+        body.put_u64(9);
+        body.put_u32(rows.len() as u32);
+        for (slot, row) in rows {
+            body.put_u16(*slot);
+            body.put_u32(row.len() as u32 + extra);
+            body.put_slice_raw(row);
+        }
+        seal(&body)
+    }
+
+    /// Each way a stored image can be damaged, written to one datafile:
+    /// the checksum walk and `BlockImage::decode` refuse the same blocks
+    /// with the same error, and accept the same ones.
+    #[test]
+    fn the_checksum_walk_refuses_what_decode_refuses_with_its_error() {
+        let row = Row::new(vec![Value::U64(1), Value::from("ok")]).encode().to_vec();
+        let good = sealed(&[(0, row.clone()), (3, row.clone())], 0);
+        let flipped = |at: usize, bit: u8| {
+            let mut image = good.clone();
+            image[at] ^= bit;
+            image
+        };
+        let checksum = Some(crate::codec::CHECKSUM_CONTEXT);
+        let mut table: Vec<(&str, Vec<u8>, Option<&str>)> = vec![
+            ("a good image", good.clone(), None),
+            ("a never-written block", vec![0; 64], None),
+            ("bad magic", flipped(0, 0x01), checksum),
+            ("wrong format byte", flipped(1, 0x01), Some("block format version")),
+            ("CRC mismatch", flipped(good.len() - 1, 0x10), checksum),
+            ("a torn image: the last row cut short", good[..good.len() - 3].to_vec(), checksum),
+            ("a row longer than its image, valid CRC", sealed(&[(0, row.clone())], 3), Some("row image")),
+            ("a bad column tag, valid CRC", sealed(&[(0, vec![0, 1, 99])], 0), Some("value tag")),
+            ("invalid UTF-8, valid CRC", sealed(&[(0, vec![0, 1, 3, 0, 0, 0, 2, 0xff, 0xfe])], 0), Some("str value")),
+        ];
+        for (what, bytes, context) in crate::row::malformed_rows() {
+            table.push((what, sealed(&[(0, row.clone()), (1, bytes)], 0), Some(context)));
+        }
+        let mut fs = SimFs::new(vec![DiskProfile::server_2000()]);
+        let path = "/u01/damaged.dbf";
+        let id = fs.create_block_file(path, DiskId(0), FileKind::Data, 8192, table.len() as u64).unwrap();
+        for (block, (_, image, _)) in table.iter().enumerate() {
+            fs.write_block(id, block as u64, Bytes::from(image.clone()), SimTime::ZERO).unwrap();
+        }
+        let walk = checksum_walk(&fs, id, path).unwrap();
+        assert_eq!(walk.blocks, table.len() as u64);
+        let mut refused = Vec::new();
+        for (block, (what, image, context)) in table.iter().enumerate() {
+            let decoded = BlockImage::decode(Bytes::from(image.clone()));
+            assert_eq!(decoded.as_ref().err().map(|e| e.context), *context, "{what}");
+            assert_eq!(BlockImage::validate(image), decoded.map(drop), "{what}");
+            if let Err(e) = decode(Bytes::from(image.clone()), path, block as u64) {
+                refused.push((block as u64, e));
+            }
+        }
+        assert_eq!(walk.bad, refused);
     }
 }

@@ -76,24 +76,115 @@ const fn crc_tables() -> [[u32; 256]; 8] {
     t
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`), eight bytes
-/// per step through [`CRC_TABLES`]. This is the checksum stored in v2
-/// block images; every block written is sealed with it and every block
-/// read, replayed or verified is re-checked with it.
+/// What a lane of zero bytes (128 or 32 of them) does to a CRC state, one
+/// table per state byte: entry `[k][b]` is the state `b << 8k` becomes
+/// after them (for 128 bytes, the state times x^1024 mod P). CRC is
+/// linear, so a lane's state folds into the next lane's through these.
+static SHIFT_128: [[u32; 256]; 4] = shift_tables(128);
+static SHIFT_32: [[u32; 256]; 4] = shift_tables(32);
+
+const fn shift_tables(lane: usize) -> [[u32; 256]; 4] {
+    let t = crc_tables();
+    let mut shift = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            let mut crc = (b as u32) << (8 * k);
+            let mut n = 0;
+            while n < lane {
+                crc = (crc >> 8) ^ t[0][(crc & 0xff) as usize];
+                n += 1;
+            }
+            shift[k][b] = crc;
+            b += 1;
+        }
+        k += 1;
+    }
+    shift
+}
+
+/// `crc` carried over 128 zero bytes.
+#[inline(always)]
+fn shift_128(crc: u32) -> u32 {
+    SHIFT_128[0][(crc & 0xff) as usize]
+        ^ SHIFT_128[1][((crc >> 8) & 0xff) as usize]
+        ^ SHIFT_128[2][((crc >> 16) & 0xff) as usize]
+        ^ SHIFT_128[3][((crc >> 24) & 0xff) as usize]
+}
+
+/// `crc` carried over 32 zero bytes.
+#[inline(always)]
+fn shift_32(crc: u32) -> u32 {
+    SHIFT_32[0][(crc & 0xff) as usize]
+        ^ SHIFT_32[1][((crc >> 8) & 0xff) as usize]
+        ^ SHIFT_32[2][((crc >> 16) & 0xff) as usize]
+        ^ SHIFT_32[3][((crc >> 24) & 0xff) as usize]
+}
+
+/// One slicing-by-8 step: `crc` carried over the eight bytes `w`.
+#[inline(always)]
+fn step8(crc: u32, w: &[u8; 8]) -> u32 {
+    let [b0, b1, b2, b3, b4, b5, b6, b7] = *w;
+    let lo = crc ^ u32::from_le_bytes([b0, b1, b2, b3]);
+    let hi = u32::from_le_bytes([b4, b5, b6, b7]);
+    CRC_TABLES[7][(lo & 0xff) as usize]
+        ^ CRC_TABLES[6][((lo >> 8) & 0xff) as usize]
+        ^ CRC_TABLES[5][((lo >> 16) & 0xff) as usize]
+        ^ CRC_TABLES[4][((lo >> 24) & 0xff) as usize]
+        ^ CRC_TABLES[3][(hi & 0xff) as usize]
+        ^ CRC_TABLES[2][((hi >> 8) & 0xff) as usize]
+        ^ CRC_TABLES[1][((hi >> 16) & 0xff) as usize]
+        ^ CRC_TABLES[0][((hi >> 24) & 0xff) as usize]
+}
+
+/// The whole eight-byte words of `lane`.
+fn words(lane: &[u8]) -> std::slice::Iter<'_, [u8; 8]> {
+    lane.as_chunks::<8>().0.iter()
+}
+
+/// `crc` carried over each whole `GROUP` of `bytes` as four interleaved
+/// slicing-by-8 lanes of `LANE` bytes, whose states are independent, so
+/// the CPU overlaps their table lookups; `shift` carries a state over
+/// one lane of zero bytes, which folds the lanes back into one state.
+/// Returns the state and what is left after the last group.
+#[inline(always)]
+fn four_lanes<const LANE: usize, const GROUP: usize>(
+    mut crc: u32,
+    bytes: &[u8],
+    shift: impl Fn(u32) -> u32,
+) -> (u32, &[u8]) {
+    let (groups, rest) = bytes.as_chunks::<GROUP>();
+    for group in groups {
+        let (l0, more) = group.split_at(LANE);
+        let (l1, more) = more.split_at(LANE);
+        let (l2, l3) = more.split_at(LANE);
+        let (mut c0, mut c1, mut c2, mut c3) = (crc, 0, 0, 0);
+        for (((w0, w1), w2), w3) in words(l0).zip(words(l1)).zip(words(l2)).zip(words(l3)) {
+            c0 = step8(c0, w0);
+            c1 = step8(c1, w1);
+            c2 = step8(c2, w2);
+            c3 = step8(c3, w3);
+        }
+        crc = shift(shift(shift(c0) ^ c1) ^ c2) ^ c3;
+    }
+    (crc, rest)
+}
+
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`). This is the
+/// checksum stored in v2 block images; every block written is sealed with
+/// it and every block read, replayed or verified is re-checked with it.
+///
+/// Whole 512-byte groups run as four interleaved lanes of 128 bytes, what
+/// is left as four lanes of 32 bytes while a 128-byte group remains
+/// (`four_lanes`), and the last bytes as one lane: eight bytes per
+/// step, then byte by byte.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xffff_ffffu32;
-    let (words, tail) = bytes.as_chunks::<8>();
-    for &[b0, b1, b2, b3, b4, b5, b6, b7] in words {
-        let lo = crc ^ u32::from_le_bytes([b0, b1, b2, b3]);
-        let hi = u32::from_le_bytes([b4, b5, b6, b7]);
-        crc = CRC_TABLES[7][(lo & 0xff) as usize]
-            ^ CRC_TABLES[6][((lo >> 8) & 0xff) as usize]
-            ^ CRC_TABLES[5][((lo >> 16) & 0xff) as usize]
-            ^ CRC_TABLES[4][((lo >> 24) & 0xff) as usize]
-            ^ CRC_TABLES[3][(hi & 0xff) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xff) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xff) as usize]
-            ^ CRC_TABLES[0][((hi >> 24) & 0xff) as usize];
+    let (crc, rest) = four_lanes::<128, 512>(0xffff_ffff, bytes, shift_128);
+    let (mut crc, rest) = four_lanes::<32, 128>(crc, rest, shift_32);
+    let (words, tail) = rest.as_chunks::<8>();
+    for w in words {
+        crc = step8(crc, w);
     }
     for &b in tail {
         crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xff) as usize];
@@ -388,11 +479,13 @@ mod tests {
 
     #[test]
     fn crc32_equals_the_bitwise_reference_at_every_length_and_alignment() {
-        // Lengths 0..=64 cover every tail length after 0..=8 whole words;
-        // start offsets 0..8 cover every alignment of the first word.
-        let buf: Vec<u8> = (0..80u32).map(|i| (i.wrapping_mul(167) ^ (i >> 3)) as u8).collect();
+        // Lengths 0..=2 100 cover zero to four whole 512-byte groups, each
+        // followed by every remainder (128-byte groups, whole words,
+        // bytes); start offsets 0..8 cover every alignment of the first
+        // word.
+        let buf: Vec<u8> = (0..2_108u32).map(|i| (i.wrapping_mul(167) ^ (i >> 3)) as u8).collect();
         for start in 0..8 {
-            for len in 0..=64 {
+            for len in 0..=2_100 {
                 let s = &buf[start..start + len];
                 assert_eq!(crc32(s), crc32_bitwise(s), "start {start}, len {len}");
             }

@@ -85,6 +85,14 @@ impl RecoveryProcedure {
 /// One engine event. The record instant (the first argument every
 /// subscriber is called with) is the event's own timestamp; for
 /// [`EngineEvent::PhaseSpan`] it is the span's **end**.
+///
+/// A subscriber sees events in the order they are recorded, which is not
+/// always the order of their instants: a background completion such as
+/// [`EngineEvent::BackupTaken`] is recorded when it is started, at the
+/// instant it will complete, so events recorded after it can carry
+/// earlier instants (a fail-over's `replica_resync` follows the new
+/// primary's `backup_taken` in the stream and precedes it in time). Sort
+/// by instant to read a stream as a timeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineEvent {
     /// The log switched to a new sequence in `group`.

@@ -103,12 +103,13 @@ impl KeyBuf {
     const INLINE: usize = 38;
 
     fn from_slice(b: &[u8]) -> Self {
-        if b.len() <= Self::INLINE {
-            let mut buf = [0u8; Self::INLINE];
-            buf[..b.len()].copy_from_slice(b);
-            KeyBuf::Inline(b.len() as u8, buf)
-        } else {
-            KeyBuf::Heap(b.to_vec())
+        let mut buf = [0u8; Self::INLINE];
+        match buf.get_mut(..b.len()) {
+            Some(head) => {
+                head.copy_from_slice(b);
+                KeyBuf::Inline(b.len() as u8, buf)
+            }
+            None => KeyBuf::Heap(b.to_vec()),
         }
     }
 
@@ -334,7 +335,7 @@ impl Index {
     /// as compact as a bulk-built index and its rids ascend under every
     /// key even where forward inserts appended them out of order. Returns
     /// it with how many of this index's entries it kept, or `None` if this
-    /// index is [shadowed](Index::is_canonical): which row holds a
+    /// index is [shadowed](Index::proven_by): which row holds a
     /// duplicated unique key is then known only to the heap.
     pub(crate) fn rederive(
         &self,
@@ -359,20 +360,66 @@ impl Index {
         Some((out, kept))
     }
 
-    /// Whether this index is what [`Index::bulk_load`] over its own rows
-    /// builds: every key's rids ascend and no duplicated unique key was
-    /// dropped. Forward inserts append a key's rids in insertion order, so
-    /// a non-unique index can hold the right entries in another order.
-    pub(crate) fn is_canonical(&self) -> bool {
+    /// How many of this index's entries lie outside the blocks `changed`
+    /// names, if it is what [`Index::rederive`] would build from it and
+    /// `fresh`, the rows those blocks hold now: it must be canonical —
+    /// what [`Index::bulk_load`] over its own rows builds, every key's rids
+    /// ascending (forward inserts append them in insertion order) and no
+    /// duplicated unique key dropped — and its entries inside those blocks
+    /// must be exactly `fresh`'s `(key, rid)` pairs. One walk over the
+    /// index; `None` if either fails.
+    pub(crate) fn proven_by(&self, changed: impl Fn(RowId) -> bool, fresh: &[(RowId, Row)]) -> Option<usize> {
         if self.shadowed {
-            return false;
+            return None;
         }
-        let ascend = |set: &RidSet| set.as_slice().windows(2).all(|w| w[0] < w[1]);
-        self.def.unique
-            || match &self.map {
-                KeyStore::Ordered(m) => m.values().all(ascend),
-                KeyStore::Point(m) => m.values().all(ascend),
+        let mut inside = Vec::with_capacity(fresh.len());
+        let kept = match &self.map {
+            KeyStore::Ordered(m) => self.split_entries(m.iter(), &changed, &mut inside)?,
+            KeyStore::Point(m) => {
+                let kept = self.split_entries(m.iter(), &changed, &mut inside)?;
+                inside.sort_unstable();
+                kept
             }
+        };
+        if inside.len() != fresh.len() {
+            return None;
+        }
+        let mut key = Vec::new();
+        let mut pairs: Vec<(KeyBuf, RowId)> = Vec::with_capacity(fresh.len());
+        for (rid, row) in fresh {
+            self.key_of_into(row, &mut key);
+            pairs.push((KeyBuf::from_slice(&key), *rid));
+        }
+        pairs.sort_unstable();
+        inside.into_iter().eq(pairs.iter().map(|(k, rid)| (k.as_slice(), *rid))).then_some(kept)
+    }
+
+    /// [`Index::proven_by`]'s walk over `entries`: pushes onto `inside`
+    /// the `(key, rid)` pairs whose rid `changed` names, in walk order (an
+    /// ordered index walks in key order, each key's rids ascending), and
+    /// returns how many others there are; `None` if a non-unique key's
+    /// rids do not ascend.
+    fn split_entries<'a>(
+        &self,
+        entries: impl Iterator<Item = (&'a KeyBuf, &'a RidSet)>,
+        changed: &impl Fn(RowId) -> bool,
+        inside: &mut Vec<(&'a [u8], RowId)>,
+    ) -> Option<usize> {
+        let mut kept = 0;
+        for (key, set) in entries {
+            let rids = set.as_slice();
+            if !self.def.unique && !rids.is_sorted_by(|a, b| a < b) {
+                return None;
+            }
+            for &rid in rids {
+                if changed(rid) {
+                    inside.push((key.as_slice(), rid));
+                } else {
+                    kept += 1;
+                }
+            }
+        }
+        Some(kept)
     }
 
     /// Whether `other` has the same definition and entries, each key's
@@ -646,6 +693,11 @@ mod tests {
         RowId { file: FileNo(1), block: b, slot: 0 }
     }
 
+    /// Whether `ix` is what `bulk_load` over its own rows builds.
+    fn canonical(ix: &Index) -> bool {
+        ix.proven_by(|_| false, &[]).is_some()
+    }
+
     fn row(a: u64, b: u64) -> Row {
         Row::new(vec![Value::U64(a), Value::U64(b), Value::from("payload")])
     }
@@ -803,13 +855,17 @@ mod tests {
                     let Some((derived, kept)) =
                         base.rederive(&|rid| changed(rid.block), &fresh)
                     else {
-                        proptest::prop_assert!(unique && !distinct && !base.is_canonical());
+                        proptest::prop_assert!(unique && !distinct && !canonical(&base));
                         continue;
                     };
                     proptest::prop_assert!(derived.same_entries(&expected));
                     proptest::prop_assert!(derived.entries().eq(expected.entries()));
-                    proptest::prop_assert_eq!(derived.is_canonical(), expected.is_canonical());
+                    proptest::prop_assert_eq!(canonical(&derived), canonical(&expected));
                     proptest::prop_assert_eq!(kept, new.len() - fresh.len());
+                    // Kept as it is exactly when it already is the result.
+                    let proven = base.proven_by(|rid: RowId| changed(rid.block), &fresh);
+                    proptest::prop_assert_eq!(proven.is_some(), canonical(&base) && base.same_entries(&expected));
+                    proptest::prop_assert!(proven.is_none_or(|k| k == kept));
                 }
             }
         }

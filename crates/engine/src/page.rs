@@ -5,9 +5,11 @@
 //! application idempotent: a record is re-applied only if it is newer than
 //! the block image it targets.
 
+use std::ops::Range;
+
 use bytes::Bytes;
 
-use crate::codec::{crc32, DecodeError, DecodeResult, Reader, Writer};
+use crate::codec::{crc32, DecodeError, DecodeResult, Writer};
 use crate::row::Row;
 use crate::types::Scn;
 
@@ -136,6 +138,20 @@ impl BlockImage {
         prev
     }
 
+    /// Lets `edit` rewrite the row at `slot` where it lies, stamping the
+    /// block with `scn` if it did (it answers whether). Returns that
+    /// answer; `false` also if the slot is empty.
+    pub(crate) fn patch(&mut self, slot: u16, scn: Scn, edit: impl FnOnce(&mut Row) -> bool) -> bool {
+        let Some((_, row)) = self.position(slot).ok().and_then(|i| self.rows.get_mut(i)) else { return false };
+        let was = row.encoded_len();
+        if !edit(row) {
+            return false;
+        }
+        self.used_bytes = self.used_bytes + row.encoded_len() - was;
+        self.last_scn = self.last_scn.max(scn);
+        true
+    }
+
     /// Gives the row at `slot`, if any, an allocation of its own
     /// ([`Row::detached`]): the end of a replay pass, for a row that may be
     /// a view into a log segment. The block's contents do not change.
@@ -184,40 +200,101 @@ impl BlockImage {
     /// start with the magic byte or its CRC does not cover its payload —
     /// bit-rot or a torn write, in the header as anywhere else.
     pub fn decode(buf: Bytes) -> DecodeResult<BlockImage> {
-        if buf.is_empty() || buf.iter().all(|&b| b == 0) {
-            return Ok(BlockImage::empty());
-        }
-        if buf[0] != BLOCK_MAGIC {
-            return Err(DecodeError::checksum_mismatch());
-        }
-        if buf.len() < CHECKSUM_HEADER {
-            return Err(DecodeError { context: "block checksum header" });
-        }
-        if buf[1] != BLOCK_FORMAT {
-            return Err(DecodeError { context: "block format version" });
-        }
-        let stored = u32::from_be_bytes([buf[2], buf[3], buf[4], buf[5]]);
-        if crc32(&buf[CHECKSUM_HEADER..]) != stored {
-            return Err(DecodeError::checksum_mismatch());
-        }
-        Self::decode_body(buf.slice(CHECKSUM_HEADER..buf.len()))
-    }
-
-    fn decode_body(buf: Bytes) -> DecodeResult<BlockImage> {
-        let mut r = Reader::new(buf);
-        let last_scn = Scn(r.get_u64("block scn")?);
-        let n = r.get_u32("block row count")?;
         let mut img = BlockImage::empty();
+        let Some(mut rows) = StoredRows::open(&buf)? else { return Ok(img) };
         // A stored row takes at least its slot id and length prefix.
-        img.rows.reserve((n as usize).min(r.remaining() / 6));
-        for _ in 0..n {
-            let slot = r.get_u16("slot id")?;
-            let row_bytes = r.get_bytes("row image")?;
-            let row = Row::decode(row_bytes)?;
-            img.put(slot, row, last_scn);
+        img.rows.reserve(rows.left.min(rows.rest.len() / 6));
+        let last_scn = rows.last_scn;
+        for row in &mut rows {
+            let (slot, at) = row?;
+            img.put(slot, Row::validated(buf.slice(at)), last_scn);
         }
         img.last_scn = last_scn;
         Ok(img)
+    }
+
+    /// Checks a stored block image exactly as [`BlockImage::decode`] does
+    /// — magic, format, CRC, then every row, each column and its UTF-8 —
+    /// and fails with the same error, without building the image: the
+    /// checksum walks over whole datafiles verify blocks through it.
+    ///
+    /// # Errors
+    ///
+    /// Fails where [`BlockImage::decode`] would, with its error.
+    pub fn validate(buf: &[u8]) -> DecodeResult<()> {
+        let Some(mut rows) = StoredRows::open(buf)? else { return Ok(()) };
+        rows.try_for_each(|row| row.map(drop))
+    }
+}
+
+/// The rows of a stored block image whose header and CRC held: each row's
+/// slot and where its bytes lie in the image, validated as it is reached
+/// ([`Row::validate`]). After an error it yields nothing more. The one
+/// validating walk under both [`BlockImage::decode`] and
+/// [`BlockImage::validate`].
+struct StoredRows<'a> {
+    last_scn: Scn,
+    /// Rows the header announces that are not yet walked.
+    left: usize,
+    /// The image after the rows walked so far.
+    rest: &'a [u8],
+    /// Where `rest` starts in the image.
+    at: usize,
+}
+
+impl<'a> StoredRows<'a> {
+    /// Checks the image's header and CRC and reads its block SCN and row
+    /// count; `None` for a never-written (empty or all-zero) image.
+    fn open(buf: &'a [u8]) -> DecodeResult<Option<Self>> {
+        if buf.iter().all(|&b| b == 0) {
+            return Ok(None);
+        }
+        let Some((&BLOCK_MAGIC, rest)) = buf.split_first() else {
+            return Err(DecodeError::checksum_mismatch());
+        };
+        let Some((&[format, c0, c1, c2, c3], body)) = rest.split_first_chunk() else {
+            return Err(DecodeError { context: "block checksum header" });
+        };
+        if format != BLOCK_FORMAT {
+            return Err(DecodeError { context: "block format version" });
+        }
+        if crc32(body) != u32::from_be_bytes([c0, c1, c2, c3]) {
+            return Err(DecodeError::checksum_mismatch());
+        }
+        let (scn, rest) = body.split_first_chunk().ok_or(DecodeError { context: "block scn" })?;
+        let (n, rest) = rest.split_first_chunk().ok_or(DecodeError { context: "block row count" })?;
+        Ok(Some(StoredRows {
+            last_scn: Scn(u64::from_be_bytes(*scn)),
+            left: u32::from_be_bytes(*n) as usize,
+            rest,
+            at: buf.len() - rest.len(),
+        }))
+    }
+
+    /// The next row's slot and the span of its bytes in the image.
+    fn next_row(&mut self) -> DecodeResult<(u16, Range<usize>)> {
+        const ROW: DecodeError = DecodeError { context: "row image" };
+        let (slot, rest) = self.rest.split_first_chunk().ok_or(DecodeError { context: "slot id" })?;
+        let (len, rest) = rest.split_first_chunk().ok_or(ROW)?;
+        let (image, rest) = rest.split_at_checked(u32::from_be_bytes(*len) as usize).ok_or(ROW)?;
+        let start = self.at + 6;
+        let end = start + Row::validate(image)?;
+        self.at = start + image.len();
+        self.rest = rest;
+        Ok((u16::from_be_bytes(*slot), start..end))
+    }
+}
+
+impl Iterator for StoredRows<'_> {
+    type Item = DecodeResult<(u16, Range<usize>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.left = self.left.checked_sub(1)?;
+        let row = self.next_row();
+        if row.is_err() {
+            self.left = 0;
+        }
+        Some(row)
     }
 }
 

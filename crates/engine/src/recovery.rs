@@ -67,11 +67,13 @@ struct ReplayOpts {
 type TornHead = Option<(FileId, CleanEnd)>;
 
 /// The blocks whose rows may differ from an [`IndexBase`]'s sets: whole
-/// datafiles and single blocks.
+/// datafiles and single blocks. Re-derivation asks it about every entry
+/// of a set, so a single block is a bit in its file's bitmap.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ChangedBlocks {
     files: Vec<FileNo>,
-    blocks: FastMap<BlockKey, ()>,
+    /// Per file, bit `b % 64` of word `b / 64` for block `b`.
+    blocks: Vec<(FileNo, Vec<u64>)>,
 }
 
 impl ChangedBlocks {
@@ -80,12 +82,25 @@ impl ChangedBlocks {
         ChangedBlocks { files: vec![file], ..Self::default() }
     }
 
-    fn contains(&self, key: BlockKey) -> bool {
-        self.files.contains(&key.0) || self.blocks.contains_key(&key)
+    fn contains(&self, (file, block): BlockKey) -> bool {
+        self.files.contains(&file)
+            || self.blocks.iter().find(|(f, _)| *f == file).is_some_and(|(_, bits)| {
+                bits.get(block as usize / 64).is_some_and(|word| word >> (block % 64) & 1 == 1)
+            })
     }
 
-    pub(crate) fn insert(&mut self, key: BlockKey) {
-        self.blocks.insert(key, ());
+    pub(crate) fn insert(&mut self, (file, block): BlockKey) {
+        let at = self.blocks.iter().position(|(f, _)| *f == file).unwrap_or_else(|| {
+            self.blocks.push((file, Vec::new()));
+            self.blocks.len() - 1
+        });
+        if let Some((_, bits)) = self.blocks.get_mut(at) {
+            let word = block as usize / 64;
+            if bits.len() <= word {
+                bits.resize(word + 1, 0);
+            }
+            bits[word] |= 1 << (block % 64);
+        }
     }
 }
 
@@ -330,7 +345,8 @@ impl DbServer {
     /// builds, re-deriving it from `base` where that is exact: a table
     /// whose set `base` carries under the same definitions, and whose set
     /// did not drop a duplicated unique key, keeps the entries of its
-    /// unchanged blocks and reads only its changed blocks. Every other
+    /// unchanged blocks and reads only its changed blocks — and keeps the
+    /// set itself where those blocks prove it unchanged. Every other
     /// table is rebuilt from a full scan, as is every table when there is
     /// no base. A block that is read and fails its checksum ends recovery
     /// with [`DbError::ChecksumMismatch`] naming it; an unchanged block is
@@ -369,7 +385,10 @@ impl DbServer {
     /// `obj`'s index set re-derived from `old`, which matched the heap
     /// before the blocks `changed` names changed, with the table's row
     /// count; `None` where only a full scan is exact (see
-    /// [`DbServer::rederive_indexes`]).
+    /// [`DbServer::rederive_indexes`]). `old` itself, shared, where every
+    /// index in it is canonical and holds exactly the entries of the rows
+    /// those blocks hold now ([`Index::proven_by`]): the usual case, since
+    /// a fault that finds no writer open changes no row recovery re-reads.
     ///
     /// In debug builds the result is compared with a full rebuild: over
     /// the blocks that read, plus `old`'s entries on the blocks that do
@@ -387,14 +406,17 @@ impl DbServer {
         {
             return Ok(None);
         }
-        let mut blocks = table.segment.blocks().filter(|&k| changed.contains(k)).peekable();
-        let derived = if blocks.peek().is_none() && old.iter().all(Index::is_canonical) {
-            (Arc::clone(&old), old.first().map_or(0, Index::entry_count))
-        } else {
-            let fresh = self.peek_blocks(&mut blocks)?;
-            let is_changed = |rid: RowId| changed.contains((rid.file, rid.block));
-            let Some(derived) = rederived(&old, &is_changed, &fresh) else { return Ok(None) };
-            derived
+        let fresh = self.peek_blocks(&mut table.segment.blocks().filter(|&k| changed.contains(k)))?;
+        let is_changed = |rid: RowId| changed.contains((rid.file, rid.block));
+        // A set whose changed blocks hold exactly the entries it has is
+        // already what re-deriving it builds: it is kept, not rebuilt.
+        let proven: Option<Vec<usize>> = old.iter().map(|ix| ix.proven_by(is_changed, &fresh)).collect();
+        let derived = match proven {
+            Some(kept) => (Arc::clone(&old), fresh.len() + kept.first().copied().unwrap_or(0)),
+            None => {
+                let Some(derived) = rederived(&old, &is_changed, &fresh) else { return Ok(None) };
+                derived
+            }
         };
         if cfg!(debug_assertions) {
             let (mut fresh, mut unreadable) = (Vec::new(), Vec::new());
@@ -1183,7 +1205,9 @@ mod tests {
     /// Recovery re-derives only what it changed: after media recovery of
     /// one table's datafile, and after crash recovery of a quiesced
     /// database, a table on an untouched datafile keeps the very index set
-    /// it had. A silent fall-back to the full rebuild fails here.
+    /// it had — and so does the table whose file was recovered, because
+    /// the blocks re-read prove its set holds exactly their rows. A silent
+    /// fall-back to a rebuild fails here.
     #[test]
     fn recovery_keeps_the_index_set_of_a_table_on_an_untouched_datafile() {
         let mut srv = server(true);
@@ -1206,7 +1230,7 @@ mod tests {
         let path = srv.datafile_paths("A").unwrap().remove(0);
         srv.recover_datafile(&path).unwrap();
         assert!(Arc::ptr_eq(&set(&srv, b), &booted_b), "media recovery of A's file rebuilt B's set");
-        assert!(!Arc::ptr_eq(&set(&srv, a), &booted_a), "A's set is re-derived");
+        assert!(Arc::ptr_eq(&set(&srv, a), &booted_a), "A's re-read blocks prove its set");
         assert_eq!(srv.lookup(a, 0, &[Value::U64(7)]).unwrap(), booted_a[0].lookup(&[Value::U64(7)]));
 
         srv.checkpoint_now().unwrap();
@@ -1216,5 +1240,34 @@ mod tests {
         assert!(Arc::ptr_eq(&set(&srv, a), &quiesced_a), "crash recovery rebuilt A's set");
         assert!(Arc::ptr_eq(&set(&srv, b), &quiesced_b), "crash recovery rebuilt B's set");
         assert_eq!(srv.peek_scan(b).unwrap().len(), 50);
+    }
+
+    /// A change the crash lost forces the rebuild: an uncommitted insert
+    /// still in the log buffer at the crash is in the carried index set
+    /// but in no block recovery re-reads, so the table gets a new set,
+    /// without the key, equal to a bulk load over its heap.
+    #[test]
+    fn crash_recovery_rebuilds_a_set_whose_change_the_crash_lost() {
+        let mut srv = server(true);
+        let t = setup_table(&mut srv);
+        let s1 = srv.connect().unwrap();
+        for i in 0..20 {
+            srv.insert(s1, t, row(i, "committed")).unwrap();
+        }
+        srv.commit(s1).unwrap();
+        let s2 = srv.connect().unwrap();
+        srv.insert(s2, t, row(99, "lost")).unwrap();
+        let carried = Arc::clone(&srv.inst.as_ref().unwrap().indexes[&t]);
+        assert_eq!(carried[0].lookup(&[Value::U64(99)]).len(), 1, "the crashed set holds the insert");
+        srv.shutdown_abort().unwrap();
+        srv.startup().unwrap();
+        let set = Arc::clone(&srv.inst.as_ref().unwrap().indexes[&t]);
+        assert!(!Arc::ptr_eq(&set, &carried), "the lost insert's block disproves the carried set");
+        assert!(srv.lookup(t, 0, &[Value::U64(99)]).unwrap().is_empty());
+        let rows = srv.peek_scan(t).unwrap();
+        assert_eq!(rows.len(), 20);
+        let defs = &srv.inst.as_ref().unwrap().catalog.table(t).unwrap().indexes;
+        let built = bulk_built(defs, &rows);
+        assert!(set.iter().zip(&built).all(|(s, b)| s.same_entries(b)), "the rebuild equals a bulk load");
     }
 }

@@ -396,24 +396,40 @@ impl Row {
     }
 
     /// Takes a row out of the front of `buf`, as a view into it, after
-    /// checking the column count, every tag, every length against the
-    /// buffer and the UTF-8 of every string, each once: cutting a column
-    /// out checks its tag and lengths (an integer is exactly 8 bytes), which
-    /// leaves the UTF-8 of text. Bytes after the last column are ignored
-    /// (stored row images are length-prefixed).
+    /// [`Row::validate`] accepts it. Bytes after the last column are
+    /// ignored (stored row images are length-prefixed).
     ///
     /// # Errors
     ///
     /// Fails on malformed bytes.
     pub fn decode(mut buf: Bytes) -> DecodeResult<Row> {
+        let len = Self::validate(&buf)?;
+        buf.truncate(len);
+        Ok(Row { bytes: buf })
+    }
+
+    /// Checks the row at the front of `buf` — the column count, every
+    /// tag, every length against the buffer and the UTF-8 of every string,
+    /// each once: cutting a column out checks its tag and lengths (an
+    /// integer is exactly 8 bytes), which leaves the UTF-8 of text — and
+    /// returns how many bytes it takes.
+    ///
+    /// # Errors
+    ///
+    /// Fails on malformed bytes.
+    pub fn validate(buf: &[u8]) -> DecodeResult<usize> {
         let (count, mut rest) =
             buf.split_first_chunk().ok_or(DecodeError { context: "row column count" })?;
         for _ in 0..u16::from_be_bytes(*count) {
             rest = skip_valid_col(rest)?;
         }
-        let len = buf.len() - rest.len();
-        buf.truncate(len);
-        Ok(Row { bytes: buf })
+        Ok(buf.len() - rest.len())
+    }
+
+    /// A row over bytes [`Row::validate`] accepted whole, as a view into
+    /// them: what a block decode makes of each row its walk validated.
+    pub(crate) fn validated(bytes: Bytes) -> Row {
+        Row { bytes }
     }
 
     /// The same row in an allocation of exactly its own size — for a row
@@ -543,6 +559,41 @@ impl ColumnDelta {
     /// column past `row`'s last.
     pub fn revert(&self, row: &Row) -> Option<Row> {
         row.splice(self.entries().map(|(i, was, _)| (i, was)), Vec::extend_from_slice).ok()
+    }
+
+    /// [`ColumnDelta::apply`] where `row` lies, when `row` alone holds its
+    /// whole allocation and every changed column keeps its stored width:
+    /// the same bytes, written once, with no new row. Returns whether it
+    /// did; a `false` leaves `row` as it was.
+    pub(crate) fn apply_in_place(&self, row: &mut Row) -> bool {
+        let Some(bytes) = row.bytes.whole_mut() else { return false };
+        self.overwrite(bytes, false) && self.overwrite(bytes, true)
+    }
+
+    /// Walks the changed columns over the validated row `bytes`, writing
+    /// each after-value over its column if `write`. Returns whether every
+    /// changed column is there, above the one before it, and as wide as
+    /// its after-value: a check walk (`write` off) goes first, so a write
+    /// walk never stops half done.
+    fn overwrite(&self, bytes: &mut [u8], write: bool) -> bool {
+        // Column `next` starts `at` bytes into the row.
+        let (mut at, mut next) = (2, 0);
+        for (i, _, now) in self.entries() {
+            let Some((before, after)) = i.checked_sub(next).and_then(|skip| around_col(bytes, at, skip)) else {
+                return false;
+            };
+            let (start, end) = (before.len(), bytes.len() - after.len());
+            if end - start != now.len() {
+                return false;
+            }
+            if write {
+                if let Some(col) = bytes.get_mut(start..end) {
+                    col.copy_from_slice(now);
+                }
+            }
+            (at, next) = (end, i + 1);
+        }
+        true
     }
 
     /// Number of changed columns.
@@ -920,6 +971,51 @@ mod tests {
     fn a_multi_column_edit_that_repeats_a_column_panics() {
         let mut row = sample_row();
         row.set_cols([(2, Value::Null), (2, Value::U64(1))]);
+    }
+
+    proptest! {
+        /// A delta spliced where the row lies gives the bytes the spliced
+        /// copy gives, exactly when the row owns its whole allocation and
+        /// every changed column keeps its width; otherwise the row is left
+        /// as it was. The target row is any row, so a delta past its last
+        /// column is refused in place as the copy refuses it.
+        #[test]
+        fn a_delta_spliced_in_place_equals_the_spliced_copy(
+            cols in proptest::collection::vec((value_strategy(), any::<bool>(), value_strategy()), 1..6),
+            target in proptest::collection::vec(value_strategy(), 0..7),
+            held in 0u8..3,
+        ) {
+            let before: Vec<Value> = cols.iter().map(|(v, _, _)| v.clone()).collect();
+            let after: Vec<Value> =
+                cols.iter().map(|(v, picked, new)| if *picked { new.clone() } else { v.clone() }).collect();
+            let mut w = Writer::new();
+            ColumnDelta::encode_between(&Row::new(before), &Row::new(after), &mut w);
+            let framed = w.into_bytes();
+            let delta = ColumnDelta::decode(framed.slice(4..framed.len())).unwrap();
+            let mut row = Row::new(target.clone());
+            // 0: the row alone; 1: a clone shares it; 2: a view into a
+            // larger buffer, as decoding leaves it.
+            let sharer = (held == 1).then(|| row.clone());
+            if held == 2 {
+                let buffer = Bytes::from([&row.encode()[..], b"tail"].concat());
+                row = Row::decode(buffer).unwrap();
+            }
+            let copy = delta.apply(&row);
+            let width = |v: &Value| Row::new([v.clone()]).encoded_len();
+            let same_width = delta.entries().all(|(i, _, now)| {
+                target.get(i).is_some_and(|v| width(v) - 2 == now.len())
+            });
+            let did = delta.apply_in_place(&mut row);
+            prop_assert_eq!(did, held == 0 && copy.is_some() && same_width);
+            if did {
+                prop_assert_eq!(Some(&row), copy.as_ref());
+            } else {
+                prop_assert_eq!(values_of(&row), target);
+            }
+            if let Some(sharer) = sharer {
+                prop_assert_eq!(sharer, Row::new(target.clone()));
+            }
+        }
     }
 
     #[test]

@@ -17,13 +17,14 @@
 //!    log switch, checkpoint block flush). Any new direct write while row
 //!    locks may be held must be routed through those or explicitly waived.
 //! 4. **One applier** — `BlockImage::put` / `BlockImage::remove` /
-//!    `BlockImage::detach` and `Index::insert` / `Index::remove` /
-//!    `Index::replace` are called only from the applier (`apply.rs`; the
-//!    `page` and `index` modules that define them are exempt). Forward
-//!    DML, rollback, every replay, the end of a replay pass and the
-//!    stand-by change a block through that one place, and forward DML,
-//!    rollback and the direct-path load change an index through it, so a
-//!    logged change cannot mean different things on different paths.
+//!    `BlockImage::detach` / `BlockImage::patch` and `Index::insert` /
+//!    `Index::remove` / `Index::replace` are called only from the applier
+//!    (`apply.rs`; the `page` and `index` modules that define them are
+//!    exempt). Forward DML, rollback, every replay, the end of a replay
+//!    pass and the stand-by change a block through that one place, and
+//!    forward DML, rollback and the direct-path load change an index
+//!    through it, so a logged change cannot mean different things on
+//!    different paths.
 
 use crate::callgraph::{match_group_back, CallStyle};
 use crate::lex::Tok;
@@ -56,7 +57,7 @@ const APPLIER: &str = "crates/engine/src/apply.rs";
 /// type: a binding (a block-access closure's `|img| …`, an index set's
 /// `for ix in …`) and a set it indexes into (`indexes[i]`; `""` for none).
 const APPLIER_ONLY: &[(&str, &[&str], &str, &str, &str)] = &[
-    ("BlockImage", &["put", "remove", "detach"], "crates/engine/src/page.rs", "img", ""),
+    ("BlockImage", &["put", "remove", "detach", "patch"], "crates/engine/src/page.rs", "img", ""),
     ("Index", &["insert", "remove", "replace"], "crates/engine/src/index.rs", "ix", "indexes"),
 ];
 
